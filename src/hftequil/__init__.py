@@ -25,7 +25,6 @@ from .solver import (
     NegativeDiscriminant,
     NoRootInBracket,
     QuarticRoots,
-    RejectedRoot,
     RootsNotSeparated,
     SolveDiagnostics,
     SolverError,

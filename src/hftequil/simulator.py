@@ -1,13 +1,23 @@
 """Monte Carlo engine for the trading game.
 
-Paths are driven by counter-based random streams: path p's signal and noise
-increments come from a Philox generator keyed by (seed << 64) | (p << 1) |
-stream, so every path is reproducible on its own and results do not depend
-on chunking. Dealers always price with the equilibrium rule; traders can
-play the equilibrium strategy, a scaled variant, or carry an inventory gap
-that they work down at a chosen rate. The dealer's inventory predictions
+Paths are driven by counter-based random streams (Philox; Salmon et al.,
+SC'11): path p's signal and noise increments come from a Philox generator
+keyed by [(p << 1) | stream, seed] with a zero counter, so every path is
+reproducible on its own and results do not depend on chunking. One bit
+generator is re-keyed per path by setting its state, which gives the same
+numbers as a fresh ``Philox(key=...)`` without the seed sequence that
+construction runs. Dealers always price with the equilibrium rule; traders
+can play the equilibrium strategy, a scaled variant, or carry an inventory
+gap that they work down at a chosen rate. The dealer's inventory predictions
 follow the equilibrium recursion no matter what is actually traded, which
 is what makes deviations detectable only through the order flow.
+
+The streaming estimators (``simulate_objective``, ``simulate_second_moment``
+and ``deviation_sweep``) walk the paths in blocks of ``BLOCK_PATHS``. Each
+block's increments are laid out time-major, (horizon, paths), so a period
+reads one contiguous row, and the per-period state of a block stays in
+cache. Only ``simulate`` keeps full (paths, horizon) series. The recursions
+are plain numpy loops over periods; the package depends on numpy alone.
 
 Per period, in order: trades are formed from the previous state and the
 fresh signal, the dealer prices the aggregate flow, inventories update, and
@@ -54,6 +64,9 @@ _MAX_PATH_INDEX = 2**63
 _MAX_SEED = 2**64
 DEFAULT_TAIL_TOL = 1e-6
 HORIZON_CAP = 10_000_000
+# Paths per block: a (14 rows x 1024 paths) float64 state is 115 kB, so a
+# sweep's per-period arrays stay in a core's L2 cache.
+BLOCK_PATHS = 1024
 
 
 class InadmissibleStrategy(ValueError):
@@ -177,22 +190,63 @@ def _normalize_strategies(strategies, k: int) -> tuple[StrategySpec, ...]:
     return specs
 
 
-def _check_rng_args(seed: int, first_path: int, n_paths: int) -> None:
+def _check_rng_args(seed: int, first_path: int, n_paths: int, chunk_size: int) -> None:
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if first_path < 0 or first_path + n_paths > _MAX_PATH_INDEX:
         raise ValueError("path indices must stay below 2^63")
     if n_paths < 2:
         raise ValueError(f"need at least 2 paths, got {n_paths}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
 
 
 def _fill_normals(out: np.ndarray, seed: int, first_path: int, stream: int) -> None:
-    """One Philox stream per (seed, path, stream); rows are chunk-independent."""
-    count, n_steps = out.shape
-    for j in range(count):
-        key = np.array([((first_path + j) << 1) | stream, seed], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        gen.standard_normal(n_steps, out=out[j])
+    """One Philox stream per (seed, path, stream); rows are chunk-independent.
+
+    A single bit generator is re-keyed for each row. The state it is given is
+    the one ``Philox(key=[(path << 1) | stream, seed])`` starts from: zero
+    counter and an exhausted output buffer.
+    """
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    key = [0, seed]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for j in range(out.shape[0]):
+        key[0] = ((first_path + j) << 1) | stream
+        bitgen.state = state
+        gen.standard_normal(out.shape[1], out=out[j])
+
+
+def _normal_blocks(seed: int, first_path: int, n_paths: int, horizon: int, scales, block: int):
+    """Yield (start, arrays): scaled time-major increments for each block of paths.
+
+    Stream s is filled path by path into a reused (b, horizon) scratch,
+    multiplied by scales[s] and transposed into a reused (horizon, b)
+    buffer, so row n holds period n + 1 for the block's paths. The yielded
+    arrays are overwritten by the next block.
+    """
+    width = min(block, n_paths)
+    scratch = np.empty((width, horizon))
+    bufs = [np.empty(width * horizon) for _ in scales]
+    for start in range(0, n_paths, block):
+        b = min(block, n_paths - start)
+        rows = scratch[:b]
+        arrays = []
+        for stream, (scale, buf) in enumerate(zip(scales, bufs)):
+            _fill_normals(rows, seed, first_path + start, stream)
+            rows *= scale
+            tm = buf[: horizon * b].reshape(horizon, b)
+            tm[...] = rows.T
+            arrays.append(tm)
+        yield start, arrays
 
 
 def default_horizon(
@@ -346,7 +400,7 @@ def simulate(
     n_paths: int,
     horizon: int | None = None,
     seed: int = 0,
-    chunk_size: int = 4096,
+    chunk_size: int = BLOCK_PATHS,
     first_path: int = 0,
     max_floats: int = 250_000_000,
 ) -> PathBatch:
@@ -365,7 +419,7 @@ def simulate(
         horizon = default_horizon(params)
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    _check_rng_args(seed, first_path, n_paths)
+    _check_rng_args(seed, first_path, n_paths, chunk_size)
     k = params.k
     n_floats = n_paths * (4 * horizon + k * (3 * (horizon + 1) + 2 * horizon) + 1)
     if n_floats > max_floats:
@@ -503,7 +557,7 @@ def simulate_objective(
     n_paths: int,
     horizon: int | None = None,
     seed: int = 0,
-    chunk_size: int = 4096,
+    chunk_size: int = BLOCK_PATHS,
     first_path: int = 0,
     tail_tol: float | None = DEFAULT_TAIL_TOL,
 ) -> ObjectiveResult:
@@ -524,7 +578,7 @@ def simulate_objective(
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     if not 0 <= trader_index < params.k:
         raise ValueError(f"trader index {trader_index} out of range for k={params.k}")
-    _check_rng_args(seed, first_path, n_paths)
+    _check_rng_args(seed, first_path, n_paths, chunk_size)
     rho_i = params.traders[trader_index].rho
     _check_tail(rho_i, params.dt, horizon, tail_tol)
 
@@ -544,29 +598,20 @@ def simulate_objective(
 
     obj = np.empty(n_paths)
     mtm = np.empty(n_paths)
-    xs = np.empty((min(chunk_size, n_paths), horizon))
-    xk = np.empty_like(xs)
-    for start in range(0, n_paths, chunk_size):
-        stop = min(start + chunk_size, n_paths)
-        b = stop - start
-        dS = xs[:b]
-        dK = xk[:b]
-        _fill_normals(dS, seed, first_path + start, stream=0)
-        _fill_normals(dK, seed, first_path + start, stream=1)
-        dS *= params.sigma_S * sqdt
-        dK *= params.sigma_K * sqdt
-
+    scales = (params.sigma_S * sqdt, params.sigma_K * sqdt)
+    for start, (dS, dK) in _normal_blocks(seed, first_path, n_paths, horizon, scales, chunk_size):
+        b = dS.shape[1]
         M = np.tile(l0, (b, 1))
         L = M + z0
         obj_c = np.zeros(b)
         mtm_c = np.zeros(b)
         for n in range(horizon):
-            ds = dS[:, n]
+            ds = dS[n]
             dM = ds[:, None] * betas - M * phis
             dL = dM.copy()
             for i in deviators:
                 dL[:, i] = _deviation_flow(specs[i], betas[i], phis[i], ds, M[:, i], L[:, i])
-            dY = dK[:, n] + dL.sum(axis=1)
+            dY = dK[n] + dL.sum(axis=1)
             padj = lam * dY + M @ mus
             mtm_c += L[:, trader_index] * ds * disc[n]
             L = L + dL
@@ -575,8 +620,8 @@ def simulate_objective(
             dli = dL[:, trader_index]
             pay = dli * (ds - padj) - 0.5 * g_i * dt * li * li - c * dli * dli
             obj_c += disc[n] * pay
-        obj[start:stop] = obj_c
-        mtm[start:stop] = mtm_c
+        obj[start : start + b] = obj_c
+        mtm[start : start + b] = mtm_c
     return ObjectiveResult(
         objective=_estimate_from_array(obj),
         mark_to_market=_estimate_from_array(mtm),
@@ -676,7 +721,7 @@ def simulate_second_moment(
     *,
     n_paths: int,
     seed: int = 0,
-    chunk_size: int = 8192,
+    chunk_size: int = BLOCK_PATHS,
     M0: float = 0.0,
 ) -> dict[int, Estimate]:
     """Monte Carlo E[M_n^2] at the given checkpoint periods.
@@ -688,23 +733,17 @@ def simulate_second_moment(
     checkpoints = sorted(set(int(n) for n in checkpoints))
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("checkpoints must be positive periods")
-    _check_rng_args(seed, 0, n_paths)
+    _check_rng_args(seed, 0, n_paths, chunk_size)
     horizon = checkpoints[-1]
     beta = eq.betas[trader_index]
     phi = eq.phis[trader_index]
     scale = params.sigma_S * math.sqrt(params.dt)
     stats = {n: _RunningStat() for n in checkpoints}
     wanted = set(checkpoints)
-    xs = np.empty((min(chunk_size, n_paths), horizon))
-    for start in range(0, n_paths, chunk_size):
-        stop = min(start + chunk_size, n_paths)
-        b = stop - start
-        dS = xs[:b]
-        _fill_normals(dS, seed, start, stream=0)
-        dS *= scale
-        m = np.full(b, float(M0))
+    for _, (dS,) in _normal_blocks(seed, 0, n_paths, horizon, (scale,), chunk_size):
+        m = np.full(dS.shape[1], float(M0))
         for n in range(1, horizon + 1):
-            m = (1.0 - phi) * m + beta * dS[:, n - 1]
+            m = (1.0 - phi) * m + beta * dS[n - 1]
             if n in wanted:
                 stats[n].add(m * m)
     return {n: stats[n].estimate() for n in checkpoints}
@@ -754,15 +793,15 @@ def deviation_sweep(
     n_paths: int,
     horizon: int,
     seed: int = 0,
-    chunk_size: int = 20000,
+    chunk_size: int = BLOCK_PATHS,
 ) -> DeviationSweepResult:
     """Estimate one trader's objective under each strategy on shared paths.
 
     All other traders play equilibrium. Their flows and the dealer's
-    prediction terms do not depend on the deviator's play, so they are
-    computed once per chunk and reused across every row. The horizon is
-    explicit: sweeps are usually run truncated, which preserves the ranking
-    because every row sees the same truncation.
+    prediction terms do not depend on the deviator's play, so each period
+    computes them once per block of paths and every row reuses them. The
+    horizon is explicit: sweeps are usually run truncated, which preserves
+    the ranking because every row sees the same truncation.
     """
     specs = tuple(specs)
     if not specs:
@@ -778,11 +817,10 @@ def deviation_sweep(
         raise ValueError("include an equilibrium row to serve as the reference")
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    _check_rng_args(seed, 0, n_paths)
+    _check_rng_args(seed, 0, n_paths, chunk_size)
 
     dt = params.dt
     sqdt = math.sqrt(dt)
-    k = params.k
     i = trader_index
     betas = np.array(eq.betas)
     phis = np.array(eq.phis)
@@ -796,57 +834,64 @@ def deviation_sweep(
     l0 = np.array(params.initial_inventories)
     disc = np.cumprod(np.full(horizon, 1.0 - rho_i * dt))
 
+    # Every strategy kind is linear in (dS, M_prev, L_prev), so all rows
+    # advance together as one (rows, paths) state matrix.
+    a_ds = np.empty(len(specs))
+    a_m = np.empty(len(specs))
+    a_l = np.empty(len(specs))
+    for r, spec in enumerate(specs):
+        if spec.kind == "equilibrium":
+            a_ds[r], a_m[r], a_l[r] = beta_i, -phi_i, 0.0
+        elif spec.kind == "scaled":
+            a_ds[r], a_m[r], a_l[r] = spec.beta_scale * beta_i, 0.0, -(spec.phi_scale * phi_i)
+        else:
+            a_ds[r], a_m[r], a_l[r] = beta_i, spec.zeta - phi_i, -spec.zeta
+    a_ds, a_m, a_l = a_ds[:, None], a_m[:, None], a_l[:, None]
+    z0_rows = np.array([s.z0 if s.kind == "with_z" else 0.0 for s in specs])[:, None]
     obj_stats = [_RunningStat() for _ in specs]
     diff_stats = [_RunningStat() for _ in specs]
 
-    for start in range(0, n_paths, chunk_size):
-        stop = min(start + chunk_size, n_paths)
-        b = stop - start
-        dS = np.empty((b, horizon))
-        dK = np.empty((b, horizon))
-        _fill_normals(dS, seed, start, stream=0)
-        _fill_normals(dK, seed, start, stream=1)
-        dS *= params.sigma_S * sqdt
-        dK *= params.sigma_K * sqdt
-
-        # Shared precomputation: predicted inventories, the non-deviators'
-        # flow, and the dealer's prediction adjustment are play-independent.
+    half_g_dt = 0.5 * g_i * dt
+    scales = (params.sigma_S * sqdt, params.sigma_K * sqdt)
+    for _, (dS, dK) in _normal_blocks(seed, 0, n_paths, horizon, scales, chunk_size):
+        b = dS.shape[1]
         M = np.tile(l0, (b, 1))
-        mi_path = np.empty((b, horizon + 1))
-        mi_path[:, 0] = M[:, i]
-        others_flow = np.empty((b, horizon))
-        mu_m = np.empty((b, horizon))
-        for n in range(horizon):
-            dM = dS[:, n][:, None] * betas - M * phis
-            mu_m[:, n] = M @ mus
-            others_flow[:, n] = dM.sum(axis=1) - dM[:, i]
-            M = M + dM
-            mi_path[:, n + 1] = M[:, i]
-
-        # Every strategy kind is linear in (dS, M_prev, L_prev), so all rows
-        # advance together as one (rows, paths) state matrix.
-        a_ds = np.empty(len(specs))
-        a_m = np.empty(len(specs))
-        a_l = np.empty(len(specs))
-        for r, spec in enumerate(specs):
-            if spec.kind == "equilibrium":
-                a_ds[r], a_m[r], a_l[r] = beta_i, -phi_i, 0.0
-            elif spec.kind == "scaled":
-                a_ds[r], a_m[r], a_l[r] = spec.beta_scale * beta_i, 0.0, -(spec.phi_scale * phi_i)
-            else:
-                a_ds[r], a_m[r], a_l[r] = beta_i, spec.zeta - phi_i, -spec.zeta
-        z0_rows = np.array([s.z0 if s.kind == "with_z" else 0.0 for s in specs])
-        L = mi_path[:, 0][None, :] + z0_rows[:, None]
+        L = M[:, i][None, :] + z0_rows
         row_objs = np.zeros((len(specs), b))
+        dL, padj, pay, tmp = (np.empty((len(specs), b)) for _ in range(4))
         for n in range(horizon):
-            ds = dS[:, n]
-            mi_prev = mi_path[:, n]
-            dL = a_ds[:, None] * ds + a_m[:, None] * mi_prev + a_l[:, None] * L
-            dY = (dK[:, n] + others_flow[:, n]) + dL
-            padj = lam * dY + mu_m[:, n]
+            ds = dS[n]
+            # Play-independent terms, shared by every row: the equilibrium
+            # predictions, the other traders' flow and the dealer's
+            # prediction adjustment.
+            dM = ds[:, None] * betas - M * phis
+            mu_m = M @ mus
+            others_flow = dM.sum(axis=1) - dM[:, i]
+            # The row update below is, written out,
+            #   dL = a_ds ds + a_m M_i + a_l L
+            #   padj = lam (dK + others_flow + dL) + mu_m
+            #   pay = dL (ds - padj) - half_g_dt L'^2 - c dL^2
+            # evaluated in place, in that order, to keep the state in cache.
+            # At c = 0 the tax term would subtract exactly zero.
+            np.multiply(a_ds, ds, out=dL)
+            dL += np.multiply(a_m, M[:, i], out=tmp)
+            dL += np.multiply(a_l, L, out=tmp)
+            np.add(dK[n] + others_flow, dL, out=padj)
+            padj *= lam
+            padj += mu_m
             L += dL
-            pay = dL * (ds - padj) - (0.5 * g_i * dt) * L * L - c * (dL * dL)
-            row_objs += disc[n] * pay
+            np.subtract(ds, padj, out=pay)
+            pay *= dL
+            np.multiply(half_g_dt, L, out=tmp)
+            tmp *= L
+            pay -= tmp
+            if c:
+                np.multiply(dL, dL, out=tmp)
+                tmp *= c
+                pay -= tmp
+            pay *= disc[n]
+            row_objs += pay
+            M = M + dM
         for r in range(len(specs)):
             obj_stats[r].add(row_objs[r])
             if r != reference_index:

@@ -23,7 +23,6 @@ from .model import ValidatedParams
 __all__ = [
     "Equilibrium",
     "SolveDiagnostics",
-    "RejectedRoot",
     "QuarticRoots",
     "SolverError",
     "NoRootInBracket",
@@ -108,18 +107,11 @@ class Equilibrium:
 
 
 @dataclass(frozen=True)
-class RejectedRoot:
-    value: float
-    reason: str
-
-
-@dataclass(frozen=True)
 class SolveDiagnostics:
     iterations: int
     bracket: tuple[float, float]
     residuals: tuple[float, ...]
     aggregate_residual: float
-    rejected_roots: tuple[RejectedRoot, ...] = ()
     h_samples: tuple[tuple[float, float], ...] = ()
     continuation_steps: int = 0
 
@@ -443,7 +435,6 @@ def _assemble(beta_sigma: float, params: ValidatedParams, diag: SolveDiagnostics
         bracket=diag.bracket,
         residuals=residuals,
         aggregate_residual=abs(sum(betas) - beta_sigma),
-        rejected_roots=diag.rejected_roots,
         h_samples=diag.h_samples,
         continuation_steps=diag.continuation_steps,
     )
@@ -558,7 +549,6 @@ def solve_taxed(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagnostics]
         bracket=final.bracket,
         residuals=final.residuals,
         aggregate_residual=final.aggregate_residual,
-        rejected_roots=final.rejected_roots,
         h_samples=final.h_samples,
         continuation_steps=len(steps),
     )

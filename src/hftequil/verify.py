@@ -224,12 +224,13 @@ def _mc_checks(eq, params, coeff_list, tol, paths, seed, mc_horizon):
     )
 
     checkpoints = sorted({1, min(10, mc_horizon), min(50, mc_horizon)})
+    m0 = params.traders[0].initial_inventory
     moments = sim.simulate_second_moment(
-        eq, 0, params, checkpoints, n_paths=paths, seed=seed
+        eq, 0, params, checkpoints, n_paths=paths, seed=seed, M0=m0
     )
     worst = 0.0
     for n, est in moments.items():
-        target = sim.inventory_second_moment(eq, 0, params, n, M0=params.traders[0].initial_inventory)
+        target = sim.inventory_second_moment(eq, 0, params, n, M0=m0)
         worst = max(worst, abs(est.mean - target) / est.std_error)
     results.append(CheckResult("moment_formula_mc", worst <= sig, worst, sig))
 
@@ -249,7 +250,6 @@ def _mc_checks(eq, params, coeff_list, tol, paths, seed, mc_horizon):
                 eq, None, params, 0, n_paths=paths, horizon=full_horizon, seed=seed
             )
             coeffs = coeff_list[0]
-            m0 = params.traders[0].initial_inventory
             target = -0.5 * coeffs.A * m0**2 + 0.5 * coeffs.B * params.sigma_S**2 * params.dt + coeffs.D
             value = abs(res.objective.mean - target) / res.objective.std_error
             results.append(

@@ -8,6 +8,7 @@ single bit of any path.
 """
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from hftequil import (
     solve_nash,
     solve_taxed,
 )
+from hftequil.simulator import BLOCK_PATHS, _fill_normals, _normal_blocks
 from helpers import make_params
 
 
@@ -91,6 +93,46 @@ class TestRandomStreams:
         eq, _ = solve_nash(p)
         with pytest.raises(ValueError):
             simulate(eq, None, p, n_paths=1, horizon=4)
+
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_nonpositive_chunk_size_rejected(self, chunk_size):
+        p = make_params(k=1, dt=0.01)
+        eq, _ = solve_nash(p)
+        ref = [StrategySpec.equilibrium()]
+        calls = (
+            lambda: simulate(eq, None, p, n_paths=4, horizon=4, chunk_size=chunk_size),
+            lambda: simulate_objective(
+                eq, None, p, 0, n_paths=4, horizon=4, chunk_size=chunk_size, tail_tol=None
+            ),
+            lambda: simulate_second_moment(eq, 0, p, [2], n_paths=4, chunk_size=chunk_size),
+            lambda: deviation_sweep(eq, p, 0, ref, n_paths=4, horizon=4, chunk_size=chunk_size),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="chunk_size"):
+                call()
+
+    @pytest.mark.parametrize("first_path, seed", [(3, 7), (1000, 2**64 - 1), (2**63 - 200, 5)])
+    def test_rekeyed_fill_equals_fresh_generators(self, first_path, seed):
+        # Blocks of uneven size, each filled by one re-keyed bit generator.
+        for start, count in ((0, 1), (1, 5), (6, 33), (39, 2)):
+            for stream in (0, 1):
+                out = np.empty((count, 17))
+                _fill_normals(out, seed, first_path + start, stream)
+                for j in range(count):
+                    want = normals(seed, first_path + start + j, stream, 17)
+                    assert np.array_equal(out[j], want), (start, j, stream)
+
+    def test_time_major_blocks_are_the_scaled_streams(self):
+        seed, first_path, n_paths, horizon = 4, 11, 23, 9
+        seen = 0
+        for start, (ds, dk) in _normal_blocks(seed, first_path, n_paths, horizon, (0.5, 2.0), 10):
+            assert ds.shape == dk.shape == (horizon, min(10, n_paths - start))
+            for j in range(ds.shape[1]):
+                path = first_path + start + j
+                assert np.array_equal(ds[:, j], normals(seed, path, 0, horizon) * 0.5)
+                assert np.array_equal(dk[:, j], normals(seed, path, 1, horizon) * 2.0)
+            seen += ds.shape[1]
+        assert seen == n_paths
 
 
 class TestHandRolledRecursion:
@@ -424,6 +466,68 @@ class TestDeviationSweep:
         result = deviation_sweep(eq, p, 1, specs, n_paths=500, horizon=40, seed=5)
         res = simulate_objective(eq, None, p, 1, n_paths=500, horizon=40, seed=5, tail_tol=None)
         assert result.rows[0].objective.mean == pytest.approx(res.objective.mean, rel=1e-12)
+
+    @pytest.mark.parametrize("tax", [0.0, 1e-3])
+    def test_every_row_matches_streaming_estimator(self, tax):
+        p = make_params(k=2, dt=0.01, gammas=[1.0, 2.0], rhos=[0.05, 0.1], l0=[0.5, -0.25], tax=tax)
+        eq, _ = solve_taxed(p) if tax else solve_nash(p)
+        specs = [
+            StrategySpec.scaled(beta_scale=1.2),
+            StrategySpec.equilibrium(),
+            StrategySpec.scaled(phi_scale=0.7),
+            StrategySpec.scaled(beta_scale=0.9, phi_scale=1.3),
+            StrategySpec.with_z(0.4, 0.8),
+            StrategySpec.with_z(0.0, -0.5),
+        ]
+        result = deviation_sweep(eq, p, 1, specs, n_paths=300, horizon=40, seed=5)
+        assert result.reference_index == 1
+        for spec, row in zip(specs, result.rows):
+            res = simulate_objective(
+                eq, {1: spec}, p, 1, n_paths=300, horizon=40, seed=5, tail_tol=None
+            )
+            assert row.objective.mean == pytest.approx(res.objective.mean, rel=1e-12), spec
+            assert row.objective.std_error == pytest.approx(res.objective.std_error, rel=1e-9), spec
+
+    def test_chunk_size_does_not_change_estimates(self):
+        p = make_params(k=2, dt=0.01, l0=[0.3, -0.6])
+        eq, _ = solve_nash(p)
+        specs = [StrategySpec.equilibrium(), StrategySpec.scaled(phi_scale=1.2), StrategySpec.with_z(0.3, 1.0)]
+        sweeps = [
+            deviation_sweep(eq, p, 0, specs, n_paths=203, horizon=30, seed=2, chunk_size=chunk)
+            for chunk in (3, 64, BLOCK_PATHS)
+        ]
+        objectives = [
+            simulate_objective(
+                eq, {0: specs[2]}, p, 0, n_paths=203, horizon=30, seed=2, chunk_size=chunk, tail_tol=None
+            )
+            for chunk in (3, 64, BLOCK_PATHS)
+        ]
+        for sweep in sweeps[:2]:
+            for row, want in zip(sweep.rows, sweeps[2].rows):
+                assert row.objective.mean == pytest.approx(want.objective.mean, rel=1e-12)
+                assert row.objective.std_error == pytest.approx(want.objective.std_error, rel=1e-9)
+                if want.difference is not None:
+                    assert row.difference.mean == pytest.approx(want.difference.mean, rel=1e-12)
+        # the streaming estimator reduces whole per-path arrays: bit for bit
+        for res in objectives[:2]:
+            assert res.objective == objectives[2].objective
+            assert res.mark_to_market == objectives[2].mark_to_market
+        assert sweeps[2].rows[2].objective.mean == pytest.approx(objectives[2].objective.mean, rel=1e-12)
+
+    def test_memory_does_not_grow_with_paths(self):
+        p = make_params(k=2, dt=0.01)
+        eq, _ = solve_nash(p)
+        specs = [StrategySpec.equilibrium(), StrategySpec.scaled(beta_scale=0.9), StrategySpec.with_z(0.5, 1.0)]
+        deviation_sweep(eq, p, 0, specs, n_paths=2, horizon=16, seed=1)  # one-time set-up
+        peaks = {}
+        for n_paths in (5000, 40000):
+            tracemalloc.start()
+            try:
+                deviation_sweep(eq, p, 0, specs, n_paths=n_paths, horizon=16, seed=1)
+                peaks[n_paths] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[40000] <= 1.5 * peaks[5000], peaks
 
     def test_requires_reference_row(self):
         p = make_params(k=1, dt=0.01)

@@ -76,6 +76,14 @@ class TestFullBattery:
         report = run_verification(p, paths=512, mc_horizon=64)
         assert report.passed, report.failures
 
+    def test_moment_check_starts_from_the_initial_inventory(self):
+        # The simulated moments and their target both start at trader 0's l0.
+        p = make_params(k=2, dt=0.1, gammas=[0.5, 2.0], l0=[0.8, -0.3])
+        report = run_verification(p, paths=512, mc_horizon=64)
+        moment = next(r for r in report.results if r.name == "moment_formula_mc")
+        assert moment.passed, moment.value
+        assert report.passed, report.failures
+
 
 class TestReportMechanics:
     def test_failures_lists_names(self):
