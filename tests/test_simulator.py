@@ -491,14 +491,19 @@ class TestDeviationSweep:
     def test_chunk_size_does_not_change_estimates(self):
         p = make_params(k=2, dt=0.01, l0=[0.3, -0.6])
         eq, _ = solve_nash(p)
-        specs = [StrategySpec.equilibrium(), StrategySpec.scaled(phi_scale=1.2), StrategySpec.with_z(0.3, 1.0)]
+        specs = [
+            StrategySpec.equilibrium(),
+            StrategySpec.scaled(phi_scale=1.2),
+            StrategySpec.with_z(0.3, 1.0),
+        ]
         sweeps = [
             deviation_sweep(eq, p, 0, specs, n_paths=203, horizon=30, seed=2, chunk_size=chunk)
             for chunk in (3, 64, BLOCK_PATHS)
         ]
         objectives = [
             simulate_objective(
-                eq, {0: specs[2]}, p, 0, n_paths=203, horizon=30, seed=2, chunk_size=chunk, tail_tol=None
+                eq, {0: specs[2]}, p, 0, n_paths=203, horizon=30, seed=2,
+                chunk_size=chunk, tail_tol=None,
             )
             for chunk in (3, 64, BLOCK_PATHS)
         ]
@@ -512,12 +517,17 @@ class TestDeviationSweep:
         for res in objectives[:2]:
             assert res.objective == objectives[2].objective
             assert res.mark_to_market == objectives[2].mark_to_market
-        assert sweeps[2].rows[2].objective.mean == pytest.approx(objectives[2].objective.mean, rel=1e-12)
+        want = objectives[2].objective.mean
+        assert sweeps[2].rows[2].objective.mean == pytest.approx(want, rel=1e-12)
 
     def test_memory_does_not_grow_with_paths(self):
         p = make_params(k=2, dt=0.01)
         eq, _ = solve_nash(p)
-        specs = [StrategySpec.equilibrium(), StrategySpec.scaled(beta_scale=0.9), StrategySpec.with_z(0.5, 1.0)]
+        specs = [
+            StrategySpec.equilibrium(),
+            StrategySpec.scaled(beta_scale=0.9),
+            StrategySpec.with_z(0.5, 1.0),
+        ]
         deviation_sweep(eq, p, 0, specs, n_paths=2, horizon=16, seed=1)  # one-time set-up
         peaks = {}
         for n_paths in (5000, 40000):
