@@ -163,9 +163,6 @@ class ValidatedParams:
 
 def validate(params: MarketParams) -> ValidatedParams:
     """Return the validated form of ``params`` or raise with all violations."""
-    violations = check_params(params)
-    if violations:
-        raise InvalidParamsError(violations)
     return ValidatedParams(params.sigma_S, params.sigma_K, params.dt, tuple(params.traders), params.tax)
 
 

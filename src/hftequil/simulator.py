@@ -3,7 +3,7 @@
 Paths are driven by counter-based random streams (Philox; Salmon et al.,
 SC'11): path p's signal and noise increments come from a Philox generator
 keyed by [(p << 1) | stream, seed] with a zero counter, so every path is
-reproducible on its own and results do not depend on chunking. One bit
+reproducible on its own and results do not depend on blocking. One bit
 generator is re-keyed per path by setting its state, which gives the same
 numbers as a fresh ``Philox(key=...)`` without the seed sequence that
 construction runs. Dealers always price with the equilibrium rule; traders
@@ -12,12 +12,18 @@ gap that they work down at a chosen rate. The dealer's inventory predictions
 follow the equilibrium recursion no matter what is actually traded, which
 is what makes deviations detectable only through the order flow.
 
-The streaming estimators (``simulate_objective``, ``simulate_second_moment``
-and ``deviation_sweep``) walk the paths in blocks of ``BLOCK_PATHS``. Each
-block's increments are laid out time-major, (horizon, paths), so a period
-reads one contiguous row, and the per-period state of a block stays in
-cache. Only ``simulate`` keeps full (paths, horizon) series. The recursions
-are plain numpy loops over periods; the package depends on numpy alone.
+Every strategy trades a fixed linear combination of the signal move dS,
+the dealer's prediction M and the trader's own inventory L, so one kernel,
+``_game``, plays them all from coefficient rows: ``simulate`` and
+``simulate_objective`` run it with one row for a trader, ``deviation_sweep``
+with one row per strategy.
+
+The kernel walks the paths in blocks of ``BLOCK_PATHS``. Each block's
+increments are laid out time-major, (horizon, paths), so a period reads one
+contiguous row, and the per-period state of a block stays in cache. Only
+``simulate`` keeps full (paths, horizon) series; the other entry points pool
+per-block results with one streaming estimator. The recursions are plain
+numpy loops over periods; the package depends on numpy alone.
 
 Per period, in order: trades are formed from the previous state and the
 fresh signal, the dealer prices the aggregate flow, inventories update, and
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -93,25 +99,32 @@ class Estimate:
         return lo <= x <= hi
 
 
-class _RunningStat:
-    __slots__ = ("n", "total", "total_sq")
+@dataclass
+class _Stat:
+    """Streaming mean and standard error over blocks of samples. Each block's
+    mean and centred sum of squares merge by the pairwise update of Chan,
+    Golub & LeVeque (1983), so one block gives numpy's mean and std(ddof=1)."""
 
-    def __init__(self):
-        self.n = 0
-        self.total = 0.0
-        self.total_sq = 0.0
+    n: int = 0
+    mean: float = 0.0
+    m2: float = 0.0
 
-    def add(self, values: np.ndarray) -> None:
-        self.n += values.size
-        self.total += float(values.sum())
-        self.total_sq += float((values * values).sum())
+    def add(self, values: np.ndarray) -> "_Stat":
+        nb = values.size
+        mean_b = float(values.mean())
+        d = values - mean_b
+        delta = mean_b - self.mean
+        n = self.n + nb
+        self.mean += delta * (nb / n)
+        self.m2 += float((d * d).sum()) + delta * delta * (self.n * nb / n)
+        self.n = n
+        return self
 
     def estimate(self) -> Estimate:
         if self.n < 2:
             raise ValueError("need at least two samples for a standard error")
-        mean = self.total / self.n
-        var = max(0.0, (self.total_sq - self.n * mean * mean) / (self.n - 1))
-        return Estimate(mean, math.sqrt(var / self.n), self.n)
+        std = math.sqrt(self.m2 / (self.n - 1))
+        return Estimate(self.mean, std / math.sqrt(self.n), self.n)
 
 
 @dataclass(frozen=True)
@@ -151,29 +164,6 @@ class StrategySpec:
         return f"with_z(zeta={self.zeta!r}, z0={self.z0!r})"
 
 
-def _check_admissible(spec: StrategySpec, eq: Equilibrium, trader_index: int) -> None:
-    if spec.kind == "equilibrium":
-        return
-    if spec.kind == "scaled":
-        decay = spec.phi_scale * eq.phis[trader_index]
-        if not 0.0 < decay < 2.0:
-            raise InadmissibleStrategy(
-                f"trader {trader_index}: effective decay {decay!r} outside (0, 2), inventory diverges"
-            )
-        if not math.isfinite(spec.beta_scale):
-            raise InadmissibleStrategy(f"trader {trader_index}: beta_scale must be finite")
-        return
-    if spec.kind == "with_z":
-        if not 0.0 <= spec.zeta < 2.0:
-            raise InadmissibleStrategy(
-                f"trader {trader_index}: workdown rate {spec.zeta!r} outside [0, 2), gap diverges"
-            )
-        if not math.isfinite(spec.z0):
-            raise InadmissibleStrategy(f"trader {trader_index}: z0 must be finite")
-        return
-    raise ValueError(f"unknown strategy kind {spec.kind!r}")
-
-
 def _normalize_strategies(strategies, k: int) -> tuple[StrategySpec, ...]:
     if strategies is None:
         return tuple(StrategySpec() for _ in range(k))
@@ -190,15 +180,51 @@ def _normalize_strategies(strategies, k: int) -> tuple[StrategySpec, ...]:
     return specs
 
 
-def _check_rng_args(seed: int, first_path: int, n_paths: int, chunk_size: int) -> None:
+def _coefficients(spec: StrategySpec, eq: Equilibrium, i: int) -> tuple[float, float, float, float]:
+    """Trader i's row (a_dS, a_M, a_L, z0): it trades a_dS dS + a_M M + a_L L from L_0 = M_0 + z0.
+
+    Raises InadmissibleStrategy for a spec under which inventory diverges.
+    """
+    beta, phi = eq.betas[i], eq.phis[i]
+    if spec.kind == "equilibrium":
+        return beta, -phi, 0.0, 0.0
+    if spec.kind == "scaled":
+        decay = spec.phi_scale * phi
+        if not 0.0 < decay < 2.0:
+            raise InadmissibleStrategy(f"trader {i}: effective decay {decay!r} outside (0, 2), inventory diverges")
+        if not math.isfinite(spec.beta_scale):
+            raise InadmissibleStrategy(f"trader {i}: beta_scale must be finite")
+        return spec.beta_scale * beta, 0.0, -decay, 0.0
+    if spec.kind == "with_z":
+        if not 0.0 <= spec.zeta < 2.0:
+            raise InadmissibleStrategy(f"trader {i}: workdown rate {spec.zeta!r} outside [0, 2), gap diverges")
+        if not math.isfinite(spec.z0):
+            raise InadmissibleStrategy(f"trader {i}: z0 must be finite")
+        # equilibrium trade plus closing a fraction zeta of the current gap L - M
+        return beta, spec.zeta - phi, -spec.zeta, spec.z0
+    raise ValueError(f"unknown strategy kind {spec.kind!r}")
+
+
+def _checked_game(eq: Equilibrium, strategies, params: ValidatedParams, horizon: int | None):
+    """Checks shared by ``simulate`` and ``simulate_objective``: (specs, coefficient rows, horizon)."""
+    if params.dt == 0.0:
+        raise ValueError("simulation requires dt > 0")
+    specs = _normalize_strategies(strategies, params.k)
+    coefs = [_coefficients(spec, eq, i) for i, spec in enumerate(specs)]
+    if horizon is None:
+        horizon = default_horizon(params)
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    return specs, coefs, horizon
+
+
+def _check_rng_args(seed: int, first_path: int, n_paths: int) -> None:
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if first_path < 0 or first_path + n_paths > _MAX_PATH_INDEX:
         raise ValueError("path indices must stay below 2^63")
     if n_paths < 2:
         raise ValueError(f"need at least 2 paths, got {n_paths}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
 
 
 def _fill_normals(out: np.ndarray, seed: int, first_path: int, stream: int) -> None:
@@ -271,11 +297,12 @@ def default_horizon(
 class PathBatch:
     """Simulated paths with every per-period series retained.
 
-    Shapes: dS, dK, dY, price_adj are (n_paths, N); M, L, Z are
-    (n_paths, k, N + 1) with the initial state at index 0; payoff and
-    penalty are (n_paths, k, N), undiscounted; mtm_discounted is
-    (n_paths, k), the discounted sum of pre-trade inventory times the
-    signal move, which has mean zero for any strategy.
+    Shapes: dS, dK, dY, price_adj are (n_paths, N); M and L are
+    (n_paths, k, N + 1) with the initial state at index 0, and so is the
+    gap Z = L - M, computed on access; payoff and penalty are
+    (n_paths, k, N), undiscounted; mtm_discounted is (n_paths, k), the
+    discounted sum of pre-trade inventory times the signal move, which has
+    mean zero for any strategy.
     """
 
     params: ValidatedParams
@@ -289,7 +316,6 @@ class PathBatch:
     price_adj: np.ndarray
     M: np.ndarray
     L: np.ndarray
-    Z: np.ndarray
     payoff: np.ndarray
     penalty: np.ndarray
     mtm_discounted: np.ndarray
@@ -306,34 +332,28 @@ class PathBatch:
     def k(self) -> int:
         return self.M.shape[1]
 
+    @property
+    def Z(self) -> np.ndarray:
+        """Inventory gap L - M; a new array on every access."""
+        return self.L - self.M
+
     def to_csv(self, file, max_rows: int = 1_000_000) -> None:
         """Long-format CSV, one row per (path, period); states are post-trade."""
         rows = self.n_paths * self.horizon
         if rows > max_rows:
             raise ValueError(f"{rows} rows exceed max_rows={max_rows}; slice the batch or raise the limit")
-        k = self.k
+        Z = self.Z
         header = ["path", "period", "dS", "dK", "dY", "price_adj"]
-        for j in range(k):
+        for j in range(self.k):
             header += [f"L{j}", f"M{j}", f"Z{j}", f"payoff{j}", f"penalty{j}"]
         file.write(",".join(header) + "\n")
         for p in range(self.n_paths):
             for n in range(self.horizon):
-                cells = [
-                    str(self.first_path + p),
-                    str(n + 1),
-                    repr(float(self.dS[p, n])),
-                    repr(float(self.dK[p, n])),
-                    repr(float(self.dY[p, n])),
-                    repr(float(self.price_adj[p, n])),
-                ]
-                for j in range(k):
-                    cells += [
-                        repr(float(self.L[p, j, n + 1])),
-                        repr(float(self.M[p, j, n + 1])),
-                        repr(float(self.Z[p, j, n + 1])),
-                        repr(float(self.payoff[p, j, n])),
-                        repr(float(self.penalty[p, j, n])),
-                    ]
+                cells = [str(self.first_path + p), str(n + 1)]
+                cells += [repr(float(a[p, n])) for a in (self.dS, self.dK, self.dY, self.price_adj)]
+                for j in range(self.k):
+                    cells += [repr(float(a[p, j, n + 1])) for a in (self.L, self.M, Z)]
+                    cells += [repr(float(a[p, j, n])) for a in (self.payoff, self.penalty)]
                 file.write(",".join(cells) + "\n")
 
     def save_npz(self, path) -> None:
@@ -342,16 +362,7 @@ class PathBatch:
             {
                 "params": params_to_config(self.params),
                 "equilibrium": self.eq.to_dict(),
-                "strategies": [
-                    {
-                        "kind": s.kind,
-                        "beta_scale": s.beta_scale,
-                        "phi_scale": s.phi_scale,
-                        "zeta": s.zeta,
-                        "z0": s.z0,
-                    }
-                    for s in self.strategies
-                ],
+                "strategies": [asdict(s) for s in self.strategies],
                 "seed": self.seed,
                 "first_path": self.first_path,
             }
@@ -372,24 +383,85 @@ class PathBatch:
         )
 
 
-def _discount_matrix(params: ValidatedParams, horizon: int) -> np.ndarray:
-    """(k, N) matrix of (1 - rho_j dt)^n for n = 1..N."""
-    per = np.array([1.0 - t.rho * params.dt for t in params.traders])
-    return np.cumprod(np.tile(per[:, None], (1, horizon)), axis=1)
+def _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path):
+    """The game recursion on blocks of paths; yields (start, dS, dK, periods).
+
+    The traders play the coefficient rows ``coefs``, and trader i also plays
+    each row of ``rows`` in a game of its own against the same others. Every
+    strategy is linear in (dS, M_prev, L_prev), so all rows advance as one
+    (R, paths) state; the others' flows and the dealer's predictions do not
+    depend on trader i's play, so all rows share them. ``periods`` yields
+    each period's pre-trade state and trades: M, dM, L, dL (k, b) under
+    ``coefs``; Lr, dLr (R, b) in each row's game, with that game's order
+    flow dY and price adjustment padj (R, b). They are overwritten when the
+    next period is asked for. ``BLOCK_PATHS`` is read at call time.
+    """
+    betas = np.array(eq.betas)[:, None]
+    phis = np.array(eq.phis)[:, None]
+    mus = np.array(eq.mus)
+    l0 = np.array(params.initial_inventories)[:, None]
+    a_ds, a_m, a_l, z0 = np.array(coefs, dtype=float).T[:, :, None]
+    # When every trader of the profile plays equilibrium, L = M and dL = dM.
+    on_path = coefs == [_coefficients(StrategySpec(), eq, j) for j in range(len(coefs))]
+    r_ds, r_m, r_l, r_z0 = np.array(rows, dtype=float).T[:, :, None]
+
+    def periods(dS, dK):
+        M = np.repeat(l0, dS.shape[1], axis=1)
+        L = M + z0
+        Lr = M[i] + r_z0
+        dLr, dY, padj, tmp = (np.empty_like(Lr) for _ in range(4))
+        for n in range(horizon):
+            ds = dS[n]
+            dM = betas * ds - phis * M
+            dL = dM if on_path else a_ds * ds + a_m * M + a_l * L
+            # Evaluated in place, in this order, to keep the row state in cache:
+            #   dLr = r_ds ds + r_m M_i + r_l Lr
+            #   dY = dK + (flow of the other traders) + dLr
+            #   padj = lam dY + mu . M
+            np.multiply(r_ds, ds, out=dLr)
+            dLr += np.multiply(r_m, M[i], out=tmp)
+            dLr += np.multiply(r_l, Lr, out=tmp)
+            np.add(dK[n] + (dL.sum(axis=0) - dL[i]), dLr, out=dY)
+            np.multiply(eq.lam, dY, out=padj)
+            padj += mus @ M
+            yield M, dM, L, dL, Lr, dLr, dY, padj
+            M = M + dM
+            L = M if on_path else L + dL
+            Lr += dLr
+
+    scales = (params.sigma_S * math.sqrt(params.dt), params.sigma_K * math.sqrt(params.dt))
+    for start, (dS, dK) in _normal_blocks(seed, first_path, n_paths, horizon, scales, BLOCK_PATHS):
+        yield start, dS, dK, periods(dS, dK)
 
 
-def _deviation_flow(
-    spec: StrategySpec,
-    beta: float,
-    phi: float,
-    ds: np.ndarray,
-    m_prev: np.ndarray,
-    l_prev: np.ndarray,
-) -> np.ndarray:
-    if spec.kind == "scaled":
-        return spec.beta_scale * beta * ds - spec.phi_scale * phi * l_prev
-    # with_z: equilibrium trade plus closing a fraction of the current gap
-    return beta * ds - phi * m_prev - spec.zeta * (l_prev - m_prev)
+def _discounted(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path):
+    """Per block: trader i's discounted objective in each row's game, (R, b),
+    and row 0's discounted mark-to-market, (b,)."""
+    t = params.traders[i]
+    disc = np.cumprod(np.full(horizon, 1.0 - t.rho * params.dt))
+    half_g_dt = 0.5 * t.gamma * params.dt
+    for _, dS, _, periods in _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path):
+        obj = np.zeros((len(rows), dS.shape[1]))
+        pay, tmp = np.empty_like(obj), np.empty_like(obj)
+        mtm = np.zeros(dS.shape[1])
+        for n, (_, _, _, _, L, dL, _, padj) in enumerate(periods):
+            ds = dS[n]
+            mtm += L[0] * ds * disc[n]
+            # pay = dL (ds - padj) - half_g_dt L'^2 - tax dL^2 with L' = L + dL,
+            # evaluated in place. At tax = 0 that term would subtract exactly zero.
+            np.subtract(ds, padj, out=pay)
+            pay *= dL
+            np.add(L, dL, out=tmp)
+            tmp *= tmp
+            tmp *= half_g_dt
+            pay -= tmp
+            if params.tax:
+                np.multiply(dL, dL, out=tmp)
+                tmp *= params.tax
+                pay -= tmp
+            pay *= disc[n]
+            obj += pay
+        yield obj, mtm
 
 
 def simulate(
@@ -400,7 +472,6 @@ def simulate(
     n_paths: int,
     horizon: int | None = None,
     seed: int = 0,
-    chunk_size: int = BLOCK_PATHS,
     first_path: int = 0,
     max_floats: int = 250_000_000,
 ) -> PathBatch:
@@ -410,37 +481,20 @@ def simulate(
     that would exceed ``max_floats`` doubles. For large-sample estimates of
     a single trader's objective use ``simulate_objective``, which streams.
     """
-    if params.dt == 0.0:
-        raise ValueError("simulation requires dt > 0")
-    specs = _normalize_strategies(strategies, params.k)
-    for i, spec in enumerate(specs):
-        _check_admissible(spec, eq, i)
-    if horizon is None:
-        horizon = default_horizon(params)
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
-    _check_rng_args(seed, first_path, n_paths, chunk_size)
+    specs, coefs, horizon = _checked_game(eq, strategies, params, horizon)
+    _check_rng_args(seed, first_path, n_paths)
     k = params.k
-    n_floats = n_paths * (4 * horizon + k * (3 * (horizon + 1) + 2 * horizon) + 1)
+    n_floats = n_paths * (4 * horizon + k * (2 * (horizon + 1) + 2 * horizon) + 1)
     if n_floats > max_floats:
         raise ValueError(
             f"batch needs {n_floats} doubles, above max_floats={max_floats}; "
             "reduce paths or horizon, or use simulate_objective"
         )
 
-    dt = params.dt
-    sqdt = math.sqrt(dt)
-    betas = np.array(eq.betas)
-    phis = np.array(eq.phis)
-    mus = np.array(eq.mus)
-    gammas = np.array([t.gamma for t in params.traders])
-    l0 = np.array(params.initial_inventories)
-    z0 = np.array([s.z0 if s.kind == "with_z" else 0.0 for s in specs])
-    c = params.tax
-    lam = eq.lam
-    w = _discount_matrix(params, horizon)
-    deviators = [i for i, s in enumerate(specs) if s.kind != "equilibrium"]
-
+    half_g_dt = 0.5 * np.array(params.gammas)[:, None] * params.dt
+    # (k, N) discount factors (1 - rho_j dt)^n for n = 1..N
+    per = np.array([1.0 - t.rho * params.dt for t in params.traders])
+    w = np.cumprod(np.tile(per[:, None], (1, horizon)), axis=1)
     batch = PathBatch(
         params=params,
         eq=eq,
@@ -453,57 +507,33 @@ def simulate(
         price_adj=np.empty((n_paths, horizon)),
         M=np.empty((n_paths, k, horizon + 1)),
         L=np.empty((n_paths, k, horizon + 1)),
-        Z=np.empty((n_paths, k, horizon + 1)),
         payoff=np.empty((n_paths, k, horizon)),
         penalty=np.empty((n_paths, k, horizon)),
         mtm_discounted=np.empty((n_paths, k)),
     )
+    batch.M[:, :, 0] = params.initial_inventories
+    batch.L[:, :, 0] = batch.M[:, :, 0] + [z0 for *_, z0 in coefs]
 
-    for start in range(0, n_paths, chunk_size):
-        stop = min(start + chunk_size, n_paths)
-        b = stop - start
-        sl = slice(start, stop)
-        _fill_normals(batch.dS[sl], seed, first_path + start, stream=0)
-        _fill_normals(batch.dK[sl], seed, first_path + start, stream=1)
-        batch.dS[sl] *= params.sigma_S * sqdt
-        batch.dK[sl] *= params.sigma_K * sqdt
-
-        M = np.tile(l0, (b, 1))
-        L = M + z0
-        batch.M[sl, :, 0] = M
-        batch.L[sl, :, 0] = L
-        batch.Z[sl, :, 0] = L - M
-        mtm = np.zeros((b, k))
-        for n in range(horizon):
-            ds = batch.dS[sl, n]
-            dM = ds[:, None] * betas - M * phis
-            dL = dM.copy()
-            for i in deviators:
-                dL[:, i] = _deviation_flow(specs[i], betas[i], phis[i], ds, M[:, i], L[:, i])
-            dY = batch.dK[sl, n] + dL.sum(axis=1)
-            padj = lam * dY + M @ mus
-            mtm += (L * ds[:, None]) * w[:, n]
+    # Trader 0's own row only supplies the order flow and prices of the
+    # game that ``specs`` describes; the inventories come from the profile.
+    for start, dS, dK, periods in _game(eq, params, coefs, 0, coefs[:1], n_paths, horizon, seed, first_path):
+        sl = slice(start, start + dS.shape[1])
+        batch.dS[sl] = dS.T
+        batch.dK[sl] = dK.T
+        mtm = np.zeros((k, dS.shape[1]))
+        for n, (M, dM, L, dL, _, _, dY, padj) in enumerate(periods):
+            ds = dS[n]
+            mtm += L * ds * w[:, n, None]
             L_new = L + dL
-            M_new = M + dM
-            pen = 0.5 * gammas * dt * L_new**2 + c * dL**2
-            batch.dY[sl, n] = dY
-            batch.price_adj[sl, n] = padj
-            batch.payoff[sl, :, n] = dL * (ds - padj)[:, None] - pen
-            batch.penalty[sl, :, n] = pen
-            M, L = M_new, L_new
-            batch.M[sl, :, n + 1] = M
-            batch.L[sl, :, n + 1] = L
-            batch.Z[sl, :, n + 1] = L - M
-        batch.mtm_discounted[sl] = mtm
+            pen = half_g_dt * L_new**2 + params.tax * dL**2
+            batch.dY[sl, n] = dY[0]
+            batch.price_adj[sl, n] = padj[0]
+            batch.payoff[sl, :, n] = (dL * (ds - padj[0]) - pen).T
+            batch.penalty[sl, :, n] = pen.T
+            batch.M[sl, :, n + 1] = (M + dM).T
+            batch.L[sl, :, n + 1] = L_new.T
+        batch.mtm_discounted[sl] = mtm.T
     return batch
-
-
-def _estimate_from_array(values: np.ndarray) -> Estimate:
-    if values.size < 2:
-        raise ValueError("need at least two samples for a standard error")
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(values.size))
-    return Estimate(mean, se, int(values.size))
 
 
 def _check_tail(rho: float, dt: float, horizon: int, tail_tol) -> None:
@@ -531,12 +561,12 @@ def estimate_objective(
     _check_tail(rho, params.dt, batch.horizon, tail_tol)
     disc = np.cumprod(np.full(batch.horizon, 1.0 - rho * params.dt))
     per_path = batch.payoff[:, trader_index, :] @ disc
-    return _estimate_from_array(per_path)
+    return _Stat().add(per_path).estimate()
 
 
 def mark_to_market(batch: PathBatch, trader_index: int) -> Estimate:
     """Discounted inventory-times-signal-move sum; zero in expectation."""
-    return _estimate_from_array(batch.mtm_discounted[:, trader_index])
+    return _Stat().add(batch.mtm_discounted[:, trader_index]).estimate()
 
 
 @dataclass(frozen=True)
@@ -557,7 +587,6 @@ def simulate_objective(
     n_paths: int,
     horizon: int | None = None,
     seed: int = 0,
-    chunk_size: int = BLOCK_PATHS,
     first_path: int = 0,
     tail_tol: float | None = DEFAULT_TAIL_TOL,
 ) -> ObjectiveResult:
@@ -567,68 +596,18 @@ def simulate_objective(
     only per-path reductions are kept, so horizon and paths can both be
     large.
     """
-    if params.dt == 0.0:
-        raise ValueError("simulation requires dt > 0")
-    specs = _normalize_strategies(strategies, params.k)
-    for i, spec in enumerate(specs):
-        _check_admissible(spec, eq, i)
-    if horizon is None:
-        horizon = default_horizon(params)
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    _, coefs, horizon = _checked_game(eq, strategies, params, horizon)
     if not 0 <= trader_index < params.k:
         raise ValueError(f"trader index {trader_index} out of range for k={params.k}")
-    _check_rng_args(seed, first_path, n_paths, chunk_size)
-    rho_i = params.traders[trader_index].rho
-    _check_tail(rho_i, params.dt, horizon, tail_tol)
+    _check_rng_args(seed, first_path, n_paths)
+    _check_tail(params.traders[trader_index].rho, params.dt, horizon, tail_tol)
 
-    dt = params.dt
-    sqdt = math.sqrt(dt)
-    k = params.k
-    betas = np.array(eq.betas)
-    phis = np.array(eq.phis)
-    mus = np.array(eq.mus)
-    g_i = params.traders[trader_index].gamma
-    l0 = np.array(params.initial_inventories)
-    z0 = np.array([s.z0 if s.kind == "with_z" else 0.0 for s in specs])
-    c = params.tax
-    lam = eq.lam
-    disc = np.cumprod(np.full(horizon, 1.0 - rho_i * dt))
-    deviators = [i for i, s in enumerate(specs) if s.kind != "equilibrium"]
-
-    obj = np.empty(n_paths)
-    mtm = np.empty(n_paths)
-    scales = (params.sigma_S * sqdt, params.sigma_K * sqdt)
-    for start, (dS, dK) in _normal_blocks(seed, first_path, n_paths, horizon, scales, chunk_size):
-        b = dS.shape[1]
-        M = np.tile(l0, (b, 1))
-        L = M + z0
-        obj_c = np.zeros(b)
-        mtm_c = np.zeros(b)
-        for n in range(horizon):
-            ds = dS[n]
-            dM = ds[:, None] * betas - M * phis
-            dL = dM.copy()
-            for i in deviators:
-                dL[:, i] = _deviation_flow(specs[i], betas[i], phis[i], ds, M[:, i], L[:, i])
-            dY = dK[n] + dL.sum(axis=1)
-            padj = lam * dY + M @ mus
-            mtm_c += L[:, trader_index] * ds * disc[n]
-            L = L + dL
-            M = M + dM
-            li = L[:, trader_index]
-            dli = dL[:, trader_index]
-            pay = dli * (ds - padj) - 0.5 * g_i * dt * li * li - c * dli * dli
-            obj_c += disc[n] * pay
-        obj[start : start + b] = obj_c
-        mtm[start : start + b] = mtm_c
-    return ObjectiveResult(
-        objective=_estimate_from_array(obj),
-        mark_to_market=_estimate_from_array(mtm),
-        trader_index=trader_index,
-        horizon=horizon,
-        n_paths=n_paths,
-    )
+    i = trader_index
+    obj, mtm = _Stat(), _Stat()
+    for obj_b, mtm_b in _discounted(eq, params, coefs, i, [coefs[i]], n_paths, horizon, seed, first_path):
+        obj.add(obj_b[0])
+        mtm.add(mtm_b)
+    return ObjectiveResult(obj.estimate(), mtm.estimate(), trader_index, horizon, n_paths)
 
 
 def effective_order_flow(batch: PathBatch) -> np.ndarray:
@@ -663,7 +642,7 @@ def dealer_profit_check(batch: PathBatch, lambda_scale: float = 1.0) -> ProfitCh
     eq = batch.eq
     padj = batch.price_adj + (lambda_scale - 1.0) * eq.lam * batch.dY
     per_path = ((padj - batch.dS) * batch.dY).mean(axis=1)
-    profit = _estimate_from_array(per_path)
+    profit = _Stat().add(per_path).estimate()
 
     x = effective_order_flow(batch).ravel()
     y = batch.dS.ravel()
@@ -721,30 +700,28 @@ def simulate_second_moment(
     *,
     n_paths: int,
     seed: int = 0,
-    chunk_size: int = BLOCK_PATHS,
-    M0: float = 0.0,
 ) -> dict[int, Estimate]:
     """Monte Carlo E[M_n^2] at the given checkpoint periods.
 
-    Only the one trader's prediction recursion is simulated; it is driven
-    by the signal stream alone, with the same per-path keying as the full
-    game, so checkpoints line up with ``simulate`` output.
+    Only the one trader's prediction recursion is simulated, from the
+    trader's initial inventory; it is driven by the signal stream alone,
+    with the same per-path keying and update as the full game, so
+    checkpoints line up with ``simulate`` output.
     """
     checkpoints = sorted(set(int(n) for n in checkpoints))
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("checkpoints must be positive periods")
-    _check_rng_args(seed, 0, n_paths, chunk_size)
+    _check_rng_args(seed, 0, n_paths)
     horizon = checkpoints[-1]
-    beta = eq.betas[trader_index]
-    phi = eq.phis[trader_index]
+    beta, phi = eq.betas[trader_index], eq.phis[trader_index]
+    m0 = params.traders[trader_index].initial_inventory
     scale = params.sigma_S * math.sqrt(params.dt)
-    stats = {n: _RunningStat() for n in checkpoints}
-    wanted = set(checkpoints)
-    for _, (dS,) in _normal_blocks(seed, 0, n_paths, horizon, (scale,), chunk_size):
-        m = np.full(dS.shape[1], float(M0))
+    stats = {n: _Stat() for n in checkpoints}
+    for _, (dS,) in _normal_blocks(seed, 0, n_paths, horizon, (scale,), BLOCK_PATHS):
+        m = np.full(dS.shape[1], m0)
         for n in range(1, horizon + 1):
-            m = (1.0 - phi) * m + beta * dS[n - 1]
-            if n in wanted:
+            m = m + (beta * dS[n - 1] - phi * m)
+            if n in stats:
                 stats[n].add(m * m)
     return {n: stats[n].estimate() for n in checkpoints}
 
@@ -793,7 +770,6 @@ def deviation_sweep(
     n_paths: int,
     horizon: int,
     seed: int = 0,
-    chunk_size: int = BLOCK_PATHS,
 ) -> DeviationSweepResult:
     """Estimate one trader's objective under each strategy on shared paths.
 
@@ -808,103 +784,26 @@ def deviation_sweep(
         raise ValueError("need at least one strategy")
     if not 0 <= trader_index < params.k:
         raise ValueError(f"trader index {trader_index} out of range for k={params.k}")
-    reference_index = None
-    for idx, spec in enumerate(specs):
-        _check_admissible(spec, eq, trader_index)
-        if reference_index is None and spec.kind == "equilibrium":
-            reference_index = idx
+    i = trader_index
+    rows = [_coefficients(spec, eq, i) for spec in specs]
+    reference_index = next((r for r, spec in enumerate(specs) if spec.kind == "equilibrium"), None)
     if reference_index is None:
         raise ValueError("include an equilibrium row to serve as the reference")
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    _check_rng_args(seed, 0, n_paths, chunk_size)
+    _check_rng_args(seed, 0, n_paths)
 
-    dt = params.dt
-    sqdt = math.sqrt(dt)
-    i = trader_index
-    betas = np.array(eq.betas)
-    phis = np.array(eq.phis)
-    mus = np.array(eq.mus)
-    beta_i = eq.betas[i]
-    phi_i = eq.phis[i]
-    g_i = params.traders[i].gamma
-    rho_i = params.traders[i].rho
-    c = params.tax
-    lam = eq.lam
-    l0 = np.array(params.initial_inventories)
-    disc = np.cumprod(np.full(horizon, 1.0 - rho_i * dt))
-
-    # Every strategy kind is linear in (dS, M_prev, L_prev), so all rows
-    # advance together as one (rows, paths) state matrix.
-    a_ds = np.empty(len(specs))
-    a_m = np.empty(len(specs))
-    a_l = np.empty(len(specs))
-    for r, spec in enumerate(specs):
-        if spec.kind == "equilibrium":
-            a_ds[r], a_m[r], a_l[r] = beta_i, -phi_i, 0.0
-        elif spec.kind == "scaled":
-            a_ds[r], a_m[r], a_l[r] = spec.beta_scale * beta_i, 0.0, -(spec.phi_scale * phi_i)
-        else:
-            a_ds[r], a_m[r], a_l[r] = beta_i, spec.zeta - phi_i, -spec.zeta
-    a_ds, a_m, a_l = a_ds[:, None], a_m[:, None], a_l[:, None]
-    z0_rows = np.array([s.z0 if s.kind == "with_z" else 0.0 for s in specs])[:, None]
-    obj_stats = [_RunningStat() for _ in specs]
-    diff_stats = [_RunningStat() for _ in specs]
-
-    half_g_dt = 0.5 * g_i * dt
-    scales = (params.sigma_S * sqdt, params.sigma_K * sqdt)
-    for _, (dS, dK) in _normal_blocks(seed, 0, n_paths, horizon, scales, chunk_size):
-        b = dS.shape[1]
-        M = np.tile(l0, (b, 1))
-        L = M[:, i][None, :] + z0_rows
-        row_objs = np.zeros((len(specs), b))
-        dL, padj, pay, tmp = (np.empty((len(specs), b)) for _ in range(4))
-        for n in range(horizon):
-            ds = dS[n]
-            # Play-independent terms, shared by every row: the equilibrium
-            # predictions, the other traders' flow and the dealer's
-            # prediction adjustment.
-            dM = ds[:, None] * betas - M * phis
-            mu_m = M @ mus
-            others_flow = dM.sum(axis=1) - dM[:, i]
-            # The row update below is, written out,
-            #   dL = a_ds ds + a_m M_i + a_l L
-            #   padj = lam (dK + others_flow + dL) + mu_m
-            #   pay = dL (ds - padj) - half_g_dt L'^2 - c dL^2
-            # evaluated in place, in that order, to keep the state in cache.
-            # At c = 0 the tax term would subtract exactly zero.
-            np.multiply(a_ds, ds, out=dL)
-            dL += np.multiply(a_m, M[:, i], out=tmp)
-            dL += np.multiply(a_l, L, out=tmp)
-            np.add(dK[n] + others_flow, dL, out=padj)
-            padj *= lam
-            padj += mu_m
-            L += dL
-            np.subtract(ds, padj, out=pay)
-            pay *= dL
-            np.multiply(half_g_dt, L, out=tmp)
-            tmp *= L
-            pay -= tmp
-            if c:
-                np.multiply(dL, dL, out=tmp)
-                tmp *= c
-                pay -= tmp
-            pay *= disc[n]
-            row_objs += pay
-            M = M + dM
+    others = [_coefficients(StrategySpec(), eq, j) for j in range(params.k)]
+    obj_stats = [_Stat() for _ in specs]
+    diff_stats = [_Stat() for _ in specs]
+    for objs, _ in _discounted(eq, params, others, i, rows, n_paths, horizon, seed, 0):
         for r in range(len(specs)):
-            obj_stats[r].add(row_objs[r])
+            obj_stats[r].add(objs[r])
             if r != reference_index:
-                diff_stats[r].add(row_objs[r] - row_objs[reference_index])
+                diff_stats[r].add(objs[r] - objs[reference_index])
 
     rows = tuple(
-        SweepRow(
-            spec=specs[r],
-            objective=obj_stats[r].estimate(),
-            difference=None if r == reference_index else diff_stats[r].estimate(),
-        )
-        for r in range(len(specs))
+        SweepRow(spec, obj_stats[r].estimate(), None if r == reference_index else diff_stats[r].estimate())
+        for r, spec in enumerate(specs)
     )
-    return DeviationSweepResult(
-        rows=rows, reference_index=reference_index, trader_index=trader_index, horizon=horizon
-    )
+    return DeviationSweepResult(rows, reference_index, trader_index, horizon)

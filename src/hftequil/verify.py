@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from .model import ValidatedParams
 from .solver import (
     Equilibrium,
+    SolverError,
     _quartic,
     _quartic_scale,
     solve_equilibrium,
@@ -153,7 +154,13 @@ def _value_equation_residuals(coeffs, eq: Equilibrium, i: int, params: Validated
 
 
 def _check_value_layer(eq, params, tol):
-    coeff_list = [value_coefficients(eq, i, params) for i in range(params.k)]
+    try:
+        coeff_list = [value_coefficients(eq, i, params) for i in range(params.k)]
+    except SolverError as exc:
+        detail = f"value_coefficients raised {type(exc).__name__}: {exc}"
+        limits = {"value_fixed_point": tol.identity, "value_link_identity": tol.identity,
+                  "dpe_residual": tol.dpe_residual, "dpe_argmax": tol.identity, "sign_pattern": 0.0}
+        return [CheckResult(name, False, math.nan, t, detail=detail) for name, t in limits.items()], None
     fixed = max(_value_equation_residuals(coeff_list[i], eq, i, params) for i in range(params.k))
     link = 0.0
     for i, coeffs in enumerate(coeff_list):
@@ -225,19 +232,15 @@ def _mc_checks(eq, params, coeff_list, tol, paths, seed, mc_horizon):
 
     checkpoints = sorted({1, min(10, mc_horizon), min(50, mc_horizon)})
     m0 = params.traders[0].initial_inventory
-    moments = sim.simulate_second_moment(
-        eq, 0, params, checkpoints, n_paths=paths, seed=seed, M0=m0
-    )
+    moments = sim.simulate_second_moment(eq, 0, params, checkpoints, n_paths=paths, seed=seed)
     worst = 0.0
     for n, est in moments.items():
         target = sim.inventory_second_moment(eq, 0, params, n, M0=m0)
         worst = max(worst, abs(est.mean - target) / est.std_error)
     results.append(CheckResult("moment_formula_mc", worst <= sig, worst, sig))
 
-    value = float(
-        abs(batch.mtm_discounted[:, 0].mean())
-        / (batch.mtm_discounted[:, 0].std(ddof=1) / math.sqrt(paths))
-    )
+    mtm = sim.mark_to_market(batch, 0)
+    value = abs(mtm.mean) / mtm.std_error
     results.append(CheckResult("mark_to_market_mc", value <= sig, value, sig))
 
     if coeff_list is not None:

@@ -36,6 +36,7 @@ from hftequil import (
     solve_nash,
     solve_taxed,
 )
+from hftequil import simulator
 from hftequil.simulator import BLOCK_PATHS, _fill_normals, _normal_blocks
 from helpers import make_params
 
@@ -57,12 +58,14 @@ class TestRandomStreams:
             assert np.array_equal(batch.dS[j], want_s)
             assert np.array_equal(batch.dK[j], want_k)
 
-    def test_chunking_never_changes_paths(self):
+    def test_chunking_never_changes_paths(self, monkeypatch):
         p = make_params(k=2, dt=0.01)
         eq, _ = solve_nash(p)
         specs = (StrategySpec.equilibrium(), StrategySpec.with_z(0.4, 0.8))
-        a = simulate(eq, specs, p, n_paths=13, horizon=21, seed=5, chunk_size=3)
-        b = simulate(eq, specs, p, n_paths=13, horizon=21, seed=5, chunk_size=64)
+        monkeypatch.setattr(simulator, "BLOCK_PATHS", 3)
+        a = simulate(eq, specs, p, n_paths=13, horizon=21, seed=5)
+        monkeypatch.setattr(simulator, "BLOCK_PATHS", 64)
+        b = simulate(eq, specs, p, n_paths=13, horizon=21, seed=5)
         for name in ("dS", "dK", "dY", "price_adj", "M", "L", "Z", "payoff", "penalty", "mtm_discounted"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
@@ -93,23 +96,6 @@ class TestRandomStreams:
         eq, _ = solve_nash(p)
         with pytest.raises(ValueError):
             simulate(eq, None, p, n_paths=1, horizon=4)
-
-    @pytest.mark.parametrize("chunk_size", [0, -1])
-    def test_nonpositive_chunk_size_rejected(self, chunk_size):
-        p = make_params(k=1, dt=0.01)
-        eq, _ = solve_nash(p)
-        ref = [StrategySpec.equilibrium()]
-        calls = (
-            lambda: simulate(eq, None, p, n_paths=4, horizon=4, chunk_size=chunk_size),
-            lambda: simulate_objective(
-                eq, None, p, 0, n_paths=4, horizon=4, chunk_size=chunk_size, tail_tol=None
-            ),
-            lambda: simulate_second_moment(eq, 0, p, [2], n_paths=4, chunk_size=chunk_size),
-            lambda: deviation_sweep(eq, p, 0, ref, n_paths=4, horizon=4, chunk_size=chunk_size),
-        )
-        for call in calls:
-            with pytest.raises(ValueError, match="chunk_size"):
-                call()
 
     @pytest.mark.parametrize("first_path, seed", [(3, 7), (1000, 2**64 - 1), (2**63 - 200, 5)])
     def test_rekeyed_fill_equals_fresh_generators(self, first_path, seed):
@@ -488,7 +474,7 @@ class TestDeviationSweep:
             assert row.objective.mean == pytest.approx(res.objective.mean, rel=1e-12), spec
             assert row.objective.std_error == pytest.approx(res.objective.std_error, rel=1e-9), spec
 
-    def test_chunk_size_does_not_change_estimates(self):
+    def test_chunk_size_does_not_change_estimates(self, monkeypatch):
         p = make_params(k=2, dt=0.01, l0=[0.3, -0.6])
         eq, _ = solve_nash(p)
         specs = [
@@ -496,27 +482,29 @@ class TestDeviationSweep:
             StrategySpec.scaled(phi_scale=1.2),
             StrategySpec.with_z(0.3, 1.0),
         ]
-        sweeps = [
-            deviation_sweep(eq, p, 0, specs, n_paths=203, horizon=30, seed=2, chunk_size=chunk)
-            for chunk in (3, 64, BLOCK_PATHS)
-        ]
-        objectives = [
-            simulate_objective(
-                eq, {0: specs[2]}, p, 0, n_paths=203, horizon=30, seed=2,
-                chunk_size=chunk, tail_tol=None,
+        sweeps, objectives = [], []
+        for chunk in (3, 64, BLOCK_PATHS):
+            monkeypatch.setattr(simulator, "BLOCK_PATHS", chunk)
+            sweeps.append(deviation_sweep(eq, p, 0, specs, n_paths=203, horizon=30, seed=2))
+            objectives.append(
+                simulate_objective(
+                    eq, {0: specs[2]}, p, 0, n_paths=203, horizon=30, seed=2, tail_tol=None
+                )
             )
-            for chunk in (3, 64, BLOCK_PATHS)
-        ]
         for sweep in sweeps[:2]:
             for row, want in zip(sweep.rows, sweeps[2].rows):
                 assert row.objective.mean == pytest.approx(want.objective.mean, rel=1e-12)
                 assert row.objective.std_error == pytest.approx(want.objective.std_error, rel=1e-9)
                 if want.difference is not None:
                     assert row.difference.mean == pytest.approx(want.difference.mean, rel=1e-12)
-        # the streaming estimator reduces whole per-path arrays: bit for bit
+        # the streaming estimator pools per-block moments, so only the
+        # summation order changes with the block size
         for res in objectives[:2]:
-            assert res.objective == objectives[2].objective
-            assert res.mark_to_market == objectives[2].mark_to_market
+            for got, want in ((res.objective, objectives[2].objective),
+                              (res.mark_to_market, objectives[2].mark_to_market)):
+                assert got.mean == pytest.approx(want.mean, rel=1e-12)
+                assert got.std_error == pytest.approx(want.std_error, rel=1e-12)
+                assert got.n_samples == want.n_samples
         want = objectives[2].objective.mean
         assert sweeps[2].rows[2].objective.mean == pytest.approx(want, rel=1e-12)
 

@@ -84,6 +84,21 @@ class TestFullBattery:
         assert moment.passed, moment.value
         assert report.passed, report.failures
 
+    def test_value_layer_error_is_reported_not_raised(self):
+        # At sigma_K / sigma_S = 1e-6 value_coefficients raises ConstraintViolated.
+        report = run_verification(make_params(dt=0.004, sigma_K=1e-6), paths=0)
+        value_names = DETERMINISTIC_K1 - {"quartic_residual", "system_residuals",
+                                          "pricing_identities", "phi_bounds"}
+        failed = {r.name: r for r in report.results if not r.passed}
+        assert set(failed) == value_names
+        assert all("ConstraintViolated" in r.detail for r in failed.values())
+        assert not report.passed
+        # rho dt = 0.05 would let the objective run; without coefficients it has no target
+        p = make_params(dt=0.004, rho=12.5, sigma_K=1e-6)
+        report = run_verification(p, paths=64, mc_horizon=16)
+        names = {r.name for r in report.results}
+        assert "moment_formula_mc" in names and "objective_value_mc" not in names
+
 
 class TestReportMechanics:
     def test_failures_lists_names(self):
