@@ -399,7 +399,8 @@ def run_verify(cfg: RunConfig) -> int:
                     "name": r.name,
                     "passed": r.passed,
                     "warning": r.warning,
-                    "value": r.value,
+                    # JSON has no NaN or infinity; a failed check may carry either.
+                    "value": r.value if math.isfinite(r.value) else None,
                     "threshold": r.threshold,
                     "detail": r.detail,
                 }

@@ -386,73 +386,75 @@ class PathBatch:
 def _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path):
     """The game recursion on blocks of paths; yields (start, dS, dK, periods).
 
-    The traders play the coefficient rows ``coefs``, and trader i also plays
-    each row of ``rows`` in a game of its own against the same others. Every
-    strategy is linear in (dS, M_prev, L_prev), so all rows advance as one
-    (R, paths) state; the others' flows and the dealer's predictions do not
-    depend on trader i's play, so all rows share them. ``periods`` yields
-    each period's pre-trade state and trades: M, dM, L, dL (k, b) under
-    ``coefs``; Lr, dLr (R, b) in each row's game, with that game's order
-    flow dY and price adjustment padj (R, b). They are overwritten when the
-    next period is asked for. ``BLOCK_PATHS`` is read at call time.
+    Trader i plays each row of ``rows`` in a game of its own against the
+    other traders, who play their rows of the profile ``coefs``. Every
+    strategy is linear in (dS, M_prev, L_prev), so the R rows and the k - 1
+    others advance as one (R + k - 1, paths) state, rows first; the others'
+    flows and the dealer's predictions do not depend on trader i's play, so
+    all games share them. ``periods`` yields each period's pre-trade M and
+    dM (k, b), the state's L, dL and post-trade L + dL, and each game's order
+    flow dY and price adjustment padj (R, b), overwritten by the next period.
+    ``BLOCK_PATHS`` is read at call time.
     """
     betas = np.array(eq.betas)[:, None]
     phis = np.array(eq.phis)[:, None]
     mus = np.array(eq.mus)
     l0 = np.array(params.initial_inventories)[:, None]
-    a_ds, a_m, a_l, z0 = np.array(coefs, dtype=float).T[:, :, None]
-    # When every trader of the profile plays equilibrium, L = M and dL = dM.
-    on_path = coefs == [_coefficients(StrategySpec(), eq, j) for j in range(len(coefs))]
-    r_ds, r_m, r_l, r_z0 = np.array(rows, dtype=float).T[:, :, None]
+    R = len(rows)
+    owner = np.array([i] * R + [j for j in range(params.k) if j != i])
+    a_ds, a_m, a_l, z0 = np.array(list(rows) + [coefs[j] for j in owner[R:]], dtype=float).T[:, :, None]
 
     def periods(dS, dK):
         M = np.repeat(l0, dS.shape[1], axis=1)
-        L = M + z0
-        Lr = M[i] + r_z0
-        dLr, dY, padj, tmp = (np.empty_like(Lr) for _ in range(4))
+        L = M[owner] + z0
+        dL, L_next, tmp = (np.empty_like(L) for _ in range(3))
+        dY, padj = (np.empty((R, dS.shape[1])) for _ in range(2))
         for n in range(horizon):
             ds = dS[n]
             dM = betas * ds - phis * M
-            dL = dM if on_path else a_ds * ds + a_m * M + a_l * L
-            # Evaluated in place, in this order, to keep the row state in cache:
-            #   dLr = r_ds ds + r_m M_i + r_l Lr
-            #   dY = dK + (flow of the other traders) + dLr
+            # Evaluated in place, in this order, to keep the state in cache:
+            #   dL = a_ds ds + a_m M_owner + a_l L
+            #   dY = dK + (flow of the others) + dL_row
             #   padj = lam dY + mu . M
-            np.multiply(r_ds, ds, out=dLr)
-            dLr += np.multiply(r_m, M[i], out=tmp)
-            dLr += np.multiply(r_l, Lr, out=tmp)
-            np.add(dK[n] + (dL.sum(axis=0) - dL[i]), dLr, out=dY)
+            np.multiply(a_ds, ds, out=dL)
+            np.multiply(a_m[:R], M[i], out=tmp[:R])
+            np.multiply(a_m[R:], M[owner[R:]], out=tmp[R:])
+            dL += tmp
+            dL += np.multiply(a_l, L, out=tmp)
+            np.add(dK[n] + dL[R:].sum(axis=0), dL[:R], out=dY)
             np.multiply(eq.lam, dY, out=padj)
             padj += mus @ M
-            yield M, dM, L, dL, Lr, dLr, dY, padj
+            np.add(L, dL, out=L_next)
+            yield M, dM, L, dL, L_next, dY, padj
             M = M + dM
-            L = M if on_path else L + dL
-            Lr += dLr
+            L, L_next = L_next, L
 
     scales = (params.sigma_S * math.sqrt(params.dt), params.sigma_K * math.sqrt(params.dt))
     for start, (dS, dK) in _normal_blocks(seed, first_path, n_paths, horizon, scales, BLOCK_PATHS):
         yield start, dS, dK, periods(dS, dK)
 
 
-def _discounted(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path):
+def _discounted(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, with_mtm=False):
     """Per block: trader i's discounted objective in each row's game, (R, b),
-    and row 0's discounted mark-to-market, (b,)."""
+    and, if asked for, row 0's discounted mark-to-market, (b,), else None."""
     t = params.traders[i]
     disc = np.cumprod(np.full(horizon, 1.0 - t.rho * params.dt))
     half_g_dt = 0.5 * t.gamma * params.dt
+    R = len(rows)
     for _, dS, _, periods in _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path):
-        obj = np.zeros((len(rows), dS.shape[1]))
+        obj = np.zeros((R, dS.shape[1]))
         pay, tmp = np.empty_like(obj), np.empty_like(obj)
-        mtm = np.zeros(dS.shape[1])
-        for n, (_, _, _, _, L, dL, _, padj) in enumerate(periods):
+        mtm = np.zeros(dS.shape[1]) if with_mtm else None
+        for n, (_, _, L, dL, L1, _, padj) in enumerate(periods):
             ds = dS[n]
-            mtm += L[0] * ds * disc[n]
-            # pay = dL (ds - padj) - half_g_dt L'^2 - tax dL^2 with L' = L + dL,
+            L, dL, L1 = L[:R], dL[:R], L1[:R]
+            if with_mtm:
+                mtm += L[0] * ds * disc[n]
+            # pay = dL (ds - padj) - half_g_dt L1^2 - tax dL^2 with L1 = L + dL,
             # evaluated in place. At tax = 0 that term would subtract exactly zero.
             np.subtract(ds, padj, out=pay)
             pay *= dL
-            np.add(L, dL, out=tmp)
-            tmp *= tmp
+            np.multiply(L1, L1, out=tmp)
             tmp *= half_g_dt
             pay -= tmp
             if params.tax:
@@ -514,17 +516,16 @@ def simulate(
     batch.M[:, :, 0] = params.initial_inventories
     batch.L[:, :, 0] = batch.M[:, :, 0] + [z0 for *_, z0 in coefs]
 
-    # Trader 0's own row only supplies the order flow and prices of the
-    # game that ``specs`` describes; the inventories come from the profile.
+    # With trader 0 playing its own profile row, the kernel's state is the
+    # k traders' inventories in trader order.
     for start, dS, dK, periods in _game(eq, params, coefs, 0, coefs[:1], n_paths, horizon, seed, first_path):
         sl = slice(start, start + dS.shape[1])
         batch.dS[sl] = dS.T
         batch.dK[sl] = dK.T
         mtm = np.zeros((k, dS.shape[1]))
-        for n, (M, dM, L, dL, _, _, dY, padj) in enumerate(periods):
+        for n, (M, dM, L, dL, L_new, dY, padj) in enumerate(periods):
             ds = dS[n]
             mtm += L * ds * w[:, n, None]
-            L_new = L + dL
             pen = half_g_dt * L_new**2 + params.tax * dL**2
             batch.dY[sl, n] = dY[0]
             batch.price_adj[sl, n] = padj[0]
@@ -604,7 +605,7 @@ def simulate_objective(
 
     i = trader_index
     obj, mtm = _Stat(), _Stat()
-    for obj_b, mtm_b in _discounted(eq, params, coefs, i, [coefs[i]], n_paths, horizon, seed, first_path):
+    for obj_b, mtm_b in _discounted(eq, params, coefs, i, [coefs[i]], n_paths, horizon, seed, first_path, with_mtm=True):
         obj.add(obj_b[0])
         mtm.add(mtm_b)
     return ObjectiveResult(obj.estimate(), mtm.estimate(), trader_index, horizon, n_paths)

@@ -157,44 +157,47 @@ def _check_value_layer(eq, params, tol):
     try:
         coeff_list = [value_coefficients(eq, i, params) for i in range(params.k)]
     except SolverError as exc:
-        detail = f"value_coefficients raised {type(exc).__name__}: {exc}"
-        limits = {"value_fixed_point": tol.identity, "value_link_identity": tol.identity,
-                  "dpe_residual": tol.dpe_residual, "dpe_argmax": tol.identity, "sign_pattern": 0.0}
-        return [CheckResult(name, False, math.nan, t, detail=detail) for name, t in limits.items()], None
-    fixed = max(_value_equation_residuals(coeff_list[i], eq, i, params) for i in range(params.k))
-    link = 0.0
-    for i, coeffs in enumerate(coeff_list):
-        t = params.traders[i]
-        gdt = t.gamma * params.dt
-        disc = 1.0 - t.rho * params.dt
-        phi = eq.phis[i]
-        link = max(
-            link,
-            _rel(coeffs.F + gdt, eq.lam * phi / (1.0 - phi)),
-            _rel(coeffs.E, 2.0 * eq.lam * coeffs.zeta * disc),
-        )
-    dpe = max(dpe_residual(coeff_list[i], eq, i, params) for i in range(params.k))
-    argmax = max(dpe_argmax_gap(coeff_list[i], eq, i, params) for i in range(params.k))
+        # Reported as five failed checks, so verification never raises here.
+        error = f"value_coefficients raised {type(exc).__name__}: {exc}"
+        coeff_list = None
+        fixed = link = dpe = argmax = sign_margin = math.nan
+        g_warn = False
+    else:
+        error = ""
+        fixed = max(_value_equation_residuals(coeff_list[i], eq, i, params) for i in range(params.k))
+        link = 0.0
+        for i, coeffs in enumerate(coeff_list):
+            t = params.traders[i]
+            gdt = t.gamma * params.dt
+            disc = 1.0 - t.rho * params.dt
+            phi = eq.phis[i]
+            link = max(
+                link,
+                _rel(coeffs.F + gdt, eq.lam * phi / (1.0 - phi)),
+                _rel(coeffs.E, 2.0 * eq.lam * coeffs.zeta * disc),
+            )
+        dpe = max(dpe_residual(coeff_list[i], eq, i, params) for i in range(params.k))
+        argmax = max(dpe_argmax_gap(coeff_list[i], eq, i, params) for i in range(params.k))
 
-    sign_margin = math.inf
-    g_warn = False
-    for coeffs in coeff_list:
-        hard = (coeffs.A, coeffs.B, coeffs.C, coeffs.D, coeffs.E, coeffs.F, coeffs.zeta, 1.0 - coeffs.zeta)
-        sign_margin = min(sign_margin, min(hard))
-        if coeffs.G > 0.0:
-            g_warn = True
+        sign_margin = math.inf
+        g_warn = False
+        for coeffs in coeff_list:
+            hard = (coeffs.A, coeffs.B, coeffs.C, coeffs.D, coeffs.E, coeffs.F, coeffs.zeta, 1.0 - coeffs.zeta)
+            sign_margin = min(sign_margin, min(hard))
+            if coeffs.G > 0.0:
+                g_warn = True
     sign_ok = sign_margin > 0.0
     results = [
-        CheckResult("value_fixed_point", fixed <= tol.identity, fixed, tol.identity),
-        CheckResult("value_link_identity", link <= tol.identity, link, tol.identity),
-        CheckResult("dpe_residual", dpe <= tol.dpe_residual, dpe, tol.dpe_residual),
-        CheckResult("dpe_argmax", argmax <= tol.identity, argmax, tol.identity),
+        CheckResult("value_fixed_point", fixed <= tol.identity, fixed, tol.identity, detail=error),
+        CheckResult("value_link_identity", link <= tol.identity, link, tol.identity, detail=error),
+        CheckResult("dpe_residual", dpe <= tol.dpe_residual, dpe, tol.dpe_residual, detail=error),
+        CheckResult("dpe_argmax", argmax <= tol.identity, argmax, tol.identity, detail=error),
         CheckResult(
             "sign_pattern",
             sign_ok,
             sign_margin,
             0.0,
-            detail="G > 0, usually a sign of borderline parameters" if g_warn else "",
+            detail=error or ("G > 0, usually a sign of borderline parameters" if g_warn else ""),
             warning=g_warn and sign_ok,
         ),
     ]

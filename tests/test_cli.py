@@ -299,6 +299,22 @@ class TestVerify:
             assert isinstance(r["value"], float)
             assert isinstance(r["passed"], bool)
 
+    def test_json_output_stays_strict_json_when_the_value_layer_fails(self, capsys):
+        # value_coefficients raises at this volatility ratio; five checks have no value
+        code, out, _ = run_cli(
+            capsys, "verify", "--sigma-s", "1", "--sigma-k", "1e-6", "--dt", "0.004",
+            "--paths", "0", "--format", "json",
+        )
+        assert code == 1
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        payload = json.loads(out, parse_constant=reject)
+        failed = [r for r in payload["results"] if not r["passed"]]
+        assert len(failed) == 5
+        assert all(r["value"] is None for r in failed)
+
     def test_strict_flag(self, capsys):
         code, out, _ = run_cli(capsys, "verify", *BASE, "--paths", "0", "--strict")
         assert code == 0
