@@ -486,7 +486,7 @@ def simulate(
     specs, coefs, horizon = _checked_game(eq, strategies, params, horizon)
     _check_rng_args(seed, first_path, n_paths)
     k = params.k
-    n_floats = n_paths * (4 * horizon + k * (2 * (horizon + 1) + 2 * horizon) + 1)
+    n_floats = n_paths * (4 * horizon + k * (2 * (horizon + 1) + 2 * horizon + 1))
     if n_floats > max_floats:
         raise ValueError(
             f"batch needs {n_floats} doubles, above max_floats={max_floats}; "

@@ -2,16 +2,18 @@
 
 The monopolist's signal loading solves a quartic with a unique admissible
 root at or below the volatility ratio sigma_K/sigma_S. With k traders the
-aggregate loading solves a one-dimensional fixed point: each trader's best
-response at a conjectured aggregate is the smaller root of a quadratic, and
-the aggregate must equal the sum of the responses. A proportional
+aggregate loading solves a one-dimensional fixed point: at a conjectured
+aggregate each trader's best response is written through its decay rate
+phi_i, the positive root of a quadratic taken without subtraction, and the
+aggregate must equal the sum of the implied loadings. A proportional
 transaction tax deforms the quadratic but keeps the same structure; the
 taxed solve continues in the tax rate from the untaxed solution so the
 branch is never guessed.
 
-All root finding is bracketed bisection to width 1e-14 times the problem
-scale, followed by at most three Newton polish steps that fall back to the
-bisection value if they leave the bracket.
+All root finding is one safeguarded Newton iteration on a sign-changing
+bracket: a step that would leave the bracket is replaced by bisection, so
+the bracket stays a certificate for the root, and the iteration stops once
+a step or the bracket is narrower than 1e-14 times the problem scale.
 """
 from __future__ import annotations
 
@@ -42,7 +44,6 @@ __all__ = [
 ]
 
 BRACKET_WIDTH_REL = 1e-14
-NEWTON_STEPS = 3
 QUARTIC_RESIDUAL_TOL = 1e-12
 SYSTEM_RESIDUAL_TOL = 1e-10
 _MAX_BRACKET_EXPANSIONS = 60
@@ -124,51 +125,42 @@ class QuarticRoots:
     reason: str = "phi < 0"
 
 
-def _bisect(f, lo: float, hi: float, scale: float):
-    """Bracketed bisection; returns (root, iterations, (lo, hi))."""
-    flo, fhi = f(lo), f(hi)
+def _newton(f, lo: float, hi: float, scale: float, x: float | None = None):
+    """Safeguarded Newton on [lo, hi]; returns (root, iterations, bracket).
+
+    ``f`` returns (value, slope) and must change sign on [lo, hi]. Each step
+    shrinks the bracket to the sign change; a Newton step that leaves it, or
+    a zero slope, becomes a bisection step. Stops on f = 0 or once the step
+    or the bracket is at most BRACKET_WIDTH_REL * scale. Starts at ``x``,
+    by default the midpoint.
+    """
+    flo, fhi = f(lo)[0], f(hi)[0]
     if flo == 0.0:
         return lo, 0, (lo, lo)
     if fhi == 0.0:
         return hi, 0, (hi, hi)
-    if flo * fhi > 0:
+    if (flo > 0.0) == (fhi > 0.0):
         raise NoRootInBracket(f"no sign change on [{lo!r}, {hi!r}]")
-    width = BRACKET_WIDTH_REL * scale
-    iterations = 0
-    while hi - lo > width and iterations < 200:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = f(mid)
-        iterations += 1
-        if fm == 0.0:
-            return mid, iterations, (mid, mid)
-        if flo * fm < 0:
-            hi = mid
+    tol = BRACKET_WIDTH_REL * scale
+    if x is None:
+        x = 0.5 * (lo + hi)
+    for iterations in range(1, 201):
+        fx, dfx = f(x)
+        if fx == 0.0:
+            return x, iterations, (x, x)
+        if (fx > 0.0) == (flo > 0.0):
+            lo = x
         else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi), iterations, (lo, hi)
-
-
-def _newton_polish(f, fprime, x: float, lo: float, hi: float) -> float:
-    """Up to NEWTON_STEPS Newton iterations, discarded if they exit [lo, hi]."""
-    best = x
-    fbest = abs(f(best))
-    for _ in range(NEWTON_STEPS):
-        d = fprime(x)
-        if d == 0.0 or not math.isfinite(d):
+            hi = x
+        step = fx / dfx if dfx != 0.0 else math.inf
+        if abs(step) <= tol:
+            return x - step, iterations, (lo, hi)
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        if hi - lo <= tol:
             break
-        step = f(x) / d
-        x_new = x - step
-        if not (lo - (hi - lo) <= x_new <= hi + (hi - lo)) or not math.isfinite(x_new):
-            break
-        x = x_new
-        fx = abs(f(x))
-        if fx < fbest:
-            best, fbest = x, fx
-        if step == 0.0:
-            break
-    return best
+    return x, iterations, (lo, hi)
 
 
 def _quartic(beta: float, r: float, g: float, rho: float, dt: float) -> float:
@@ -220,17 +212,13 @@ def solve_monopoly_beta(params: ValidatedParams) -> float:
     dt = params.dt
 
     def f(b):
-        return _quartic(b, r, g, rho, dt)
-
-    def fp(b):
-        return _quartic_prime(b, r, g, rho, dt)
+        return _quartic(b, r, g, rho, dt), _quartic_prime(b, r, g, rho, dt)
 
     # f(0+) = r^2 > 0 and f(m) = -2 m g dt r^2 < 0, so the bracket always holds.
-    root, _, (lo, hi) = _bisect(f, 1e-12 * m, m, scale=m)
-    root = _newton_polish(f, fp, root, lo, hi)
-    scale = _quartic_scale(root, r, g, rho, dt)
-    if abs(f(root)) > QUARTIC_RESIDUAL_TOL * scale:
-        raise ConstraintViolated("quartic_residual", f"|residual| = {abs(f(root))!r} at beta = {root!r}")
+    root, _, _ = _newton(f, 1e-12 * m, m, m)
+    residual = abs(_quartic(root, r, g, rho, dt))
+    if residual > QUARTIC_RESIDUAL_TOL * _quartic_scale(root, r, g, rho, dt):
+        raise ConstraintViolated("quartic_residual", f"|residual| = {residual!r} at beta = {root!r}")
     return root
 
 
@@ -251,20 +239,16 @@ def monopoly_quartic_roots(params: ValidatedParams) -> QuarticRoots:
     first = solve_monopoly_beta(params)
 
     def f(b):
-        return _quartic(b, r, g, rho, dt)
-
-    def fp(b):
-        return _quartic_prime(b, r, g, rho, dt)
+        return _quartic(b, r, g, rho, dt), _quartic_prime(b, r, g, rho, dt)
 
     hi = 2.0 * m
     expansions = 0
-    while f(hi) < 0:
+    while f(hi)[0] < 0:
         hi *= 2.0
         expansions += 1
         if expansions > _MAX_BRACKET_EXPANSIONS:
             raise NoRootInBracket("second quartic root not bracketed")
-    second, _, (lo2, hi2) = _bisect(f, m, hi, scale=m)
-    second = _newton_polish(f, fp, second, lo2, hi2)
+    second, _, _ = _newton(f, m, hi, m)
     if not (second > first) or (second - first) <= BRACKET_WIDTH_REL * m * 4:
         raise RootsNotSeparated(f"roots {first!r} and {second!r} are not numerically distinct")
     lam2, phis2, _ = pricing_from_beta(second, (second,), params)
@@ -292,62 +276,78 @@ def _response_coeffs(beta_sigma: float, g_i: float, rho_i: float, r: float, dt: 
     P = beta_sigma + 2.0 * c * (r + beta_sigma**2)
     a = (1.0 - rho_i * dt) * P * P
     b = -((P * (2.0 - rho_i * dt) + beta_sigma**2 * g_i * dt) * r + r * r * g_i * dt)
-    c0 = r * r
-    return a, b, c0, P
+    return a, b, r * r
 
 
-def _smaller_quadratic_root(a: float, b: float, c0: float) -> float:
-    disc = b * b - 4.0 * a * c0
-    if disc < 0.0:
-        raise NegativeDiscriminant(f"discriminant {disc!r} < 0 for a={a!r} b={b!r} c0={c0!r}")
-    sq = math.sqrt(disc)
-    # b < 0 throughout this model; q = (|b| + sq)/2 avoids cancellation.
-    q = 0.5 * (-b + sq) if b < 0 else 0.5 * (-b - sq)
-    r1 = q / a
-    r2 = c0 / q
-    return min(r1, r2)
+def _responses(params: ValidatedParams, c: float):
+    """Excess h(beta_sigma) = sum_i beta_i - beta_sigma at tax rate ``c``.
+
+    With r = (sigma_K/sigma_S)^2 and P = beta_sigma + 2c (r + beta_sigma^2)
+    the pricing identities give beta_i = (r/P)(1 - phi_i), which turns the
+    response quadratic into d phi^2 + w phi - s = 0 with d = 1 - rho_i dt,
+    s = gamma_i dt (beta_sigma^2 + r)/P and w = rho_i dt + s. Its positive
+    root phi_i = 2s/(w + q) and 1 - phi_i = 2/(w + q + 2d), with
+    q = sqrt(w^2 + 4ds), involve no subtraction. The returned function gives
+    (excess, slope) and, with ``traders``, also the (betas, phis) tuples.
+    """
+    r = params.vol_ratio_sq
+    dt = params.dt
+    rows = tuple((t.gamma * dt, t.rho * dt, 1.0 - t.rho * dt) for t in params.traders)
+    sqrt = math.sqrt
+
+    def h(beta_sigma: float, traders: bool = False):
+        P = beta_sigma + 2.0 * c * (r + beta_sigma * beta_sigma)
+        dP = 1.0 + 4.0 * c * beta_sigma
+        s_per_gdt = (beta_sigma * beta_sigma + r) / P
+        ds_per_gdt = (2.0 * beta_sigma - s_per_gdt * dP) / P
+        sum_x = sum_dphi = 0.0
+        per_trader = []
+        for gdt, rdt, d in rows:
+            s = gdt * s_per_gdt
+            w = rdt + s
+            q = sqrt(w * w + 4.0 * d * s)
+            x = 2.0 / (w + q + 2.0 * d)
+            sum_x += x
+            if q:
+                phi = 2.0 * s / (w + q)
+                # implicit differentiation of the quadratic; 2 d phi + w = q
+                sum_dphi += gdt * ds_per_gdt * x / q
+            else:  # the dt = 0 limit
+                phi = 0.0
+            if traders:
+                per_trader.append((x, phi))
+        r_over_P = r / P
+        excess = r_over_P * sum_x - beta_sigma
+        slope = -r_over_P * (dP / P * sum_x + sum_dphi) - 1.0
+        if not traders:
+            return excess, slope
+        betas = tuple(r_over_P * x for x, _ in per_trader)
+        return excess, slope, betas, tuple(phi for _, phi in per_trader)
+
+    return h
 
 
-def _best_response(beta_sigma: float, g_i: float, rho_i: float, r: float, dt: float, c: float) -> float:
-    if dt == 0.0:
-        P = beta_sigma + 2.0 * c * (r + beta_sigma**2)
-        return r / P
-    a, b, c0, _ = _response_coeffs(beta_sigma, g_i, rho_i, r, dt, c)
-    return _smaller_quadratic_root(a, b, c0)
-
-
-def _best_response_slope(beta_sigma: float, u: float, g_i: float, rho_i: float, r: float, dt: float, c: float) -> float:
-    """du/d(beta_sigma) by implicit differentiation of the response quadratic."""
-    P = beta_sigma + 2.0 * c * (r + beta_sigma**2)
-    Pp = 1.0 + 4.0 * c * beta_sigma
-    da = 2.0 * (1.0 - rho_i * dt) * P * Pp
-    db = -r * (Pp * (2.0 - rho_i * dt) + 2.0 * beta_sigma * g_i * dt)
-    a, b, _, _ = _response_coeffs(beta_sigma, g_i, rho_i, r, dt, c)
-    g_u = 2.0 * a * u + b
-    if g_u == 0.0:
-        return 0.0
-    return -(da * u * u + db * u) / g_u
+def _trader_responses(beta_sigma: float, params: ValidatedParams):
+    """(betas, phis) of every trader at the aggregate, each loading checked against r/P."""
+    r = params.vol_ratio_sq
+    _, _, betas, phis = _responses(params, params.tax)(beta_sigma, True)
+    bound = r / (beta_sigma + 2.0 * params.tax * (r + beta_sigma**2))
+    for i, u in enumerate(betas):
+        if not (0.0 < u < bound * (1.0 + 1e-12)):
+            raise ConstraintViolated("beta_bound", f"trader {i}: response {u!r} outside (0, {bound!r}]")
+    return betas, phis
 
 
 def nash_best_response_beta(beta_sigma: float, trader_index: int, params: ValidatedParams) -> float:
     """Trader ``trader_index``'s loading when the aggregate is conjectured fixed.
 
-    Returns the smaller root of the response quadratic; the larger root
-    violates the loading bound and corresponds to a negative decay rate.
-    Reads the tax rate from ``params``.
+    Returns the smaller root of the response quadratic, computed through the
+    trader's decay rate; the larger root violates the loading bound and
+    corresponds to a negative decay rate. Reads the tax rate from ``params``.
     """
     if beta_sigma <= 0:
         raise ValueError(f"beta_sigma must be positive, got {beta_sigma!r}")
-    t = params.traders[trader_index]
-    r = params.vol_ratio_sq
-    u = _best_response(beta_sigma, t.gamma, t.rho, r, params.dt, params.tax)
-    P = beta_sigma + 2.0 * params.tax * (r + beta_sigma**2)
-    bound = r / P
-    if params.dt == 0.0:
-        return u
-    if not (0.0 < u < bound * (1.0 + 1e-12)):
-        raise ConstraintViolated("beta_bound", f"response {u!r} outside (0, {bound!r}]")
-    return u
+    return _trader_responses(beta_sigma, params)[0][trader_index]
 
 
 def system_residual(eq: Equilibrium, params: ValidatedParams) -> tuple[float, ...]:
@@ -356,7 +356,7 @@ def system_residual(eq: Equilibrium, params: ValidatedParams) -> tuple[float, ..
     dt = params.dt
     out = []
     for i, t in enumerate(params.traders):
-        a, b, c0, _ = _response_coeffs(eq.beta_sigma, t.gamma, t.rho, r, dt, params.tax)
+        a, b, c0 = _response_coeffs(eq.beta_sigma, t.gamma, t.rho, r, dt, params.tax)
         bi = eq.betas[i]
         out.append(abs(a * bi * bi + b * bi + c0) / (r * r))
     return tuple(out)
@@ -397,34 +397,19 @@ def _aggregate_closed_form(params: ValidatedParams, c: float) -> float:
         return math.sqrt(k) * (params.sigma_K / params.sigma_S)
 
     def f(t):
-        return t * (t + 2.0 * c * (r + t * t)) - target
+        return t * (t + 2.0 * c * (r + t * t)) - target, 2.0 * t + 2.0 * c * (r + 3.0 * t * t)
 
     hi = math.sqrt(target) + 1.0
-    while f(hi) < 0:
+    while f(hi)[0] < 0:
         hi *= 2.0
-    root, _, (lo, hi2) = _bisect(f, 1e-300, hi, scale=max(1.0, hi))
-    return _newton_polish(
-        f, lambda t: 2.0 * t + 2.0 * c * (r + 3.0 * t * t), root, lo, hi2
-    )
+    return _newton(f, 1e-300, hi, max(1.0, hi))[0]
 
 
 def _assemble(beta_sigma: float, params: ValidatedParams, diag: SolveDiagnostics) -> tuple[Equilibrium, SolveDiagnostics]:
-    r = params.vol_ratio_sq
-    dt = params.dt
-    c = params.tax
-    if dt == 0.0:
-        betas = tuple(_best_response(beta_sigma, t.gamma, t.rho, r, 0.0, c) for t in params.traders)
-        lam, _, _ = pricing_from_beta(beta_sigma, betas, params)
-        # phi = 0 holds identically in the limit; avoid rounding residue.
-        phis = tuple(0.0 for _ in betas)
-        mus = tuple(0.0 for _ in betas)
-        eq = Equilibrium(betas, beta_sigma, lam, phis, mus, tax=c)
-    else:
-        betas = tuple(
-            nash_best_response_beta(beta_sigma, i, params) for i in range(params.k)
-        )
-        lam, phis, mus = pricing_from_beta(beta_sigma, betas, params)
-        eq = Equilibrium(betas, beta_sigma, lam, phis, mus, tax=c)
+    betas, phis = _trader_responses(beta_sigma, params)
+    # The decay rates come from the response itself, not from 1 - P beta_i / r.
+    lam = pricing_from_beta(beta_sigma, (), params)[0]
+    eq = Equilibrium(betas, beta_sigma, lam, phis, tuple(lam * p for p in phis), tax=params.tax)
     validate_equilibrium(eq, params)
     residuals = system_residual(eq, params)
     worst = max(residuals)
@@ -441,46 +426,38 @@ def _assemble(beta_sigma: float, params: ValidatedParams, diag: SolveDiagnostics
     return eq, diag
 
 
-def _solve_fixed_point(params: ValidatedParams, c: float, bracket=None, for_tax=False):
-    """Solve sum_i u_i(beta_sigma) = beta_sigma for the aggregate loading."""
-    r = params.vol_ratio_sq
-    dt = params.dt
-    m = params.sigma_K / params.sigma_S
-    k = params.k
+def _solve_fixed_point(params: ValidatedParams, c: float, start: float | None = None):
+    """Solve sum_i beta_i(beta_sigma) = beta_sigma for the aggregate loading.
 
-    if dt == 0.0:
+    A tax continuation step passes the previous root as ``start``: Newton
+    starts there, inside [start/4, 4 start], and a non-monotone excess raises
+    ContinuationFailed instead of ConstraintViolated.
+    """
+    m = params.sigma_K / params.sigma_S
+
+    if params.dt == 0.0:
         bs = _aggregate_closed_form(params, c)
         diag = SolveDiagnostics(0, (bs, bs), (), 0.0)
         return bs, diag
 
-    def h(bs):
-        return sum(_best_response(bs, t.gamma, t.rho, r, dt, c) for t in params.traders) - bs
-
-    def h_prime(bs):
-        total = -1.0
-        for t in params.traders:
-            u = _best_response(bs, t.gamma, t.rho, r, dt, c)
-            total += _best_response_slope(bs, u, t.gamma, t.rho, r, dt, c)
-        return total
-
-    if bracket is None:
-        lo, hi = 1e-12 * m, math.sqrt(k) * m + m
+    h = _responses(params, c)
+    if start is None:
+        lo, hi = 1e-12 * m, math.sqrt(params.k) * m + m
     else:
-        lo, hi = bracket
+        lo, hi = start / 4.0, start * 4.0
     expansions = 0
-    while h(hi) > 0:
+    while h(hi)[0] > 0:
         hi *= 2.0
         expansions += 1
         if expansions > _MAX_BRACKET_EXPANSIONS:
             raise NoRootInBracket("aggregate fixed point not bracketed above")
-    while h(lo) < 0:
+    while h(lo)[0] < 0:
         lo *= 0.5
         expansions += 1
         if expansions > _MAX_BRACKET_EXPANSIONS:
             raise NoRootInBracket("aggregate fixed point not bracketed below")
 
-    root, iterations, (blo, bhi) = _bisect(h, lo, hi, scale=m)
-    root = _newton_polish(h, h_prime, root, blo, bhi)
+    root, iterations, bracket = _newton(h, lo, hi, m, start)
 
     # Monotone-excess witness: sample a decade around the solution. A strictly
     # decreasing excess is what guarantees the fixed point is unique.
@@ -489,20 +466,19 @@ def _solve_fixed_point(params: ValidatedParams, c: float, bracket=None, for_tax=
     s_hi = min(hi, root * 8.0)
     for j in range(10):
         x = s_lo + (s_hi - s_lo) * j / 9.0
-        samples.append((x, h(x)))
+        samples.append((x, h(x)[0]))
     for (x0, h0), (x1, h1) in zip(samples, samples[1:]):
         if not h0 > h1:
-            which = "h_monotonicity"
             msg = f"excess not strictly decreasing between {x0!r} and {x1!r}"
-            if for_tax:
+            if start is not None:
                 raise ContinuationFailed(msg)
-            raise ConstraintViolated(which, msg)
+            raise ConstraintViolated("h_monotonicity", msg)
 
     diag = SolveDiagnostics(
         iterations=iterations,
-        bracket=(blo, bhi),
+        bracket=bracket,
         residuals=(),
-        aggregate_residual=abs(h(root)),
+        aggregate_residual=abs(h(root)[0]),
         h_samples=tuple(samples),
     )
     return root, diag
@@ -520,8 +496,9 @@ def solve_taxed(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagnostics]
     """Equilibrium under a proportional transaction tax c = params.tax.
 
     Continues in the tax rate from the untaxed solution over geometric steps,
-    re-bracketing around the previous aggregate each time; a lost sign
-    pattern raises ContinuationFailed instead of guessing a branch.
+    starting each step's Newton iteration from the previous aggregate inside
+    a bracket around it; a lost sign pattern raises ContinuationFailed
+    instead of guessing a branch.
     """
     c_target = params.tax
     untaxed = params.with_tax(0.0)
@@ -536,10 +513,8 @@ def solve_taxed(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagnostics]
     total_iter = diag.iterations
     last_diag = diag
     for c_j in steps:
-        step_params = params.with_tax(c_j)
-        lo, hi = bs / 4.0, bs * 4.0
         try:
-            bs, last_diag = _solve_fixed_point(step_params, c_j, bracket=(lo, hi), for_tax=True)
+            bs, last_diag = _solve_fixed_point(params, c_j, start=bs)
         except NoRootInBracket as exc:
             raise ContinuationFailed(f"tax continuation lost its bracket at c={c_j!r}: {exc}") from exc
         total_iter += last_diag.iterations

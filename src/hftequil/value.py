@@ -92,7 +92,8 @@ def value_coefficients(
     eta = eq.eta
     gdt = g * dt
 
-    a_den = 1.0 - disc * (1.0 - phi) ** 2
+    # 1 - (1 - rho dt)(1 - phi)^2, without cancellation at small phi and rho dt
+    a_den = phi * (2.0 - phi) + rho * dt * (1.0 - phi) ** 2
     if a_den <= 0.0:
         raise DegenerateDenominator(f"1 - (1 - rho dt)(1 - phi)^2 = {a_den!r} <= 0")
     A = disc * (1.0 - phi) ** 2 * gdt / a_den
@@ -203,11 +204,12 @@ def dpe_argmax(
 def stationary_inventory_std(eq: Equilibrium, trader_index: int, params: ValidatedParams) -> float:
     """Standard deviation of the trader's predicted inventory in steady state."""
     phi = eq.phis[trader_index]
-    contraction = (1.0 - phi) ** 2
-    if contraction >= 1.0:
+    # 1 - (1 - phi)^2, without cancellation at small phi
+    gap = phi * (2.0 - phi)
+    if not gap > 0.0:
         raise ValueError(f"phi = {phi!r} gives no stationary inventory distribution")
     beta = eq.betas[trader_index]
-    var = beta**2 * params.sigma_S**2 * params.dt / (1.0 - contraction)
+    var = beta**2 * params.sigma_S**2 * params.dt / gap
     return math.sqrt(var)
 
 

@@ -4,7 +4,8 @@ import json
 import pytest
 
 import hftequil.cli as cli
-from hftequil import CheckResult, VerificationReport, load_config
+import hftequil.verify
+from hftequil import CheckResult, ConstraintViolated, VerificationReport, load_config
 from hftequil.cli import main
 from helpers import make_params
 
@@ -299,8 +300,12 @@ class TestVerify:
             assert isinstance(r["value"], float)
             assert isinstance(r["passed"], bool)
 
-    def test_json_output_stays_strict_json_when_the_value_layer_fails(self, capsys):
-        # value_coefficients raises at this volatility ratio; five checks have no value
+    def test_json_output_stays_strict_json_when_the_value_layer_fails(self, capsys, monkeypatch):
+        # value_coefficients raises, so five checks have no value
+        def raise_value_invariant(*args, **kwargs):
+            raise ConstraintViolated("value_invariant")
+
+        monkeypatch.setattr(hftequil.verify, "value_coefficients", raise_value_invariant)
         code, out, _ = run_cli(
             capsys, "verify", "--sigma-s", "1", "--sigma-k", "1e-6", "--dt", "0.004",
             "--paths", "0", "--format", "json",

@@ -323,6 +323,16 @@ class TestAdmissibility:
         with pytest.raises(ValueError, match="max_floats"):
             simulate(self.eq, None, self.p, n_paths=2, horizon=4, max_floats=10)
 
+    def test_memory_guard_counts_every_stored_double(self):
+        p = make_params(k=3, dt=0.01)
+        eq, _ = solve_nash(p)
+        batch = simulate(eq, None, p, n_paths=2, horizon=4)
+        fields = ("dS", "dK", "dY", "price_adj", "M", "L", "payoff", "penalty", "mtm_discounted")
+        stored = sum(getattr(batch, f).size for f in fields)
+        simulate(eq, None, p, n_paths=2, horizon=4, max_floats=stored)
+        with pytest.raises(ValueError, match="max_floats"):
+            simulate(eq, None, p, n_paths=2, horizon=4, max_floats=stored - 1)
+
 
 class TestMoments:
     def test_closed_form_matches_geometric_sum(self):

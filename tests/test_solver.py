@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from hftequil import (
     ConstraintViolated,
     Equilibrium,
-    NegativeDiscriminant,
     NoRootInBracket,
     QuarticRoots,
     RootsNotSeparated,
@@ -28,7 +27,7 @@ from hftequil import (
     system_residual,
     validate_equilibrium,
 )
-from hftequil.solver import _bisect, _newton_polish, _smaller_quadratic_root
+from hftequil.solver import SYSTEM_RESIDUAL_TOL, _newton, _response_coeffs, _responses
 from helpers import make_params
 
 # sigma_S = sigma_K = 1, gamma = 1, rho = 0.05
@@ -326,35 +325,48 @@ class TestTaxed:
 
 
 class TestNumericalCore:
-    def test_bisect_finds_simple_root(self):
-        root, iters, bracket = _bisect(lambda x: x * x - 2.0, 0.0, 2.0, scale=1.0)
+    def test_newton_finds_simple_root(self):
+        root, iters, bracket = _newton(lambda x: (x * x - 2.0, 2.0 * x), 0.0, 2.0, scale=1.0)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-13)
-        assert iters > 10
+        assert iters >= 1
         assert bracket[0] <= root <= bracket[1]
 
-    def test_bisect_requires_sign_change(self):
+    def test_newton_requires_sign_change(self):
         with pytest.raises(NoRootInBracket):
-            _bisect(lambda x: x * x + 1.0, -1.0, 1.0, scale=1.0)
+            _newton(lambda x: (x * x + 1.0, 2.0 * x), -1.0, 1.0, scale=1.0)
 
     def test_newton_polish_stays_in_bracket(self):
-        f = lambda x: x * x * x - 2.0
-        fp = lambda x: 3.0 * x * x
-        x = _newton_polish(f, fp, 1.25, 1.2, 1.3)
+        x, _, _ = _newton(lambda x: (x * x * x - 2.0, 3.0 * x * x), 1.2, 1.3, scale=1.0, x=1.25)
         assert x == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
         assert 1.2 <= x <= 1.3
 
     def test_newton_polish_guards_against_divergence(self):
-        # derivative vanishes at the start point; polish must not escape
-        f = lambda x: x * x - 2.0
-        fp = lambda x: 0.0
-        x = _newton_polish(f, fp, 1.4, 1.0, 2.0)
+        # the derivative vanishes everywhere; every step must fall back to bisection
+        x, _, _ = _newton(lambda x: (x * x - 2.0, 0.0), 1.0, 2.0, scale=1.0, x=1.4)
         assert 1.0 <= x <= 2.0
 
-    def test_smaller_quadratic_root(self):
-        # x^2 - 3x + 2 has roots 1 and 2
-        assert _smaller_quadratic_root(1.0, -3.0, 2.0) == pytest.approx(1.0, rel=1e-15)
-        with pytest.raises(NegativeDiscriminant):
-            _smaller_quadratic_root(1.0, 0.0, 1.0)
+
+@given(
+    log_ratio=st.floats(-6.0, 2.0),
+    log_dt=st.floats(-7.0, -1.0),
+    gammas=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3),
+    rho=st.floats(0.01, 1.0),
+    tax=st.sampled_from([0.0, 1e-4, 1e-2]),
+    bs_scale=st.floats(0.25, 4.0),
+)
+def test_decay_rate_form_solves_the_response_quadratic(log_ratio, log_dt, gammas, rho, tax, bs_scale):
+    """The phi-form loading beta_i = (r/P)(1 - phi_i) is the smaller root of
+    the original response quadratic, with 0 < phi_i <= 1."""
+    m = 10.0**log_ratio
+    dt = 10.0**log_dt
+    p = make_params(dt=dt, gammas=gammas, rho=rho, sigma_K=m, tax=tax / m)
+    bs = bs_scale * m * math.sqrt(len(gammas))
+    r = p.vol_ratio_sq
+    _, _, betas, phis = _responses(p, p.tax)(bs, True)
+    for t, beta, phi in zip(p.traders, betas, phis):
+        a, b, c0 = _response_coeffs(bs, t.gamma, t.rho, r, dt, p.tax)
+        assert abs(a * beta * beta + b * beta + c0) / (r * r) <= SYSTEM_RESIDUAL_TOL
+        assert 0.0 < phi <= 1.0
 
 
 @given(

@@ -20,6 +20,7 @@ from hftequil import (
     dpe_residual,
     dpe_rhs,
     evaluate_value,
+    run_verification,
     solve_nash,
     stationary_inventory_std,
     value_coefficients,
@@ -217,3 +218,37 @@ def test_value_chain_invariants(gamma, dt, k, sigma_K):
     assert cs.E > 0.0
     assert dpe_argmax_gap(cs, eq, 0, p) <= 1e-11
     assert dpe_residual(cs, eq, 0, p) <= 1e-9
+
+
+TINY_VOL_CASES = [(1e-3, 1e-6), (1e-3, 1e-5), (1e-4, 1e-7), (1e-6, 1e-3)]
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("sigma_K, dt", TINY_VOL_CASES)
+def test_value_layer_at_tiny_volatility_ratio(sigma_K, dt, gamma):
+    # phi = 1 - P beta / r cancels here; the decay-rate form keeps the
+    # F + gamma dt = lambda phi / (1 - phi) invariant within its tolerance.
+    p = make_params(dt=dt, gamma=gamma, rho=0.05, sigma_S=1.0, sigma_K=sigma_K)
+    eq, _ = solve_nash(p)
+    cs = value_coefficients(eq, 0, p)
+    assert dpe_residual(cs, eq, 0, p) <= 1e-9
+
+
+def test_verification_passes_the_value_layer_at_tiny_volatility_ratio():
+    p = make_params(dt=0.004, gamma=1.0, rho=0.05, sigma_S=1.0, sigma_K=1e-6)
+    report = run_verification(p, paths=0)
+    passed = {r.name for r in report.results if r.passed}
+    assert {
+        "value_fixed_point",
+        "value_link_identity",
+        "dpe_residual",
+        "dpe_argmax",
+        "sign_pattern",
+        "pricing_identities",
+    } <= passed
+
+
+def test_verification_passes_at_vanishing_dt():
+    # phi is about sqrt(gamma dt) = 1e-150: 1 - (1 - phi)^2 must not cancel to 0
+    report = run_verification(make_params(dt=1e-300), paths=0)
+    assert report.passed, report.failures

@@ -1,13 +1,19 @@
 """End-to-end verification battery over representative parameter sets."""
 import pytest
 
+import hftequil.verify
 from hftequil import (
     CheckResult,
+    ConstraintViolated,
     Tolerances,
     VerificationReport,
     run_verification,
 )
 from helpers import make_params
+
+
+def _raise_value_invariant(*args, **kwargs):
+    raise ConstraintViolated("value_invariant")
 
 DETERMINISTIC_K1 = {
     "quartic_residual",
@@ -84,8 +90,8 @@ class TestFullBattery:
         assert moment.passed, moment.value
         assert report.passed, report.failures
 
-    def test_value_layer_error_is_reported_not_raised(self):
-        # At sigma_K / sigma_S = 1e-6 value_coefficients raises ConstraintViolated.
+    def test_value_layer_error_is_reported_not_raised(self, monkeypatch):
+        monkeypatch.setattr(hftequil.verify, "value_coefficients", _raise_value_invariant)
         report = run_verification(make_params(dt=0.004, sigma_K=1e-6), paths=0)
         value_names = DETERMINISTIC_K1 - {"quartic_residual", "system_residuals",
                                           "pricing_identities", "phi_bounds"}
@@ -98,6 +104,14 @@ class TestFullBattery:
         report = run_verification(p, paths=64, mc_horizon=16)
         names = {r.name for r in report.results}
         assert "moment_formula_mc" in names and "objective_value_mc" not in names
+
+    def test_reduced_form_witness_gate_scales_with_the_price_adjustment(self):
+        # lambda is about 5e5 here, so the gap's rounding error exceeds 1e-12
+        report = run_verification(make_params(dt=0.004, sigma_K=1e-6), paths=256)
+        assert report.passed, report.failures
+        witness = next(r for r in report.results if r.name == "reduced_form_witness")
+        assert witness.value > Tolerances().identity
+        assert witness.threshold > Tolerances().identity
 
 
 class TestReportMechanics:
