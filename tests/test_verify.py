@@ -15,6 +15,7 @@ from helpers import make_params
 def _raise_value_invariant(*args, **kwargs):
     raise ConstraintViolated("value_invariant")
 
+
 DETERMINISTIC_K1 = {
     "quartic_residual",
     "system_residuals",
