@@ -20,9 +20,7 @@ from .model import (
 )
 from .solver import (
     ConstraintViolated,
-    ContinuationFailed,
     Equilibrium,
-    NegativeDiscriminant,
     NoRootInBracket,
     QuarticRoots,
     RootsNotSeparated,

@@ -190,7 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_output_flags(sp, ["text", "json"], "text")
     sp.add_argument("--paths", type=int, default=4096, help="Monte Carlo paths; 0 skips the MC checks")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--strict", action="store_true", help="halve every tolerance")
+    sp.add_argument(
+        "--strict", action="store_true", help="halve every tolerance (the Monte Carlo ones by running 4x --paths)"
+    )
     return parser
 
 
@@ -389,8 +391,12 @@ def run_simulate(cfg: RunConfig) -> int:
 
 
 def run_verify(cfg: RunConfig) -> int:
-    tol = Tolerances.strict() if cfg.strict else Tolerances()
-    report = run_verification(cfg.params, paths=cfg.paths, seed=cfg.seed, tolerances=tol)
+    tol, paths = Tolerances(), cfg.paths
+    if cfg.strict:
+        # Four times the paths halve the Monte Carlo standard errors, and so
+        # the MC checks' absolute tolerances, at the same mc_sigmas.
+        tol, paths = Tolerances.strict(), 4 * cfg.paths
+    report = run_verification(cfg.params, paths=paths, seed=cfg.seed, tolerances=tol)
     if cfg.fmt == "json":
         payload = {
             "passed": report.passed,

@@ -6,9 +6,9 @@ aggregate loading solves a one-dimensional fixed point: at a conjectured
 aggregate each trader's best response is written through its decay rate
 phi_i, the positive root of a quadratic taken without subtraction, and the
 aggregate must equal the sum of the implied loadings. A proportional
-transaction tax deforms the quadratic but keeps the same structure; the
-taxed solve continues in the tax rate from the untaxed solution so the
-branch is never guessed.
+transaction tax deforms the quadratic but keeps the same structure and the
+same unique positive root, so a taxed game is solved directly at its tax
+rate, like an untaxed one.
 
 All root finding is one safeguarded Newton iteration on a sign-changing
 bracket: a step that would leave the bracket is replaced by bisection, so
@@ -29,8 +29,6 @@ __all__ = [
     "SolverError",
     "NoRootInBracket",
     "ConstraintViolated",
-    "ContinuationFailed",
-    "NegativeDiscriminant",
     "RootsNotSeparated",
     "solve_monopoly_beta",
     "monopoly_quartic_roots",
@@ -47,7 +45,6 @@ BRACKET_WIDTH_REL = 1e-14
 QUARTIC_RESIDUAL_TOL = 1e-12
 SYSTEM_RESIDUAL_TOL = 1e-10
 _MAX_BRACKET_EXPANSIONS = 60
-_CONTINUATION_STEPS = 16
 
 
 class SolverError(RuntimeError):
@@ -62,14 +59,6 @@ class ConstraintViolated(SolverError):
     def __init__(self, which: str, detail: str = ""):
         self.which = which
         super().__init__(f"equilibrium constraint violated: {which}" + (f" ({detail})" if detail else ""))
-
-
-class ContinuationFailed(SolverError):
-    pass
-
-
-class NegativeDiscriminant(SolverError):
-    """The best-response discriminant is provably positive; hitting this is a bug."""
 
 
 class RootsNotSeparated(SolverError):
@@ -114,6 +103,7 @@ class SolveDiagnostics:
     residuals: tuple[float, ...]
     aggregate_residual: float
     h_samples: tuple[tuple[float, float], ...] = ()
+    # Always 0: every tax rate is solved directly. Kept for the CLI payload.
     continuation_steps: int = 0
 
 
@@ -125,30 +115,29 @@ class QuarticRoots:
     reason: str = "phi < 0"
 
 
-def _newton(f, lo: float, hi: float, scale: float, x: float | None = None):
+def _newton(f, lo: float, hi: float, scale: float, f_lo: float, f_hi: float):
     """Safeguarded Newton on [lo, hi]; returns (root, iterations, bracket).
 
-    ``f`` returns (value, slope) and must change sign on [lo, hi]. Each step
-    shrinks the bracket to the sign change; a Newton step that leaves it, or
-    a zero slope, becomes a bisection step. Stops on f = 0 or once the step
-    or the bracket is at most BRACKET_WIDTH_REL * scale. Starts at ``x``,
-    by default the midpoint.
+    ``f`` returns (value, slope) and must change sign on [lo, hi]; ``f_lo``
+    and ``f_hi`` are its values at the ends, passed in so that no end is
+    evaluated twice. Starting from the midpoint, each step shrinks the
+    bracket to the sign change; a Newton step that leaves it, or a zero
+    slope, becomes a bisection step. Stops on f = 0 or once the step or the
+    bracket is at most BRACKET_WIDTH_REL * scale.
     """
-    flo, fhi = f(lo)[0], f(hi)[0]
-    if flo == 0.0:
+    if f_lo == 0.0:
         return lo, 0, (lo, lo)
-    if fhi == 0.0:
+    if f_hi == 0.0:
         return hi, 0, (hi, hi)
-    if (flo > 0.0) == (fhi > 0.0):
+    if (f_lo > 0.0) == (f_hi > 0.0):
         raise NoRootInBracket(f"no sign change on [{lo!r}, {hi!r}]")
     tol = BRACKET_WIDTH_REL * scale
-    if x is None:
-        x = 0.5 * (lo + hi)
+    x = 0.5 * (lo + hi)
     for iterations in range(1, 201):
         fx, dfx = f(x)
         if fx == 0.0:
             return x, iterations, (x, x)
-        if (fx > 0.0) == (flo > 0.0):
+        if (fx > 0.0) == (f_lo > 0.0):
             lo = x
         else:
             hi = x
@@ -161,6 +150,22 @@ def _newton(f, lo: float, hi: float, scale: float, x: float | None = None):
         if hi - lo <= tol:
             break
     return x, iterations, (lo, hi)
+
+
+def _expand(f, x: float, factor: float, sign: float, failure: str) -> tuple[float, float]:
+    """Multiply ``x`` by ``factor`` while sign * f(x) > 0; returns x and f(x).
+
+    Raises NoRootInBracket(failure) after _MAX_BRACKET_EXPANSIONS steps.
+    """
+    fx = f(x)[0]
+    expansions = 0
+    while sign * fx > 0:
+        x *= factor
+        expansions += 1
+        if expansions > _MAX_BRACKET_EXPANSIONS:
+            raise NoRootInBracket(failure)
+        fx = f(x)[0]
+    return x, fx
 
 
 def _quartic(beta: float, r: float, g: float, rho: float, dt: float) -> float:
@@ -215,7 +220,8 @@ def solve_monopoly_beta(params: ValidatedParams) -> float:
         return _quartic(b, r, g, rho, dt), _quartic_prime(b, r, g, rho, dt)
 
     # f(0+) = r^2 > 0 and f(m) = -2 m g dt r^2 < 0, so the bracket always holds.
-    root, _, _ = _newton(f, 1e-12 * m, m, m)
+    lo = 1e-12 * m
+    root, _, _ = _newton(f, lo, m, m, f(lo)[0], f(m)[0])
     residual = abs(_quartic(root, r, g, rho, dt))
     if residual > QUARTIC_RESIDUAL_TOL * _quartic_scale(root, r, g, rho, dt):
         raise ConstraintViolated("quartic_residual", f"|residual| = {residual!r} at beta = {root!r}")
@@ -241,14 +247,8 @@ def monopoly_quartic_roots(params: ValidatedParams) -> QuarticRoots:
     def f(b):
         return _quartic(b, r, g, rho, dt), _quartic_prime(b, r, g, rho, dt)
 
-    hi = 2.0 * m
-    expansions = 0
-    while f(hi)[0] < 0:
-        hi *= 2.0
-        expansions += 1
-        if expansions > _MAX_BRACKET_EXPANSIONS:
-            raise NoRootInBracket("second quartic root not bracketed")
-    second, _, _ = _newton(f, m, hi, m)
+    hi, f_hi = _expand(f, 2.0 * m, 2.0, -1.0, "second quartic root not bracketed")
+    second, _, _ = _newton(f, m, hi, m, f(m)[0], f_hi)
     if not (second > first) or (second - first) <= BRACKET_WIDTH_REL * m * 4:
         raise RootsNotSeparated(f"roots {first!r} and {second!r} are not numerically distinct")
     lam2, phis2, _ = pricing_from_beta(second, (second,), params)
@@ -354,6 +354,8 @@ def system_residual(eq: Equilibrium, params: ValidatedParams) -> tuple[float, ..
     """Per-trader residual of the equilibrium system, scaled by r^2."""
     r = params.vol_ratio_sq
     dt = params.dt
+    if r * r == 0.0:
+        raise ConstraintViolated("system_residual", f"scale r^2 underflows to 0 at r = {r!r}")
     out = []
     for i, t in enumerate(params.traders):
         a, b, c0 = _response_coeffs(eq.beta_sigma, t.gamma, t.rho, r, dt, params.tax)
@@ -388,10 +390,11 @@ def validate_equilibrium(eq: Equilibrium, params: ValidatedParams) -> None:
             raise ConstraintViolated("mu_formula", f"trader {i}")
 
 
-def _aggregate_closed_form(params: ValidatedParams, c: float) -> float:
-    """dt == 0 aggregate loading; with tax it solves t (t + 2c (r + t^2)) = k r."""
+def _aggregate_closed_form(params: ValidatedParams) -> float:
+    """dt == 0 aggregate loading; with tax c it solves t (t + 2c (r + t^2)) = k r."""
     r = params.vol_ratio_sq
     k = params.k
+    c = params.tax
     target = k * r
     if c == 0.0:
         return math.sqrt(k) * (params.sigma_K / params.sigma_S)
@@ -399,65 +402,26 @@ def _aggregate_closed_form(params: ValidatedParams, c: float) -> float:
     def f(t):
         return t * (t + 2.0 * c * (r + t * t)) - target, 2.0 * t + 2.0 * c * (r + 3.0 * t * t)
 
-    hi = math.sqrt(target) + 1.0
-    while f(hi)[0] < 0:
-        hi *= 2.0
-    return _newton(f, 1e-300, hi, max(1.0, hi))[0]
+    hi, f_hi = _expand(f, math.sqrt(target) + 1.0, 2.0, -1.0, "dt = 0 aggregate loading not bracketed")
+    return _newton(f, 1e-300, hi, max(1.0, hi), f(1e-300)[0], f_hi)[0]
 
 
-def _assemble(beta_sigma: float, params: ValidatedParams, diag: SolveDiagnostics) -> tuple[Equilibrium, SolveDiagnostics]:
-    betas, phis = _trader_responses(beta_sigma, params)
-    # The decay rates come from the response itself, not from 1 - P beta_i / r.
-    lam = pricing_from_beta(beta_sigma, (), params)[0]
-    eq = Equilibrium(betas, beta_sigma, lam, phis, tuple(lam * p for p in phis), tax=params.tax)
-    validate_equilibrium(eq, params)
-    residuals = system_residual(eq, params)
-    worst = max(residuals)
-    if worst > SYSTEM_RESIDUAL_TOL:
-        raise ConstraintViolated("system_residual", f"max residual {worst!r}")
-    diag = SolveDiagnostics(
-        iterations=diag.iterations,
-        bracket=diag.bracket,
-        residuals=residuals,
-        aggregate_residual=abs(sum(betas) - beta_sigma),
-        h_samples=diag.h_samples,
-        continuation_steps=diag.continuation_steps,
-    )
-    return eq, diag
+def _solve_fixed_point(params: ValidatedParams):
+    """Solve sum_i beta_i(beta_sigma) = beta_sigma at the tax rate params.tax.
 
-
-def _solve_fixed_point(params: ValidatedParams, c: float, start: float | None = None):
-    """Solve sum_i beta_i(beta_sigma) = beta_sigma for the aggregate loading.
-
-    A tax continuation step passes the previous root as ``start``: Newton
-    starts there, inside [start/4, 4 start], and a non-monotone excess raises
-    ContinuationFailed instead of ConstraintViolated.
+    Returns the root, the Newton steps, the final bracket and the
+    monotone-excess witness samples.
     """
     m = params.sigma_K / params.sigma_S
 
     if params.dt == 0.0:
-        bs = _aggregate_closed_form(params, c)
-        diag = SolveDiagnostics(0, (bs, bs), (), 0.0)
-        return bs, diag
+        bs = _aggregate_closed_form(params)
+        return bs, 0, (bs, bs), ()
 
-    h = _responses(params, c)
-    if start is None:
-        lo, hi = 1e-12 * m, math.sqrt(params.k) * m + m
-    else:
-        lo, hi = start / 4.0, start * 4.0
-    expansions = 0
-    while h(hi)[0] > 0:
-        hi *= 2.0
-        expansions += 1
-        if expansions > _MAX_BRACKET_EXPANSIONS:
-            raise NoRootInBracket("aggregate fixed point not bracketed above")
-    while h(lo)[0] < 0:
-        lo *= 0.5
-        expansions += 1
-        if expansions > _MAX_BRACKET_EXPANSIONS:
-            raise NoRootInBracket("aggregate fixed point not bracketed below")
-
-    root, iterations, bracket = _newton(h, lo, hi, m, start)
+    h = _responses(params, params.tax)
+    hi, h_hi = _expand(h, math.sqrt(params.k) * m + m, 2.0, 1.0, "aggregate fixed point not bracketed above")
+    lo, h_lo = _expand(h, 1e-12 * m, 0.5, -1.0, "aggregate fixed point not bracketed below")
+    root, iterations, bracket = _newton(h, lo, hi, m, h_lo, h_hi)
 
     # Monotone-excess witness: sample a decade around the solution. A strictly
     # decreasing excess is what guarantees the fixed point is unique.
@@ -469,69 +433,39 @@ def _solve_fixed_point(params: ValidatedParams, c: float, start: float | None = 
         samples.append((x, h(x)[0]))
     for (x0, h0), (x1, h1) in zip(samples, samples[1:]):
         if not h0 > h1:
-            msg = f"excess not strictly decreasing between {x0!r} and {x1!r}"
-            if start is not None:
-                raise ContinuationFailed(msg)
-            raise ConstraintViolated("h_monotonicity", msg)
-
-    diag = SolveDiagnostics(
-        iterations=iterations,
-        bracket=bracket,
-        residuals=(),
-        aggregate_residual=abs(h(root)[0]),
-        h_samples=tuple(samples),
-    )
-    return root, diag
+            raise ConstraintViolated("h_monotonicity", f"excess not strictly decreasing between {x0!r} and {x1!r}")
+    return root, iterations, bracket, tuple(samples)
 
 
 def solve_nash(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagnostics]:
     """Untaxed k-trader equilibrium. Requires params.tax == 0."""
     if params.tax != 0.0:
         raise ValueError(f"solve_nash requires tax == 0, got {params.tax!r}; use solve_taxed")
-    bs, diag = _solve_fixed_point(params, 0.0)
-    return _assemble(bs, params, diag)
+    return solve_equilibrium(params)
 
 
 def solve_taxed(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagnostics]:
-    """Equilibrium under a proportional transaction tax c = params.tax.
-
-    Continues in the tax rate from the untaxed solution over geometric steps,
-    starting each step's Newton iteration from the previous aggregate inside
-    a bracket around it; a lost sign pattern raises ContinuationFailed
-    instead of guessing a branch.
-    """
-    c_target = params.tax
-    untaxed = params.with_tax(0.0)
-    bs, diag = _solve_fixed_point(untaxed, 0.0)
-    if c_target == 0.0:
-        return _assemble(bs, untaxed, diag)
-    if params.dt == 0.0:
-        bs = _aggregate_closed_form(params, c_target)
-        return _assemble(bs, params, SolveDiagnostics(0, (bs, bs), (), 0.0))
-
-    steps = [c_target * 2.0 ** (j - (_CONTINUATION_STEPS - 1)) for j in range(_CONTINUATION_STEPS)]
-    total_iter = diag.iterations
-    last_diag = diag
-    for c_j in steps:
-        try:
-            bs, last_diag = _solve_fixed_point(params, c_j, start=bs)
-        except NoRootInBracket as exc:
-            raise ContinuationFailed(f"tax continuation lost its bracket at c={c_j!r}: {exc}") from exc
-        total_iter += last_diag.iterations
-    eq, final = _assemble(bs, params, last_diag)
-    final = SolveDiagnostics(
-        iterations=total_iter,
-        bracket=final.bracket,
-        residuals=final.residuals,
-        aggregate_residual=final.aggregate_residual,
-        h_samples=final.h_samples,
-        continuation_steps=len(steps),
-    )
-    return eq, final
+    """Equilibrium under a proportional transaction tax c = params.tax >= 0."""
+    return solve_equilibrium(params)
 
 
 def solve_equilibrium(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagnostics]:
-    """Dispatch on the tax rate: taxed continuation when tax > 0, else the plain solve."""
-    if params.tax > 0.0:
-        return solve_taxed(params)
-    return solve_nash(params)
+    """Equilibrium at the tax rate params.tax; the one solve path for every tax rate and dt >= 0."""
+    beta_sigma, iterations, bracket, samples = _solve_fixed_point(params)
+    betas, phis = _trader_responses(beta_sigma, params)
+    # The decay rates come from the response itself, not from 1 - P beta_i / r.
+    lam = pricing_from_beta(beta_sigma, (), params)[0]
+    eq = Equilibrium(betas, beta_sigma, lam, phis, tuple(lam * p for p in phis), tax=params.tax)
+    validate_equilibrium(eq, params)
+    residuals = system_residual(eq, params)
+    worst = max(residuals)
+    if worst > SYSTEM_RESIDUAL_TOL:
+        raise ConstraintViolated("system_residual", f"max residual {worst!r}")
+    diag = SolveDiagnostics(
+        iterations=iterations,
+        bracket=bracket,
+        residuals=residuals,
+        aggregate_residual=abs(sum(betas) - beta_sigma),
+        h_samples=samples,
+    )
+    return eq, diag

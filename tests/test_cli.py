@@ -5,7 +5,7 @@ import pytest
 
 import hftequil.cli as cli
 import hftequil.verify
-from hftequil import CheckResult, ConstraintViolated, VerificationReport, load_config
+from hftequil import CheckResult, ConstraintViolated, Tolerances, VerificationReport, load_config
 from hftequil.cli import main
 from helpers import make_params
 
@@ -115,6 +115,11 @@ class TestParamErrors:
         code, _, err = run_cli(capsys, "solve", "--sigma-s", "-1", "--sigma-k", "1", "--dt", "0.01")
         assert code == 2
         assert "NonPositiveVolatility" in err
+
+    def test_underflowing_volatility_ratio_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--sigma-s", "1", "--sigma-k", "1e-81", "--dt", "1e-3")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "system_residual" in err
 
     def test_unknown_format_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -324,6 +329,18 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", *BASE, "--paths", "0", "--strict")
         assert code == 0
         assert "threshold=5e-13" in out
+
+    def test_strict_flag_quadruples_the_paths(self, capsys, monkeypatch):
+        seen = {}
+
+        def record(params, **kwargs):
+            seen.update(kwargs)
+            return VerificationReport(())
+
+        monkeypatch.setattr(cli, "run_verification", record)
+        code, _, _ = run_cli(capsys, "verify", *BASE, "--paths", "100", "--seed", "3", "--strict")
+        assert code == 0
+        assert seen == {"paths": 400, "seed": 3, "tolerances": Tolerances.strict()}
 
     def test_failure_exits_1_and_names_the_checks(self, capsys, monkeypatch):
         report = VerificationReport(

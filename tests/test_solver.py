@@ -17,6 +17,7 @@ from hftequil import (
     NoRootInBracket,
     QuarticRoots,
     RootsNotSeparated,
+    SolverError,
     monopoly_quartic_roots,
     nash_best_response_beta,
     pricing_from_beta,
@@ -202,6 +203,12 @@ class TestNash:
         with pytest.raises(ValueError):
             solve_nash(make_params(dt=0.01, tax=1e-3))
 
+    def test_underflowing_residual_scale_is_a_solver_error(self):
+        # r^2 = (sigma_K/sigma_S)^4 underflows to 0 below a ratio of about 1e-81
+        with pytest.raises(SolverError) as exc:
+            solve_equilibrium(make_params(sigma_K=1e-81, dt=1e-3))
+        assert exc.value.which == "system_residual"
+
     def test_solve_equilibrium_dispatch(self):
         p = make_params(k=2, dt=0.004)
         eq_nash, _ = solve_nash(p)
@@ -316,33 +323,26 @@ class TestTaxed:
         assert t * (t + 2 * c * (1.0 + t * t)) == pytest.approx(2.0, rel=1e-12)
         assert eq.phis == (0.0, 0.0)
 
-    def test_continuation_diagnostics(self):
-        p = make_params(k=2, dt=0.004, tax=2e-3)
-        eq, diag = solve_taxed(p)
-        assert diag.continuation_steps >= 1
-        assert eq.tax == 2e-3
-        validate_equilibrium(eq, p)
-
 
 class TestNumericalCore:
     def test_newton_finds_simple_root(self):
-        root, iters, bracket = _newton(lambda x: (x * x - 2.0, 2.0 * x), 0.0, 2.0, scale=1.0)
+        root, iters, bracket = _newton(lambda x: (x * x - 2.0, 2.0 * x), 0.0, 2.0, 1.0, -2.0, 2.0)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-13)
         assert iters >= 1
         assert bracket[0] <= root <= bracket[1]
 
     def test_newton_requires_sign_change(self):
         with pytest.raises(NoRootInBracket):
-            _newton(lambda x: (x * x + 1.0, 2.0 * x), -1.0, 1.0, scale=1.0)
+            _newton(lambda x: (x * x + 1.0, 2.0 * x), -1.0, 1.0, 1.0, 2.0, 2.0)
 
     def test_newton_polish_stays_in_bracket(self):
-        x, _, _ = _newton(lambda x: (x * x * x - 2.0, 3.0 * x * x), 1.2, 1.3, scale=1.0, x=1.25)
+        x, _, _ = _newton(lambda x: (x * x * x - 2.0, 3.0 * x * x), 1.2, 1.3, 1.0, 1.2**3 - 2.0, 1.3**3 - 2.0)
         assert x == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
         assert 1.2 <= x <= 1.3
 
     def test_newton_polish_guards_against_divergence(self):
         # the derivative vanishes everywhere; every step must fall back to bisection
-        x, _, _ = _newton(lambda x: (x * x - 2.0, 0.0), 1.0, 2.0, scale=1.0, x=1.4)
+        x, _, _ = _newton(lambda x: (x * x - 2.0, 0.0), 1.0, 2.0, 1.0, -1.0, 2.0)
         assert 1.0 <= x <= 2.0
 
 
@@ -367,6 +367,35 @@ def test_decay_rate_form_solves_the_response_quadratic(log_ratio, log_dt, gammas
         a, b, c0 = _response_coeffs(bs, t.gamma, t.rho, r, dt, p.tax)
         assert abs(a * beta * beta + b * beta + c0) / (r * r) <= SYSTEM_RESIDUAL_TOL
         assert 0.0 < phi <= 1.0
+
+
+@given(
+    log_ratio=st.floats(-4.0, 4.0),
+    log_dt=st.floats(-7.0, math.log10(0.3)),
+    traders=st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(0.01, 1.0)), min_size=1, max_size=4),
+    log_tax=st.floats(-6.0, 2.0),
+)
+def test_taxed_games_solve_directly_at_their_tax_rate(log_ratio, log_dt, traders, log_tax):
+    """The taxed excess is strictly decreasing across the whole initial
+    bracket, so its one sign change is the equilibrium and no continuation
+    in the tax rate is needed; the direct solve passes every check."""
+    m = 10.0**log_ratio
+    p = make_params(
+        dt=10.0**log_dt,
+        gammas=[g for g, _ in traders],
+        rhos=[r for _, r in traders],
+        sigma_K=m,
+        tax=10.0**log_tax / m,  # up to 100 times the impact scale sigma_S/sigma_K
+    )
+    h = _responses(p, p.tax)
+    lo, hi = 1e-12 * m, (math.sqrt(p.k) + 1.0) * m
+    grid = [lo * (hi / lo) ** (j / 399) for j in range(400)]
+    excess = [h(x)[0] for x in grid]
+    assert all(a > b for a, b in zip(excess, excess[1:]))
+    eq, diag = solve_taxed(p)
+    assert eq.tax == p.tax
+    assert diag.continuation_steps == 0
+    validate_equilibrium(eq, p)
 
 
 @given(
