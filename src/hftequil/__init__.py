@@ -77,7 +77,6 @@ from .simulator import (
     inventory_second_moment,
     mark_to_market,
     reduced_form_gap,
-    second_moment_closed_form,
     simulate,
     simulate_objective,
     simulate_second_moment,

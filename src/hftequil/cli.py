@@ -11,42 +11,20 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .asymptotics import nash_expansions
-from .model import (
-    ConfigError,
-    InvalidParamsError,
-    ValidatedParams,
-    load_config,
-    params_to_config,
-)
+from .model import ConfigError, ValidatedParams, load_config, params_to_config
 from . import simulator as sim
 from .solver import SolverError, solve_equilibrium, solve_taxed
 from .value import value_coefficients
 from .verify import Tolerances, run_verification
 
-__all__ = ["RunConfig", "build_parser", "run", "main", "entry_point"]
+__all__ = ["build_parser", "main", "entry_point"]
 
 _INLINE_FLAGS = ("sigma_s", "sigma_k", "dt", "tax", "k", "gamma", "rho", "l0")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    params: ValidatedParams
-    out: str | None = None
-    fmt: str = "json"
-    paths: int = 4096
-    seed: int = 0
-    horizon: int | None = None
-    dt_grid: tuple[float, ...] | None = None
-    k_grid: tuple[int, ...] | None = None
-    c_grid: tuple[float, ...] | None = None
-    strict: bool = False
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -221,11 +199,11 @@ def _rows_to_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_rows(rows: list[dict], cfg: RunConfig) -> None:
-    if cfg.fmt == "csv":
-        _emit(_rows_to_csv(rows), cfg.out)
+def _emit_rows(rows: list[dict], args: argparse.Namespace) -> None:
+    if args.format == "csv":
+        _emit(_rows_to_csv(rows), args.out)
     else:
-        _emit(_to_json(rows), cfg.out)
+        _emit(_to_json(rows), args.out)
 
 
 def _value_block(eq, params: ValidatedParams):
@@ -234,12 +212,12 @@ def _value_block(eq, params: ValidatedParams):
     return [value_coefficients(eq, i, params).to_dict() for i in range(params.k)]
 
 
-def run_solve(cfg: RunConfig) -> int:
-    eq, diag = solve_equilibrium(cfg.params)
+def run_solve(args: argparse.Namespace, params: ValidatedParams) -> int:
+    eq, diag = solve_equilibrium(params)
     payload = {
-        "params": params_to_config(cfg.params),
+        "params": params_to_config(params),
         "equilibrium": eq.to_dict(),
-        "value": _value_block(eq, cfg.params),
+        "value": _value_block(eq, params),
         "diagnostics": {
             "iterations": diag.iterations,
             "bracket": list(diag.bracket),
@@ -248,20 +226,20 @@ def run_solve(cfg: RunConfig) -> int:
             "continuation_steps": diag.continuation_steps,
         },
     }
-    _emit(_to_json(payload), cfg.out)
+    _emit(_to_json(payload), args.out)
     return 0
 
 
-def run_expand(cfg: RunConfig) -> int:
-    exps = nash_expansions(cfg.params)
-    if cfg.fmt == "json":
+def run_expand(args: argparse.Namespace, params: ValidatedParams) -> int:
+    exps = nash_expansions(params)
+    if args.format == "json":
         payload = {}
         for key, value in exps.items():
             if isinstance(value, tuple):
                 payload[key] = [e.to_dict() for e in value]
             else:
                 payload[key] = value.to_dict()
-        _emit(_to_json(payload), cfg.out)
+        _emit(_to_json(payload), args.out)
         return 0
     rows = []
     for key, value in exps.items():
@@ -277,20 +255,22 @@ def run_expand(cfg: RunConfig) -> int:
                     "remainder": e.remainder,
                 }
             )
-    _emit(_rows_to_csv(rows), cfg.out)
+    _emit(_rows_to_csv(rows), args.out)
     return 0
 
 
-def run_sweep(cfg: RunConfig) -> int:
-    if (cfg.dt_grid is None) == (cfg.k_grid is None):
+def run_sweep(args: argparse.Namespace, params: ValidatedParams) -> int:
+    dt_grid = _parse_geometric_grid(args.dt_grid, "--dt-grid") if args.dt_grid else None
+    k_grid = _parse_int_range(args.k_grid, "--k-grid") if args.k_grid else None
+    if (dt_grid is None) == (k_grid is None):
         raise ConfigError("sweep needs exactly one of --dt-grid or --k-grid")
-    if cfg.params.tax != 0.0:
+    if params.tax != 0.0:
         raise ConfigError("sweep covers the untaxed game; use tax-sweep for nonzero tax")
     rows = []
-    if cfg.dt_grid is not None:
-        exps = nash_expansions(cfg.params)
-        for dt in cfg.dt_grid:
-            p = cfg.params.with_dt(dt)
+    if dt_grid is not None:
+        exps = nash_expansions(params)
+        for dt in dt_grid:
+            p = params.with_dt(dt)
             eq, _ = solve_equilibrium(p)
             coeffs = value_coefficients(eq, 0, p)
             sq = math.sqrt(dt)
@@ -313,11 +293,11 @@ def run_sweep(cfg: RunConfig) -> int:
                 }
             )
     else:
-        if cfg.params.k != 1:
+        if params.k != 1:
             raise ConfigError("the trader-count sweep replicates a single template trader; pass k=1 parameters")
-        template = cfg.params.traders[0]
-        for k in cfg.k_grid:
-            config = params_to_config(cfg.params)
+        template = params.traders[0]
+        for k in k_grid:
+            config = params_to_config(params)
             config["traders"] = [
                 {
                     "gamma": template.gamma,
@@ -336,25 +316,24 @@ def run_sweep(cfg: RunConfig) -> int:
                     "lambda_expansion": exps["lambda"].evaluate(p.dt),
                 }
             )
-    _emit_rows(rows, cfg)
+    _emit_rows(rows, args)
     return 0
 
 
-def run_tax_sweep(cfg: RunConfig) -> int:
+def run_tax_sweep(args: argparse.Namespace, params: ValidatedParams) -> int:
     rows = []
-    for c in cfg.c_grid:
-        p = cfg.params.with_tax(c)
+    for c in _parse_linear_grid(args.c_grid, "--c-grid"):
+        p = params.with_tax(c)
         eq, _ = solve_taxed(p)
         rows.append({"c": c, "lambda": eq.lam, "lambda_plus_c": eq.lam + c})
-    _emit_rows(rows, cfg)
+    _emit_rows(rows, args)
     return 0
 
 
-def run_simulate(cfg: RunConfig) -> int:
-    params = cfg.params
+def run_simulate(args: argparse.Namespace, params: ValidatedParams) -> int:
     if params.dt == 0.0:
         raise ConfigError("simulate requires dt > 0")
-    horizon = cfg.horizon
+    horizon = args.horizon
     if horizon is None:
         try:
             horizon = sim.default_horizon(params, cap=1_000_000)
@@ -364,7 +343,7 @@ def run_simulate(cfg: RunConfig) -> int:
     rows = []
     for i in range(params.k):
         res = sim.simulate_objective(
-            eq, None, params, i, n_paths=cfg.paths, horizon=horizon, seed=cfg.seed, tail_tol=None
+            eq, None, params, i, n_paths=args.paths, horizon=horizon, seed=args.seed, tail_tol=None
         )
         rows.append(
             {
@@ -373,31 +352,31 @@ def run_simulate(cfg: RunConfig) -> int:
                 "objective_se": res.objective.std_error,
                 "mtm_mean": res.mark_to_market.mean,
                 "mtm_se": res.mark_to_market.std_error,
-                "paths": cfg.paths,
+                "paths": args.paths,
                 "horizon": horizon,
-                "seed": cfg.seed,
+                "seed": args.seed,
             }
         )
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = {
             "params": params_to_config(params),
             "equilibrium": eq.to_dict(),
             "results": rows,
         }
-        _emit(_to_json(payload), cfg.out)
+        _emit(_to_json(payload), args.out)
     else:
-        _emit(_rows_to_csv(rows), cfg.out)
+        _emit(_rows_to_csv(rows), args.out)
     return 0
 
 
-def run_verify(cfg: RunConfig) -> int:
-    tol, paths = Tolerances(), cfg.paths
-    if cfg.strict:
+def run_verify(args: argparse.Namespace, params: ValidatedParams) -> int:
+    tol, paths = Tolerances(), args.paths
+    if args.strict:
         # Four times the paths halve the Monte Carlo standard errors, and so
         # the MC checks' absolute tolerances, at the same mc_sigmas.
-        tol, paths = Tolerances.strict(), 4 * cfg.paths
-    report = run_verification(cfg.params, paths=paths, seed=cfg.seed, tolerances=tol)
-    if cfg.fmt == "json":
+        tol, paths = Tolerances.strict(), 4 * args.paths
+    report = run_verification(params, paths=paths, seed=args.seed, tolerances=tol)
+    if args.format == "json":
         payload = {
             "passed": report.passed,
             "results": [
@@ -413,7 +392,7 @@ def run_verify(cfg: RunConfig) -> int:
                 for r in report.results
             ],
         }
-        _emit(_to_json(payload), cfg.out)
+        _emit(_to_json(payload), args.out)
     else:
         lines = []
         for r in report.results:
@@ -424,7 +403,7 @@ def run_verify(cfg: RunConfig) -> int:
             if r.detail:
                 line += f" ({r.detail})"
             lines.append(line)
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     if not report.passed:
         print(f"verification failed: {', '.join(report.failures)}", file=sys.stderr)
         return 1
@@ -441,43 +420,13 @@ _RUNNERS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    return _RUNNERS[cfg.command](cfg)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         params = _params_from_args(args)
-        cfg = RunConfig(
-            command=args.command,
-            params=params,
-            out=getattr(args, "out", None),
-            fmt=getattr(args, "format", "json"),
-            paths=getattr(args, "paths", 4096),
-            seed=getattr(args, "seed", 0),
-            horizon=getattr(args, "horizon", None),
-            dt_grid=_parse_geometric_grid(args.dt_grid, "--dt-grid")
-            if getattr(args, "dt_grid", None)
-            else None,
-            k_grid=_parse_int_range(args.k_grid, "--k-grid")
-            if getattr(args, "k_grid", None)
-            else None,
-            c_grid=_parse_linear_grid(args.c_grid, "--c-grid")
-            if getattr(args, "c_grid", None)
-            else None,
-            strict=getattr(args, "strict", False),
-        )
-    except (ConfigError, InvalidParamsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(cfg)
-    except (ConfigError, InvalidParamsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _RUNNERS[args.command](args, params)
     except ValueError as exc:
+        # ConfigError and InvalidParamsError are ValueErrors: bad arguments.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, sim.HorizonTooShort) as exc:

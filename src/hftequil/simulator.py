@@ -32,13 +32,12 @@ start at (1 - rho dt) in the first period.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ValidatedParams, params_to_config
+from .model import ValidatedParams
 from .solver import Equilibrium
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "effective_order_flow",
     "dealer_profit_check",
     "reduced_form_gap",
-    "second_moment_closed_form",
     "inventory_second_moment",
     "inventory_is_bounded",
     "simulate_second_moment",
@@ -155,13 +153,6 @@ class StrategySpec:
     @classmethod
     def with_z(cls, zeta: float, z0: float) -> "StrategySpec":
         return cls(kind="with_z", zeta=zeta, z0=z0)
-
-    def label(self) -> str:
-        if self.kind == "equilibrium":
-            return "equilibrium"
-        if self.kind == "scaled":
-            return f"scaled(beta_scale={self.beta_scale!r}, phi_scale={self.phi_scale!r})"
-        return f"with_z(zeta={self.zeta!r}, z0={self.z0!r})"
 
 
 def _normalize_strategies(strategies, k: int) -> tuple[StrategySpec, ...]:
@@ -275,19 +266,15 @@ def _normal_blocks(seed: int, first_path: int, n_paths: int, horizon: int, scale
         yield start, arrays
 
 
-def default_horizon(
-    params: ValidatedParams, tail_tol: float = DEFAULT_TAIL_TOL, cap: int = HORIZON_CAP
-) -> int:
-    """Periods needed so the slowest trader's discount tail drops below tail_tol."""
+def default_horizon(params: ValidatedParams, cap: int = HORIZON_CAP) -> int:
+    """Periods needed so the slowest trader's discount tail drops below DEFAULT_TAIL_TOL."""
     if params.dt == 0.0:
         raise ValueError("simulation requires dt > 0")
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError(f"tail_tol must be in (0, 1), got {tail_tol!r}")
     per = 1.0 - min(t.rho for t in params.traders) * params.dt
-    n = math.ceil(math.log(tail_tol) / math.log(per))
+    n = math.ceil(math.log(DEFAULT_TAIL_TOL) / math.log(per))
     if n > cap:
         raise HorizonTooShort(
-            f"reaching tail {tail_tol!r} needs {n} periods, beyond the cap {cap}; "
+            f"reaching tail {DEFAULT_TAIL_TOL!r} needs {n} periods, beyond the cap {cap}; "
             "pass an explicit horizon or raise the cap"
         )
     return max(n, 1)
@@ -336,51 +323,6 @@ class PathBatch:
     def Z(self) -> np.ndarray:
         """Inventory gap L - M; a new array on every access."""
         return self.L - self.M
-
-    def to_csv(self, file, max_rows: int = 1_000_000) -> None:
-        """Long-format CSV, one row per (path, period); states are post-trade."""
-        rows = self.n_paths * self.horizon
-        if rows > max_rows:
-            raise ValueError(f"{rows} rows exceed max_rows={max_rows}; slice the batch or raise the limit")
-        Z = self.Z
-        header = ["path", "period", "dS", "dK", "dY", "price_adj"]
-        for j in range(self.k):
-            header += [f"L{j}", f"M{j}", f"Z{j}", f"payoff{j}", f"penalty{j}"]
-        file.write(",".join(header) + "\n")
-        for p in range(self.n_paths):
-            for n in range(self.horizon):
-                cells = [str(self.first_path + p), str(n + 1)]
-                cells += [repr(float(a[p, n])) for a in (self.dS, self.dK, self.dY, self.price_adj)]
-                for j in range(self.k):
-                    cells += [repr(float(a[p, j, n + 1])) for a in (self.L, self.M, Z)]
-                    cells += [repr(float(a[p, j, n])) for a in (self.payoff, self.penalty)]
-                file.write(",".join(cells) + "\n")
-
-    def save_npz(self, path) -> None:
-        """Arrays plus a JSON header, written with numpy's portable npz format."""
-        header = json.dumps(
-            {
-                "params": params_to_config(self.params),
-                "equilibrium": self.eq.to_dict(),
-                "strategies": [asdict(s) for s in self.strategies],
-                "seed": self.seed,
-                "first_path": self.first_path,
-            }
-        )
-        np.savez_compressed(
-            path,
-            header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
-            dS=self.dS,
-            dK=self.dK,
-            dY=self.dY,
-            price_adj=self.price_adj,
-            M=self.M,
-            L=self.L,
-            Z=self.Z,
-            payoff=self.payoff,
-            penalty=self.penalty,
-            mtm_discounted=self.mtm_discounted,
-        )
 
 
 def _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path):
@@ -552,13 +494,11 @@ def estimate_objective(
     batch: PathBatch,
     trader_index: int,
     *,
-    rho: float | None = None,
     tail_tol: float | None = DEFAULT_TAIL_TOL,
 ) -> Estimate:
     """Discounted objective of one trader, averaged over the batch paths."""
     params = batch.params
-    if rho is None:
-        rho = params.traders[trader_index].rho
+    rho = params.traders[trader_index].rho
     _check_tail(rho, params.dt, batch.horizon, tail_tol)
     disc = np.cumprod(np.full(batch.horizon, 1.0 - rho * params.dt))
     per_path = batch.payoff[:, trader_index, :] @ disc
@@ -668,24 +608,17 @@ def reduced_form_gap(batch: PathBatch) -> float:
     return float(np.max(np.abs(actual - pred)))
 
 
-def second_moment_closed_form(
-    beta: float, phi: float, sigma_S: float, dt: float, n: int, M0: float = 0.0
-) -> float:
-    """E[M_n^2] for the prediction recursion M' = (1 - phi) M + beta dS."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    a2 = (1.0 - phi) ** 2
-    drive = beta**2 * sigma_S**2 * dt
-    geom = float(n) if a2 == 1.0 else (1.0 - a2**n) / (1.0 - a2)
-    return a2**n * M0**2 + drive * geom
-
-
 def inventory_second_moment(
     eq: Equilibrium, trader_index: int, params: ValidatedParams, n: int, M0: float = 0.0
 ) -> float:
-    return second_moment_closed_form(
-        eq.betas[trader_index], eq.phis[trader_index], params.sigma_S, params.dt, n, M0
-    )
+    """E[M_n^2] for trader ``trader_index``'s prediction recursion M' = (1 - phi) M + beta dS."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    beta, phi = eq.betas[trader_index], eq.phis[trader_index]
+    a2 = (1.0 - phi) ** 2
+    drive = beta**2 * params.sigma_S**2 * params.dt
+    geom = float(n) if a2 == 1.0 else (1.0 - a2**n) / (1.0 - a2)
+    return a2**n * M0**2 + drive * geom
 
 
 def inventory_is_bounded(eq: Equilibrium, trader_index: int) -> bool:

@@ -251,7 +251,7 @@ def monopoly_quartic_roots(params: ValidatedParams) -> QuarticRoots:
     second, _, _ = _newton(f, m, hi, m, f(m)[0], f_hi)
     if not (second > first) or (second - first) <= BRACKET_WIDTH_REL * m * 4:
         raise RootsNotSeparated(f"roots {first!r} and {second!r} are not numerically distinct")
-    lam2, phis2, _ = pricing_from_beta(second, (second,), params)
+    _, phis2, _ = pricing_from_beta(second, (second,), params)
     return QuarticRoots(admissible=first, inadmissible=second, inadmissible_phi=phis2[0])
 
 

@@ -75,7 +75,9 @@ def value_coefficients(
     induced workdown rate (E + gamma dt)/(E + gamma dt + 2 lambda). The
     internal cross-checks (E = 2 lambda zeta (1 - rho dt) and
     F + gamma dt = lambda phi/(1 - phi)) guard the implementation, not the
-    inputs; a violation means a bug and raises ConstraintViolated.
+    inputs; a violation means a bug and raises ConstraintViolated. So does
+    a coefficient that overflows, as D = (1 - rho dt) B sigma_S^2/(2 rho)
+    does when rho is tiny.
     """
     if params.dt == 0.0:
         raise ValueError("value coefficients are defined for dt > 0 only")
@@ -123,7 +125,11 @@ def value_coefficients(
     if abs((F + gdt) - link) > _INVARIANT_TOL * max(1.0, abs(link)):
         raise ConstraintViolated("value_invariant", f"F + gamma dt = {F + gdt!r} vs {link!r}")
     G = disc * (-beta * (1.0 - zeta) * (F + gdt) + zeta * (lam * beta - eta))
-    return ValueCoefficients(A=A, B=B, C=C, D=D, E=E, zeta=zeta, F=F, G=G, eta=eta)
+    coeffs = ValueCoefficients(A=A, B=B, C=C, D=D, E=E, zeta=zeta, F=F, G=G, eta=eta)
+    bad = {name: x for name, x in coeffs.to_dict().items() if not math.isfinite(x)}
+    if bad:
+        raise ConstraintViolated("value_finite", f"non-finite {bad!r}")
+    return coeffs
 
 
 def evaluate_value(coeffs: ValueCoefficients, M, dS, Z):
@@ -231,28 +237,18 @@ def dpe_residual(
     eq: Equilibrium,
     trader_index: int,
     params: ValidatedParams,
-    grid=None,
 ) -> float:
     """Worst scaled gap between v/(1 - rho dt) and the optimised right side.
 
     The candidate optimum dZ = -zeta Z is used; ``dpe_argmax_gap`` checks
-    separately that it is the true maximiser. Scaling is 1 + |v| pointwise.
+    separately that it is the true maximiser. Scaling is 1 + |v| pointwise;
+    a NaN gap anywhere on the grid makes the result NaN.
     """
-    if grid is None:
-        grid = default_dpe_grid(eq, trader_index, params)
-    Ms, dSs, Zs = grid
-    rho = params.traders[trader_index].rho
-    disc = 1.0 - rho * params.dt
-    worst = 0.0
-    for M in Ms:
-        for dS in dSs:
-            for Z in Zs:
-                v = evaluate_value(coeffs, M, dS, Z)
-                rhs = dpe_rhs(coeffs, eq, trader_index, params, M, dS, Z, -coeffs.zeta * Z)
-                gap = abs(v / disc - rhs) / (1.0 + abs(v))
-                if gap > worst:
-                    worst = gap
-    return float(worst)
+    M, dS, Z = np.meshgrid(*default_dpe_grid(eq, trader_index, params), indexing="ij")
+    disc = 1.0 - params.traders[trader_index].rho * params.dt
+    v = evaluate_value(coeffs, M, dS, Z)
+    rhs = dpe_rhs(coeffs, eq, trader_index, params, M, dS, Z, -coeffs.zeta * Z)
+    return float(np.max(np.abs(v / disc - rhs) / (1.0 + np.abs(v))))
 
 
 def dpe_argmax_gap(
@@ -260,18 +256,8 @@ def dpe_argmax_gap(
     eq: Equilibrium,
     trader_index: int,
     params: ValidatedParams,
-    grid=None,
 ) -> float:
-    """Worst gap between the first-order-condition maximiser and -zeta Z."""
-    if grid is None:
-        grid = default_dpe_grid(eq, trader_index, params)
-    Ms, dSs, Zs = grid
-    worst = 0.0
-    for M in Ms:
-        for dS in dSs:
-            for Z in Zs:
-                star = dpe_argmax(coeffs, eq, trader_index, params, M, dS, Z)
-                gap = abs(star - (-coeffs.zeta * Z)) / (1.0 + abs(Z))
-                if gap > worst:
-                    worst = gap
-    return float(worst)
+    """Worst gap between the first-order-condition maximiser and -zeta Z; NaN if any gap is."""
+    M, dS, Z = np.meshgrid(*default_dpe_grid(eq, trader_index, params), indexing="ij")
+    star = dpe_argmax(coeffs, eq, trader_index, params, M, dS, Z)
+    return float(np.max(np.abs(star - (-coeffs.zeta * Z)) / (1.0 + np.abs(Z))))

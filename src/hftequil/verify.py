@@ -119,11 +119,7 @@ def _check_pricing(eq: Equilibrium, params: ValidatedParams, tol: Tolerances) ->
 
 
 def _check_phi_bounds(eq: Equilibrium, params: ValidatedParams, tol: Tolerances) -> CheckResult:
-    lo_bound = 0.0
-    margin = min(
-        min(p - lo_bound for p in eq.phis),
-        min(1.0 - p for p in eq.phis),
-    )
+    margin = min(min(eq.phis), min(1.0 - p for p in eq.phis))
     if params.dt == 0.0:
         ok = all(p == 0.0 for p in eq.phis)
         return CheckResult("phi_bounds", ok, 0.0 if ok else 1.0, 0.0, detail="dt=0 limit: phi must be exactly 0")

@@ -121,6 +121,11 @@ class TestParamErrors:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "system_residual" in err
 
+    def test_overflowing_value_coefficient_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "solve", *BASE, "--rho", "1e-310")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "value_finite" in err
+
     def test_unknown_format_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", *BASE, "--format", "csv"])
@@ -233,6 +238,8 @@ class TestTaxSweep:
         with pytest.raises(SystemExit) as exc:
             main(["tax-sweep", *BASE])
         assert exc.value.code == 2
+        code, _, err = run_cli(capsys, "tax-sweep", *BASE, "--c-grid", "")
+        assert code == 2 and "error: --c-grid expects a:b:n" in err
 
 
 class TestSimulate:

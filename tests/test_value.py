@@ -4,7 +4,9 @@ The frozen chain below was produced by solving the defining linear
 relations in 50-digit arithmetic from the frozen equilibrium of the unit
 monopoly at dt = 0.004, then rounding to double.
 """
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from hftequil import (
     DegenerateDenominator,
     Equilibrium,
+    SolverError,
     default_dpe_grid,
     dpe_argmax,
     dpe_argmax_gap,
@@ -115,6 +118,13 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             value_coefficients(eq, -1, p)
 
+    def test_overflowing_coefficient_is_a_solver_error(self):
+        # check_params accepts rho = 1e-310, but D = (1 - rho dt) B sigma_S^2/(2 rho) overflows
+        p = make_params(dt=0.004, rho=1e-310)
+        eq, _ = solve_nash(p)
+        with pytest.raises(SolverError, match="value_finite"):
+            value_coefficients(eq, 0, p)
+
     def test_to_dict_round_trip(self):
         _, cs = coeffs_for(make_params(dt=0.004))
         d = cs.to_dict()
@@ -136,8 +146,27 @@ class TestDynamicProgramming:
     def test_residual_and_argmax(self, params):
         for i in range(params.k):
             eq, cs = coeffs_for(params, trader=i)
-            assert dpe_residual(cs, eq, i, params) <= 1e-9
-            assert dpe_argmax_gap(cs, eq, i, params) <= 1e-12
+            residual = dpe_residual(cs, eq, i, params)
+            argmax_gap = dpe_argmax_gap(cs, eq, i, params)
+            assert residual <= 1e-9
+            assert argmax_gap <= 1e-12
+            # the array evaluation against a point-by-point loop over the grid
+            disc = 1.0 - params.traders[i].rho * params.dt
+            worst_residual = worst_argmax = 0.0
+            for M, dS, Z in itertools.product(*default_dpe_grid(eq, i, params)):
+                v = evaluate_value(cs, M, dS, Z)
+                rhs = dpe_rhs(cs, eq, i, params, M, dS, Z, -cs.zeta * Z)
+                worst_residual = max(worst_residual, abs(v / disc - rhs) / (1.0 + abs(v)))
+                star = dpe_argmax(cs, eq, i, params, M, dS, Z)
+                worst_argmax = max(worst_argmax, abs(star + cs.zeta * Z) / (1.0 + abs(Z)))
+            assert residual == pytest.approx(worst_residual, abs=1e-16)
+            assert argmax_gap == pytest.approx(worst_argmax, abs=1e-16)
+
+    def test_nan_anywhere_on_the_grid_fails_the_check(self):
+        p = make_params(dt=0.004)
+        eq, cs = coeffs_for(p)
+        assert math.isnan(dpe_residual(replace(cs, A=math.nan), eq, 0, p))
+        assert math.isnan(dpe_argmax_gap(replace(cs, E=math.nan), eq, 0, p))
 
     def test_argmax_is_a_maximum(self):
         p = make_params(dt=0.004)

@@ -16,17 +16,19 @@ def _raise_value_invariant(*args, **kwargs):
     raise ConstraintViolated("value_invariant")
 
 
-DETERMINISTIC_K1 = {
-    "quartic_residual",
-    "system_residuals",
-    "pricing_identities",
-    "phi_bounds",
+VALUE_NAMES = {
     "value_fixed_point",
     "value_link_identity",
     "dpe_residual",
     "dpe_argmax",
     "sign_pattern",
 }
+DETERMINISTIC_K1 = {
+    "quartic_residual",
+    "system_residuals",
+    "pricing_identities",
+    "phi_bounds",
+} | VALUE_NAMES
 MC_NAMES = {
     "zero_profit_mc",
     "impact_regression_mc",
@@ -94,10 +96,8 @@ class TestFullBattery:
     def test_value_layer_error_is_reported_not_raised(self, monkeypatch):
         monkeypatch.setattr(hftequil.verify, "value_coefficients", _raise_value_invariant)
         report = run_verification(make_params(dt=0.004, sigma_K=1e-6), paths=0)
-        value_names = DETERMINISTIC_K1 - {"quartic_residual", "system_residuals",
-                                          "pricing_identities", "phi_bounds"}
         failed = {r.name: r for r in report.results if not r.passed}
-        assert set(failed) == value_names
+        assert set(failed) == VALUE_NAMES
         assert all("ConstraintViolated" in r.detail for r in failed.values())
         assert not report.passed
         # rho dt = 0.05 would let the objective run; without coefficients it has no target
@@ -105,6 +105,13 @@ class TestFullBattery:
         report = run_verification(p, paths=64, mc_horizon=16)
         names = {r.name for r in report.results}
         assert "moment_formula_mc" in names and "objective_value_mc" not in names
+
+    def test_overflowing_value_coefficient_fails_the_value_checks(self):
+        # check_params accepts rho = 1e-310, but D = (1 - rho dt) B sigma_S^2/(2 rho) overflows
+        report = run_verification(make_params(dt=0.004, rho=1e-310), paths=0)
+        failed = {r.name: r for r in report.results if not r.passed}
+        assert set(failed) == VALUE_NAMES
+        assert all("value_finite" in r.detail for r in failed.values())
 
     def test_reduced_form_witness_gate_scales_with_the_price_adjustment(self):
         # lambda is about 5e5 here, so the gap's rounding error exceeds 1e-12
