@@ -21,9 +21,13 @@ with one row per strategy.
 The kernel walks the paths in blocks of ``BLOCK_PATHS``. Each block's
 increments are laid out time-major, (horizon, paths), so a period reads one
 contiguous row, and the per-period state of a block stays in cache. Only
-``simulate`` keeps full (paths, horizon) series; the other entry points pool
-per-block results with one streaming estimator. The recursions are plain
-numpy loops over periods; the package depends on numpy alone.
+``simulate`` keeps full (paths, horizon) series, for callers that need
+every series of a small batch. The other entry points pool per-block
+results with one streaming estimator, so their memory does not grow with
+the number of paths. That includes the pass verify runs: a sweep whose
+row 0 also feeds ``_GameStats``, the per-period reduction behind
+``dealer_profit_check``. The recursions are plain numpy loops over
+periods; the package depends on numpy alone.
 
 Per period, in order: trades are formed from the previous state and the
 fresh signal, the dealer prices the aggregate flow, inventories update, and
@@ -197,7 +201,7 @@ def _coefficients(spec: StrategySpec, eq: Equilibrium, i: int) -> tuple[float, f
 
 
 def _checked_game(eq: Equilibrium, strategies, params: ValidatedParams, horizon: int | None):
-    """Checks shared by ``simulate`` and ``simulate_objective``: (specs, coefficient rows, horizon)."""
+    """Checks shared by ``simulate`` and ``simulate_objective``: (coefficient rows, horizon)."""
     if params.dt == 0.0:
         raise ValueError("simulation requires dt > 0")
     specs = _normalize_strategies(strategies, params.k)
@@ -206,7 +210,7 @@ def _checked_game(eq: Equilibrium, strategies, params: ValidatedParams, horizon:
         horizon = default_horizon(params)
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    return specs, coefs, horizon
+    return coefs, horizon
 
 
 def _check_rng_args(seed: int, first_path: int, n_paths: int) -> None:
@@ -294,9 +298,6 @@ class PathBatch:
 
     params: ValidatedParams
     eq: Equilibrium
-    strategies: tuple[StrategySpec, ...]
-    seed: int
-    first_path: int
     dS: np.ndarray
     dK: np.ndarray
     dY: np.ndarray
@@ -376,19 +377,26 @@ def _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path):
         yield start, dS, dK, periods(dS, dK)
 
 
-def _discounted(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, with_mtm=False):
+def _discounted(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, with_mtm=False, stats=None):
     """Per block: trader i's discounted objective in each row's game, (R, b),
-    and, if asked for, row 0's discounted mark-to-market, (b,), else None."""
+    and, if asked for, row 0's discounted mark-to-market, (b,), else None.
+
+    A ``_GameStats`` in ``stats`` is fed row 0's flow and prices every period
+    and the block's mark-to-market at its end, which implies ``with_mtm``.
+    """
     t = params.traders[i]
     disc = np.cumprod(np.full(horizon, 1.0 - t.rho * params.dt))
     half_g_dt = 0.5 * t.gamma * params.dt
     R = len(rows)
+    with_mtm = with_mtm or stats is not None
     for _, dS, _, periods in _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path):
         obj = np.zeros((R, dS.shape[1]))
         pay, tmp = np.empty_like(obj), np.empty_like(obj)
         mtm = np.zeros(dS.shape[1]) if with_mtm else None
-        for n, (_, _, L, dL, L1, _, padj) in enumerate(periods):
+        for n, (M, _, L, dL, L1, dY, padj) in enumerate(periods):
             ds = dS[n]
+            if stats is not None:
+                stats.period(ds, dY[0], padj[0], M)
             L, dL, L1 = L[:R], dL[:R], L1[:R]
             if with_mtm:
                 mtm += L[0] * ds * disc[n]
@@ -405,6 +413,8 @@ def _discounted(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, 
                 pay -= tmp
             pay *= disc[n]
             obj += pay
+        if stats is not None:
+            stats.end_block(mtm)
         yield obj, mtm
 
 
@@ -425,7 +435,7 @@ def simulate(
     that would exceed ``max_floats`` doubles. For large-sample estimates of
     a single trader's objective use ``simulate_objective``, which streams.
     """
-    specs, coefs, horizon = _checked_game(eq, strategies, params, horizon)
+    coefs, horizon = _checked_game(eq, strategies, params, horizon)
     _check_rng_args(seed, first_path, n_paths)
     k = params.k
     n_floats = n_paths * (4 * horizon + k * (2 * (horizon + 1) + 2 * horizon + 1))
@@ -442,9 +452,6 @@ def simulate(
     batch = PathBatch(
         params=params,
         eq=eq,
-        strategies=specs,
-        seed=seed,
-        first_path=first_path,
         dS=np.empty((n_paths, horizon)),
         dK=np.empty((n_paths, horizon)),
         dY=np.empty((n_paths, horizon)),
@@ -537,7 +544,7 @@ def simulate_objective(
     only per-path reductions are kept, so horizon and paths can both be
     large.
     """
-    _, coefs, horizon = _checked_game(eq, strategies, params, horizon)
+    coefs, horizon = _checked_game(eq, strategies, params, horizon)
     if not 0 <= trader_index < params.k:
         raise ValueError(f"trader index {trader_index} out of range for k={params.k}")
     _check_rng_args(seed, first_path, n_paths)
@@ -569,6 +576,57 @@ class ProfitCheck:
         return self.profit.covers(0.0)
 
 
+class _GameStats:
+    """Streaming reductions of one game's dealer side, fed period by period.
+
+    Per path, the dealer's mean profit per period, (padj - dS) dY with the
+    price adjustment mispriced by ``lambda_scale``. Over all (path, period)
+    pairs, the regression of dS on the effective flow x = dY + sum_j phi_j
+    M_j. Its sums are taken about the equilibrium slope, with r = dS -
+    lambda x, so while the fitted slope is near lambda the residual sum of
+    squares Srr - Sxr^2 / Sxx subtracts a term only about 1/n of Srr.
+    ``end_block`` closes a block of paths and pools the block's discounted
+    mark-to-market, if given, in ``mtm``.
+    """
+
+    def __init__(self, eq: Equilibrium, lambda_scale: float = 1.0):
+        self.lam = eq.lam
+        self.lambda_scale = lambda_scale
+        self.misprice = (lambda_scale - 1.0) * eq.lam
+        self.phis = np.array(eq.phis)
+        self.profit, self.mtm = _Stat(), _Stat()
+        self.sxx = self.sxr = self.srr = 0.0
+        self.n = 0
+        self.periods = 0
+        self.gain = None
+
+    def period(self, ds, dy, padj, M) -> None:
+        x = dy + self.phis @ M
+        r = ds - self.lam * x
+        self.sxx += float(x @ x)
+        self.sxr += float(x @ r)
+        self.srr += float(r @ r)
+        self.n += ds.size
+        gain = (padj + self.misprice * dy - ds) * dy
+        if self.periods:
+            self.gain += gain
+        else:
+            self.gain = gain
+        self.periods += 1
+
+    def end_block(self, mtm=None) -> None:
+        self.profit.add(self.gain / self.periods)
+        self.periods = 0
+        if mtm is not None:
+            self.mtm.add(mtm)
+
+    def check(self) -> ProfitCheck:
+        gap = self.sxr / self.sxx
+        rss = self.srr - self.sxr * gap
+        slope_se = math.sqrt(rss / (self.n - 1) / self.sxx)
+        return ProfitCheck(self.profit.estimate(), self.lam + gap, slope_se, self.lambda_scale)
+
+
 def dealer_profit_check(batch: PathBatch, lambda_scale: float = 1.0) -> ProfitCheck:
     """Expected dealer profit per period and the regression behind the price impact.
 
@@ -580,18 +638,11 @@ def dealer_profit_check(batch: PathBatch, lambda_scale: float = 1.0) -> ProfitCh
     pools all (path, period) pairs because the flow is independent across
     periods.
     """
-    eq = batch.eq
-    padj = batch.price_adj + (lambda_scale - 1.0) * eq.lam * batch.dY
-    per_path = ((padj - batch.dS) * batch.dY).mean(axis=1)
-    profit = _Stat().add(per_path).estimate()
-
-    x = effective_order_flow(batch).ravel()
-    y = batch.dS.ravel()
-    sxx = float(x @ x)
-    slope = float(x @ y) / sxx
-    resid = y - slope * x
-    slope_se = math.sqrt(float(resid @ resid) / (x.size - 1) / sxx)
-    return ProfitCheck(profit=profit, slope=slope, slope_se=slope_se, lambda_scale=lambda_scale)
+    stats = _GameStats(batch.eq, lambda_scale)
+    for n in range(batch.horizon):
+        stats.period(batch.dS[:, n], batch.dY[:, n], batch.price_adj[:, n], batch.M[:, :, n].T)
+    stats.end_block()
+    return stats.check()
 
 
 def reduced_form_gap(batch: PathBatch) -> float:
@@ -713,6 +764,11 @@ def deviation_sweep(
     horizon is explicit: sweeps are usually run truncated, which preserves
     the ranking because every row sees the same truncation.
     """
+    return _sweep(eq, params, trader_index, specs, n_paths=n_paths, horizon=horizon, seed=seed)
+
+
+def _sweep(eq, params, trader_index, specs, *, n_paths, horizon, seed, stats=None) -> DeviationSweepResult:
+    """``deviation_sweep``; a ``_GameStats`` in ``stats`` also reduces row 0's game."""
     specs = tuple(specs)
     if not specs:
         raise ValueError("need at least one strategy")
@@ -730,7 +786,7 @@ def deviation_sweep(
     others = [_coefficients(StrategySpec(), eq, j) for j in range(params.k)]
     obj_stats = [_Stat() for _ in specs]
     diff_stats = [_Stat() for _ in specs]
-    for objs, _ in _discounted(eq, params, others, i, rows, n_paths, horizon, seed, 0):
+    for objs, _ in _discounted(eq, params, others, i, rows, n_paths, horizon, seed, 0, stats=stats):
         for r in range(len(specs)):
             obj_stats[r].add(objs[r])
             if r != reference_index:

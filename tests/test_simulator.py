@@ -406,6 +406,21 @@ class TestDealer:
         assert check.covers_zero
         assert abs(check.slope - eq.lam) <= 4.0 * check.slope_se
 
+    @pytest.mark.parametrize("lambda_scale", [1.0, 1.1])
+    def test_streaming_sums_match_direct_least_squares(self, lambda_scale):
+        p, eq, batch = self.make_batch()
+        check = dealer_profit_check(batch, lambda_scale)
+        padj = batch.price_adj + (lambda_scale - 1.0) * eq.lam * batch.dY
+        per_path = ((padj - batch.dS) * batch.dY).mean(axis=1)
+        x, y = effective_order_flow(batch).ravel(), batch.dS.ravel()
+        slope = (x @ y) / (x @ x)
+        resid = y - slope * x
+        slope_se = math.sqrt((resid @ resid) / (x.size - 1) / (x @ x))
+        assert check.profit.mean == pytest.approx(per_path.mean(), rel=1e-10)
+        assert check.profit.std_error == pytest.approx(per_path.std(ddof=1) / math.sqrt(per_path.size), rel=1e-10)
+        assert check.slope == pytest.approx(slope, rel=1e-12)
+        assert check.slope_se == pytest.approx(slope_se, rel=1e-10)
+
     def test_mispriced_flow_is_detected(self):
         p, eq, batch = self.make_batch()
         check = dealer_profit_check(batch, lambda_scale=1.1)
@@ -470,6 +485,40 @@ class TestDeviationSweep:
             )
             assert row.objective.mean == pytest.approx(res.objective.mean, rel=1e-12), spec
             assert row.objective.std_error == pytest.approx(res.objective.std_error, rel=1e-9), spec
+
+    @pytest.mark.parametrize("tax", [0.0, 1e-3])
+    def test_one_pass_matches_the_public_estimators(self, tax):
+        # With every other trader on equilibrium, row 0 is the game that
+        # simulate plays; the pass reduces it as dealer_profit_check and
+        # mark_to_market reduce the batch.
+        p = make_params(k=2, dt=0.01, gammas=[1.0, 2.0], rhos=[0.05, 0.1], l0=[0.5, -0.25], tax=tax)
+        eq, _ = solve_taxed(p) if tax else solve_nash(p)
+        specs = [
+            StrategySpec.equilibrium(),
+            StrategySpec.scaled(beta_scale=1.15),
+            StrategySpec.scaled(beta_scale=0.85),
+            StrategySpec.with_z(0.5, 1.0),
+        ]
+        kw = dict(n_paths=2500, horizon=64, seed=9)
+        stats = simulator._GameStats(eq)
+        sweep = simulator._sweep(eq, p, 0, specs, stats=stats, **kw)
+        batch = simulate(eq, None, p, **kw)
+        got, want = stats.check(), dealer_profit_check(batch)
+        for name in ("mean", "std_error"):
+            assert getattr(got.profit, name) == pytest.approx(getattr(want.profit, name), rel=1e-9)
+        assert got.slope == pytest.approx(want.slope, rel=1e-9)
+        assert got.slope_se == pytest.approx(want.slope_se, rel=1e-9)
+        mtm, want_mtm = stats.mtm.estimate(), mark_to_market(batch, 0)
+        assert mtm.mean == pytest.approx(want_mtm.mean, rel=1e-9)
+        assert mtm.std_error == pytest.approx(want_mtm.std_error, rel=1e-9)
+        ref = deviation_sweep(eq, p, 0, specs, **kw)
+        for row, want_row in zip(sweep.rows, ref.rows):
+            for est, want_est in ((row.objective, want_row.objective), (row.difference, want_row.difference)):
+                if want_est is None:
+                    assert est is None
+                    continue
+                assert est.mean == pytest.approx(want_est.mean, rel=1e-9)
+                assert est.std_error == pytest.approx(want_est.std_error, rel=1e-9)
 
     def test_chunk_size_does_not_change_estimates(self, monkeypatch):
         p = make_params(k=2, dt=0.01, l0=[0.3, -0.6])

@@ -1,14 +1,19 @@
 """End-to-end verification battery over representative parameter sets."""
+import tracemalloc
+
 import pytest
 
+import hftequil.simulator
 import hftequil.verify
 from hftequil import (
     CheckResult,
     ConstraintViolated,
     Tolerances,
     VerificationReport,
+    load_config,
     run_verification,
 )
+from hftequil.verify import _max_z_gate
 from helpers import make_params
 
 
@@ -93,6 +98,51 @@ class TestFullBattery:
         assert moment.passed, moment.value
         assert report.passed, report.failures
 
+    def test_moment_check_gates_the_largest_z_at_the_family_rate(self):
+        # One game where the largest of the three checkpoint z-scores is
+        # 4.006 on correct code: above mc_sigmas, below the family gate.
+        cfg = {
+            "sigma_S": 1.3631544510795928,
+            "sigma_K": 3.1275485984577633,
+            "dt": 0.0023240186099862956,
+            "traders": [{"gamma": 4.40453777485641, "rho": 21.514457666195213}],
+        }
+        report = run_verification(load_config(cfg), seed=1244839392202525502)
+        moment = next(r for r in report.results if r.name == "moment_formula_mc")
+        assert moment.threshold == _max_z_gate(4.0, 3)
+        assert Tolerances().mc_sigmas < moment.value < moment.threshold
+        assert report.passed, report.failures
+
+    def test_moment_check_still_catches_moments_started_from_zero(self, monkeypatch):
+        # Simulate trader 0's predictions from M0 = 0 while the target keeps l0.
+        p = make_params(k=2, dt=0.1, gammas=[0.5, 2.0], l0=[0.8, -0.3])
+        from_zero = make_params(k=2, dt=0.1, gammas=[0.5, 2.0], l0=[0.0, -0.3])
+        original = hftequil.simulator.simulate_second_moment
+
+        def simulate_from_zero(eq, i, params, checkpoints, **kwargs):
+            return original(eq, i, from_zero, checkpoints, **kwargs)
+
+        monkeypatch.setattr(hftequil.simulator, "simulate_second_moment", simulate_from_zero)
+        report = run_verification(p, paths=512, mc_horizon=64)
+        moment = next(r for r in report.results if r.name == "moment_formula_mc")
+        assert moment.threshold == _max_z_gate(4.0, 3)
+        assert moment.value > moment.threshold
+        assert report.failures == ("moment_formula_mc",)
+
+    def test_memory_does_not_grow_with_paths(self):
+        # rho dt = 0.05 keeps the objective's horizon at 270 periods.
+        p = make_params(k=3, dt=0.1, rho=0.5)
+        run_verification(p, paths=16, mc_horizon=8)  # one-time set-up
+        peaks = {}
+        for paths in (4096, 16384):
+            tracemalloc.start()
+            try:
+                run_verification(p, paths=paths)
+                peaks[paths] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[16384] <= 1.5 * peaks[4096], peaks
+
     def test_value_layer_error_is_reported_not_raised(self, monkeypatch):
         monkeypatch.setattr(hftequil.verify, "value_coefficients", _raise_value_invariant)
         report = run_verification(make_params(dt=0.004, sigma_K=1e-6), paths=0)
@@ -145,6 +195,12 @@ class TestReportMechanics:
         assert s.dpe_residual == base.dpe_residual / 2
         # the Monte Carlo tolerance halves through 4x the paths, not fewer sigmas
         assert s.mc_sigmas == base.mc_sigmas
+
+    def test_max_z_gate(self):
+        # Bonferroni over m tests: a tail m times smaller, exactly mc_sigmas for one
+        assert _max_z_gate(4.0, 1) == 4.0
+        assert _max_z_gate(4.0, 3) == pytest.approx(4.2528, abs=1e-4)
+        assert 4.0 < _max_z_gate(4.0, 2) < _max_z_gate(4.0, 3)
 
     def test_all_results_carry_threshold_and_value(self):
         report = run_verification(make_params(dt=0.004), paths=0)
