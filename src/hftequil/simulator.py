@@ -16,7 +16,8 @@ Every strategy trades a fixed linear combination of the signal move dS,
 the dealer's prediction M and the trader's own inventory L, so one kernel,
 ``_game``, plays them all from coefficient rows: ``simulate`` and
 ``simulate_objective`` run it with one row for a trader, ``deviation_sweep``
-with one row per strategy.
+with one row per strategy. Each period one matrix product forms every
+row's trade, and one dealer residual per path prices every row's payoff.
 
 The kernel walks the paths in blocks of ``BLOCK_PATHS``. Each block's
 increments are laid out time-major, (horizon, paths), so a period reads one
@@ -72,8 +73,8 @@ _MAX_PATH_INDEX = 2**63
 _MAX_SEED = 2**64
 DEFAULT_TAIL_TOL = 1e-6
 HORIZON_CAP = 10_000_000
-# Paths per block: a (14 rows x 1024 paths) float64 state is 115 kB, so a
-# sweep's per-period arrays stay in a core's L2 cache.
+# Paths per block: a sweep's period touches six (14 rows x 1024 paths) float64
+# arrays, 0.7 MB in all, so they stay in a core's L2 cache.
 BLOCK_PATHS = 1024
 
 
@@ -208,18 +209,26 @@ def _checked_game(eq: Equilibrium, strategies, params: ValidatedParams, horizon:
     coefs = [_coefficients(spec, eq, i) for i, spec in enumerate(specs)]
     if horizon is None:
         horizon = default_horizon(params)
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    _check_horizon(horizon)
     return coefs, horizon
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_horizon(horizon: int) -> None:
+    if not _is_int(horizon) or horizon < 1:
+        raise ValueError(f"horizon must be an integer of at least 1, got {horizon!r}")
+
+
 def _check_rng_args(seed: int, first_path: int, n_paths: int) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < _MAX_SEED:
+    if not _is_int(seed) or not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    if first_path < 0 or first_path + n_paths > _MAX_PATH_INDEX:
-        raise ValueError("path indices must stay below 2^63")
-    if n_paths < 2:
-        raise ValueError(f"need at least 2 paths, got {n_paths}")
+    if not _is_int(n_paths) or n_paths < 2:
+        raise ValueError(f"n_paths must be an integer of at least 2, got {n_paths!r}")
+    if not _is_int(first_path) or first_path < 0 or first_path + n_paths > _MAX_PATH_INDEX:
+        raise ValueError(f"first_path must be an integer with path indices below 2^63, got {first_path!r}")
 
 
 def _fill_normals(out: np.ndarray, seed: int, first_path: int, stream: int) -> None:
@@ -249,9 +258,9 @@ def _fill_normals(out: np.ndarray, seed: int, first_path: int, stream: int) -> N
 def _normal_blocks(seed: int, first_path: int, n_paths: int, horizon: int, scales, block: int):
     """Yield (start, arrays): scaled time-major increments for each block of paths.
 
-    Stream s is filled path by path into a reused (b, horizon) scratch,
-    multiplied by scales[s] and transposed into a reused (horizon, b)
-    buffer, so row n holds period n + 1 for the block's paths. The yielded
+    Stream s is filled path by path into a reused (b, horizon) scratch and
+    transposed, times scales[s], into a reused (horizon, b) buffer in one
+    pass, so row n holds period n + 1 for the block's paths. The yielded
     arrays are overwritten by the next block.
     """
     width = min(block, n_paths)
@@ -263,9 +272,8 @@ def _normal_blocks(seed: int, first_path: int, n_paths: int, horizon: int, scale
         arrays = []
         for stream, (scale, buf) in enumerate(zip(scales, bufs)):
             _fill_normals(rows, seed, first_path + start, stream)
-            rows *= scale
             tm = buf[: horizon * b].reshape(horizon, b)
-            tm[...] = rows.T
+            np.multiply(rows.T, scale, out=tm)
             arrays.append(tm)
         yield start, arrays
 
@@ -330,47 +338,58 @@ def _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path):
     """The game recursion on blocks of paths; yields (start, dS, dK, periods).
 
     Trader i plays each row of ``rows`` in a game of its own against the
-    other traders, who play their rows of the profile ``coefs``. Every
-    strategy is linear in (dS, M_prev, L_prev), so the R rows and the k - 1
-    others advance as one (R + k - 1, paths) state, rows first; the others'
+    other traders, who play their rows of the profile ``coefs``; the others'
     flows and the dealer's predictions do not depend on trader i's play, so
-    all games share them. ``periods`` yields each period's pre-trade M and
-    dM (k, b), the state's L, dL and post-trade L + dL, and each game's order
-    flow dY and price adjustment padj (R, b), overwritten by the next period.
-    ``BLOCK_PATHS`` is read at call time.
+    all games share them. Per period, one product batched over the traders
+    maps each one's (dS, M_j, L_j) to (dM_j, dL_j, mu_j M_j), and one
+    product of the rows' (a_dS, a_M) and (beta_i, -phi_i) with (dS, M_i)
+    forms every row's trade but a_L L and trader i's prediction move, so an
+    equilibrium row trades exactly that move. A path-step costs O(R + k).
+    ``periods`` yields each period's pre-trade M and dM (k, b); the rows' L,
+    dL and post-trade L + dL (R, b); each trader's L and dL (k, b), zero for
+    trader i, whose inventories are the rows'; and the flow the rows' games
+    share, dK plus the others' trades, and mu . M, both (b,), overwritten by
+    the next period. ``BLOCK_PATHS`` is read at call time.
     """
-    betas = np.array(eq.betas)[:, None]
-    phis = np.array(eq.phis)[:, None]
-    mus = np.array(eq.mus)
-    l0 = np.array(params.initial_inventories)[:, None]
-    R = len(rows)
-    owner = np.array([i] * R + [j for j in range(params.k) if j != i])
-    a_ds, a_m, a_l, z0 = np.array(list(rows) + [coefs[j] for j in owner[R:]], dtype=float).T[:, :, None]
+    k, R = params.k, len(rows)
+    a_l, z0 = np.array([row[2:] for row in rows]).T[:, :, None]
+    z0_all = np.array([0.0 if j == i else coefs[j][3] for j in range(k)])
+    moves = np.array([
+        [(beta, -phi, 0.0), (0.0, 0.0, 0.0) if j == i else coefs[j][:3], (0.0, mu, 0.0)]
+        for j, (beta, phi, mu) in enumerate(zip(eq.betas, eq.phis, eq.mus))
+    ])
+    trade = np.array([row[:2] for row in rows] + [moves[i, 0, :2], (0.0, 0.0), moves[i, 2, :2]])
 
     def periods(dS, dK):
-        M = np.repeat(l0, dS.shape[1], axis=1)
-        L = M[owner] + z0
-        dL, L_next, tmp = (np.empty_like(L) for _ in range(3))
-        dY, padj = (np.empty((R, dS.shape[1])) for _ in range(2))
+        b = dS.shape[1]
+        # A one-column product would take BLAS's matrix-vector route, which
+        # rounds differently, so the buffers keep at least two columns.
+        w = max(b, 2)
+        # (dS, M, L) and (dM, dL, mu M) as (3, k, w): trader j's inputs and
+        # outputs are the (3, w) matrices [:, j], and each quantity is one
+        # contiguous (k, w) block
+        state = np.zeros((3, k, w))
+        state[1, :, :b] = np.array(params.initial_inventories)[:, None]
+        state[2, :, :b] = state[1, :, :b] + z0_all[:, None]
+        step = np.empty_like(state)
+        out = np.empty((R + 3, w))
+        M, dM, Lj, dLj = state[1, :, :b], step[0, :, :b], state[2, :, :b], step[1, :, :b]
+        dL = out[:R, :b]
+        L = M[i] + z0
+        L1, tmp = np.empty_like(L), np.empty_like(L)
+        A_l = np.repeat(a_l, b, axis=1)
         for n in range(horizon):
-            ds = dS[n]
-            dM = betas * ds - phis * M
-            # Evaluated in place, in this order, to keep the state in cache:
-            #   dL = a_ds ds + a_m M_owner + a_l L
-            #   dY = dK + (flow of the others) + dL_row
-            #   padj = lam dY + mu . M
-            np.multiply(a_ds, ds, out=dL)
-            np.multiply(a_m[:R], M[i], out=tmp[:R])
-            np.multiply(a_m[R:], M[owner[R:]], out=tmp[R:])
-            dL += tmp
-            dL += np.multiply(a_l, L, out=tmp)
-            np.add(dK[n] + dL[R:].sum(axis=0), dL[:R], out=dY)
-            np.multiply(eq.lam, dY, out=padj)
-            padj += mus @ M
-            np.add(L, dL, out=L_next)
-            yield M, dM, L, dL, L_next, dY, padj
-            M = M + dM
-            L, L_next = L_next, L
+            state[0, :, :b] = dS[n]
+            np.matmul(moves, state.transpose(1, 0, 2), out=step.transpose(1, 0, 2))
+            np.matmul(trade, state[:2, i], out=out)
+            # trader i's moves from the rows' product: bit for bit an
+            # equilibrium row's trade
+            step[:, i] = out[R:]
+            dL += np.multiply(A_l, L, out=tmp)
+            np.add(L, dL, out=L1)
+            yield M, dM, L, dL, L1, Lj, dLj, dK[n] + dLj.sum(axis=0), step[2, :, :b].sum(axis=0)
+            state[1:] += step[:2]
+            L, L1 = L1, L
 
     scales = (params.sigma_S * math.sqrt(params.dt), params.sigma_K * math.sqrt(params.dt))
     for start, (dS, dK) in _normal_blocks(seed, first_path, n_paths, horizon, scales, BLOCK_PATHS):
@@ -381,38 +400,41 @@ def _discounted(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, 
     """Per block: trader i's discounted objective in each row's game, (R, b),
     and, if asked for, row 0's discounted mark-to-market, (b,), else None.
 
-    A ``_GameStats`` in ``stats`` is fed row 0's flow and prices every period
-    and the block's mark-to-market at its end, which implies ``with_mtm``.
+    Row r pays dL (dS - padj_r) - tax dL^2 - half_g_dt L1^2 with the price
+    padj_r = lam (flow + dL) + mu . M, that is dL (e - (lam + tax) dL) -
+    half_g_dt L1^2 with one dealer residual e = dS - lam flow - mu . M for
+    every row; the period's discount factor scales e and the two constants.
+    A ``_GameStats`` in ``stats`` is fed row 0's flow and prices every
+    period and the block's mark-to-market at its end, which implies
+    ``with_mtm``.
     """
     t = params.traders[i]
     disc = np.cumprod(np.full(horizon, 1.0 - t.rho * params.dt))
-    half_g_dt = 0.5 * t.gamma * params.dt
+    impact = -(eq.lam + params.tax) * disc
+    hold = 0.5 * t.gamma * params.dt * disc
     R = len(rows)
     with_mtm = with_mtm or stats is not None
     for _, dS, _, periods in _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path):
         obj = np.zeros((R, dS.shape[1]))
-        pay, tmp = np.empty_like(obj), np.empty_like(obj)
+        tmp = np.empty_like(obj)
         mtm = np.zeros(dS.shape[1]) if with_mtm else None
-        for n, (M, _, L, dL, L1, dY, padj) in enumerate(periods):
+        for n, (M, _, L, dL, L1, _, _, flow, mu_m) in enumerate(periods):
             ds = dS[n]
             if stats is not None:
-                stats.period(ds, dY[0], padj[0], M)
-            L, dL, L1 = L[:R], dL[:R], L1[:R]
+                dy = flow + dL[0]
+                stats.period(ds, dy, eq.lam * dy + mu_m, M)
             if with_mtm:
                 mtm += L[0] * ds * disc[n]
-            # pay = dL (ds - padj) - half_g_dt L1^2 - tax dL^2 with L1 = L + dL,
-            # evaluated in place. At tax = 0 that term would subtract exactly zero.
-            np.subtract(ds, padj, out=pay)
-            pay *= dL
-            np.multiply(L1, L1, out=tmp)
-            tmp *= half_g_dt
-            pay -= tmp
-            if params.tax:
-                np.multiply(dL, dL, out=tmp)
-                tmp *= params.tax
-                pay -= tmp
-            pay *= disc[n]
-            obj += pay
+            e = ds - (eq.lam * flow + mu_m)
+            e *= disc[n]
+            # obj += dL (e - (lam + tax) dL) - half_g_dt L1^2, discounted, in place
+            np.multiply(dL, impact[n], out=tmp)
+            tmp += e
+            tmp *= dL
+            obj += tmp
+            np.square(L1, out=tmp)
+            tmp *= hold[n]
+            obj -= tmp
         if stats is not None:
             stats.end_block(mtm)
         yield obj, mtm
@@ -465,20 +487,23 @@ def simulate(
     batch.M[:, :, 0] = params.initial_inventories
     batch.L[:, :, 0] = batch.M[:, :, 0] + [z0 for *_, z0 in coefs]
 
-    # With trader 0 playing its own profile row, the kernel's state is the
-    # k traders' inventories in trader order.
+    # Trader 0 plays its own profile row; its inventories are that row's.
     for start, dS, dK, periods in _game(eq, params, coefs, 0, coefs[:1], n_paths, horizon, seed, first_path):
         sl = slice(start, start + dS.shape[1])
         batch.dS[sl] = dS.T
         batch.dK[sl] = dK.T
         mtm = np.zeros((k, dS.shape[1]))
-        for n, (M, dM, L, dL, L_new, dY, padj) in enumerate(periods):
+        for n, (M, dM, L0, dL0, L0_new, Lj, dLj, flow, mu_m) in enumerate(periods):
             ds = dS[n]
+            L, dL = np.vstack((L0, Lj[1:])), np.vstack((dL0, dLj[1:]))
+            L_new = np.vstack((L0_new, Lj[1:] + dLj[1:]))
+            dY = flow + dL0[0]
+            padj = eq.lam * dY + mu_m
             mtm += L * ds * w[:, n, None]
             pen = half_g_dt * L_new**2 + params.tax * dL**2
-            batch.dY[sl, n] = dY[0]
-            batch.price_adj[sl, n] = padj[0]
-            batch.payoff[sl, :, n] = (dL * (ds - padj[0]) - pen).T
+            batch.dY[sl, n] = dY
+            batch.price_adj[sl, n] = padj
+            batch.payoff[sl, :, n] = (dL * (ds - padj) - pen).T
             batch.penalty[sl, :, n] = pen.T
             batch.M[sl, :, n + 1] = (M + dM).T
             batch.L[sl, :, n + 1] = L_new.T
@@ -779,8 +804,7 @@ def _sweep(eq, params, trader_index, specs, *, n_paths, horizon, seed, stats=Non
     reference_index = next((r for r, spec in enumerate(specs) if spec.kind == "equilibrium"), None)
     if reference_index is None:
         raise ValueError("include an equilibrium row to serve as the reference")
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    _check_horizon(horizon)
     _check_rng_args(seed, 0, n_paths)
 
     others = [_coefficients(StrategySpec(), eq, j) for j in range(params.k)]

@@ -119,6 +119,44 @@ class TestRandomStreams:
         assert seen == n_paths
 
 
+class TestIntegerArguments:
+    """Path counts, path indices and horizons must be ints; anything else,
+    bools included, is a ValueError before any path is drawn."""
+
+    BAD = [1.5, 4.0, True, "4"]
+
+    def setup_method(self):
+        self.p = make_params(k=2, dt=0.01)
+        self.eq, _ = solve_nash(self.p)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_simulate(self, bad):
+        for kw in (dict(n_paths=bad), dict(first_path=bad), dict(horizon=bad)):
+            args = dict(n_paths=4, horizon=5, seed=1) | kw
+            with pytest.raises(ValueError):
+                simulate(self.eq, None, self.p, **args)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_simulate_objective(self, bad):
+        for kw in (dict(n_paths=bad), dict(first_path=bad), dict(horizon=bad)):
+            args = dict(n_paths=4, horizon=5, seed=1, tail_tol=None) | kw
+            with pytest.raises(ValueError):
+                simulate_objective(self.eq, None, self.p, 0, **args)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_deviation_sweep(self, bad):
+        specs = [StrategySpec.equilibrium()]
+        for kw in (dict(n_paths=bad), dict(horizon=bad)):
+            args = dict(n_paths=4, horizon=5, seed=1) | kw
+            with pytest.raises(ValueError):
+                deviation_sweep(self.eq, self.p, 0, specs, **args)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_simulate_second_moment(self, bad):
+        with pytest.raises(ValueError):
+            simulate_second_moment(self.eq, 0, self.p, [1, 3], n_paths=bad, seed=1)
+
+
 class TestHandRolledRecursion:
     def test_every_series_matches_a_python_loop(self):
         p = make_params(k=2, dt=0.01, gammas=[1.0, 2.0], rhos=[0.05, 0.1], l0=[0.5, -0.25], tax=1e-3)
@@ -163,6 +201,87 @@ class TestHandRolledRecursion:
                     assert batch.Z[pi, j, n + 1] == pytest.approx(L[j] - M[j], abs=1e-13)
             for j in range(2):
                 assert batch.mtm_discounted[pi, j] == pytest.approx(mtm[j], abs=1e-13)
+
+    @staticmethod
+    def discounted_objective(p, eq, seed, path, N, i, trade, gaps):
+        """Trader i's discounted objective and mark-to-market on one path.
+
+        ``trade(j, ds, M, L)`` is trader j's trade; trader j starts from its
+        initial inventory plus gaps[j].
+        """
+        k, dt, lam = p.k, p.dt, eq.lam
+        ds_row = normals(seed, path, 0, N) * (p.sigma_S * math.sqrt(dt))
+        dk_row = normals(seed, path, 1, N) * (p.sigma_K * math.sqrt(dt))
+        M = list(p.initial_inventories)
+        L = [M[j] + gaps[j] for j in range(k)]
+        obj = mtm = 0.0
+        for n in range(N):
+            ds, dk = ds_row[n], dk_row[n]
+            dL = [trade(j, ds, M[j], L[j]) for j in range(k)]
+            padj = lam * (dk + sum(dL)) + sum(eq.mus[j] * M[j] for j in range(k))
+            w = (1.0 - p.traders[i].rho * dt) ** (n + 1)
+            mtm += L[i] * ds * w
+            M = [M[j] + eq.betas[j] * ds - eq.phis[j] * M[j] for j in range(k)]
+            L = [L[j] + dL[j] for j in range(k)]
+            pay = dL[i] * (ds - padj) - 0.5 * p.traders[i].gamma * dt * L[i] ** 2 - p.tax * dL[i] ** 2
+            obj += w * pay
+        return obj, mtm
+
+    def test_sweep_rows_match_a_python_loop(self):
+        p = make_params(
+            k=3, dt=0.01, gammas=[1.0, 2.0, 0.5], rhos=[0.05, 0.1, 0.2], l0=[0.5, -0.25, 0.75], tax=1e-3
+        )
+        eq, _ = solve_taxed(p)
+        i, n_paths, N, seed = 1, 3, 6, 4
+        beta, phi = eq.betas[i], eq.phis[i]
+        rows = {
+            "equilibrium": (StrategySpec.equilibrium(), lambda ds, M, L: beta * ds - phi * M, 0.0),
+            "beta": (StrategySpec.scaled(beta_scale=1.2), lambda ds, M, L: 1.2 * beta * ds - phi * L, 0.0),
+            "phi": (StrategySpec.scaled(phi_scale=0.7), lambda ds, M, L: beta * ds - 0.7 * phi * L, 0.0),
+            "with_z": (
+                StrategySpec.with_z(0.4, 0.8),
+                lambda ds, M, L: beta * ds - phi * M - 0.4 * (L - M),
+                0.8,
+            ),
+        }
+        result = deviation_sweep(eq, p, i, [spec for spec, *_ in rows.values()], n_paths=n_paths, horizon=N, seed=seed)
+        objs = {}
+        for name, (_, own, z0) in rows.items():
+
+            def trade(j, ds, M, L):
+                return own(ds, M, L) if j == i else eq.betas[j] * ds - eq.phis[j] * M
+
+            gaps = [z0 if j == i else 0.0 for j in range(p.k)]
+            objs[name] = np.array(
+                [self.discounted_objective(p, eq, seed, path, N, i, trade, gaps)[0] for path in range(n_paths)]
+            )
+        for name, row in zip(rows, result.rows):
+            assert row.objective.mean == pytest.approx(objs[name].mean(), rel=1e-12), name
+            if row.difference is not None:
+                diff = objs[name] - objs["equilibrium"]
+                assert row.difference.mean == pytest.approx(diff.mean(), rel=1e-12), name
+
+    def test_objective_with_a_deviating_other_matches_a_python_loop(self):
+        # Trader 2 deviates, so trader 1's price carries trader 2's own flow.
+        p = make_params(
+            k=3, dt=0.01, gammas=[1.0, 2.0, 0.5], rhos=[0.05, 0.1, 0.2], l0=[0.5, -0.25, 0.75], tax=1e-3
+        )
+        eq, _ = solve_taxed(p)
+        zeta, z0 = 0.3, -0.6
+        n_paths, N, seed = 3, 6, 9
+        res = simulate_objective(
+            eq, {2: StrategySpec.with_z(zeta, z0)}, p, 1, n_paths=n_paths, horizon=N, seed=seed, tail_tol=None
+        )
+
+        def trade(j, ds, M, L):
+            move = eq.betas[j] * ds - eq.phis[j] * M
+            return move - zeta * (L - M) if j == 2 else move
+
+        objs, mtms = zip(
+            *(self.discounted_objective(p, eq, seed, path, N, 1, trade, [0.0, 0.0, z0]) for path in range(n_paths))
+        )
+        assert res.objective.mean == pytest.approx(np.mean(objs), rel=1e-12)
+        assert res.mark_to_market.mean == pytest.approx(np.mean(mtms), rel=1e-12)
 
 
 class TestEquilibriumPath:
@@ -572,6 +691,24 @@ class TestDeviationSweep:
             finally:
                 tracemalloc.stop()
         assert peaks[40000] <= 1.5 * peaks[5000], peaks
+
+    def test_duplicate_reference_row_differs_by_exactly_zero(self, monkeypatch):
+        # Blocks of 3, 3 and 1 paths: identical coefficient rows must give
+        # identical bits in every block, the one-path block included.
+        monkeypatch.setattr(simulator, "BLOCK_PATHS", 3)
+        p = make_params(k=3, dt=0.01, l0=[0.4, -0.2, 0.1], tax=1e-3)
+        eq, _ = solve_taxed(p)
+        specs = [
+            StrategySpec.scaled(beta_scale=0.9),
+            StrategySpec.equilibrium(),
+            StrategySpec.with_z(0.5, 1.0),
+            StrategySpec.equilibrium(),
+        ]
+        result = deviation_sweep(eq, p, 1, specs, n_paths=7, horizon=40, seed=8)
+        assert result.reference_index == 1
+        dup = result.rows[3]
+        assert dup.difference.mean == 0.0 and dup.difference.std_error == 0.0
+        assert dup.objective == result.rows[1].objective
 
     def test_requires_reference_row(self):
         p = make_params(k=1, dt=0.01)
