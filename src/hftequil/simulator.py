@@ -16,8 +16,13 @@ Every strategy trades a fixed linear combination of the signal move dS,
 the dealer's prediction M and the trader's own inventory L, so one kernel,
 ``_game``, plays them all from coefficient rows: ``simulate`` and
 ``simulate_objective`` run it with one row for a trader, ``deviation_sweep``
-with one row per strategy. Each period one matrix product forms every
-row's trade, and one dealer residual per path prices every row's payoff.
+with one row per strategy. Most rows ride on the trader's prediction: the
+equilibrium row, ``with_z`` and ``scaled`` at the equilibrium decay rate
+hold L = s M + D (1 - c)^n with a deterministic gap, so ``_discounted``
+prices them in closed form from sums over M's own series, and only a row
+with a decay rate of its own is recursed as a series of its own. Each
+period one batched product advances the traders and sums to one dealer
+residual per path, which prices every row's payoff.
 
 The kernel walks the paths in blocks of ``BLOCK_PATHS``. Each block's
 increments are laid out time-major, (horizon, paths), so a period reads one
@@ -73,8 +78,10 @@ _MAX_PATH_INDEX = 2**63
 _MAX_SEED = 2**64
 DEFAULT_TAIL_TOL = 1e-6
 HORIZON_CAP = 10_000_000
-# Paths per block: a sweep's period touches six (14 rows x 1024 paths) float64
-# arrays, 0.7 MB in all, so they stay in a core's L2 cache.
+# Paths per block: a period of the 14-row sweep of the acceptance tests at
+# k <= 4 touches under 80 rows of 1024 float64, 0.6 MB in all (the traders'
+# state, each series' state and objective, the gap terms), so they stay in a
+# core's L2 cache.
 BLOCK_PATHS = 1024
 
 
@@ -176,41 +183,45 @@ def _normalize_strategies(strategies, k: int) -> tuple[StrategySpec, ...]:
     return specs
 
 
-def _coefficients(spec: StrategySpec, eq: Equilibrium, i: int) -> tuple[float, float, float, float]:
-    """Trader i's row (a_dS, a_M, a_L, z0): it trades a_dS dS + a_M M + a_L L from L_0 = M_0 + z0.
+def _coefficients(spec: StrategySpec, eq: Equilibrium, i: int):
+    """Trader i's row (a_dS, a_M, a_L, z0) and ride (s, c), or None for no ride.
 
-    Raises InadmissibleStrategy for a spec under which inventory diverges.
+    The trader trades a_dS dS + a_M M + a_L L from L_0 = M_0 + z0. A row
+    with a ride holds L_n = s M_n + D (1 - c)^n with D = z0 + (1 - s) M_0;
+    a row with a decay rate of its own has no ride. Raises
+    InadmissibleStrategy for a spec under which inventory diverges.
     """
     beta, phi = eq.betas[i], eq.phis[i]
     if spec.kind == "equilibrium":
-        return beta, -phi, 0.0, 0.0
+        return (beta, -phi, 0.0, 0.0), (1.0, 0.0)
     if spec.kind == "scaled":
         decay = spec.phi_scale * phi
         if not 0.0 < decay < 2.0:
             raise InadmissibleStrategy(f"trader {i}: effective decay {decay!r} outside (0, 2), inventory diverges")
         if not math.isfinite(spec.beta_scale):
             raise InadmissibleStrategy(f"trader {i}: beta_scale must be finite")
-        return spec.beta_scale * beta, 0.0, -decay, 0.0
+        ride = (spec.beta_scale, phi) if spec.phi_scale == 1.0 else None
+        return (spec.beta_scale * beta, 0.0, -decay, 0.0), ride
     if spec.kind == "with_z":
         if not 0.0 <= spec.zeta < 2.0:
             raise InadmissibleStrategy(f"trader {i}: workdown rate {spec.zeta!r} outside [0, 2), gap diverges")
         if not math.isfinite(spec.z0):
             raise InadmissibleStrategy(f"trader {i}: z0 must be finite")
         # equilibrium trade plus closing a fraction zeta of the current gap L - M
-        return beta, spec.zeta - phi, -spec.zeta, spec.z0
+        return (beta, spec.zeta - phi, -spec.zeta, spec.z0), (1.0, spec.zeta)
     raise ValueError(f"unknown strategy kind {spec.kind!r}")
 
 
 def _checked_game(eq: Equilibrium, strategies, params: ValidatedParams, horizon: int | None):
-    """Checks shared by ``simulate`` and ``simulate_objective``: (coefficient rows, horizon)."""
+    """Checks shared by ``simulate`` and ``simulate_objective``: (``_coefficients`` pairs, horizon)."""
     if params.dt == 0.0:
         raise ValueError("simulation requires dt > 0")
     specs = _normalize_strategies(strategies, params.k)
-    coefs = [_coefficients(spec, eq, i) for i, spec in enumerate(specs)]
+    pairs = [_coefficients(spec, eq, i) for i, spec in enumerate(specs)]
     if horizon is None:
         horizon = default_horizon(params)
     _check_horizon(horizon)
-    return coefs, horizon
+    return pairs, horizon
 
 
 def _is_int(x) -> bool:
@@ -341,53 +352,62 @@ def _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path):
     other traders, who play their rows of the profile ``coefs``; the others'
     flows and the dealer's predictions do not depend on trader i's play, so
     all games share them. Per period, one product batched over the traders
-    maps each one's (dS, M_j, L_j) to (dM_j, dL_j, mu_j M_j), and one
-    product of the rows' (a_dS, a_M) and (beta_i, -phi_i) with (dS, M_i)
-    forms every row's trade but a_L L and trader i's prediction move, so an
-    equilibrium row trades exactly that move. A path-step costs O(R + k).
-    ``periods`` yields each period's pre-trade M and dM (k, b); the rows' L,
-    dL and post-trade L + dL (R, b); each trader's L and dL (k, b), zero for
-    trader i, whose inventories are the rows'; and the flow the rows' games
-    share, dK plus the others' trades, and mu . M, both (b,), overwritten by
-    the next period. ``BLOCK_PATHS`` is read at call time.
+    maps each one's (dS, M_j, L_j) to (dM_j, dL_j, -lam dL_j - mu_j M_j).
+    Trader i's L slot carries dK instead and its third output is dS - lam
+    dK - mu_i M_i, so the third outputs sum to the dealer residual of a zero
+    own trade, e = dS - lam (dK + sum_{j != i} dL_j) - mu . M. One product
+    of the rows' (a_dS, a_M) and (beta_i, -phi_i) with (dS, M_i) forms every
+    row's trade but a_L L and trader i's prediction move, so an equilibrium
+    row trades exactly that move. A path-step costs O(R + k). ``periods``
+    yields each period's pre-trade M and dM (k, b); the rows' L, dL and
+    post-trade L + dL (R, b); each trader's L and dL (k, b), which for
+    trader i hold dK and zero; and e (b,), all overwritten by the next
+    period. ``BLOCK_PATHS`` is read at call time.
     """
     k, R = params.k, len(rows)
     a_l, z0 = np.array([row[2:] for row in rows]).T[:, :, None]
     z0_all = np.array([0.0 if j == i else coefs[j][3] for j in range(k)])
-    moves = np.array([
-        [(beta, -phi, 0.0), (0.0, 0.0, 0.0) if j == i else coefs[j][:3], (0.0, mu, 0.0)]
-        for j, (beta, phi, mu) in enumerate(zip(eq.betas, eq.phis, eq.mus))
-    ])
-    trade = np.array([row[:2] for row in rows] + [moves[i, 0, :2], (0.0, 0.0), moves[i, 2, :2]])
+    moves = np.zeros((k, 3, 3))
+    for j, (beta, phi, mu) in enumerate(zip(eq.betas, eq.phis, eq.mus)):
+        own = np.zeros(3) if j == i else np.array(coefs[j][:3])
+        moves[j] = (beta, -phi, 0.0), own, -eq.lam * own - (0.0, mu, 0.0)
+    # trader i's L slot carries dK, so the third rows sum to the residual e
+    moves[i, 2] = (1.0, -eq.mus[i], -eq.lam)
+    trade = np.array([row[:2] for row in rows] + [moves[i, 0, :2]])
 
     def periods(dS, dK):
         b = dS.shape[1]
         # A one-column product would take BLAS's matrix-vector route, which
         # rounds differently, so the buffers keep at least two columns.
         w = max(b, 2)
-        # (dS, M, L) and (dM, dL, mu M) as (3, k, w): trader j's inputs and
+        # (dS, M, L) and (dM, dL, share of e) as (3, k, w): trader j's inputs and
         # outputs are the (3, w) matrices [:, j], and each quantity is one
         # contiguous (k, w) block
         state = np.zeros((3, k, w))
         state[1, :, :b] = np.array(params.initial_inventories)[:, None]
         state[2, :, :b] = state[1, :, :b] + z0_all[:, None]
         step = np.empty_like(state)
-        out = np.empty((R + 3, w))
+        out = np.empty((R + 1, w))
         M, dM, Lj, dLj = state[1, :, :b], step[0, :, :b], state[2, :, :b], step[1, :, :b]
-        dL = out[:R, :b]
+        dL, shares = out[:R, :b], step[2, :, :b]
+        e = shares[0] if k == 1 else np.empty(b)
+        ds_in, dk_in, inputs, moved = state[0, :, :b], state[2, i, :b], state[:2, i], step[0, i]
         L = M[i] + z0
         L1, tmp = np.empty_like(L), np.empty_like(L)
         A_l = np.repeat(a_l, b, axis=1)
         for n in range(horizon):
-            state[0, :, :b] = dS[n]
+            ds_in[...] = dS[n]
+            dk_in[...] = dK[n]
             np.matmul(moves, state.transpose(1, 0, 2), out=step.transpose(1, 0, 2))
-            np.matmul(trade, state[:2, i], out=out)
-            # trader i's moves from the rows' product: bit for bit an
-            # equilibrium row's trade
-            step[:, i] = out[R:]
+            np.matmul(trade, inputs, out=out)
+            # trader i's prediction move from the rows' product: bit for bit
+            # an equilibrium row's trade
+            moved[...] = out[R]
             dL += np.multiply(A_l, L, out=tmp)
             np.add(L, dL, out=L1)
-            yield M, dM, L, dL, L1, Lj, dLj, dK[n] + dLj.sum(axis=0), step[2, :, :b].sum(axis=0)
+            if k > 1:
+                np.add.reduce(shares, axis=0, out=e)
+            yield M, dM, L, dL, L1, Lj, dLj, e
             state[1:] += step[:2]
             L, L1 = L1, L
 
@@ -400,43 +420,82 @@ def _discounted(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, 
     """Per block: trader i's discounted objective in each row's game, (R, b),
     and, if asked for, row 0's discounted mark-to-market, (b,), else None.
 
-    Row r pays dL (dS - padj_r) - tax dL^2 - half_g_dt L1^2 with the price
-    padj_r = lam (flow + dL) + mu . M, that is dL (e - (lam + tax) dL) -
-    half_g_dt L1^2 with one dealer residual e = dS - lam flow - mu . M for
-    every row; the period's discount factor scales e and the two constants.
-    A ``_GameStats`` in ``stats`` is fed row 0's flow and prices every
-    period and the block's mark-to-market at its end, which implies
-    ``with_mtm``.
+    ``rows`` are ``_coefficients`` pairs. Row r's price is dS - e + lam dL
+    with the residual e of ``_game``, so it pays dL (e - (lam + tax) dL) -
+    half_g_dt L1^2. Its inventory is L = s X + D_n on a series X: trader i's
+    prediction M_i for a row with a ride (s, c), with D_n = D (1 - c)^n, and
+    a series of its own (s = 1, D = 0) for a row with its own decay rate, so
+    ``_game`` recurses M_i and one series per such row. With e' = disc e,
+    imp = -(lam + tax) disc and hold = half_g_dt disc, the row's objective
+    is s^2 Q + s (1 - s) U + sum_n w_n . (e', dX, X1) + C, where Q = sum dX
+    (e' + imp dX) - hold X1^2 is the series' own objective and U = sum dX e'
+    on M_i. The weights w_n = (dD, 2 s imp dD, -2 s hold D_{n+1}) and C =
+    sum imp dD^2 - hold D_{n+1}^2 vanish unless D != 0, and one product adds
+    the gap terms of all rows with a gap each period. A ``_GameStats`` in
+    ``stats`` is fed row 0's flow and prices every period and the block's
+    mark-to-market at its end, which implies ``with_mtm``.
     """
     t = params.traders[i]
     disc = np.cumprod(np.full(horizon, 1.0 - t.rho * params.dt))
     impact = -(eq.lam + params.tax) * disc
     hold = 0.5 * t.gamma * params.dt * disc
-    R = len(rows)
+    series, plan = [_coefficients(StrategySpec(), eq, i)[0]], []
+    for row, ride in rows:
+        if ride is None:
+            plan.append((len(series), 1.0, 0.0, 0.0))
+            series.append(row)
+        else:
+            s, c = ride
+            plan.append((0, s, row[3] + (1.0 - s) * params.initial_inventories[i], c))
+    idx, s, D, c = (np.array(col) for col in zip(*plan))
+    Dn = D[:, None] * np.power(1.0 - c[:, None], np.arange(horizon + 1))
+    dD, D1 = -c[:, None] * Dn[:, :-1], Dn[:, 1:]
+    C = (impact * dD * dD - hold * D1 * D1).sum(axis=1)
+    # the rows with a gap, and period n's weights on (e', dX, X1), W[n]: (gaps, 3)
+    gap = np.flatnonzero(D)
+    sg = s[gap, None]
+    W = np.stack((dD[gap], 2.0 * sg * impact * dD[gap], -2.0 * sg * hold * D1[gap]), axis=-1)
+    W = np.ascontiguousarray(W.transpose(1, 0, 2))
+    # row 0's inventory s X + D_n and its trade feed the mark-to-market and
+    # _GameStats; shifted0 tells whether they differ from its series'
+    j0, s0, shifted0 = idx[0], s[0], D[0] != 0.0 or s[0] != 1.0
     with_mtm = with_mtm or stats is not None
-    for _, dS, _, periods in _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path):
-        obj = np.zeros((R, dS.shape[1]))
-        tmp = np.empty_like(obj)
-        mtm = np.zeros(dS.shape[1]) if with_mtm else None
-        for n, (M, _, L, dL, L1, _, _, flow, mu_m) in enumerate(periods):
+    for _, dS, dK, periods in _game(eq, params, coefs, i, series, n_paths, horizon, seed, first_path):
+        b = dS.shape[1]
+        Q = np.zeros((len(series), b))
+        tmp = np.empty_like(Q)
+        U, u = np.zeros(b), np.empty(b)
+        # (e', dX, X1) on M_i; as in _game, products keep two columns
+        V, gain = np.zeros((3, max(b, 2))), np.empty((gap.size, max(b, 2)))
+        ed, G = V[0, :b], np.zeros((gap.size, b))
+        mtm = np.zeros(b) if with_mtm else None
+        for n, (M, _, X, dX, X1, _, dLj, e) in enumerate(periods):
             ds = dS[n]
-            if stats is not None:
-                dy = flow + dL[0]
-                stats.period(ds, dy, eq.lam * dy + mu_m, M)
             if with_mtm:
-                mtm += L[0] * ds * disc[n]
-            e = ds - (eq.lam * flow + mu_m)
-            e *= disc[n]
-            # obj += dL (e - (lam + tax) dL) - half_g_dt L1^2, discounted, in place
-            np.multiply(dL, impact[n], out=tmp)
-            tmp += e
-            tmp *= dL
-            obj += tmp
-            np.square(L1, out=tmp)
+                x0, dx0 = X[j0], dX[j0]
+                if shifted0:
+                    x0, dx0 = s0 * x0 + Dn[0, n], s0 * dx0 + dD[0, n]
+                mtm += x0 * ds * disc[n]
+                if stats is not None:
+                    stats.period(ds, dK[n] + np.add.reduce(dLj, axis=0) + dx0, ds - e + eq.lam * dx0, M)
+            np.multiply(e, disc[n], out=ed)
+            U += np.multiply(dX[0], ed, out=u)
+            if gap.size:
+                V[1, :b], V[2, :b] = dX[0], X1[0]
+                np.matmul(W[n], V, out=gain)
+                G += gain[:, :b]
+            # Q += dX (e' + imp dX) - hold X1^2, in place
+            np.multiply(dX, impact[n], out=tmp)
+            tmp += ed
+            tmp *= dX
+            Q += tmp
+            np.square(X1, out=tmp)
             tmp *= hold[n]
-            obj -= tmp
+            Q -= tmp
         if stats is not None:
             stats.end_block(mtm)
+        obj = (s * s)[:, None] * Q[idx] + (s * (1.0 - s))[:, None] * U
+        obj[gap] += G + C[gap, None]
         yield obj, mtm
 
 
@@ -457,8 +516,9 @@ def simulate(
     that would exceed ``max_floats`` doubles. For large-sample estimates of
     a single trader's objective use ``simulate_objective``, which streams.
     """
-    coefs, horizon = _checked_game(eq, strategies, params, horizon)
+    pairs, horizon = _checked_game(eq, strategies, params, horizon)
     _check_rng_args(seed, first_path, n_paths)
+    coefs = [row for row, _ in pairs]
     k = params.k
     n_floats = n_paths * (4 * horizon + k * (2 * (horizon + 1) + 2 * horizon + 1))
     if n_floats > max_floats:
@@ -493,12 +553,12 @@ def simulate(
         batch.dS[sl] = dS.T
         batch.dK[sl] = dK.T
         mtm = np.zeros((k, dS.shape[1]))
-        for n, (M, dM, L0, dL0, L0_new, Lj, dLj, flow, mu_m) in enumerate(periods):
+        for n, (M, dM, L0, dL0, L0_new, Lj, dLj, e) in enumerate(periods):
             ds = dS[n]
             L, dL = np.vstack((L0, Lj[1:])), np.vstack((dL0, dLj[1:]))
             L_new = np.vstack((L0_new, Lj[1:] + dLj[1:]))
-            dY = flow + dL0[0]
-            padj = eq.lam * dY + mu_m
+            dY = dK[n] + np.add.reduce(dLj, axis=0) + dL0[0]
+            padj = ds - e + eq.lam * dL0[0]
             mtm += L * ds * w[:, n, None]
             pen = half_g_dt * L_new**2 + params.tax * dL**2
             batch.dY[sl, n] = dY
@@ -569,7 +629,7 @@ def simulate_objective(
     only per-path reductions are kept, so horizon and paths can both be
     large.
     """
-    coefs, horizon = _checked_game(eq, strategies, params, horizon)
+    pairs, horizon = _checked_game(eq, strategies, params, horizon)
     if not 0 <= trader_index < params.k:
         raise ValueError(f"trader index {trader_index} out of range for k={params.k}")
     _check_rng_args(seed, first_path, n_paths)
@@ -577,7 +637,9 @@ def simulate_objective(
 
     i = trader_index
     obj, mtm = _Stat(), _Stat()
-    for obj_b, mtm_b in _discounted(eq, params, coefs, i, [coefs[i]], n_paths, horizon, seed, first_path, with_mtm=True):
+    coefs = [row for row, _ in pairs]
+    blocks = _discounted(eq, params, coefs, i, pairs[i : i + 1], n_paths, horizon, seed, first_path, with_mtm=True)
+    for obj_b, mtm_b in blocks:
         obj.add(obj_b[0])
         mtm.add(mtm_b)
     return ObjectiveResult(obj.estimate(), mtm.estimate(), trader_index, horizon, n_paths)
@@ -585,8 +647,15 @@ def simulate_objective(
 
 def effective_order_flow(batch: PathBatch) -> np.ndarray:
     """X_n = dY_n + sum_j phi_j M^j_{n-1}; the dealer prices exactly lambda X_n."""
-    phis = np.array(batch.eq.phis)
-    return batch.dY + np.einsum("pkn,k->pn", batch.M[:, :, :-1], phis)
+    return _effective_flow(batch.eq.phis, batch.dY, batch.M[:, :, :-1].transpose(1, 0, 2))
+
+
+def _effective_flow(phis, dy, M):
+    """dy + sum_j phis[j] M[j], elementwise, so a path's value does not depend on its column."""
+    x = dy + phis[0] * M[0]
+    for phi, m in zip(phis[1:], M[1:]):
+        x += phi * m
+    return x
 
 
 @dataclass(frozen=True)
@@ -618,7 +687,7 @@ class _GameStats:
         self.lam = eq.lam
         self.lambda_scale = lambda_scale
         self.misprice = (lambda_scale - 1.0) * eq.lam
-        self.phis = np.array(eq.phis)
+        self.phis = eq.phis
         self.profit, self.mtm = _Stat(), _Stat()
         self.sxx = self.sxr = self.srr = 0.0
         self.n = 0
@@ -626,7 +695,7 @@ class _GameStats:
         self.gain = None
 
     def period(self, ds, dy, padj, M) -> None:
-        x = dy + self.phis @ M
+        x = _effective_flow(self.phis, dy, M)
         r = ds - self.lam * x
         self.sxx += float(x @ x)
         self.sxr += float(x @ r)
@@ -691,10 +760,17 @@ def inventory_second_moment(
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     beta, phi = eq.betas[trader_index], eq.phis[trader_index]
-    a2 = (1.0 - phi) ** 2
     drive = beta**2 * params.sigma_S**2 * params.dt
-    geom = float(n) if a2 == 1.0 else (1.0 - a2**n) / (1.0 - a2)
-    return a2**n * M0**2 + drive * geom
+    # 1 - a2 = phi (2 - phi) without cancellation; for 0 < phi < 1, a2^n =
+    # exp(2n log1p(-phi)) keeps the digits that 1 - phi would round away
+    if 0.0 < phi < 1.0:
+        log_a2n = 2.0 * n * math.log1p(-phi)
+        a2n, geom = math.exp(log_a2n), -math.expm1(log_a2n) / (phi * (2.0 - phi))
+    else:
+        a2 = (1.0 - phi) ** 2
+        a2n = a2**n
+        geom = float(n) if a2 == 1.0 else (1.0 - a2n) / (phi * (2.0 - phi))
+    return a2n * M0**2 + drive * geom
 
 
 def inventory_is_bounded(eq: Equilibrium, trader_index: int) -> bool:
@@ -807,7 +883,7 @@ def _sweep(eq, params, trader_index, specs, *, n_paths, horizon, seed, stats=Non
     _check_horizon(horizon)
     _check_rng_args(seed, 0, n_paths)
 
-    others = [_coefficients(StrategySpec(), eq, j) for j in range(params.k)]
+    others = [_coefficients(StrategySpec(), eq, j)[0] for j in range(params.k)]
     obj_stats = [_Stat() for _ in specs]
     diff_stats = [_Stat() for _ in specs]
     for objs, _ in _discounted(eq, params, others, i, rows, n_paths, horizon, seed, 0, stats=stats):

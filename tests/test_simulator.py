@@ -6,8 +6,10 @@ element by element against the vectorized engine. Everything else builds
 on reproducibility: chunking and path-range slicing must not change a
 single bit of any path.
 """
+import decimal
 import math
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -243,6 +245,17 @@ class TestHandRolledRecursion:
                 lambda ds, M, L: beta * ds - phi * M - 0.4 * (L - M),
                 0.8,
             ),
+            "with_z_keep": (StrategySpec.with_z(0.0, 0.3), lambda ds, M, L: beta * ds - phi * M, 0.3),
+            "with_z_close": (
+                StrategySpec.with_z(1.0, -0.5),
+                lambda ds, M, L: beta * ds - phi * M - (L - M),
+                -0.5,
+            ),
+            "beta_phi": (
+                StrategySpec.scaled(beta_scale=1.1, phi_scale=0.8),
+                lambda ds, M, L: 1.1 * beta * ds - 0.8 * phi * L,
+                0.0,
+            ),
         }
         result = deviation_sweep(eq, p, i, [spec for spec, *_ in rows.values()], n_paths=n_paths, horizon=N, seed=seed)
         objs = {}
@@ -460,6 +473,19 @@ class TestMoments:
             got = inventory_second_moment(eq_with(phi, 1.0), 0, p, 50, M0=0.5)
             assert got == pytest.approx(0.25 + 50 * 0.01, rel=1e-13)
 
+    @pytest.mark.parametrize("phi", [1e-4, 1e-7, 1e-9, 1e-11])
+    def test_small_decay_matches_exact_arithmetic(self, phi):
+        p = make_params(sigma_S=1.2, dt=0.01)
+        beta, M0 = 0.8, 1.5
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            a2 = (1 - Decimal(phi)) ** 2
+            drive = Decimal(beta) ** 2 * Decimal(p.sigma_S) ** 2 * Decimal(p.dt)
+            for n in (10, 10**3, 10**6):
+                want = a2**n * Decimal(M0) ** 2 + drive * (1 - a2**n) / (1 - a2)
+                got = inventory_second_moment(eq_with(phi, beta), 0, p, n, M0)
+                assert abs(Decimal(got) - want) <= Decimal(1e-14) * want, n
+
     def test_near_unit_contraction_is_stable(self):
         got = inventory_second_moment(eq_with(2.0 - 1e-9, 1.0), 0, make_params(dt=0.01), 10)
         assert got == pytest.approx(10 * 0.01, rel=1e-6)
@@ -504,6 +530,28 @@ class TestMoments:
 
 
 class TestDealer:
+    def test_effective_flow_does_not_depend_on_the_column(self):
+        # A BLAS matrix-vector product rounds some columns differently by
+        # their position; a path's effective flow must not depend on where
+        # it sits in its block.
+        rng = np.random.default_rng(5)
+        eq = Equilibrium(
+            betas=(0.7, 0.4, 0.9), beta_sigma=2.0, lam=0.45, phis=(0.013, 0.37, 0.0021), mus=(0.1, 0.2, 0.3)
+        )
+        ds, dy, M = rng.normal(size=64), rng.normal(size=64), rng.normal(size=(3, 64))
+        for col in range(64):
+            sums = []
+            for width in (2, 64):
+                pick = np.zeros(width, dtype=bool)
+                pick[col % width] = True
+                blk = [np.zeros(width), np.zeros(width), np.zeros((3, width))]
+                for a, src in zip(blk, (ds, dy, M)):
+                    a[..., pick] = src[..., [col]]
+                stats = simulator._GameStats(eq)
+                stats.period(blk[0], blk[1], blk[1], blk[2])
+                sums.append((stats.sxx, stats.sxr, stats.srr))
+            assert sums[0] == sums[1], col
+
     def make_batch(self, n_paths=400, horizon=300, seed=6):
         p = make_params(k=2, dt=0.01)
         eq, _ = solve_nash(p)
@@ -709,6 +757,24 @@ class TestDeviationSweep:
         dup = result.rows[3]
         assert dup.difference.mean == 0.0 and dup.difference.std_error == 0.0
         assert dup.objective == result.rows[1].objective
+
+    def test_closed_form_rows_match_recursed_neighbours(self):
+        # phi_scale = 1 prices the row from the prediction M in closed form;
+        # a decay rate 1e-9 away makes the row a series of its own.
+        p = make_params(k=2, dt=0.01, gammas=[1.0, 2.0], rhos=[0.05, 0.1], l0=[0.6, -0.3], tax=1e-3)
+        eq, _ = solve_taxed(p)
+        specs = [StrategySpec.equilibrium()]
+        for beta_scale in (0.8, 1.2):
+            specs += [StrategySpec.scaled(beta_scale, phi) for phi in (1.0, 1.0 - 1e-9, 1.0 + 1e-9)]
+        specs.append(StrategySpec.equilibrium())
+        result = deviation_sweep(eq, p, 0, specs, n_paths=600, horizon=80, seed=12)
+        for closed in (1, 4):
+            want = result.rows[closed]
+            for row in result.rows[closed + 1 : closed + 3]:
+                assert row.objective.mean == pytest.approx(want.objective.mean, rel=1e-6)
+                assert row.difference.mean == pytest.approx(want.difference.mean, rel=1e-6)
+        dup = result.rows[-1]
+        assert dup.difference.mean == 0.0 and dup.difference.std_error == 0.0
 
     def test_requires_reference_row(self):
         p = make_params(k=1, dt=0.01)
