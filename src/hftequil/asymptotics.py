@@ -60,31 +60,19 @@ def _require_untaxed(params: ValidatedParams, op: str) -> None:
 def monopoly_expansions(params: ValidatedParams) -> dict[str, Expansion]:
     """Single-trader expansions, keyed beta, lambda, phi, mu, A, B, C, D.
 
-    A through D are the value function coefficients on M^2, dS^2, M dS and
-    the constant, in that order. The lambda entry is the only one with a
-    known dt-order coefficient; its sqrt(dt) term vanishes identically.
+    The k = 1 entries of ``nash_expansions``, one Expansion each instead of
+    a one-entry tuple, without beta_sigma, which equals beta. A through D
+    are the value function coefficients on M^2, dS^2, M dS and the
+    constant, in that order. The lambda entry is the only one with a known
+    dt-order coefficient; its sqrt(dt) term vanishes identically.
     """
     _require_untaxed(params, "monopoly_expansions")
     if params.k != 1:
         raise ValueError(f"monopoly_expansions requires k=1, got k={params.k}")
-    sS = params.sigma_S
-    sK = params.sigma_K
-    g = params.traders[0].gamma
-    rho = params.traders[0].rho
-    m = sK / sS
-    sg = math.sqrt(g)
     return {
-        "beta": Expansion(m, -math.sqrt(0.5 * g * m**3)),
-        "lambda": Expansion(sS / (2.0 * sK), 0.0, dt_coeff=-g / 8.0, remainder="O(dt^(3/2))"),
-        "phi": Expansion(0.0, math.sqrt(2.0 * g * m)),
-        "mu": Expansion(0.0, math.sqrt(0.5 * g / m)),
-        "A": Expansion(0.0, 0.25 * math.sqrt(2.0) * sg / math.sqrt(m)),
-        "B": Expansion(m, -0.25 * math.sqrt(2.0) * sg * m**1.5),
-        "C": Expansion(0.0, 0.75 * math.sqrt(2.0) * sg * math.sqrt(m)),
-        "D": Expansion(
-            sS * sK / (2.0 * rho),
-            -0.125 * math.sqrt(2.0) * sg * math.sqrt(sS) * sK**1.5 / rho,
-        ),
+        key: value[0] if isinstance(value, tuple) else value
+        for key, value in nash_expansions(params).items()
+        if key != "beta_sigma"
     }
 
 
@@ -94,9 +82,9 @@ def nash_expansions(params: ValidatedParams) -> dict:
     Keys beta, phi, mu, A, B, C, D map to tuples with one Expansion per
     trader; beta_sigma and lambda are scalars. Heterogeneity enters through
     each trader's own gamma and through the mean root inventory aversion
-    gbar = (1/k) sum_j sqrt(gamma_j). At k=1 the values agree with
-    ``monopoly_expansions`` and the lambda entry inherits its dt
-    coefficient, which is only known in the single-trader case.
+    gbar = (1/k) sum_j sqrt(gamma_j). At k=1 the lambda entry also carries
+    a dt coefficient, which is only known in the single-trader case;
+    ``monopoly_expansions`` is this table's k=1 view.
     """
     _require_untaxed(params, "nash_expansions")
     sS = params.sigma_S

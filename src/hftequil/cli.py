@@ -34,27 +34,26 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         raise ConfigError(f"{flag} expects a comma separated list of numbers, got {text!r}") from None
 
 
-def _parse_geometric_grid(text: str, flag: str) -> tuple[float, ...]:
+def _parse_grid(text: str, flag: str) -> tuple[float, float, int]:
+    """The endpoints and count of an a:b:n grid."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"{flag} expects a:b:n, got {text!r}")
     try:
-        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+        return float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ConfigError(f"{flag} expects numbers a:b and an integer count, got {text!r}") from None
+
+
+def _parse_geometric_grid(text: str, flag: str) -> tuple[float, ...]:
+    a, b, n = _parse_grid(text, flag)
     if n < 2 or a <= 0 or b <= 0:
         raise ConfigError(f"{flag} needs n >= 2 and positive endpoints, got {text!r}")
     return tuple(float(x) for x in np.geomspace(a, b, n))
 
 
 def _parse_linear_grid(text: str, flag: str) -> tuple[float, ...]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"{flag} expects a:b:n, got {text!r}")
-    try:
-        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise ConfigError(f"{flag} expects numbers a:b and an integer count, got {text!r}") from None
+    a, b, n = _parse_grid(text, flag)
     if n < 2 or a < 0 or b <= a:
         raise ConfigError(f"{flag} needs n >= 2 and 0 <= a < b, got {text!r}")
     return tuple(float(x) for x in np.linspace(a, b, n))
@@ -295,17 +294,8 @@ def run_sweep(args: argparse.Namespace, params: ValidatedParams) -> int:
     else:
         if params.k != 1:
             raise ConfigError("the trader-count sweep replicates a single template trader; pass k=1 parameters")
-        template = params.traders[0]
         for k in k_grid:
-            config = params_to_config(params)
-            config["traders"] = [
-                {
-                    "gamma": template.gamma,
-                    "rho": template.rho,
-                    "initial_inventory": template.initial_inventory,
-                }
-            ] * k
-            p = load_config(config)
+            p = ValidatedParams(params.sigma_S, params.sigma_K, params.dt, params.traders * k, params.tax)
             eq, _ = solve_equilibrium(p)
             exps = nash_expansions(p)
             rows.append(

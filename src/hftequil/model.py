@@ -6,9 +6,10 @@ flow with volatility ``sigma_K``, and ``k`` strategic traders who observe
 each value innovation one period before the dealers and pay a running
 quadratic inventory penalty at rate ``gamma_i``.
 
-``dt == 0`` is accepted as the continuous-trading limit; solvers answer it
-with closed forms and the discount constraint ``rho_i * dt in (0, 1)`` is
-waived for that case only.
+``dt == 0`` is accepted as the continuous-trading limit, and the discount
+constraint ``rho_i * dt in (0, 1)`` is waived for that case only. Solvers
+answer it on the same path as any dt > 0, where every decay rate comes
+out exactly 0; the simulator needs dt > 0 and refuses it.
 """
 from __future__ import annotations
 

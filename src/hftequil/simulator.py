@@ -212,28 +212,33 @@ def _coefficients(spec: StrategySpec, eq: Equilibrium, i: int):
     raise ValueError(f"unknown strategy kind {spec.kind!r}")
 
 
-def _checked_game(eq: Equilibrium, strategies, params: ValidatedParams, horizon: int | None):
+def _checked_game(eq, strategies, params, trader_index, horizon, seed, first_path, n_paths):
     """Checks shared by ``simulate`` and ``simulate_objective``: (``_coefficients`` pairs, horizon)."""
-    if params.dt == 0.0:
-        raise ValueError("simulation requires dt > 0")
-    specs = _normalize_strategies(strategies, params.k)
-    pairs = [_coefficients(spec, eq, i) for i, spec in enumerate(specs)]
     if horizon is None:
         horizon = default_horizon(params)
-    _check_horizon(horizon)
-    return pairs, horizon
+    _check_args(params, trader_index, (horizon, seed, first_path, n_paths))
+    specs = _normalize_strategies(strategies, params.k)
+    return [_coefficients(spec, eq, i) for i, spec in enumerate(specs)], horizon
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_horizon(horizon: int) -> None:
+def _check_args(params: ValidatedParams, trader_index=None, run=None) -> None:
+    """The argument checks every entry point shares; None skips one.
+
+    The game needs dt > 0; ``run`` is (horizon, seed, first_path, n_paths).
+    """
+    if params.dt == 0.0:
+        raise ValueError("simulation requires dt > 0")
+    if trader_index is not None and not 0 <= trader_index < params.k:
+        raise ValueError(f"trader index {trader_index} out of range for k={params.k}")
+    if run is None:
+        return
+    horizon, seed, first_path, n_paths = run
     if not _is_int(horizon) or horizon < 1:
         raise ValueError(f"horizon must be an integer of at least 1, got {horizon!r}")
-
-
-def _check_rng_args(seed: int, first_path: int, n_paths: int) -> None:
     if not _is_int(seed) or not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if not _is_int(n_paths) or n_paths < 2:
@@ -291,8 +296,7 @@ def _normal_blocks(seed: int, first_path: int, n_paths: int, horizon: int, scale
 
 def default_horizon(params: ValidatedParams, cap: int = HORIZON_CAP) -> int:
     """Periods needed so the slowest trader's discount tail drops below DEFAULT_TAIL_TOL."""
-    if params.dt == 0.0:
-        raise ValueError("simulation requires dt > 0")
+    _check_args(params)
     per = 1.0 - min(t.rho for t in params.traders) * params.dt
     n = math.ceil(math.log(DEFAULT_TAIL_TOL) / math.log(per))
     if n > cap:
@@ -516,8 +520,7 @@ def simulate(
     that would exceed ``max_floats`` doubles. For large-sample estimates of
     a single trader's objective use ``simulate_objective``, which streams.
     """
-    pairs, horizon = _checked_game(eq, strategies, params, horizon)
-    _check_rng_args(seed, first_path, n_paths)
+    pairs, horizon = _checked_game(eq, strategies, params, None, horizon, seed, first_path, n_paths)
     coefs = [row for row, _ in pairs]
     k = params.k
     n_floats = n_paths * (4 * horizon + k * (2 * (horizon + 1) + 2 * horizon + 1))
@@ -590,6 +593,7 @@ def estimate_objective(
 ) -> Estimate:
     """Discounted objective of one trader, averaged over the batch paths."""
     params = batch.params
+    _check_args(params, trader_index)
     rho = params.traders[trader_index].rho
     _check_tail(rho, params.dt, batch.horizon, tail_tol)
     disc = np.cumprod(np.full(batch.horizon, 1.0 - rho * params.dt))
@@ -599,6 +603,7 @@ def estimate_objective(
 
 def mark_to_market(batch: PathBatch, trader_index: int) -> Estimate:
     """Discounted inventory-times-signal-move sum; zero in expectation."""
+    _check_args(batch.params, trader_index)
     return _Stat().add(batch.mtm_discounted[:, trader_index]).estimate()
 
 
@@ -629,10 +634,7 @@ def simulate_objective(
     only per-path reductions are kept, so horizon and paths can both be
     large.
     """
-    pairs, horizon = _checked_game(eq, strategies, params, horizon)
-    if not 0 <= trader_index < params.k:
-        raise ValueError(f"trader index {trader_index} out of range for k={params.k}")
-    _check_rng_args(seed, first_path, n_paths)
+    pairs, horizon = _checked_game(eq, strategies, params, trader_index, horizon, seed, first_path, n_paths)
     _check_tail(params.traders[trader_index].rho, params.dt, horizon, tail_tol)
 
     i = trader_index
@@ -757,6 +759,7 @@ def inventory_second_moment(
     eq: Equilibrium, trader_index: int, params: ValidatedParams, n: int, M0: float = 0.0
 ) -> float:
     """E[M_n^2] for trader ``trader_index``'s prediction recursion M' = (1 - phi) M + beta dS."""
+    _check_args(params, trader_index)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     beta, phi = eq.betas[trader_index], eq.phis[trader_index]
@@ -797,8 +800,8 @@ def simulate_second_moment(
     checkpoints = sorted(set(int(n) for n in checkpoints))
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("checkpoints must be positive periods")
-    _check_rng_args(seed, 0, n_paths)
     horizon = checkpoints[-1]
+    _check_args(params, trader_index, (horizon, seed, 0, n_paths))
     beta, phi = eq.betas[trader_index], eq.phis[trader_index]
     m0 = params.traders[trader_index].initial_inventory
     scale = params.sigma_S * math.sqrt(params.dt)
@@ -873,15 +876,12 @@ def _sweep(eq, params, trader_index, specs, *, n_paths, horizon, seed, stats=Non
     specs = tuple(specs)
     if not specs:
         raise ValueError("need at least one strategy")
-    if not 0 <= trader_index < params.k:
-        raise ValueError(f"trader index {trader_index} out of range for k={params.k}")
+    _check_args(params, trader_index, (horizon, seed, 0, n_paths))
     i = trader_index
     rows = [_coefficients(spec, eq, i) for spec in specs]
     reference_index = next((r for r, spec in enumerate(specs) if spec.kind == "equilibrium"), None)
     if reference_index is None:
         raise ValueError("include an equilibrium row to serve as the reference")
-    _check_horizon(horizon)
-    _check_rng_args(seed, 0, n_paths)
 
     others = [_coefficients(StrategySpec(), eq, j)[0] for j in range(params.k)]
     obj_stats = [_Stat() for _ in specs]

@@ -1,14 +1,17 @@
 """Equilibrium solvers for the discrete insider trading game.
 
-The monopolist's signal loading solves a quartic with a unique admissible
-root at or below the volatility ratio sigma_K/sigma_S. With k traders the
-aggregate loading solves a one-dimensional fixed point: at a conjectured
-aggregate each trader's best response is written through its decay rate
-phi_i, the positive root of a quadratic taken without subtraction, and the
-aggregate must equal the sum of the implied loadings. A proportional
-transaction tax deforms the quadratic but keeps the same structure and the
-same unique positive root, so a taxed game is solved directly at its tax
-rate, like an untaxed one.
+With k traders the aggregate loading solves a one-dimensional fixed point:
+at a conjectured aggregate each trader's best response is written through
+its decay rate phi_i, the positive root of a quadratic taken without
+subtraction, and the aggregate must equal the sum of the implied loadings.
+A proportional transaction tax deforms the quadratic but keeps the same
+structure and the same unique positive root, so a taxed game is solved
+directly at its tax rate, like an untaxed one. The same fixed point covers
+the monopolist, the k = 1 game, whose loading is also the admissible root
+of a quartic at or below the volatility ratio sigma_K/sigma_S; the quartic
+residual certifies it. It also covers the continuous-trading limit dt = 0,
+where every decay rate is exactly 0 and the aggregate solves
+t (t + 2c (r + t^2)) = k r.
 
 All root finding is one safeguarded Newton iteration on a sign-changing
 bracket: a step that would leave the bracket is replaced by bisection, so
@@ -204,8 +207,11 @@ def _require_untaxed_monopoly(params: ValidatedParams, op: str) -> None:
 def solve_monopoly_beta(params: ValidatedParams) -> float:
     """Admissible root of the monopolist's quartic, in (0, sigma_K/sigma_S].
 
-    At dt == 0 the quartic degenerates to a double root at the volatility
-    ratio, which is returned directly.
+    This is the k = 1 equilibrium's aggregate loading, found by the general
+    fixed point and certified by the quartic residual. The quartic is not
+    solved itself: near its double root at the volatility ratio, which it
+    approaches as dt -> 0, its value falls below its own rounding error.
+    At dt == 0 the double root is returned directly.
     """
     _require_untaxed_monopoly(params, "solve_monopoly_beta")
     m = params.sigma_K / params.sigma_S
@@ -215,13 +221,7 @@ def solve_monopoly_beta(params: ValidatedParams) -> float:
     g = params.traders[0].gamma
     rho = params.traders[0].rho
     dt = params.dt
-
-    def f(b):
-        return _quartic(b, r, g, rho, dt), _quartic_prime(b, r, g, rho, dt)
-
-    # f(0+) = r^2 > 0 and f(m) = -2 m g dt r^2 < 0, so the bracket always holds.
-    lo = 1e-12 * m
-    root, _, _ = _newton(f, lo, m, m, f(lo)[0], f(m)[0])
+    root = _solve_fixed_point(params)[0]
     residual = abs(_quartic(root, r, g, rho, dt))
     if residual > QUARTIC_RESIDUAL_TOL * _quartic_scale(root, r, g, rho, dt):
         raise ConstraintViolated("quartic_residual", f"|residual| = {residual!r} at beta = {root!r}")
@@ -247,8 +247,14 @@ def monopoly_quartic_roots(params: ValidatedParams) -> QuarticRoots:
     def f(b):
         return _quartic(b, r, g, rho, dt), _quartic_prime(b, r, g, rho, dt)
 
+    # f(m) = -2 m g dt r^2 < 0 exactly, but it rounds to >= 0 once m g dt
+    # is below the quartic's rounding error; the roots straddling m then
+    # cannot be told apart.
+    f_m = f(m)[0]
+    if not f_m < 0.0:
+        raise RootsNotSeparated(f"the quartic rounds to {f_m!r} >= 0 at the volatility ratio {m!r}")
     hi, f_hi = _expand(f, 2.0 * m, 2.0, -1.0, "second quartic root not bracketed")
-    second, _, _ = _newton(f, m, hi, m, f(m)[0], f_hi)
+    second, _, _ = _newton(f, m, hi, m, f_m, f_hi)
     if not (second > first) or (second - first) <= BRACKET_WIDTH_REL * m * 4:
         raise RootsNotSeparated(f"roots {first!r} and {second!r} are not numerically distinct")
     _, phis2, _ = pricing_from_beta(second, (second,), params)
@@ -390,34 +396,15 @@ def validate_equilibrium(eq: Equilibrium, params: ValidatedParams) -> None:
             raise ConstraintViolated("mu_formula", f"trader {i}")
 
 
-def _aggregate_closed_form(params: ValidatedParams) -> float:
-    """dt == 0 aggregate loading; with tax c it solves t (t + 2c (r + t^2)) = k r."""
-    r = params.vol_ratio_sq
-    k = params.k
-    c = params.tax
-    target = k * r
-    if c == 0.0:
-        return math.sqrt(k) * (params.sigma_K / params.sigma_S)
-
-    def f(t):
-        return t * (t + 2.0 * c * (r + t * t)) - target, 2.0 * t + 2.0 * c * (r + 3.0 * t * t)
-
-    hi, f_hi = _expand(f, math.sqrt(target) + 1.0, 2.0, -1.0, "dt = 0 aggregate loading not bracketed")
-    return _newton(f, 1e-300, hi, max(1.0, hi), f(1e-300)[0], f_hi)[0]
-
-
 def _solve_fixed_point(params: ValidatedParams):
     """Solve sum_i beta_i(beta_sigma) = beta_sigma at the tax rate params.tax.
 
-    Returns the root, the Newton steps, the final bracket and the
-    monotone-excess witness samples.
+    Covers every k and dt >= 0: at dt = 0 every decay rate is 0 and each
+    loading is r/P, so the root solves t (t + 2c (r + t^2)) = k r. Returns
+    the root, the Newton steps, the final bracket and the monotone-excess
+    witness samples.
     """
     m = params.sigma_K / params.sigma_S
-
-    if params.dt == 0.0:
-        bs = _aggregate_closed_form(params)
-        return bs, 0, (bs, bs), ()
-
     h = _responses(params, params.tax)
     hi, h_hi = _expand(h, math.sqrt(params.k) * m + m, 2.0, 1.0, "aggregate fixed point not bracketed above")
     lo, h_lo = _expand(h, 1e-12 * m, 0.5, -1.0, "aggregate fixed point not bracketed below")

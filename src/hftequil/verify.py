@@ -243,6 +243,12 @@ def _max_z_gate(sigmas: float, m: int) -> float:
     return normal.inv_cdf(1.0 - (1.0 - normal.cdf(sigmas)) / m)
 
 
+def _z_check(name, estimate, target, std_error, sigmas, detail=""):
+    """One Monte Carlo estimate held to its target within ``sigmas`` standard errors."""
+    value = abs(estimate - target) / std_error
+    return CheckResult(name, value <= sigmas, value, sigmas, detail=detail)
+
+
 def _mc_checks(eq, params, coeff_list, tol, paths, seed, mc_horizon):
     results = []
     sig = tol.mc_sigmas
@@ -252,24 +258,12 @@ def _mc_checks(eq, params, coeff_list, tol, paths, seed, mc_horizon):
     )
 
     profit = stats.check()
-    value = abs(profit.profit.mean) / profit.profit.std_error
+    mean, se = profit.profit.mean, profit.profit.std_error
+    results.append(_z_check("zero_profit_mc", mean, 0.0, se, sig, f"mean={mean!r} se={se!r}"))
     results.append(
-        CheckResult(
-            "zero_profit_mc",
-            value <= sig,
-            value,
-            sig,
-            detail=f"mean={profit.profit.mean!r} se={profit.profit.std_error!r}",
-        )
-    )
-    value = abs(profit.slope - eq.lam) / profit.slope_se
-    results.append(
-        CheckResult(
-            "impact_regression_mc",
-            value <= sig,
-            value,
-            sig,
-            detail=f"slope={profit.slope!r} lambda={eq.lam!r}",
+        _z_check(
+            "impact_regression_mc", profit.slope, eq.lam, profit.slope_se, sig,
+            f"slope={profit.slope!r} lambda={eq.lam!r}",
         )
     )
 
@@ -284,8 +278,7 @@ def _mc_checks(eq, params, coeff_list, tol, paths, seed, mc_horizon):
     results.append(CheckResult("moment_formula_mc", worst <= gate, worst, gate))
 
     mtm = stats.mtm.estimate()
-    value = abs(mtm.mean) / mtm.std_error
-    results.append(CheckResult("mark_to_market_mc", value <= sig, value, sig))
+    results.append(_z_check("mark_to_market_mc", mtm.mean, 0.0, mtm.std_error, sig))
 
     if coeff_list is not None:
         try:
@@ -298,16 +291,8 @@ def _mc_checks(eq, params, coeff_list, tol, paths, seed, mc_horizon):
             )
             coeffs = coeff_list[0]
             target = -0.5 * coeffs.A * m0**2 + 0.5 * coeffs.B * params.sigma_S**2 * params.dt + coeffs.D
-            value = abs(res.objective.mean - target) / res.objective.std_error
-            results.append(
-                CheckResult(
-                    "objective_value_mc",
-                    value <= sig,
-                    value,
-                    sig,
-                    detail=f"mc={res.objective.mean!r} target={target!r}",
-                )
-            )
+            mc, se = res.objective.mean, res.objective.std_error
+            results.append(_z_check("objective_value_mc", mc, target, se, sig, f"mc={mc!r} target={target!r}"))
 
     ok = sweep.best_index == sweep.reference_index and sweep.reference_dominates(slack=sig)
     results.append(

@@ -159,6 +159,55 @@ class TestIntegerArguments:
             simulate_second_moment(self.eq, 0, self.p, [1, 3], n_paths=bad, seed=1)
 
 
+def _entry_points(eq, p, i):
+    """Every simulator entry point that takes a trader index, called for trader i."""
+    rows = [StrategySpec.equilibrium(), StrategySpec.with_z(0.5, 1.0), StrategySpec.scaled(beta_scale=0.9)]
+    return {
+        "simulate_objective": lambda: simulate_objective(eq, None, p, i, n_paths=4, horizon=3, tail_tol=None),
+        "deviation_sweep": lambda: deviation_sweep(eq, p, i, rows, n_paths=4, horizon=3),
+        "simulate_second_moment": lambda: simulate_second_moment(eq, i, p, [1, 2], n_paths=4),
+        "inventory_second_moment": lambda: inventory_second_moment(eq, i, p, 3),
+    }
+
+
+class TestEntryPointRefusals:
+    """The game needs dt > 0 and a trader index in [0, k); every entry point
+    refuses anything else with a ValueError instead of answering."""
+
+    NAMES = ("simulate_objective", "deviation_sweep", "simulate_second_moment", "inventory_second_moment")
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_dt_zero(self, name):
+        p = make_params(k=2, dt=0.0)
+        eq, _ = solve_nash(p)
+        with pytest.raises(ValueError, match="dt > 0"):
+            _entry_points(eq, p, 0)[name]()
+
+    def test_simulate_at_dt_zero(self):
+        p = make_params(k=2, dt=0.0)
+        eq, _ = solve_nash(p)
+        with pytest.raises(ValueError, match="dt > 0"):
+            simulate(eq, None, p, n_paths=4, horizon=3)
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_index_out_of_range(self, name, index):
+        p = make_params(k=2, dt=0.01)
+        eq, _ = solve_nash(p)
+        with pytest.raises(ValueError, match="out of range"):
+            _entry_points(eq, p, index)[name]()
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_batch_reductions_index_out_of_range(self, index):
+        p = make_params(k=2, dt=0.01)
+        eq, _ = solve_nash(p)
+        batch = simulate(eq, None, p, n_paths=4, horizon=3)
+        with pytest.raises(ValueError, match="out of range"):
+            estimate_objective(batch, index, tail_tol=None)
+        with pytest.raises(ValueError, match="out of range"):
+            mark_to_market(batch, index)
+
+
 class TestHandRolledRecursion:
     def test_every_series_matches_a_python_loop(self):
         p = make_params(k=2, dt=0.01, gammas=[1.0, 2.0], rhos=[0.05, 0.1], l0=[0.5, -0.25], tax=1e-3)

@@ -40,6 +40,18 @@ MONO_BETA_DT004 = 0.95630247438115536323
 MONO_LAMBDA_DT004 = 0.49950131643753598235
 MONO_PHI_DT004 = 0.08548557749247969019
 
+# sigma_S = 0.28368333194319617, sigma_K = 3.1603578189831494e-06,
+# gamma = 0.04805584005190545, rho = 0.0997591218592117, dt = 2.6445241972596937e-11:
+# m gamma dt is below the quartic's rounding error, so it rounds to >= 0 at m
+TINY_DT_MARKET = dict(
+    sigma_S=0.28368333194319617,
+    sigma_K=3.1603578189831494e-06,
+    gamma=0.04805584005190545,
+    rho=0.0997591218592117,
+    dt=2.6445241972596937e-11,
+)
+TINY_DT_BETA = 1.1140442369062196589e-05
+
 # sigma_S = 1, sigma_K = 2, gamma = 0.5, dt = 0.004
 SCALED_ROOTS_DT004 = (1.9126049487623107265, 2.0915978821024168792)
 
@@ -99,6 +111,12 @@ class TestMonopolyQuartic:
         # beta(m*sigma, gamma) = m * beta(sigma, gamma*m) for the quartic
         p = make_params(dt=0.01, sigma_K=2.0, gamma=0.5)
         assert solve_monopoly_beta(p) == pytest.approx(2.0 * MONO_BETA_DT01, rel=REL)
+
+    def test_beta_where_the_quartic_rounds_away_its_sign(self):
+        p = make_params(**TINY_DT_MARKET)
+        assert solve_monopoly_beta(p) == pytest.approx(TINY_DT_BETA, rel=REL)
+        with pytest.raises(RootsNotSeparated):
+            monopoly_quartic_roots(p)
 
     def test_roots_not_separated_at_dt_zero(self):
         with pytest.raises(RootsNotSeparated):
@@ -455,3 +473,33 @@ def test_quartic_residual_is_tiny_at_reported_root(dt, gamma, sigma_K):
     r = p.vol_ratio_sq
     res = abs(_quartic(beta, r, gamma, 0.05, dt))
     assert res <= 1e-12 * _quartic_scale(beta, r, gamma, 0.05, dt)
+
+
+@given(
+    log_dt=st.floats(math.log(1e-11), math.log(0.3)),
+    log_ratio=st.floats(-12.0, 12.0),
+    gamma=st.floats(0.05, 20.0),
+    rho=st.floats(0.01, 1.0),
+)
+def test_monopoly_beta_is_the_single_trader_aggregate(log_dt, log_ratio, gamma, rho):
+    """The monopolist's loading is the k = 1 game's aggregate, bit for bit,
+    down to time steps where the quartic cannot resolve its own sign."""
+    p = make_params(dt=math.exp(log_dt), gamma=gamma, rho=rho, sigma_K=math.exp(log_ratio))
+    eq, _ = solve_nash(p)
+    assert solve_monopoly_beta(p) == eq.beta_sigma
+
+
+@given(
+    k=st.integers(1, 100),
+    log_ratio=st.floats(-9.0, 9.0),
+    log_tax=st.floats(-12.0, 5.0),
+)
+def test_taxed_limit_solves_the_aggregate_equation(k, log_ratio, log_tax):
+    """At dt = 0 every decay rate is 0 and every loading r/P, so the taxed
+    aggregate t solves t (t + 2c (r + t^2)) = k r."""
+    m = math.exp(log_ratio)
+    p = make_params(k=k, dt=0.0, sigma_K=m, tax=math.exp(log_tax) / m)
+    eq, _ = solve_taxed(p)
+    t, c, r = eq.beta_sigma, p.tax, p.vol_ratio_sq
+    assert abs(t * (t + 2.0 * c * (r + t * t)) - k * r) <= 1e-14 * k * r
+    assert eq.phis == (0.0,) * k
