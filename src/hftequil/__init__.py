@@ -43,7 +43,6 @@ from .asymptotics import (
     Expansion,
     InfeasiblePoint,
     convergence_order,
-    monopoly_expansions,
     nash_expansions,
 )
 from .value import (

@@ -1,18 +1,26 @@
 """Small time-step behaviour of the equilibrium coefficients.
 
-Every coefficient converges as dt -> 0 and the leading correction is of
-order sqrt(dt), except the single-trader price impact whose sqrt(dt) term
-cancels and whose first correction is linear in dt. ``convergence_order``
-measures the empirical rate at which the truncated expansion tracks the
-exact solve over a dt grid, which is the standard way to confirm both the
+Write eps = sqrt(dt). Every coefficient is a smooth function of eps near
+the continuous-trading limit eps = 0, so its expansion to order sqrt(dt)
+is its value and its eps-derivative there. Both come from the aggregate
+fixed point h(t; eps) = (r/t) sum_i (1 - phi_i) - t = 0 that the solver
+solves, with r = (sigma_K/sigma_S)^2: at eps = 0 every decay rate is 0 and
+t^2 = k r, each decay rate starts as phi_i = a_i eps, implicit
+differentiation of h gives the aggregate's slope t' in eps, and the chain
+rule carries t' through the pricing identities and the value
+coefficients. The
+single-trader price impact is the exception: its sqrt(dt) term cancels
+and its first correction, linear in dt, is the one term written by hand.
+``convergence_order`` measures the empirical rate at which the truncated
+expansion tracks the exact solve over a dt grid, which confirms both the
 solver and the coefficients at once.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .model import ValidatedParams
+from .model import ValidatedParams, _check_trader_index
 from .solver import solve_nash
 
 __all__ = [
@@ -20,7 +28,6 @@ __all__ = [
     "ConvergencePoint",
     "InfeasiblePoint",
     "ConvergenceTable",
-    "monopoly_expansions",
     "nash_expansions",
     "convergence_order",
     "CONVERGENCE_QUANTITIES",
@@ -44,12 +51,7 @@ class Expansion:
         return self.limit + self.half_order_coeff * math.sqrt(dt) + self.dt_coeff * dt
 
     def to_dict(self) -> dict:
-        return {
-            "limit": self.limit,
-            "half_order_coeff": self.half_order_coeff,
-            "dt_coeff": self.dt_coeff,
-            "remainder": self.remainder,
-        }
+        return asdict(self)
 
 
 def _require_untaxed(params: ValidatedParams, op: str) -> None:
@@ -57,111 +59,62 @@ def _require_untaxed(params: ValidatedParams, op: str) -> None:
         raise ValueError(f"{op} covers the untaxed game only, got tax={params.tax!r}")
 
 
-def monopoly_expansions(params: ValidatedParams) -> dict[str, Expansion]:
-    """Single-trader expansions, keyed beta, lambda, phi, mu, A, B, C, D.
-
-    The k = 1 entries of ``nash_expansions``, one Expansion each instead of
-    a one-entry tuple, without beta_sigma, which equals beta. A through D
-    are the value function coefficients on M^2, dS^2, M dS and the
-    constant, in that order. The lambda entry is the only one with a known
-    dt-order coefficient; its sqrt(dt) term vanishes identically.
-    """
-    _require_untaxed(params, "monopoly_expansions")
-    if params.k != 1:
-        raise ValueError(f"monopoly_expansions requires k=1, got k={params.k}")
-    return {
-        key: value[0] if isinstance(value, tuple) else value
-        for key, value in nash_expansions(params).items()
-        if key != "beta_sigma"
-    }
-
-
 def nash_expansions(params: ValidatedParams) -> dict:
-    """Per-trader expansions for the k-trader game.
+    """Per-trader expansions for the k-trader game, derived at eps = sqrt(dt) = 0.
 
     Keys beta, phi, mu, A, B, C, D map to tuples with one Expansion per
-    trader; beta_sigma and lambda are scalars. Heterogeneity enters through
-    each trader's own gamma and through the mean root inventory aversion
-    gbar = (1/k) sum_j sqrt(gamma_j). At k=1 the lambda entry also carries
-    a dt coefficient, which is only known in the single-trader case;
-    ``monopoly_expansions`` is this table's k=1 view.
+    trader; beta_sigma and lambda are scalars. A through D are the value
+    function coefficients on M^2, dS^2, M dS and the constant.
+
+    With t = beta_sigma(0) = sqrt(k r), the limits are beta_i = r/t,
+    lambda = t/((1 + k) r), eta = 1 - lambda t = 1/(1 + k) and phi_i = 0.
+    Each decay rate starts as phi_i = a_i eps with a_i^2 = gamma_i (t^2 + r)/t,
+    the leading term of the solver's root 2s/(w + q). The excess h has
+    slope -2 in t at eps = 0, so t' = -(r/2t) sum_i a_i, and the other
+    sqrt(dt) coefficients follow by the chain rule through
+    beta_i = (r/t)(1 - phi_i), lambda = t/(r + t^2), mu_i = lambda phi_i
+    and ``value_coefficients``' expressions for A to D. At k = 1 the
+    sqrt(dt) term of lambda vanishes and its dt coefficient -gamma/8 is
+    the one hand-derived term, which only the single-trader case has.
     """
     _require_untaxed(params, "nash_expansions")
-    sS = params.sigma_S
-    sK = params.sigma_K
+    # x0 is a limit and x1 its sqrt(dt) coefficient; t1 is t'
+    r = params.vol_ratio_sq
     k = params.k
-    m = sK / sS
-    m12 = math.sqrt(m)
-    m32 = m * m12
-    ratio = sS / sK
-    sqrt_ratio = math.sqrt(ratio)
-    gbar = sum(math.sqrt(t.gamma) for t in params.traders) / k
-    sqk = math.sqrt(k)
-    kq = k**0.25
-    k34 = k**0.75
-    opk = 1.0 + k
-    sopk = math.sqrt(opk)
-
-    beta = tuple(
-        Expansion(
-            m / sqk,
-            -(sopk / (2.0 * k34)) * (2.0 * math.sqrt(t.gamma) - gbar) * m32,
-        )
-        for t in params.traders
-    )
-    beta_sigma = Expansion(sqk * m, -(sopk / (2.0 * k34)) * k * gbar * m32)
+    t = math.sqrt(k * r)
+    a = [math.sqrt(tr.gamma * (t * t + r) / t) for tr in params.traders]
+    beta0 = r / t
+    t1 = -0.5 * beta0 * sum(a)
+    lam0 = t / ((1.0 + k) * r)
+    eta0 = 1.0 / (1.0 + k)
+    # lambda'(t) = (1 - k)/((1 + k)^2 r), times t1 <= 0 written as (k - 1) (-t1): +0.0 at k = 1
+    lam1 = (k - 1) * -t1 / ((1.0 + k) ** 2 * r)
+    eta1 = -(lam1 * t + lam0 * t1)
+    B0 = 2.0 * beta0 * eta0
+    rows = []
+    for tr, ai in zip(params.traders, a):
+        beta1 = -t1 / k - beta0 * ai
+        A1 = tr.gamma / (2.0 * ai)
+        B1 = 2.0 * (beta1 * eta0 + beta0 * eta1) - beta0 * beta0 * A1
+        d_scale = params.sigma_S**2 / (2.0 * tr.rho)
+        rows.append((
+            (beta0, beta1), (0.0, ai), (0.0, lam0 * ai), (0.0, A1), (B0, B1),
+            (0.0, beta0 * A1 + ai * eta0), (B0 * d_scale, B1 * d_scale),
+        ))
+    beta, phi, mu, A, B, C, D = (tuple(Expansion(*c) for c in col) for col in zip(*rows))
     lam = Expansion(
-        (sqk / opk) * ratio,
-        (kq * (k - 1.0) / (2.0 * opk**1.5)) * gbar * sqrt_ratio,
+        lam0,
+        lam1,
         dt_coeff=-params.traders[0].gamma / 8.0 if k == 1 else 0.0,
         remainder="O(dt^(3/2))" if k == 1 else "O(dt)",
     )
-    phi = tuple(
-        Expansion(0.0, (sopk / kq) * math.sqrt(t.gamma) * m12) for t in params.traders
-    )
-    mu = tuple(
-        Expansion(0.0, (kq / sopk) * math.sqrt(t.gamma) * sqrt_ratio)
-        for t in params.traders
-    )
-    A = tuple(
-        Expansion(0.0, (kq / (2.0 * sopk)) * math.sqrt(t.gamma) * sqrt_ratio)
-        for t in params.traders
-    )
-    B = tuple(
-        Expansion(
-            2.0 * m / (sqk * opk),
-            (1.0 / (2.0 * k34 * opk**1.5))
-            * ((2.0 + 6.0 * k) * gbar - 5.0 * opk * math.sqrt(t.gamma))
-            * m32,
-        )
-        for t in params.traders
-    )
-    C = tuple(
-        Expansion(0.0, (1.5 / (kq * sopk)) * math.sqrt(t.gamma) * m12)
-        for t in params.traders
-    )
-    D = tuple(
-        Expansion(
-            sS * sK / (sqk * opk * t.rho),
-            (1.0 / (4.0 * k34 * opk**1.5))
-            * ((2.0 + 6.0 * k) * gbar - 5.0 * opk * math.sqrt(t.gamma))
-            * math.sqrt(sS)
-            * sK**1.5
-            / t.rho,
-        )
-        for t in params.traders
-    )
-    return {
-        "beta": beta,
-        "beta_sigma": beta_sigma,
-        "lambda": lam,
-        "phi": phi,
-        "mu": mu,
-        "A": A,
-        "B": B,
-        "C": C,
-        "D": D,
-    }
+    return {"beta": beta, "beta_sigma": Expansion(t, t1), "lambda": lam,
+            "phi": phi, "mu": mu, "A": A, "B": B, "C": C, "D": D}
+
+
+def _pick(value, trader: int):
+    """The trader's entry of a per-trader tuple; a scalar as it is."""
+    return value[trader] if isinstance(value, tuple) else value
 
 
 @dataclass(frozen=True)
@@ -212,10 +165,8 @@ def convergence_order(
     if quantity not in CONVERGENCE_QUANTITIES:
         raise ValueError(f"quantity must be one of {CONVERGENCE_QUANTITIES}, got {quantity!r}")
     _require_untaxed(params, "convergence_order")
-    if not 0 <= trader < params.k:
-        raise ValueError(f"trader index {trader} out of range for k={params.k}")
-    exps = nash_expansions(params)
-    expn = exps[quantity] if quantity in ("beta_sigma", "lambda") else exps[quantity][trader]
+    _check_trader_index(trader, params.k)
+    expn = _pick(nash_expansions(params)[quantity], trader)
     rho_max = max(t.rho for t in params.traders)
     points: list[ConvergencePoint] = []
     skipped: list[InfeasiblePoint] = []
@@ -229,16 +180,8 @@ def convergence_order(
             skipped.append(InfeasiblePoint(dt, f"rho*dt = {rho_max * dt!r} leaves no discounting room"))
             continue
         eq, _ = solve_nash(params.with_dt(dt))
-        if quantity == "beta":
-            exact = eq.betas[trader]
-        elif quantity == "beta_sigma":
-            exact = eq.beta_sigma
-        elif quantity == "lambda":
-            exact = eq.lam
-        elif quantity == "phi":
-            exact = eq.phis[trader]
-        else:
-            exact = eq.mus[trader]
+        exact = _pick({"beta": eq.betas, "beta_sigma": eq.beta_sigma, "lambda": eq.lam,
+                       "phi": eq.phis, "mu": eq.mus}[quantity], trader)
         approx = expn.evaluate(dt)
         err = abs(exact - approx)
         order = None

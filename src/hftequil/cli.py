@@ -321,8 +321,6 @@ def run_tax_sweep(args: argparse.Namespace, params: ValidatedParams) -> int:
 
 
 def run_simulate(args: argparse.Namespace, params: ValidatedParams) -> int:
-    if params.dt == 0.0:
-        raise ConfigError("simulate requires dt > 0")
     horizon = args.horizon
     if horizon is None:
         try:

@@ -84,6 +84,12 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _check_trader_index(trader_index, k: int) -> None:
+    """Refuse an index outside [0, k): -1 would silently name the last trader."""
+    if not 0 <= trader_index < k:
+        raise ValueError(f"trader index {trader_index} out of range for k={k}")
+
+
 def check_params(params: MarketParams) -> list[Violation]:
     """Collect every violated constraint; an empty list means valid."""
     out: list[Violation] = []

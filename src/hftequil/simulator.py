@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ValidatedParams
+from .model import ValidatedParams, _check_trader_index
 from .solver import Equilibrium
 
 __all__ = [
@@ -232,8 +232,8 @@ def _check_args(params: ValidatedParams, trader_index=None, run=None) -> None:
     """
     if params.dt == 0.0:
         raise ValueError("simulation requires dt > 0")
-    if trader_index is not None and not 0 <= trader_index < params.k:
-        raise ValueError(f"trader index {trader_index} out of range for k={params.k}")
+    if trader_index is not None:
+        _check_trader_index(trader_index, params.k)
     if run is None:
         return
     horizon, seed, first_path, n_paths = run
@@ -778,6 +778,7 @@ def inventory_second_moment(
 
 def inventory_is_bounded(eq: Equilibrium, trader_index: int) -> bool:
     """Second moment stays bounded iff the decay rate lies strictly in (0, 2)."""
+    _check_trader_index(trader_index, eq.k)
     return 0.0 < eq.phis[trader_index] < 2.0
 
 

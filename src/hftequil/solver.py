@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ValidatedParams
+from .model import ValidatedParams, _check_trader_index
 
 __all__ = [
     "Equilibrium",
@@ -353,6 +353,7 @@ def nash_best_response_beta(beta_sigma: float, trader_index: int, params: Valida
     """
     if beta_sigma <= 0:
         raise ValueError(f"beta_sigma must be positive, got {beta_sigma!r}")
+    _check_trader_index(trader_index, params.k)
     return _trader_responses(beta_sigma, params)[0][trader_index]
 
 

@@ -10,11 +10,11 @@ each period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import ValidatedParams
+from .model import ValidatedParams, _check_trader_index
 from .solver import ConstraintViolated, Equilibrium
 
 __all__ = [
@@ -52,17 +52,7 @@ class ValueCoefficients:
     eta: float
 
     def to_dict(self) -> dict:
-        return {
-            "A": self.A,
-            "B": self.B,
-            "C": self.C,
-            "D": self.D,
-            "E": self.E,
-            "zeta": self.zeta,
-            "F": self.F,
-            "G": self.G,
-            "eta": self.eta,
-        }
+        return asdict(self)
 
 
 def value_coefficients(
@@ -83,8 +73,7 @@ def value_coefficients(
         raise ValueError("value coefficients are defined for dt > 0 only")
     if params.tax != 0.0 or eq.tax != 0.0:
         raise ValueError("value coefficients cover the untaxed game only")
-    if not 0 <= trader_index < params.k:
-        raise ValueError(f"trader index {trader_index} out of range for k={params.k}")
+    _check_trader_index(trader_index, params.k)
     t = params.traders[trader_index]
     g, rho, dt = t.gamma, t.rho, params.dt
     disc = 1.0 - rho * dt
@@ -126,7 +115,7 @@ def value_coefficients(
         raise ConstraintViolated("value_invariant", f"F + gamma dt = {F + gdt!r} vs {link!r}")
     G = disc * (-beta * (1.0 - zeta) * (F + gdt) + zeta * (lam * beta - eta))
     coeffs = ValueCoefficients(A=A, B=B, C=C, D=D, E=E, zeta=zeta, F=F, G=G, eta=eta)
-    bad = {name: x for name, x in coeffs.to_dict().items() if not math.isfinite(x)}
+    bad = {name: x for name, x in vars(coeffs).items() if not math.isfinite(x)}
     if bad:
         raise ConstraintViolated("value_finite", f"non-finite {bad!r}")
     return coeffs
@@ -160,6 +149,7 @@ def dpe_rhs(
     The flow nets out the noise term, whose product with the trade has zero
     mean, so this is the exact conditional expectation given (M, dS, Z, dZ).
     """
+    _check_trader_index(trader_index, params.k)
     t = params.traders[trader_index]
     gdt = t.gamma * params.dt
     beta = eq.betas[trader_index]
@@ -190,6 +180,7 @@ def dpe_argmax(
     Z,
 ):
     """Exact maximiser of dpe_rhs in dZ, from the first-order condition."""
+    _check_trader_index(trader_index, params.k)
     t = params.traders[trader_index]
     gdt = t.gamma * params.dt
     beta = eq.betas[trader_index]
@@ -209,6 +200,7 @@ def dpe_argmax(
 
 def stationary_inventory_std(eq: Equilibrium, trader_index: int, params: ValidatedParams) -> float:
     """Standard deviation of the trader's predicted inventory in steady state."""
+    _check_trader_index(trader_index, params.k)
     phi = eq.phis[trader_index]
     # 1 - (1 - phi)^2, without cancellation at small phi
     gap = phi * (2.0 - phi)

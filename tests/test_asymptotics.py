@@ -8,12 +8,13 @@ would fall far outside the accepted bands.
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hftequil import (
     CONVERGENCE_QUANTITIES,
     Expansion,
     convergence_order,
-    monopoly_expansions,
     nash_expansions,
     solve_nash,
     value_coefficients,
@@ -25,42 +26,96 @@ SQ2 = math.sqrt(2.0)
 
 class TestMonopolyCoefficients:
     def test_unit_parameter_values(self):
-        exp = monopoly_expansions(make_params(dt=0.01))
-        assert exp["beta"].limit == pytest.approx(1.0, rel=1e-15)
-        assert exp["beta"].half_order_coeff == pytest.approx(-math.sqrt(0.5), rel=1e-15)
+        exp = nash_expansions(make_params(dt=0.01))
+        assert exp["beta"][0].limit == pytest.approx(1.0, rel=1e-15)
+        assert exp["beta"][0].half_order_coeff == pytest.approx(-math.sqrt(0.5), rel=1e-15)
         assert exp["lambda"].limit == pytest.approx(0.5, rel=1e-15)
         assert exp["lambda"].half_order_coeff == 0.0
         assert exp["lambda"].dt_coeff == pytest.approx(-0.125, rel=1e-15)
         assert exp["lambda"].remainder == "O(dt^(3/2))"
-        assert exp["phi"].limit == 0.0
-        assert exp["phi"].half_order_coeff == pytest.approx(SQ2, rel=1e-15)
-        assert exp["mu"].half_order_coeff == pytest.approx(math.sqrt(0.5), rel=1e-15)
-        assert exp["A"].half_order_coeff == pytest.approx(SQ2 / 4.0, rel=1e-15)
-        assert exp["B"].limit == pytest.approx(1.0, rel=1e-15)
-        assert exp["B"].half_order_coeff == pytest.approx(-SQ2 / 4.0, rel=1e-15)
-        assert exp["C"].half_order_coeff == pytest.approx(3.0 * SQ2 / 4.0, rel=1e-15)
-        assert exp["D"].limit == pytest.approx(10.0, rel=1e-15)
-        assert exp["D"].half_order_coeff == pytest.approx(-2.5 * SQ2, rel=1e-15)
+        assert exp["phi"][0].limit == 0.0
+        assert exp["phi"][0].half_order_coeff == pytest.approx(SQ2, rel=1e-15)
+        assert exp["mu"][0].half_order_coeff == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert exp["A"][0].half_order_coeff == pytest.approx(SQ2 / 4.0, rel=1e-15)
+        assert exp["B"][0].limit == pytest.approx(1.0, rel=1e-15)
+        assert exp["B"][0].half_order_coeff == pytest.approx(-SQ2 / 4.0, rel=1e-15)
+        assert exp["C"][0].half_order_coeff == pytest.approx(3.0 * SQ2 / 4.0, rel=1e-15)
+        assert exp["D"][0].limit == pytest.approx(10.0, rel=1e-15)
+        assert exp["D"][0].half_order_coeff == pytest.approx(-2.5 * SQ2, rel=1e-15)
 
-    def test_requires_single_untaxed_trader(self):
+    def test_requires_untaxed_game(self):
         with pytest.raises(ValueError):
-            monopoly_expansions(make_params(k=2, dt=0.01))
-        with pytest.raises(ValueError):
-            monopoly_expansions(make_params(dt=0.01, tax=1e-3))
+            nash_expansions(make_params(dt=0.01, tax=1e-3))
 
-    def test_nash_at_k1_matches_monopoly(self):
-        p = make_params(dt=0.01, gamma=1.7, rho=0.08, sigma_S=1.3, sigma_K=0.6)
-        mono = monopoly_expansions(p)
-        nash = nash_expansions(p)
-        assert nash["beta_sigma"] == mono["beta"]
-        assert nash["lambda"] == mono["lambda"]
-        for key in ("beta", "phi", "mu", "A", "B", "C", "D"):
-            got = nash[key][0]
-            want = mono[key]
-            assert got.limit == pytest.approx(want.limit, rel=1e-12, abs=1e-15)
-            assert got.half_order_coeff == pytest.approx(
-                want.half_order_coeff, rel=1e-12, abs=1e-15
-            )
+
+def _closed_forms(p):
+    """The paper's closed forms for the limits and sqrt(dt) coefficients.
+
+    Each entry is (limit terms, half-order terms) per trader, or one such
+    pair for beta_sigma and lambda; a value is the sum of its terms. With
+    m = sigma_K/sigma_S and gbar the mean of sqrt(gamma_j).
+    """
+    k = p.k
+    m = p.sigma_K / p.sigma_S
+    gbar = sum(math.sqrt(t.gamma) for t in p.traders) / k
+    sqk, kq, k34 = math.sqrt(k), k**0.25, k**0.75
+    opk = 1.0 + k
+    sopk = math.sqrt(opk)
+    roots = [math.sqrt(t.gamma) for t in p.traders]
+    beta_pre = -(sopk / (2.0 * k34)) * m**1.5
+    b_pre = m**1.5 / (2.0 * k34 * opk**1.5)
+    b_terms = [[b_pre * (2.0 + 6.0 * k) * gbar, -b_pre * 5.0 * opk * g] for g in roots]
+    d_scales = [p.sigma_S**2 / (2.0 * t.rho) for t in p.traders]
+    return {
+        "beta": [([m / sqk], [beta_pre * 2.0 * g, -beta_pre * gbar]) for g in roots],
+        "beta_sigma": ([sqk * m], [beta_pre * k * gbar]),
+        "lambda": ([sqk / (opk * m)], [kq * (k - 1.0) / (2.0 * opk**1.5) * gbar / math.sqrt(m)]),
+        "phi": [([0.0], [(sopk / kq) * g * math.sqrt(m)]) for g in roots],
+        "mu": [([0.0], [(kq / sopk) * g / math.sqrt(m)]) for g in roots],
+        "A": [([0.0], [(kq / (2.0 * sopk)) * g / math.sqrt(m)]) for g in roots],
+        "B": [([2.0 * m / (sqk * opk)], terms) for terms in b_terms],
+        "C": [([0.0], [(1.5 / (kq * sopk)) * g * math.sqrt(m)]) for g in roots],
+        "D": [
+            ([2.0 * m / (sqk * opk) * s], [x * s for x in terms])
+            for terms, s in zip(b_terms, d_scales)
+        ],
+    }
+
+
+def _matches(got, terms):
+    return abs(got - sum(terms)) <= 1e-12 * max(abs(x) for x in terms)
+
+
+@given(
+    k=st.integers(1, 30),
+    log_ratio=st.floats(-9.0, 9.0),
+    log_sigma_S=st.floats(-2.0, 2.0),
+    log_gammas=st.lists(st.floats(-4.6, 4.6), min_size=30, max_size=30),
+    log_rhos=st.lists(st.floats(-4.6, 1.0), min_size=30, max_size=30),
+)
+@example(k=1, log_ratio=0.0, log_sigma_S=0.0, log_gammas=[0.0] * 30, log_rhos=[-3.0] * 30)
+def test_derived_table_matches_closed_forms(k, log_ratio, log_sigma_S, log_gammas, log_rhos):
+    """The table derived at sqrt(dt) = 0 reproduces the hand-derived closed
+    forms in k, gamma_i, gbar and powers of sigma_K/sigma_S, each within
+    1e-12 of the largest term of its closed form."""
+    sigma_S = math.exp(log_sigma_S)
+    p = make_params(
+        dt=0.001,
+        gammas=[math.exp(x) for x in log_gammas[:k]],
+        rhos=[math.exp(x) for x in log_rhos[:k]],
+        sigma_S=sigma_S,
+        sigma_K=sigma_S * math.exp(log_ratio),
+    )
+    exp = nash_expansions(p)
+    for key, want in _closed_forms(p).items():
+        got = exp[key] if isinstance(exp[key], tuple) else (exp[key],)
+        want = want if isinstance(want, list) else [want]
+        assert len(got) == len(want)
+        for e, (limit, half) in zip(got, want):
+            assert _matches(e.limit, limit), (key, e.limit, limit)
+            assert _matches(e.half_order_coeff, half), (key, e.half_order_coeff, half)
+    if k == 1:
+        assert math.copysign(1.0, exp["lambda"].half_order_coeff) == 1.0
 
 
 class TestNashCoefficients:

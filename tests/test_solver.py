@@ -152,7 +152,7 @@ class TestBestResponse:
 
     def test_trader_index_out_of_range(self):
         p = make_params(dt=0.01)
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="out of range"):
             nash_best_response_beta(1.0, 1, p)
 
     def test_response_decreases_in_aggregate(self):

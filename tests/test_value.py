@@ -23,6 +23,8 @@ from hftequil import (
     dpe_residual,
     dpe_rhs,
     evaluate_value,
+    inventory_is_bounded,
+    nash_best_response_beta,
     run_verification,
     solve_nash,
     stationary_inventory_std,
@@ -227,6 +229,28 @@ class TestStationaryStd:
         fake2 = Equilibrium(betas=(0.9,), beta_sigma=0.9, lam=0.4, phis=(2.5,), mus=(1.0,), tax=0.0)
         with pytest.raises(ValueError):
             stationary_inventory_std(fake2, 0, p)
+
+
+TRADER_INDEXED = {
+    "nash_best_response_beta": lambda eq, cs, i, p: nash_best_response_beta(eq.beta_sigma, i, p),
+    "inventory_is_bounded": lambda eq, cs, i, p: inventory_is_bounded(eq, i),
+    "stationary_inventory_std": lambda eq, cs, i, p: stationary_inventory_std(eq, i, p),
+    "default_dpe_grid": lambda eq, cs, i, p: default_dpe_grid(eq, i, p),
+    "dpe_rhs": lambda eq, cs, i, p: dpe_rhs(cs, eq, i, p, 0.0, 0.0, 0.0, 0.0),
+    "dpe_argmax": lambda eq, cs, i, p: dpe_argmax(cs, eq, i, p, 0.0, 0.0, 0.0),
+    "dpe_residual": lambda eq, cs, i, p: dpe_residual(cs, eq, i, p),
+    "dpe_argmax_gap": lambda eq, cs, i, p: dpe_argmax_gap(cs, eq, i, p),
+}
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+@pytest.mark.parametrize("name", sorted(TRADER_INDEXED))
+def test_trader_index_out_of_range(name, index):
+    """-1 must not answer for the last trader, nor k raise a bare IndexError."""
+    p = make_params(k=2, dt=0.01, gammas=[1.0, 3.0])
+    eq, cs = coeffs_for(p)
+    with pytest.raises(ValueError, match=f"trader index {index} out of range for k=2"):
+        TRADER_INDEXED[name](eq, cs, index, p)
 
 
 def test_degenerate_denominator_is_arithmetic_error():
