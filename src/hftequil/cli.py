@@ -4,6 +4,12 @@ Subcommands: solve, expand, sweep, tax-sweep, simulate, verify. Parameters
 come either from a JSON config file (--config) or from inline flags, never
 both. Output is deterministic byte for byte: floats are written with repr
 and nothing timestamps itself, so reruns diff clean.
+
+The simulation layers load when a command first needs them: ``sim``,
+``Tolerances`` and ``run_verification`` are module attributes resolved on
+first use (PEP 562), and numpy comes with them or with a sweep grid. So
+``solve`` and ``expand`` run without numpy. The runners read these
+attributes from the module, so a binding that a test or tracer sets wins.
 """
 from __future__ import annotations
 
@@ -13,18 +19,38 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .asymptotics import nash_expansions
 from .model import ConfigError, ValidatedParams, load_config, params_to_config
-from . import simulator as sim
 from .solver import SolverError, solve_equilibrium, solve_taxed
 from .value import value_coefficients
-from .verify import Tolerances, run_verification
 
 __all__ = ["build_parser", "main", "entry_point"]
 
 _INLINE_FLAGS = ("sigma_s", "sigma_k", "dt", "tax", "k", "gamma", "rho", "l0")
+
+
+def __getattr__(name: str):
+    if name == "sim":
+        from . import simulator as value
+    elif name in ("Tolerances", "run_verification"):
+        from . import verify
+
+        value = getattr(verify, name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def _late(name: str):
+    """This module's attribute ``name``, loading it on first use."""
+    return getattr(sys.modules[__name__], name)
+
+
+def _horizon_errors() -> tuple:
+    """HorizonTooShort if the simulator, which alone raises it, is loaded."""
+    simulator = sys.modules.get(f"{__package__}.simulator")
+    return () if simulator is None else (simulator.HorizonTooShort,)
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -49,6 +75,8 @@ def _parse_geometric_grid(text: str, flag: str) -> tuple[float, ...]:
     a, b, n = _parse_grid(text, flag)
     if n < 2 or a <= 0 or b <= 0:
         raise ConfigError(f"{flag} needs n >= 2 and positive endpoints, got {text!r}")
+    import numpy as np
+
     return tuple(float(x) for x in np.geomspace(a, b, n))
 
 
@@ -56,6 +84,8 @@ def _parse_linear_grid(text: str, flag: str) -> tuple[float, ...]:
     a, b, n = _parse_grid(text, flag)
     if n < 2 or a < 0 or b <= a:
         raise ConfigError(f"{flag} needs n >= 2 and 0 <= a < b, got {text!r}")
+    import numpy as np
+
     return tuple(float(x) for x in np.linspace(a, b, n))
 
 
@@ -176,8 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out}: {exc.strerror or exc}") from None
 
 
 def _to_json(payload) -> str:
@@ -321,6 +354,7 @@ def run_tax_sweep(args: argparse.Namespace, params: ValidatedParams) -> int:
 
 
 def run_simulate(args: argparse.Namespace, params: ValidatedParams) -> int:
+    sim = _late("sim")
     horizon = args.horizon
     if horizon is None:
         try:
@@ -358,6 +392,7 @@ def run_simulate(args: argparse.Namespace, params: ValidatedParams) -> int:
 
 
 def run_verify(args: argparse.Namespace, params: ValidatedParams) -> int:
+    Tolerances, run_verification = _late("Tolerances"), _late("run_verification")
     tol, paths = Tolerances(), args.paths
     if args.strict:
         # Four times the paths halve the Monte Carlo standard errors, and so
@@ -417,7 +452,7 @@ def main(argv=None) -> int:
         # ConfigError and InvalidParamsError are ValueErrors: bad arguments.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, sim.HorizonTooShort) as exc:
+    except (SolverError, *_horizon_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

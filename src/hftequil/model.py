@@ -117,6 +117,13 @@ def check_params(params: MarketParams) -> list[Violation]:
                     f"trader {i}: rho*dt = {t.rho * params.dt!r} must lie in (0, 1)",
                 )
             )
+        if not (_is_number(t.initial_inventory) and math.isfinite(t.initial_inventory)):
+            out.append(
+                Violation(
+                    "NonFiniteInventory",
+                    f"trader {i}: initial_inventory must be a finite real, got {t.initial_inventory!r}",
+                )
+            )
     return out
 
 

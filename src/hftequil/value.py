@@ -6,16 +6,21 @@ actual and predicted inventory. On the equilibrium path Z = 0; the Z
 coefficients price off-path inventory and pin down the optimal workdown
 rate zeta, with the deviation gap contracting by the factor (1 - zeta)
 each period.
+
+numpy is imported by the three DPE-grid functions alone, so the value
+function itself loads without it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import ValidatedParams, _check_trader_index
 from .solver import ConstraintViolated, Equilibrium
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ValueCoefficients",
@@ -215,6 +220,8 @@ def default_dpe_grid(
     eq: Equilibrium, trader_index: int, params: ValidatedParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """5x5x5 state grid: M within 3 stationary sd, dS within 3 sigma_S sqrt(dt), Z in [-1, 1]."""
+    import numpy as np
+
     m_sd = stationary_inventory_std(eq, trader_index, params)
     s_sd = params.sigma_S * math.sqrt(params.dt)
     return (
@@ -236,6 +243,8 @@ def dpe_residual(
     separately that it is the true maximiser. Scaling is 1 + |v| pointwise;
     a NaN gap anywhere on the grid makes the result NaN.
     """
+    import numpy as np
+
     M, dS, Z = np.meshgrid(*default_dpe_grid(eq, trader_index, params), indexing="ij")
     disc = 1.0 - params.traders[trader_index].rho * params.dt
     v = evaluate_value(coeffs, M, dS, Z)
@@ -250,6 +259,8 @@ def dpe_argmax_gap(
     params: ValidatedParams,
 ) -> float:
     """Worst gap between the first-order-condition maximiser and -zeta Z; NaN if any gap is."""
+    import numpy as np
+
     M, dS, Z = np.meshgrid(*default_dpe_grid(eq, trader_index, params), indexing="ij")
     star = dpe_argmax(coeffs, eq, trader_index, params, M, dS, Z)
     return float(np.max(np.abs(star - (-coeffs.zeta * Z)) / (1.0 + np.abs(Z))))

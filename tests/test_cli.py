@@ -126,6 +126,18 @@ class TestParamErrors:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "value_finite" in err
 
+    @pytest.mark.parametrize("command,l0", [("solve", "nan"), ("simulate", "inf")])
+    def test_non_finite_initial_inventory_exits_2(self, capsys, command, l0):
+        code, out, err = run_cli(capsys, command, *BASE, "--k", "2", "--l0", l0)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "NonFiniteInventory" in err
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "eq.json"
+        code, out, err = run_cli(capsys, "solve", *BASE, "--out", str(target))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write --out {target}: No such file or directory\n"
+
     def test_unknown_format_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", *BASE, "--format", "csv"])
@@ -348,6 +360,15 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", *BASE, "--paths", "100", "--seed", "3", "--strict")
         assert code == 0
         assert seen == {"paths": 400, "seed": 3, "tolerances": Tolerances.strict()}
+
+    def test_horizon_too_short_exits_1(self, capsys, monkeypatch):
+        def too_short(*args, **kwargs):
+            raise cli.sim.HorizonTooShort("discount tail too large")
+
+        monkeypatch.setattr(cli, "run_verification", too_short)
+        code, out, err = run_cli(capsys, "verify", *BASE, "--paths", "0")
+        assert code == 1 and out == ""
+        assert err == "error: discount tail too large\n"
 
     def test_failure_exits_1_and_names_the_checks(self, capsys, monkeypatch):
         report = VerificationReport(

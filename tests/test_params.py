@@ -60,6 +60,12 @@ class TestCheckParams:
         codes = [v.code for v in check_params(raw(traders=traders))]
         assert codes == ["NonPositiveGamma"]
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_initial_inventory(self, bad):
+        traders = (TraderParams(gamma=1.0, rho=0.05, initial_inventory=bad),)
+        codes = [v.code for v in check_params(raw(traders=traders))]
+        assert codes == ["NonFiniteInventory"]
+
     def test_rho_dt_must_stay_below_one(self):
         traders = (TraderParams(gamma=1.0, rho=300.0),)
         codes = [v.code for v in check_params(raw(dt=0.004, traders=traders))]
