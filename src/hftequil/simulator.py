@@ -35,6 +35,20 @@ row 0 also feeds ``_GameStats``, the per-period reduction behind
 ``dealer_profit_check``. The recursions are plain numpy loops over
 periods; the package depends on numpy alone.
 
+Blocks are independent, so ``simulate_objective``, ``deviation_sweep``
+(verify's pass included) and ``simulate_second_moment`` hand contiguous
+ranges of blocks to forked worker processes, one per usable CPU (``_walk``).
+Each worker sends back a few moments per block, and the caller pools them
+in block order. So estimates do not depend on the number of workers, bit
+for bit, and a path's values do not depend on blocking; only a change of
+``BLOCK_PATHS`` reorders the pooled sums. A worker needs what the serial
+walk needs: one block's buffers, about 17 kB per period at 1024 paths, and
+its records, under 1 kB per block plus, for verify's pass, 24 bytes per
+period per block. Its other pages are shared with the caller until written;
+the pages it does write (reference counts, the allocator's) came to 2 to
+15 MB of private memory per worker for criterion 06's sweeps and verify's
+battery on a 2-core x86-64 host. ``simulate`` stays serial.
+
 Per period, in order: trades are formed from the previous state and the
 fresh signal, the dealer prices the aggregate flow, inventories update, and
 the holding penalty applies to the post-trade inventory. Discount factors
@@ -43,6 +57,10 @@ start at (1 - rho dt) in the first period.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +101,14 @@ HORIZON_CAP = 10_000_000
 # state, each series' state and objective, the gap terms), so they stay in a
 # core's L2 cache.
 BLOCK_PATHS = 1024
+# Paths whose normals are drawn into one (paths, horizon) scratch before they
+# are transposed into a block's time-major buffers.
+FILL_PATHS = 128
+# Worker processes per call; None means one per CPU this process may run on.
+# Results do not depend on it.
+_WORKERS = None
+# CPython 3.12 and later warn when a process with several OS threads forks.
+_FORK_WARNS = sys.version_info >= (3, 12)
 
 
 class InadmissibleStrategy(ValueError):
@@ -109,6 +135,13 @@ class Estimate:
         return lo <= x <= hi
 
 
+def _moments(values: np.ndarray) -> tuple[int, float, float]:
+    """A block's (count, mean, centred sum of squares), as ``_Stat.merge`` pools them."""
+    mean = float(values.mean())
+    d = values - mean
+    return values.size, mean, float((d * d).sum())
+
+
 @dataclass
 class _Stat:
     """Streaming mean and standard error over blocks of samples. Each block's
@@ -120,13 +153,14 @@ class _Stat:
     m2: float = 0.0
 
     def add(self, values: np.ndarray) -> "_Stat":
-        nb = values.size
-        mean_b = float(values.mean())
-        d = values - mean_b
+        return self.merge(*_moments(values))
+
+    def merge(self, nb: int, mean_b: float, m2_b: float) -> "_Stat":
+        """Pool one block given by its ``_moments``."""
         delta = mean_b - self.mean
         n = self.n + nb
         self.mean += delta * (nb / n)
-        self.m2 += float((d * d).sum()) + delta * delta * (self.n * nb / n)
+        self.m2 += m2_b + delta * delta * (self.n * nb / n)
         self.n = n
         return self
 
@@ -255,7 +289,7 @@ def _fill_normals(out: np.ndarray, seed: int, first_path: int, stream: int) -> N
     counter and an exhausted output buffer.
     """
     bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
+    normal = np.random.Generator(bitgen).standard_normal
     key = [0, seed]
     state = {
         "bit_generator": "Philox",
@@ -265,46 +299,162 @@ def _fill_normals(out: np.ndarray, seed: int, first_path: int, stream: int) -> N
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for j in range(out.shape[0]):
-        key[0] = ((first_path + j) << 1) | stream
+    for j, row in enumerate(out, first_path):
+        key[0] = (j << 1) | stream
         bitgen.state = state
-        gen.standard_normal(out.shape[1], out=out[j])
+        normal(out=row)
 
 
 def _normal_blocks(seed: int, first_path: int, n_paths: int, horizon: int, scales, block: int):
     """Yield (start, arrays): scaled time-major increments for each block of paths.
 
-    Stream s is filled path by path into a reused (b, horizon) scratch and
-    transposed, times scales[s], into a reused (horizon, b) buffer in one
-    pass, so row n holds period n + 1 for the block's paths. The yielded
+    Stream s is filled ``FILL_PATHS`` paths at a time into a reused
+    (FILL_PATHS, horizon) scratch, and each such sub-block is transposed,
+    times scales[s], straight into its columns of a reused (horizon, b)
+    buffer, so row n holds period n + 1 for the block's paths. The yielded
     arrays are overwritten by the next block.
     """
     width = min(block, n_paths)
-    scratch = np.empty((width, horizon))
+    scratch = np.empty((min(FILL_PATHS, width), horizon))
     bufs = [np.empty(width * horizon) for _ in scales]
     for start in range(0, n_paths, block):
         b = min(block, n_paths - start)
-        rows = scratch[:b]
         arrays = []
         for stream, (scale, buf) in enumerate(zip(scales, bufs)):
-            _fill_normals(rows, seed, first_path + start, stream)
             tm = buf[: horizon * b].reshape(horizon, b)
-            np.multiply(rows.T, scale, out=tm)
+            for lo in range(0, b, FILL_PATHS):
+                rows = scratch[: min(FILL_PATHS, b - lo)]
+                _fill_normals(rows, seed, first_path + start + lo, stream)
+                np.multiply(rows.T, scale, out=tm[:, lo : lo + rows.shape[0]])
             arrays.append(tm)
         yield start, arrays
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _os_threads() -> int | None:
+    """This process's OS threads, BLAS pools included; None where /proc cannot tell."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return None
+
+
+def _worker_count(n_blocks: int) -> int:
+    """Processes that walk n_blocks blocks of paths; 1 is the serial walk.
+
+    One per usable CPU (``_WORKERS`` if set), at most one per block. The walk
+    stays serial without ``os.fork``, and where forking would warn: CPython
+    3.12 and later warn when a process with several OS threads forks.
+    """
+    if not hasattr(os, "fork"):
+        return 1
+    workers = min(_WORKERS or _usable_cpus(), n_blocks)
+    if workers > 1 and _FORK_WARNS and _os_threads() != 1:
+        return 1
+    return max(workers, 1)
+
+
+def _walk(blocks, first_path: int, n_paths: int):
+    """Yield the records of ``blocks(first, n)`` for paths first_path ..
+    first_path + n_paths - 1, one per block of ``BLOCK_PATHS``, in block order.
+
+    ``blocks`` runs the kernel over a range of paths that starts on a block
+    boundary and yields one small picklable record per block. With several
+    workers, each forked child walks one contiguous range of blocks while
+    this process walks the first; a child pickles its records through a pipe
+    once its range is done, and they are yielded after this process's own.
+    Blocks are the same as on the serial walk and their records arrive in the
+    same order, so whatever the caller pools from them is the same, bit for
+    bit. A child ends only through ``os._exit``; an exception in it is raised
+    again here, and every child is killed and reaped before this returns or
+    raises.
+    """
+    n_blocks = -(-n_paths // BLOCK_PATHS)
+    workers = _worker_count(n_blocks)
+    if workers < 2:
+        yield from blocks(first_path, n_paths)
+        return
+    cuts = [min(n_paths, n_blocks * w // workers * BLOCK_PATHS) for w in range(workers + 1)]
+    children = []
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            children.append(_fork(blocks, first_path + lo, hi - lo, [reader for _, reader in children]))
+        yield from blocks(first_path, cuts[1])
+        for _, reader in children:
+            try:
+                ok, payload = pickle.load(reader)
+            except Exception as exc:
+                raise RuntimeError("a simulation worker exited without its results") from exc
+            if not ok:
+                raise payload
+            yield from payload
+    finally:
+        for pid, reader in children:
+            reader.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        for pid, _ in children:
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass
+
+
+def _fork(blocks, first: int, n: int, inherited):
+    """Fork a child that sends ``(True, records)`` or ``(False, exception)``; (pid, reader)."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    try:
+        os.close(read_fd)
+        for reader in inherited:
+            reader.close()
+        try:
+            reply = pickle.dumps((True, list(blocks(first, n))), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            try:
+                reply = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+            except Exception:
+                reply = pickle.dumps((False, RuntimeError(f"simulation worker raised {exc!r}")))
+        with os.fdopen(write_fd, "wb") as out:
+            out.write(reply)
+    finally:
+        os._exit(0)
+
+
 def default_horizon(params: ValidatedParams, cap: int = HORIZON_CAP) -> int:
-    """Periods needed so the slowest trader's discount tail drops below DEFAULT_TAIL_TOL."""
+    """Periods needed so the slowest trader's discount tail drops below DEFAULT_TAIL_TOL.
+
+    The logarithms can round the count one short, so it is stepped up until
+    the tail that ``_check_tail`` computes passes. A discount factor that
+    rounds to 1 never reaches the tail and counts as beyond any cap.
+    """
     _check_args(params)
     per = 1.0 - min(t.rho for t in params.traders) * params.dt
-    n = math.ceil(math.log(DEFAULT_TAIL_TOL) / math.log(per))
+    n = max(math.ceil(math.log(DEFAULT_TAIL_TOL) / math.log(per)), 1) if per < 1.0 else math.inf
+    while n <= cap and per**n > DEFAULT_TAIL_TOL:
+        n += 1
     if n > cap:
         raise HorizonTooShort(
             f"reaching tail {DEFAULT_TAIL_TOL!r} needs {n} periods, beyond the cap {cap}; "
             "pass an explicit horizon or raise the cap"
         )
-    return max(n, 1)
+    return n
 
 
 @dataclass
@@ -421,8 +571,10 @@ def _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path):
 
 
 def _discounted(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, with_mtm=False, stats=None):
-    """Per block: trader i's discounted objective in each row's game, (R, b),
-    and, if asked for, row 0's discounted mark-to-market, (b,), else None.
+    """Per block of paths first_path .. first_path + n_paths - 1: trader i's
+    discounted objective in each row's game, (R, b); if asked for, row 0's
+    discounted mark-to-market, (b,), else None; and the block's ``_GameStats``
+    record, else None.
 
     ``rows`` are ``_coefficients`` pairs. Row r's price is dS - e + lam dL
     with the residual e of ``_game``, so it pays dL (e - (lam + tax) dL) -
@@ -436,8 +588,9 @@ def _discounted(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, 
     on M_i. The weights w_n = (dD, 2 s imp dD, -2 s hold D_{n+1}) and C =
     sum imp dD^2 - hold D_{n+1}^2 vanish unless D != 0, and one product adds
     the gap terms of all rows with a gap each period. A ``_GameStats`` in
-    ``stats`` is fed row 0's flow and prices every period and the block's
-    mark-to-market at its end, which implies ``with_mtm``.
+    ``stats`` is fed row 0's flow and prices every period and closes each
+    block with its mark-to-market, which implies ``with_mtm``; the record
+    that ``end_block`` returns is the block's third item.
     """
     t = params.traders[i]
     disc = np.cumprod(np.full(horizon, 1.0 - t.rho * params.dt))
@@ -496,11 +649,9 @@ def _discounted(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, 
             np.square(X1, out=tmp)
             tmp *= hold[n]
             Q -= tmp
-        if stats is not None:
-            stats.end_block(mtm)
         obj = (s * s)[:, None] * Q[idx] + (s * (1.0 - s))[:, None] * U
         obj[gap] += G + C[gap, None]
-        yield obj, mtm
+        yield obj, mtm, None if stats is None else stats.end_block(mtm)
 
 
 def simulate(
@@ -638,12 +789,17 @@ def simulate_objective(
     _check_tail(params.traders[trader_index].rho, params.dt, horizon, tail_tol)
 
     i = trader_index
-    obj, mtm = _Stat(), _Stat()
     coefs = [row for row, _ in pairs]
-    blocks = _discounted(eq, params, coefs, i, pairs[i : i + 1], n_paths, horizon, seed, first_path, with_mtm=True)
-    for obj_b, mtm_b in blocks:
-        obj.add(obj_b[0])
-        mtm.add(mtm_b)
+
+    def blocks(first, n):
+        rows = pairs[i : i + 1]
+        for obj_b, mtm_b, _ in _discounted(eq, params, coefs, i, rows, n, horizon, seed, first, with_mtm=True):
+            yield _moments(obj_b[0]), _moments(mtm_b)
+
+    obj, mtm = _Stat(), _Stat()
+    for obj_b, mtm_b in _walk(blocks, first_path, n_paths):
+        obj.merge(*obj_b)
+        mtm.merge(*mtm_b)
     return ObjectiveResult(obj.estimate(), mtm.estimate(), trader_index, horizon, n_paths)
 
 
@@ -681,8 +837,12 @@ class _GameStats:
     M_j. Its sums are taken about the equilibrium slope, with r = dS -
     lambda x, so while the fitted slope is near lambda the residual sum of
     squares Srr - Sxr^2 / Sxx subtracts a term only about 1/n of Srr.
-    ``end_block`` closes a block of paths and pools the block's discounted
-    mark-to-market, if given, in ``mtm``.
+
+    ``period`` feeds one period of a block of paths and ``end_block`` closes
+    the block: it returns the block's record, its per-period sums, path-steps
+    and the moments of its profit and of the discounted mark-to-market, if
+    given. ``fold`` pools records in block order, adding the sums period by
+    period, so the pooled sums do not depend on where a block was computed.
     """
 
     def __init__(self, eq: Equilibrium, lambda_scale: float = 1.0):
@@ -693,28 +853,39 @@ class _GameStats:
         self.profit, self.mtm = _Stat(), _Stat()
         self.sxx = self.sxr = self.srr = 0.0
         self.n = 0
-        self.periods = 0
-        self.gain = None
+        self.sums, self.gain = [], None
 
     def period(self, ds, dy, padj, M) -> None:
         x = _effective_flow(self.phis, dy, M)
         r = ds - self.lam * x
-        self.sxx += float(x @ x)
-        self.sxr += float(x @ r)
-        self.srr += float(r @ r)
-        self.n += ds.size
+        self.sums.append((float(x @ x), float(x @ r), float(r @ r)))
         gain = (padj + self.misprice * dy - ds) * dy
-        if self.periods:
-            self.gain += gain
-        else:
+        if self.gain is None:
             self.gain = gain
-        self.periods += 1
+        else:
+            self.gain += gain
 
-    def end_block(self, mtm=None) -> None:
-        self.profit.add(self.gain / self.periods)
-        self.periods = 0
+    def end_block(self, mtm=None):
+        periods = len(self.sums)
+        record = (
+            np.array(self.sums),
+            periods * self.gain.size,
+            _moments(self.gain / periods),
+            None if mtm is None else _moments(mtm),
+        )
+        self.sums, self.gain = [], None
+        return record
+
+    def fold(self, record) -> None:
+        sums, n, profit, mtm = record
+        for xx, xr, rr in sums.tolist():
+            self.sxx += xx
+            self.sxr += xr
+            self.srr += rr
+        self.n += n
+        self.profit.merge(*profit)
         if mtm is not None:
-            self.mtm.add(mtm)
+            self.mtm.merge(*mtm)
 
     def check(self) -> ProfitCheck:
         gap = self.sxr / self.sxx
@@ -737,7 +908,7 @@ def dealer_profit_check(batch: PathBatch, lambda_scale: float = 1.0) -> ProfitCh
     stats = _GameStats(batch.eq, lambda_scale)
     for n in range(batch.horizon):
         stats.period(batch.dS[:, n], batch.dY[:, n], batch.price_adj[:, n], batch.M[:, :, n].T)
-    stats.end_block()
+    stats.fold(stats.end_block())
     return stats.check()
 
 
@@ -807,12 +978,19 @@ def simulate_second_moment(
     m0 = params.traders[trader_index].initial_inventory
     scale = params.sigma_S * math.sqrt(params.dt)
     stats = {n: _Stat() for n in checkpoints}
-    for _, (dS,) in _normal_blocks(seed, 0, n_paths, horizon, (scale,), BLOCK_PATHS):
-        m = np.full(dS.shape[1], m0)
-        for n in range(1, horizon + 1):
-            m = m + (beta * dS[n - 1] - phi * m)
-            if n in stats:
-                stats[n].add(m * m)
+
+    def blocks(first, count):
+        for _, (dS,) in _normal_blocks(seed, first, count, horizon, (scale,), BLOCK_PATHS):
+            m, record = np.full(dS.shape[1], m0), []
+            for n in range(1, horizon + 1):
+                m = m + (beta * dS[n - 1] - phi * m)
+                if n in stats:
+                    record.append(_moments(m * m))
+            yield record
+
+    for record in _walk(blocks, 0, n_paths):
+        for n, moments in zip(checkpoints, record):
+            stats[n].merge(*moments)
     return {n: stats[n].estimate() for n in checkpoints}
 
 
@@ -885,13 +1063,22 @@ def _sweep(eq, params, trader_index, specs, *, n_paths, horizon, seed, stats=Non
         raise ValueError("include an equilibrium row to serve as the reference")
 
     others = [_coefficients(StrategySpec(), eq, j)[0] for j in range(params.k)]
+
+    def blocks(first, n):
+        for objs, _, dealer in _discounted(eq, params, others, i, rows, n, horizon, seed, first, stats=stats):
+            ref = objs[reference_index]
+            diffs = [None if r == reference_index else _moments(obj - ref) for r, obj in enumerate(objs)]
+            yield [_moments(obj) for obj in objs], diffs, dealer
+
     obj_stats = [_Stat() for _ in specs]
     diff_stats = [_Stat() for _ in specs]
-    for objs, _ in _discounted(eq, params, others, i, rows, n_paths, horizon, seed, 0, stats=stats):
+    for objs, diffs, dealer in _walk(blocks, 0, n_paths):
         for r in range(len(specs)):
-            obj_stats[r].add(objs[r])
+            obj_stats[r].merge(*objs[r])
             if r != reference_index:
-                diff_stats[r].add(objs[r] - objs[reference_index])
+                diff_stats[r].merge(*diffs[r])
+        if stats is not None:
+            stats.fold(dealer)
 
     rows = tuple(
         SweepRow(spec, obj_stats[r].estimate(), None if r == reference_index else diff_stats[r].estimate())

@@ -370,6 +370,23 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err == "error: discount tail too large\n"
 
+    @pytest.mark.parametrize(
+        "dt, rho, objective",
+        [
+            # the logarithms put the tail after 3 periods one rounding above 1e-6
+            ("0.99", "1", True),
+            # 1 - rho dt rounds to 1, so the discount tail never falls
+            ("0.1", "1e-20", False),
+        ],
+    )
+    def test_default_horizon_edge_cases_print_a_report(self, capsys, dt, rho, objective):
+        code, out, err = run_cli(
+            capsys, "verify", "--sigma-s", "1", "--sigma-k", "1", "--dt", dt, "--rho", rho, "--paths", "64"
+        )
+        assert code == 0 and err == ""
+        assert ("objective_value_mc" in out) == objective
+        assert all(line.startswith("PASS ") for line in out.strip().split("\n"))
+
     def test_failure_exits_1_and_names_the_checks(self, capsys, monkeypatch):
         report = VerificationReport(
             (

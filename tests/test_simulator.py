@@ -8,6 +8,7 @@ single bit of any path.
 """
 import decimal
 import math
+import os
 import tracemalloc
 from decimal import Decimal
 
@@ -36,8 +37,8 @@ from hftequil import (
     solve_nash,
     solve_taxed,
 )
-from hftequil import simulator
-from hftequil.simulator import BLOCK_PATHS, _fill_normals, _normal_blocks
+from hftequil import run_verification, simulator
+from hftequil.simulator import BLOCK_PATHS, DEFAULT_TAIL_TOL, _fill_normals, _normal_blocks
 from helpers import make_params
 
 
@@ -451,6 +452,22 @@ class TestHorizon:
         with pytest.raises(ValueError):
             default_horizon(make_params(dt=0.0))
 
+    def test_tail_passes_at_the_default_horizon(self):
+        # With 1 - rho dt = 10^(-6/n), log(1e-6) / log(1 - rho dt) is n up to
+        # rounding, and its ceiling can leave the tail a few ulps above 1e-6
+        # (at rho dt = 0.99 the tail after 3 periods is 1.0000000000000027e-06).
+        for n in range(1, 121):
+            for dt in (1.0, 0.1):
+                rho0 = (1.0 - 10.0 ** (-6.0 / n)) / dt
+                for rho in (rho0 + j * math.ulp(rho0) for j in range(-2, 3)):
+                    horizon = default_horizon(make_params(dt=dt, rho=rho))
+                    simulator._check_tail(rho, dt, horizon, DEFAULT_TAIL_TOL)
+                    assert horizon == 1 or (1.0 - rho * dt) ** (horizon - 1) > DEFAULT_TAIL_TOL
+
+    def test_discount_factor_rounding_to_one_is_beyond_any_cap(self):
+        with pytest.raises(HorizonTooShort):
+            default_horizon(make_params(dt=0.1, rho=1e-20), cap=10**30)
+
 
 class TestAdmissibility:
     def setup_method(self):
@@ -598,6 +615,7 @@ class TestDealer:
                     a[..., pick] = src[..., [col]]
                 stats = simulator._GameStats(eq)
                 stats.period(blk[0], blk[1], blk[1], blk[2])
+                stats.fold(stats.end_block())
                 sums.append((stats.sxx, stats.sxr, stats.srr))
             assert sums[0] == sums[1], col
 
@@ -855,3 +873,147 @@ class TestEstimate:
         assert hi == pytest.approx(1.0 + 1.96 * 0.5)
         assert est.covers(1.9)
         assert not est.covers(2.1)
+
+
+class WorkerFault(Exception):
+    """Raised on purpose in one process of a parallel walk."""
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Walk with up to 3 workers and blocks of 32 paths; the list of forked pids."""
+    monkeypatch.setattr(simulator, "_WORKERS", 3)
+    monkeypatch.setattr(simulator, "BLOCK_PATHS", 32)
+    if simulator._worker_count(3) < 3:
+        pytest.skip("the walk stays serial here: no os.fork, or forking would warn")
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+class TestParallelWalk:
+    """Forked workers walk contiguous ranges of blocks; every estimate equals
+    the serial walk's bit for bit, and no worker outlives its call."""
+
+    def walks(self, monkeypatch, forks, call):
+        """call() on the serial walk, then with 2 and with 3 workers."""
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(simulator, "_WORKERS", workers)
+            before = len(forks)
+            results.append(call())
+            assert (len(forks) > before) == (workers > 1)
+            assert_no_children()
+        return results
+
+    def test_sweep_with_a_partial_last_block(self, monkeypatch, forks):
+        p = make_params(k=2, dt=0.01, gammas=[1.0, 2.0], rhos=[0.05, 0.1], l0=[0.4, -0.3])
+        eq, _ = solve_nash(p)
+        specs = [
+            StrategySpec.equilibrium(),
+            StrategySpec.scaled(beta_scale=0.9),
+            StrategySpec.scaled(phi_scale=1.1),
+            StrategySpec.with_z(0.3, 1.0),
+        ]
+        # 5 full blocks of 32 and one of 7
+        serial, *parallel = self.walks(
+            monkeypatch, forks, lambda: deviation_sweep(eq, p, 0, specs, n_paths=167, horizon=40, seed=3)
+        )
+        assert all(result == serial for result in parallel)
+
+    def test_objective_from_a_later_first_path(self, monkeypatch, forks):
+        p = make_params(k=2, dt=0.1, rho=0.5, l0=[0.2, 0.0])
+        eq, _ = solve_nash(p)
+        serial, *parallel = self.walks(
+            monkeypatch,
+            forks,
+            lambda: simulate_objective(
+                eq, {1: StrategySpec.with_z(0.4, 0.5)}, p, 1, n_paths=150, seed=4, first_path=45
+            ),
+        )
+        assert all(result == serial for result in parallel)
+
+    def test_second_moment(self, monkeypatch, forks):
+        p = make_params(k=1, dt=0.01, l0=[0.5])
+        eq, _ = solve_nash(p)
+        serial, *parallel = self.walks(
+            monkeypatch, forks, lambda: simulate_second_moment(eq, 0, p, [1, 7, 30], n_paths=150, seed=6)
+        )
+        assert all(result == serial for result in parallel)
+
+    def test_verification_report(self, monkeypatch, forks):
+        # rho dt = 0.05: the objective check runs too, over 270 periods
+        p = make_params(k=3, dt=0.1, rho=0.5, gammas=[1.0, 2.0, 0.5], l0=[0.3, 0.0, -0.2])
+        serial, *parallel = self.walks(
+            monkeypatch, forks, lambda: run_verification(p, paths=150, seed=8, mc_horizon=40)
+        )
+        assert "objective_value_mc" in {r.name for r in serial.results}
+        assert all(repr(report) == repr(serial) for report in parallel)
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, forks):
+        p = make_params(k=2, dt=0.01)
+        eq, _ = solve_nash(p)
+        parent, game = os.getpid(), simulator._game
+
+        def faulty(*args, **kwargs):
+            if os.getpid() != parent:
+                raise WorkerFault("in a worker")
+            return game(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_game", faulty)
+        with pytest.raises(WorkerFault, match="in a worker"):
+            deviation_sweep(eq, p, 0, [StrategySpec.equilibrium()], n_paths=100, horizon=20, seed=1)
+        assert len(forks) == 2
+        assert_no_children()
+
+    def test_workers_are_reaped_when_the_caller_stops(self, monkeypatch, forks):
+        p = make_params(k=2, dt=0.01)
+        eq, _ = solve_nash(p)
+        parent, game = os.getpid(), simulator._game
+
+        def interrupted(*args, **kwargs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return game(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_game", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            deviation_sweep(eq, p, 0, [StrategySpec.equilibrium()], n_paths=100, horizon=20, seed=1)
+        assert len(forks) == 2
+        assert_no_children()
+        # a walk abandoned after its first record
+        walk = simulator._walk(lambda first, n: iter(range(first, first + n, 32)), 0, 100)
+        assert next(walk) == 0
+        walk.close()
+        assert len(forks) == 4
+        assert_no_children()
+
+    def test_worker_count_rule(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_FORK_WARNS", False)
+        monkeypatch.setattr(simulator, "_WORKERS", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert [simulator._worker_count(n) for n in (1, 2, 3, 10)] == [1, 2, 3, 3]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert simulator._worker_count(10) == 1
+        monkeypatch.setattr(simulator, "_WORKERS", 4)
+        assert simulator._worker_count(10) == 4
+        # CPython 3.12+ warns when a process with several OS threads forks
+        monkeypatch.setattr(simulator, "_FORK_WARNS", True)
+        for threads, want in ((1, 4), (2, 1), (None, 1)):
+            monkeypatch.setattr(simulator, "_os_threads", lambda: threads)
+            assert simulator._worker_count(10) == want, threads
+        monkeypatch.setattr(simulator, "_FORK_WARNS", False)
+        monkeypatch.delattr(os, "fork")
+        assert simulator._worker_count(10) == 1
