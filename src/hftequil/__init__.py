@@ -2,7 +2,7 @@
 
 A dealer prices order flow linearly while k inventory-averse traders share
 a private signal stream. The package solves the resulting stationary
-equilibrium (with or without a proportional transaction tax), expands it
+equilibrium (with or without a quadratic transaction tax c dL^2), expands it
 for small period lengths, evaluates each trader's quadratic value
 function, and verifies everything by direct simulation.
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .model import ValidatedParams, _check_trader_index
-from .solver import solve_nash
+from .solver import _sum_left, solve_nash
 
 __all__ = [
     "Expansion",
@@ -84,7 +84,7 @@ def nash_expansions(params: ValidatedParams) -> dict:
     t = math.sqrt(k * r)
     a = [math.sqrt(tr.gamma * (t * t + r) / t) for tr in params.traders]
     beta0 = r / t
-    t1 = -0.5 * beta0 * sum(a)
+    t1 = -0.5 * beta0 * _sum_left(a)
     lam0 = t / ((1.0 + k) * r)
     eta0 = 1.0 / (1.0 + k)
     # lambda'(t) = (1 - k)/((1 + k)^2 r), times t1 <= 0 written as (k - 1) (-t1): +0.0 at k = 1

@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--sigma-s", dest="sigma_s", type=float, help="signal volatility per unit time")
         sp.add_argument("--sigma-k", dest="sigma_k", type=float, help="noise flow volatility per unit time")
         sp.add_argument("--dt", type=float, help="period length; 0 selects the continuous limit")
-        sp.add_argument("--tax", type=float, help="proportional transaction tax (default 0)")
+        sp.add_argument("--tax", type=float, help="quadratic transaction tax c: a trade dL pays c dL^2 (default 0)")
         sp.add_argument("--k", type=int, help="number of traders")
         sp.add_argument("--gamma", help="inventory aversion, scalar or comma list")
         sp.add_argument("--rho", help="discount rate, scalar or comma list")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -80,8 +81,24 @@ class ConfigError(ValueError):
     """Malformed configuration input (unknown keys, wrong types, missing fields)."""
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _as_real(x) -> float | None:
+    """``x`` as a float if it is a real number other than a bool (a float, an
+    int or a numpy real scalar), else None. A real beyond the float range,
+    such as a 400-digit int, becomes an infinity, which the checks refuse."""
+    if type(x) is float:
+        return x
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return None
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _as_float_trader(t: TraderParams) -> TraderParams:
+    if type(t.gamma) is float and type(t.rho) is float and type(t.initial_inventory) is float:
+        return t
+    return TraderParams(float(t.gamma), float(t.rho), float(t.initial_inventory))
 
 
 def _check_trader_index(trader_index, k: int) -> None:
@@ -91,33 +108,41 @@ def _check_trader_index(trader_index, k: int) -> None:
 
 
 def check_params(params: MarketParams) -> list[Violation]:
-    """Collect every violated constraint; an empty list means valid."""
+    """Collect every violated constraint; an empty list means valid.
+
+    Each field is checked as the float it is stored as (see ``_as_real``).
+    """
     out: list[Violation] = []
     for name in ("sigma_S", "sigma_K"):
-        v = getattr(params, name)
-        if not (_is_number(v) and math.isfinite(v) and v > 0):
-            out.append(Violation("NonPositiveVolatility", f"{name} must be a positive real, got {v!r}"))
-    dt_ok = _is_number(params.dt) and math.isfinite(params.dt) and params.dt >= 0
+        raw = getattr(params, name)
+        v = _as_real(raw)
+        if not (v is not None and math.isfinite(v) and v > 0):
+            out.append(Violation("NonPositiveVolatility", f"{name} must be a positive real, got {raw!r}"))
+    dt = _as_real(params.dt)
+    dt_ok = dt is not None and math.isfinite(dt) and dt >= 0
     if not dt_ok:
         out.append(Violation("DiscountOutOfRange", f"dt must be a finite real >= 0, got {params.dt!r}"))
-    if not (_is_number(params.tax) and math.isfinite(params.tax) and params.tax >= 0):
+    tax = _as_real(params.tax)
+    if not (tax is not None and math.isfinite(tax) and tax >= 0):
         out.append(Violation("NegativeTax", f"tax must be a finite real >= 0, got {params.tax!r}"))
     if len(params.traders) == 0:
         out.append(Violation("EmptyTraderList", "at least one trader is required"))
     for i, t in enumerate(params.traders):
-        if not (_is_number(t.gamma) and math.isfinite(t.gamma) and t.gamma > 0):
+        gamma = _as_real(t.gamma)
+        if not (gamma is not None and math.isfinite(gamma) and gamma > 0):
             out.append(Violation("NonPositiveGamma", f"trader {i}: gamma must be a positive real, got {t.gamma!r}"))
-        rho_ok = _is_number(t.rho) and math.isfinite(t.rho) and t.rho > 0
-        if not rho_ok:
+        rho = _as_real(t.rho)
+        if not (rho is not None and math.isfinite(rho) and rho > 0):
             out.append(Violation("DiscountOutOfRange", f"trader {i}: rho must be a positive real, got {t.rho!r}"))
-        elif dt_ok and params.dt > 0 and not (t.rho * params.dt < 1):
+        elif dt_ok and dt > 0 and not (rho * dt < 1):
             out.append(
                 Violation(
                     "DiscountOutOfRange",
-                    f"trader {i}: rho*dt = {t.rho * params.dt!r} must lie in (0, 1)",
+                    f"trader {i}: rho*dt = {rho * dt!r} must lie in (0, 1)",
                 )
             )
-        if not (_is_number(t.initial_inventory) and math.isfinite(t.initial_inventory)):
+        inv = _as_real(t.initial_inventory)
+        if not (inv is not None and math.isfinite(inv)):
             out.append(
                 Violation(
                     "NonFiniteInventory",
@@ -132,8 +157,10 @@ class ValidatedParams:
     """A market description that passed :func:`check_params`.
 
     Direct construction re-runs the checks, so an instance can never carry a
-    violating field. ``vol_ratio_sq`` is ``(sigma_K / sigma_S)**2``, computed
-    once here and shared by every module.
+    violating field. Every field is stored as a Python float, whatever real
+    type it was given as (an int or a numpy scalar), so that
+    :func:`params_to_config` stays JSON-serialisable. ``vol_ratio_sq`` is
+    ``(sigma_K / sigma_S)**2``, computed once here and shared by every module.
     """
 
     sigma_S: float
@@ -149,7 +176,11 @@ class ValidatedParams:
         )
         if violations:
             raise InvalidParamsError(violations)
-        object.__setattr__(self, "traders", tuple(self.traders))
+        for name in ("sigma_S", "sigma_K", "dt", "tax"):
+            v = getattr(self, name)
+            if type(v) is not float:
+                object.__setattr__(self, name, float(v))
+        object.__setattr__(self, "traders", tuple(_as_float_trader(t) for t in self.traders))
         object.__setattr__(self, "vol_ratio_sq", (self.sigma_K / self.sigma_S) ** 2)
 
     @property
@@ -184,9 +215,10 @@ def _require_number(mapping: dict, key: str, where: str) -> float:
     if key not in mapping:
         raise ConfigError(f"{where}: missing required key {key!r}")
     v = mapping[key]
-    if not _is_number(v):
+    x = _as_real(v)
+    if x is None:
         raise ConfigError(f"{where}: key {key!r} must be a number, got {type(v).__name__}")
-    return float(v)
+    return x
 
 
 def load_config(source) -> ValidatedParams:

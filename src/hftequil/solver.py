@@ -4,14 +4,14 @@ With k traders the aggregate loading solves a one-dimensional fixed point:
 at a conjectured aggregate each trader's best response is written through
 its decay rate phi_i, the positive root of a quadratic taken without
 subtraction, and the aggregate must equal the sum of the implied loadings.
-A proportional transaction tax deforms the quadratic but keeps the same
-structure and the same unique positive root, so a taxed game is solved
-directly at its tax rate, like an untaxed one. The same fixed point covers
-the monopolist, the k = 1 game, whose loading is also the admissible root
-of a quartic at or below the volatility ratio sigma_K/sigma_S; the quartic
-residual certifies it. It also covers the continuous-trading limit dt = 0,
-where every decay rate is exactly 0 and the aggregate solves
-t (t + 2c (r + t^2)) = k r.
+A quadratic transaction tax, c dL^2 on a trade dL each period, deforms the
+quadratic but keeps the same structure and the same unique positive root,
+so a taxed game is solved directly at its tax rate, like an untaxed one.
+The same fixed point covers the monopolist, the k = 1 game, whose loading
+is also the admissible root of a quartic at or below the volatility ratio
+sigma_K/sigma_S; the quartic residual certifies it. It also covers the
+continuous-trading limit dt = 0, where every decay rate is exactly 0 and
+the aggregate solves t (t + 2c (r + t^2)) = k r.
 
 All root finding is one safeguarded Newton iteration on a sign-changing
 bracket: a step that would leave the bracket is replaced by bisection, so
@@ -158,17 +158,28 @@ def _newton(f, lo: float, hi: float, scale: float, f_lo: float, f_hi: float):
 def _expand(f, x: float, factor: float, sign: float, failure: str) -> tuple[float, float]:
     """Multiply ``x`` by ``factor`` while sign * f(x) > 0; returns x and f(x).
 
-    Raises NoRootInBracket(failure) after _MAX_BRACKET_EXPANSIONS steps.
+    ``f`` returns the value alone. Raises NoRootInBracket(failure) after
+    _MAX_BRACKET_EXPANSIONS steps.
     """
-    fx = f(x)[0]
+    fx = f(x)
     expansions = 0
     while sign * fx > 0:
         x *= factor
         expansions += 1
         if expansions > _MAX_BRACKET_EXPANSIONS:
             raise NoRootInBracket(failure)
-        fx = f(x)[0]
+        fx = f(x)
     return x, fx
+
+
+def _sum_left(values) -> float:
+    """0.0 + v_0 + v_1 + ..., rounded at every step: the built-in sum() of
+    CPython 3.11. From 3.12 sum() compensates float rounding, so its last
+    bit can differ, and with it the bits of every output this feeds."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _quartic(beta: float, r: float, g: float, rho: float, dt: float) -> float:
@@ -221,7 +232,7 @@ def solve_monopoly_beta(params: ValidatedParams) -> float:
     g = params.traders[0].gamma
     rho = params.traders[0].rho
     dt = params.dt
-    root = _solve_fixed_point(params)[0]
+    root = _solve_fixed_point(params, _trader_rows(params))[0]
     residual = abs(_quartic(root, r, g, rho, dt))
     if residual > QUARTIC_RESIDUAL_TOL * _quartic_scale(root, r, g, rho, dt):
         raise ConstraintViolated("quartic_residual", f"|residual| = {residual!r} at beta = {root!r}")
@@ -245,16 +256,19 @@ def monopoly_quartic_roots(params: ValidatedParams) -> QuarticRoots:
     first = solve_monopoly_beta(params)
 
     def f(b):
+        return _quartic(b, r, g, rho, dt)
+
+    def f_and_slope(b):
         return _quartic(b, r, g, rho, dt), _quartic_prime(b, r, g, rho, dt)
 
     # f(m) = -2 m g dt r^2 < 0 exactly, but it rounds to >= 0 once m g dt
     # is below the quartic's rounding error; the roots straddling m then
     # cannot be told apart.
-    f_m = f(m)[0]
+    f_m = f(m)
     if not f_m < 0.0:
         raise RootsNotSeparated(f"the quartic rounds to {f_m!r} >= 0 at the volatility ratio {m!r}")
     hi, f_hi = _expand(f, 2.0 * m, 2.0, -1.0, "second quartic root not bracketed")
-    second, _, _ = _newton(f, m, hi, m, f_m, f_hi)
+    second, _, _ = _newton(f_and_slope, m, hi, m, f_m, f_hi)
     if not (second > first) or (second - first) <= BRACKET_WIDTH_REL * m * 4:
         raise RootsNotSeparated(f"roots {first!r} and {second!r} are not numerically distinct")
     _, phis2, _ = pricing_from_beta(second, (second,), params)
@@ -277,66 +291,94 @@ def pricing_from_beta(beta_sigma: float, betas: tuple[float, ...], params: Valid
     return lam, phis, mus
 
 
-def _response_coeffs(beta_sigma: float, g_i: float, rho_i: float, r: float, dt: float, c: float):
-    """Quadratic a x^2 + b x + c0 = 0 for trader i's response at a fixed aggregate."""
-    P = beta_sigma + 2.0 * c * (r + beta_sigma**2)
-    a = (1.0 - rho_i * dt) * P * P
-    b = -((P * (2.0 - rho_i * dt) + beta_sigma**2 * g_i * dt) * r + r * r * g_i * dt)
-    return a, b, r * r
-
-
-def _responses(params: ValidatedParams, c: float):
-    """Excess h(beta_sigma) = sum_i beta_i - beta_sigma at tax rate ``c``.
-
-    With r = (sigma_K/sigma_S)^2 and P = beta_sigma + 2c (r + beta_sigma^2)
-    the pricing identities give beta_i = (r/P)(1 - phi_i), which turns the
-    response quadratic into d phi^2 + w phi - s = 0 with d = 1 - rho_i dt,
-    s = gamma_i dt (beta_sigma^2 + r)/P and w = rho_i dt + s. Its positive
-    root phi_i = 2s/(w + q) and 1 - phi_i = 2/(w + q + 2d), with
-    q = sqrt(w^2 + 4ds), involve no subtraction. The returned function gives
-    (excess, slope) and, with ``traders``, also the (betas, phis) tuples.
-    """
-    r = params.vol_ratio_sq
+def _trader_rows(params: ValidatedParams) -> tuple[tuple[float, float, float, float], ...]:
+    """Per trader (gamma_i dt, rho_i dt, 4d, 2d) with d = 1 - rho_i dt, formed once per solve."""
     dt = params.dt
-    rows = tuple((t.gamma * dt, t.rho * dt, 1.0 - t.rho * dt) for t in params.traders)
+    rows = []
+    for t in params.traders:
+        rdt = t.rho * dt
+        d = 1.0 - rdt
+        rows.append((t.gamma * dt, rdt, 4.0 * d, 2.0 * d))
+    return tuple(rows)
+
+
+# With r = (sigma_K/sigma_S)^2 and P = beta_sigma + 2c (r + beta_sigma^2) the
+# pricing identities give beta_i = (r/P)(1 - phi_i), which turns trader i's
+# response quadratic into d phi^2 + w phi - s = 0 with d = 1 - rho_i dt,
+# s = gamma_i dt (beta_sigma^2 + r)/P and w = rho_i dt + s. Its positive root
+# phi_i = 2s/(w + q) and 1 - phi_i = 2/(w + q + 2d), with q = sqrt(w^2 + 4ds),
+# involve no subtraction. The excess is h(beta_sigma) = sum_i beta_i -
+# beta_sigma. The three evaluators below repeat the per-trader lines, each
+# computing only what its caller reads, with the same operations in the
+# same order, so they agree bit for bit.
+
+
+def _excess(rows, r: float, c: float):
+    """Value-only excess h(beta_sigma), for the bracket and the monotone witness."""
+    c2 = 2.0 * c
     sqrt = math.sqrt
 
-    def h(beta_sigma: float, traders: bool = False):
-        P = beta_sigma + 2.0 * c * (r + beta_sigma * beta_sigma)
-        dP = 1.0 + 4.0 * c * beta_sigma
+    def h(beta_sigma: float) -> float:
+        P = beta_sigma + c2 * (r + beta_sigma * beta_sigma)
         s_per_gdt = (beta_sigma * beta_sigma + r) / P
-        ds_per_gdt = (2.0 * beta_sigma - s_per_gdt * dP) / P
-        sum_x = sum_dphi = 0.0
-        per_trader = []
-        for gdt, rdt, d in rows:
+        sum_x = 0.0
+        for gdt, rdt, d4, d2 in rows:
             s = gdt * s_per_gdt
             w = rdt + s
-            q = sqrt(w * w + 4.0 * d * s)
-            x = 2.0 / (w + q + 2.0 * d)
-            sum_x += x
-            if q:
-                phi = 2.0 * s / (w + q)
-                # implicit differentiation of the quadratic; 2 d phi + w = q
-                sum_dphi += gdt * ds_per_gdt * x / q
-            else:  # the dt = 0 limit
-                phi = 0.0
-            if traders:
-                per_trader.append((x, phi))
-        r_over_P = r / P
-        excess = r_over_P * sum_x - beta_sigma
-        slope = -r_over_P * (dP / P * sum_x + sum_dphi) - 1.0
-        if not traders:
-            return excess, slope
-        betas = tuple(r_over_P * x for x, _ in per_trader)
-        return excess, slope, betas, tuple(phi for _, phi in per_trader)
+            q = sqrt(w * w + d4 * s)
+            sum_x += 2.0 / (w + q + d2)
+        return r / P * sum_x - beta_sigma
 
     return h
 
 
-def _trader_responses(beta_sigma: float, params: ValidatedParams):
+def _excess_and_slope(rows, r: float, c: float):
+    """(h, dh/dbeta_sigma) at beta_sigma, for Newton's steps."""
+    c2 = 2.0 * c
+    c4 = 4.0 * c
+    sqrt = math.sqrt
+
+    def h(beta_sigma: float) -> tuple[float, float]:
+        P = beta_sigma + c2 * (r + beta_sigma * beta_sigma)
+        dP = 1.0 + c4 * beta_sigma
+        s_per_gdt = (beta_sigma * beta_sigma + r) / P
+        ds_per_gdt = (2.0 * beta_sigma - s_per_gdt * dP) / P
+        sum_x = sum_dphi = 0.0
+        for gdt, rdt, d4, d2 in rows:
+            s = gdt * s_per_gdt
+            w = rdt + s
+            q = sqrt(w * w + d4 * s)
+            x = 2.0 / (w + q + d2)
+            sum_x += x
+            if q:  # q = 0 only at dt = 0, where every phi_i stays 0
+                # implicit differentiation of the quadratic; 2 d phi + w = q
+                sum_dphi += gdt * ds_per_gdt * x / q
+        r_over_P = r / P
+        return r_over_P * sum_x - beta_sigma, -r_over_P * (dP / P * sum_x + sum_dphi) - 1.0
+
+    return h
+
+
+def _responses(beta_sigma: float, rows, r: float, c: float):
+    """(betas, phis) of every trader at the aggregate beta_sigma."""
+    P = beta_sigma + 2.0 * c * (r + beta_sigma * beta_sigma)
+    s_per_gdt = (beta_sigma * beta_sigma + r) / P
+    r_over_P = r / P
+    betas = []
+    phis = []
+    for gdt, rdt, d4, d2 in rows:
+        s = gdt * s_per_gdt
+        w = rdt + s
+        q = math.sqrt(w * w + d4 * s)
+        betas.append(r_over_P * (2.0 / (w + q + d2)))
+        phis.append(2.0 * s / (w + q) if q else 0.0)
+    return tuple(betas), tuple(phis)
+
+
+def _trader_responses(beta_sigma: float, params: ValidatedParams, rows):
     """(betas, phis) of every trader at the aggregate, each loading checked against r/P."""
     r = params.vol_ratio_sq
-    _, _, betas, phis = _responses(params, params.tax)(beta_sigma, True)
+    betas, phis = _responses(beta_sigma, rows, r, params.tax)
     bound = r / (beta_sigma + 2.0 * params.tax * (r + beta_sigma**2))
     for i, u in enumerate(betas):
         if not (0.0 < u < bound * (1.0 + 1e-12)):
@@ -354,31 +396,38 @@ def nash_best_response_beta(beta_sigma: float, trader_index: int, params: Valida
     if beta_sigma <= 0:
         raise ValueError(f"beta_sigma must be positive, got {beta_sigma!r}")
     _check_trader_index(trader_index, params.k)
-    return _trader_responses(beta_sigma, params)[0][trader_index]
+    return _trader_responses(beta_sigma, params, _trader_rows(params))[0][trader_index]
 
 
 def system_residual(eq: Equilibrium, params: ValidatedParams) -> tuple[float, ...]:
     """Per-trader residual of the equilibrium system, scaled by r^2."""
     r = params.vol_ratio_sq
     dt = params.dt
-    if r * r == 0.0:
+    rr = r * r
+    if rr == 0.0:
         raise ConstraintViolated("system_residual", f"scale r^2 underflows to 0 at r = {r!r}")
+    # trader i's response quadratic a x^2 + b x + r^2 = 0 at the aggregate
+    bs2 = eq.beta_sigma**2
+    P = eq.beta_sigma + 2.0 * params.tax * (r + bs2)
     out = []
     for i, t in enumerate(params.traders):
-        a, b, c0 = _response_coeffs(eq.beta_sigma, t.gamma, t.rho, r, dt, params.tax)
+        rdt = t.rho * dt
+        a = (1.0 - rdt) * P * P
+        b = -((P * (2.0 - rdt) + bs2 * t.gamma * dt) * r + rr * t.gamma * dt)
         bi = eq.betas[i]
-        out.append(abs(a * bi * bi + b * bi + c0) / (r * r))
+        out.append(abs(a * bi * bi + b * bi + rr) / rr)
     return tuple(out)
 
 
 def validate_equilibrium(eq: Equilibrium, params: ValidatedParams) -> None:
     """Raise ConstraintViolated unless all structural invariants hold."""
     r = params.vol_ratio_sq
-    if abs(sum(eq.betas) - eq.beta_sigma) > 1e-12 * max(1.0, abs(eq.beta_sigma)):
-        raise ConstraintViolated("aggregate_identity", f"sum(betas)={sum(eq.betas)!r} vs {eq.beta_sigma!r}")
+    total = _sum_left(eq.betas)
+    if abs(total - eq.beta_sigma) > 1e-12 * max(1.0, abs(eq.beta_sigma)):
+        raise ConstraintViolated("aggregate_identity", f"sum(betas)={total!r} vs {eq.beta_sigma!r}")
     if not eq.beta_sigma > 0:
         raise ConstraintViolated("beta_sigma_positive")
-    lam, phis, mus = pricing_from_beta(eq.beta_sigma, eq.betas, params)
+    lam = pricing_from_beta(eq.beta_sigma, (), params)[0]
     if abs(lam - eq.lam) > 1e-12 * max(1.0, abs(lam)):
         raise ConstraintViolated("lambda_formula")
     if not eq.lam * eq.beta_sigma < 1.0:
@@ -397,28 +446,30 @@ def validate_equilibrium(eq: Equilibrium, params: ValidatedParams) -> None:
             raise ConstraintViolated("mu_formula", f"trader {i}")
 
 
-def _solve_fixed_point(params: ValidatedParams):
+def _solve_fixed_point(params: ValidatedParams, rows):
     """Solve sum_i beta_i(beta_sigma) = beta_sigma at the tax rate params.tax.
 
     Covers every k and dt >= 0: at dt = 0 every decay rate is 0 and each
-    loading is r/P, so the root solves t (t + 2c (r + t^2)) = k r. Returns
-    the root, the Newton steps, the final bracket and the monotone-excess
-    witness samples.
+    loading is r/P, so the root solves t (t + 2c (r + t^2)) = k r. ``rows``
+    is ``_trader_rows(params)``. Returns the root, the Newton steps, the
+    final bracket and the monotone-excess witness samples.
     """
     m = params.sigma_K / params.sigma_S
-    h = _responses(params, params.tax)
+    r = params.vol_ratio_sq
+    h = _excess(rows, r, params.tax)
     hi, h_hi = _expand(h, math.sqrt(params.k) * m + m, 2.0, 1.0, "aggregate fixed point not bracketed above")
     lo, h_lo = _expand(h, 1e-12 * m, 0.5, -1.0, "aggregate fixed point not bracketed below")
-    root, iterations, bracket = _newton(h, lo, hi, m, h_lo, h_hi)
+    root, iterations, bracket = _newton(_excess_and_slope(rows, r, params.tax), lo, hi, m, h_lo, h_hi)
 
     # Monotone-excess witness: sample a decade around the solution. A strictly
-    # decreasing excess is what guarantees the fixed point is unique.
+    # decreasing excess is what guarantees the fixed point is unique. A sample
+    # on a bracket end reuses the excess already found there.
     samples = []
     s_lo = max(lo, root / 8.0)
     s_hi = min(hi, root * 8.0)
     for j in range(10):
         x = s_lo + (s_hi - s_lo) * j / 9.0
-        samples.append((x, h(x)[0]))
+        samples.append((x, h_lo if x == lo else h_hi if x == hi else h(x)))
     for (x0, h0), (x1, h1) in zip(samples, samples[1:]):
         if not h0 > h1:
             raise ConstraintViolated("h_monotonicity", f"excess not strictly decreasing between {x0!r} and {x1!r}")
@@ -433,14 +484,15 @@ def solve_nash(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagnostics]:
 
 
 def solve_taxed(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagnostics]:
-    """Equilibrium under a proportional transaction tax c = params.tax >= 0."""
+    """Equilibrium under a quadratic transaction tax c dL^2 per trade dL, c = params.tax >= 0."""
     return solve_equilibrium(params)
 
 
 def solve_equilibrium(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagnostics]:
     """Equilibrium at the tax rate params.tax; the one solve path for every tax rate and dt >= 0."""
-    beta_sigma, iterations, bracket, samples = _solve_fixed_point(params)
-    betas, phis = _trader_responses(beta_sigma, params)
+    rows = _trader_rows(params)
+    beta_sigma, iterations, bracket, samples = _solve_fixed_point(params, rows)
+    betas, phis = _trader_responses(beta_sigma, params, rows)
     # The decay rates come from the response itself, not from 1 - P beta_i / r.
     lam = pricing_from_beta(beta_sigma, (), params)[0]
     eq = Equilibrium(betas, beta_sigma, lam, phis, tuple(lam * p for p in phis), tax=params.tax)
@@ -453,7 +505,7 @@ def solve_equilibrium(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagno
         iterations=iterations,
         bracket=bracket,
         residuals=residuals,
-        aggregate_residual=abs(sum(betas) - beta_sigma),
+        aggregate_residual=abs(_sum_left(betas) - beta_sigma),
         h_samples=samples,
     )
     return eq, diag

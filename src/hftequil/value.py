@@ -119,11 +119,15 @@ def value_coefficients(
     if abs((F + gdt) - link) > _INVARIANT_TOL * max(1.0, abs(link)):
         raise ConstraintViolated("value_invariant", f"F + gamma dt = {F + gdt!r} vs {link!r}")
     G = disc * (-beta * (1.0 - zeta) * (F + gdt) + zeta * (lam * beta - eta))
-    coeffs = ValueCoefficients(A=A, B=B, C=C, D=D, E=E, zeta=zeta, F=F, G=G, eta=eta)
-    bad = {name: x for name, x in vars(coeffs).items() if not math.isfinite(x)}
-    if bad:
+    isfinite = math.isfinite
+    if not (
+        isfinite(A) and isfinite(B) and isfinite(C) and isfinite(D) and isfinite(E)
+        and isfinite(zeta) and isfinite(F) and isfinite(G) and isfinite(eta)
+    ):
+        named = dict(A=A, B=B, C=C, D=D, E=E, zeta=zeta, F=F, G=G, eta=eta)
+        bad = {name: x for name, x in named.items() if not isfinite(x)}
         raise ConstraintViolated("value_finite", f"non-finite {bad!r}")
-    return coeffs
+    return ValueCoefficients(A=A, B=B, C=C, D=D, E=E, zeta=zeta, F=F, G=G, eta=eta)
 
 
 def evaluate_value(coeffs: ValueCoefficients, M, dS, Z):

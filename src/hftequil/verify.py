@@ -30,6 +30,7 @@ from .solver import (
     SolverError,
     _quartic,
     _quartic_scale,
+    _sum_left,
     solve_equilibrium,
     system_residual,
 )
@@ -119,7 +120,7 @@ def _check_pricing(eq: Equilibrium, params: ValidatedParams, tol: Tolerances) ->
     sS2 = params.sigma_S**2
     sK2 = params.sigma_K**2
     lam_formula = eq.beta_sigma * sS2 / (sK2 + eq.beta_sigma**2 * sS2)
-    gaps = [_rel(eq.lam, lam_formula), _rel(sum(eq.betas), eq.beta_sigma)]
+    gaps = [_rel(eq.lam, lam_formula), _rel(_sum_left(eq.betas), eq.beta_sigma)]
     denom = 1.0 - eq.lam * eq.beta_sigma
     for b, p, mu in zip(eq.betas, eq.phis, eq.mus):
         gaps.append(_rel(p, 1.0 - (eq.lam + 2.0 * eq.tax) * b / denom))

@@ -1,5 +1,6 @@
 """Command line interface: flags, formats, exit codes, determinism."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +172,33 @@ class TestExpand:
     def test_taxed_rejected(self, capsys):
         code, _, err = run_cli(capsys, "expand", *BASE, "--tax", "1e-3")
         assert code == 2 and "untaxed" in err
+
+
+HETERO_K3 = ["--sigma-s", "1", "--sigma-k", "1.3", "--dt", "0.004", "--k", "3", "--gamma", "1,3,0.5", "--rho", "0.05,0.2,1"]
+SUM_ORDER = ["--sigma-s", "1", "--dt", "0.004", "--k", "3", "--rho", "0.05,0.2,0.2"]
+TAXED_K2 = ["--sigma-s", "1", "--sigma-k", "1.3", "--dt", "0.004", "--k", "2", "--gamma", "1,3", "--rho", "0.05,0.2", "--tax", "0.05"]
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["solve", *HETERO_K3], "solve_k3.json"),
+        (["expand", *HETERO_K3], "expand_k3.json"),
+        (["solve", *TAXED_K2], "solve_taxed_k2.json"),
+        # compensated summation changes aggregate_residual here
+        (["solve", *SUM_ORDER, "--sigma-k", "2", "--gamma", "2,0.7,0.3"], "solve_k3_sum_order.json"),
+        # and the sqrt(dt) coefficients of beta_sigma, beta, lambda, B and D here
+        (["expand", *SUM_ORDER, "--sigma-k", "1.3", "--gamma", "1,0.5,0.3"], "expand_k3_sum_order.json"),
+    ],
+)
+def test_analytic_payloads_are_pinned_byte_for_byte(capsys, argv, golden):
+    """The analytic payloads do not depend on the Python version or on how
+    the solver is organised: the files were recorded on CPython 3.11, and a
+    sum that CPython 3.12 would compensate, or a reordered float operation,
+    changes a last digit here."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == (Path(__file__).parent / "golden" / golden).read_text(encoding="utf-8")
 
 
 class TestSweep:

@@ -93,6 +93,51 @@ class TestCheckParams:
         ]
 
 
+class TestRealTypes:
+    """Any real number but a bool is accepted, and stored as a Python float."""
+
+    def test_numpy_and_integer_scalars_are_accepted_as_floats(self):
+        np = pytest.importorskip("numpy")
+        traders = (TraderParams(np.int64(2), np.float32(0.25), 1),)
+        p = validate(MarketParams(np.float32(1.5), 2, np.float64(0.01), traders, tax=np.int32(0)))
+        fields = (p.sigma_S, p.sigma_K, p.dt, p.tax, *dataclasses.astuple(p.traders[0]))
+        assert fields == (1.5, 2.0, 0.01, 0.0, 2.0, 0.25, 1.0)
+        assert all(type(x) is float for x in fields)
+        config = params_to_config(p)
+        assert load_config(json.loads(json.dumps(config))) == p
+
+    def test_float_params_are_kept_as_given(self):
+        p = make_params(k=2)
+        again = ValidatedParams(p.sigma_S, p.sigma_K, p.dt, p.traders, p.tax)
+        assert all(a is b for a, b in zip(again.traders, p.traders))
+
+    @pytest.mark.parametrize(
+        "field, code",
+        [("sigma_S", "NonPositiveVolatility"), ("dt", "DiscountOutOfRange"), ("tax", "NegativeTax")],
+    )
+    @pytest.mark.parametrize("bad", [True, "1.0", float("nan"), float("inf")])
+    def test_bool_str_and_non_finite_keep_their_codes(self, field, code, bad):
+        codes = [v.code for v in check_params(raw(**{field: bad}))]
+        assert codes == [code]
+
+    def test_reals_outside_the_float_range_are_refused_with_their_codes(self):
+        from fractions import Fraction
+
+        traders = (TraderParams(gamma=Fraction(1, 10**400), rho=-(10**400)),)
+        codes = [v.code for v in check_params(raw(sigma_S=10**400, dt=Fraction(10**400, 3), traders=traders))]
+        assert codes == ["NonPositiveVolatility", "DiscountOutOfRange", "NonPositiveGamma", "DiscountOutOfRange"]
+        cfg = {"sigma_S": 10**400, "sigma_K": 1.0, "dt": 0.01, "traders": [{"gamma": 1.0, "rho": 0.05}]}
+        with pytest.raises(InvalidParamsError) as exc:
+            load_config(cfg)
+        assert exc.value.codes == ["NonPositiveVolatility"]
+
+    def test_numpy_non_finite_and_bool_keep_their_codes(self):
+        np = pytest.importorskip("numpy")
+        traders = (TraderParams(np.float32("nan"), np.bool_(True), np.float64("inf")),)
+        codes = [v.code for v in check_params(raw(sigma_S=np.float32("inf"), traders=traders))]
+        assert codes == ["NonPositiveVolatility", "NonPositiveGamma", "DiscountOutOfRange", "NonFiniteInventory"]
+
+
 class TestValidate:
     def test_validate_returns_frozen_container(self):
         p = validate(raw())

@@ -28,7 +28,7 @@ from hftequil import (
     system_residual,
     validate_equilibrium,
 )
-from hftequil.solver import SYSTEM_RESIDUAL_TOL, _newton, _response_coeffs, _responses
+from hftequil.solver import SYSTEM_RESIDUAL_TOL, _excess, _newton, _responses, _trader_rows
 from helpers import make_params
 
 # sigma_S = sigma_K = 1, gamma = 1, rho = 0.05
@@ -284,6 +284,14 @@ class TestPricingAndValidation:
         with pytest.raises(ConstraintViolated):
             validate_equilibrium(bad, p)
 
+    def test_validate_refuses_a_full_price_impact_share_without_dividing_by_zero(self):
+        # lambda beta_sigma rounds to exactly 1 at sigma_K/sigma_S = 1e-9 and beta_sigma = 1
+        p = make_params(sigma_K=1e-9)
+        eq = Equilibrium((1.0,), 1.0, 1.0, (0.5,), (0.5,))
+        with pytest.raises(ConstraintViolated) as exc:
+            validate_equilibrium(eq, p)
+        assert exc.value.which == "price_impact_share"
+
     def test_eta_in_unit_interval(self):
         for k in (1, 2, 4):
             eq, _ = solve_nash(make_params(k=k, dt=0.004))
@@ -380,10 +388,13 @@ def test_decay_rate_form_solves_the_response_quadratic(log_ratio, log_dt, gammas
     p = make_params(dt=dt, gammas=gammas, rho=rho, sigma_K=m, tax=tax / m)
     bs = bs_scale * m * math.sqrt(len(gammas))
     r = p.vol_ratio_sq
-    _, _, betas, phis = _responses(p, p.tax)(bs, True)
+    betas, phis = _responses(bs, _trader_rows(p), r, p.tax)
+    P = bs + 2.0 * p.tax * (r + bs * bs)
     for t, beta, phi in zip(p.traders, betas, phis):
-        a, b, c0 = _response_coeffs(bs, t.gamma, t.rho, r, dt, p.tax)
-        assert abs(a * beta * beta + b * beta + c0) / (r * r) <= SYSTEM_RESIDUAL_TOL
+        # a x^2 + b x + r^2 = 0, the response quadratic before the phi substitution
+        a = (1.0 - t.rho * dt) * P * P
+        b = -((P * (2.0 - t.rho * dt) + bs * bs * t.gamma * dt) * r + r * r * t.gamma * dt)
+        assert abs(a * beta * beta + b * beta + r * r) / (r * r) <= SYSTEM_RESIDUAL_TOL
         assert 0.0 < phi <= 1.0
 
 
@@ -405,10 +416,10 @@ def test_taxed_games_solve_directly_at_their_tax_rate(log_ratio, log_dt, traders
         sigma_K=m,
         tax=10.0**log_tax / m,  # up to 100 times the impact scale sigma_S/sigma_K
     )
-    h = _responses(p, p.tax)
+    h = _excess(_trader_rows(p), p.vol_ratio_sq, p.tax)
     lo, hi = 1e-12 * m, (math.sqrt(p.k) + 1.0) * m
     grid = [lo * (hi / lo) ** (j / 399) for j in range(400)]
-    excess = [h(x)[0] for x in grid]
+    excess = [h(x) for x in grid]
     assert all(a > b for a, b in zip(excess, excess[1:]))
     eq, diag = solve_taxed(p)
     assert eq.tax == p.tax
@@ -503,3 +514,103 @@ def test_taxed_limit_solves_the_aggregate_equation(k, log_ratio, log_tax):
     t, c, r = eq.beta_sigma, p.tax, p.vol_ratio_sq
     assert abs(t * (t + 2.0 * c * (r + t * t)) - k * r) <= 1e-14 * k * r
     assert eq.phis == (0.0,) * k
+
+
+def _reference_excess(params, c):
+    """The excess with its slope and every trader's (beta_i, phi_i) from one
+    loop, as the solver once evaluated it at every point: the witness that
+    its split evaluators compute the same per-trader formula."""
+    r = params.vol_ratio_sq
+    dt = params.dt
+    rows = tuple((t.gamma * dt, t.rho * dt, 1.0 - t.rho * dt) for t in params.traders)
+
+    def h(beta_sigma):
+        P = beta_sigma + 2.0 * c * (r + beta_sigma * beta_sigma)
+        dP = 1.0 + 4.0 * c * beta_sigma
+        s_per_gdt = (beta_sigma * beta_sigma + r) / P
+        ds_per_gdt = (2.0 * beta_sigma - s_per_gdt * dP) / P
+        sum_x = sum_dphi = 0.0
+        per_trader = []
+        for gdt, rdt, d in rows:
+            s = gdt * s_per_gdt
+            w = rdt + s
+            q = math.sqrt(w * w + 4.0 * d * s)
+            x = 2.0 / (w + q + 2.0 * d)
+            sum_x += x
+            if q:
+                phi = 2.0 * s / (w + q)
+                sum_dphi += gdt * ds_per_gdt * x / q
+            else:
+                phi = 0.0
+            per_trader.append((x, phi))
+        r_over_P = r / P
+        excess = r_over_P * sum_x - beta_sigma
+        slope = -r_over_P * (dP / P * sum_x + sum_dphi) - 1.0
+        return excess, slope, tuple(r_over_P * x for x, _ in per_trader), tuple(phi for _, phi in per_trader)
+
+    return h
+
+
+@given(
+    log_ratio=st.floats(-6.0, 4.0),
+    dt=st.one_of(st.just(0.0), st.floats(1e-9, 0.3)),
+    traders=st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(0.01, 1.0)), min_size=1, max_size=5),
+    log_tax=st.one_of(st.none(), st.floats(-6.0, 1.0)),
+    bs_scale=st.floats(1e-3, 8.0),
+)
+def test_split_excess_evaluators_match_the_full_pass_bit_for_bit(log_ratio, dt, traders, log_tax, bs_scale):
+    """The value-only excess, the Newton pair and the responses pass each
+    return exactly what the single full pass returns, taxed, untaxed and at
+    dt = 0; so do the solve's witness samples, bracket ends included."""
+    from hftequil.solver import _excess_and_slope
+
+    m = 10.0**log_ratio
+    p = make_params(
+        dt=dt,
+        gammas=[g for g, _ in traders],
+        rhos=[r for _, r in traders],
+        sigma_K=m,
+        tax=0.0 if log_tax is None else 10.0**log_tax / m,
+    )
+    rows, r = _trader_rows(p), p.vol_ratio_sq
+    ref = _reference_excess(p, p.tax)
+    bs = bs_scale * m * math.sqrt(p.k)
+    excess, slope, betas, phis = ref(bs)
+    assert _excess(rows, r, p.tax)(bs) == excess
+    assert _excess_and_slope(rows, r, p.tax)(bs) == (excess, slope)
+    assert _responses(bs, rows, r, p.tax) == (betas, phis)
+    _, diag = solve_equilibrium(p)
+    assert len(diag.h_samples) == 10
+    for x, hx in diag.h_samples:
+        assert hx == ref(x)[0]
+
+
+def test_a_rising_excess_in_the_witness_window_is_refused(monkeypatch):
+    """The witness samples the value-only excess around the root; if it rises
+    between two samples the fixed point is not certified unique."""
+    import hftequil.solver as solver
+
+    p = make_params(k=3, gammas=[1.0, 3.0, 0.5], rhos=[0.05, 0.2, 1.0], sigma_K=1.3)
+    _, diag = solve_equilibrium(p)
+    (x4, h4), (x5, _) = diag.h_samples[4:6]
+    value_only = solver._excess
+
+    def rising(rows, r, c):
+        h = value_only(rows, r, c)
+        return lambda x: h4 + 1.0 if x == x5 else h(x)
+
+    monkeypatch.setattr(solver, "_excess", rising)
+    with pytest.raises(ConstraintViolated) as info:
+        solve_equilibrium(p)
+    assert info.value.which == "h_monotonicity"
+    assert repr(x4) in str(info.value) and repr(x5) in str(info.value)
+
+
+def test_sums_round_left_to_right_on_every_python():
+    """Sums that feed outputs add left to right, rounding at every step, as
+    the built-in sum() did before Python 3.12 compensated it."""
+    from hftequil.solver import _sum_left
+
+    assert _sum_left([1.0, 1e100, 1.0, -1e100]) == 0.0
+    assert _sum_left([0.1] * 10) == 0.9999999999999999
+    assert _sum_left(()) == 0.0
