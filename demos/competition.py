@@ -12,7 +12,7 @@ Run from the repository root:
 """
 import math
 
-from hftequil import load_config, nash_expansions, solve_nash
+from hftequil import load_config, nash_expansions, solve_equilibrium
 
 
 def homogeneous(k: int, dt: float):
@@ -33,7 +33,7 @@ def main() -> None:
     print(f"{'k':>3} {'beta_i':>12} {'beta_total':>12} {'lambda':>12} {'limit':>12}")
     for k in range(1, 11):
         p = homogeneous(k, dt)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         limit = math.sqrt(k) / (1 + k)
         print(
             f"{k:>3} {eq.betas[0]:>12.8f} {eq.beta_sigma:>12.8f}"
@@ -55,7 +55,7 @@ def main() -> None:
             ],
         }
     )
-    eq, _ = solve_nash(hetero)
+    eq, _ = solve_equilibrium(hetero)
     exp = nash_expansions(hetero)
     print("heterogeneous pair, gamma = (0.5, 2.0):")
     for i, (beta, phi) in enumerate(zip(eq.betas, eq.phis)):

@@ -12,7 +12,7 @@ Run from the repository root:
 """
 import numpy as np
 
-from hftequil import convergence_order, load_config, nash_expansions, solve_nash
+from hftequil import convergence_order, load_config, nash_expansions, solve_equilibrium
 
 
 def main() -> None:
@@ -43,7 +43,7 @@ def main() -> None:
     print(header)
     lam_limit = exp["lambda"].limit
     for dt in np.geomspace(1e-1, 1e-5, 5):
-        eq, _ = solve_nash(params.with_dt(float(dt)))
+        eq, _ = solve_equilibrium(params.with_dt(float(dt)))
         gap = abs(eq.lam - lam_limit) / lam_limit
         print(
             f"{dt:>10.1e} {eq.betas[0]:>12.8f} {eq.lam:>12.8f}"

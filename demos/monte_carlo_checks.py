@@ -18,7 +18,7 @@ from hftequil import (
     simulate,
     simulate_objective,
     simulate_second_moment,
-    solve_nash,
+    solve_equilibrium,
     load_config,
     value_coefficients,
 )
@@ -33,7 +33,7 @@ def main() -> None:
             "traders": [{"gamma": 1.0, "rho": 0.05} for _ in range(2)],
         }
     )
-    eq, _ = solve_nash(params)
+    eq, _ = solve_equilibrium(params)
     print(f"two traders at dt = 1/250: lambda = {eq.lam:.8f}, phi = {eq.phis[0]:.8f}")
     print()
 
@@ -56,7 +56,7 @@ def main() -> None:
             "traders": [{"gamma": 1.0, "rho": 0.05}],
         }
     )
-    eq1, _ = solve_nash(slow)
+    eq1, _ = solve_equilibrium(slow)
     cs = value_coefficients(eq1, 0, slow)
     target = 0.5 * cs.B * slow.sigma_S**2 * slow.dt + cs.D
     res = simulate_objective(eq1, None, slow, 0, n_paths=20000, seed=0)

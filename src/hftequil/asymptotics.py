@@ -21,7 +21,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .model import ValidatedParams, _check_trader_index
-from .solver import _sum_left, solve_nash
+from .solver import _sum_left, solve_equilibrium
 
 __all__ = [
     "Expansion",
@@ -179,7 +179,7 @@ def convergence_order(
         if rho_max * dt >= 1.0:
             skipped.append(InfeasiblePoint(dt, f"rho*dt = {rho_max * dt!r} leaves no discounting room"))
             continue
-        eq, _ = solve_nash(params.with_dt(dt))
+        eq, _ = solve_equilibrium(params.with_dt(dt))
         exact = _pick({"beta": eq.betas, "beta_sigma": eq.beta_sigma, "lambda": eq.lam,
                        "phi": eq.phis, "mu": eq.mus}[quantity], trader)
         approx = expn.evaluate(dt)

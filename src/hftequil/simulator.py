@@ -27,13 +27,14 @@ residual per path, which prices every row's payoff.
 The kernel walks the paths in blocks of ``BLOCK_PATHS``. Each block's
 increments are laid out time-major, (horizon, paths), so a period reads one
 contiguous row, and the per-period state of a block stays in cache. Only
-``simulate`` keeps full (paths, horizon) series, for callers that need
-every series of a small batch. The other entry points pool per-block
-results with one streaming estimator, so their memory does not grow with
-the number of paths. That includes the pass verify runs: a sweep whose
-row 0 also feeds ``_GameStats``, the per-period reduction behind
-``dealer_profit_check``. The recursions are plain numpy loops over
-periods; the package depends on numpy alone.
+``simulate`` keeps full (paths, horizon) series, in a ``PathBatch`` whose
+fields a caller reduces as it needs; ``dealer_profit_check`` and
+``reduced_form_gap`` are the two batch reductions kept here. The other
+entry points pool per-block results with one streaming estimator, so their
+memory does not grow with the number of paths. That includes the pass
+verify runs: a sweep whose row 0 also feeds ``_GameStats``, the per-period
+reduction behind ``dealer_profit_check``. The recursions are plain numpy
+loops over periods; the package depends on numpy alone.
 
 Blocks are independent, so ``simulate_objective``, ``deviation_sweep``
 (verify's pass included) and ``simulate_second_moment`` hand contiguous
@@ -80,10 +81,7 @@ __all__ = [
     "HorizonTooShort",
     "default_horizon",
     "simulate",
-    "estimate_objective",
-    "mark_to_market",
     "simulate_objective",
-    "effective_order_flow",
     "dealer_profit_check",
     "reduced_form_gap",
     "inventory_second_moment",
@@ -151,9 +149,6 @@ class _Stat:
     n: int = 0
     mean: float = 0.0
     m2: float = 0.0
-
-    def add(self, values: np.ndarray) -> "_Stat":
-        return self.merge(*_moments(values))
 
     def merge(self, nb: int, mean_b: float, m2_b: float) -> "_Stat":
         """Pool one block given by its ``_moments``."""
@@ -736,28 +731,6 @@ def _check_tail(rho: float, dt: float, horizon: int, tail_tol) -> None:
         )
 
 
-def estimate_objective(
-    batch: PathBatch,
-    trader_index: int,
-    *,
-    tail_tol: float | None = DEFAULT_TAIL_TOL,
-) -> Estimate:
-    """Discounted objective of one trader, averaged over the batch paths."""
-    params = batch.params
-    _check_args(params, trader_index)
-    rho = params.traders[trader_index].rho
-    _check_tail(rho, params.dt, batch.horizon, tail_tol)
-    disc = np.cumprod(np.full(batch.horizon, 1.0 - rho * params.dt))
-    per_path = batch.payoff[:, trader_index, :] @ disc
-    return _Stat().add(per_path).estimate()
-
-
-def mark_to_market(batch: PathBatch, trader_index: int) -> Estimate:
-    """Discounted inventory-times-signal-move sum; zero in expectation."""
-    _check_args(batch.params, trader_index)
-    return _Stat().add(batch.mtm_discounted[:, trader_index]).estimate()
-
-
 @dataclass(frozen=True)
 class ObjectiveResult:
     objective: Estimate
@@ -801,11 +774,6 @@ def simulate_objective(
         obj.merge(*obj_b)
         mtm.merge(*mtm_b)
     return ObjectiveResult(obj.estimate(), mtm.estimate(), trader_index, horizon, n_paths)
-
-
-def effective_order_flow(batch: PathBatch) -> np.ndarray:
-    """X_n = dY_n + sum_j phi_j M^j_{n-1}; the dealer prices exactly lambda X_n."""
-    return _effective_flow(batch.eq.phis, batch.dY, batch.M[:, :, :-1].transpose(1, 0, 2))
 
 
 def _effective_flow(phis, dy, M):
@@ -931,8 +899,8 @@ def inventory_second_moment(
 ) -> float:
     """E[M_n^2] for trader ``trader_index``'s prediction recursion M' = (1 - phi) M + beta dS."""
     _check_args(params, trader_index)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     beta, phi = eq.betas[trader_index], eq.phis[trader_index]
     drive = beta**2 * params.sigma_S**2 * params.dt
     # 1 - a2 = phi (2 - phi) without cancellation; for 0 < phi < 1, a2^n =
@@ -969,9 +937,10 @@ def simulate_second_moment(
     with the same per-path keying and update as the full game, so
     checkpoints line up with ``simulate`` output.
     """
-    checkpoints = sorted(set(int(n) for n in checkpoints))
-    if not checkpoints or checkpoints[0] < 1:
-        raise ValueError("checkpoints must be positive periods")
+    checkpoints = list(checkpoints)
+    if not checkpoints or not all(_is_int(n) and n >= 1 for n in checkpoints):
+        raise ValueError(f"checkpoints must be positive integer periods, got {checkpoints!r}")
+    checkpoints = sorted(set(checkpoints))
     horizon = checkpoints[-1]
     _check_args(params, trader_index, (horizon, seed, 0, n_paths))
     beta, phi = eq.betas[trader_index], eq.phis[trader_index]

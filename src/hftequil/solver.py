@@ -36,7 +36,6 @@ __all__ = [
     "solve_monopoly_beta",
     "monopoly_quartic_roots",
     "nash_best_response_beta",
-    "solve_nash",
     "solve_taxed",
     "solve_equilibrium",
     "pricing_from_beta",
@@ -474,13 +473,6 @@ def _solve_fixed_point(params: ValidatedParams, rows):
         if not h0 > h1:
             raise ConstraintViolated("h_monotonicity", f"excess not strictly decreasing between {x0!r} and {x1!r}")
     return root, iterations, bracket, tuple(samples)
-
-
-def solve_nash(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagnostics]:
-    """Untaxed k-trader equilibrium. Requires params.tax == 0."""
-    if params.tax != 0.0:
-        raise ValueError(f"solve_nash requires tax == 0, got {params.tax!r}; use solve_taxed")
-    return solve_equilibrium(params)
 
 
 def solve_taxed(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagnostics]:

@@ -12,6 +12,7 @@ the simulator plays trader 0's equilibrium row and three neighbours
 block by block, and row 0, the game every trader plays at equilibrium,
 also feeds the dealer's profit, the impact regression and the
 mark-to-market. Memory therefore does not grow with the number of paths.
+``paths`` is 0, which skips this battery, or an integer of at least 2.
 Three calls stay separate. The objective check runs over the full
 discount horizon rather than ``mc_horizon``, and the reduced-form witness
 needs every series of a small batch in which trader 0 deviates. The
@@ -333,9 +334,12 @@ def run_verification(
 ) -> VerificationReport:
     """Solve the game for ``params`` and run every applicable check.
 
-    ``paths = 0`` skips the Monte Carlo battery. Value-layer checks run for
-    the untaxed game at dt > 0, where the quadratic value function applies.
+    ``paths = 0`` skips the Monte Carlo battery; any other count must be an
+    integer of at least 2. Value-layer checks run for the untaxed game at
+    dt > 0, where the quadratic value function applies.
     """
+    if not sim._is_int(paths) or paths < 0 or paths == 1:
+        raise ValueError(f"paths must be 0 or an integer of at least 2, got {paths!r}")
     tol = tolerances or Tolerances()
     eq, _ = solve_equilibrium(params)
     results: list[CheckResult] = []
@@ -348,6 +352,6 @@ def run_verification(
     if params.tax == 0.0 and params.dt > 0.0:
         value_results, coeff_list = _check_value_layer(eq, params, tol)
         results.extend(value_results)
-    if paths >= 2 and params.dt > 0.0:
+    if paths and params.dt > 0.0:
         results.extend(_mc_checks(eq, params, coeff_list, tol, paths, seed, mc_horizon))
     return VerificationReport(tuple(results))

@@ -25,7 +25,7 @@ from hftequil import (
     simulate,
     simulate_objective,
     simulate_second_moment,
-    solve_nash,
+    solve_equilibrium,
     solve_taxed,
     value_coefficients,
 )
@@ -38,20 +38,20 @@ def test_criterion_01_limit_closed_forms():
     m = sigma_K / sigma_S
     for k in range(1, 11):
         p = make_params(k=k, dt=0.0, sigma_S=sigma_S, sigma_K=sigma_K)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         assert abs(eq.betas[0] - m / math.sqrt(k)) <= 1e-14 * m
         assert abs(eq.beta_sigma - math.sqrt(k) * m) <= 1e-14 * m
         lam_want = math.sqrt(k) / (1 + k) * sigma_S / sigma_K
         assert abs(eq.lam - lam_want) <= 1e-14 * lam_want
         assert eq.phis == tuple(0.0 for _ in range(k))
     hetero = make_params(k=3, dt=0.0, gammas=[0.5, 1.0, 2.0], sigma_S=sigma_S, sigma_K=sigma_K)
-    eq, _ = solve_nash(hetero)
+    eq, _ = solve_equilibrium(hetero)
     for b in eq.betas:
         assert abs(b - m / math.sqrt(3)) <= 1e-14 * m
     n = 200
     t1 = time.perf_counter()
     for _ in range(n):
-        solve_nash(make_params(k=5, dt=0.0))
+        solve_equilibrium(make_params(k=5, dt=0.0))
     per_solve = (time.perf_counter() - t1) / n
     assert per_solve < 1e-3, f"limit solve took {per_solve * 1e3:.3f} ms on average"
     elapsed = time.perf_counter() - t0
@@ -77,7 +77,7 @@ def test_criterion_03_monopoly_impact_near_its_limit():
     p = make_params()
     limit = nash_expansions(p)["lambda"].limit
     for dt in (1 / 250, 1 / 1000, 1 / 2500, 1 / 25000):
-        eq, _ = solve_nash(p.with_dt(dt))
+        eq, _ = solve_equilibrium(p.with_dt(dt))
         assert abs(eq.lam - limit) / limit < 0.01, dt
     elapsed = time.perf_counter() - t0
     assert elapsed < budget, f"runtime {elapsed:.2f}s exceeds {budget}s"
@@ -94,7 +94,7 @@ def test_criterion_04_value_identity_and_dpe_residual():
     for base in cases:
         for dt in (1 / 250, 1 / 25000):
             p = base.with_dt(dt)
-            eq, _ = solve_nash(p)
+            eq, _ = solve_equilibrium(p)
             for i in range(p.k):
                 cs = value_coefficients(eq, i, p)
                 gdt = p.traders[i].gamma * dt
@@ -110,7 +110,7 @@ def test_criterion_04_value_identity_and_dpe_residual():
 def test_criterion_05_dealer_zero_profit_with_negative_control():
     budget, t0 = 30.0, time.perf_counter()
     p = make_params(k=2, dt=1 / 250)
-    eq, _ = solve_nash(p)
+    eq, _ = solve_equilibrium(p)
     batch = simulate(eq, None, p, n_paths=1000, horizon=1000, seed=0)
 
     check = dealer_profit_check(batch)
@@ -131,7 +131,7 @@ def test_criterion_06_equilibrium_is_the_deviation_argmax():
     budget, t0 = 120.0, time.perf_counter()
     for k in (1, 2, 4):
         p = make_params(k=k, dt=1 / 2500)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         zeta = value_coefficients(eq, 0, p).zeta
         # the 1.0 point of both scale sweeps is the equilibrium row itself
         rows = [StrategySpec.equilibrium()]
@@ -156,7 +156,7 @@ def test_criterion_06_equilibrium_is_the_deviation_argmax():
 def test_criterion_07_simulated_objective_matches_value_function():
     budget, t0 = 60.0, time.perf_counter()
     p = make_params(k=1, dt=0.1)
-    eq, _ = solve_nash(p)
+    eq, _ = solve_equilibrium(p)
     cs = value_coefficients(eq, 0, p)
     target = 0.5 * cs.B * p.sigma_S**2 * p.dt + cs.D
     assert target == pytest.approx(8.633603202280732, rel=1e-12)
@@ -171,7 +171,7 @@ def test_criterion_07_simulated_objective_matches_value_function():
 def test_criterion_08_second_moment_formula_and_boundedness():
     budget, t0 = 10.0, time.perf_counter()
     p = make_params(k=1, dt=0.1)
-    eq, _ = solve_nash(p)
+    eq, _ = solve_equilibrium(p)
     ests = simulate_second_moment(eq, 0, p, [1, 10, 100], n_paths=200_000, seed=0)
     for n, est in ests.items():
         target = inventory_second_moment(eq, 0, p, n)
@@ -202,7 +202,7 @@ def test_criterion_09_transaction_tax_directions():
 
     p = make_params(k=2, dt=1 / 25000)
     eq_taxed, _ = solve_taxed(p)
-    eq_nash, _ = solve_nash(p)
+    eq_nash, _ = solve_equilibrium(p)
     assert abs(eq_taxed.lam - eq_nash.lam) <= 1e-10
     assert all(abs(a - b) <= 1e-10 for a, b in zip(eq_taxed.betas, eq_nash.betas))
     elapsed = time.perf_counter() - t0
@@ -214,7 +214,7 @@ def test_criterion_10_impact_falls_with_competition():
     lams = []
     for k in range(1, 11):
         p = make_params(k=k, dt=1 / 25000)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         limit = nash_expansions(p)["lambda"].limit
         gap = abs(eq.lam - limit) / limit
         assert gap < 0.005, (k, gap)

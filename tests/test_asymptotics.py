@@ -16,7 +16,7 @@ from hftequil import (
     Expansion,
     convergence_order,
     nash_expansions,
-    solve_nash,
+    solve_equilibrium,
     value_coefficients,
 )
 from helpers import make_params
@@ -172,7 +172,7 @@ class TestNashCoefficients:
 
 
 def _truncation_error(params, quantity, trader, dt):
-    eq, _ = solve_nash(params.with_dt(dt))
+    eq, _ = solve_equilibrium(params.with_dt(dt))
     exps = nash_expansions(params)
     if quantity == "beta_sigma":
         return abs(eq.beta_sigma - exps["beta_sigma"].evaluate(dt))
@@ -210,7 +210,7 @@ class TestTruncationOrders:
         errs = []
         for dt in (6.4e-4, 4.0e-5):
             q = p.with_dt(dt)
-            eq, _ = solve_nash(q)
+            eq, _ = solve_equilibrium(q)
             cs = value_coefficients(eq, 0, q)
             exact = {"A": cs.A, "B": cs.B, "C": cs.C, "D": cs.D}[key]
             errs.append(abs(exact - exps.evaluate(dt)))
@@ -219,7 +219,7 @@ class TestTruncationOrders:
     def test_value_constant_error_band(self):
         # |D_exact - D_expansion| measured near 3.4*dt for the unit monopoly
         p = make_params(dt=0.004)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         cs = value_coefficients(eq, 0, p)
         err = abs(cs.D - nash_expansions(p)["D"][0].evaluate(0.004))
         assert err < 10.0 * 0.004

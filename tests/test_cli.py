@@ -339,6 +339,12 @@ class TestVerify:
             assert line.startswith(("PASS", "WARN"))
             assert "value=" in line and "threshold=" in line
 
+    @pytest.mark.parametrize("paths", ["1", "-3"])
+    def test_paths_that_would_skip_the_monte_carlo_checks_exit_2(self, capsys, paths):
+        code, out, err = run_cli(capsys, "verify", *BASE, "--paths", paths)
+        assert code == 2 and out == ""
+        assert err == f"error: paths must be 0 or an integer of at least 2, got {paths}\n"
+
     def test_json_output_serializes(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", *BASE, "--paths", "128", "--format", "json"

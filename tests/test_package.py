@@ -1,4 +1,4 @@
-"""The public names: each submodule's __all__ and nothing else, loaded on first use."""
+"""The public names: each submodule's __all__ and nothing else, found on first use."""
 import os
 import subprocess
 import sys
@@ -24,6 +24,14 @@ def test_package_exports_exactly_the_submodule_names():
     for m in SUBMODULES:
         for name in m.__all__:
             assert getattr(hftequil, name) is getattr(m, name), name
+
+
+def test_star_import_binds_every_declared_name():
+    namespace = {}
+    exec("from hftequil import *", namespace)
+    for m in SUBMODULES:
+        for name in m.__all__:
+            assert namespace[name] is getattr(m, name), name
 
 
 def test_unknown_name_is_an_attribute_error():
@@ -54,8 +62,10 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
         f"from hftequil import cli; assert cli.main({['solve', *BASE]!r}) == 0",
         f"from hftequil import cli; assert cli.main({['expand', *BASE]!r}) == 0",
         "import hftequil; hftequil.solve_equilibrium",
+        "import hftequil; assert not hasattr(hftequil, '__wrapped__')",
+        "import hftequil.model",
     ],
-    ids=["solve", "expand", "import"],
+    ids=["solve", "expand", "import", "dunder", "submodule"],
 )
 def test_analytic_calls_leave_the_simulation_layers_unloaded(statement):
     check = f"import sys; print(sorted(m for m in {SIMULATION_LAYERS!r} if m in sys.modules))"

@@ -25,16 +25,13 @@ from hftequil import (
     dealer_profit_check,
     default_horizon,
     deviation_sweep,
-    effective_order_flow,
-    estimate_objective,
     inventory_is_bounded,
     inventory_second_moment,
-    mark_to_market,
     reduced_form_gap,
     simulate,
     simulate_objective,
     simulate_second_moment,
-    solve_nash,
+    solve_equilibrium,
     solve_taxed,
 )
 from hftequil import run_verification, simulator
@@ -47,10 +44,26 @@ def normals(seed, path, stream, n):
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
 
 
+def sample_estimate(values):
+    """numpy's mean and standard error of per-path samples."""
+    return Estimate(float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size)), values.size)
+
+
+def discounted_payoffs(batch, i):
+    """Trader i's discounted payoff sum on each path of a ``simulate`` batch."""
+    rho = batch.params.traders[i].rho
+    return batch.payoff[:, i, :] @ np.cumprod(np.full(batch.horizon, 1.0 - rho * batch.params.dt))
+
+
+def effective_flow(batch):
+    """X_n = dY_n + sum_j phi_j M^j_{n-1}; the dealer prices exactly lambda X_n."""
+    return batch.dY + np.tensordot(batch.eq.phis, batch.M[:, :, :-1], axes=(0, 1))
+
+
 class TestRandomStreams:
     def test_keying_is_reproducible_per_path(self):
         p = make_params(k=1, dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         batch = simulate(eq, None, p, n_paths=4, horizon=16, seed=7, first_path=3)
         scale = p.sigma_S * math.sqrt(p.dt)
         for j in range(4):
@@ -61,7 +74,7 @@ class TestRandomStreams:
 
     def test_chunking_never_changes_paths(self, monkeypatch):
         p = make_params(k=2, dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         specs = (StrategySpec.equilibrium(), StrategySpec.with_z(0.4, 0.8))
         monkeypatch.setattr(simulator, "BLOCK_PATHS", 3)
         a = simulate(eq, specs, p, n_paths=13, horizon=21, seed=5)
@@ -72,7 +85,7 @@ class TestRandomStreams:
 
     def test_first_path_slices_the_same_universe(self):
         p = make_params(k=1, dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         whole = simulate(eq, None, p, n_paths=6, horizon=10, seed=1)
         part = simulate(eq, None, p, n_paths=2, horizon=10, seed=1, first_path=2)
         assert np.array_equal(whole.dS[2:4], part.dS)
@@ -80,7 +93,7 @@ class TestRandomStreams:
 
     def test_seed_changes_paths(self):
         p = make_params(k=1, dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         a = simulate(eq, None, p, n_paths=3, horizon=8, seed=0)
         b = simulate(eq, None, p, n_paths=3, horizon=8, seed=1)
         assert not np.array_equal(a.dS, b.dS)
@@ -88,13 +101,13 @@ class TestRandomStreams:
     @pytest.mark.parametrize("seed", [True, -1, 2**64])
     def test_bad_seed_rejected(self, seed):
         p = make_params(k=1, dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         with pytest.raises(ValueError):
             simulate(eq, None, p, n_paths=2, horizon=4, seed=seed)
 
     def test_single_path_rejected(self):
         p = make_params(k=1, dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         with pytest.raises(ValueError):
             simulate(eq, None, p, n_paths=1, horizon=4)
 
@@ -130,7 +143,7 @@ class TestIntegerArguments:
 
     def setup_method(self):
         self.p = make_params(k=2, dt=0.01)
-        self.eq, _ = solve_nash(self.p)
+        self.eq, _ = solve_equilibrium(self.p)
 
     @pytest.mark.parametrize("bad", BAD)
     def test_simulate(self, bad):
@@ -158,6 +171,13 @@ class TestIntegerArguments:
     def test_simulate_second_moment(self, bad):
         with pytest.raises(ValueError):
             simulate_second_moment(self.eq, 0, self.p, [1, 3], n_paths=bad, seed=1)
+        with pytest.raises(ValueError, match="checkpoints"):
+            simulate_second_moment(self.eq, 0, self.p, [1, bad], n_paths=4, seed=1)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_inventory_second_moment(self, bad):
+        with pytest.raises(ValueError, match="n must be"):
+            inventory_second_moment(self.eq, 0, self.p, bad)
 
 
 def _entry_points(eq, p, i):
@@ -180,13 +200,13 @@ class TestEntryPointRefusals:
     @pytest.mark.parametrize("name", NAMES)
     def test_dt_zero(self, name):
         p = make_params(k=2, dt=0.0)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         with pytest.raises(ValueError, match="dt > 0"):
             _entry_points(eq, p, 0)[name]()
 
     def test_simulate_at_dt_zero(self):
         p = make_params(k=2, dt=0.0)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         with pytest.raises(ValueError, match="dt > 0"):
             simulate(eq, None, p, n_paths=4, horizon=3)
 
@@ -194,19 +214,9 @@ class TestEntryPointRefusals:
     @pytest.mark.parametrize("name", NAMES)
     def test_index_out_of_range(self, name, index):
         p = make_params(k=2, dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         with pytest.raises(ValueError, match="out of range"):
             _entry_points(eq, p, index)[name]()
-
-    @pytest.mark.parametrize("index", [-1, 2])
-    def test_batch_reductions_index_out_of_range(self, index):
-        p = make_params(k=2, dt=0.01)
-        eq, _ = solve_nash(p)
-        batch = simulate(eq, None, p, n_paths=4, horizon=3)
-        with pytest.raises(ValueError, match="out of range"):
-            estimate_objective(batch, index, tail_tol=None)
-        with pytest.raises(ValueError, match="out of range"):
-            mark_to_market(batch, index)
 
 
 class TestHandRolledRecursion:
@@ -350,7 +360,7 @@ class TestHandRolledRecursion:
 class TestEquilibriumPath:
     def test_actual_inventory_equals_prediction(self):
         p = make_params(k=3, dt=0.01, gammas=[0.5, 1.0, 2.0], l0=[1.0, 0.0, -1.0])
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         batch = simulate(eq, None, p, n_paths=8, horizon=40, seed=3)
         assert np.all(batch.Z == 0.0)
         assert np.array_equal(batch.L, batch.M)
@@ -358,20 +368,20 @@ class TestEquilibriumPath:
 
     def test_reduced_form_identity(self):
         p = make_params(k=2, dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         batch = simulate(eq, None, p, n_paths=16, horizon=50, seed=2)
         assert reduced_form_gap(batch) < 1e-12
 
     def test_reduced_form_identity_with_deviator(self):
         p = make_params(k=2, dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         specs = (StrategySpec.scaled(beta_scale=1.3, phi_scale=0.7), StrategySpec.equilibrium())
         batch = simulate(eq, specs, p, n_paths=16, horizon=50, seed=2)
         assert reduced_form_gap(batch) < 1e-12
 
     def test_workdown_gap_decays_geometrically(self):
         p = make_params(k=2, dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         zeta, z0 = 0.25, 2.0
         specs = {1: StrategySpec.with_z(zeta, z0)}
         batch = simulate(eq, specs, p, n_paths=4, horizon=30, seed=0)
@@ -382,9 +392,9 @@ class TestEquilibriumPath:
 
     def test_effective_flow_is_noise_plus_aggregate_signal(self):
         p = make_params(k=2, dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         batch = simulate(eq, None, p, n_paths=10, horizon=25, seed=4)
-        x = effective_order_flow(batch)
+        x = effective_flow(batch)
         want = batch.dK + eq.beta_sigma * batch.dS
         assert np.allclose(x, want, rtol=0, atol=1e-12)
 
@@ -392,13 +402,11 @@ class TestEquilibriumPath:
 class TestObjective:
     def test_matches_manual_discounted_sum(self):
         p = make_params(k=2, dt=0.01, rhos=[0.05, 0.2])
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         batch = simulate(eq, None, p, n_paths=32, horizon=64, seed=9)
         for i in range(2):
-            rho = p.traders[i].rho
-            disc = np.cumprod(np.full(64, 1.0 - rho * p.dt))
-            per_path = batch.payoff[:, i, :] @ disc
-            est = estimate_objective(batch, i, tail_tol=None)
+            per_path = discounted_payoffs(batch, i)
+            est = simulate_objective(eq, None, p, i, n_paths=32, horizon=64, seed=9, tail_tol=None).objective
             assert est.mean == pytest.approx(float(per_path.mean()), rel=1e-14)
             assert est.std_error == pytest.approx(
                 float(per_path.std(ddof=1) / math.sqrt(32)), rel=1e-14
@@ -407,33 +415,33 @@ class TestObjective:
 
     def test_tail_guard(self):
         p = make_params(k=1, dt=0.01, rho=0.05)
-        eq, _ = solve_nash(p)
-        batch = simulate(eq, None, p, n_paths=4, horizon=50, seed=0)
+        eq, _ = solve_equilibrium(p)
+        kw = dict(n_paths=4, horizon=50, seed=0)
         with pytest.raises(HorizonTooShort):
-            estimate_objective(batch, 0)
-        est = estimate_objective(batch, 0, tail_tol=None)
+            simulate_objective(eq, None, p, 0, **kw)
+        est = simulate_objective(eq, None, p, 0, **kw, tail_tol=None).objective
         assert math.isfinite(est.mean)
 
     def test_streaming_equals_batch_reduction(self):
         p = make_params(k=2, dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         specs = {1: StrategySpec.scaled(beta_scale=0.9)}
         batch = simulate(eq, specs, p, n_paths=64, horizon=80, seed=13)
         for i in range(2):
             res = simulate_objective(
                 eq, specs, p, i, n_paths=64, horizon=80, seed=13, tail_tol=None
             )
-            want = estimate_objective(batch, i, tail_tol=None)
+            want = sample_estimate(discounted_payoffs(batch, i))
             assert res.objective.mean == pytest.approx(want.mean, rel=1e-13)
             assert res.objective.std_error == pytest.approx(want.std_error, rel=1e-12)
             assert res.mark_to_market.mean == pytest.approx(
-                mark_to_market(batch, i).mean, rel=1e-13
+                float(batch.mtm_discounted[:, i].mean()), rel=1e-13
             )
             assert res.horizon == 80 and res.n_paths == 64 and res.trader_index == i
 
     def test_mark_to_market_is_centered(self):
         p = make_params(k=1, dt=0.1)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         res = simulate_objective(eq, None, p, 0, n_paths=2000, seed=21)
         assert abs(res.mark_to_market.mean) <= 4.5 * res.mark_to_market.std_error
 
@@ -472,7 +480,7 @@ class TestHorizon:
 class TestAdmissibility:
     def setup_method(self):
         self.p = make_params(k=2, dt=0.01)
-        self.eq, _ = solve_nash(self.p)
+        self.eq, _ = solve_equilibrium(self.p)
 
     def test_scaled_decay_bounds(self):
         phi = self.eq.phis[0]
@@ -506,7 +514,7 @@ class TestAdmissibility:
 
     def test_memory_guard_counts_every_stored_double(self):
         p = make_params(k=3, dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         batch = simulate(eq, None, p, n_paths=2, horizon=4)
         fields = ("dS", "dK", "dY", "price_adj", "M", "L", "payoff", "penalty", "mtm_discounted")
         stored = sum(getattr(batch, f).size for f in fields)
@@ -560,6 +568,11 @@ class TestMoments:
         with pytest.raises(ValueError):
             inventory_second_moment(eq_with(0.5, 1.0), 0, make_params(dt=0.01), -1)
 
+    def test_non_integer_n_rejected(self):
+        # n = 2.5 used to answer as if the moment were defined between periods
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            inventory_second_moment(eq_with(0.5, 1.0), 0, make_params(dt=0.01), 2.5)
+
     def test_boundedness_flag(self):
         assert not inventory_is_bounded(eq_with(0.0), 0)
         assert inventory_is_bounded(eq_with(1.0), 0)
@@ -567,12 +580,12 @@ class TestMoments:
         assert not inventory_is_bounded(eq_with(2.0), 0)
         assert not inventory_is_bounded(eq_with(2.5), 0)
         p = make_params(dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         assert inventory_is_bounded(eq, 0)
 
     def test_monte_carlo_matches_closed_form(self):
         p = make_params(k=1, dt=0.1)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         ests = simulate_second_moment(eq, 0, p, [1, 5, 20], n_paths=20000, seed=2)
         for n, est in ests.items():
             want = inventory_second_moment(eq, 0, p, n)
@@ -580,7 +593,7 @@ class TestMoments:
 
     def test_monte_carlo_paths_line_up_with_simulate(self):
         p = make_params(k=1, dt=0.1)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         batch = simulate(eq, None, p, n_paths=50, horizon=6, seed=8)
         ests = simulate_second_moment(eq, 0, p, [6], n_paths=50, seed=8)
         want = float((batch.M[:, 0, 6] ** 2).mean())
@@ -588,11 +601,14 @@ class TestMoments:
 
     def test_checkpoint_validation(self):
         p = make_params(k=1, dt=0.1)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         with pytest.raises(ValueError):
             simulate_second_moment(eq, 0, p, [], n_paths=10)
         with pytest.raises(ValueError):
             simulate_second_moment(eq, 0, p, [0, 3], n_paths=10)
+        # non-integer periods used to be truncated, estimated and keyed as 2 and 10
+        with pytest.raises(ValueError, match="positive integer periods"):
+            simulate_second_moment(eq, 0, p, [2.7, 10.9], n_paths=10)
 
 
 class TestDealer:
@@ -621,12 +637,12 @@ class TestDealer:
 
     def make_batch(self, n_paths=400, horizon=300, seed=6):
         p = make_params(k=2, dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         return p, eq, simulate(eq, None, p, n_paths=n_paths, horizon=horizon, seed=seed)
 
     def test_flow_variance(self):
         p, eq, batch = self.make_batch()
-        x = effective_order_flow(batch).ravel()
+        x = effective_flow(batch).ravel()
         want = (p.sigma_K**2 + eq.beta_sigma**2 * p.sigma_S**2) * p.dt
         var = float(x.var(ddof=1))
         se = want * math.sqrt(2.0 / (x.size - 1))
@@ -646,7 +662,7 @@ class TestDealer:
         check = dealer_profit_check(batch, lambda_scale)
         padj = batch.price_adj + (lambda_scale - 1.0) * eq.lam * batch.dY
         per_path = ((padj - batch.dS) * batch.dY).mean(axis=1)
-        x, y = effective_order_flow(batch).ravel(), batch.dS.ravel()
+        x, y = effective_flow(batch).ravel(), batch.dS.ravel()
         slope = (x @ y) / (x @ x)
         resid = y - slope * x
         slope_se = math.sqrt((resid @ resid) / (x.size - 1) / (x @ x))
@@ -667,7 +683,7 @@ class TestDealer:
 class TestDeviationSweep:
     def test_reference_dominates_and_is_best(self):
         p = make_params(k=2, dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         specs = [
             StrategySpec.equilibrium(),
             StrategySpec.scaled(beta_scale=0.7),
@@ -685,7 +701,7 @@ class TestDeviationSweep:
 
     def test_paired_design_shrinks_errors(self):
         p = make_params(k=1, dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         specs = [StrategySpec.equilibrium(), StrategySpec.scaled(beta_scale=0.99)]
         result = deviation_sweep(eq, p, 0, specs, n_paths=2000, horizon=50, seed=3)
         row = result.rows[1]
@@ -693,7 +709,7 @@ class TestDeviationSweep:
 
     def test_reference_row_matches_streaming_estimator(self):
         p = make_params(k=2, dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         specs = [StrategySpec.equilibrium(), StrategySpec.scaled(beta_scale=0.9)]
         result = deviation_sweep(eq, p, 1, specs, n_paths=500, horizon=40, seed=5)
         res = simulate_objective(eq, None, p, 1, n_paths=500, horizon=40, seed=5, tail_tol=None)
@@ -702,7 +718,7 @@ class TestDeviationSweep:
     @pytest.mark.parametrize("tax", [0.0, 1e-3])
     def test_every_row_matches_streaming_estimator(self, tax):
         p = make_params(k=2, dt=0.01, gammas=[1.0, 2.0], rhos=[0.05, 0.1], l0=[0.5, -0.25], tax=tax)
-        eq, _ = solve_taxed(p) if tax else solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         specs = [
             StrategySpec.scaled(beta_scale=1.2),
             StrategySpec.equilibrium(),
@@ -723,10 +739,10 @@ class TestDeviationSweep:
     @pytest.mark.parametrize("tax", [0.0, 1e-3])
     def test_one_pass_matches_the_public_estimators(self, tax):
         # With every other trader on equilibrium, row 0 is the game that
-        # simulate plays; the pass reduces it as dealer_profit_check and
-        # mark_to_market reduce the batch.
+        # simulate plays; the pass reduces it as dealer_profit_check and the
+        # batch's mark-to-market samples do.
         p = make_params(k=2, dt=0.01, gammas=[1.0, 2.0], rhos=[0.05, 0.1], l0=[0.5, -0.25], tax=tax)
-        eq, _ = solve_taxed(p) if tax else solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         specs = [
             StrategySpec.equilibrium(),
             StrategySpec.scaled(beta_scale=1.15),
@@ -742,7 +758,7 @@ class TestDeviationSweep:
             assert getattr(got.profit, name) == pytest.approx(getattr(want.profit, name), rel=1e-9)
         assert got.slope == pytest.approx(want.slope, rel=1e-9)
         assert got.slope_se == pytest.approx(want.slope_se, rel=1e-9)
-        mtm, want_mtm = stats.mtm.estimate(), mark_to_market(batch, 0)
+        mtm, want_mtm = stats.mtm.estimate(), sample_estimate(batch.mtm_discounted[:, 0])
         assert mtm.mean == pytest.approx(want_mtm.mean, rel=1e-9)
         assert mtm.std_error == pytest.approx(want_mtm.std_error, rel=1e-9)
         ref = deviation_sweep(eq, p, 0, specs, **kw)
@@ -756,7 +772,7 @@ class TestDeviationSweep:
 
     def test_chunk_size_does_not_change_estimates(self, monkeypatch):
         p = make_params(k=2, dt=0.01, l0=[0.3, -0.6])
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         specs = [
             StrategySpec.equilibrium(),
             StrategySpec.scaled(phi_scale=1.2),
@@ -790,7 +806,7 @@ class TestDeviationSweep:
 
     def test_memory_does_not_grow_with_paths(self):
         p = make_params(k=2, dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         specs = [
             StrategySpec.equilibrium(),
             StrategySpec.scaled(beta_scale=0.9),
@@ -845,13 +861,13 @@ class TestDeviationSweep:
 
     def test_requires_reference_row(self):
         p = make_params(k=1, dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         with pytest.raises(ValueError, match="reference"):
             deviation_sweep(eq, p, 0, [StrategySpec.scaled(beta_scale=0.9)], n_paths=10, horizon=5)
 
     def test_input_validation(self):
         p = make_params(k=1, dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         ref = [StrategySpec.equilibrium()]
         with pytest.raises(ValueError):
             deviation_sweep(eq, p, 1, ref, n_paths=10, horizon=5)
@@ -920,7 +936,7 @@ class TestParallelWalk:
 
     def test_sweep_with_a_partial_last_block(self, monkeypatch, forks):
         p = make_params(k=2, dt=0.01, gammas=[1.0, 2.0], rhos=[0.05, 0.1], l0=[0.4, -0.3])
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         specs = [
             StrategySpec.equilibrium(),
             StrategySpec.scaled(beta_scale=0.9),
@@ -935,7 +951,7 @@ class TestParallelWalk:
 
     def test_objective_from_a_later_first_path(self, monkeypatch, forks):
         p = make_params(k=2, dt=0.1, rho=0.5, l0=[0.2, 0.0])
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         serial, *parallel = self.walks(
             monkeypatch,
             forks,
@@ -947,7 +963,7 @@ class TestParallelWalk:
 
     def test_second_moment(self, monkeypatch, forks):
         p = make_params(k=1, dt=0.01, l0=[0.5])
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         serial, *parallel = self.walks(
             monkeypatch, forks, lambda: simulate_second_moment(eq, 0, p, [1, 7, 30], n_paths=150, seed=6)
         )
@@ -964,7 +980,7 @@ class TestParallelWalk:
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch, forks):
         p = make_params(k=2, dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         parent, game = os.getpid(), simulator._game
 
         def faulty(*args, **kwargs):
@@ -980,7 +996,7 @@ class TestParallelWalk:
 
     def test_workers_are_reaped_when_the_caller_stops(self, monkeypatch, forks):
         p = make_params(k=2, dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         parent, game = os.getpid(), simulator._game
 
         def interrupted(*args, **kwargs):

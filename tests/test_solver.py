@@ -23,7 +23,6 @@ from hftequil import (
     pricing_from_beta,
     solve_equilibrium,
     solve_monopoly_beta,
-    solve_nash,
     solve_taxed,
     system_residual,
     validate_equilibrium,
@@ -164,7 +163,7 @@ class TestBestResponse:
 class TestNash:
     def test_monopoly_limit_matches_quartic(self):
         p = make_params(dt=0.01)
-        eq, diag = solve_nash(p)
+        eq, diag = solve_equilibrium(p)
         assert eq.beta_sigma == pytest.approx(MONO_BETA_DT01, rel=REL)
         assert eq.lam == pytest.approx(MONO_LAMBDA_DT01, rel=REL)
         assert eq.phis[0] == pytest.approx(MONO_PHI_DT01, rel=REL)
@@ -176,7 +175,7 @@ class TestNash:
 
     def test_two_identical_traders(self):
         p = make_params(k=2, dt=0.004)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         assert eq.beta_sigma == pytest.approx(NASH2_BETA_SIGMA, rel=REL)
         assert eq.betas[0] == pytest.approx(NASH2_BETA, rel=REL)
         assert eq.betas[1] == pytest.approx(NASH2_BETA, rel=REL)
@@ -185,7 +184,7 @@ class TestNash:
 
     def test_heterogeneous_decay_ordering(self):
         p = make_params(k=2, dt=4e-5, gammas=[0.5, 2.0])
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         assert eq.phis[0] == pytest.approx(HETERO_PHIS[0], rel=5e-12)
         assert eq.phis[1] == pytest.approx(HETERO_PHIS[1], rel=5e-12)
         # the more inventory-averse trader trades less and unwinds faster
@@ -195,7 +194,7 @@ class TestNash:
     @pytest.mark.parametrize("k", [1, 2, 4, 7])
     def test_dt_zero_closed_forms(self, k):
         p = make_params(k=k, dt=0.0, sigma_S=2.0, sigma_K=3.0)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         m = 3.0 / 2.0
         assert eq.beta_sigma == pytest.approx(math.sqrt(k) * m, rel=1e-14)
         assert eq.lam == pytest.approx(math.sqrt(k) / (1 + k) * (2.0 / 3.0), rel=1e-14)
@@ -204,22 +203,18 @@ class TestNash:
 
     def test_dt_zero_ignores_penalty_heterogeneity(self):
         p = make_params(k=3, dt=0.0, gammas=[0.5, 1.0, 2.0])
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         expected = math.sqrt(3.0) / 3.0
         for b in eq.betas:
             assert b == pytest.approx(expected, rel=1e-14)
 
     def test_residuals_scale(self):
         p = make_params(k=3, dt=0.002, gammas=[0.5, 1.0, 2.0])
-        eq, diag = solve_nash(p)
+        eq, diag = solve_equilibrium(p)
         assert max(abs(r) for r in system_residual(eq, p)) < 1e-10
         assert diag.aggregate_residual < 1e-10
         assert len(diag.residuals) == 3
         assert len(diag.h_samples) == 10
-
-    def test_rejects_taxed_params(self):
-        with pytest.raises(ValueError):
-            solve_nash(make_params(dt=0.01, tax=1e-3))
 
     def test_underflowing_residual_scale_is_a_solver_error(self):
         # r^2 = (sigma_K/sigma_S)^4 underflows to 0 below a ratio of about 1e-81
@@ -228,13 +223,11 @@ class TestNash:
         assert exc.value.which == "system_residual"
 
     def test_solve_equilibrium_dispatch(self):
-        p = make_params(k=2, dt=0.004)
-        eq_nash, _ = solve_nash(p)
-        eq_disp, _ = solve_equilibrium(p)
-        assert eq_disp == eq_nash
-        pt = make_params(k=2, dt=0.004, tax=1e-3)
-        eq_taxed, _ = solve_equilibrium(pt)
+        eq, _ = solve_equilibrium(make_params(k=2, dt=0.004))
+        assert eq.tax == 0.0
+        eq_taxed, _ = solve_equilibrium(make_params(k=2, dt=0.004, tax=1e-3))
         assert eq_taxed.tax == 1e-3
+        assert eq_taxed.lam != eq.lam
 
 
 class TestPricingAndValidation:
@@ -256,12 +249,12 @@ class TestPricingAndValidation:
 
     def test_validate_accepts_solution(self):
         p = make_params(k=2, dt=0.004)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         validate_equilibrium(eq, p)
 
     def test_validate_rejects_tampered_lambda(self):
         p = make_params(k=2, dt=0.004)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         bad = dataclasses.replace(eq, lam=eq.lam * 1.01)
         with pytest.raises(ConstraintViolated) as exc:
             validate_equilibrium(bad, p)
@@ -269,7 +262,7 @@ class TestPricingAndValidation:
 
     def test_validate_rejects_broken_aggregate(self):
         p = make_params(k=2, dt=0.004)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         bad = dataclasses.replace(eq, betas=(eq.betas[0], eq.betas[1] + 1e-6))
         with pytest.raises(ConstraintViolated) as exc:
             validate_equilibrium(bad, p)
@@ -277,7 +270,7 @@ class TestPricingAndValidation:
 
     def test_validate_rejects_negative_phi_when_untaxed(self):
         p = make_params(dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         bad = dataclasses.replace(
             eq, phis=(-0.01,), mus=(eq.lam * -0.01,)
         )
@@ -294,11 +287,11 @@ class TestPricingAndValidation:
 
     def test_eta_in_unit_interval(self):
         for k in (1, 2, 4):
-            eq, _ = solve_nash(make_params(k=k, dt=0.004))
+            eq, _ = solve_equilibrium(make_params(k=k, dt=0.004))
             assert 0.0 < eq.eta < 1.0
 
     def test_to_dict_uses_lambda_key(self):
-        eq, _ = solve_nash(make_params(dt=0.01))
+        eq, _ = solve_equilibrium(make_params(dt=0.01))
         d = eq.to_dict()
         assert set(d) == {"betas", "beta_sigma", "lambda", "phis", "mus", "tax"}
         assert d["lambda"] == eq.lam
@@ -308,7 +301,7 @@ class TestTaxed:
     def test_zero_tax_matches_untaxed_exactly(self):
         p = make_params(k=2, dt=0.004)
         eq_taxed, _ = solve_taxed(p)
-        eq_nash, _ = solve_nash(p)
+        eq_nash, _ = solve_equilibrium(p)
         assert eq_taxed == eq_nash
 
     def test_monopoly_impact_falls_with_tax(self):
@@ -438,8 +431,8 @@ def test_joint_volatility_scaling_leaves_betas_unchanged(scale, dt, k):
     volatility ratio enters the defining equations."""
     base = make_params(k=k, dt=dt)
     scaled = make_params(k=k, dt=dt, sigma_S=scale, sigma_K=scale)
-    eq0, _ = solve_nash(base)
-    eq1, _ = solve_nash(scaled)
+    eq0, _ = solve_equilibrium(base)
+    eq1, _ = solve_equilibrium(scaled)
     assert eq1.beta_sigma == pytest.approx(eq0.beta_sigma, rel=1e-11)
     assert eq1.lam == pytest.approx(eq0.lam, rel=1e-11)
     for p0, p1 in zip(eq0.phis, eq1.phis):
@@ -453,8 +446,8 @@ def test_joint_volatility_scaling_leaves_betas_unchanged(scale, dt, k):
 def test_trader_permutation_symmetry(gammas, dt):
     p = make_params(dt=dt, gammas=gammas)
     q = make_params(dt=dt, gammas=list(reversed(gammas)))
-    eq_p, _ = solve_nash(p)
-    eq_q, _ = solve_nash(q)
+    eq_p, _ = solve_equilibrium(p)
+    eq_q, _ = solve_equilibrium(q)
     assert eq_p.beta_sigma == pytest.approx(eq_q.beta_sigma, rel=1e-11)
     assert eq_p.lam == pytest.approx(eq_q.lam, rel=1e-11)
     for a, b in zip(eq_p.betas, reversed(eq_q.betas)):
@@ -464,7 +457,7 @@ def test_trader_permutation_symmetry(gammas, dt):
 @given(k=st.integers(1, 6), dt=st.sampled_from([0.001, 0.01]))
 def test_identical_traders_split_the_aggregate_evenly(k, dt):
     p = make_params(k=k, dt=dt)
-    eq, _ = solve_nash(p)
+    eq, _ = solve_equilibrium(p)
     for b in eq.betas:
         assert b == pytest.approx(eq.beta_sigma / k, rel=1e-11)
     phis = set(eq.phis)
@@ -496,7 +489,7 @@ def test_monopoly_beta_is_the_single_trader_aggregate(log_dt, log_ratio, gamma, 
     """The monopolist's loading is the k = 1 game's aggregate, bit for bit,
     down to time steps where the quartic cannot resolve its own sign."""
     p = make_params(dt=math.exp(log_dt), gamma=gamma, rho=rho, sigma_K=math.exp(log_ratio))
-    eq, _ = solve_nash(p)
+    eq, _ = solve_equilibrium(p)
     assert solve_monopoly_beta(p) == eq.beta_sigma
 
 

@@ -26,7 +26,7 @@ from hftequil import (
     inventory_is_bounded,
     nash_best_response_beta,
     run_verification,
-    solve_nash,
+    solve_equilibrium,
     stationary_inventory_std,
     value_coefficients,
 )
@@ -47,7 +47,7 @@ CHAIN = {
 
 
 def coeffs_for(params, trader=0):
-    eq, _ = solve_nash(params)
+    eq, _ = solve_equilibrium(params)
     return eq, value_coefficients(eq, trader, params)
 
 
@@ -102,7 +102,7 @@ class TestCoefficients:
 
     def test_rejects_dt_zero_and_tax(self):
         p0 = make_params(dt=0.0)
-        eq0, _ = solve_nash(p0)
+        eq0, _ = solve_equilibrium(p0)
         with pytest.raises(ValueError):
             value_coefficients(eq0, 0, p0)
         pt = make_params(dt=0.004, tax=1e-3)
@@ -114,7 +114,7 @@ class TestCoefficients:
 
     def test_rejects_bad_trader_index(self):
         p = make_params(dt=0.004)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         with pytest.raises(ValueError):
             value_coefficients(eq, 1, p)
         with pytest.raises(ValueError):
@@ -123,7 +123,7 @@ class TestCoefficients:
     def test_overflowing_coefficient_is_a_solver_error(self):
         # check_params accepts rho = 1e-310, but D = (1 - rho dt) B sigma_S^2/(2 rho) overflows
         p = make_params(dt=0.004, rho=1e-310)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         with pytest.raises(SolverError, match="value_finite"):
             value_coefficients(eq, 0, p)
 
@@ -204,7 +204,7 @@ class TestDynamicProgramming:
 
     def test_default_grid_shape_and_scale(self):
         p = make_params(dt=0.004)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         Ms, dSs, Zs = default_dpe_grid(eq, 0, p)
         assert len(Ms) == len(dSs) == len(Zs) == 5
         sd = stationary_inventory_std(eq, 0, p)
@@ -216,7 +216,7 @@ class TestDynamicProgramming:
 class TestStationaryStd:
     def test_formula(self):
         p = make_params(dt=0.01)
-        eq, _ = solve_nash(p)
+        eq, _ = solve_equilibrium(p)
         beta, phi = eq.betas[0], eq.phis[0]
         want = math.sqrt(beta**2 * 0.01 / (1.0 - (1.0 - phi) ** 2))
         assert stationary_inventory_std(eq, 0, p) == pytest.approx(want, rel=1e-14)
@@ -265,7 +265,7 @@ def test_degenerate_denominator_is_arithmetic_error():
 )
 def test_value_chain_invariants(gamma, dt, k, sigma_K):
     p = make_params(k=k, dt=dt, gamma=gamma, sigma_K=sigma_K)
-    eq, _ = solve_nash(p)
+    eq, _ = solve_equilibrium(p)
     cs = value_coefficients(eq, 0, p)
     assert 0.0 < cs.zeta < 1.0
     assert cs.E > 0.0
@@ -282,7 +282,7 @@ def test_value_layer_at_tiny_volatility_ratio(sigma_K, dt, gamma):
     # phi = 1 - P beta / r cancels here; the decay-rate form keeps the
     # F + gamma dt = lambda phi / (1 - phi) invariant within its tolerance.
     p = make_params(dt=dt, gamma=gamma, rho=0.05, sigma_S=1.0, sigma_K=sigma_K)
-    eq, _ = solve_nash(p)
+    eq, _ = solve_equilibrium(p)
     cs = value_coefficients(eq, 0, p)
     assert dpe_residual(cs, eq, 0, p) <= 1e-9
 

@@ -64,6 +64,12 @@ class TestFullBattery:
         assert report.passed, report.failures
         assert {r.name for r in report.results} == DETERMINISTIC_K1
 
+    @pytest.mark.parametrize("paths", [1, -3, True, 2.0, 512.5, "512"])
+    def test_paths_other_than_zero_or_at_least_two_are_refused(self, paths):
+        # paths = 1 or a negative count used to skip the Monte Carlo battery silently
+        with pytest.raises(ValueError, match="paths must be 0 or an integer of at least 2"):
+            run_verification(make_params(dt=0.004), paths=paths)
+
     def test_limit_case_has_no_value_layer(self):
         report = run_verification(make_params(k=2, dt=0.0), paths=512)
         assert report.passed, report.failures
