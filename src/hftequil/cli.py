@@ -396,8 +396,11 @@ def run_verify(args: argparse.Namespace, params: ValidatedParams) -> int:
     tol, paths = Tolerances(), args.paths
     if args.strict:
         # Four times the paths halve the Monte Carlo standard errors, and so
-        # the MC checks' absolute tolerances, at the same mc_sigmas.
-        tol, paths = Tolerances.strict(), 4 * args.paths
+        # the MC checks' absolute tolerances, at the same mc_sigmas. A count
+        # that run_verification refuses (1, or negative) reaches it unchanged.
+        tol = Tolerances.strict()
+        if paths >= 2:
+            paths *= 4
     report = run_verification(params, paths=paths, seed=args.seed, tolerances=tol)
     if args.format == "json":
         payload = {

@@ -102,9 +102,6 @@ BLOCK_PATHS = 1024
 # Paths whose normals are drawn into one (paths, horizon) scratch before they
 # are transposed into a block's time-major buffers.
 FILL_PATHS = 128
-# Worker processes per call; None means one per CPU this process may run on.
-# Results do not depend on it.
-_WORKERS = None
 # CPython 3.12 and later warn when a process with several OS threads forks.
 _FORK_WARNS = sys.version_info >= (3, 12)
 
@@ -343,13 +340,14 @@ def _os_threads() -> int | None:
 def _worker_count(n_blocks: int) -> int:
     """Processes that walk n_blocks blocks of paths; 1 is the serial walk.
 
-    One per usable CPU (``_WORKERS`` if set), at most one per block. The walk
-    stays serial without ``os.fork``, and where forking would warn: CPython
-    3.12 and later warn when a process with several OS threads forks.
+    One per usable CPU, at most one per block; results do not depend on
+    it. The walk stays serial without ``os.fork``, and where forking would
+    warn: CPython 3.12 and later warn when a process with several OS
+    threads forks.
     """
     if not hasattr(os, "fork"):
         return 1
-    workers = min(_WORKERS or _usable_cpus(), n_blocks)
+    workers = min(_usable_cpus(), n_blocks)
     if workers > 1 and _FORK_WARNS and _os_threads() != 1:
         return 1
     return max(workers, 1)
@@ -1012,9 +1010,17 @@ def deviation_sweep(
 
     All other traders play equilibrium. Their flows and the dealer's
     prediction terms do not depend on the deviator's play, so each period
-    computes them once per block of paths and every row reuses them. The
-    horizon is explicit: sweeps are usually run truncated, which preserves
-    the ranking because every row sees the same truncation.
+    computes them once per block of paths and every row reuses them.
+
+    The horizon is explicit and each objective stops there, so the
+    inventory a row leaves at the horizon, and what it would still cost,
+    is not priced. Every row is cut at the same period but leaves a
+    different state, so a truncated sweep keeps the ranking only once the
+    horizon is long enough that the rows' unpriced tails differ by less
+    than their objective gaps. A row that trades harder gains now and pays
+    for its inventory later: at k = 1, dt = 0.1, gamma = 1, rho = 0.05
+    (20,000 paths, seed 0) beta x 1.15 beats equilibrium by 23.0 standard
+    errors over one period and by 13.5 over two, and loses by 7.1 over four.
     """
     return _sweep(eq, params, trader_index, specs, n_paths=n_paths, horizon=horizon, seed=seed)
 

@@ -7,9 +7,7 @@ subtraction, and the aggregate must equal the sum of the implied loadings.
 A quadratic transaction tax, c dL^2 on a trade dL each period, deforms the
 quadratic but keeps the same structure and the same unique positive root,
 so a taxed game is solved directly at its tax rate, like an untaxed one.
-The same fixed point covers the monopolist, the k = 1 game, whose loading
-is also the admissible root of a quartic at or below the volatility ratio
-sigma_K/sigma_S; the quartic residual certifies it. It also covers the
+The same fixed point covers the monopolist, the k = 1 game, and the
 continuous-trading limit dt = 0, where every decay rate is exactly 0 and
 the aggregate solves t (t + 2c (r + t^2)) = k r.
 
@@ -28,13 +26,9 @@ from .model import ValidatedParams, _check_trader_index
 __all__ = [
     "Equilibrium",
     "SolveDiagnostics",
-    "QuarticRoots",
     "SolverError",
     "NoRootInBracket",
     "ConstraintViolated",
-    "RootsNotSeparated",
-    "solve_monopoly_beta",
-    "monopoly_quartic_roots",
     "nash_best_response_beta",
     "solve_taxed",
     "solve_equilibrium",
@@ -44,7 +38,6 @@ __all__ = [
 ]
 
 BRACKET_WIDTH_REL = 1e-14
-QUARTIC_RESIDUAL_TOL = 1e-12
 SYSTEM_RESIDUAL_TOL = 1e-10
 _MAX_BRACKET_EXPANSIONS = 60
 
@@ -61,10 +54,6 @@ class ConstraintViolated(SolverError):
     def __init__(self, which: str, detail: str = ""):
         self.which = which
         super().__init__(f"equilibrium constraint violated: {which}" + (f" ({detail})" if detail else ""))
-
-
-class RootsNotSeparated(SolverError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -107,14 +96,6 @@ class SolveDiagnostics:
     h_samples: tuple[tuple[float, float], ...] = ()
     # Always 0: every tax rate is solved directly. Kept for the CLI payload.
     continuation_steps: int = 0
-
-
-@dataclass(frozen=True)
-class QuarticRoots:
-    admissible: float
-    inadmissible: float
-    inadmissible_phi: float
-    reason: str = "phi < 0"
 
 
 def _newton(f, lo: float, hi: float, scale: float, f_lo: float, f_hi: float):
@@ -179,99 +160,6 @@ def _sum_left(values) -> float:
     for v in values:
         total += v
     return total
-
-
-def _quartic(beta: float, r: float, g: float, rho: float, dt: float) -> float:
-    return (
-        beta**4 * (1.0 - rho * dt)
-        - (2.0 - rho * dt + beta * g * dt) * r * beta * beta
-        + r * r * (1.0 - beta * g * dt)
-    )
-
-
-def _quartic_prime(beta: float, r: float, g: float, rho: float, dt: float) -> float:
-    return (
-        4.0 * (1.0 - rho * dt) * beta**3
-        - 3.0 * g * dt * r * beta * beta
-        - 2.0 * (2.0 - rho * dt) * r * beta
-        - r * r * g * dt
-    )
-
-
-def _quartic_scale(beta: float, r: float, g: float, rho: float, dt: float) -> float:
-    """Magnitude of the quartic's monomials at beta, for relative residuals."""
-    return max(
-        abs(beta**4 * (1.0 - rho * dt)),
-        abs((2.0 - rho * dt + beta * g * dt) * r * beta * beta),
-        abs(r * r * (1.0 + beta * g * dt)),
-    )
-
-
-def _require_untaxed_monopoly(params: ValidatedParams, op: str) -> None:
-    if params.k != 1:
-        raise ValueError(f"{op} requires exactly one trader, got k={params.k}")
-    if params.tax != 0.0:
-        raise ValueError(f"{op} requires tax == 0, got {params.tax!r}")
-
-
-def solve_monopoly_beta(params: ValidatedParams) -> float:
-    """Admissible root of the monopolist's quartic, in (0, sigma_K/sigma_S].
-
-    This is the k = 1 equilibrium's aggregate loading, found by the general
-    fixed point and certified by the quartic residual. The quartic is not
-    solved itself: near its double root at the volatility ratio, which it
-    approaches as dt -> 0, its value falls below its own rounding error.
-    At dt == 0 the double root is returned directly.
-    """
-    _require_untaxed_monopoly(params, "solve_monopoly_beta")
-    m = params.sigma_K / params.sigma_S
-    if params.dt == 0.0:
-        return m
-    r = params.vol_ratio_sq
-    g = params.traders[0].gamma
-    rho = params.traders[0].rho
-    dt = params.dt
-    root = _solve_fixed_point(params, _trader_rows(params))[0]
-    residual = abs(_quartic(root, r, g, rho, dt))
-    if residual > QUARTIC_RESIDUAL_TOL * _quartic_scale(root, r, g, rho, dt):
-        raise ConstraintViolated("quartic_residual", f"|residual| = {residual!r} at beta = {root!r}")
-    return root
-
-
-def monopoly_quartic_roots(params: ValidatedParams) -> QuarticRoots:
-    """Both real roots of the monopolist's quartic with admissibility classification.
-
-    The second root exceeds the volatility ratio and implies phi < 0, i.e. an
-    inventory prediction that expands instead of decaying.
-    """
-    _require_untaxed_monopoly(params, "monopoly_quartic_roots")
-    if params.dt == 0.0:
-        raise RootsNotSeparated("the two roots coalesce at the volatility ratio when dt == 0")
-    m = params.sigma_K / params.sigma_S
-    r = params.vol_ratio_sq
-    g = params.traders[0].gamma
-    rho = params.traders[0].rho
-    dt = params.dt
-    first = solve_monopoly_beta(params)
-
-    def f(b):
-        return _quartic(b, r, g, rho, dt)
-
-    def f_and_slope(b):
-        return _quartic(b, r, g, rho, dt), _quartic_prime(b, r, g, rho, dt)
-
-    # f(m) = -2 m g dt r^2 < 0 exactly, but it rounds to >= 0 once m g dt
-    # is below the quartic's rounding error; the roots straddling m then
-    # cannot be told apart.
-    f_m = f(m)
-    if not f_m < 0.0:
-        raise RootsNotSeparated(f"the quartic rounds to {f_m!r} >= 0 at the volatility ratio {m!r}")
-    hi, f_hi = _expand(f, 2.0 * m, 2.0, -1.0, "second quartic root not bracketed")
-    second, _, _ = _newton(f_and_slope, m, hi, m, f_m, f_hi)
-    if not (second > first) or (second - first) <= BRACKET_WIDTH_REL * m * 4:
-        raise RootsNotSeparated(f"roots {first!r} and {second!r} are not numerically distinct")
-    _, phis2, _ = pricing_from_beta(second, (second,), params)
-    return QuarticRoots(admissible=first, inadmissible=second, inadmissible_phi=phis2[0])
 
 
 def pricing_from_beta(beta_sigma: float, betas: tuple[float, ...], params: ValidatedParams):

@@ -1,11 +1,16 @@
 """Named consistency checks over a solved equilibrium.
 
 Deterministic checks confirm the fixed-point equations, pricing
-identities, and the dynamic programming equation to tight tolerances;
-Monte Carlo checks confirm the statistical claims (dealer zero profit,
-impact regression, inventory moments, the objective's value, and that the
-equilibrium strategy beats its neighbours). Each check reports one named
-result so a failure points at the responsible layer.
+identities, and the dynamic programming equation to tight tolerances.
+The untaxed monopolist at dt > 0 has one more: its loading, which the
+solver finds as the k = 1 game's aggregate fixed point, must also be the
+admissible root of the single-trader quartic, at or below sigma_K/sigma_S.
+Only this module evaluates the quartic, so its residual is a witness
+independent of the solve. Monte Carlo checks confirm the statistical
+claims (dealer zero profit, impact regression, inventory moments, the
+objective's value, and that the equilibrium strategy beats its
+neighbours). Each check reports one named result so a failure points at
+the responsible layer.
 
 Most Monte Carlo checks come from one streaming pass over shared paths:
 the simulator plays trader 0's equilibrium row and three neighbours
@@ -29,8 +34,6 @@ from .model import ValidatedParams
 from .solver import (
     Equilibrium,
     SolverError,
-    _quartic,
-    _quartic_scale,
     _sum_left,
     solve_equilibrium,
     system_residual,
@@ -101,6 +104,23 @@ class VerificationReport:
 
 def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(b))
+
+
+def _quartic(beta: float, r: float, g: float, rho: float, dt: float) -> float:
+    return (
+        beta**4 * (1.0 - rho * dt)
+        - (2.0 - rho * dt + beta * g * dt) * r * beta * beta
+        + r * r * (1.0 - beta * g * dt)
+    )
+
+
+def _quartic_scale(beta: float, r: float, g: float, rho: float, dt: float) -> float:
+    """Magnitude of the quartic's monomials at beta, for relative residuals."""
+    return max(
+        abs(beta**4 * (1.0 - rho * dt)),
+        abs((2.0 - rho * dt + beta * g * dt) * r * beta * beta),
+        abs(r * r * (1.0 + beta * g * dt)),
+    )
 
 
 def _check_quartic(eq: Equilibrium, params: ValidatedParams, tol: Tolerances) -> CheckResult:
@@ -246,8 +266,12 @@ def _max_z_gate(sigmas: float, m: int) -> float:
 
 
 def _z_check(name, estimate, target, std_error, sigmas, detail=""):
-    """One Monte Carlo estimate held to its target within ``sigmas`` standard errors."""
-    value = abs(estimate - target) / std_error
+    """One Monte Carlo estimate held to its target within ``sigmas`` standard errors.
+
+    A zero standard error, one value on every path, passes only an exact match.
+    """
+    gap = abs(estimate - target)
+    value = gap / std_error if std_error else (0.0 if gap == 0.0 else math.inf)
     return CheckResult(name, value <= sigmas, value, sigmas, detail=detail)
 
 

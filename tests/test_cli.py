@@ -339,9 +339,18 @@ class TestVerify:
             assert line.startswith(("PASS", "WARN"))
             assert "value=" in line and "threshold=" in line
 
-    @pytest.mark.parametrize("paths", ["1", "-3"])
-    def test_paths_that_would_skip_the_monte_carlo_checks_exit_2(self, capsys, paths):
-        code, out, err = run_cli(capsys, "verify", *BASE, "--paths", paths)
+    @pytest.mark.parametrize(
+        "paths, flags",
+        [
+            pytest.param("1", (), id="1"),
+            pytest.param("-3", (), id="-3"),
+            # --strict quadruples the count, but only one that is accepted
+            pytest.param("1", ("--strict",), id="1-strict"),
+            pytest.param("-3", ("--strict",), id="-3-strict"),
+        ],
+    )
+    def test_paths_that_would_skip_the_monte_carlo_checks_exit_2(self, capsys, paths, flags):
+        code, out, err = run_cli(capsys, "verify", *BASE, "--paths", paths, *flags)
         assert code == 2 and out == ""
         assert err == f"error: paths must be 0 or an integer of at least 2, got {paths}\n"
 

@@ -903,7 +903,7 @@ def assert_no_children():
 @pytest.fixture
 def forks(monkeypatch):
     """Walk with up to 3 workers and blocks of 32 paths; the list of forked pids."""
-    monkeypatch.setattr(simulator, "_WORKERS", 3)
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(simulator, "BLOCK_PATHS", 32)
     if simulator._worker_count(3) < 3:
         pytest.skip("the walk stays serial here: no os.fork, or forking would warn")
@@ -927,7 +927,7 @@ class TestParallelWalk:
         """call() on the serial walk, then with 2 and with 3 workers."""
         results = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(simulator, "_WORKERS", workers)
+            monkeypatch.setattr(simulator, "_usable_cpus", lambda n=workers: n)
             before = len(forks)
             results.append(call())
             assert (len(forks) > before) == (workers > 1)
@@ -1018,12 +1018,11 @@ class TestParallelWalk:
 
     def test_worker_count_rule(self, monkeypatch):
         monkeypatch.setattr(simulator, "_FORK_WARNS", False)
-        monkeypatch.setattr(simulator, "_WORKERS", None)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert [simulator._worker_count(n) for n in (1, 2, 3, 10)] == [1, 2, 3, 3]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert simulator._worker_count(10) == 1
-        monkeypatch.setattr(simulator, "_WORKERS", 4)
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 4)
         assert simulator._worker_count(10) == 4
         # CPython 3.12+ warns when a process with several OS threads forks
         monkeypatch.setattr(simulator, "_FORK_WARNS", True)

@@ -15,19 +15,16 @@ from hftequil import (
     ConstraintViolated,
     Equilibrium,
     NoRootInBracket,
-    QuarticRoots,
-    RootsNotSeparated,
     SolverError,
-    monopoly_quartic_roots,
     nash_best_response_beta,
     pricing_from_beta,
     solve_equilibrium,
-    solve_monopoly_beta,
     solve_taxed,
     system_residual,
     validate_equilibrium,
 )
 from hftequil.solver import SYSTEM_RESIDUAL_TOL, _excess, _newton, _responses, _trader_rows
+from hftequil.verify import Tolerances, _check_quartic, _quartic, _quartic_scale
 from helpers import make_params
 
 # sigma_S = sigma_K = 1, gamma = 1, rho = 0.05
@@ -73,61 +70,90 @@ HETERO_PHIS = (0.00648616194358, 0.0129311725201)
 REL = 5e-14
 
 
+def monopoly_beta(p):
+    """The monopolist's loading: the k = 1 game's aggregate."""
+    return solve_equilibrium(p)[0].beta_sigma
+
+
+def second_quartic_root(p):
+    """The monopolist's quartic root above the volatility ratio m, by bisection.
+
+    The quartic is -2 m gamma dt r^2 < 0 at m and grows like beta^4, so the
+    root is bracketed by m and the first doubling of m where it is positive.
+    """
+    t = p.traders[0]
+    r = p.vol_ratio_sq
+
+    def f(beta):
+        return _quartic(beta, r, t.gamma, t.rho, p.dt)
+
+    lo = p.sigma_K / p.sigma_S
+    assert f(lo) < 0.0
+    hi = 2.0 * lo
+    while f(hi) <= 0.0:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo if abs(f(lo)) <= abs(f(hi)) else hi
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 class TestMonopolyQuartic:
+    """The monopolist is the k = 1 game; its loading is also the admissible
+    root of a quartic, at or below the volatility ratio, and the quartic's
+    other real root lies above it and prices a negative decay rate."""
+
     def test_beta_dt_001(self):
         p = make_params(dt=0.01)
-        assert solve_monopoly_beta(p) == pytest.approx(MONO_BETA_DT01, rel=REL)
+        assert monopoly_beta(p) == pytest.approx(MONO_BETA_DT01, rel=REL)
 
     def test_beta_dt_0004(self):
         p = make_params(dt=0.004)
-        assert solve_monopoly_beta(p) == pytest.approx(MONO_BETA_DT004, rel=REL)
+        assert monopoly_beta(p) == pytest.approx(MONO_BETA_DT004, rel=REL)
 
     def test_beta_equals_vol_ratio_at_dt_zero(self):
-        p = make_params(dt=0.0, sigma_K=3.0)
-        assert solve_monopoly_beta(p) == 3.0
+        # the quartic's two roots meet at the volatility ratio when dt == 0
+        for m in (1e-6, 1e-3, 3.0, 1e3, 1e6):
+            assert monopoly_beta(make_params(dt=0.0, sigma_K=m)) == m
 
     def test_root_stays_below_vol_ratio(self):
         for dt in (0.2, 0.05, 0.01, 1e-4, 1e-7):
             p = make_params(dt=dt, sigma_K=2.0, gamma=0.7)
-            assert 0.0 < solve_monopoly_beta(p) <= 2.0
+            assert 0.0 < monopoly_beta(p) <= 2.0
 
     def test_both_roots_and_classification(self):
         p = make_params(dt=0.01)
-        roots = monopoly_quartic_roots(p)
-        assert isinstance(roots, QuarticRoots)
-        assert roots.admissible == pytest.approx(MONO_BETA_DT01, rel=REL)
-        assert roots.inadmissible == pytest.approx(MONO_ROOT2_DT01, rel=REL)
-        assert roots.inadmissible_phi < 0.0
-        assert roots.reason == "phi < 0"
+        assert monopoly_beta(p) == pytest.approx(MONO_BETA_DT01, rel=REL)
+        second = second_quartic_root(p)
+        assert second == pytest.approx(MONO_ROOT2_DT01, rel=REL)
+        assert second > p.sigma_K / p.sigma_S
+        _, phis, _ = pricing_from_beta(second, (second,), p)
+        assert phis[0] < 0.0
 
     def test_scaled_volatility_roots(self):
         p = make_params(dt=0.004, sigma_K=2.0, gamma=0.5)
-        roots = monopoly_quartic_roots(p)
-        assert roots.admissible == pytest.approx(SCALED_ROOTS_DT004[0], rel=REL)
-        assert roots.inadmissible == pytest.approx(SCALED_ROOTS_DT004[1], rel=REL)
+        assert monopoly_beta(p) == pytest.approx(SCALED_ROOTS_DT004[0], rel=REL)
+        second = second_quartic_root(p)
+        assert second == pytest.approx(SCALED_ROOTS_DT004[1], rel=REL)
+        _, phis, _ = pricing_from_beta(second, (second,), p)
+        assert phis[0] < 0.0
 
     def test_volatility_scaling_identity(self):
         # beta(m*sigma, gamma) = m * beta(sigma, gamma*m) for the quartic
         p = make_params(dt=0.01, sigma_K=2.0, gamma=0.5)
-        assert solve_monopoly_beta(p) == pytest.approx(2.0 * MONO_BETA_DT01, rel=REL)
+        assert monopoly_beta(p) == pytest.approx(2.0 * MONO_BETA_DT01, rel=REL)
 
     def test_beta_where_the_quartic_rounds_away_its_sign(self):
         p = make_params(**TINY_DT_MARKET)
-        assert solve_monopoly_beta(p) == pytest.approx(TINY_DT_BETA, rel=REL)
-        with pytest.raises(RootsNotSeparated):
-            monopoly_quartic_roots(p)
-
-    def test_roots_not_separated_at_dt_zero(self):
-        with pytest.raises(RootsNotSeparated):
-            monopoly_quartic_roots(make_params(dt=0.0))
-
-    def test_requires_single_trader(self):
-        with pytest.raises(ValueError):
-            solve_monopoly_beta(make_params(k=2, dt=0.01))
-
-    def test_requires_untaxed(self):
-        with pytest.raises(ValueError):
-            solve_monopoly_beta(make_params(dt=0.01, tax=1e-3))
+        assert monopoly_beta(p) == pytest.approx(TINY_DT_BETA, rel=REL)
+        # the quartic cannot tell its two roots apart here, the solve still can
+        t = p.traders[0]
+        m = p.sigma_K / p.sigma_S
+        assert _quartic(m, p.vol_ratio_sq, t.gamma, t.rho, p.dt) >= 0.0
 
 
 class TestBestResponse:
@@ -470,10 +496,8 @@ def test_identical_traders_split_the_aggregate_evenly(k, dt):
     sigma_K=st.floats(0.3, 3.0),
 )
 def test_quartic_residual_is_tiny_at_reported_root(dt, gamma, sigma_K):
-    from hftequil.solver import _quartic, _quartic_scale
-
     p = make_params(dt=dt, gamma=gamma, sigma_K=sigma_K)
-    beta = solve_monopoly_beta(p)
+    beta = monopoly_beta(p)
     r = p.vol_ratio_sq
     res = abs(_quartic(beta, r, gamma, 0.05, dt))
     assert res <= 1e-12 * _quartic_scale(beta, r, gamma, 0.05, dt)
@@ -486,11 +510,13 @@ def test_quartic_residual_is_tiny_at_reported_root(dt, gamma, sigma_K):
     rho=st.floats(0.01, 1.0),
 )
 def test_monopoly_beta_is_the_single_trader_aggregate(log_dt, log_ratio, gamma, rho):
-    """The monopolist's loading is the k = 1 game's aggregate, bit for bit,
-    down to time steps where the quartic cannot resolve its own sign."""
+    """The k = 1 game's aggregate is the root of the monopolist's quartic:
+    verify's quartic check passes on it, down to time steps where the
+    quartic cannot resolve its own sign."""
     p = make_params(dt=math.exp(log_dt), gamma=gamma, rho=rho, sigma_K=math.exp(log_ratio))
     eq, _ = solve_equilibrium(p)
-    assert solve_monopoly_beta(p) == eq.beta_sigma
+    check = _check_quartic(eq, p, Tolerances())
+    assert check.passed, check
 
 
 @given(

@@ -1,4 +1,5 @@
 """End-to-end verification battery over representative parameter sets."""
+import math
 import tracemalloc
 
 import pytest
@@ -13,7 +14,7 @@ from hftequil import (
     load_config,
     run_verification,
 )
-from hftequil.verify import _max_z_gate
+from hftequil.verify import _max_z_gate, _z_check
 from helpers import make_params
 
 
@@ -201,6 +202,21 @@ class TestReportMechanics:
         assert s.dpe_residual == base.dpe_residual / 2
         # the Monte Carlo tolerance halves through 4x the paths, not fewer sigmas
         assert s.mc_sigmas == base.mc_sigmas
+
+    def test_zero_standard_error_passes_only_an_exact_match(self):
+        exact = _z_check("exact", 0.5, 0.5, 0.0, 4.0)
+        assert exact.passed and exact.value == 0.0
+        off = _z_check("off", 0.5, 0.25, 0.0, 4.0)
+        assert not off.passed and off.value == math.inf
+
+    def test_one_period_mark_to_market_is_exactly_zero_without_raising(self):
+        # With no initial inventory the one-period mark-to-market is 0 on
+        # every path, so its standard error is 0; this used to divide by it.
+        # The report as a whole is not asserted: a one-period sweep cannot
+        # rank the equilibrium row first (see deviation_sweep).
+        report = run_verification(make_params(dt=0.1), paths=64, mc_horizon=1)
+        mtm = next(r for r in report.results if r.name == "mark_to_market_mc")
+        assert mtm.passed and mtm.value == 0.0
 
     def test_max_z_gate(self):
         # Bonferroni over m tests: a tail m times smaller, exactly mc_sigmas for one
