@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .model import ValidatedParams, _check_trader_index
-from .solver import _sum_left, solve_equilibrium
+from .model import ValidatedParams, _check_trader_index, _frozen
+from .solver import _require_finite, _sum_left, solve_equilibrium
 
 __all__ = [
     "Expansion",
@@ -54,6 +54,12 @@ class Expansion:
         return asdict(self)
 
 
+def _expansion(limit: float, half_order_coeff: float) -> Expansion:
+    """``Expansion(limit, half_order_coeff)``, built without the generated ``__init__``."""
+    return _frozen(Expansion, {"limit": limit, "half_order_coeff": half_order_coeff,
+                               "dt_coeff": 0.0, "remainder": "O(dt)"})
+
+
 def _require_untaxed(params: ValidatedParams, op: str) -> None:
     if params.tax != 0.0:
         raise ValueError(f"{op} covers the untaxed game only, got tax={params.tax!r}")
@@ -76,6 +82,8 @@ def nash_expansions(params: ValidatedParams) -> dict:
     and ``value_coefficients``' expressions for A to D. At k = 1 the
     sqrt(dt) term of lambda vanishes and its dt coefficient -gamma/8 is
     the one hand-derived term, which only the single-trader case has.
+    A coefficient that overflows, as D = B sigma_S^2/(2 rho) does when rho
+    is tiny, raises ConstraintViolated("value_finite").
     """
     _require_untaxed(params, "nash_expansions")
     # x0 is a limit and x1 its sqrt(dt) coefficient; t1 is t'
@@ -91,25 +99,43 @@ def nash_expansions(params: ValidatedParams) -> dict:
     lam1 = (k - 1) * -t1 / ((1.0 + k) ** 2 * r)
     eta1 = -(lam1 * t + lam0 * t1)
     B0 = 2.0 * beta0 * eta0
-    rows = []
-    for tr, ai in zip(params.traders, a):
-        beta1 = -t1 / k - beta0 * ai
+    isfinite = math.isfinite
+    if not isfinite(t + t1 + lam0 + lam1 + beta0 + B0):
+        _require_finite({"beta_sigma0": t, "beta_sigma1": t1, "lambda0": lam0, "lambda1": lam1,
+                         "beta0": beta0, "B0": B0})
+    neg_t1_k = -t1 / k
+    beta0_sq = beta0 * beta0
+    sigma_S_sq = params.sigma_S**2
+    beta, phi, mu, A, B, C, D = ([] for _ in range(7))
+    for i, (tr, ai) in enumerate(zip(params.traders, a)):
+        beta1 = neg_t1_k - beta0 * ai
         A1 = tr.gamma / (2.0 * ai)
-        B1 = 2.0 * (beta1 * eta0 + beta0 * eta1) - beta0 * beta0 * A1
-        d_scale = params.sigma_S**2 / (2.0 * tr.rho)
-        rows.append((
-            (beta0, beta1), (0.0, ai), (0.0, lam0 * ai), (0.0, A1), (B0, B1),
-            (0.0, beta0 * A1 + ai * eta0), (B0 * d_scale, B1 * d_scale),
-        ))
-    beta, phi, mu, A, B, C, D = (tuple(Expansion(*c) for c in col) for col in zip(*rows))
+        B1 = 2.0 * (beta1 * eta0 + beta0 * eta1) - beta0_sq * A1
+        d_scale = sigma_S_sq / (2.0 * tr.rho)
+        mu1 = lam0 * ai
+        C1 = beta0 * A1 + ai * eta0
+        D0 = B0 * d_scale
+        D1 = B1 * d_scale
+        # one test per trader; a sum that overflows on finite terms is rechecked
+        if not isfinite(beta1 + ai + mu1 + A1 + B1 + C1 + D0 + D1):
+            _require_finite({"beta1": beta1, "phi1": ai, "mu1": mu1, "A1": A1, "B1": B1,
+                             "C1": C1, "D0": D0, "D1": D1}, f"trader {i}: ")
+        beta.append(_expansion(beta0, beta1))
+        phi.append(_expansion(0.0, ai))
+        mu.append(_expansion(0.0, mu1))
+        A.append(_expansion(0.0, A1))
+        B.append(_expansion(B0, B1))
+        C.append(_expansion(0.0, C1))
+        D.append(_expansion(D0, D1))
     lam = Expansion(
         lam0,
         lam1,
         dt_coeff=-params.traders[0].gamma / 8.0 if k == 1 else 0.0,
         remainder="O(dt^(3/2))" if k == 1 else "O(dt)",
     )
-    return {"beta": beta, "beta_sigma": Expansion(t, t1), "lambda": lam,
-            "phi": phi, "mu": mu, "A": A, "B": B, "C": C, "D": D}
+    return {"beta": tuple(beta), "beta_sigma": _expansion(t, t1), "lambda": lam,
+            "phi": tuple(phi), "mu": tuple(mu), "A": tuple(A), "B": tuple(B), "C": tuple(C),
+            "D": tuple(D)}
 
 
 def _pick(value, trader: int):

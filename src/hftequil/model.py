@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -34,6 +35,8 @@ __all__ = [
 
 _CONFIG_KEYS = ("sigma_S", "sigma_K", "dt", "tax", "traders")
 _TRADER_KEYS = ("gamma", "rho", "initial_inventory")
+_MIN_NORMAL = sys.float_info.min
+_MAX_FLOAT = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,25 @@ def _as_real(x) -> float | None:
         return math.inf if x > 0 else -math.inf
 
 
+_new = object.__new__
+_setattr = object.__setattr__
+
+
+def _frozen(cls, fields: dict):
+    """An instance of the frozen dataclass ``cls`` whose ``__dict__`` is
+    ``fields``, which names every field in declaration order.
+
+    One ``object.__setattr__`` call stands in for the generated
+    ``__init__``, which makes one per field. ``==``, ``hash``, ``repr``,
+    ``asdict`` and ``replace`` read the fields, so they see no difference,
+    and assignment still raises ``FrozenInstanceError``. For result records
+    only: no ``__post_init__`` or default runs.
+    """
+    obj = _new(cls)
+    _setattr(obj, "__dict__", fields)
+    return obj
+
+
 def _as_float_trader(t: TraderParams) -> TraderParams:
     if type(t.gamma) is float and type(t.rho) is float and type(t.initial_inventory) is float:
         return t
@@ -107,17 +129,34 @@ def _check_trader_index(trader_index, k: int) -> None:
         raise ValueError(f"trader index {trader_index} out of range for k={k}")
 
 
+def _square_violation(name: str, v: float) -> Violation:
+    return Violation("VolatilityOutOfRange", f"{name} = {v!r} squares to {v * v!r}, not a normal positive float")
+
+
 def check_params(params: MarketParams) -> list[Violation]:
     """Collect every violated constraint; an empty list means valid.
 
     Each field is checked as the float it is stored as (see ``_as_real``).
+    sigma_S**2, sigma_K**2 and (sigma_K/sigma_S)**2 must be normal floats:
+    an infinite or zero square breaks the solver, a subnormal one has lost
+    digits and gives a silently wrong equilibrium.
     """
     out: list[Violation] = []
+    vols = []
     for name in ("sigma_S", "sigma_K"):
         raw = getattr(params, name)
         v = _as_real(raw)
-        if not (v is not None and math.isfinite(v) and v > 0):
+        if v is not None and math.isfinite(v) and v > 0:
+            vols.append(v)
+            # x * x gives inf where x**2 raises; a subnormal square has lost digits
+            if not _MIN_NORMAL <= v * v <= _MAX_FLOAT:
+                out.append(_square_violation(name, v))
+        else:
             out.append(Violation("NonPositiveVolatility", f"{name} must be a positive real, got {raw!r}"))
+    if len(vols) == 2:
+        ratio = vols[1] / vols[0]
+        if not _MIN_NORMAL <= ratio * ratio <= _MAX_FLOAT:
+            out.append(_square_violation("sigma_K/sigma_S", ratio))
     dt = _as_real(params.dt)
     dt_ok = dt is not None and math.isfinite(dt) and dt >= 0
     if not dt_ok:
@@ -160,7 +199,8 @@ class ValidatedParams:
     violating field. Every field is stored as a Python float, whatever real
     type it was given as (an int or a numpy scalar), so that
     :func:`params_to_config` stays JSON-serialisable. ``vol_ratio_sq`` is
-    ``(sigma_K / sigma_S)**2``, computed once here and shared by every module.
+    ``(sigma_K / sigma_S)**2``, a normal float by the checks, computed once
+    here and shared by every module.
     """
 
     sigma_S: float

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ValidatedParams, _check_trader_index
+from .model import ValidatedParams, _check_trader_index, _frozen
 
 __all__ = [
     "Equilibrium",
@@ -54,6 +54,13 @@ class ConstraintViolated(SolverError):
     def __init__(self, which: str, detail: str = ""):
         self.which = which
         super().__init__(f"equilibrium constraint violated: {which}" + (f" ({detail})" if detail else ""))
+
+
+def _require_finite(named: dict, where: str = "") -> None:
+    """Raise ConstraintViolated("value_finite") naming every non-finite value."""
+    bad = {name: x for name, x in named.items() if not math.isfinite(x)}
+    if bad:
+        raise ConstraintViolated("value_finite", f"{where}non-finite {bad!r}")
 
 
 @dataclass(frozen=True)
@@ -375,17 +382,19 @@ def solve_equilibrium(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagno
     betas, phis = _trader_responses(beta_sigma, params, rows)
     # The decay rates come from the response itself, not from 1 - P beta_i / r.
     lam = pricing_from_beta(beta_sigma, (), params)[0]
-    eq = Equilibrium(betas, beta_sigma, lam, phis, tuple(lam * p for p in phis), tax=params.tax)
+    eq = _frozen(Equilibrium, {"betas": betas, "beta_sigma": beta_sigma, "lam": lam, "phis": phis,
+                               "mus": tuple(lam * p for p in phis), "tax": params.tax})
     validate_equilibrium(eq, params)
     residuals = system_residual(eq, params)
     worst = max(residuals)
     if worst > SYSTEM_RESIDUAL_TOL:
         raise ConstraintViolated("system_residual", f"max residual {worst!r}")
-    diag = SolveDiagnostics(
-        iterations=iterations,
-        bracket=bracket,
-        residuals=residuals,
-        aggregate_residual=abs(_sum_left(betas) - beta_sigma),
-        h_samples=samples,
-    )
+    diag = _frozen(SolveDiagnostics, {
+        "iterations": iterations,
+        "bracket": bracket,
+        "residuals": residuals,
+        "aggregate_residual": abs(_sum_left(betas) - beta_sigma),
+        "h_samples": samples,
+        "continuation_steps": 0,
+    })
     return eq, diag

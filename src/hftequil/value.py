@@ -16,8 +16,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
-from .model import ValidatedParams, _check_trader_index
-from .solver import ConstraintViolated, Equilibrium
+from .model import ValidatedParams, _check_trader_index, _frozen
+from .solver import ConstraintViolated, Equilibrium, _require_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -124,10 +124,11 @@ def value_coefficients(
         isfinite(A) and isfinite(B) and isfinite(C) and isfinite(D) and isfinite(E)
         and isfinite(zeta) and isfinite(F) and isfinite(G) and isfinite(eta)
     ):
-        named = dict(A=A, B=B, C=C, D=D, E=E, zeta=zeta, F=F, G=G, eta=eta)
-        bad = {name: x for name, x in named.items() if not isfinite(x)}
-        raise ConstraintViolated("value_finite", f"non-finite {bad!r}")
-    return ValueCoefficients(A=A, B=B, C=C, D=D, E=E, zeta=zeta, F=F, G=G, eta=eta)
+        _require_finite(dict(A=A, B=B, C=C, D=D, E=E, zeta=zeta, F=F, G=G, eta=eta))
+    return _frozen(
+        ValueCoefficients,
+        {"A": A, "B": B, "C": C, "D": D, "E": E, "zeta": zeta, "F": F, "G": G, "eta": eta},
+    )
 
 
 def evaluate_value(coeffs: ValueCoefficients, M, dS, Z):
@@ -235,6 +236,14 @@ def default_dpe_grid(
     )
 
 
+def _grid_axes(eq: Equilibrium, trader_index: int, params: ValidatedParams):
+    """The default grid's M, dS and Z axes shaped (5, 1, 1), (1, 5, 1) and
+    (1, 1, 5): they broadcast to the 5x5x5 grid, and each grid point sees
+    the same operations as on meshgrid's full copies."""
+    m, s, z = default_dpe_grid(eq, trader_index, params)
+    return m[:, None, None], s[None, :, None], z[None, None, :]
+
+
 def dpe_residual(
     coeffs: ValueCoefficients,
     eq: Equilibrium,
@@ -249,7 +258,7 @@ def dpe_residual(
     """
     import numpy as np
 
-    M, dS, Z = np.meshgrid(*default_dpe_grid(eq, trader_index, params), indexing="ij")
+    M, dS, Z = _grid_axes(eq, trader_index, params)
     disc = 1.0 - params.traders[trader_index].rho * params.dt
     v = evaluate_value(coeffs, M, dS, Z)
     rhs = dpe_rhs(coeffs, eq, trader_index, params, M, dS, Z, -coeffs.zeta * Z)
@@ -265,6 +274,6 @@ def dpe_argmax_gap(
     """Worst gap between the first-order-condition maximiser and -zeta Z; NaN if any gap is."""
     import numpy as np
 
-    M, dS, Z = np.meshgrid(*default_dpe_grid(eq, trader_index, params), indexing="ij")
+    M, dS, Z = _grid_axes(eq, trader_index, params)
     star = dpe_argmax(coeffs, eq, trader_index, params, M, dS, Z)
     return float(np.max(np.abs(star - (-coeffs.zeta * Z)) / (1.0 + np.abs(Z))))

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 from hftequil import (
     CONVERGENCE_QUANTITIES,
     Expansion,
+    SolverError,
     convergence_order,
     nash_expansions,
     solve_equilibrium,
     value_coefficients,
 )
+from hftequil.solver import _sum_left
 from helpers import make_params
 
 SQ2 = math.sqrt(2.0)
@@ -116,6 +118,86 @@ def test_derived_table_matches_closed_forms(k, log_ratio, log_sigma_S, log_gamma
             assert _matches(e.half_order_coeff, half), (key, e.half_order_coeff, half)
     if k == 1:
         assert math.copysign(1.0, exp["lambda"].half_order_coeff) == 1.0
+
+
+def _two_pass_expansions(params):
+    """``nash_expansions`` as first written: a row per trader, transposed,
+    and every entry built by ``Expansion.__init__``."""
+    r = params.vol_ratio_sq
+    k = params.k
+    t = math.sqrt(k * r)
+    a = [math.sqrt(tr.gamma * (t * t + r) / t) for tr in params.traders]
+    beta0 = r / t
+    t1 = -0.5 * beta0 * _sum_left(a)
+    lam0 = t / ((1.0 + k) * r)
+    eta0 = 1.0 / (1.0 + k)
+    lam1 = (k - 1) * -t1 / ((1.0 + k) ** 2 * r)
+    eta1 = -(lam1 * t + lam0 * t1)
+    B0 = 2.0 * beta0 * eta0
+    rows = []
+    for tr, ai in zip(params.traders, a):
+        beta1 = -t1 / k - beta0 * ai
+        A1 = tr.gamma / (2.0 * ai)
+        B1 = 2.0 * (beta1 * eta0 + beta0 * eta1) - beta0 * beta0 * A1
+        d_scale = params.sigma_S**2 / (2.0 * tr.rho)
+        rows.append((
+            (beta0, beta1), (0.0, ai), (0.0, lam0 * ai), (0.0, A1), (B0, B1),
+            (0.0, beta0 * A1 + ai * eta0), (B0 * d_scale, B1 * d_scale),
+        ))
+    beta, phi, mu, A, B, C, D = (tuple(Expansion(*c) for c in col) for col in zip(*rows))
+    lam = Expansion(
+        lam0,
+        lam1,
+        dt_coeff=-params.traders[0].gamma / 8.0 if k == 1 else 0.0,
+        remainder="O(dt^(3/2))" if k == 1 else "O(dt)",
+    )
+    return {"beta": beta, "beta_sigma": Expansion(t, t1), "lambda": lam,
+            "phi": phi, "mu": mu, "A": A, "B": B, "C": C, "D": D}
+
+
+@given(
+    k=st.integers(1, 30),
+    log_ratio=st.floats(-9.0, 9.0),
+    log_sigma_S=st.floats(-2.0, 2.0),
+    log_gammas=st.lists(st.floats(-4.6, 4.6), min_size=30, max_size=30),
+    log_rhos=st.lists(st.floats(-4.6, 1.0), min_size=30, max_size=30),
+)
+@example(k=1, log_ratio=0.0, log_sigma_S=0.0, log_gammas=[0.0] * 30, log_rhos=[-3.0] * 30)
+def test_one_pass_table_is_the_two_pass_table_bit_for_bit(k, log_ratio, log_sigma_S, log_gammas, log_rhos):
+    sigma_S = math.exp(log_sigma_S)
+    p = make_params(
+        dt=0.001,
+        gammas=[math.exp(x) for x in log_gammas[:k]],
+        rhos=[math.exp(x) for x in log_rhos[:k]],
+        sigma_S=sigma_S,
+        sigma_K=sigma_S * math.exp(log_ratio),
+    )
+    got, want = nash_expansions(p), _two_pass_expansions(p)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [
+        # check_params accepts rho = 1e-310, but D = B sigma_S^2/(2 rho) overflows
+        (dict(k=2, rhos=[0.05, 1e-310]), "trader 1: non-finite {'D0': inf"),
+        # r = (sigma_K/sigma_S)^2 = 1.69e308 is a normal float, but t^2 = k r is not
+        (dict(k=2, sigma_S=1e-100, sigma_K=1.3e54), "non-finite {'beta_sigma0': inf"),
+    ],
+    ids=["trader", "aggregate"],
+)
+def test_infinite_coefficient_is_a_solver_error(kwargs, named):
+    with pytest.raises(SolverError, match="value_finite") as exc:
+        nash_expansions(make_params(dt=0.01, **kwargs))
+    assert named in str(exc.value)
+
+
+def test_finite_coefficients_whose_sum_overflows_are_returned():
+    # D = 2.03e307 + 1.71e308 sqrt(dt): each finite, their sum is not
+    D = nash_expansions(make_params(dt=0.01, k=2, gammas=[0.01, 100.0], rhos=[1.16e-308, 0.05]))["D"][0]
+    assert math.isfinite(D.limit) and math.isfinite(D.half_order_coeff)
+    assert D.limit + D.half_order_coeff == math.inf
 
 
 class TestNashCoefficients:

@@ -127,6 +127,27 @@ class TestParamErrors:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "value_finite" in err
 
+    def test_overflowing_expansion_coefficient_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "expand", *BASE, "--rho", "1e-310")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "value_finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--sigma-s", "1", "--sigma-k", "1e200", "--dt", "0.01"],
+            ["solve", "--sigma-s", "1e200", "--sigma-k", "1e200", "--dt", "0.01"],
+            ["verify", "--sigma-s", "1e-200", "--sigma-k", "1e-200", "--dt", "0.01", "--paths", "0"],
+            ["expand", "--sigma-s", "1", "--sigma-k", "1e-170", "--dt", "0.01"],
+            ["solve", "--sigma-s", "1e-161", "--sigma-k", "1e-161", "--dt", "0.01"],
+        ],
+        ids=["sigma_K^2-overflows", "both-overflow", "both-underflow", "ratio-underflows", "subnormal-squares"],
+    )
+    def test_volatility_squares_out_of_range_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "VolatilityOutOfRange" in err
+
     @pytest.mark.parametrize("command,l0", [("solve", "nan"), ("simulate", "inf")])
     def test_non_finite_initial_inventory_exits_2(self, capsys, command, l0):
         code, out, err = run_cli(capsys, command, *BASE, "--k", "2", "--l0", l0)

@@ -43,6 +43,30 @@ class TestCheckParams:
         codes = [v.code for v in check_params(raw(sigma_K=bad))]
         assert codes == ["NonPositiveVolatility"]
 
+    @pytest.mark.parametrize(
+        "sigma_S, sigma_K, named",
+        [
+            (1.0, 1e200, ["sigma_K", "sigma_K/sigma_S"]),
+            (1e200, 1e200, ["sigma_S", "sigma_K"]),
+            (1e-200, 1e-200, ["sigma_S", "sigma_K"]),
+            (1.0, 1e-170, ["sigma_K", "sigma_K/sigma_S"]),
+            (1e-161, 1e-161, ["sigma_S", "sigma_K"]),
+            (1e-100, 1e100, ["sigma_K/sigma_S"]),
+        ],
+    )
+    def test_volatility_squares_must_be_normal_floats(self, sigma_S, sigma_K, named):
+        violations = check_params(raw(sigma_S=sigma_S, sigma_K=sigma_K))
+        assert [v.code for v in violations] == ["VolatilityOutOfRange"] * len(named)
+        assert [v.message.split(" = ")[0] for v in violations] == named
+
+    @pytest.mark.parametrize("refused, accepted", [(1.49e-154, 1.5e-154), (1.35e154, 1.34e154)])
+    def test_volatility_squares_at_the_float_range_edges(self, refused, accepted):
+        # the square roots of the smallest normal and the largest float are
+        # 1.4917e-154 and 1.3408e154
+        codes = [v.code for v in check_params(raw(sigma_S=refused, sigma_K=refused))]
+        assert codes == ["VolatilityOutOfRange"] * 2
+        assert check_params(raw(sigma_S=accepted, sigma_K=accepted)) == []
+
     def test_negative_dt(self):
         codes = [v.code for v in check_params(raw(dt=-0.01))]
         assert codes == ["DiscountOutOfRange"]

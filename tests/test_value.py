@@ -4,8 +4,10 @@ The frozen chain below was produced by solving the defining linear
 relations in 50-digit arithmetic from the frozen equilibrium of the unit
 monopoly at dt = 0.004, then rounding to double.
 """
+import dataclasses
 import itertools
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +27,7 @@ from hftequil import (
     evaluate_value,
     inventory_is_bounded,
     nash_best_response_beta,
+    nash_expansions,
     run_verification,
     solve_equilibrium,
     stationary_inventory_std,
@@ -164,6 +167,20 @@ class TestDynamicProgramming:
             assert residual == pytest.approx(worst_residual, abs=1e-16)
             assert argmax_gap == pytest.approx(worst_argmax, abs=1e-16)
 
+    def test_broadcast_grid_matches_the_meshgrid_bit_for_bit(self):
+        p = make_params(k=2, dt=0.1, gammas=[0.5, 2.0])
+        for i in range(p.k):
+            eq, cs = coeffs_for(p, trader=i)
+            M, dS, Z = np.meshgrid(*default_dpe_grid(eq, i, p), indexing="ij")
+            disc = 1.0 - p.traders[i].rho * p.dt
+            v = evaluate_value(cs, M, dS, Z)
+            rhs = dpe_rhs(cs, eq, i, p, M, dS, Z, -cs.zeta * Z)
+            residual = np.max(np.abs(v / disc - rhs) / (1.0 + np.abs(v)))
+            assert dpe_residual(cs, eq, i, p) == float(residual)
+            star = dpe_argmax(cs, eq, i, p, M, dS, Z)
+            argmax_gap = np.max(np.abs(star - (-cs.zeta * Z)) / (1.0 + np.abs(Z)))
+            assert dpe_argmax_gap(cs, eq, i, p) == float(argmax_gap)
+
     def test_nan_anywhere_on_the_grid_fails_the_check(self):
         p = make_params(dt=0.004)
         eq, cs = coeffs_for(p)
@@ -251,6 +268,38 @@ def test_trader_index_out_of_range(name, index):
     eq, cs = coeffs_for(p)
     with pytest.raises(ValueError, match=f"trader index {index} out of range for k=2"):
         TRADER_INDEXED[name](eq, cs, index, p)
+
+
+def _records():
+    p = make_params(k=2, dt=0.004, gammas=[0.5, 2.0])
+    eq, diag = solve_equilibrium(p)
+    table = nash_expansions(p)
+    return [eq, diag, value_coefficients(eq, 1, p), table["B"][1], table["beta_sigma"]]
+
+
+@pytest.mark.parametrize(
+    "record",
+    _records(),
+    ids=["Equilibrium", "SolveDiagnostics", "ValueCoefficients", "Expansion", "scalar Expansion"],
+)
+def test_result_records_match_init_built_twins(record):
+    """solve_equilibrium, value_coefficients and nash_expansions build their
+    records without the generated __init__; nothing a caller can do tells
+    them apart."""
+    fields = dataclasses.fields(record)
+    twin = type(record)(**{f.name: getattr(record, f.name) for f in fields})
+    assert record == twin and twin == record
+    assert hash(record) == hash(twin)
+    assert repr(record) == repr(twin)
+    assert dataclasses.asdict(record) == dataclasses.asdict(twin)
+    assert list(vars(record)) == list(vars(twin))
+    assert pickle.loads(pickle.dumps(record)) == twin
+    first = fields[0].name
+    assert replace(record, **{first: 2.5}) == replace(twin, **{first: 2.5})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, first, 0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(record, first)
 
 
 def test_degenerate_denominator_is_arithmetic_error():
