@@ -28,13 +28,13 @@ __all__ = [
     "InvalidParamsError",
     "ConfigError",
     "check_params",
-    "validate",
     "load_config",
     "params_to_config",
 ]
 
-_CONFIG_KEYS = ("sigma_S", "sigma_K", "dt", "tax", "traders")
-_TRADER_KEYS = ("gamma", "rho", "initial_inventory")
+_CONFIG_KEYS = frozenset(("sigma_S", "sigma_K", "dt", "tax", "traders"))
+_TRADER_KEYS = frozenset(("gamma", "rho", "initial_inventory"))
+_MISSING = object()
 _MIN_NORMAL = sys.float_info.min
 _MAX_FLOAT = sys.float_info.max
 
@@ -50,7 +50,7 @@ class TraderParams:
 
 @dataclass(frozen=True)
 class MarketParams:
-    """Raw, possibly invalid, market description."""
+    """Raw, possibly invalid, market description: the input of :func:`check_params`."""
 
     sigma_S: float
     sigma_K: float
@@ -109,18 +109,14 @@ def _frozen(cls, fields: dict):
     One ``object.__setattr__`` call stands in for the generated
     ``__init__``, which makes one per field. ``==``, ``hash``, ``repr``,
     ``asdict`` and ``replace`` read the fields, so they see no difference,
-    and assignment still raises ``FrozenInstanceError``. For result records
-    only: no ``__post_init__`` or default runs.
+    and assignment still raises ``FrozenInstanceError``. No ``__post_init__``
+    or default runs, so ``fields`` must already be what they would store:
+    for result records, and for a :class:`ValidatedParams` built from
+    :func:`_checked` fields.
     """
     obj = _new(cls)
     _setattr(obj, "__dict__", fields)
     return obj
-
-
-def _as_float_trader(t: TraderParams) -> TraderParams:
-    if type(t.gamma) is float and type(t.rho) is float and type(t.initial_inventory) is float:
-        return t
-    return TraderParams(float(t.gamma), float(t.rho), float(t.initial_inventory))
 
 
 def _check_trader_index(trader_index, k: int) -> None:
@@ -133,74 +129,129 @@ def _square_violation(name: str, v: float) -> Violation:
     return Violation("VolatilityOutOfRange", f"{name} = {v!r} squares to {v * v!r}, not a normal positive float")
 
 
+def _volatility(name: str, raw, out: list[Violation]) -> float | None:
+    """``raw`` as a positive finite float, else None with its violation added
+    to ``out``; a square that is not a normal float adds a violation too."""
+    v = _as_real(raw)
+    if v is None or not 0 < v <= _MAX_FLOAT:
+        out.append(Violation("NonPositiveVolatility", f"{name} must be a positive real, got {raw!r}"))
+        return None
+    # x * x gives inf where x**2 raises; a subnormal square has lost digits
+    if not _MIN_NORMAL <= v * v <= _MAX_FLOAT:
+        out.append(_square_violation(name, v))
+    return v
+
+
+def _dt_violation(dt) -> Violation:
+    return Violation("DiscountOutOfRange", f"dt must be a finite real >= 0, got {dt!r}")
+
+
+def _rho_dt_violation(i: int, rho_dt: float) -> Violation:
+    return Violation("DiscountOutOfRange", f"trader {i}: rho*dt = {rho_dt!r} must lie in (0, 1)")
+
+
+def _tax_violation(tax) -> Violation:
+    return Violation("NegativeTax", f"tax must be a finite real >= 0, got {tax!r}")
+
+
+def _check(sigma_S, sigma_K, dt, traders, tax) -> tuple[list[Violation], dict | None]:
+    """Check every field once; return the violations and, when there are
+    none, the ``__dict__`` of the :class:`ValidatedParams` they describe.
+
+    Each field is checked as the float it is stored as (see ``_as_real``);
+    ``0 < x <= _MAX_FLOAT`` is a finite positive float, as NaN compares
+    false. sigma_S**2, sigma_K**2 and (sigma_K/sigma_S)**2 must be normal
+    floats: an infinite or zero square breaks the solver, a subnormal one
+    has lost digits and gives a silently wrong equilibrium. The stored
+    record holds every field as a float, a signed zero as +0.0, the traders
+    as a tuple of float :class:`TraderParams` (one already stored so is kept
+    as given) and ``vol_ratio_sq``.
+    """
+    out: list[Violation] = []
+    s = _volatility("sigma_S", sigma_S, out)
+    k = _volatility("sigma_K", sigma_K, out)
+    if s is not None and k is not None:
+        ratio = k / s
+        if not _MIN_NORMAL <= ratio * ratio <= _MAX_FLOAT:
+            out.append(_square_violation("sigma_K/sigma_S", ratio))
+    d = _as_real(dt)
+    if d is None or not 0 <= d <= _MAX_FLOAT:
+        out.append(_dt_violation(dt))
+        d = None
+    c = _as_real(tax)
+    if c is None or not 0 <= c <= _MAX_FLOAT:
+        out.append(_tax_violation(tax))
+    try:
+        traders = tuple(traders)
+    except TypeError:
+        raise TypeError(f"traders must be an iterable of TraderParams, got {type(traders).__name__}") from None
+    if not traders:
+        out.append(Violation("EmptyTraderList", "at least one trader is required"))
+    stored = []
+    for i, t in enumerate(traders):
+        if not isinstance(t, TraderParams):
+            raise TypeError(f"trader {i} must be a TraderParams, got {type(t).__name__}")
+        # the per-trader loop is the hot one: a float field skips the call
+        g, r, l = t.gamma, t.rho, t.initial_inventory
+        gamma = g if type(g) is float else _as_real(g)
+        if gamma is None or not 0 < gamma <= _MAX_FLOAT:
+            out.append(Violation("NonPositiveGamma", f"trader {i}: gamma must be a positive real, got {g!r}"))
+        rho = r if type(r) is float else _as_real(r)
+        if rho is None or not 0 < rho <= _MAX_FLOAT:
+            out.append(Violation("DiscountOutOfRange", f"trader {i}: rho must be a positive real, got {r!r}"))
+        elif d and not rho * d < 1:
+            out.append(_rho_dt_violation(i, rho * d))
+        inv = l if type(l) is float else _as_real(l)
+        if inv is None or not -_MAX_FLOAT <= inv <= _MAX_FLOAT:
+            out.append(
+                Violation("NonFiniteInventory", f"trader {i}: initial_inventory must be a finite real, got {l!r}")
+            )
+        elif not out:
+            if inv == 0.0 and math.copysign(1.0, inv) < 0.0:
+                inv = 0.0
+            if gamma is not g or rho is not r or inv is not l:
+                t = _frozen(TraderParams, {"gamma": gamma, "rho": rho, "initial_inventory": inv})
+            stored.append(t)
+    if out:
+        return out, None
+    # x + 0.0 is x, bit for bit, except that -0.0 becomes +0.0
+    return out, {"sigma_S": s, "sigma_K": k, "dt": d + 0.0, "traders": tuple(stored),
+                 "tax": c + 0.0, "vol_ratio_sq": ratio ** 2}
+
+
+def _checked(sigma_S, sigma_K, dt, traders, tax) -> dict:
+    """The stored fields of a valid market (see :func:`_check`), or raise with
+    every violation."""
+    violations, fields = _check(sigma_S, sigma_K, dt, traders, tax)
+    if violations:
+        raise InvalidParamsError(violations)
+    return fields
+
+
 def check_params(params: MarketParams) -> list[Violation]:
     """Collect every violated constraint; an empty list means valid.
 
     Each field is checked as the float it is stored as (see ``_as_real``).
-    sigma_S**2, sigma_K**2 and (sigma_K/sigma_S)**2 must be normal floats:
-    an infinite or zero square breaks the solver, a subnormal one has lost
-    digits and gives a silently wrong equilibrium.
+    sigma_S**2, sigma_K**2 and (sigma_K/sigma_S)**2 must be normal floats.
+    A trader that is not a :class:`TraderParams` raises ``TypeError``.
     """
-    out: list[Violation] = []
-    vols = []
-    for name in ("sigma_S", "sigma_K"):
-        raw = getattr(params, name)
-        v = _as_real(raw)
-        if v is not None and math.isfinite(v) and v > 0:
-            vols.append(v)
-            # x * x gives inf where x**2 raises; a subnormal square has lost digits
-            if not _MIN_NORMAL <= v * v <= _MAX_FLOAT:
-                out.append(_square_violation(name, v))
-        else:
-            out.append(Violation("NonPositiveVolatility", f"{name} must be a positive real, got {raw!r}"))
-    if len(vols) == 2:
-        ratio = vols[1] / vols[0]
-        if not _MIN_NORMAL <= ratio * ratio <= _MAX_FLOAT:
-            out.append(_square_violation("sigma_K/sigma_S", ratio))
-    dt = _as_real(params.dt)
-    dt_ok = dt is not None and math.isfinite(dt) and dt >= 0
-    if not dt_ok:
-        out.append(Violation("DiscountOutOfRange", f"dt must be a finite real >= 0, got {params.dt!r}"))
-    tax = _as_real(params.tax)
-    if not (tax is not None and math.isfinite(tax) and tax >= 0):
-        out.append(Violation("NegativeTax", f"tax must be a finite real >= 0, got {params.tax!r}"))
-    if len(params.traders) == 0:
-        out.append(Violation("EmptyTraderList", "at least one trader is required"))
-    for i, t in enumerate(params.traders):
-        gamma = _as_real(t.gamma)
-        if not (gamma is not None and math.isfinite(gamma) and gamma > 0):
-            out.append(Violation("NonPositiveGamma", f"trader {i}: gamma must be a positive real, got {t.gamma!r}"))
-        rho = _as_real(t.rho)
-        if not (rho is not None and math.isfinite(rho) and rho > 0):
-            out.append(Violation("DiscountOutOfRange", f"trader {i}: rho must be a positive real, got {t.rho!r}"))
-        elif dt_ok and dt > 0 and not (rho * dt < 1):
-            out.append(
-                Violation(
-                    "DiscountOutOfRange",
-                    f"trader {i}: rho*dt = {rho * dt!r} must lie in (0, 1)",
-                )
-            )
-        inv = _as_real(t.initial_inventory)
-        if not (inv is not None and math.isfinite(inv)):
-            out.append(
-                Violation(
-                    "NonFiniteInventory",
-                    f"trader {i}: initial_inventory must be a finite real, got {t.initial_inventory!r}",
-                )
-            )
-    return out
+    return _check(params.sigma_S, params.sigma_K, params.dt, params.traders, params.tax)[0]
 
 
 @dataclass(frozen=True)
 class ValidatedParams:
     """A market description that passed :func:`check_params`.
 
-    Direct construction re-runs the checks, so an instance can never carry a
-    violating field. Every field is stored as a Python float, whatever real
-    type it was given as (an int or a numpy scalar), so that
-    :func:`params_to_config` stays JSON-serialisable. ``vol_ratio_sq`` is
-    ``(sigma_K / sigma_S)**2``, a normal float by the checks, computed once
-    here and shared by every module.
+    Every way to make one checks each field exactly once, and an instance
+    never carries a violating field. Direct construction (and
+    ``dataclasses.replace``) re-runs every check; :func:`load_config` runs
+    them on the floats it read; :meth:`with_dt` and :meth:`with_tax` check
+    only what they change. Every field is stored as a Python float, whatever
+    real type it was given as (an int or a numpy scalar), and a signed zero
+    as +0.0, so that :func:`params_to_config` stays JSON-serialisable and
+    prints no ``-0.0``. ``vol_ratio_sq`` is ``(sigma_K / sigma_S)**2``, a
+    normal float by the checks, computed once here and shared by every
+    module.
     """
 
     sigma_S: float
@@ -211,17 +262,7 @@ class ValidatedParams:
     vol_ratio_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        violations = check_params(
-            MarketParams(self.sigma_S, self.sigma_K, self.dt, tuple(self.traders), self.tax)
-        )
-        if violations:
-            raise InvalidParamsError(violations)
-        for name in ("sigma_S", "sigma_K", "dt", "tax"):
-            v = getattr(self, name)
-            if type(v) is not float:
-                object.__setattr__(self, name, float(v))
-        object.__setattr__(self, "traders", tuple(_as_float_trader(t) for t in self.traders))
-        object.__setattr__(self, "vol_ratio_sq", (self.sigma_K / self.sigma_S) ** 2)
+        _setattr(self, "__dict__", _checked(self.sigma_S, self.sigma_K, self.dt, self.traders, self.tax))
 
     @property
     def k(self) -> int:
@@ -240,23 +281,35 @@ class ValidatedParams:
         return tuple(t.initial_inventory for t in self.traders)
 
     def with_dt(self, dt: float) -> "ValidatedParams":
-        return ValidatedParams(self.sigma_S, self.sigma_K, dt, self.traders, self.tax)
+        """This market at period length ``dt``: only dt and each rho*dt are checked."""
+        d = _as_real(dt)
+        if d is None or not 0 <= d <= _MAX_FLOAT:
+            raise InvalidParamsError([_dt_violation(dt)])
+        if d:
+            out = [_rho_dt_violation(i, t.rho * d) for i, t in enumerate(self.traders) if not t.rho * d < 1]
+            if out:
+                raise InvalidParamsError(out)
+        return _frozen(ValidatedParams, {**self.__dict__, "dt": d + 0.0})
 
     def with_tax(self, tax: float) -> "ValidatedParams":
-        return ValidatedParams(self.sigma_S, self.sigma_K, self.dt, self.traders, tax)
+        """This market at tax rate ``tax``: only the tax is checked."""
+        c = _as_real(tax)
+        if c is None or not 0 <= c <= _MAX_FLOAT:
+            raise InvalidParamsError([_tax_violation(tax)])
+        return _frozen(ValidatedParams, {**self.__dict__, "tax": c + 0.0})
 
 
-def validate(params: MarketParams) -> ValidatedParams:
-    """Return the validated form of ``params`` or raise with all violations."""
-    return ValidatedParams(params.sigma_S, params.sigma_K, params.dt, tuple(params.traders), params.tax)
-
-
-def _require_number(mapping: dict, key: str, where: str) -> float:
-    if key not in mapping:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    v = mapping[key]
+def _require_number(mapping: dict, key: str, trader: int | None = None) -> float:
+    """``mapping[key]`` as a float (see ``_as_real``); ``trader`` is the index
+    of the traders entry that ``mapping`` is, None for the root."""
+    v = mapping.get(key, _MISSING)
+    if type(v) is float:
+        return v
     x = _as_real(v)
     if x is None:
+        where = "config" if trader is None else f"traders[{trader}]"
+        if v is _MISSING:
+            raise ConfigError(f"{where}: missing required key {key!r}")
         raise ConfigError(f"{where}: key {key!r} must be a number, got {type(v).__name__}")
     return x
 
@@ -280,29 +333,29 @@ def load_config(source) -> ValidatedParams:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
 
-    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    sigma_S = _require_number(raw, "sigma_S", "config")
-    sigma_K = _require_number(raw, "sigma_K", "config")
-    dt = _require_number(raw, "dt", "config")
-    tax = _require_number(raw, "tax", "config") if "tax" in raw else 0.0
+    if not raw.keys() <= _CONFIG_KEYS:
+        raise ConfigError(f"unknown config keys: {', '.join(sorted(raw.keys() - _CONFIG_KEYS))}")
+    sigma_S = _require_number(raw, "sigma_S")
+    sigma_K = _require_number(raw, "sigma_K")
+    dt = _require_number(raw, "dt")
+    tax = _require_number(raw, "tax") if "tax" in raw else 0.0
     if "traders" not in raw:
         raise ConfigError("config: missing required key 'traders'")
-    if not isinstance(raw["traders"], list):
+    entries = raw["traders"]
+    if not isinstance(entries, list):
         raise ConfigError("config: 'traders' must be a list")
     traders = []
-    for i, entry in enumerate(raw["traders"]):
+    for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ConfigError(f"config: traders[{i}] must be an object")
-        unknown = sorted(set(entry) - set(_TRADER_KEYS))
-        if unknown:
-            raise ConfigError(f"config: traders[{i}] unknown keys: {', '.join(unknown)}")
-        gamma = _require_number(entry, "gamma", f"traders[{i}]")
-        rho = _require_number(entry, "rho", f"traders[{i}]")
-        inv = _require_number(entry, "initial_inventory", f"traders[{i}]") if "initial_inventory" in entry else 0.0
-        traders.append(TraderParams(gamma, rho, inv))
-    return validate(MarketParams(sigma_S, sigma_K, dt, tuple(traders), tax))
+        if not entry.keys() <= _TRADER_KEYS:
+            raise ConfigError(f"config: traders[{i}] unknown keys: {', '.join(sorted(entry.keys() - _TRADER_KEYS))}")
+        traders.append(_frozen(TraderParams, {
+            "gamma": _require_number(entry, "gamma", i),
+            "rho": _require_number(entry, "rho", i),
+            "initial_inventory": _require_number(entry, "initial_inventory", i) if "initial_inventory" in entry else 0.0,
+        }))
+    return _frozen(ValidatedParams, _checked(sigma_S, sigma_K, dt, traders, tax))
 
 
 def params_to_config(params: ValidatedParams) -> dict:

@@ -1,5 +1,5 @@
 """Parameter builders shared across the test modules."""
-from hftequil import MarketParams, TraderParams, validate
+from hftequil import TraderParams, ValidatedParams
 
 
 def make_params(
@@ -23,6 +23,4 @@ def make_params(
         TraderParams(gamma=g, rho=r, initial_inventory=l)
         for g, r, l in zip(gs, rs, l0s)
     )
-    return validate(
-        MarketParams(sigma_S=sigma_S, sigma_K=sigma_K, dt=dt, traders=traders, tax=tax)
-    )
+    return ValidatedParams(sigma_S=sigma_S, sigma_K=sigma_K, dt=dt, traders=traders, tax=tax)

@@ -41,6 +41,11 @@ class TestSolve:
         }
         assert diag["iterations"] > 0
 
+    def test_signed_zeros_print_as_positive_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--sigma-s", "1", "--sigma-k", "1", "--dt", "-0.0", "--tax", "-0.0")
+        assert code == 0 and "-0.0" not in out
+        assert json.loads(out)["equilibrium"]["tax"] == 0.0
+
     def test_value_block_is_null_in_the_limit(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--sigma-s", "1", "--sigma-k", "1", "--dt", "0")
         assert code == 0
