@@ -142,18 +142,6 @@ def _volatility(name: str, raw, out: list[Violation]) -> float | None:
     return v
 
 
-def _dt_violation(dt) -> Violation:
-    return Violation("DiscountOutOfRange", f"dt must be a finite real >= 0, got {dt!r}")
-
-
-def _rho_dt_violation(i: int, rho_dt: float) -> Violation:
-    return Violation("DiscountOutOfRange", f"trader {i}: rho*dt = {rho_dt!r} must lie in (0, 1)")
-
-
-def _tax_violation(tax) -> Violation:
-    return Violation("NegativeTax", f"tax must be a finite real >= 0, got {tax!r}")
-
-
 def _check(sigma_S, sigma_K, dt, traders, tax) -> tuple[list[Violation], dict | None]:
     """Check every field once; return the violations and, when there are
     none, the ``__dict__`` of the :class:`ValidatedParams` they describe.
@@ -176,11 +164,11 @@ def _check(sigma_S, sigma_K, dt, traders, tax) -> tuple[list[Violation], dict | 
             out.append(_square_violation("sigma_K/sigma_S", ratio))
     d = _as_real(dt)
     if d is None or not 0 <= d <= _MAX_FLOAT:
-        out.append(_dt_violation(dt))
+        out.append(Violation("DiscountOutOfRange", f"dt must be a finite real >= 0, got {dt!r}"))
         d = None
     c = _as_real(tax)
     if c is None or not 0 <= c <= _MAX_FLOAT:
-        out.append(_tax_violation(tax))
+        out.append(Violation("NegativeTax", f"tax must be a finite real >= 0, got {tax!r}"))
     try:
         traders = tuple(traders)
     except TypeError:
@@ -191,17 +179,16 @@ def _check(sigma_S, sigma_K, dt, traders, tax) -> tuple[list[Violation], dict | 
     for i, t in enumerate(traders):
         if not isinstance(t, TraderParams):
             raise TypeError(f"trader {i} must be a TraderParams, got {type(t).__name__}")
-        # the per-trader loop is the hot one: a float field skips the call
         g, r, l = t.gamma, t.rho, t.initial_inventory
-        gamma = g if type(g) is float else _as_real(g)
+        gamma = _as_real(g)
         if gamma is None or not 0 < gamma <= _MAX_FLOAT:
             out.append(Violation("NonPositiveGamma", f"trader {i}: gamma must be a positive real, got {g!r}"))
-        rho = r if type(r) is float else _as_real(r)
+        rho = _as_real(r)
         if rho is None or not 0 < rho <= _MAX_FLOAT:
             out.append(Violation("DiscountOutOfRange", f"trader {i}: rho must be a positive real, got {r!r}"))
         elif d and not rho * d < 1:
-            out.append(_rho_dt_violation(i, rho * d))
-        inv = l if type(l) is float else _as_real(l)
+            out.append(Violation("DiscountOutOfRange", f"trader {i}: rho*dt = {rho * d!r} must lie in (0, 1)"))
+        inv = _as_real(l)
         if inv is None or not -_MAX_FLOAT <= inv <= _MAX_FLOAT:
             out.append(
                 Violation("NonFiniteInventory", f"trader {i}: initial_inventory must be a finite real, got {l!r}")
@@ -245,13 +232,14 @@ class ValidatedParams:
     Every way to make one checks each field exactly once, and an instance
     never carries a violating field. Direct construction (and
     ``dataclasses.replace``) re-runs every check; :func:`load_config` runs
-    them on the floats it read; :meth:`with_dt` and :meth:`with_tax` check
-    only what they change. Every field is stored as a Python float, whatever
-    real type it was given as (an int or a numpy scalar), and a signed zero
-    as +0.0, so that :func:`params_to_config` stays JSON-serialisable and
-    prints no ``-0.0``. ``vol_ratio_sq`` is ``(sigma_K / sigma_S)**2``, a
-    normal float by the checks, computed once here and shared by every
-    module.
+    them on the floats it read; :meth:`with_dt` and :meth:`with_tax` run
+    them on this record's fields with one field replaced, and keep the
+    stored traders as they are. Every field is stored as a Python float,
+    whatever real type it was given as (an int or a numpy scalar), and a
+    signed zero as +0.0, so that :func:`params_to_config` stays
+    JSON-serialisable and prints no ``-0.0``. ``vol_ratio_sq`` is
+    ``(sigma_K / sigma_S)**2``, a normal float by the checks, computed once
+    here and shared by every module.
     """
 
     sigma_S: float
@@ -281,30 +269,18 @@ class ValidatedParams:
         return tuple(t.initial_inventory for t in self.traders)
 
     def with_dt(self, dt: float) -> "ValidatedParams":
-        """This market at period length ``dt``: only dt and each rho*dt are checked."""
-        d = _as_real(dt)
-        if d is None or not 0 <= d <= _MAX_FLOAT:
-            raise InvalidParamsError([_dt_violation(dt)])
-        if d:
-            out = [_rho_dt_violation(i, t.rho * d) for i, t in enumerate(self.traders) if not t.rho * d < 1]
-            if out:
-                raise InvalidParamsError(out)
-        return _frozen(ValidatedParams, {**self.__dict__, "dt": d + 0.0})
+        """This market at period length ``dt``, checked by the one checker."""
+        return _frozen(ValidatedParams, _checked(self.sigma_S, self.sigma_K, dt, self.traders, self.tax))
 
     def with_tax(self, tax: float) -> "ValidatedParams":
-        """This market at tax rate ``tax``: only the tax is checked."""
-        c = _as_real(tax)
-        if c is None or not 0 <= c <= _MAX_FLOAT:
-            raise InvalidParamsError([_tax_violation(tax)])
-        return _frozen(ValidatedParams, {**self.__dict__, "tax": c + 0.0})
+        """This market at tax rate ``tax``, checked by the one checker."""
+        return _frozen(ValidatedParams, _checked(self.sigma_S, self.sigma_K, self.dt, self.traders, tax))
 
 
 def _require_number(mapping: dict, key: str, trader: int | None = None) -> float:
     """``mapping[key]`` as a float (see ``_as_real``); ``trader`` is the index
     of the traders entry that ``mapping`` is, None for the root."""
     v = mapping.get(key, _MISSING)
-    if type(v) is float:
-        return v
     x = _as_real(v)
     if x is None:
         where = "config" if trader is None else f"traders[{trader}]"
