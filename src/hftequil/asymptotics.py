@@ -46,8 +46,8 @@ class Expansion:
     remainder: str = "O(dt)"
 
     def evaluate(self, dt: float) -> float:
-        if dt < 0:
-            raise ValueError(f"dt must be nonnegative, got {dt!r}")
+        if not 0 <= dt < math.inf:  # NaN compares false
+            raise ValueError(f"dt must be finite and nonnegative, got {dt!r}")
         return self.limit + self.half_order_coeff * math.sqrt(dt) + self.dt_coeff * dt
 
     def to_dict(self) -> dict:

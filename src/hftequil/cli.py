@@ -66,9 +66,12 @@ def _parse_grid(text: str, flag: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise ConfigError(f"{flag} expects a:b:n, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
+        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ConfigError(f"{flag} expects numbers a:b and an integer count, got {text!r}") from None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ConfigError(f"{flag} needs finite endpoints a:b, got {text!r}")
+    return a, b, n
 
 
 def _parse_geometric_grid(text: str, flag: str) -> tuple[float, ...]:
@@ -107,7 +110,10 @@ def _params_from_args(args: argparse.Namespace) -> ValidatedParams:
     if args.config is not None:
         if inline:
             raise ConfigError(f"pass --config or inline flags, not both (got --{inline[0].replace('_', '-')})")
-        return load_config(Path(args.config))
+        try:
+            return load_config(Path(args.config))
+        except OSError as exc:
+            raise ConfigError(f"cannot read --config {args.config}: {exc.strerror or exc}") from None
     missing = [f for f in ("sigma_s", "sigma_k", "dt") if getattr(args, f, None) is None]
     if missing:
         raise ConfigError(

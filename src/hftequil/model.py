@@ -22,12 +22,10 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "TraderParams",
-    "MarketParams",
     "ValidatedParams",
     "Violation",
     "InvalidParamsError",
     "ConfigError",
-    "check_params",
     "load_config",
     "params_to_config",
 ]
@@ -46,17 +44,6 @@ class TraderParams:
     gamma: float
     rho: float
     initial_inventory: float = 0.0
-
-
-@dataclass(frozen=True)
-class MarketParams:
-    """Raw, possibly invalid, market description: the input of :func:`check_params`."""
-
-    sigma_S: float
-    sigma_K: float
-    dt: float
-    traders: tuple[TraderParams, ...]
-    tax: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -142,9 +129,10 @@ def _volatility(name: str, raw, out: list[Violation]) -> float | None:
     return v
 
 
-def _check(sigma_S, sigma_K, dt, traders, tax) -> tuple[list[Violation], dict | None]:
-    """Check every field once; return the violations and, when there are
-    none, the ``__dict__`` of the :class:`ValidatedParams` they describe.
+def _checked(sigma_S, sigma_K, dt, traders, tax) -> dict:
+    """Check every field once; return the ``__dict__`` of the
+    :class:`ValidatedParams` they describe, or raise
+    :class:`InvalidParamsError` with every violation.
 
     Each field is checked as the float it is stored as (see ``_as_real``);
     ``0 < x <= _MAX_FLOAT`` is a finite positive float, as NaN compares
@@ -153,7 +141,8 @@ def _check(sigma_S, sigma_K, dt, traders, tax) -> tuple[list[Violation], dict | 
     has lost digits and gives a silently wrong equilibrium. The stored
     record holds every field as a float, a signed zero as +0.0, the traders
     as a tuple of float :class:`TraderParams` (one already stored so is kept
-    as given) and ``vol_ratio_sq``.
+    as given) and ``vol_ratio_sq``. A trader that is not a
+    :class:`TraderParams` raises ``TypeError``.
     """
     out: list[Violation] = []
     s = _volatility("sigma_S", sigma_S, out)
@@ -200,41 +189,23 @@ def _check(sigma_S, sigma_K, dt, traders, tax) -> tuple[list[Violation], dict | 
                 t = _frozen(TraderParams, {"gamma": gamma, "rho": rho, "initial_inventory": inv})
             stored.append(t)
     if out:
-        return out, None
+        raise InvalidParamsError(out)
     # x + 0.0 is x, bit for bit, except that -0.0 becomes +0.0
-    return out, {"sigma_S": s, "sigma_K": k, "dt": d + 0.0, "traders": tuple(stored),
-                 "tax": c + 0.0, "vol_ratio_sq": ratio ** 2}
-
-
-def _checked(sigma_S, sigma_K, dt, traders, tax) -> dict:
-    """The stored fields of a valid market (see :func:`_check`), or raise with
-    every violation."""
-    violations, fields = _check(sigma_S, sigma_K, dt, traders, tax)
-    if violations:
-        raise InvalidParamsError(violations)
-    return fields
-
-
-def check_params(params: MarketParams) -> list[Violation]:
-    """Collect every violated constraint; an empty list means valid.
-
-    Each field is checked as the float it is stored as (see ``_as_real``).
-    sigma_S**2, sigma_K**2 and (sigma_K/sigma_S)**2 must be normal floats.
-    A trader that is not a :class:`TraderParams` raises ``TypeError``.
-    """
-    return _check(params.sigma_S, params.sigma_K, params.dt, params.traders, params.tax)[0]
+    return {"sigma_S": s, "sigma_K": k, "dt": d + 0.0, "traders": tuple(stored),
+            "tax": c + 0.0, "vol_ratio_sq": ratio ** 2}
 
 
 @dataclass(frozen=True)
 class ValidatedParams:
-    """A market description that passed :func:`check_params`.
+    """A market description whose every field has been checked.
 
     Every way to make one checks each field exactly once, and an instance
-    never carries a violating field. Direct construction (and
-    ``dataclasses.replace``) re-runs every check; :func:`load_config` runs
-    them on the floats it read; :meth:`with_dt` and :meth:`with_tax` run
-    them on this record's fields with one field replaced, and keep the
-    stored traders as they are. Every field is stored as a Python float,
+    never carries a violating field: a refused market raises
+    :class:`InvalidParamsError`, whose ``violations`` list every violation.
+    Direct construction (and ``dataclasses.replace``) re-runs every check;
+    :func:`load_config` runs them on the floats it read; :meth:`with_dt`
+    and :meth:`with_tax` run them on this record's fields with one field
+    replaced, and keep the stored traders as they are. Every field is stored as a Python float,
     whatever real type it was given as (an int or a numpy scalar), and a
     signed zero as +0.0, so that :func:`params_to_config` stays
     JSON-serialisable and prints no ``-0.0``. ``vol_ratio_sq`` is

@@ -85,7 +85,6 @@ __all__ = [
     "dealer_profit_check",
     "reduced_form_gap",
     "inventory_second_moment",
-    "inventory_is_bounded",
     "simulate_second_moment",
     "deviation_sweep",
 ]
@@ -911,12 +910,6 @@ def inventory_second_moment(
         a2n = a2**n
         geom = float(n) if a2 == 1.0 else (1.0 - a2n) / (phi * (2.0 - phi))
     return a2n * M0**2 + drive * geom
-
-
-def inventory_is_bounded(eq: Equilibrium, trader_index: int) -> bool:
-    """Second moment stays bounded iff the decay rate lies strictly in (0, 2)."""
-    _check_trader_index(trader_index, eq.k)
-    return 0.0 < eq.phis[trader_index] < 2.0
 
 
 def simulate_second_moment(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ValidatedParams, _check_trader_index, _frozen
+from .model import ValidatedParams, _frozen
 
 __all__ = [
     "Equilibrium",
@@ -29,7 +29,6 @@ __all__ = [
     "SolverError",
     "NoRootInBracket",
     "ConstraintViolated",
-    "nash_best_response_beta",
     "solve_taxed",
     "solve_equilibrium",
     "pricing_from_beta",
@@ -269,30 +268,6 @@ def _responses(beta_sigma: float, rows, r: float, c: float):
     return tuple(betas), tuple(phis)
 
 
-def _trader_responses(beta_sigma: float, params: ValidatedParams, rows):
-    """(betas, phis) of every trader at the aggregate, each loading checked against r/P."""
-    r = params.vol_ratio_sq
-    betas, phis = _responses(beta_sigma, rows, r, params.tax)
-    bound = r / (beta_sigma + 2.0 * params.tax * (r + beta_sigma**2))
-    for i, u in enumerate(betas):
-        if not (0.0 < u < bound * (1.0 + 1e-12)):
-            raise ConstraintViolated("beta_bound", f"trader {i}: response {u!r} outside (0, {bound!r}]")
-    return betas, phis
-
-
-def nash_best_response_beta(beta_sigma: float, trader_index: int, params: ValidatedParams) -> float:
-    """Trader ``trader_index``'s loading when the aggregate is conjectured fixed.
-
-    Returns the smaller root of the response quadratic, computed through the
-    trader's decay rate; the larger root violates the loading bound and
-    corresponds to a negative decay rate. Reads the tax rate from ``params``.
-    """
-    if beta_sigma <= 0:
-        raise ValueError(f"beta_sigma must be positive, got {beta_sigma!r}")
-    _check_trader_index(trader_index, params.k)
-    return _trader_responses(beta_sigma, params, _trader_rows(params))[0][trader_index]
-
-
 def system_residual(eq: Equilibrium, params: ValidatedParams) -> tuple[float, ...]:
     """Per-trader residual of the equilibrium system, scaled by r^2."""
     r = params.vol_ratio_sq
@@ -379,7 +354,12 @@ def solve_equilibrium(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagno
     """Equilibrium at the tax rate params.tax; the one solve path for every tax rate and dt >= 0."""
     rows = _trader_rows(params)
     beta_sigma, iterations, bracket, samples = _solve_fixed_point(params, rows)
-    betas, phis = _trader_responses(beta_sigma, params, rows)
+    r = params.vol_ratio_sq
+    betas, phis = _responses(beta_sigma, rows, r, params.tax)
+    bound = r / (beta_sigma + 2.0 * params.tax * (r + beta_sigma**2))
+    for i, u in enumerate(betas):
+        if not (0.0 < u < bound * (1.0 + 1e-12)):
+            raise ConstraintViolated("beta_bound", f"trader {i}: response {u!r} outside (0, {bound!r}]")
     # The decay rates come from the response itself, not from 1 - P beta_i / r.
     lam = pricing_from_beta(beta_sigma, (), params)[0]
     eq = _frozen(Equilibrium, {"betas": betas, "beta_sigma": beta_sigma, "lam": lam, "phis": phis,

@@ -19,7 +19,6 @@ from hftequil import (
     deviation_sweep,
     dpe_argmax_gap,
     dpe_residual,
-    inventory_is_bounded,
     inventory_second_moment,
     nash_expansions,
     simulate,
@@ -177,10 +176,20 @@ def test_criterion_08_second_moment_formula_and_boundedness():
         target = inventory_second_moment(eq, 0, p, n)
         assert abs(est.mean - target) <= 4.0 * est.std_error, n
 
+    # E[M_n^2] settles iff 0 < phi < 2: at phi = 0 or 2 it grows like n, and
+    # beyond them (1 - phi)^(2n) leaves the float range
+    def settles(game):
+        try:
+            late = [inventory_second_moment(game, 0, p, n) for n in (10**12, 2 * 10**12)]
+        except OverflowError:
+            return False
+        return math.isfinite(late[1]) and late[1] == pytest.approx(late[0], rel=1e-12)
+
+    assert settles(eq)
     phi_grid = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0 - 1e-9, 2.0, 2.5)
     for phi in phi_grid:
         fake = Equilibrium(betas=(0.9,), beta_sigma=0.9, lam=0.45, phis=(phi,), mus=(0.0,))
-        assert inventory_is_bounded(fake, 0) == (0.0 < phi < 2.0), phi
+        assert settles(fake) == (0.0 < phi < 2.0), phi
     elapsed = time.perf_counter() - t0
     assert elapsed < budget, f"runtime {elapsed:.2f}s exceeds {budget}s"
 

@@ -180,7 +180,7 @@ def test_one_pass_table_is_the_two_pass_table_bit_for_bit(k, log_ratio, log_sigm
 @pytest.mark.parametrize(
     "kwargs, named",
     [
-        # check_params accepts rho = 1e-310, but D = B sigma_S^2/(2 rho) overflows
+        # ValidatedParams accepts rho = 1e-310, but D = B sigma_S^2/(2 rho) overflows
         (dict(k=2, rhos=[0.05, 1e-310]), "trader 1: non-finite {'D0': inf"),
         # r = (sigma_K/sigma_S)^2 = 1.69e308 is a normal float, but t^2 = k r is not
         (dict(k=2, sigma_S=1e-100, sigma_K=1.3e54), "non-finite {'beta_sigma0': inf"),
@@ -357,8 +357,9 @@ class TestExpansionContainer:
         e = Expansion(limit=2.0, half_order_coeff=-1.0, dt_coeff=0.5)
         assert e.evaluate(0.0) == 2.0
         assert e.evaluate(0.04) == pytest.approx(2.0 - 0.2 + 0.02, rel=1e-15)
-        with pytest.raises(ValueError):
-            e.evaluate(-0.01)
+        for bad in (-0.01, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                e.evaluate(bad)
 
     def test_to_dict(self):
         e = Expansion(limit=1.0, half_order_coeff=0.5)

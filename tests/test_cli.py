@@ -1,5 +1,6 @@
 """Command line interface: flags, formats, exit codes, determinism."""
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,15 @@ class TestParamErrors:
         assert code == 2 and out == ""
         assert err == f"error: cannot write --out {target}: No such file or directory\n"
 
+    @pytest.mark.parametrize(
+        "name, reason", [("missing.json", "No such file or directory"), (".", "Is a directory")], ids=["missing", "dir"]
+    )
+    def test_unreadable_config_exits_2(self, capsys, tmp_path, name, reason):
+        path = tmp_path / name
+        code, out, err = run_cli(capsys, "solve", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot read --config {path}: {reason}\n"
+
     def test_unknown_format_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", *BASE, "--format", "csv"])
@@ -306,6 +316,23 @@ class TestTaxSweep:
         assert exc.value.code == 2
         code, _, err = run_cli(capsys, "tax-sweep", *BASE, "--c-grid", "")
         assert code == 2 and "error: --c-grid expects a:b:n" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, grid",
+    [
+        ("sweep", "--dt-grid", "1e-4:inf:3"),
+        ("sweep", "--dt-grid", "nan:0.01:3"),
+        ("tax-sweep", "--c-grid", "0:inf:3"),
+        ("tax-sweep", "--c-grid", "0:nan:3"),
+    ],
+)
+def test_non_finite_grid_endpoint_exits_2_before_numpy_runs(capsys, command, flag, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, command, *BASE, flag, grid)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} needs finite endpoints a:b, got {grid!r}\n"
 
 
 class TestSimulate:

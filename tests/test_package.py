@@ -13,6 +13,19 @@ SUBMODULES = (model, solver, asymptotics, value, simulator, verify)
 SUBMODULE_NAMES = {"model", "solver", "asymptotics", "value", "simulator", "verify", "cli"}
 BASE = ["--sigma-s", "1.0", "--sigma-k", "1.0", "--dt", "0.004", "--k", "2"]
 SIMULATION_LAYERS = ("numpy", "hftequil.simulator", "hftequil.verify")
+# Every public name, sorted: adding or retiring one shows up here as a diff.
+PUBLIC_NAMES = [
+    "CONVERGENCE_QUANTITIES", "CheckResult", "ConfigError", "ConstraintViolated", "ConvergencePoint",
+    "ConvergenceTable", "DegenerateDenominator", "DeviationSweepResult", "Equilibrium", "Estimate", "Expansion",
+    "HorizonTooShort", "InadmissibleStrategy", "InfeasiblePoint", "InvalidParamsError", "NoRootInBracket",
+    "ObjectiveResult", "PathBatch", "ProfitCheck", "SolveDiagnostics", "SolverError", "StrategySpec", "SweepRow",
+    "Tolerances", "TraderParams", "ValidatedParams", "ValueCoefficients", "VerificationReport", "Violation",
+    "convergence_order", "dealer_profit_check", "default_dpe_grid", "default_horizon", "deviation_sweep",
+    "dpe_argmax", "dpe_argmax_gap", "dpe_residual", "dpe_rhs", "evaluate_value", "inventory_second_moment",
+    "load_config", "nash_expansions", "params_to_config", "pricing_from_beta", "reduced_form_gap",
+    "run_verification", "simulate", "simulate_objective", "simulate_second_moment", "solve_equilibrium",
+    "solve_taxed", "stationary_inventory_std", "system_residual", "validate_equilibrium", "value_coefficients",
+]
 
 
 def test_package_exports_exactly_the_submodule_names():
@@ -24,6 +37,11 @@ def test_package_exports_exactly_the_submodule_names():
     for m in SUBMODULES:
         for name in m.__all__:
             assert getattr(hftequil, name) is getattr(m, name), name
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 55
+    assert sorted(hftequil.__all__) == PUBLIC_NAMES
 
 
 def test_star_import_binds_every_declared_name():

@@ -14,37 +14,40 @@ from hypothesis import strategies as st
 from hftequil import (
     ConfigError,
     InvalidParamsError,
-    MarketParams,
     TraderParams,
     ValidatedParams,
-    check_params,
     load_config,
     params_to_config,
 )
 from helpers import make_params
 
 
-def raw(sigma_S=1.0, sigma_K=1.0, dt=0.004, tax=0.0, traders=None):
+def refusal(sigma_S=1.0, sigma_K=1.0, dt=0.004, tax=0.0, traders=None) -> InvalidParamsError | None:
+    """The error ``ValidatedParams(...)`` raises for these fields, None if it accepts them."""
     if traders is None:
         traders = (TraderParams(gamma=1.0, rho=0.05),)
-    return MarketParams(sigma_S=sigma_S, sigma_K=sigma_K, dt=dt, traders=traders, tax=tax)
+    try:
+        ValidatedParams(sigma_S=sigma_S, sigma_K=sigma_K, dt=dt, traders=traders, tax=tax)
+    except InvalidParamsError as exc:
+        return exc
+    return None
 
 
 class TestCheckParams:
     def test_valid_params_have_no_violations(self):
-        assert check_params(raw()) == []
+        assert refusal() is None
 
     def test_zero_dt_is_valid(self):
-        assert check_params(raw(dt=0.0)) == []
+        assert refusal(dt=0.0) is None
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_nonpositive_sigma_s(self, bad):
-        codes = [v.code for v in check_params(raw(sigma_S=bad))]
+        codes = refusal(sigma_S=bad).codes
         assert codes == ["NonPositiveVolatility"]
 
     @pytest.mark.parametrize("bad", [0.0, -2.5])
     def test_nonpositive_sigma_k(self, bad):
-        codes = [v.code for v in check_params(raw(sigma_K=bad))]
+        codes = refusal(sigma_K=bad).codes
         assert codes == ["NonPositiveVolatility"]
 
     @pytest.mark.parametrize(
@@ -59,7 +62,7 @@ class TestCheckParams:
         ],
     )
     def test_volatility_squares_must_be_normal_floats(self, sigma_S, sigma_K, named):
-        violations = check_params(raw(sigma_S=sigma_S, sigma_K=sigma_K))
+        violations = refusal(sigma_S=sigma_S, sigma_K=sigma_K).violations
         assert [v.code for v in violations] == ["VolatilityOutOfRange"] * len(named)
         assert [v.message.split(" = ")[0] for v in violations] == named
 
@@ -67,50 +70,49 @@ class TestCheckParams:
     def test_volatility_squares_at_the_float_range_edges(self, refused, accepted):
         # the square roots of the smallest normal and the largest float are
         # 1.4917e-154 and 1.3408e154
-        codes = [v.code for v in check_params(raw(sigma_S=refused, sigma_K=refused))]
+        codes = refusal(sigma_S=refused, sigma_K=refused).codes
         assert codes == ["VolatilityOutOfRange"] * 2
-        assert check_params(raw(sigma_S=accepted, sigma_K=accepted)) == []
+        assert refusal(sigma_S=accepted, sigma_K=accepted) is None
 
     def test_negative_dt(self):
-        codes = [v.code for v in check_params(raw(dt=-0.01))]
+        codes = refusal(dt=-0.01).codes
         assert codes == ["DiscountOutOfRange"]
 
     def test_negative_tax(self):
-        codes = [v.code for v in check_params(raw(tax=-1e-4))]
+        codes = refusal(tax=-1e-4).codes
         assert codes == ["NegativeTax"]
 
     def test_empty_trader_list(self):
-        codes = [v.code for v in check_params(raw(traders=()))]
+        codes = refusal(traders=()).codes
         assert codes == ["EmptyTraderList"]
 
     def test_nonpositive_gamma(self):
         traders = (TraderParams(gamma=0.0, rho=0.05),)
-        codes = [v.code for v in check_params(raw(traders=traders))]
+        codes = refusal(traders=traders).codes
         assert codes == ["NonPositiveGamma"]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_initial_inventory(self, bad):
         traders = (TraderParams(gamma=1.0, rho=0.05, initial_inventory=bad),)
-        codes = [v.code for v in check_params(raw(traders=traders))]
+        codes = refusal(traders=traders).codes
         assert codes == ["NonFiniteInventory"]
 
     def test_rho_dt_must_stay_below_one(self):
         traders = (TraderParams(gamma=1.0, rho=300.0),)
-        codes = [v.code for v in check_params(raw(dt=0.004, traders=traders))]
+        codes = refusal(dt=0.004, traders=traders).codes
         assert codes == ["DiscountOutOfRange"]
 
     def test_large_rho_allowed_when_dt_is_zero(self):
         traders = (TraderParams(gamma=1.0, rho=300.0),)
-        assert check_params(raw(dt=0.0, traders=traders)) == []
+        assert refusal(dt=0.0, traders=traders) is None
 
     def test_bool_fields_are_rejected(self):
-        codes = [v.code for v in check_params(raw(sigma_S=True))]
+        codes = refusal(sigma_S=True).codes
         assert codes == ["NonPositiveVolatility"]
 
     def test_all_violations_are_collected(self):
         traders = (TraderParams(gamma=-1.0, rho=-0.05),)
-        bad = raw(sigma_S=-1.0, sigma_K=0.0, dt=-1.0, tax=-1.0, traders=traders)
-        codes = sorted(v.code for v in check_params(bad))
+        codes = sorted(refusal(sigma_S=-1.0, sigma_K=0.0, dt=-1.0, tax=-1.0, traders=traders).codes)
         assert codes == [
             "DiscountOutOfRange",
             "DiscountOutOfRange",
@@ -144,14 +146,14 @@ class TestRealTypes:
     )
     @pytest.mark.parametrize("bad", [True, "1.0", float("nan"), float("inf")])
     def test_bool_str_and_non_finite_keep_their_codes(self, field, code, bad):
-        codes = [v.code for v in check_params(raw(**{field: bad}))]
+        codes = refusal(**{field: bad}).codes
         assert codes == [code]
 
     def test_reals_outside_the_float_range_are_refused_with_their_codes(self):
         from fractions import Fraction
 
         traders = (TraderParams(gamma=Fraction(1, 10**400), rho=-(10**400)),)
-        codes = [v.code for v in check_params(raw(sigma_S=10**400, dt=Fraction(10**400, 3), traders=traders))]
+        codes = refusal(sigma_S=10**400, dt=Fraction(10**400, 3), traders=traders).codes
         assert codes == ["NonPositiveVolatility", "DiscountOutOfRange", "NonPositiveGamma", "DiscountOutOfRange"]
         cfg = {"sigma_S": 10**400, "sigma_K": 1.0, "dt": 0.01, "traders": [{"gamma": 1.0, "rho": 0.05}]}
         with pytest.raises(InvalidParamsError) as exc:
@@ -160,7 +162,7 @@ class TestRealTypes:
 
     def test_numpy_non_finite_and_bool_keep_their_codes(self):
         traders = (TraderParams(np.float32("nan"), np.bool_(True), np.float64("inf")),)
-        codes = [v.code for v in check_params(raw(sigma_S=np.float32("inf"), traders=traders))]
+        codes = refusal(sigma_S=np.float32("inf"), traders=traders).codes
         assert codes == ["NonPositiveVolatility", "NonPositiveGamma", "DiscountOutOfRange", "NonFiniteInventory"]
 
 
@@ -209,9 +211,6 @@ class TestValidate:
     def test_trader_of_the_wrong_type_is_a_type_error(self, traders, message):
         with pytest.raises(TypeError) as exc:
             ValidatedParams(1.0, 1.0, 0.01, traders)
-        assert str(exc.value) == message
-        with pytest.raises(TypeError) as exc:
-            check_params(MarketParams(1.0, 1.0, 0.01, traders))
         assert str(exc.value) == message
 
     def test_signed_zeros_are_stored_as_positive_zero(self):
@@ -527,12 +526,7 @@ def test_load_config_and_direct_construction_agree(sigma_S, sigma_K, dt, tax, tr
     c = 0.0 if tax is _MISSING else tax
 
     raw_traders = tuple(_trader(*t) for t in traders)
-    expected = check_params(MarketParams(sigma_S, sigma_K, dt, raw_traders, c))
     direct = _outcome(lambda: ValidatedParams(sigma_S, sigma_K, dt, raw_traders, c))
-    if expected:
-        assert direct == ("invalid", [(v.code, v.message) for v in expected])
-    else:
-        assert direct[0] == "record"
 
     message = _config_error(cfg)
     if message is not None:

@@ -25,7 +25,6 @@ from hftequil import (
     dealer_profit_check,
     default_horizon,
     deviation_sweep,
-    inventory_is_bounded,
     inventory_second_moment,
     reduced_form_gap,
     simulate,
@@ -572,16 +571,6 @@ class TestMoments:
         # n = 2.5 used to answer as if the moment were defined between periods
         with pytest.raises(ValueError, match="nonnegative integer"):
             inventory_second_moment(eq_with(0.5, 1.0), 0, make_params(dt=0.01), 2.5)
-
-    def test_boundedness_flag(self):
-        assert not inventory_is_bounded(eq_with(0.0), 0)
-        assert inventory_is_bounded(eq_with(1.0), 0)
-        assert inventory_is_bounded(eq_with(2.0 - 1e-9), 0)
-        assert not inventory_is_bounded(eq_with(2.0), 0)
-        assert not inventory_is_bounded(eq_with(2.5), 0)
-        p = make_params(dt=0.01)
-        eq, _ = solve_equilibrium(p)
-        assert inventory_is_bounded(eq, 0)
 
     def test_monte_carlo_matches_closed_form(self):
         p = make_params(k=1, dt=0.1)

@@ -16,7 +16,6 @@ from hftequil import (
     Equilibrium,
     NoRootInBracket,
     SolverError,
-    nash_best_response_beta,
     pricing_from_beta,
     solve_equilibrium,
     solve_taxed,
@@ -156,33 +155,26 @@ class TestMonopolyQuartic:
         assert _quartic(m, p.vol_ratio_sq, t.gamma, t.rho, p.dt) >= 0.0
 
 
+def _best_response(beta_sigma, p):
+    """The single trader's loading when the aggregate is conjectured fixed at beta_sigma."""
+    return _responses(beta_sigma, _trader_rows(p), p.vol_ratio_sq, p.tax)[0][0]
+
+
 class TestBestResponse:
     @pytest.mark.parametrize("beta_sigma", sorted(BEST_RESPONSE))
     def test_frozen_values(self, beta_sigma):
         p = make_params(dt=0.01)
-        u = nash_best_response_beta(beta_sigma, 0, p)
+        u = _best_response(beta_sigma, p)
         assert u == pytest.approx(BEST_RESPONSE[beta_sigma], rel=REL)
 
     def test_dt_zero_closed_form(self):
         p = make_params(dt=0.0, sigma_K=2.0)
         # with r = 4 and no tax the response is r / beta_sigma
-        assert nash_best_response_beta(2.5, 0, p) == pytest.approx(4.0 / 2.5, rel=1e-15)
-
-    def test_rejects_nonpositive_aggregate(self):
-        p = make_params(dt=0.01)
-        with pytest.raises(ValueError):
-            nash_best_response_beta(0.0, 0, p)
-        with pytest.raises(ValueError):
-            nash_best_response_beta(-1.0, 0, p)
-
-    def test_trader_index_out_of_range(self):
-        p = make_params(dt=0.01)
-        with pytest.raises(ValueError, match="out of range"):
-            nash_best_response_beta(1.0, 1, p)
+        assert _best_response(2.5, p) == pytest.approx(4.0 / 2.5, rel=1e-15)
 
     def test_response_decreases_in_aggregate(self):
         p = make_params(dt=0.01)
-        us = [nash_best_response_beta(b, 0, p) for b in (0.5, 1.0, 1.5, 2.0, 3.0)]
+        us = [_best_response(b, p) for b in (0.5, 1.0, 1.5, 2.0, 3.0)]
         assert all(a > b for a, b in zip(us, us[1:]))
 
 

@@ -25,8 +25,6 @@ from hftequil import (
     dpe_residual,
     dpe_rhs,
     evaluate_value,
-    inventory_is_bounded,
-    nash_best_response_beta,
     nash_expansions,
     run_verification,
     solve_equilibrium,
@@ -124,7 +122,7 @@ class TestCoefficients:
             value_coefficients(eq, -1, p)
 
     def test_overflowing_coefficient_is_a_solver_error(self):
-        # check_params accepts rho = 1e-310, but D = (1 - rho dt) B sigma_S^2/(2 rho) overflows
+        # ValidatedParams accepts rho = 1e-310, but D = (1 - rho dt) B sigma_S^2/(2 rho) overflows
         p = make_params(dt=0.004, rho=1e-310)
         eq, _ = solve_equilibrium(p)
         with pytest.raises(SolverError, match="value_finite"):
@@ -249,8 +247,6 @@ class TestStationaryStd:
 
 
 TRADER_INDEXED = {
-    "nash_best_response_beta": lambda eq, cs, i, p: nash_best_response_beta(eq.beta_sigma, i, p),
-    "inventory_is_bounded": lambda eq, cs, i, p: inventory_is_bounded(eq, i),
     "stationary_inventory_std": lambda eq, cs, i, p: stationary_inventory_std(eq, i, p),
     "default_dpe_grid": lambda eq, cs, i, p: default_dpe_grid(eq, i, p),
     "dpe_rhs": lambda eq, cs, i, p: dpe_rhs(cs, eq, i, p, 0.0, 0.0, 0.0, 0.0),

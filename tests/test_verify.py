@@ -164,7 +164,7 @@ class TestFullBattery:
         assert "moment_formula_mc" in names and "objective_value_mc" not in names
 
     def test_overflowing_value_coefficient_fails_the_value_checks(self):
-        # check_params accepts rho = 1e-310, but D = (1 - rho dt) B sigma_S^2/(2 rho) overflows
+        # ValidatedParams accepts rho = 1e-310, but D = (1 - rho dt) B sigma_S^2/(2 rho) overflows
         report = run_verification(make_params(dt=0.004, rho=1e-310), paths=0)
         failed = {r.name: r for r in report.results if not r.passed}
         assert set(failed) == VALUE_NAMES
