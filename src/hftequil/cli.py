@@ -5,11 +5,13 @@ come either from a JSON config file (--config) or from inline flags, never
 both. Output is deterministic byte for byte: floats are written with repr
 and nothing timestamps itself, so reruns diff clean.
 
-The simulation layers load when a command first needs them: ``sim``,
-``Tolerances`` and ``run_verification`` are module attributes resolved on
-first use (PEP 562), and numpy comes with them or with a sweep grid. So
-``solve`` and ``expand`` run without numpy. The runners read these
-attributes from the module, so a binding that a test or tracer sets wins.
+The simulation layers load when a command first needs them: ``sim`` and
+``run_verification`` are module attributes resolved on first use (PEP 562),
+and numpy comes with them or with a sweep grid. So ``solve`` and ``expand``
+run without numpy. The runners read these attributes from the module, so a
+binding that a test or tracer sets wins. ``verify --strict`` passes
+``strict=True`` to ``run_verification``, which alone decides what strict
+means.
 """
 from __future__ import annotations
 
@@ -32,10 +34,8 @@ _INLINE_FLAGS = ("sigma_s", "sigma_k", "dt", "tax", "k", "gamma", "rho", "l0")
 def __getattr__(name: str):
     if name == "sim":
         from . import simulator as value
-    elif name in ("Tolerances", "run_verification"):
-        from . import verify
-
-        value = getattr(verify, name)
+    elif name == "run_verification":
+        from .verify import run_verification as value
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value
@@ -398,16 +398,7 @@ def run_simulate(args: argparse.Namespace, params: ValidatedParams) -> int:
 
 
 def run_verify(args: argparse.Namespace, params: ValidatedParams) -> int:
-    Tolerances, run_verification = _late("Tolerances"), _late("run_verification")
-    tol, paths = Tolerances(), args.paths
-    if args.strict:
-        # Four times the paths halve the Monte Carlo standard errors, and so
-        # the MC checks' absolute tolerances, at the same mc_sigmas. A count
-        # that run_verification refuses (1, or negative) reaches it unchanged.
-        tol = Tolerances.strict()
-        if paths >= 2:
-            paths *= 4
-    report = run_verification(params, paths=paths, seed=args.seed, tolerances=tol)
+    report = _late("run_verification")(params, paths=args.paths, seed=args.seed, strict=args.strict)
     if args.format == "json":
         payload = {
             "passed": report.passed,

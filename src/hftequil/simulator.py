@@ -93,6 +93,8 @@ _MAX_PATH_INDEX = 2**63
 _MAX_SEED = 2**64
 DEFAULT_TAIL_TOL = 1e-6
 HORIZON_CAP = 10_000_000
+# Doubles that ``simulate`` may keep in one PathBatch, 2 GB.
+MAX_FLOATS = 250_000_000
 # Paths per block: a period of the 14-row sweep of the acceptance tests at
 # k <= 4 touches under 80 rows of 1024 float64, 0.6 MB in all (the traders'
 # state, each series' state and objective, the gap terms), so they stay in a
@@ -655,21 +657,20 @@ def simulate(
     horizon: int | None = None,
     seed: int = 0,
     first_path: int = 0,
-    max_floats: int = 250_000_000,
 ) -> PathBatch:
     """Simulate n_paths independent paths and keep every series.
 
     Memory scales as n_paths x horizon x traders; the guard refuses batches
-    that would exceed ``max_floats`` doubles. For large-sample estimates of
+    that would exceed ``MAX_FLOATS`` doubles. For large-sample estimates of
     a single trader's objective use ``simulate_objective``, which streams.
     """
     pairs, horizon = _checked_game(eq, strategies, params, None, horizon, seed, first_path, n_paths)
     coefs = [row for row, _ in pairs]
     k = params.k
     n_floats = n_paths * (4 * horizon + k * (2 * (horizon + 1) + 2 * horizon + 1))
-    if n_floats > max_floats:
+    if n_floats > MAX_FLOATS:
         raise ValueError(
-            f"batch needs {n_floats} doubles, above max_floats={max_floats}; "
+            f"batch needs {n_floats} doubles, above max_floats={MAX_FLOATS}; "
             "reduce paths or horizon, or use simulate_objective"
         )
 
@@ -906,8 +907,15 @@ def inventory_second_moment(
         log_a2n = 2.0 * n * math.log1p(-phi)
         a2n, geom = math.exp(log_a2n), -math.expm1(log_a2n) / (phi * (2.0 - phi))
     else:
-        a2 = (1.0 - phi) ** 2
-        a2n = a2**n
+        a2 = (1.0 - phi) * (1.0 - phi)
+        try:
+            a2n = a2**n
+        except OverflowError:
+            a2n = math.inf
+        if a2n == math.inf:
+            # (1 - phi)^(2n) leaves the float range: the moment is +inf
+            # unless nothing starts or drives it
+            return math.inf if M0 or drive else 0.0
         geom = float(n) if a2 == 1.0 else (1.0 - a2n) / (phi * (2.0 - phi))
     return a2n * M0**2 + drive * geom
 

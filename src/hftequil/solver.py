@@ -301,13 +301,15 @@ def validate_equilibrium(eq: Equilibrium, params: ValidatedParams) -> None:
         raise ConstraintViolated("lambda_formula")
     if not eq.lam * eq.beta_sigma < 1.0:
         raise ConstraintViolated("price_impact_share")
+    # Each loading is (r/P)(1 - phi_i) with P = beta_sigma + 2c(r + beta_sigma^2)
+    bound = r / (eq.beta_sigma + 2.0 * params.tax * (r + eq.beta_sigma * eq.beta_sigma))
     for i, (b, p, m_) in enumerate(zip(eq.betas, eq.phis, eq.mus)):
+        if not (0.0 < b <= bound * (1.0 + 1e-12)):
+            raise ConstraintViolated("beta_bound", f"trader {i}: beta={b!r} outside (0, {bound!r}]")
         if params.dt == 0.0:
             if p != 0.0:
                 raise ConstraintViolated("phi_limit", f"trader {i}: phi={p!r} at dt=0")
             continue
-        if not (0.0 < b * eq.beta_sigma <= r * (1.0 + 1e-12)):
-            raise ConstraintViolated("beta_bound", f"trader {i}")
         lo_ok = p > 0.0 if params.tax == 0.0 else p >= 0.0
         if not (lo_ok and p <= 1.0):
             raise ConstraintViolated("phi_range", f"trader {i}: phi={p!r}")
@@ -356,10 +358,6 @@ def solve_equilibrium(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagno
     beta_sigma, iterations, bracket, samples = _solve_fixed_point(params, rows)
     r = params.vol_ratio_sq
     betas, phis = _responses(beta_sigma, rows, r, params.tax)
-    bound = r / (beta_sigma + 2.0 * params.tax * (r + beta_sigma**2))
-    for i, u in enumerate(betas):
-        if not (0.0 < u < bound * (1.0 + 1e-12)):
-            raise ConstraintViolated("beta_bound", f"trader {i}: response {u!r} outside (0, {bound!r}]")
     # The decay rates come from the response itself, not from 1 - P beta_i / r.
     lam = pricing_from_beta(beta_sigma, (), params)[0]
     eq = _frozen(Equilibrium, {"betas": betas, "beta_sigma": beta_sigma, "lam": lam, "phis": phis,

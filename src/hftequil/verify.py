@@ -24,14 +24,20 @@ needs every series of a small batch in which trader 0 deviates. The
 moment check could be read off the same blocks, but it stays a call to
 ``simulate_second_moment``, the public estimator it holds to the formula;
 the traced benchmark in ``perfbench`` also reads the spans of all three.
+
+Strict mode is decided here alone; ``verify --strict`` passes the switch
+on. ``run_verification(strict=True)`` halves every deterministic gate and
+runs four times the paths, so each Monte Carlo tolerance halves at the
+same number of standard errors.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import ValidatedParams
 from .solver import (
+    SYSTEM_RESIDUAL_TOL,
     Equilibrium,
     SolverError,
     _sum_left,
@@ -46,37 +52,19 @@ from .value import (
 )
 
 __all__ = [
-    "Tolerances",
     "CheckResult",
     "VerificationReport",
     "run_verification",
 ]
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    quartic_residual: float = 1e-12
-    system_residual: float = 1e-10
-    identity: float = 1e-12
-    dpe_residual: float = 1e-9
-    mc_sigmas: float = 4.0
-
-    @classmethod
-    def strict(cls) -> "Tolerances":
-        """Half of every deterministic tolerance.
-
-        ``mc_sigmas`` stays, so a Monte Carlo check keeps its false-alarm
-        rate; its absolute tolerance halves when the paths are quadrupled,
-        as ``verify --strict`` does.
-        """
-        base = cls()
-        return replace(
-            base,
-            quartic_residual=base.quartic_residual / 2,
-            system_residual=base.system_residual / 2,
-            identity=base.identity / 2,
-            dpe_residual=base.dpe_residual / 2,
-        )
+# Gates of the deterministic checks, which strict mode halves; the system
+# gate is the solver's own SYSTEM_RESIDUAL_TOL. _MC_SIGMAS, the standard
+# errors a Monte Carlo estimate may stray from its target, stays in strict
+# mode, so each Monte Carlo check keeps its false-alarm rate.
+_QUARTIC_GATE = 1e-12
+_IDENTITY_GATE = 1e-12
+_DPE_GATE = 1e-9
+_MC_SIGMAS = 4.0
 
 
 @dataclass(frozen=True)
@@ -123,21 +111,21 @@ def _quartic_scale(beta: float, r: float, g: float, rho: float, dt: float) -> fl
     )
 
 
-def _check_quartic(eq: Equilibrium, params: ValidatedParams, tol: Tolerances) -> CheckResult:
+def _check_quartic(eq: Equilibrium, params: ValidatedParams, gate: float) -> CheckResult:
     t = params.traders[0]
     r = params.vol_ratio_sq
     beta = eq.betas[0]
     scale = _quartic_scale(beta, r, t.gamma, t.rho, params.dt)
     value = abs(_quartic(beta, r, t.gamma, t.rho, params.dt)) / scale
-    return CheckResult("quartic_residual", value <= tol.quartic_residual, value, tol.quartic_residual)
+    return CheckResult("quartic_residual", value <= gate, value, gate)
 
 
-def _check_system(eq: Equilibrium, params: ValidatedParams, tol: Tolerances) -> CheckResult:
+def _check_system(eq: Equilibrium, params: ValidatedParams, gate: float) -> CheckResult:
     value = max(system_residual(eq, params))
-    return CheckResult("system_residuals", value <= tol.system_residual, value, tol.system_residual)
+    return CheckResult("system_residuals", value <= gate, value, gate)
 
 
-def _check_pricing(eq: Equilibrium, params: ValidatedParams, tol: Tolerances) -> CheckResult:
+def _check_pricing(eq: Equilibrium, params: ValidatedParams, gate: float) -> CheckResult:
     sS2 = params.sigma_S**2
     sK2 = params.sigma_K**2
     lam_formula = eq.beta_sigma * sS2 / (sK2 + eq.beta_sigma**2 * sS2)
@@ -149,10 +137,10 @@ def _check_pricing(eq: Equilibrium, params: ValidatedParams, tol: Tolerances) ->
     gaps.append(max(0.0, -eq.eta))
     gaps.append(max(0.0, eq.lam * eq.beta_sigma - 1.0))
     value = max(gaps)
-    return CheckResult("pricing_identities", value <= tol.identity, value, tol.identity)
+    return CheckResult("pricing_identities", value <= gate, value, gate)
 
 
-def _check_phi_bounds(eq: Equilibrium, params: ValidatedParams, tol: Tolerances) -> CheckResult:
+def _check_phi_bounds(eq: Equilibrium, params: ValidatedParams) -> CheckResult:
     margin = min(min(eq.phis), min(1.0 - p for p in eq.phis))
     if params.dt == 0.0:
         ok = all(p == 0.0 for p in eq.phis)
@@ -188,7 +176,7 @@ def _value_equation_residuals(coeffs, eq: Equilibrium, i: int, params: Validated
     return max(res)
 
 
-def _check_value_layer(eq, params, tol):
+def _check_value_layer(eq, params, identity_gate, dpe_gate):
     try:
         coeff_list = [value_coefficients(eq, i, params) for i in range(params.k)]
     except SolverError as exc:
@@ -223,10 +211,10 @@ def _check_value_layer(eq, params, tol):
                 g_warn = True
     sign_ok = sign_margin > 0.0
     results = [
-        CheckResult("value_fixed_point", fixed <= tol.identity, fixed, tol.identity, detail=error),
-        CheckResult("value_link_identity", link <= tol.identity, link, tol.identity, detail=error),
-        CheckResult("dpe_residual", dpe <= tol.dpe_residual, dpe, tol.dpe_residual, detail=error),
-        CheckResult("dpe_argmax", argmax <= tol.identity, argmax, tol.identity, detail=error),
+        CheckResult("value_fixed_point", fixed <= identity_gate, fixed, identity_gate, detail=error),
+        CheckResult("value_link_identity", link <= identity_gate, link, identity_gate, detail=error),
+        CheckResult("dpe_residual", dpe <= dpe_gate, dpe, dpe_gate, detail=error),
+        CheckResult("dpe_argmax", argmax <= identity_gate, argmax, identity_gate, detail=error),
         CheckResult(
             "sign_pattern",
             sign_ok,
@@ -275,9 +263,9 @@ def _z_check(name, estimate, target, std_error, sigmas, detail=""):
     return CheckResult(name, value <= sigmas, value, sigmas, detail=detail)
 
 
-def _mc_checks(eq, params, coeff_list, tol, paths, seed, mc_horizon):
+def _mc_checks(eq, params, coeff_list, identity_gate, paths, seed, mc_horizon):
     results = []
-    sig = tol.mc_sigmas
+    sig = _MC_SIGMAS
     stats = sim._GameStats(eq)
     sweep = sim._sweep(
         eq, params, 0, _SWEEP_SPECS, n_paths=paths, horizon=mc_horizon, seed=seed, stats=stats
@@ -343,7 +331,7 @@ def _mc_checks(eq, params, coeff_list, tol, paths, seed, mc_horizon):
     # The gap is rounding error in terms as large as the price adjustment and
     # the signal move, so the identity tolerance is relative to them.
     scale = max(1.0, float(abs(witness_batch.price_adj).max()), float(abs(witness_batch.dS).max()))
-    gate = tol.identity * scale
+    gate = identity_gate * scale
     results.append(CheckResult("reduced_form_witness", gap <= gate, gap, gate))
     return results
 
@@ -353,29 +341,35 @@ def run_verification(
     *,
     paths: int = 4096,
     seed: int = 0,
-    tolerances: Tolerances | None = None,
+    strict: bool = False,
     mc_horizon: int = 256,
 ) -> VerificationReport:
     """Solve the game for ``params`` and run every applicable check.
 
     ``paths = 0`` skips the Monte Carlo battery; any other count must be an
     integer of at least 2. Value-layer checks run for the untaxed game at
-    dt > 0, where the quadratic value function applies.
+    dt > 0, where the quadratic value function applies. ``strict=True``
+    halves every deterministic gate and runs four times ``paths``, which
+    halves the Monte Carlo checks' absolute tolerances at the same number
+    of standard errors.
     """
     if not sim._is_int(paths) or paths < 0 or paths == 1:
         raise ValueError(f"paths must be 0 or an integer of at least 2, got {paths!r}")
-    tol = tolerances or Tolerances()
+    gate_scale = 0.5 if strict else 1.0
+    if strict:
+        paths *= 4
+    identity_gate = gate_scale * _IDENTITY_GATE
     eq, _ = solve_equilibrium(params)
     results: list[CheckResult] = []
     if params.k == 1 and params.tax == 0.0 and params.dt > 0.0:
-        results.append(_check_quartic(eq, params, tol))
-    results.append(_check_system(eq, params, tol))
-    results.append(_check_pricing(eq, params, tol))
-    results.append(_check_phi_bounds(eq, params, tol))
+        results.append(_check_quartic(eq, params, gate_scale * _QUARTIC_GATE))
+    results.append(_check_system(eq, params, gate_scale * SYSTEM_RESIDUAL_TOL))
+    results.append(_check_pricing(eq, params, identity_gate))
+    results.append(_check_phi_bounds(eq, params))
     coeff_list = None
     if params.tax == 0.0 and params.dt > 0.0:
-        value_results, coeff_list = _check_value_layer(eq, params, tol)
+        value_results, coeff_list = _check_value_layer(eq, params, identity_gate, gate_scale * _DPE_GATE)
         results.extend(value_results)
     if paths and params.dt > 0.0:
-        results.extend(_mc_checks(eq, params, coeff_list, tol, paths, seed, mc_horizon))
+        results.extend(_mc_checks(eq, params, coeff_list, identity_gate, paths, seed, mc_horizon))
     return VerificationReport(tuple(results))

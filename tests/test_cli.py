@@ -7,7 +7,7 @@ import pytest
 
 import hftequil.cli as cli
 import hftequil.verify
-from hftequil import CheckResult, ConstraintViolated, Tolerances, VerificationReport, load_config
+from hftequil import CheckResult, ConstraintViolated, VerificationReport, load_config, run_verification
 from hftequil.cli import main
 from helpers import make_params
 
@@ -397,7 +397,7 @@ class TestVerify:
         [
             pytest.param("1", (), id="1"),
             pytest.param("-3", (), id="-3"),
-            # --strict quadruples the count, but only one that is accepted
+            # strict mode quadruples the count, but only one that is accepted
             pytest.param("1", ("--strict",), id="1-strict"),
             pytest.param("-3", ("--strict",), id="-3-strict"),
         ],
@@ -445,7 +445,15 @@ class TestVerify:
         assert code == 0
         assert "threshold=5e-13" in out
 
-    def test_strict_flag_quadruples_the_paths(self, capsys, monkeypatch):
+    def test_strict_flag_quadruples_the_paths(self, capsys):
+        argv = ["--sigma-s", "1.0", "--sigma-k", "1.0", "--dt", "0.1", "--seed", "3"]
+        code, out, _ = run_cli(capsys, "verify", *argv, "--paths", "64", "--strict", "--format", "json")
+        assert code == 0
+        strict = json.loads(out)["results"]
+        base = run_verification(make_params(dt=0.1), paths=256, seed=3).results
+        assert [(r["name"], r["value"]) for r in strict] == [(r.name, r.value) for r in base]
+
+    def test_strict_flag_is_passed_on_unchanged(self, capsys, monkeypatch):
         seen = {}
 
         def record(params, **kwargs):
@@ -455,7 +463,7 @@ class TestVerify:
         monkeypatch.setattr(cli, "run_verification", record)
         code, _, _ = run_cli(capsys, "verify", *BASE, "--paths", "100", "--seed", "3", "--strict")
         assert code == 0
-        assert seen == {"paths": 400, "seed": 3, "tolerances": Tolerances.strict()}
+        assert seen == {"paths": 100, "seed": 3, "strict": True}
 
     def test_horizon_too_short_exits_1(self, capsys, monkeypatch):
         def too_short(*args, **kwargs):

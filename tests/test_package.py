@@ -19,7 +19,7 @@ PUBLIC_NAMES = [
     "ConvergenceTable", "DegenerateDenominator", "DeviationSweepResult", "Equilibrium", "Estimate", "Expansion",
     "HorizonTooShort", "InadmissibleStrategy", "InfeasiblePoint", "InvalidParamsError", "NoRootInBracket",
     "ObjectiveResult", "PathBatch", "ProfitCheck", "SolveDiagnostics", "SolverError", "StrategySpec", "SweepRow",
-    "Tolerances", "TraderParams", "ValidatedParams", "ValueCoefficients", "VerificationReport", "Violation",
+    "TraderParams", "ValidatedParams", "ValueCoefficients", "VerificationReport", "Violation",
     "convergence_order", "dealer_profit_check", "default_dpe_grid", "default_horizon", "deviation_sweep",
     "dpe_argmax", "dpe_argmax_gap", "dpe_residual", "dpe_rhs", "evaluate_value", "inventory_second_moment",
     "load_config", "nash_expansions", "params_to_config", "pricing_from_beta", "reduced_form_gap",
@@ -40,7 +40,7 @@ def test_package_exports_exactly_the_submodule_names():
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 55
+    assert len(PUBLIC_NAMES) == 54
     assert sorted(hftequil.__all__) == PUBLIC_NAMES
 
 

@@ -507,19 +507,22 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             simulate(self.eq, (StrategySpec.equilibrium(),), self.p, n_paths=2, horizon=4)
 
-    def test_memory_guard(self):
+    def test_memory_guard(self, monkeypatch):
+        monkeypatch.setattr(simulator, "MAX_FLOATS", 10)
         with pytest.raises(ValueError, match="max_floats"):
-            simulate(self.eq, None, self.p, n_paths=2, horizon=4, max_floats=10)
+            simulate(self.eq, None, self.p, n_paths=2, horizon=4)
 
-    def test_memory_guard_counts_every_stored_double(self):
+    def test_memory_guard_counts_every_stored_double(self, monkeypatch):
         p = make_params(k=3, dt=0.01)
         eq, _ = solve_equilibrium(p)
         batch = simulate(eq, None, p, n_paths=2, horizon=4)
         fields = ("dS", "dK", "dY", "price_adj", "M", "L", "payoff", "penalty", "mtm_discounted")
         stored = sum(getattr(batch, f).size for f in fields)
-        simulate(eq, None, p, n_paths=2, horizon=4, max_floats=stored)
-        with pytest.raises(ValueError, match="max_floats"):
-            simulate(eq, None, p, n_paths=2, horizon=4, max_floats=stored - 1)
+        monkeypatch.setattr(simulator, "MAX_FLOATS", stored)
+        simulate(eq, None, p, n_paths=2, horizon=4)
+        monkeypatch.setattr(simulator, "MAX_FLOATS", stored - 1)
+        with pytest.raises(ValueError, match=f"batch needs {stored} doubles, above max_floats={stored - 1}"):
+            simulate(eq, None, p, n_paths=2, horizon=4)
 
 
 def eq_with(phi, beta=0.9):
@@ -562,6 +565,16 @@ class TestMoments:
     def test_near_unit_contraction_is_stable(self):
         got = inventory_second_moment(eq_with(2.0 - 1e-9, 1.0), 0, make_params(dt=0.01), 10)
         assert got == pytest.approx(10 * 0.01, rel=1e-6)
+
+    @pytest.mark.parametrize("phi", [-0.5, 2.5])
+    @pytest.mark.parametrize("M0", [0.0, 0.5])
+    def test_moment_beyond_the_float_range_is_inf(self, phi, M0):
+        # (1 - phi)^2000 overflows; this used to raise a bare OverflowError
+        p = make_params(dt=0.01)
+        assert inventory_second_moment(eq_with(phi), 0, p, 1000, M0) == math.inf
+        # with no loading and no start the moment stays 0, not inf * 0 = nan
+        still = inventory_second_moment(eq_with(phi, 0.0), 0, p, 1000, M0)
+        assert still == (math.inf if M0 else 0.0)
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):

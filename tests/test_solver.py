@@ -23,7 +23,7 @@ from hftequil import (
     validate_equilibrium,
 )
 from hftequil.solver import SYSTEM_RESIDUAL_TOL, _excess, _newton, _responses, _trader_rows
-from hftequil.verify import Tolerances, _check_quartic, _quartic, _quartic_scale
+from hftequil.verify import _QUARTIC_GATE, _check_quartic, _quartic, _quartic_scale
 from helpers import make_params
 
 # sigma_S = sigma_K = 1, gamma = 1, rho = 0.05
@@ -295,6 +295,20 @@ class TestPricingAndValidation:
         with pytest.raises(ConstraintViolated):
             validate_equilibrium(bad, p)
 
+    @pytest.mark.parametrize("dt", [0.004, 0.0])
+    def test_validate_holds_each_loading_to_the_taxed_bound(self, dt):
+        # At tax 0.05, r/P = 0.671 while r/beta_sigma = 0.809 (dt = 0.004):
+        # a loading of 1.01 r/P passed the untaxed bound and, at dt = 0, none
+        p = make_params(k=2, dt=dt, tax=0.05)
+        eq, _ = solve_equilibrium(p)
+        r, bs = p.vol_ratio_sq, eq.beta_sigma
+        b0 = 1.01 * r / (bs + 2.0 * p.tax * (r + bs * bs))
+        assert b0 * bs < r
+        bad = dataclasses.replace(eq, betas=(b0, bs - b0))
+        with pytest.raises(ConstraintViolated, match="trader 0: beta=") as exc:
+            validate_equilibrium(bad, p)
+        assert exc.value.which == "beta_bound"
+
     def test_validate_refuses_a_full_price_impact_share_without_dividing_by_zero(self):
         # lambda beta_sigma rounds to exactly 1 at sigma_K/sigma_S = 1e-9 and beta_sigma = 1
         p = make_params(sigma_K=1e-9)
@@ -507,7 +521,7 @@ def test_monopoly_beta_is_the_single_trader_aggregate(log_dt, log_ratio, gamma, 
     quartic cannot resolve its own sign."""
     p = make_params(dt=math.exp(log_dt), gamma=gamma, rho=rho, sigma_K=math.exp(log_ratio))
     eq, _ = solve_equilibrium(p)
-    check = _check_quartic(eq, p, Tolerances())
+    check = _check_quartic(eq, p, _QUARTIC_GATE)
     assert check.passed, check
 
 

@@ -9,12 +9,11 @@ import hftequil.verify
 from hftequil import (
     CheckResult,
     ConstraintViolated,
-    Tolerances,
     VerificationReport,
     load_config,
     run_verification,
 )
-from hftequil.verify import _max_z_gate, _z_check
+from hftequil.verify import _IDENTITY_GATE, _MC_SIGMAS, _max_z_gate, _z_check
 from helpers import make_params
 
 
@@ -41,6 +40,18 @@ MC_NAMES = {
     "moment_formula_mc",
     "mark_to_market_mc",
     "deviation_argmax_mc",
+    "reduced_form_witness",
+}
+# Checks whose gate strict mode halves directly; the Monte Carlo checks
+# tighten through four times the paths instead.
+HALVED_BY_STRICT = {
+    "quartic_residual",
+    "system_residuals",
+    "pricing_identities",
+    "value_fixed_point",
+    "value_link_identity",
+    "dpe_residual",
+    "dpe_argmax",
     "reduced_form_witness",
 }
 
@@ -71,6 +82,11 @@ class TestFullBattery:
         with pytest.raises(ValueError, match="paths must be 0 or an integer of at least 2"):
             run_verification(make_params(dt=0.004), paths=paths)
 
+    @pytest.mark.parametrize("paths", [1, -3])
+    def test_strict_refuses_a_count_before_quadrupling_it(self, paths):
+        with pytest.raises(ValueError, match=f"at least 2, got {paths}$"):
+            run_verification(make_params(dt=0.004), paths=paths, strict=True)
+
     def test_limit_case_has_no_value_layer(self):
         report = run_verification(make_params(k=2, dt=0.0), paths=512)
         assert report.passed, report.failures
@@ -87,9 +103,7 @@ class TestFullBattery:
         assert names == {"system_residuals", "pricing_identities", "phi_bounds"} | MC_NAMES
 
     def test_strict_tolerances_pass_deterministically(self):
-        report = run_verification(
-            make_params(k=2, dt=0.004), paths=0, tolerances=Tolerances.strict()
-        )
+        report = run_verification(make_params(k=2, dt=0.004), paths=0, strict=True)
         assert report.passed, report.failures
 
     def test_heterogeneous_traders(self):
@@ -117,7 +131,7 @@ class TestFullBattery:
         report = run_verification(load_config(cfg), seed=1244839392202525502)
         moment = next(r for r in report.results if r.name == "moment_formula_mc")
         assert moment.threshold == _max_z_gate(4.0, 3)
-        assert Tolerances().mc_sigmas < moment.value < moment.threshold
+        assert _MC_SIGMAS < moment.value < moment.threshold
         assert report.passed, report.failures
 
     def test_moment_check_still_catches_moments_started_from_zero(self, monkeypatch):
@@ -175,8 +189,8 @@ class TestFullBattery:
         report = run_verification(make_params(dt=0.004, sigma_K=1e-6), paths=256)
         assert report.passed, report.failures
         witness = next(r for r in report.results if r.name == "reduced_form_witness")
-        assert witness.value > Tolerances().identity
-        assert witness.threshold > Tolerances().identity
+        assert witness.value > _IDENTITY_GATE
+        assert witness.threshold > _IDENTITY_GATE
 
 
 class TestReportMechanics:
@@ -194,14 +208,19 @@ class TestReportMechanics:
         assert report.failures == ()
 
     def test_strict_halves_every_tolerance(self):
-        base = Tolerances()
-        s = Tolerances.strict()
-        assert s.quartic_residual == base.quartic_residual / 2
-        assert s.system_residual == base.system_residual / 2
-        assert s.identity == base.identity / 2
-        assert s.dpe_residual == base.dpe_residual / 2
-        # the Monte Carlo tolerance halves through 4x the paths, not fewer sigmas
-        assert s.mc_sigmas == base.mc_sigmas
+        # strict=True at N paths is the default battery at 4N paths, with
+        # every deterministic gate halved and the Monte Carlo gates kept
+        p = make_params(dt=0.1)
+        strict = run_verification(p, paths=64, mc_horizon=64, strict=True).results
+        base = run_verification(p, paths=256, mc_horizon=64).results
+        assert [r.name for r in strict] == [r.name for r in base]
+        assert {r.name for r in base} == DETERMINISTIC_K1 | MC_NAMES | {"objective_value_mc"}
+        for s, b in zip(strict, base):
+            assert s.value == b.value, s.name
+            if s.name in HALVED_BY_STRICT:
+                assert b.threshold > 0.0 and s.threshold == b.threshold / 2, s.name
+            else:
+                assert s.threshold == b.threshold, s.name
 
     def test_zero_standard_error_passes_only_an_exact_match(self):
         exact = _z_check("exact", 0.5, 0.5, 0.0, 4.0)
