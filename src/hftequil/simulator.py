@@ -854,6 +854,8 @@ class _GameStats:
             self.mtm.merge(*mtm)
 
     def check(self) -> ProfitCheck:
+        if not self.sxx:  # every flow rounded to 0 under a huge inventory: no slope to fit
+            return ProfitCheck(self.profit.estimate(), math.nan, 0.0, self.lambda_scale)
         gap = self.sxr / self.sxx
         rss = self.srr - self.sxr * gap
         slope_se = math.sqrt(rss / (self.n - 1) / self.sxx)
@@ -917,7 +919,7 @@ def inventory_second_moment(
             # unless nothing starts or drives it
             return math.inf if M0 or drive else 0.0
         geom = float(n) if a2 == 1.0 else (1.0 - a2n) / (phi * (2.0 - phi))
-    return a2n * M0**2 + drive * geom
+    return a2n * (M0 * M0) + drive * geom
 
 
 def simulate_second_moment(

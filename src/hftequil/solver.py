@@ -99,7 +99,6 @@ class SolveDiagnostics:
     bracket: tuple[float, float]
     residuals: tuple[float, ...]
     aggregate_residual: float
-    h_samples: tuple[tuple[float, float], ...] = ()
     # Always 0: every tax rate is solved directly. Kept for the CLI payload.
     continuation_steps: int = 0
 
@@ -109,10 +108,10 @@ def _newton(f, lo: float, hi: float, scale: float, f_lo: float, f_hi: float):
 
     ``f`` returns (value, slope) and must change sign on [lo, hi]; ``f_lo``
     and ``f_hi`` are its values at the ends, passed in so that no end is
-    evaluated twice. Starting from the midpoint, each step shrinks the
-    bracket to the sign change; a Newton step that leaves it, or a zero
-    slope, becomes a bisection step. Stops on f = 0 or once the step or the
-    bracket is at most BRACKET_WIDTH_REL * scale.
+    evaluated twice. From the midpoint, each step shrinks the bracket to the
+    sign change; a step that leaves it, a NaN slope's among them, bisects it,
+    and a zero slope or one against the sign change raises h_monotonicity.
+    Stops on f = 0 or once the step or bracket is at most BRACKET_WIDTH_REL * scale.
     """
     if f_lo == 0.0:
         return lo, 0, (lo, lo)
@@ -126,11 +125,13 @@ def _newton(f, lo: float, hi: float, scale: float, f_lo: float, f_hi: float):
         fx, dfx = f(x)
         if fx == 0.0:
             return x, iterations, (x, x)
+        if dfx == 0.0 or (dfx > 0.0 if f_lo > 0.0 else dfx < 0.0):
+            raise ConstraintViolated("h_monotonicity", f"slope {dfx!r} at {x!r} does not match the sign change")
         if (fx > 0.0) == (f_lo > 0.0):
             lo = x
         else:
             hi = x
-        step = fx / dfx if dfx != 0.0 else math.inf
+        step = fx / dfx
         if abs(step) <= tol:
             return x - step, iterations, (lo, hi)
         x -= step
@@ -207,7 +208,7 @@ def _trader_rows(params: ValidatedParams) -> tuple[tuple[float, float, float, fl
 
 
 def _excess(rows, r: float, c: float):
-    """Value-only excess h(beta_sigma), for the bracket and the monotone witness."""
+    """Value-only excess h(beta_sigma), for the bracket."""
     c2 = 2.0 * c
     sqrt = math.sqrt
 
@@ -322,29 +323,21 @@ def _solve_fixed_point(params: ValidatedParams, rows):
 
     Covers every k and dt >= 0: at dt = 0 every decay rate is 0 and each
     loading is r/P, so the root solves t (t + 2c (r + t^2)) = k r. ``rows``
-    is ``_trader_rows(params)``. Returns the root, the Newton steps, the
-    final bracket and the monotone-excess witness samples.
+    is ``_trader_rows(params)``. Returns the root, the Newton steps and the
+    final bracket. The root is unique: beta_i = 2r / (P (w_i + q_i + 2d_i)),
+    and as beta_sigma rises P = beta_sigma + 2c (r + beta_sigma^2) > 0 grows,
+    P w_i = rho_i dt P + gamma_i dt (beta_sigma^2 + r) and P q_i =
+    sqrt((P w_i)^2 + 4 d_i P gamma_i dt (beta_sigma^2 + r)) do not fall, and
+    2 d_i P grows. So each beta_i falls and h' < -1, taxed or untaxed, at
+    every dt >= 0 (for several informed traders, see Holden & Subrahmanyam
+    1992, J. Finance 47:247); ``_newton`` refuses a slope that is not negative.
     """
     m = params.sigma_K / params.sigma_S
     r = params.vol_ratio_sq
     h = _excess(rows, r, params.tax)
     hi, h_hi = _expand(h, math.sqrt(params.k) * m + m, 2.0, 1.0, "aggregate fixed point not bracketed above")
     lo, h_lo = _expand(h, 1e-12 * m, 0.5, -1.0, "aggregate fixed point not bracketed below")
-    root, iterations, bracket = _newton(_excess_and_slope(rows, r, params.tax), lo, hi, m, h_lo, h_hi)
-
-    # Monotone-excess witness: sample a decade around the solution. A strictly
-    # decreasing excess is what guarantees the fixed point is unique. A sample
-    # on a bracket end reuses the excess already found there.
-    samples = []
-    s_lo = max(lo, root / 8.0)
-    s_hi = min(hi, root * 8.0)
-    for j in range(10):
-        x = s_lo + (s_hi - s_lo) * j / 9.0
-        samples.append((x, h_lo if x == lo else h_hi if x == hi else h(x)))
-    for (x0, h0), (x1, h1) in zip(samples, samples[1:]):
-        if not h0 > h1:
-            raise ConstraintViolated("h_monotonicity", f"excess not strictly decreasing between {x0!r} and {x1!r}")
-    return root, iterations, bracket, tuple(samples)
+    return _newton(_excess_and_slope(rows, r, params.tax), lo, hi, m, h_lo, h_hi)
 
 
 def solve_taxed(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagnostics]:
@@ -355,7 +348,7 @@ def solve_taxed(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagnostics]
 def solve_equilibrium(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagnostics]:
     """Equilibrium at the tax rate params.tax; the one solve path for every tax rate and dt >= 0."""
     rows = _trader_rows(params)
-    beta_sigma, iterations, bracket, samples = _solve_fixed_point(params, rows)
+    beta_sigma, iterations, bracket = _solve_fixed_point(params, rows)
     r = params.vol_ratio_sq
     betas, phis = _responses(beta_sigma, rows, r, params.tax)
     # The decay rates come from the response itself, not from 1 - P beta_i / r.
@@ -372,7 +365,6 @@ def solve_equilibrium(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagno
         "bracket": bracket,
         "residuals": residuals,
         "aggregate_residual": abs(_sum_left(betas) - beta_sigma),
-        "h_samples": samples,
         "continuation_steps": 0,
     })
     return eq, diag

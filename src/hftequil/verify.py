@@ -253,13 +253,17 @@ def _max_z_gate(sigmas: float, m: int) -> float:
     return normal.inv_cdf(1.0 - (1.0 - normal.cdf(sigmas)) / m)
 
 
-def _z_check(name, estimate, target, std_error, sigmas, detail=""):
-    """One Monte Carlo estimate held to its target within ``sigmas`` standard errors.
-
-    A zero standard error, one value on every path, passes only an exact match.
-    """
+def _z(estimate, target, std_error) -> float:
+    """|estimate - target| in standard errors. A zero standard error, one value
+    on every path, gives 0 on an exact match and inf otherwise; so does a NaN."""
     gap = abs(estimate - target)
-    value = gap / std_error if std_error else (0.0 if gap == 0.0 else math.inf)
+    z = gap / std_error if std_error else (0.0 if gap == 0.0 else math.inf)
+    return z if z == z else math.inf
+
+
+def _z_check(name, estimate, target, std_error, sigmas, detail=""):
+    """One Monte Carlo estimate held to its target within ``sigmas`` standard errors."""
+    value = _z(estimate, target, std_error)
     return CheckResult(name, value <= sigmas, value, sigmas, detail=detail)
 
 
@@ -284,10 +288,8 @@ def _mc_checks(eq, params, coeff_list, identity_gate, paths, seed, mc_horizon):
     checkpoints = sorted({1, min(10, mc_horizon), min(50, mc_horizon)})
     m0 = params.traders[0].initial_inventory
     moments = sim.simulate_second_moment(eq, 0, params, checkpoints, n_paths=paths, seed=seed)
-    worst = 0.0
-    for n, est in moments.items():
-        target = sim.inventory_second_moment(eq, 0, params, n, M0=m0)
-        worst = max(worst, abs(est.mean - target) / est.std_error)
+    worst = max(_z(est.mean, sim.inventory_second_moment(eq, 0, params, n, M0=m0), est.std_error)
+                for n, est in moments.items())
     gate = _max_z_gate(sig, len(moments))
     results.append(CheckResult("moment_formula_mc", worst <= gate, worst, gate))
 
@@ -304,7 +306,7 @@ def _mc_checks(eq, params, coeff_list, identity_gate, paths, seed, mc_horizon):
                 eq, None, params, 0, n_paths=paths, horizon=full_horizon, seed=seed
             )
             coeffs = coeff_list[0]
-            target = -0.5 * coeffs.A * m0**2 + 0.5 * coeffs.B * params.sigma_S**2 * params.dt + coeffs.D
+            target = -0.5 * coeffs.A * (m0 * m0) + 0.5 * coeffs.B * params.sigma_S**2 * params.dt + coeffs.D
             mc, se = res.objective.mean, res.objective.std_error
             results.append(_z_check("objective_value_mc", mc, target, se, sig, f"mc={mc!r} target={target!r}"))
 
@@ -319,7 +321,7 @@ def _mc_checks(eq, params, coeff_list, identity_gate, paths, seed, mc_horizon):
         )
     )
 
-    witness_batch = sim.simulate(
+    batch = sim.simulate(
         eq,
         {0: sim.StrategySpec.with_z(zeta=0.3, z0=0.7)},
         params,
@@ -327,10 +329,12 @@ def _mc_checks(eq, params, coeff_list, identity_gate, paths, seed, mc_horizon):
         horizon=min(mc_horizon, 64),
         seed=seed,
     )
-    gap = sim.reduced_form_gap(witness_batch)
-    # The gap is rounding error in terms as large as the price adjustment and
-    # the signal move, so the identity tolerance is relative to them.
-    scale = max(1.0, float(abs(witness_batch.price_adj).max()), float(abs(witness_batch.dS).max()))
+    gap = sim.reduced_form_gap(batch)
+    # The gap is rounding error in terms as large as the price adjustment, the
+    # signal move and mu_j M_j, which the identity cancels against lambda phi_j
+    # M_j, so the identity tolerance is relative to them.
+    scale = max(1.0, float(abs(batch.price_adj).max()), float(abs(batch.dS).max()),
+                *(mu * float(abs(batch.M[:, j]).max()) for j, mu in enumerate(eq.mus)))
     gate = identity_gate * scale
     results.append(CheckResult("reduced_form_witness", gap <= gate, gap, gate))
     return results

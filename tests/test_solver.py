@@ -22,7 +22,7 @@ from hftequil import (
     system_residual,
     validate_equilibrium,
 )
-from hftequil.solver import SYSTEM_RESIDUAL_TOL, _excess, _newton, _responses, _trader_rows
+from hftequil.solver import SYSTEM_RESIDUAL_TOL, _excess, _excess_and_slope, _newton, _responses, _trader_rows
 from hftequil.verify import _QUARTIC_GATE, _check_quartic, _quartic, _quartic_scale
 from helpers import make_params
 
@@ -232,7 +232,6 @@ class TestNash:
         assert max(abs(r) for r in system_residual(eq, p)) < 1e-10
         assert diag.aggregate_residual < 1e-10
         assert len(diag.residuals) == 3
-        assert len(diag.h_samples) == 10
 
     def test_underflowing_residual_scale_is_a_solver_error(self):
         # r^2 = (sigma_K/sigma_S)^4 underflows to 0 below a ratio of about 1e-81
@@ -392,9 +391,17 @@ class TestNumericalCore:
         assert 1.2 <= x <= 1.3
 
     def test_newton_polish_guards_against_divergence(self):
-        # the derivative vanishes everywhere; every step must fall back to bisection
-        x, _, _ = _newton(lambda x: (x * x - 2.0, 0.0), 1.0, 2.0, 1.0, -1.0, 2.0)
-        assert 1.0 <= x <= 2.0
+        # the derivative is NaN everywhere; every step must fall back to bisection
+        x, _, bracket = _newton(lambda x: (x * x - 2.0, math.nan), 1.0, 2.0, 1.0, -1.0, 2.0)
+        assert 1.0 <= bracket[0] <= x <= bracket[1] <= 2.0
+        assert x == pytest.approx(math.sqrt(2.0), abs=1e-13)
+
+    @pytest.mark.parametrize("slope", [0.0, -1.0])
+    def test_newton_refuses_a_slope_against_the_sign_change(self, slope):
+        # x^2 - 2 rises across [1, 2], so a zero or negative slope is refused
+        with pytest.raises(ConstraintViolated) as info:
+            _newton(lambda x: (x * x - 2.0, slope), 1.0, 2.0, 1.0, -1.0, 2.0)
+        assert info.value.which == "h_monotonicity"
 
 
 @given(
@@ -425,27 +432,31 @@ def test_decay_rate_form_solves_the_response_quadratic(log_ratio, log_dt, gammas
 
 @given(
     log_ratio=st.floats(-4.0, 4.0),
-    log_dt=st.floats(-7.0, math.log10(0.3)),
+    log_dt=st.one_of(st.none(), st.floats(-7.0, math.log10(0.3))),
     traders=st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(0.01, 1.0)), min_size=1, max_size=4),
-    log_tax=st.floats(-6.0, 2.0),
+    log_tax=st.one_of(st.none(), st.floats(-6.0, 2.0)),
 )
 def test_taxed_games_solve_directly_at_their_tax_rate(log_ratio, log_dt, traders, log_tax):
-    """The taxed excess is strictly decreasing across the whole initial
-    bracket, so its one sign change is the equilibrium and no continuation
-    in the tax rate is needed; the direct solve passes every check."""
+    """The excess, taxed or untaxed and at dt = 0 too, is strictly
+    decreasing with a negative slope across the whole initial bracket, so
+    its one sign change is the equilibrium and no continuation in the tax
+    rate is needed; the direct solve passes every check."""
     m = 10.0**log_ratio
     p = make_params(
-        dt=10.0**log_dt,
+        dt=0.0 if log_dt is None else 10.0**log_dt,
         gammas=[g for g, _ in traders],
         rhos=[r for _, r in traders],
         sigma_K=m,
-        tax=10.0**log_tax / m,  # up to 100 times the impact scale sigma_S/sigma_K
+        # up to 100 times the impact scale sigma_S/sigma_K
+        tax=0.0 if log_tax is None else 10.0**log_tax / m,
     )
-    h = _excess(_trader_rows(p), p.vol_ratio_sq, p.tax)
+    rows, r = _trader_rows(p), p.vol_ratio_sq
+    h, h_and_slope = _excess(rows, r, p.tax), _excess_and_slope(rows, r, p.tax)
     lo, hi = 1e-12 * m, (math.sqrt(p.k) + 1.0) * m
     grid = [lo * (hi / lo) ** (j / 399) for j in range(400)]
     excess = [h(x) for x in grid]
     assert all(a > b for a, b in zip(excess, excess[1:]))
+    assert all(h_and_slope(x)[1] < 0.0 for x in grid)
     eq, diag = solve_taxed(p)
     assert eq.tax == p.tax
     assert diag.continuation_steps == 0
@@ -586,9 +597,7 @@ def _reference_excess(params, c):
 def test_split_excess_evaluators_match_the_full_pass_bit_for_bit(log_ratio, dt, traders, log_tax, bs_scale):
     """The value-only excess, the Newton pair and the responses pass each
     return exactly what the single full pass returns, taxed, untaxed and at
-    dt = 0; so do the solve's witness samples, bracket ends included."""
-    from hftequil.solver import _excess_and_slope
-
+    dt = 0."""
     m = 10.0**log_ratio
     p = make_params(
         dt=dt,
@@ -604,31 +613,25 @@ def test_split_excess_evaluators_match_the_full_pass_bit_for_bit(log_ratio, dt, 
     assert _excess(rows, r, p.tax)(bs) == excess
     assert _excess_and_slope(rows, r, p.tax)(bs) == (excess, slope)
     assert _responses(bs, rows, r, p.tax) == (betas, phis)
-    _, diag = solve_equilibrium(p)
-    assert len(diag.h_samples) == 10
-    for x, hx in diag.h_samples:
-        assert hx == ref(x)[0]
 
 
-def test_a_rising_excess_in_the_witness_window_is_refused(monkeypatch):
-    """The witness samples the value-only excess around the root; if it rises
-    between two samples the fixed point is not certified unique."""
+def test_a_rising_excess_slope_is_refused(monkeypatch):
+    """The excess provably falls; if Newton ever reads a positive slope,
+    the fixed point is not certified unique and the solve is refused."""
     import hftequil.solver as solver
 
     p = make_params(k=3, gammas=[1.0, 3.0, 0.5], rhos=[0.05, 0.2, 1.0], sigma_K=1.3)
-    _, diag = solve_equilibrium(p)
-    (x4, h4), (x5, _) = diag.h_samples[4:6]
-    value_only = solver._excess
+    with_slope = solver._excess_and_slope
 
     def rising(rows, r, c):
-        h = value_only(rows, r, c)
-        return lambda x: h4 + 1.0 if x == x5 else h(x)
+        h = with_slope(rows, r, c)
+        return lambda x: (h(x)[0], 1.0)
 
-    monkeypatch.setattr(solver, "_excess", rising)
+    monkeypatch.setattr(solver, "_excess_and_slope", rising)
     with pytest.raises(ConstraintViolated) as info:
         solve_equilibrium(p)
     assert info.value.which == "h_monotonicity"
-    assert repr(x4) in str(info.value) and repr(x5) in str(info.value)
+    assert "slope 1.0" in str(info.value)
 
 
 def test_sums_round_left_to_right_on_every_python():

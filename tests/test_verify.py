@@ -192,6 +192,34 @@ class TestFullBattery:
         assert witness.value > _IDENTITY_GATE
         assert witness.threshold > _IDENTITY_GATE
 
+    @pytest.mark.parametrize("l0", [1e5, 1e10])
+    def test_reduced_form_witness_gate_scales_with_the_inventory_terms(self, l0):
+        # The identity cancels lambda phi_j M_j against mu_j M_j, so its
+        # rounding grows with the inventory: 5.9e-12 at l0 = 1e5 and 7.2e-7
+        # at 1e10, against 1.29e-12 when the gate ignored the inventory.
+        report = run_verification(make_params(dt=0.1, l0=[l0]), paths=64)
+        witness = next(r for r in report.results if r.name == "reduced_form_witness")
+        assert witness.passed, (witness.value, witness.threshold)
+        assert witness.value > _IDENTITY_GATE * 1.29
+
+    # Such inventories overflow some Monte Carlo sums to inf, and inf - inf
+    # is NaN; numpy warns of both.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("l0", [1e20, 1e100, 1e200])
+    def test_a_huge_initial_inventory_gives_a_report(self, l0):
+        # Unit noise is below one ulp of these inventories, so Monte Carlo
+        # checks may fail; each still reports a value, and none is NaN.
+        report = run_verification(make_params(dt=0.1, l0=[l0]), paths=64)
+        results = {r.name: r for r in report.results}
+        assert set(results) == DETERMINISTIC_K1 | MC_NAMES | {"objective_value_mc"}
+        assert all(results[name].passed for name in DETERMINISTIC_K1)
+        assert not any(math.isnan(r.value) for r in report.results)
+        if l0 >= 1e100:
+            # every effective flow rounds to 0, so no impact slope can be fitted
+            impact = results["impact_regression_mc"]
+            assert impact.value == math.inf and not impact.passed
+
 
 class TestReportMechanics:
     def test_failures_lists_names(self):
@@ -227,6 +255,15 @@ class TestReportMechanics:
         assert exact.passed and exact.value == 0.0
         off = _z_check("off", 0.5, 0.25, 0.0, 4.0)
         assert not off.passed and off.value == math.inf
+
+    @pytest.mark.parametrize("estimate, target, std_error", [
+        (math.inf, math.inf, math.inf), (math.nan, 0.0, 1.0), (0.5, 0.25, math.nan), (math.nan, 0.0, 0.0),
+    ])
+    def test_a_z_score_that_is_not_a_number_fails_with_value_inf(self, estimate, target, std_error):
+        # an overflowed estimate or standard error must not pass, and max()
+        # over checkpoints would skip a NaN
+        nan = _z_check("nan", estimate, target, std_error, 4.0)
+        assert not nan.passed and nan.value == math.inf
 
     def test_one_period_mark_to_market_is_exactly_zero_without_raising(self):
         # With no initial inventory the one-period mark-to-market is 0 on
