@@ -919,7 +919,8 @@ def inventory_second_moment(
             # unless nothing starts or drives it
             return math.inf if M0 or drive else 0.0
         geom = float(n) if a2 == 1.0 else (1.0 - a2n) / (phi * (2.0 - phi))
-    return a2n * (M0 * M0) + drive * geom
+    # a2n = 0 forgets M0 even where M0 * M0 overflows to inf
+    return (a2n * (M0 * M0) if a2n else 0.0) + drive * geom
 
 
 def simulate_second_moment(

@@ -255,7 +255,7 @@ def _max_z_gate(sigmas: float, m: int) -> float:
 
 def _z(estimate, target, std_error) -> float:
     """|estimate - target| in standard errors. A zero standard error, one value
-    on every path, gives 0 on an exact match and inf otherwise; so does a NaN."""
+    on every path, gives 0 on an exact match and inf otherwise; a NaN gives inf."""
     gap = abs(estimate - target)
     z = gap / std_error if std_error else (0.0 if gap == 0.0 else math.inf)
     return z if z == z else math.inf

@@ -576,11 +576,15 @@ class TestMoments:
         still = inventory_second_moment(eq_with(phi, 0.0), 0, p, 1000, M0)
         assert still == (math.inf if M0 else 0.0)
 
-    def test_a_huge_initial_inventory_gives_an_infinite_moment(self):
+    def test_a_huge_initial_inventory_squares_without_overflow(self):
         # M0**2 raised a bare OverflowError above |M0| of about 1.3e154
         p = make_params(k=1, dt=0.1)
         eq, _ = solve_equilibrium(p)
         assert inventory_second_moment(eq, 0, p, 5, M0=1e200) == math.inf
+        # (1 - phi)^2000 underflows to 0, which forgets M0: not 0 * inf = nan
+        p = make_params(dt=0.01)
+        forgotten = inventory_second_moment(eq_with(0.9), 0, p, 1000, M0=1e200)
+        assert forgotten == inventory_second_moment(eq_with(0.9), 0, p, 1000, M0=0.0) > 0.0
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
