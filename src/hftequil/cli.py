@@ -29,6 +29,9 @@ from .value import value_coefficients
 __all__ = ["build_parser", "main", "entry_point"]
 
 _INLINE_FLAGS = ("sigma_s", "sigma_k", "dt", "tax", "k", "gamma", "rho", "l0")
+# Points a sweep grid may hold, each one solve and one output row; a larger
+# count is refused before numpy or range would try to build the grid.
+MAX_GRID_POINTS = 100_000
 
 
 def __getattr__(name: str):
@@ -71,7 +74,13 @@ def _parse_grid(text: str, flag: str) -> tuple[float, float, int]:
         raise ConfigError(f"{flag} expects numbers a:b and an integer count, got {text!r}") from None
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ConfigError(f"{flag} needs finite endpoints a:b, got {text!r}")
+    _check_grid_size(n, flag, text)
     return a, b, n
+
+
+def _check_grid_size(n: int, flag: str, text: str) -> None:
+    if n > MAX_GRID_POINTS:
+        raise ConfigError(f"{flag} holds at most {MAX_GRID_POINTS} points, got {text!r}")
 
 
 def _parse_geometric_grid(text: str, flag: str) -> tuple[float, ...]:
@@ -102,6 +111,7 @@ def _parse_int_range(text: str, flag: str) -> tuple[int, ...]:
         raise ConfigError(f"{flag} expects integers, got {text!r}") from None
     if a < 1 or b < a:
         raise ConfigError(f"{flag} needs 1 <= a <= b, got {text!r}")
+    _check_grid_size(b - a + 1, flag, text)
     return tuple(range(a, b + 1))
 
 
@@ -183,13 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="exact vs expansion along a dt grid or a trader-count grid")
     add_param_flags(sp)
     add_output_flags(sp, ["csv", "json"], "csv")
-    sp.add_argument("--dt-grid", dest="dt_grid", help="geometric grid a:b:n over period lengths")
-    sp.add_argument("--k-grid", dest="k_grid", help="integer range a..b of trader counts")
+    sp.add_argument("--dt-grid", dest="dt_grid", help=f"geometric grid a:b:n over period lengths, n <= {MAX_GRID_POINTS}")
+    sp.add_argument("--k-grid", dest="k_grid", help=f"integer range a..b of at most {MAX_GRID_POINTS} trader counts")
 
     sp = sub.add_parser("tax-sweep", help="price impact along a transaction tax grid")
     add_param_flags(sp)
     add_output_flags(sp, ["csv", "json"], "csv")
-    sp.add_argument("--c-grid", dest="c_grid", required=True, help="linear tax grid a:b:n, a may be 0")
+    sp.add_argument("--c-grid", dest="c_grid", required=True, help=f"linear tax grid a:b:n, a may be 0, n <= {MAX_GRID_POINTS}")
 
     sp = sub.add_parser("simulate", help="Monte Carlo objective and mark-to-market estimates")
     add_param_flags(sp)

@@ -24,9 +24,14 @@ with a decay rate of its own is recursed as a series of its own. Each
 period one batched product advances the traders and sums to one dealer
 residual per path, which prices every row's payoff.
 
-The kernel walks the paths in blocks of ``BLOCK_PATHS``. Each block's
-increments are laid out time-major, (horizon, paths), so a period reads one
-contiguous row, and the per-period state of a block stays in cache. Only
+The paths are pooled in blocks of ``BLOCK_PATHS``, and the kernel advances
+up to ``GROUP_BLOCKS`` consecutive blocks as one array, a group, so each
+numpy call of a period covers more paths. A group's increments are laid out
+time-major, (horizon, paths), so a period reads one contiguous row; a group
+holds at most ``GROUP_BYTES`` of them, so past horizon 512 it is one block.
+Every step of the kernel is columnwise, and each group is cut back into its
+blocks by column slices before anything is pooled, so a path's values and
+every estimate are the same, bit for bit, whatever the grouping. Only
 ``simulate`` keeps full (paths, horizon) series, in a ``PathBatch`` whose
 fields a caller reduces as it needs; ``dealer_profit_check`` and
 ``reduced_form_gap`` are the two batch reductions kept here. The other
@@ -43,12 +48,13 @@ Each worker sends back a few moments per block, and the caller pools them
 in block order. So estimates do not depend on the number of workers, bit
 for bit, and a path's values do not depend on blocking; only a change of
 ``BLOCK_PATHS`` reorders the pooled sums. A worker needs what the serial
-walk needs: one block's buffers, about 17 kB per period at 1024 paths, and
-its records, under 1 kB per block plus, for verify's pass, 24 bytes per
-period per block. Its other pages are shared with the caller until written;
-the pages it does write (reference counts, the allocator's) came to 2 to
-15 MB of private memory per worker for criterion 06's sweeps and verify's
-battery on a 2-core x86-64 host. ``simulate`` stays serial.
+walk needs: one group's buffers, 16 kB of increments per period and block
+plus a 1 kB per period scratch, and its records, under 1 kB per block plus,
+for verify's pass, 24 bytes per period per block. Its other pages are shared
+with the caller until written; the pages it does write came to at most 25
+MB of private memory per worker over criterion 06's sweeps (groups of two
+blocks at horizon 450) and at most 12 MB over verify's battery on a 2-core
+x86-64 host. ``simulate`` stays serial.
 
 Per period, in order: trades are formed from the previous state and the
 fresh signal, the dealer prices the aggregate flow, inventories update, and
@@ -95,11 +101,18 @@ DEFAULT_TAIL_TOL = 1e-6
 HORIZON_CAP = 10_000_000
 # Doubles that ``simulate`` may keep in one PathBatch, 2 GB.
 MAX_FLOATS = 250_000_000
-# Paths per block: a period of the 14-row sweep of the acceptance tests at
-# k <= 4 touches under 80 rows of 1024 float64, 0.6 MB in all (the traders'
-# state, each series' state and objective, the gap terms), so they stay in a
-# core's L2 cache.
+# Paths per block: the unit whose moments, dealer sums and checkpoint records
+# are pooled, in block order, so a change of it reorders every pooled sum.
 BLOCK_PATHS = 1024
+# Consecutive blocks of one range that the kernel advances as one array, at
+# most GROUP_BLOCKS and at least one, holding at most GROUP_BYTES of normals
+# unless one block needs more. A wider array spreads each numpy call of a
+# period over more paths: on a 2-core x86-64 host (numpy 2.4.6), a serial
+# 14-row sweep (k = 2, horizon 450, 8192 paths) took 155 ns per path-step at
+# 1024 paths wide and 132, 133 and 130 at 2048, 4096 and 8192 (medians of 4
+# runs).
+GROUP_BLOCKS = 4
+GROUP_BYTES = 16 * 2**20
 # Paths whose normals are drawn into one (paths, horizon) scratch before they
 # are transposed into a block's time-major buffers.
 FILL_PATHS = 128
@@ -298,20 +311,31 @@ def _fill_normals(out: np.ndarray, seed: int, first_path: int, stream: int) -> N
         normal(out=row)
 
 
-def _normal_blocks(seed: int, first_path: int, n_paths: int, horizon: int, scales, block: int):
-    """Yield (start, arrays): scaled time-major increments for each block of paths.
+def _group_paths(horizon: int, streams: int) -> int:
+    """Paths that advance as one array: a whole number of blocks, see ``GROUP_BLOCKS``."""
+    fit = GROUP_BYTES // (8 * streams * horizon * BLOCK_PATHS)
+    return BLOCK_PATHS * max(1, min(GROUP_BLOCKS, fit))
+
+
+def _cuts(width: int) -> list[slice]:
+    """The column slices of the blocks of ``BLOCK_PATHS`` paths in a group of ``width``."""
+    return [slice(lo, min(lo + BLOCK_PATHS, width)) for lo in range(0, width, BLOCK_PATHS)]
+
+
+def _normal_blocks(seed: int, first_path: int, n_paths: int, horizon: int, scales, group: int):
+    """Yield (start, arrays): scaled time-major increments for each group of paths.
 
     Stream s is filled ``FILL_PATHS`` paths at a time into a reused
     (FILL_PATHS, horizon) scratch, and each such sub-block is transposed,
     times scales[s], straight into its columns of a reused (horizon, b)
-    buffer, so row n holds period n + 1 for the block's paths. The yielded
-    arrays are overwritten by the next block.
+    buffer, so row n holds period n + 1 for the group's b paths, at most
+    ``group``. The yielded arrays are overwritten by the next group.
     """
-    width = min(block, n_paths)
+    width = min(group, n_paths)
     scratch = np.empty((min(FILL_PATHS, width), horizon))
     bufs = [np.empty(width * horizon) for _ in scales]
-    for start in range(0, n_paths, block):
-        b = min(block, n_paths - start)
+    for start in range(0, n_paths, group):
+        b = min(group, n_paths - start)
         arrays = []
         for stream, (scale, buf) in enumerate(zip(scales, bufs)):
             tm = buf[: horizon * b].reshape(horizon, b)
@@ -494,7 +518,7 @@ class PathBatch:
 
 
 def _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path):
-    """The game recursion on blocks of paths; yields (start, dS, dK, periods).
+    """The game recursion on groups of paths; yields (start, dS, dK, periods).
 
     Trader i plays each row of ``rows`` in a game of its own against the
     other traders, who play their rows of the profile ``coefs``; the others'
@@ -510,7 +534,8 @@ def _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path):
     yields each period's pre-trade M and dM (k, b); the rows' L, dL and
     post-trade L + dL (R, b); each trader's L and dL (k, b), which for
     trader i hold dK and zero; and e (b,), all overwritten by the next
-    period. ``BLOCK_PATHS`` is read at call time.
+    period. Every operation is columnwise, so a path's values do not depend
+    on the width b of its group (``_group_paths``, read at call time).
     """
     k, R = params.k, len(rows)
     a_l, z0 = np.array([row[2:] for row in rows]).T[:, :, None]
@@ -560,7 +585,8 @@ def _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path):
             L, L1 = L1, L
 
     scales = (params.sigma_S * math.sqrt(params.dt), params.sigma_K * math.sqrt(params.dt))
-    for start, (dS, dK) in _normal_blocks(seed, first_path, n_paths, horizon, scales, BLOCK_PATHS):
+    group = _group_paths(horizon, len(scales))
+    for start, (dS, dK) in _normal_blocks(seed, first_path, n_paths, horizon, scales, group):
         yield start, dS, dK, periods(dS, dK)
 
 
@@ -568,7 +594,8 @@ def _discounted(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, 
     """Per block of paths first_path .. first_path + n_paths - 1: trader i's
     discounted objective in each row's game, (R, b); if asked for, row 0's
     discounted mark-to-market, (b,), else None; and the block's ``_GameStats``
-    record, else None.
+    record, else None. ``_game`` advances groups of blocks; each group is cut
+    back into its blocks by column slices.
 
     ``rows`` are ``_coefficients`` pairs. Row r's price is dS - e + lam dL
     with the residual e of ``_game``, so it pays dL (e - (lam + tax) dL) -
@@ -583,8 +610,8 @@ def _discounted(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, 
     sum imp dD^2 - hold D_{n+1}^2 vanish unless D != 0, and one product adds
     the gap terms of all rows with a gap each period. A ``_GameStats`` in
     ``stats`` is fed row 0's flow and prices every period and closes each
-    block with its mark-to-market, which implies ``with_mtm``; the record
-    that ``end_block`` returns is the block's third item.
+    group with its mark-to-market, which implies ``with_mtm``; the records
+    that ``end_blocks`` returns are the blocks' third items.
     """
     t = params.traders[i]
     disc = np.cumprod(np.full(horizon, 1.0 - t.rho * params.dt))
@@ -620,6 +647,7 @@ def _discounted(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, 
         V, gain = np.zeros((3, max(b, 2))), np.empty((gap.size, max(b, 2)))
         ed, G = V[0, :b], np.zeros((gap.size, b))
         mtm = np.zeros(b) if with_mtm else None
+        cuts = _cuts(b)
         for n, (M, _, X, dX, X1, _, dLj, e) in enumerate(periods):
             ds = dS[n]
             if with_mtm:
@@ -628,7 +656,7 @@ def _discounted(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, 
                     x0, dx0 = s0 * x0 + Dn[0, n], s0 * dx0 + dD[0, n]
                 mtm += x0 * ds * disc[n]
                 if stats is not None:
-                    stats.period(ds, dK[n] + np.add.reduce(dLj, axis=0) + dx0, ds - e + eq.lam * dx0, M)
+                    stats.period(ds, dK[n] + np.add.reduce(dLj, axis=0) + dx0, ds - e + eq.lam * dx0, M, cuts)
             np.multiply(e, disc[n], out=ed)
             U += np.multiply(dX[0], ed, out=u)
             if gap.size:
@@ -645,7 +673,9 @@ def _discounted(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, 
             Q -= tmp
         obj = (s * s)[:, None] * Q[idx] + (s * (1.0 - s))[:, None] * U
         obj[gap] += G + C[gap, None]
-        yield obj, mtm, None if stats is None else stats.end_block(mtm)
+        records = [None] * len(cuts) if stats is None else stats.end_blocks(mtm)
+        for c, record in zip(cuts, records):
+            yield obj[:, c], None if mtm is None else mtm[c], record
 
 
 def simulate(
@@ -804,11 +834,12 @@ class _GameStats:
     lambda x, so while the fitted slope is near lambda the residual sum of
     squares Srr - Sxr^2 / Sxx subtracts a term only about 1/n of Srr.
 
-    ``period`` feeds one period of a block of paths and ``end_block`` closes
-    the block: it returns the block's record, its per-period sums, path-steps
-    and the moments of its profit and of the discounted mark-to-market, if
-    given. ``fold`` pools records in block order, adding the sums period by
-    period, so the pooled sums do not depend on where a block was computed.
+    ``period`` feeds one period of a group of blocks of paths, given by
+    their column slices, and ``end_blocks`` closes the group: it returns
+    each block's record, its per-period sums, path-steps and the moments of
+    its profit and of the discounted mark-to-market, if given. ``fold`` pools
+    records in block order, adding the sums period by period, so the pooled
+    sums do not depend on where or beside which blocks a block was computed.
     """
 
     def __init__(self, eq: Equilibrium, lambda_scale: float = 1.0):
@@ -819,28 +850,33 @@ class _GameStats:
         self.profit, self.mtm = _Stat(), _Stat()
         self.sxx = self.sxr = self.srr = 0.0
         self.n = 0
-        self.sums, self.gain = [], None
+        self.sums, self.gain, self.cuts = [], None, ()
 
-    def period(self, ds, dy, padj, M) -> None:
+    def period(self, ds, dy, padj, M, cuts=(slice(None),)) -> None:
         x = _effective_flow(self.phis, dy, M)
         r = ds - self.lam * x
-        self.sums.append((float(x @ x), float(x @ r), float(r @ r)))
+        sums = []
+        for c in cuts:
+            xc, rc = x[c], r[c]
+            sums.append((float(xc @ xc), float(xc @ rc), float(rc @ rc)))
+        self.sums.append(sums)
+        self.cuts = cuts
         gain = (padj + self.misprice * dy - ds) * dy
         if self.gain is None:
             self.gain = gain
         else:
             self.gain += gain
 
-    def end_block(self, mtm=None):
+    def end_blocks(self, mtm=None) -> list:
         periods = len(self.sums)
-        record = (
-            np.array(self.sums),
-            periods * self.gain.size,
-            _moments(self.gain / periods),
-            None if mtm is None else _moments(mtm),
-        )
+        sums = np.array(self.sums)
+        records = [
+            (sums[:, j], periods * self.gain[c].size, _moments(self.gain[c] / periods),
+             None if mtm is None else _moments(mtm[c]))
+            for j, c in enumerate(self.cuts)
+        ]
         self.sums, self.gain = [], None
-        return record
+        return records
 
     def fold(self, record) -> None:
         sums, n, profit, mtm = record
@@ -876,7 +912,8 @@ def dealer_profit_check(batch: PathBatch, lambda_scale: float = 1.0) -> ProfitCh
     stats = _GameStats(batch.eq, lambda_scale)
     for n in range(batch.horizon):
         stats.period(batch.dS[:, n], batch.dY[:, n], batch.price_adj[:, n], batch.M[:, :, n].T)
-    stats.fold(stats.end_block())
+    for record in stats.end_blocks():
+        stats.fold(record)
     return stats.check()
 
 
@@ -951,13 +988,16 @@ def simulate_second_moment(
     stats = {n: _Stat() for n in checkpoints}
 
     def blocks(first, count):
-        for _, (dS,) in _normal_blocks(seed, first, count, horizon, (scale,), BLOCK_PATHS):
-            m, record = np.full(dS.shape[1], m0), []
+        for _, (dS,) in _normal_blocks(seed, first, count, horizon, (scale,), _group_paths(horizon, 1)):
+            m, cuts = np.full(dS.shape[1], m0), _cuts(dS.shape[1])
+            records = [[] for _ in cuts]
             for n in range(1, horizon + 1):
                 m = m + (beta * dS[n - 1] - phi * m)
                 if n in stats:
-                    record.append(_moments(m * m))
-            yield record
+                    m2 = m * m
+                    for c, record in zip(cuts, records):
+                        record.append(_moments(m2[c]))
+            yield from records
 
     for record in _walk(blocks, 0, n_paths):
         for n, moments in zip(checkpoints, record):

@@ -335,6 +335,30 @@ def test_non_finite_grid_endpoint_exits_2_before_numpy_runs(capsys, command, fla
     assert err == f"error: {flag} needs finite endpoints a:b, got {grid!r}\n"
 
 
+@pytest.mark.parametrize(
+    "command, flag, grid",
+    [
+        ("sweep", "--dt-grid", "1e-4:1e-1:10000000000000"),
+        ("tax-sweep", "--c-grid", "0:0.1:10000000000000"),
+        ("sweep", "--k-grid", "1..10000000000000"),
+    ],
+)
+def test_huge_grid_exits_2_before_it_is_built(capsys, command, flag, grid):
+    # numpy would try to allocate 72.8 TiB, range a tuple as large
+    code, out, err = run_cli(capsys, command, *BASE, flag, grid)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} holds at most {cli.MAX_GRID_POINTS} points, got {grid!r}\n"
+
+
+def test_grid_size_cap_is_inclusive():
+    cap = cli.MAX_GRID_POINTS
+    assert cli._parse_grid(f"0:1:{cap}", "--c-grid") == (0.0, 1.0, cap)
+    assert len(cli._parse_int_range(f"2..{cap + 1}", "--k-grid")) == cap
+    for parse, text in ((cli._parse_grid, f"0:1:{cap + 1}"), (cli._parse_int_range, f"2..{cap + 2}")):
+        with pytest.raises(cli.ConfigError, match="at most"):
+            parse(text, "--grid")
+
+
 class TestSimulate:
     def test_json_and_determinism(self, capsys):
         args = ["simulate", *BASE, "--k", "2", "--paths", "64", "--horizon", "32"]

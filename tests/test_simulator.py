@@ -643,7 +643,7 @@ class TestDealer:
                     a[..., pick] = src[..., [col]]
                 stats = simulator._GameStats(eq)
                 stats.period(blk[0], blk[1], blk[1], blk[2])
-                stats.fold(stats.end_block())
+                stats.fold(*stats.end_blocks())
                 sums.append((stats.sxx, stats.sxr, stats.srr))
             assert sums[0] == sums[1], col
 
@@ -816,7 +816,10 @@ class TestDeviationSweep:
         want = objectives[2].objective.mean
         assert sweeps[2].rows[2].objective.mean == pytest.approx(want, rel=1e-12)
 
-    def test_memory_does_not_grow_with_paths(self):
+    def test_memory_does_not_grow_with_paths(self, monkeypatch):
+        # A serial walk: at both path counts this process then advances full
+        # groups of blocks, whatever the host's CPU count.
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 1)
         p = make_params(k=2, dt=0.01)
         eq, _ = solve_equilibrium(p)
         specs = [
@@ -893,6 +896,128 @@ class TestDeviationSweep:
             )
 
 
+def group_widths(monkeypatch):
+    """Record the width of every group of paths the walk advances, in this process."""
+    seen, normal_blocks = [], simulator._normal_blocks
+
+    def recording(*args):
+        for start, arrays in normal_blocks(*args):
+            seen.append(arrays[0].shape[1])
+            yield start, arrays
+
+    monkeypatch.setattr(simulator, "_normal_blocks", recording)
+    return seen
+
+
+class TestGroups:
+    """Consecutive blocks of a range advance as one array; every pooled
+    estimate equals that of the walk one block at a time, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def serial(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 1)
+
+    def both(self, monkeypatch, call, block=32):
+        """call() with one block per group, then with the default groups."""
+        monkeypatch.setattr(simulator, "BLOCK_PATHS", block)
+        widths, results = group_widths(monkeypatch), []
+        for group_blocks in (1, simulator.GROUP_BLOCKS):
+            monkeypatch.setattr(simulator, "GROUP_BLOCKS", group_blocks)
+            del widths[:]
+            results.append(call())
+            assert (max(widths) > block) == (group_blocks > 1), widths
+        return results
+
+    @pytest.mark.parametrize("n_paths", [32 * 9 + 7, 32 * 9 + 1])
+    def test_sweep_with_a_partial_or_one_path_last_block(self, monkeypatch, n_paths):
+        p = make_params(k=2, dt=0.01, gammas=[1.0, 2.0], rhos=[0.05, 0.1], l0=[0.4, -0.3], tax=1e-3)
+        eq, _ = solve_taxed(p)
+        specs = [
+            StrategySpec.scaled(beta_scale=0.9),
+            StrategySpec.equilibrium(),
+            StrategySpec.scaled(phi_scale=1.1),
+            StrategySpec.with_z(0.3, 1.0),
+        ]
+        single, grouped = self.both(
+            monkeypatch, lambda: deviation_sweep(eq, p, 1, specs, n_paths=n_paths, horizon=40, seed=3)
+        )
+        assert grouped == single
+
+    def test_sweep_at_full_blocks(self, monkeypatch):
+        # two blocks of 1024 and a one-path block advance as one array
+        p = make_params(k=3, dt=0.01, l0=[0.2, 0.0, -0.1])
+        eq, _ = solve_equilibrium(p)
+        specs = [StrategySpec.equilibrium(), StrategySpec.with_z(0.5, 1.0), StrategySpec.scaled(0.8, 1.2)]
+        single, grouped = self.both(
+            monkeypatch, lambda: deviation_sweep(eq, p, 0, specs, n_paths=2049, horizon=12, seed=9), BLOCK_PATHS
+        )
+        assert grouped == single
+
+    def test_sweep_with_dealer_statistics(self, monkeypatch):
+        p = make_params(k=2, dt=0.01, l0=[0.5, -0.2])
+        eq, _ = solve_equilibrium(p)
+        specs = [StrategySpec.with_z(0.4, 0.5), StrategySpec.equilibrium(), StrategySpec.scaled(1.1)]
+
+        def call():
+            stats = simulator._GameStats(eq, 1.1)
+            sweep = simulator._sweep(eq, p, 0, specs, n_paths=32 * 9 + 1, horizon=30, seed=4, stats=stats)
+            return sweep, stats.check(), stats.mtm.estimate(), stats.n
+
+        single, grouped = self.both(monkeypatch, call)
+        assert grouped == single
+
+    def test_objective(self, monkeypatch):
+        p = make_params(k=2, dt=0.1, rho=0.5, l0=[0.2, 0.0])
+        eq, _ = solve_equilibrium(p)
+        single, grouped = self.both(
+            monkeypatch,
+            lambda: simulate_objective(
+                eq, {1: StrategySpec.with_z(0.4, 0.5)}, p, 1, n_paths=32 * 9 + 7, seed=4, first_path=45
+            ),
+        )
+        assert grouped == single
+
+    def test_second_moment(self, monkeypatch):
+        p = make_params(k=1, dt=0.01, l0=[0.5])
+        eq, _ = solve_equilibrium(p)
+        single, grouped = self.both(
+            monkeypatch, lambda: simulate_second_moment(eq, 0, p, [1, 7, 30], n_paths=32 * 9 + 1, seed=6)
+        )
+        assert grouped == single
+
+    def test_verification_report(self, monkeypatch):
+        # rho dt = 0.05: the objective check runs too, over 270 periods
+        p = make_params(k=3, dt=0.1, rho=0.5, gammas=[1.0, 2.0, 0.5], l0=[0.3, 0.0, -0.2])
+        single, grouped = self.both(monkeypatch, lambda: run_verification(p, paths=32 * 9 + 7, seed=8, mc_horizon=40))
+        assert "objective_value_mc" in {r.name for r in single.results}
+        assert repr(grouped) == repr(single)
+
+    def test_group_size(self):
+        # 2 streams at horizon 256 fill GROUP_BYTES in 4 blocks; past horizon
+        # 512 two blocks would overfill it, and a group is one block
+        assert simulator._group_paths(256, 2) == 4 * BLOCK_PATHS
+        assert simulator._group_paths(450, 2) == 2 * BLOCK_PATHS
+        assert simulator._group_paths(513, 2) == simulator._group_paths(20000, 2) == BLOCK_PATHS
+        assert simulator._group_paths(512, 1) == 4 * BLOCK_PATHS
+
+    @pytest.mark.parametrize("horizon, blocks", [(256, 4), (600, 1)])
+    def test_memory_holds_one_group(self, horizon, blocks):
+        # four blocks walked serially: at horizon 600 two blocks' normals
+        # would pass GROUP_BYTES, so the peak stays at one block's buffers
+        p = make_params(k=2, dt=0.01)
+        eq, _ = solve_equilibrium(p)
+        specs = [StrategySpec.equilibrium(), StrategySpec.scaled(beta_scale=0.9)]
+        deviation_sweep(eq, p, 0, specs, n_paths=2, horizon=16, seed=1)  # one-time set-up
+        normals = 2 * 8 * horizon * BLOCK_PATHS * blocks
+        tracemalloc.start()
+        try:
+            deviation_sweep(eq, p, 0, specs, n_paths=4 * BLOCK_PATHS, horizon=horizon, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert normals <= peak <= normals + 2 * 2**20, (peak, normals)
+
+
 class TestEstimate:
     def test_ci_and_coverage(self):
         est = Estimate(mean=1.0, std_error=0.5, n_samples=100)
@@ -933,13 +1058,16 @@ def forks(monkeypatch):
 
 class TestParallelWalk:
     """Forked workers walk contiguous ranges of blocks; every estimate equals
-    the serial walk's bit for bit, and no worker outlives its call."""
+    the serial walk's bit for bit, and no worker outlives its call. At 167
+    and 230 paths, blocks of 32, every worker's range holds several blocks."""
 
     def walks(self, monkeypatch, forks, call):
-        """call() on the serial walk, then with 2 and with 3 workers."""
-        results = []
-        for workers in (1, 2, 3):
+        """call() on the serial walk one block at a time, then in groups of
+        blocks on the serial walk and with 2 and with 3 workers."""
+        results, group_blocks = [], simulator.GROUP_BLOCKS
+        for workers, group in ((1, 1), (1, group_blocks), (2, group_blocks), (3, group_blocks)):
             monkeypatch.setattr(simulator, "_usable_cpus", lambda n=workers: n)
+            monkeypatch.setattr(simulator, "GROUP_BLOCKS", group)
             before = len(forks)
             results.append(call())
             assert (len(forks) > before) == (workers > 1)
@@ -968,7 +1096,7 @@ class TestParallelWalk:
             monkeypatch,
             forks,
             lambda: simulate_objective(
-                eq, {1: StrategySpec.with_z(0.4, 0.5)}, p, 1, n_paths=150, seed=4, first_path=45
+                eq, {1: StrategySpec.with_z(0.4, 0.5)}, p, 1, n_paths=230, seed=4, first_path=45
             ),
         )
         assert all(result == serial for result in parallel)
@@ -977,7 +1105,7 @@ class TestParallelWalk:
         p = make_params(k=1, dt=0.01, l0=[0.5])
         eq, _ = solve_equilibrium(p)
         serial, *parallel = self.walks(
-            monkeypatch, forks, lambda: simulate_second_moment(eq, 0, p, [1, 7, 30], n_paths=150, seed=6)
+            monkeypatch, forks, lambda: simulate_second_moment(eq, 0, p, [1, 7, 30], n_paths=230, seed=6)
         )
         assert all(result == serial for result in parallel)
 
@@ -985,7 +1113,7 @@ class TestParallelWalk:
         # rho dt = 0.05: the objective check runs too, over 270 periods
         p = make_params(k=3, dt=0.1, rho=0.5, gammas=[1.0, 2.0, 0.5], l0=[0.3, 0.0, -0.2])
         serial, *parallel = self.walks(
-            monkeypatch, forks, lambda: run_verification(p, paths=150, seed=8, mc_horizon=40)
+            monkeypatch, forks, lambda: run_verification(p, paths=230, seed=8, mc_horizon=40)
         )
         assert "objective_value_mc" in {r.name for r in serial.results}
         assert all(repr(report) == repr(serial) for report in parallel)
