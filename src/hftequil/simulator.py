@@ -25,10 +25,11 @@ period one batched product advances the traders and sums to one dealer
 residual per path, which prices every row's payoff.
 
 The paths are pooled in blocks of ``BLOCK_PATHS``, and the kernel advances
-up to ``GROUP_BLOCKS`` consecutive blocks as one array, a group, so each
-numpy call of a period covers more paths. A group's increments are laid out
-time-major, (horizon, paths), so a period reads one contiguous row; a group
-holds at most ``GROUP_BYTES`` of them, so past horizon 512 it is one block.
+several consecutive blocks as one array, a group, so each numpy call of a
+period covers more paths: a walk advances at most ``GROUP_BLOCKS`` blocks at
+once over all its processes. A group's increments are laid out time-major,
+(horizon, paths), so a period reads one contiguous row; a group holds at
+most ``GROUP_BYTES`` of them, so past horizon 512 it is one block.
 Every step of the kernel is columnwise, and each group is cut back into its
 blocks by column slices before anything is pooled, so a path's values and
 every estimate are the same, bit for bit, whatever the grouping. Only
@@ -36,7 +37,8 @@ every estimate are the same, bit for bit, whatever the grouping. Only
 fields a caller reduces as it needs; ``dealer_profit_check`` and
 ``reduced_form_gap`` are the two batch reductions kept here. The other
 entry points pool per-block results with one streaming estimator, so their
-memory does not grow with the number of paths. That includes the pass
+memory stops growing with the number of paths at ``GROUP_BLOCKS`` blocks,
+4096 paths, whatever the number of workers. That includes the pass
 verify runs: a sweep whose row 0 also feeds ``_GameStats``, the per-period
 reduction behind ``dealer_profit_check``. The recursions are plain numpy
 loops over periods; the package depends on numpy alone.
@@ -47,14 +49,16 @@ ranges of blocks to forked worker processes, one per usable CPU (``_walk``).
 Each worker sends back a few moments per block, and the caller pools them
 in block order. So estimates do not depend on the number of workers, bit
 for bit, and a path's values do not depend on blocking; only a change of
-``BLOCK_PATHS`` reorders the pooled sums. A worker needs what the serial
-walk needs: one group's buffers, 16 kB of increments per period and block
+``BLOCK_PATHS`` reorders the pooled sums. Each of w processes of a walk,
+the caller included, advances groups of up to ``GROUP_BLOCKS`` // w blocks
+and needs one group's buffers, 16 kB of increments per period and block
 plus a 1 kB per period scratch, and its records, under 1 kB per block plus,
-for verify's pass, 24 bytes per period per block. Its other pages are shared
-with the caller until written; the pages it does write came to at most 25
-MB of private memory per worker over criterion 06's sweeps (groups of two
-blocks at horizon 450) and at most 12 MB over verify's battery on a 2-core
-x86-64 host. ``simulate`` stays serial.
+for verify's pass, 24 bytes per period per block. A worker's other pages
+are shared with the caller until written; the pages it does write came to
+at most 25 MB of private memory per worker over criterion 06's sweeps
+(groups of two blocks at horizon 450) and at most 12 MB over verify's
+battery on a 2-core x86-64 host. ``simulate`` stays serial and advances
+groups of up to ``GROUP_BLOCKS`` blocks.
 
 Per period, in order: trades are formed from the previous state and the
 fresh signal, the dealer prices the aggregate flow, inventories update, and
@@ -104,13 +108,17 @@ MAX_FLOATS = 250_000_000
 # Paths per block: the unit whose moments, dealer sums and checkpoint records
 # are pooled, in block order, so a change of it reorders every pooled sum.
 BLOCK_PATHS = 1024
-# Consecutive blocks of one range that the kernel advances as one array, at
-# most GROUP_BLOCKS and at least one, holding at most GROUP_BYTES of normals
-# unless one block needs more. A wider array spreads each numpy call of a
-# period over more paths: on a 2-core x86-64 host (numpy 2.4.6), a serial
-# 14-row sweep (k = 2, horizon 450, 8192 paths) took 155 ns per path-step at
-# 1024 paths wide and 132, 133 and 130 at 2048, 4096 and 8192 (medians of 4
-# runs).
+# Blocks that one walk advances at once over all its processes. Each of w
+# processes advances up to GROUP_BLOCKS // w consecutive blocks of its range
+# as one array, a group, of at least one block and at most GROUP_BYTES of
+# normals unless one block needs more. A wider array spreads each numpy call
+# of a period over more paths: on a 2-core x86-64 host (numpy 2.4.6), a
+# serial 14-row sweep (k = 2, horizon 450, 8192 paths) took 155 ns per
+# path-step at 1024 paths wide and 132, 133 and 130 at 2048, 4096 and 8192
+# (medians of 4 runs), so two blocks take most of the gain. The cap over all
+# processes, not per process, fixes where a call's memory stops growing: at
+# GROUP_BLOCKS blocks of paths, verify's default 4096, whatever the CPU
+# count, as with one block per worker on a 4-CPU host.
 GROUP_BLOCKS = 4
 GROUP_BYTES = 16 * 2**20
 # Paths whose normals are drawn into one (paths, horizon) scratch before they
@@ -311,10 +319,10 @@ def _fill_normals(out: np.ndarray, seed: int, first_path: int, stream: int) -> N
         normal(out=row)
 
 
-def _group_paths(horizon: int, streams: int) -> int:
-    """Paths that advance as one array: a whole number of blocks, see ``GROUP_BLOCKS``."""
+def _group_paths(horizon: int, streams: int, group_blocks: int) -> int:
+    """Paths that advance as one array: at most ``group_blocks`` blocks, see ``GROUP_BLOCKS``."""
     fit = GROUP_BYTES // (8 * streams * horizon * BLOCK_PATHS)
-    return BLOCK_PATHS * max(1, min(GROUP_BLOCKS, fit))
+    return BLOCK_PATHS * max(1, min(group_blocks, fit))
 
 
 def _cuts(width: int) -> list[slice]:
@@ -379,11 +387,14 @@ def _worker_count(n_blocks: int) -> int:
 
 
 def _walk(blocks, first_path: int, n_paths: int):
-    """Yield the records of ``blocks(first, n)`` for paths first_path ..
-    first_path + n_paths - 1, one per block of ``BLOCK_PATHS``, in block order.
+    """Yield the records of ``blocks(first, n, group_blocks)`` for paths
+    first_path .. first_path + n_paths - 1, one per block of ``BLOCK_PATHS``,
+    in block order.
 
     ``blocks`` runs the kernel over a range of paths that starts on a block
-    boundary and yields one small picklable record per block. With several
+    boundary, in groups of at most ``group_blocks`` blocks, the process's
+    share of ``GROUP_BLOCKS``, and yields one small picklable record per
+    block. With several
     workers, each forked child walks one contiguous range of blocks while
     this process walks the first; a child pickles its records through a pipe
     once its range is done, and they are yielded after this process's own.
@@ -395,15 +406,16 @@ def _walk(blocks, first_path: int, n_paths: int):
     """
     n_blocks = -(-n_paths // BLOCK_PATHS)
     workers = _worker_count(n_blocks)
+    group = max(1, GROUP_BLOCKS // workers)
     if workers < 2:
-        yield from blocks(first_path, n_paths)
+        yield from blocks(first_path, n_paths, group)
         return
     cuts = [min(n_paths, n_blocks * w // workers * BLOCK_PATHS) for w in range(workers + 1)]
     children = []
     try:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            children.append(_fork(blocks, first_path + lo, hi - lo, [reader for _, reader in children]))
-        yield from blocks(first_path, cuts[1])
+            children.append(_fork(blocks, first_path + lo, hi - lo, group, [reader for _, reader in children]))
+        yield from blocks(first_path, cuts[1], group)
         for _, reader in children:
             try:
                 ok, payload = pickle.load(reader)
@@ -426,7 +438,7 @@ def _walk(blocks, first_path: int, n_paths: int):
                 pass
 
 
-def _fork(blocks, first: int, n: int, inherited):
+def _fork(blocks, first: int, n: int, group: int, inherited):
     """Fork a child that sends ``(True, records)`` or ``(False, exception)``; (pid, reader)."""
     read_fd, write_fd = os.pipe()
     try:
@@ -443,7 +455,7 @@ def _fork(blocks, first: int, n: int, inherited):
         for reader in inherited:
             reader.close()
         try:
-            reply = pickle.dumps((True, list(blocks(first, n))), pickle.HIGHEST_PROTOCOL)
+            reply = pickle.dumps((True, list(blocks(first, n, group))), pickle.HIGHEST_PROTOCOL)
         except BaseException as exc:
             try:
                 reply = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
@@ -517,7 +529,7 @@ class PathBatch:
         return self.L - self.M
 
 
-def _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path):
+def _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, group_blocks):
     """The game recursion on groups of paths; yields (start, dS, dK, periods).
 
     Trader i plays each row of ``rows`` in a game of its own against the
@@ -535,7 +547,7 @@ def _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path):
     post-trade L + dL (R, b); each trader's L and dL (k, b), which for
     trader i hold dK and zero; and e (b,), all overwritten by the next
     period. Every operation is columnwise, so a path's values do not depend
-    on the width b of its group (``_group_paths``, read at call time).
+    on the width b of its group of at most ``group_blocks`` blocks.
     """
     k, R = params.k, len(rows)
     a_l, z0 = np.array([row[2:] for row in rows]).T[:, :, None]
@@ -585,17 +597,19 @@ def _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path):
             L, L1 = L1, L
 
     scales = (params.sigma_S * math.sqrt(params.dt), params.sigma_K * math.sqrt(params.dt))
-    group = _group_paths(horizon, len(scales))
+    group = _group_paths(horizon, len(scales), group_blocks)
     for start, (dS, dK) in _normal_blocks(seed, first_path, n_paths, horizon, scales, group):
         yield start, dS, dK, periods(dS, dK)
 
 
-def _discounted(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, with_mtm=False, stats=None):
+def _discounted(
+    eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, group_blocks, with_mtm=False, stats=None
+):
     """Per block of paths first_path .. first_path + n_paths - 1: trader i's
     discounted objective in each row's game, (R, b); if asked for, row 0's
     discounted mark-to-market, (b,), else None; and the block's ``_GameStats``
-    record, else None. ``_game`` advances groups of blocks; each group is cut
-    back into its blocks by column slices.
+    record, else None. ``_game`` advances groups of up to ``group_blocks``
+    blocks; each group is cut back into its blocks by column slices.
 
     ``rows`` are ``_coefficients`` pairs. Row r's price is dS - e + lam dL
     with the residual e of ``_game``, so it pays dL (e - (lam + tax) dL) -
@@ -638,7 +652,8 @@ def _discounted(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, 
     # _GameStats; shifted0 tells whether they differ from its series'
     j0, s0, shifted0 = idx[0], s[0], D[0] != 0.0 or s[0] != 1.0
     with_mtm = with_mtm or stats is not None
-    for _, dS, dK, periods in _game(eq, params, coefs, i, series, n_paths, horizon, seed, first_path):
+    game = _game(eq, params, coefs, i, series, n_paths, horizon, seed, first_path, group_blocks)
+    for _, dS, dK, periods in game:
         b = dS.shape[1]
         Q = np.zeros((len(series), b))
         tmp = np.empty_like(Q)
@@ -725,7 +740,9 @@ def simulate(
     batch.L[:, :, 0] = batch.M[:, :, 0] + [z0 for *_, z0 in coefs]
 
     # Trader 0 plays its own profile row; its inventories are that row's.
-    for start, dS, dK, periods in _game(eq, params, coefs, 0, coefs[:1], n_paths, horizon, seed, first_path):
+    for start, dS, dK, periods in _game(
+        eq, params, coefs, 0, coefs[:1], n_paths, horizon, seed, first_path, GROUP_BLOCKS
+    ):
         sl = slice(start, start + dS.shape[1])
         batch.dS[sl] = dS.T
         batch.dK[sl] = dK.T
@@ -792,9 +809,11 @@ def simulate_objective(
     i = trader_index
     coefs = [row for row, _ in pairs]
 
-    def blocks(first, n):
+    def blocks(first, n, group_blocks):
         rows = pairs[i : i + 1]
-        for obj_b, mtm_b, _ in _discounted(eq, params, coefs, i, rows, n, horizon, seed, first, with_mtm=True):
+        for obj_b, mtm_b, _ in _discounted(
+            eq, params, coefs, i, rows, n, horizon, seed, first, group_blocks, with_mtm=True
+        ):
             yield _moments(obj_b[0]), _moments(mtm_b)
 
     obj, mtm = _Stat(), _Stat()
@@ -987,8 +1006,9 @@ def simulate_second_moment(
     scale = params.sigma_S * math.sqrt(params.dt)
     stats = {n: _Stat() for n in checkpoints}
 
-    def blocks(first, count):
-        for _, (dS,) in _normal_blocks(seed, first, count, horizon, (scale,), _group_paths(horizon, 1)):
+    def blocks(first, count, group_blocks):
+        group = _group_paths(horizon, 1, group_blocks)
+        for _, (dS,) in _normal_blocks(seed, first, count, horizon, (scale,), group):
             m, cuts = np.full(dS.shape[1], m0), _cuts(dS.shape[1])
             records = [[] for _ in cuts]
             for n in range(1, horizon + 1):
@@ -1083,8 +1103,10 @@ def _sweep(eq, params, trader_index, specs, *, n_paths, horizon, seed, stats=Non
 
     others = [_coefficients(StrategySpec(), eq, j)[0] for j in range(params.k)]
 
-    def blocks(first, n):
-        for objs, _, dealer in _discounted(eq, params, others, i, rows, n, horizon, seed, first, stats=stats):
+    def blocks(first, n, group_blocks):
+        for objs, _, dealer in _discounted(
+            eq, params, others, i, rows, n, horizon, seed, first, group_blocks, stats=stats
+        ):
             ref = objs[reference_index]
             diffs = [None if r == reference_index else _moments(obj - ref) for r, obj in enumerate(objs)]
             yield [_moments(obj) for obj in objs], diffs, dealer

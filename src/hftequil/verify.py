@@ -16,7 +16,8 @@ Most Monte Carlo checks come from one streaming pass over shared paths:
 the simulator plays trader 0's equilibrium row and three neighbours
 block by block, and row 0, the game every trader plays at equilibrium,
 also feeds the dealer's profit, the impact regression and the
-mark-to-market. Memory therefore does not grow with the number of paths.
+mark-to-market. Memory therefore does not grow with the number of paths
+past 4096, where the simulator's walk holds its full share of blocks.
 ``paths`` is 0, which skips this battery, or an integer of at least 2.
 Three calls stay separate. The objective check runs over the full
 discount horizon rather than ``mc_horizon``, and the reduced-form witness

@@ -816,10 +816,7 @@ class TestDeviationSweep:
         want = objectives[2].objective.mean
         assert sweeps[2].rows[2].objective.mean == pytest.approx(want, rel=1e-12)
 
-    def test_memory_does_not_grow_with_paths(self, monkeypatch):
-        # A serial walk: at both path counts this process then advances full
-        # groups of blocks, whatever the host's CPU count.
-        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 1)
+    def test_memory_does_not_grow_with_paths(self):
         p = make_params(k=2, dt=0.01)
         eq, _ = solve_equilibrium(p)
         specs = [
@@ -995,10 +992,40 @@ class TestGroups:
     def test_group_size(self):
         # 2 streams at horizon 256 fill GROUP_BYTES in 4 blocks; past horizon
         # 512 two blocks would overfill it, and a group is one block
-        assert simulator._group_paths(256, 2) == 4 * BLOCK_PATHS
-        assert simulator._group_paths(450, 2) == 2 * BLOCK_PATHS
-        assert simulator._group_paths(513, 2) == simulator._group_paths(20000, 2) == BLOCK_PATHS
-        assert simulator._group_paths(512, 1) == 4 * BLOCK_PATHS
+        assert simulator._group_paths(256, 2, 4) == 4 * BLOCK_PATHS
+        assert simulator._group_paths(256, 2, 2) == 2 * BLOCK_PATHS
+        assert simulator._group_paths(450, 2, 4) == 2 * BLOCK_PATHS
+        assert simulator._group_paths(513, 2, 4) == simulator._group_paths(20000, 2, 4) == BLOCK_PATHS
+        assert simulator._group_paths(512, 1, 4) == 4 * BLOCK_PATHS
+        assert simulator._group_paths(16, 1, 0) == BLOCK_PATHS
+
+    @pytest.mark.parametrize("workers, widest", [(1, 4), (2, 2), (3, 1), (4, 1)])
+    def test_walk_shares_group_blocks_over_its_processes(self, monkeypatch, workers, widest):
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: workers)
+        p = make_params(k=1, dt=0.01, l0=[0.5])
+        eq, _ = solve_equilibrium(p)
+        widths = group_widths(monkeypatch)
+        simulate_second_moment(eq, 0, p, [16], n_paths=16 * BLOCK_PATHS, seed=6)
+        assert max(widths) == widest * BLOCK_PATHS, widths
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_memory_does_not_grow_with_paths_for_any_worker_count(self, monkeypatch, workers):
+        # the walk holds at most GROUP_BLOCKS blocks at once over its
+        # processes, so this process's share is full at 5000 paths already
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: workers)
+        p = make_params(k=2, dt=0.01)
+        eq, _ = solve_equilibrium(p)
+        specs = [StrategySpec.equilibrium(), StrategySpec.scaled(beta_scale=0.9), StrategySpec.with_z(0.5, 1.0)]
+        deviation_sweep(eq, p, 0, specs, n_paths=2, horizon=16, seed=1)  # one-time set-up
+        peaks = {}
+        for n_paths in (5000, 40000):
+            tracemalloc.start()
+            try:
+                deviation_sweep(eq, p, 0, specs, n_paths=n_paths, horizon=16, seed=1)
+                peaks[n_paths] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[40000] <= 1.5 * peaks[5000], peaks
 
     @pytest.mark.parametrize("horizon, blocks", [(256, 4), (600, 1)])
     def test_memory_holds_one_group(self, horizon, blocks):
@@ -1063,9 +1090,10 @@ class TestParallelWalk:
 
     def walks(self, monkeypatch, forks, call):
         """call() on the serial walk one block at a time, then in groups of
-        blocks on the serial walk and with 2 and with 3 workers."""
-        results, group_blocks = [], simulator.GROUP_BLOCKS
-        for workers, group in ((1, 1), (1, group_blocks), (2, group_blocks), (3, group_blocks)):
+        two blocks per process on the serial walk and with 2 and with 3
+        workers (GROUP_BLOCKS is shared out over a walk's processes)."""
+        results = []
+        for workers, group in ((1, 1), (1, 2), (2, 4), (3, 6)):
             monkeypatch.setattr(simulator, "_usable_cpus", lambda n=workers: n)
             monkeypatch.setattr(simulator, "GROUP_BLOCKS", group)
             before = len(forks)
@@ -1150,7 +1178,7 @@ class TestParallelWalk:
         assert len(forks) == 2
         assert_no_children()
         # a walk abandoned after its first record
-        walk = simulator._walk(lambda first, n: iter(range(first, first + n, 32)), 0, 100)
+        walk = simulator._walk(lambda first, n, group: iter(range(first, first + n, 32)), 0, 100)
         assert next(walk) == 0
         walk.close()
         assert len(forks) == 4

@@ -150,11 +150,8 @@ class TestFullBattery:
         assert moment.value > moment.threshold
         assert report.failures == ("moment_formula_mc",)
 
-    def test_memory_does_not_grow_with_paths(self, monkeypatch):
-        # rho dt = 0.05 keeps the objective's horizon at 270 periods. A serial
-        # walk: at both path counts this process then advances full groups of
-        # blocks, whatever the host's CPU count.
-        monkeypatch.setattr(hftequil.simulator, "_usable_cpus", lambda: 1)
+    def test_memory_does_not_grow_with_paths(self):
+        # rho dt = 0.05 keeps the objective's horizon at 270 periods.
         p = make_params(k=3, dt=0.1, rho=0.5)
         run_verification(p, paths=16, mc_horizon=8)  # one-time set-up
         peaks = {}
