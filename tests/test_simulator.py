@@ -1013,19 +1013,7 @@ class TestGroups:
         # the walk holds at most GROUP_BLOCKS blocks at once over its
         # processes, so this process's share is full at 5000 paths already
         monkeypatch.setattr(simulator, "_usable_cpus", lambda: workers)
-        p = make_params(k=2, dt=0.01)
-        eq, _ = solve_equilibrium(p)
-        specs = [StrategySpec.equilibrium(), StrategySpec.scaled(beta_scale=0.9), StrategySpec.with_z(0.5, 1.0)]
-        deviation_sweep(eq, p, 0, specs, n_paths=2, horizon=16, seed=1)  # one-time set-up
-        peaks = {}
-        for n_paths in (5000, 40000):
-            tracemalloc.start()
-            try:
-                deviation_sweep(eq, p, 0, specs, n_paths=n_paths, horizon=16, seed=1)
-                peaks[n_paths] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[40000] <= 1.5 * peaks[5000], peaks
+        TestDeviationSweep().test_memory_does_not_grow_with_paths()
 
     @pytest.mark.parametrize("horizon, blocks", [(256, 4), (600, 1)])
     def test_memory_holds_one_group(self, horizon, blocks):
