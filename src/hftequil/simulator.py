@@ -103,7 +103,8 @@ _MAX_PATH_INDEX = 2**63
 _MAX_SEED = 2**64
 DEFAULT_TAIL_TOL = 1e-6
 HORIZON_CAP = 10_000_000
-# Doubles that ``simulate`` may keep in one PathBatch, 2 GB.
+# Doubles that ``simulate`` may keep in one PathBatch, and that one process
+# of any run may hold in increments, 2 GB.
 MAX_FLOATS = 250_000_000
 # Paths per block: the unit whose moments, dealer sums and checkpoint records
 # are pooled, in block order, so a change of it reorders every pooled sum.
@@ -273,10 +274,13 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_args(params: ValidatedParams, trader_index=None, run=None) -> None:
+def _check_args(params: ValidatedParams, trader_index=None, run=None, streams=2) -> None:
     """The argument checks every entry point shares; None skips one.
 
     The game needs dt > 0; ``run`` is (horizon, seed, first_path, n_paths).
+    Each process of a walk holds ``streams`` time-major increment buffers of
+    at least min(n_paths, BLOCK_PATHS) paths, and a run whose buffers would
+    exceed ``MAX_FLOATS`` doubles is refused before anything is allocated.
     """
     if params.dt == 0.0:
         raise ValueError("simulation requires dt > 0")
@@ -293,6 +297,12 @@ def _check_args(params: ValidatedParams, trader_index=None, run=None) -> None:
         raise ValueError(f"n_paths must be an integer of at least 2, got {n_paths!r}")
     if not _is_int(first_path) or first_path < 0 or first_path + n_paths > _MAX_PATH_INDEX:
         raise ValueError(f"first_path must be an integer with path indices below 2^63, got {first_path!r}")
+    n_floats = horizon * min(n_paths, BLOCK_PATHS) * streams
+    if n_floats > MAX_FLOATS:
+        raise ValueError(
+            f"horizon {horizon} needs {n_floats} doubles of increments per process, "
+            f"above max_floats={MAX_FLOATS}; reduce the horizon"
+        )
 
 
 def _fill_normals(out: np.ndarray, seed: int, first_path: int, stream: int) -> None:
@@ -1000,7 +1010,7 @@ def simulate_second_moment(
         raise ValueError(f"checkpoints must be positive integer periods, got {checkpoints!r}")
     checkpoints = sorted(set(checkpoints))
     horizon = checkpoints[-1]
-    _check_args(params, trader_index, (horizon, seed, 0, n_paths))
+    _check_args(params, trader_index, (horizon, seed, 0, n_paths), streams=1)
     beta, phi = eq.betas[trader_index], eq.phis[trader_index]
     m0 = params.traders[trader_index].initial_inventory
     scale = params.sigma_S * math.sqrt(params.dt)

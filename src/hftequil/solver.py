@@ -38,7 +38,7 @@ __all__ = [
 
 BRACKET_WIDTH_REL = 1e-14
 SYSTEM_RESIDUAL_TOL = 1e-10
-_MAX_BRACKET_EXPANSIONS = 60
+_MAX_BRACKET_HALVINGS = 60
 
 
 class SolverError(RuntimeError):
@@ -142,23 +142,6 @@ def _newton(f, lo: float, hi: float, scale: float, f_lo: float, f_hi: float):
     return x, iterations, (lo, hi)
 
 
-def _expand(f, x: float, factor: float, sign: float, failure: str) -> tuple[float, float]:
-    """Multiply ``x`` by ``factor`` while sign * f(x) > 0; returns x and f(x).
-
-    ``f`` returns the value alone. Raises NoRootInBracket(failure) after
-    _MAX_BRACKET_EXPANSIONS steps.
-    """
-    fx = f(x)
-    expansions = 0
-    while sign * fx > 0:
-        x *= factor
-        expansions += 1
-        if expansions > _MAX_BRACKET_EXPANSIONS:
-            raise NoRootInBracket(failure)
-        fx = f(x)
-    return x, fx
-
-
 def _sum_left(values) -> float:
     """0.0 + v_0 + v_1 + ..., rounded at every step: the built-in sum() of
     CPython 3.11. From 3.12 sum() compensates float rounding, so its last
@@ -202,32 +185,14 @@ def _trader_rows(params: ValidatedParams) -> tuple[tuple[float, float, float, fl
 # s = gamma_i dt (beta_sigma^2 + r)/P and w = rho_i dt + s. Its positive root
 # phi_i = 2s/(w + q) and 1 - phi_i = 2/(w + q + 2d), with q = sqrt(w^2 + 4ds),
 # involve no subtraction. The excess is h(beta_sigma) = sum_i beta_i -
-# beta_sigma. The three evaluators below repeat the per-trader lines, each
-# computing only what its caller reads, with the same operations in the
-# same order, so they agree bit for bit.
-
-
-def _excess(rows, r: float, c: float):
-    """Value-only excess h(beta_sigma), for the bracket."""
-    c2 = 2.0 * c
-    sqrt = math.sqrt
-
-    def h(beta_sigma: float) -> float:
-        P = beta_sigma + c2 * (r + beta_sigma * beta_sigma)
-        s_per_gdt = (beta_sigma * beta_sigma + r) / P
-        sum_x = 0.0
-        for gdt, rdt, d4, d2 in rows:
-            s = gdt * s_per_gdt
-            w = rdt + s
-            q = sqrt(w * w + d4 * s)
-            sum_x += 2.0 / (w + q + d2)
-        return r / P * sum_x - beta_sigma
-
-    return h
+# beta_sigma. The bracket and Newton's steps read it from one evaluator,
+# which forms the slope too; ``_responses`` repeats its per-trader lines at
+# the root, with the same operations in the same order, so they agree bit
+# for bit.
 
 
 def _excess_and_slope(rows, r: float, c: float):
-    """(h, dh/dbeta_sigma) at beta_sigma, for Newton's steps."""
+    """(h, dh/dbeta_sigma) at beta_sigma, for the bracket and Newton's steps."""
     c2 = 2.0 * c
     c4 = 4.0 * c
     sqrt = math.sqrt
@@ -331,13 +296,26 @@ def _solve_fixed_point(params: ValidatedParams, rows):
     2 d_i P grows. So each beta_i falls and h' < -1, taxed or untaxed, at
     every dt >= 0 (for several informed traders, see Holden & Subrahmanyam
     1992, J. Finance 47:247); ``_newton`` refuses a slope that is not negative.
+
+    Only the lower end of the bracket is searched, halving from 1e-12 m with
+    m = sigma_K/sigma_S while h < 0. The upper end hi = (sqrt(k) + 1) m
+    needs no search: phi_i >= 0 and P >= beta_sigma give beta_i <= r/beta_sigma,
+    so h(hi) <= k r/hi - hi = -m (2 sqrt(k) + 1)/(sqrt(k) + 1) < 0.
     """
     m = params.sigma_K / params.sigma_S
-    r = params.vol_ratio_sq
-    h = _excess(rows, r, params.tax)
-    hi, h_hi = _expand(h, math.sqrt(params.k) * m + m, 2.0, 1.0, "aggregate fixed point not bracketed above")
-    lo, h_lo = _expand(h, 1e-12 * m, 0.5, -1.0, "aggregate fixed point not bracketed below")
-    return _newton(_excess_and_slope(rows, r, params.tax), lo, hi, m, h_lo, h_hi)
+    h = _excess_and_slope(rows, params.vol_ratio_sq, params.tax)
+    hi = math.sqrt(params.k) * m + m
+    h_hi = h(hi)[0]
+    lo = 1e-12 * m
+    h_lo = h(lo)[0]
+    halvings = 0
+    while h_lo < 0:
+        lo *= 0.5
+        halvings += 1
+        if halvings > _MAX_BRACKET_HALVINGS:
+            raise NoRootInBracket("aggregate fixed point not bracketed below")
+        h_lo = h(lo)[0]
+    return _newton(h, lo, hi, m, h_lo, h_hi)
 
 
 def solve_taxed(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagnostics]:

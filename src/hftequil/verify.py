@@ -36,6 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import ValidatedParams
 from .solver import (
     SYSTEM_RESIDUAL_TOL,
@@ -352,7 +354,8 @@ def run_verification(
     """Solve the game for ``params`` and run every applicable check.
 
     ``paths = 0`` skips the Monte Carlo battery; any other count must be an
-    integer of at least 2. Value-layer checks run for the untaxed game at
+    integer of at least 2. ``mc_horizon`` and ``seed`` are checked first
+    too, whatever ``paths`` is. Value-layer checks run for the untaxed game at
     dt > 0, where the quadratic value function applies. ``strict=True``
     halves every deterministic gate and runs four times ``paths``, which
     halves the Monte Carlo checks' absolute tolerances at the same number
@@ -360,6 +363,10 @@ def run_verification(
     """
     if not sim._is_int(paths) or paths < 0 or paths == 1:
         raise ValueError(f"paths must be 0 or an integer of at least 2, got {paths!r}")
+    if not sim._is_int(mc_horizon) or mc_horizon < 1:
+        raise ValueError(f"mc_horizon must be an integer of at least 1, got {mc_horizon!r}")
+    if not sim._is_int(seed) or not 0 <= seed < sim._MAX_SEED:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     gate_scale = 0.5 if strict else 1.0
     if strict:
         paths *= 4
@@ -376,5 +383,9 @@ def run_verification(
         value_results, coeff_list = _check_value_layer(eq, params, identity_gate, gate_scale * _DPE_GATE)
         results.extend(value_results)
     if paths and params.dt > 0.0:
-        results.extend(_mc_checks(eq, params, coeff_list, identity_gate, paths, seed, mc_horizon))
+        # A huge initial inventory overflows some Monte Carlo sums to inf, and
+        # inf - inf is NaN; such an estimate fails its check with value inf.
+        # Forked workers inherit the error state.
+        with np.errstate(over="ignore", invalid="ignore"):
+            results.extend(_mc_checks(eq, params, coeff_list, identity_gate, paths, seed, mc_horizon))
     return VerificationReport(tuple(results))

@@ -405,6 +405,14 @@ class TestSimulate:
         )
         assert code == 2 and "--horizon" in err
 
+    def test_a_horizon_too_large_to_hold_is_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--sigma-s", "1", "--sigma-k", "1", "--dt", "0.1", "--paths", "8",
+            "--horizon", "1000000000000000",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: horizon 1000000000000000 needs") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_text_output_all_pass(self, capsys):
@@ -430,6 +438,21 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", *BASE, "--paths", paths, *flags)
         assert code == 2 and out == ""
         assert err == f"error: paths must be 0 or an integer of at least 2, got {paths}\n"
+
+    def test_a_bad_seed_exits_2_without_monte_carlo_paths(self, capsys):
+        code, out, err = run_cli(capsys, "verify", *BASE, "--paths", "0", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: seed must be an integer in [0, 2^64), got -1\n"
+
+    @pytest.mark.parametrize("l0", ["1e100", "1e200"])
+    def test_a_huge_initial_inventory_reports_under_warnings_as_errors(self, capsys, l0):
+        argv = ["--sigma-s", "1", "--sigma-k", "1", "--dt", "0.1", "--l0", l0, "--paths", "64"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 1
+        assert len(out.strip().split("\n")) == 16 and "FAIL zero_profit_mc value=inf" in out
+        assert err.startswith("verification failed: ") and err.count("\n") == 1
 
     def test_json_output_serializes(self, capsys):
         code, out, _ = run_cli(

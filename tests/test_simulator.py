@@ -217,6 +217,22 @@ class TestEntryPointRefusals:
         with pytest.raises(ValueError, match="out of range"):
             _entry_points(eq, p, index)[name]()
 
+    def test_a_horizon_whose_increments_exceed_max_floats(self):
+        # At 10^15 periods the increments alone would be petabytes; each
+        # entry point refuses before anything is allocated.
+        p = make_params(k=2, dt=0.01)
+        eq, _ = solve_equilibrium(p)
+        h = 10**15
+        calls = (
+            lambda: simulate(eq, None, p, n_paths=8, horizon=h),
+            lambda: simulate_objective(eq, None, p, 0, n_paths=8, horizon=h, tail_tol=None),
+            lambda: deviation_sweep(eq, p, 0, [StrategySpec.equilibrium()], n_paths=8, horizon=h),
+            lambda: simulate_second_moment(eq, 0, p, [1, h], n_paths=8),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^horizon {h} needs .* above max_floats="):
+                call()
+
 
 class TestHandRolledRecursion:
     def test_every_series_matches_a_python_loop(self):

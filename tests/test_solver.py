@@ -22,7 +22,7 @@ from hftequil import (
     system_residual,
     validate_equilibrium,
 )
-from hftequil.solver import SYSTEM_RESIDUAL_TOL, _excess, _excess_and_slope, _newton, _responses, _trader_rows
+from hftequil.solver import SYSTEM_RESIDUAL_TOL, _excess_and_slope, _newton, _responses, _trader_rows
 from hftequil.verify import _QUARTIC_GATE, _check_quartic, _quartic, _quartic_scale
 from helpers import make_params
 
@@ -451,16 +451,44 @@ def test_taxed_games_solve_directly_at_their_tax_rate(log_ratio, log_dt, traders
         tax=0.0 if log_tax is None else 10.0**log_tax / m,
     )
     rows, r = _trader_rows(p), p.vol_ratio_sq
-    h, h_and_slope = _excess(rows, r, p.tax), _excess_and_slope(rows, r, p.tax)
+    h_and_slope = _excess_and_slope(rows, r, p.tax)
     lo, hi = 1e-12 * m, (math.sqrt(p.k) + 1.0) * m
     grid = [lo * (hi / lo) ** (j / 399) for j in range(400)]
-    excess = [h(x) for x in grid]
+    excess = [h_and_slope(x)[0] for x in grid]
     assert all(a > b for a, b in zip(excess, excess[1:]))
     assert all(h_and_slope(x)[1] < 0.0 for x in grid)
     eq, diag = solve_taxed(p)
     assert eq.tax == p.tax
     assert diag.continuation_steps == 0
     validate_equilibrium(eq, p)
+
+
+@given(
+    k=st.integers(1, 100),
+    log_ratio=st.floats(-4.0, 4.0),
+    dt=st.one_of(st.just(0.0), st.floats(1e-9, 0.3)),
+    traders=st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(0.01, 1.0)), min_size=1, max_size=4),
+    log_tax=st.one_of(st.none(), st.floats(-6.0, 2.0)),
+)
+def test_the_upper_bracket_end_needs_no_search(k, log_ratio, dt, traders, log_tax):
+    """beta_i <= r/P <= r/beta_sigma, so at hi = (sqrt(k) + 1) sigma_K/sigma_S
+    the excess is at most k r/hi - hi < 0: the solver takes hi as the upper
+    end of its bracket without evaluating anything further out."""
+    m = 10.0**log_ratio
+    cycle = [traders[i % len(traders)] for i in range(k)]
+    p = make_params(
+        dt=dt,
+        gammas=[g for g, _ in cycle],
+        rhos=[r for _, r in cycle],
+        sigma_K=m,
+        # up to 100 times the impact scale sigma_S/sigma_K
+        tax=0.0 if log_tax is None else 10.0**log_tax / m,
+    )
+    r = p.vol_ratio_sq
+    hi = (math.sqrt(k) + 1.0) * m
+    h_hi = _excess_and_slope(_trader_rows(p), r, p.tax)(hi)[0]
+    assert h_hi < 0.0
+    assert h_hi <= (k * r / hi - hi) * (1.0 - 1e-12)
 
 
 @given(
@@ -595,9 +623,8 @@ def _reference_excess(params, c):
     bs_scale=st.floats(1e-3, 8.0),
 )
 def test_split_excess_evaluators_match_the_full_pass_bit_for_bit(log_ratio, dt, traders, log_tax, bs_scale):
-    """The value-only excess, the Newton pair and the responses pass each
-    return exactly what the single full pass returns, taxed, untaxed and at
-    dt = 0."""
+    """The excess-and-slope pair and the responses pass each return exactly
+    what the single full pass returns, taxed, untaxed and at dt = 0."""
     m = 10.0**log_ratio
     p = make_params(
         dt=dt,
@@ -610,7 +637,6 @@ def test_split_excess_evaluators_match_the_full_pass_bit_for_bit(log_ratio, dt, 
     ref = _reference_excess(p, p.tax)
     bs = bs_scale * m * math.sqrt(p.k)
     excess, slope, betas, phis = ref(bs)
-    assert _excess(rows, r, p.tax)(bs) == excess
     assert _excess_and_slope(rows, r, p.tax)(bs) == (excess, slope)
     assert _responses(bs, rows, r, p.tax) == (betas, phis)
 

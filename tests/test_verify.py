@@ -82,6 +82,19 @@ class TestFullBattery:
         with pytest.raises(ValueError, match="paths must be 0 or an integer of at least 2"):
             run_verification(make_params(dt=0.004), paths=paths)
 
+    @pytest.mark.parametrize("paths", [0, 64])
+    @pytest.mark.parametrize(
+        "name, bad",
+        [("mc_horizon", 0), ("mc_horizon", 2.5), ("mc_horizon", True),
+         ("seed", -3), ("seed", 2.5), ("seed", True), ("seed", 2**64)],
+    )
+    def test_a_bad_mc_horizon_or_seed_is_refused_before_the_solve(self, monkeypatch, paths, name, bad):
+        # a solve would raise ConstraintViolated, which is no ValueError
+        monkeypatch.setattr(hftequil.verify, "solve_equilibrium", _raise_value_invariant)
+        wanted = {"mc_horizon": "an integer of at least 1", "seed": r"an integer in \[0, 2\^64\)"}[name]
+        with pytest.raises(ValueError, match=f"^{name} must be {wanted}, got {bad}$"):
+            run_verification(make_params(dt=0.1), paths=paths, **{name: bad})
+
     @pytest.mark.parametrize("paths", [1, -3])
     def test_strict_refuses_a_count_before_quadrupling_it(self, paths):
         with pytest.raises(ValueError, match=f"at least 2, got {paths}$"):
@@ -203,9 +216,8 @@ class TestFullBattery:
         assert witness.value > _IDENTITY_GATE * 1.29
 
     # Such inventories overflow some Monte Carlo sums to inf, and inf - inf
-    # is NaN; numpy warns of both.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    # is NaN; the battery asks numpy not to warn of either.
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("l0", [1e20, 1e100, 1e200])
     def test_a_huge_initial_inventory_gives_a_report(self, l0):
         # Unit noise is below one ulp of these inventories, so Monte Carlo
