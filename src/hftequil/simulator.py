@@ -279,8 +279,9 @@ def _check_args(params: ValidatedParams, trader_index=None, run=None, streams=2)
 
     The game needs dt > 0; ``run`` is (horizon, seed, first_path, n_paths).
     Each process of a walk holds ``streams`` time-major increment buffers of
-    at least min(n_paths, BLOCK_PATHS) paths, and a run whose buffers would
-    exceed ``MAX_FLOATS`` doubles is refused before anything is allocated.
+    at least min(n_paths, BLOCK_PATHS) paths, and ``_check_increments``
+    refuses a run whose buffers would exceed ``MAX_FLOATS`` doubles before
+    anything is allocated.
     """
     if params.dt == 0.0:
         raise ValueError("simulation requires dt > 0")
@@ -297,6 +298,12 @@ def _check_args(params: ValidatedParams, trader_index=None, run=None, streams=2)
         raise ValueError(f"n_paths must be an integer of at least 2, got {n_paths!r}")
     if not _is_int(first_path) or first_path < 0 or first_path + n_paths > _MAX_PATH_INDEX:
         raise ValueError(f"first_path must be an integer with path indices below 2^63, got {first_path!r}")
+    _check_increments(horizon, n_paths, streams)
+
+
+def _check_increments(horizon: int, n_paths: int, streams: int = 2) -> None:
+    """Refuse a run whose ``streams`` time-major increment buffers of
+    min(n_paths, BLOCK_PATHS) paths would exceed ``MAX_FLOATS`` doubles."""
     n_floats = horizon * min(n_paths, BLOCK_PATHS) * streams
     if n_floats > MAX_FLOATS:
         raise ValueError(

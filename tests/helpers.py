@@ -24,3 +24,27 @@ def make_params(
         for g, r, l in zip(gs, rs, l0s)
     )
     return ValidatedParams(sigma_S=sigma_S, sigma_K=sigma_K, dt=dt, traders=traders, tax=tax)
+
+
+def mispriced_profit(p, eq, horizon, lambda_scale):
+    """Exact mean of ``dealer_profit_check(batch, lambda_scale).profit`` on an
+    equilibrium batch of ``horizon`` periods.
+
+    The dealer then earns (lambda_scale - 1) lam E[dY_n^2] in period n on
+    average. With dY_n = x_n - sum_j phi_j M^j_{n-1} and the effective flow x_n
+    independent of the predictions, E[dY_n^2] = var x + sum_ij phi_i phi_j
+    E[M^i M^j]_{n-1}, where M' = (1 - phi) M + beta dS gives E[M^i M^j]_n =
+    a^n M^i_0 M^j_0 + c (1 - a^n) / (1 - a) with a = (1 - phi_i)(1 - phi_j) and
+    c = beta_i beta_j sigma_S^2 dt. The check averages the periods' profits.
+    """
+    var_x = (p.sigma_K**2 + eq.beta_sigma**2 * p.sigma_S**2) * p.dt
+    m0 = p.initial_inventories
+    predicted = 0.0
+    for i in range(p.k):
+        for j in range(p.k):
+            a = (1.0 - eq.phis[i]) * (1.0 - eq.phis[j])
+            c = eq.betas[i] * eq.betas[j] * p.sigma_S**2 * p.dt
+            # sum of a^n over n = 0 .. horizon - 1
+            geom = (1.0 - a**horizon) / (1.0 - a)
+            predicted += eq.phis[i] * eq.phis[j] * (m0[i] * m0[j] * geom + c * (horizon - geom) / (1.0 - a))
+    return (lambda_scale - 1.0) * eq.lam * (var_x + predicted / horizon)

@@ -35,7 +35,7 @@ from hftequil import (
 )
 from hftequil import run_verification, simulator
 from hftequil.simulator import BLOCK_PATHS, DEFAULT_TAIL_TOL, _fill_normals, _normal_blocks
-from helpers import make_params
+from helpers import make_params, mispriced_profit
 
 
 def normals(seed, path, stream, n):
@@ -681,7 +681,6 @@ class TestDealer:
         check = dealer_profit_check(batch)
         assert check.lambda_scale == 1.0
         assert abs(check.profit.mean) <= 4.0 * check.profit.std_error
-        assert check.covers_zero
         assert abs(check.slope - eq.lam) <= 4.0 * check.slope_se
 
     @pytest.mark.parametrize("lambda_scale", [1.0, 1.1])
@@ -699,11 +698,22 @@ class TestDealer:
         assert check.slope == pytest.approx(slope, rel=1e-12)
         assert check.slope_se == pytest.approx(slope_se, rel=1e-10)
 
+    def test_mispriced_profit_sums_the_moment_recursion(self):
+        # the closed form against E[M M'] propagated period by period
+        p = make_params(k=2, dt=0.01, gammas=[0.5, 2.0], l0=[0.3, -0.6])
+        eq, _ = solve_equilibrium(p)
+        phi, beta = np.array(eq.phis), np.array(eq.betas)
+        var_x = (p.sigma_K**2 + eq.beta_sigma**2 * p.sigma_S**2) * p.dt
+        cov, total = np.outer(p.initial_inventories, p.initial_inventories), 0.0
+        for _ in range(300):
+            total += var_x + phi @ cov @ phi
+            cov = np.outer(1.0 - phi, 1.0 - phi) * cov + np.outer(beta, beta) * p.sigma_S**2 * p.dt
+        assert mispriced_profit(p, eq, 300, 1.1) == pytest.approx(0.1 * eq.lam * total / 300, rel=1e-12)
+
     def test_mispriced_flow_is_detected(self):
         p, eq, batch = self.make_batch()
         check = dealer_profit_check(batch, lambda_scale=1.1)
-        var_x = (p.sigma_K**2 + eq.beta_sigma**2 * p.sigma_S**2) * p.dt
-        want = 0.1 * eq.lam * var_x
+        want = mispriced_profit(p, eq, batch.horizon, 1.1)
         assert check.profit.mean > 4.0 * check.profit.std_error
         assert abs(check.profit.mean - want) <= 4.0 * check.profit.std_error
 

@@ -1,4 +1,5 @@
 """End-to-end verification battery over representative parameter sets."""
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,7 +11,6 @@ from hftequil import (
     CheckResult,
     ConstraintViolated,
     VerificationReport,
-    load_config,
     run_verification,
 )
 from hftequil.verify import _IDENTITY_GATE, _MC_SIGMAS, _max_z_gate, _z_check
@@ -95,6 +95,17 @@ class TestFullBattery:
         with pytest.raises(ValueError, match=f"^{name} must be {wanted}, got {bad}$"):
             run_verification(make_params(dt=0.1), paths=paths, **{name: bad})
 
+    @pytest.mark.parametrize("mc_horizon, strict", [(10**15, False), (10**6, True)])
+    def test_a_horizon_too_long_for_the_paths_is_refused_before_the_solve(self, monkeypatch, mc_horizon, strict):
+        # 10^6 periods fit 64 paths' increments but not the 256 that strict mode runs
+        monkeypatch.setattr(hftequil.verify, "solve_equilibrium", _raise_value_invariant)
+        with pytest.raises(ValueError, match=f"^horizon {mc_horizon} needs .* above max_floats="):
+            run_verification(make_params(dt=0.1), paths=64, mc_horizon=mc_horizon, strict=strict)
+
+    def test_no_paths_need_no_increments(self):
+        report = run_verification(make_params(dt=0.004), paths=0, mc_horizon=10**15)
+        assert {r.name for r in report.results} == DETERMINISTIC_K1
+
     @pytest.mark.parametrize("paths", [1, -3])
     def test_strict_refuses_a_count_before_quadrupling_it(self, paths):
         with pytest.raises(ValueError, match=f"at least 2, got {paths}$"):
@@ -132,20 +143,29 @@ class TestFullBattery:
         assert moment.passed, moment.value
         assert report.passed, report.failures
 
-    def test_moment_check_gates_the_largest_z_at_the_family_rate(self):
-        # One game where the largest of the three checkpoint z-scores is
-        # 4.006 on correct code: above mc_sigmas, below the family gate.
-        cfg = {
-            "sigma_S": 1.3631544510795928,
-            "sigma_K": 3.1275485984577633,
-            "dt": 0.0023240186099862956,
-            "traders": [{"gamma": 4.40453777485641, "rho": 21.514457666195213}],
-        }
-        report = run_verification(load_config(cfg), seed=1244839392202525502)
+    @pytest.mark.parametrize("largest, passed", [(4.1, True), (4.3, False)])
+    def test_moment_check_gates_the_largest_z_at_the_family_rate(self, monkeypatch, largest, passed):
+        # The checkpoints' estimates sit 0.5, -1 and `largest` standard errors
+        # from their targets: 4.1 is above mc_sigmas and below the family gate
+        # for three checkpoints, 4.2528, and 4.3 is above both.
+        p = make_params(k=2, dt=0.1, gammas=[0.5, 2.0], l0=[0.8, -0.3])
+
+        def chosen_moments(eq, i, params, checkpoints, **kwargs):
+            se = 0.01
+            return {
+                n: hftequil.simulator.Estimate(
+                    hftequil.simulator.inventory_second_moment(eq, i, params, n, M0=0.8) + z * se, se, 64
+                )
+                for n, z in zip(checkpoints, (0.5, -1.0, largest))
+            }
+
+        monkeypatch.setattr(hftequil.simulator, "simulate_second_moment", chosen_moments)
+        report = run_verification(p, paths=64, mc_horizon=64)
         moment = next(r for r in report.results if r.name == "moment_formula_mc")
         assert moment.threshold == _max_z_gate(4.0, 3)
-        assert _MC_SIGMAS < moment.value < moment.threshold
-        assert report.passed, report.failures
+        assert _MC_SIGMAS < largest
+        assert moment.value == pytest.approx(largest, rel=1e-9)
+        assert moment.passed == passed
 
     def test_moment_check_still_catches_moments_started_from_zero(self, monkeypatch):
         # Simulate trader 0's predictions from M0 = 0 while the target keeps l0.
@@ -162,6 +182,46 @@ class TestFullBattery:
         assert moment.threshold == _max_z_gate(4.0, 3)
         assert moment.value > moment.threshold
         assert report.failures == ("moment_formula_mc",)
+
+    @pytest.mark.parametrize("z, passed", [(3.9, True), (4.1, False)])
+    def test_deviation_check_gates_the_paired_differences(self, monkeypatch, z, passed):
+        # The beta x 1.15 row tops the equilibrium row's objective by z paired
+        # standard errors, so it has the largest sample mean; only z decides.
+        sweep = hftequil.simulator._sweep
+
+        def shifted(*args, **kwargs):
+            result = sweep(*args, **kwargs)
+            rows = list(result.rows)
+            ref, diff = rows[result.reference_index].objective, rows[1].difference
+            gap = z * diff.std_error
+            rows[1] = dataclasses.replace(
+                rows[1],
+                objective=dataclasses.replace(ref, mean=ref.mean + gap),
+                difference=dataclasses.replace(diff, mean=gap),
+            )
+            result = dataclasses.replace(result, rows=tuple(rows))
+            assert result.best_index == 1
+            return result
+
+        monkeypatch.setattr(hftequil.simulator, "_sweep", shifted)
+        report = run_verification(make_params(dt=0.1), paths=64, mc_horizon=64)
+        check = next(r for r in report.results if r.name == "deviation_argmax_mc")
+        assert check.threshold == _MC_SIGMAS
+        assert check.value == pytest.approx(z, rel=1e-12)
+        assert check.passed == passed
+
+    def test_deviation_check_fails_a_wrongly_solved_equilibrium(self, monkeypatch):
+        # Negative control at the default paths: trader 0's beta 20% low.
+        solve = hftequil.verify.solve_equilibrium
+
+        def wrong(params):
+            eq, diagnostics = solve(params)
+            return dataclasses.replace(eq, betas=(0.8 * eq.betas[0],) + eq.betas[1:]), diagnostics
+
+        monkeypatch.setattr(hftequil.verify, "solve_equilibrium", wrong)
+        report = run_verification(make_params(dt=0.99, gamma=1.0, rho=1.0))
+        check = next(r for r in report.results if r.name == "deviation_argmax_mc")
+        assert not check.passed and check.value > check.threshold == _MC_SIGMAS
 
     def test_memory_does_not_grow_with_paths(self):
         # rho dt = 0.05 keeps the objective's horizon at 270 periods.
