@@ -1,16 +1,20 @@
 """Monte Carlo engine for the trading game.
 
 Paths are driven by counter-based random streams (Philox; Salmon et al.,
-SC'11): path p's signal and noise increments come from a Philox generator
-keyed by [(p << 1) | stream, seed] with a zero counter, so every path is
-reproducible on its own and results do not depend on blocking. One bit
-generator is re-keyed per path by setting its state, which gives the same
-numbers as a fresh ``Philox(key=...)`` without the seed sequence that
-construction runs. Dealers always price with the equilibrium rule; traders
-can play the equilibrium strategy, a scaled variant, or carry an inventory
-gap that they work down at a chosen rate. The dealer's inventory predictions
-follow the equilibrium recursion no matter what is actually traded, which
-is what makes deviations detectable only through the order flow.
+SC'11). Paths come in chunks of ``STREAM_PATHS`` = 128, and chunk c's
+signal and noise increments come from the Philox generators keyed by
+[(c << 1) | stream, seed] with a zero counter, each read time-major: period
+n + 1 of the chunk's path j is its stream's normal 128 n + j. So a path's
+increments depend only on (seed, path, stream, period); they do not change
+with blocking or with the slice of paths drawn, and a shorter horizon
+reads a prefix of them. One bit generator is re-keyed per chunk by setting
+its state, which gives the same numbers as a fresh ``Philox(key=...)``
+without the seed sequence that construction runs. Dealers always price
+with the equilibrium rule; traders can play the equilibrium strategy, a
+scaled variant, or carry an inventory gap that they work down at a chosen
+rate. The dealer's inventory predictions follow the equilibrium recursion
+no matter what is actually traded, which is what makes deviations
+detectable only through the order flow.
 
 Every strategy trades a fixed linear combination of the signal move dS,
 the dealer's prediction M and the trader's own inventory L, so one kernel,
@@ -52,8 +56,8 @@ for bit, and a path's values do not depend on blocking; only a change of
 ``BLOCK_PATHS`` reorders the pooled sums. Each of w processes of a walk,
 the caller included, advances groups of up to ``GROUP_BLOCKS`` // w blocks
 and needs one group's buffers, 16 kB of increments per period and block
-plus a 1 kB per period scratch, and its records, under 1 kB per block plus,
-for verify's pass, 24 bytes per period per block. A worker's other pages
+plus a tile of at most 128 kB, and its records, under 1 kB per block
+plus, for verify's pass, 24 bytes per period per block. A worker's other pages
 are shared with the caller until written; the pages it does write came to
 at most 25 MB of private memory per worker over criterion 06's sweeps
 (groups of two blocks at horizon 450) and at most 12 MB over verify's
@@ -122,9 +126,10 @@ BLOCK_PATHS = 1024
 # count, as with one block per worker on a 4-CPU host.
 GROUP_BLOCKS = 4
 GROUP_BYTES = 16 * 2**20
-# Paths whose normals are drawn into one (paths, horizon) scratch before they
-# are transposed into a block's time-major buffers.
-FILL_PATHS = 128
+# Paths that share one Philox stream per stream of increments, a chunk: the
+# stream is read time-major, one row of STREAM_PATHS normals per period, so
+# its numbers are drawn by a few numpy calls per chunk, not one per path.
+STREAM_PATHS = 128
 # CPython 3.12 and later warn when a process with several OS threads forks.
 _FORK_WARNS = sys.version_info >= (3, 12)
 
@@ -312,12 +317,12 @@ def _check_increments(horizon: int, n_paths: int, streams: int = 2) -> None:
         )
 
 
-def _fill_normals(out: np.ndarray, seed: int, first_path: int, stream: int) -> None:
-    """One Philox stream per (seed, path, stream); rows are chunk-independent.
-
-    A single bit generator is re-keyed for each row. The state it is given is
-    the one ``Philox(key=[(path << 1) | stream, seed])`` starts from: zero
-    counter and an exhausted output buffer.
+def _chunk_streams(seed: int):
+    """Return ``rekey(chunk, stream)``: it sets one Philox bit generator to the
+    state ``Philox(key=[(chunk << 1) | stream, seed])`` starts from, a zero
+    counter and an exhausted output buffer, and returns its generator's
+    ``standard_normal``. Setting the state skips the seed sequence that
+    constructing a generator runs.
     """
     bitgen = np.random.Philox(0)
     normal = np.random.Generator(bitgen).standard_normal
@@ -330,10 +335,13 @@ def _fill_normals(out: np.ndarray, seed: int, first_path: int, stream: int) -> N
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for j, row in enumerate(out, first_path):
-        key[0] = (j << 1) | stream
+
+    def rekey(chunk: int, stream: int):
+        key[0] = (chunk << 1) | stream
         bitgen.state = state
-        normal(out=row)
+        return normal
+
+    return rekey
 
 
 def _group_paths(horizon: int, streams: int, group_blocks: int) -> int:
@@ -350,24 +358,37 @@ def _cuts(width: int) -> list[slice]:
 def _normal_blocks(seed: int, first_path: int, n_paths: int, horizon: int, scales, group: int):
     """Yield (start, arrays): scaled time-major increments for each group of paths.
 
-    Stream s is filled ``FILL_PATHS`` paths at a time into a reused
-    (FILL_PATHS, horizon) scratch, and each such sub-block is transposed,
-    times scales[s], straight into its columns of a reused (horizon, b)
-    buffer, so row n holds period n + 1 for the group's b paths, at most
-    ``group``. The yielded arrays are overwritten by the next group.
+    Path p is column p mod ``STREAM_PATHS`` of chunk c = p // STREAM_PATHS,
+    whose stream s is the Philox stream keyed [(c << 1) | s, seed] read
+    time-major: its normal n STREAM_PATHS + j is period n + 1 of the chunk's
+    path j. So a path's increments depend only on (seed, path, stream,
+    period), and a shorter horizon reads a prefix. Each chunk that the
+    group's paths touch is drawn whole, at most ``STREAM_PATHS`` periods at a
+    time, into a reused (periods, STREAM_PATHS) tile, and the tile's columns
+    for the group's paths are copied, times scales[s], into its rows of a
+    reused (horizon, b) buffer, so row n holds period n + 1 for the group's
+    b paths, at most ``group``. The yielded arrays are overwritten by the
+    next group.
     """
     width = min(group, n_paths)
-    scratch = np.empty((min(FILL_PATHS, width), horizon))
+    tile = np.empty((min(STREAM_PATHS, horizon), STREAM_PATHS))
     bufs = [np.empty(width * horizon) for _ in scales]
+    rekey = _chunk_streams(seed)
     for start in range(0, n_paths, group):
+        lo = first_path + start
         b = min(group, n_paths - start)
         arrays = []
         for stream, (scale, buf) in enumerate(zip(scales, bufs)):
             tm = buf[: horizon * b].reshape(horizon, b)
-            for lo in range(0, b, FILL_PATHS):
-                rows = scratch[: min(FILL_PATHS, b - lo)]
-                _fill_normals(rows, seed, first_path + start + lo, stream)
-                np.multiply(rows.T, scale, out=tm[:, lo : lo + rows.shape[0]])
+            for chunk in range(lo // STREAM_PATHS, (lo + b - 1) // STREAM_PATHS + 1):
+                # the chunk's columns a .. z - 1 are the group's off + a .. off + z - 1
+                off = chunk * STREAM_PATHS - lo
+                a, z = max(-off, 0), min(b - off, STREAM_PATHS)
+                normal = rekey(chunk, stream)
+                for n in range(0, horizon, len(tile)):
+                    rows = tile[: horizon - n]
+                    normal(out=rows)
+                    np.multiply(rows[:, a:z], scale, out=tm[n : n + len(rows), off + a : off + z])
             arrays.append(tm)
         yield start, arrays
 
@@ -1009,7 +1030,7 @@ def simulate_second_moment(
 
     Only the one trader's prediction recursion is simulated, from the
     trader's initial inventory; it is driven by the signal stream alone,
-    with the same per-path keying and update as the full game, so
+    with the same keying and update as the full game, so
     checkpoints line up with ``simulate`` output.
     """
     checkpoints = list(checkpoints)
@@ -1100,8 +1121,8 @@ def deviation_sweep(
     horizon is long enough that the rows' unpriced tails differ by less
     than their objective gaps. A row that trades harder gains now and pays
     for its inventory later: at k = 1, dt = 0.1, gamma = 1, rho = 0.05
-    (20,000 paths, seed 0) beta x 1.15 beats equilibrium by 23.0 standard
-    errors over one period and by 13.5 over two, and loses by 7.1 over four.
+    (20,000 paths, seed 0) beta x 1.15 beats equilibrium by 22.8 standard
+    errors over one period and by 12.0 over two, and loses by 9.1 over four.
     """
     return _sweep(eq, params, trader_index, specs, n_paths=n_paths, horizon=horizon, seed=seed)
 

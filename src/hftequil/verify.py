@@ -368,8 +368,8 @@ def run_verification(
     ``paths = 0`` skips the Monte Carlo battery; any other count must be an
     integer of at least 2. ``mc_horizon`` and ``seed`` are checked first
     too, whatever ``paths`` is, and so is the size of the increments that
-    ``mc_horizon`` needs at ``paths``. Value-layer checks run for the untaxed game at
-    dt > 0, where the quadratic value function applies. ``strict=True``
+    ``mc_horizon`` needs at ``paths``. Value-layer checks run for the
+    untaxed game at dt > 0, where the quadratic value function applies. ``strict=True``
     halves every deterministic gate and runs four times ``paths``, which
     halves the Monte Carlo checks' absolute tolerances at the same number
     of standard errors.

@@ -34,13 +34,20 @@ from hftequil import (
     solve_taxed,
 )
 from hftequil import run_verification, simulator
-from hftequil.simulator import BLOCK_PATHS, DEFAULT_TAIL_TOL, _fill_normals, _normal_blocks
+from hftequil.simulator import BLOCK_PATHS, DEFAULT_TAIL_TOL, STREAM_PATHS, _chunk_streams, _normal_blocks
 from helpers import make_params, mispriced_profit
 
 
-def normals(seed, path, stream, n):
-    key = np.array([(path << 1) | stream, seed], dtype=np.uint64)
+def chunk_stream(seed, chunk, stream, n):
+    """The first n normals of a chunk's stream, from a fresh generator."""
+    key = np.array([(chunk << 1) | stream, seed], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
+
+
+def normals(seed, path, stream, n):
+    """Periods 1 .. n of a path's stream: its column of its chunk's stream read time-major."""
+    chunk, column = divmod(path, STREAM_PATHS)
+    return chunk_stream(seed, chunk, stream, n * STREAM_PATHS).reshape(n, STREAM_PATHS)[:, column]
 
 
 def sample_estimate(values):
@@ -110,28 +117,45 @@ class TestRandomStreams:
         with pytest.raises(ValueError):
             simulate(eq, None, p, n_paths=1, horizon=4)
 
-    @pytest.mark.parametrize("first_path, seed", [(3, 7), (1000, 2**64 - 1), (2**63 - 200, 5)])
-    def test_rekeyed_fill_equals_fresh_generators(self, first_path, seed):
-        # Blocks of uneven size, each filled by one re-keyed bit generator.
-        for start, count in ((0, 1), (1, 5), (6, 33), (39, 2)):
-            for stream in (0, 1):
-                out = np.empty((count, 17))
-                _fill_normals(out, seed, first_path + start, stream)
-                for j in range(count):
-                    want = normals(seed, first_path + start + j, stream, 17)
-                    assert np.array_equal(out[j], want), (start, j, stream)
+    @pytest.mark.parametrize("seed", [7, 2**64 - 1])
+    def test_rekeyed_generator_equals_fresh_generators(self, seed):
+        # One bit generator re-keyed per chunk and stream, back and forth.
+        rekey = _chunk_streams(seed)
+        for chunk, stream in ((0, 0), (5, 1), (2**56 - 1, 0), (2**56 - 1, 1), (5, 1), (0, 0)):
+            assert np.array_equal(rekey(chunk, stream)(300), chunk_stream(seed, chunk, stream, 300)), (chunk, stream)
 
-    def test_time_major_blocks_are_the_scaled_streams(self):
-        seed, first_path, n_paths, horizon = 4, 11, 23, 9
-        seen = 0
-        for start, (ds, dk) in _normal_blocks(seed, first_path, n_paths, horizon, (0.5, 2.0), 10):
-            assert ds.shape == dk.shape == (horizon, min(10, n_paths - start))
+    @pytest.mark.parametrize("first_path, seed", [(11, 4), (250, 2**64 - 1), (2**63 - 300, 5)])
+    @pytest.mark.parametrize("horizon", [9, 130])
+    def test_time_major_blocks_are_the_scaled_streams(self, first_path, seed, horizon):
+        # Groups of 100 paths cut chunks of STREAM_PATHS paths at uneven
+        # columns, and 130 periods span two tiles.
+        n_paths, seen = 270, 0
+        for start, (ds, dk) in _normal_blocks(seed, first_path, n_paths, horizon, (0.5, 2.0), 100):
+            assert ds.shape == dk.shape == (horizon, min(100, n_paths - start))
             for j in range(ds.shape[1]):
                 path = first_path + start + j
                 assert np.array_equal(ds[:, j], normals(seed, path, 0, horizon) * 0.5)
                 assert np.array_equal(dk[:, j], normals(seed, path, 1, horizon) * 2.0)
             seen += ds.shape[1]
         assert seen == n_paths
+
+    def test_a_path_draws_the_same_increments_four_ways(self, monkeypatch):
+        # Path 300, off a chunk boundary: alone, inside a larger run, at
+        # another BLOCK_PATHS, and as the prefix of a longer horizon.
+        p = make_params(k=1, dt=0.01)
+        eq, _ = solve_equilibrium(p)
+        path, horizon = 300, 130
+        alone = simulate(eq, None, p, n_paths=2, horizon=horizon, seed=3, first_path=path)
+        larger = simulate(eq, None, p, n_paths=400, horizon=horizon, seed=3)
+        longer = simulate(eq, None, p, n_paths=2, horizon=3 * horizon, seed=3, first_path=path)
+        monkeypatch.setattr(simulator, "BLOCK_PATHS", 7)
+        blocked = simulate(eq, None, p, n_paths=50, horizon=horizon, seed=3, first_path=path - 20)
+        for stream, name, scale in ((0, "dS", p.sigma_S), (1, "dK", p.sigma_K)):
+            want = normals(3, path, stream, horizon) * (scale * math.sqrt(p.dt))
+            assert np.array_equal(getattr(alone, name)[0], want), name
+            assert np.array_equal(getattr(larger, name)[path], want), name
+            assert np.array_equal(getattr(blocked, name)[20], want), name
+            assert np.array_equal(getattr(longer, name)[0, :horizon], want), name
 
 
 class TestIntegerArguments:
