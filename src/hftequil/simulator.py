@@ -1090,12 +1090,17 @@ class DeviationSweepResult:
         return int(np.argmax(means))
 
     def reference_dominates(self, slack: float = 2.0) -> bool:
-        for i, row in enumerate(self.rows):
-            if i == self.reference_index:
-                continue
-            if row.difference.mean > slack * row.difference.std_error:
-                return False
-        return True
+        """No row's ``_paired_z`` exceeds ``slack``: no row beats the reference
+        by more than ``slack`` paired standard errors, and none is NaN."""
+        return all(_paired_z(row.difference) <= slack for row in self.rows if row.difference is not None)
+
+
+def _paired_z(difference: Estimate) -> float:
+    """A paired difference's mean in standard errors, signed. A zero standard
+    error gives 0 on a zero mean and +-inf otherwise; a NaN gives inf."""
+    mean, se = difference.mean, difference.std_error
+    z = mean / se if se else (0.0 if mean == 0.0 else math.copysign(math.inf, mean))
+    return z if z == z and mean == mean else math.inf
 
 
 def deviation_sweep(

@@ -264,14 +264,6 @@ def _z(estimate, target, std_error) -> float:
     return z if z == z else math.inf
 
 
-def _paired_z(difference) -> float:
-    """A row's paired difference from the reference in standard errors, signed.
-    A zero standard error gives 0 on a zero mean and +-inf otherwise; a NaN gives inf."""
-    mean, se = difference.mean, difference.std_error
-    z = mean / se if se else (0.0 if mean == 0.0 else math.copysign(math.inf, mean))
-    return z if z == z and mean == mean else math.inf
-
-
 def _z_check(name, estimate, target, std_error, sigmas, detail=""):
     """One Monte Carlo estimate held to its target within ``sigmas`` standard errors."""
     value = _z(estimate, target, std_error)
@@ -321,15 +313,14 @@ def _mc_checks(eq, params, coeff_list, identity_gate, paths, seed, mc_horizon):
             mc, se = res.objective.mean, res.objective.std_error
             results.append(_z_check("objective_value_mc", mc, target, se, sig, f"mc={mc!r} target={target!r}"))
 
-    # The paired differences alone gate the ranking, as reference_dominates
-    # (slack=sig) does, with a NaN failing: a neighbour whose sample mean
-    # tops the equilibrium row's by less than sig paired standard errors is
-    # noise, not an alarm.
-    worst = max(_paired_z(row.difference) for row in sweep.rows if row.difference is not None)
+    # The paired differences alone gate the ranking: a neighbour whose sample
+    # mean tops the equilibrium row's by less than sig paired standard errors
+    # is noise, not an alarm.
+    worst = max(sim._paired_z(row.difference) for row in sweep.rows if row.difference is not None)
     results.append(
         CheckResult(
             "deviation_argmax_mc",
-            worst <= sig,
+            sweep.reference_dominates(slack=sig),
             worst,
             sig,
             detail="no neighbour may beat the equilibrium row by more than the gate in paired standard errors",

@@ -22,6 +22,7 @@ from hftequil import (
     HorizonTooShort,
     InadmissibleStrategy,
     StrategySpec,
+    SweepRow,
     dealer_profit_check,
     default_horizon,
     deviation_sweep,
@@ -760,6 +761,18 @@ class TestDeviationSweep:
         assert result.rows[0].difference is None
         assert result.rows[1].difference.mean < 0.0
         assert result.trader_index == 0 and result.horizon == 60
+
+    @pytest.mark.parametrize(
+        "mean, std_error, dominates",
+        [(3.9, 1.0, True), (0.0, 0.0, True), (-1.0, 0.0, True), (4.1, 1.0, False), (1e-300, 0.0, False),
+         (math.inf, math.inf, False), (math.nan, 1.0, False), (-1.0, math.nan, False), (math.nan, 0.0, False)],
+    )
+    def test_reference_dominates_by_the_paired_z(self, mean, std_error, dominates):
+        # a difference that overflowed to inf or NaN must not pass as dominated
+        ref = Estimate(0.0, 1.0, 8)
+        deviation = SweepRow(StrategySpec.scaled(1.1), ref, Estimate(mean, std_error, 8))
+        rows = (SweepRow(StrategySpec(), ref, None), deviation)
+        assert DeviationSweepResult(rows, 0, 0, 16).reference_dominates(slack=4.0) == dominates
 
     def test_paired_design_shrinks_errors(self):
         p = make_params(k=1, dt=0.01)
