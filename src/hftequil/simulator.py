@@ -31,10 +31,10 @@ residual per path, which prices every row's payoff.
 The paths are pooled in blocks of ``BLOCK_PATHS``, and the kernel advances
 several consecutive blocks as one array, a group, so each numpy call of a
 period covers more paths: a walk advances at most ``GROUP_BLOCKS`` blocks at
-once over all its processes. A group's increments are laid out time-major,
-(horizon, paths), so a period reads one contiguous row; a group holds at
-most ``GROUP_BYTES`` of them, so past horizon 512 it is one block.
-Every step of the kernel is columnwise, and each group is cut back into its
+once over all its processes, at every horizon. A group's increments are
+drawn a tile of at most ``STREAM_PATHS`` periods at a time, laid out
+time-major, (periods, paths), so a period reads one contiguous row. Every
+step of the kernel is columnwise, and each group is cut back into its
 blocks by column slices before anything is pooled, so a path's values and
 every estimate are the same, bit for bit, whatever the grouping. Only
 ``simulate`` keeps full (paths, horizon) series, in a ``PathBatch`` whose
@@ -54,15 +54,14 @@ Each worker sends back a few moments per block, and the caller pools them
 in block order. So estimates do not depend on the number of workers, bit
 for bit, and a path's values do not depend on blocking; only a change of
 ``BLOCK_PATHS`` reorders the pooled sums. Each of w processes of a walk,
-the caller included, advances groups of up to ``GROUP_BLOCKS`` // w blocks
-and needs one group's buffers, 16 kB of increments per period and block
-plus a tile of at most 128 kB, and its records, under 1 kB per block
-plus, for verify's pass, 24 bytes per period per block. A worker's other pages
-are shared with the caller until written; the pages it does write came to
-at most 25 MB of private memory per worker over criterion 06's sweeps
-(groups of two blocks at horizon 450) and at most 12 MB over verify's
-battery on a 2-core x86-64 host. ``simulate`` stays serial and advances
-groups of up to ``GROUP_BLOCKS`` blocks.
+the caller included, advances groups of ``GROUP_BLOCKS`` // w blocks and
+needs one group's buffers, a tile of increments of at most 2 MB per block
+plus a scratch of 128 kB, and its records, under 1 kB per block. What
+still grows with the horizon is ``_discounted``'s per-period coefficients,
+at most about 6 + 6 R doubles per period for R rows, and, for verify's
+pass, ``_GameStats``' sums, about 200 bytes per period per block. A worker's other pages are shared with the
+caller until written. ``simulate`` stays serial and advances groups of
+``GROUP_BLOCKS`` blocks.
 
 Per period, in order: trades are formed from the previous state and the
 fresh signal, the dealer prices the aggregate flow, inventories update, and
@@ -107,16 +106,16 @@ _MAX_PATH_INDEX = 2**63
 _MAX_SEED = 2**64
 DEFAULT_TAIL_TOL = 1e-6
 HORIZON_CAP = 10_000_000
-# Doubles that ``simulate`` may keep in one PathBatch, and that one process
-# of any run may hold in increments, 2 GB.
+# Doubles that ``simulate`` may keep in one PathBatch, 2 GB. The streaming
+# entry points hold their increments a tile of periods at a time, so only
+# HORIZON_CAP bounds their horizon.
 MAX_FLOATS = 250_000_000
 # Paths per block: the unit whose moments, dealer sums and checkpoint records
 # are pooled, in block order, so a change of it reorders every pooled sum.
 BLOCK_PATHS = 1024
 # Blocks that one walk advances at once over all its processes. Each of w
-# processes advances up to GROUP_BLOCKS // w consecutive blocks of its range
-# as one array, a group, of at least one block and at most GROUP_BYTES of
-# normals unless one block needs more. A wider array spreads each numpy call
+# processes advances GROUP_BLOCKS // w consecutive blocks of its range, at
+# least one, as one array, a group, at every horizon. A wider array spreads each numpy call
 # of a period over more paths: on a 2-core x86-64 host (numpy 2.4.6), a
 # serial 14-row sweep (k = 2, horizon 450, 8192 paths) took 155 ns per
 # path-step at 1024 paths wide and 132, 133 and 130 at 2048, 4096 and 8192
@@ -125,10 +124,10 @@ BLOCK_PATHS = 1024
 # GROUP_BLOCKS blocks of paths, verify's default 4096, whatever the CPU
 # count, as with one block per worker on a 4-CPU host.
 GROUP_BLOCKS = 4
-GROUP_BYTES = 16 * 2**20
 # Paths that share one Philox stream per stream of increments, a chunk: the
 # stream is read time-major, one row of STREAM_PATHS normals per period, so
-# its numbers are drawn by a few numpy calls per chunk, not one per path.
+# its numbers are drawn by a few numpy calls per chunk, not one per path. It
+# is also the most periods of a tile, the increments held at once.
 STREAM_PATHS = 128
 # CPython 3.12 and later warn when a process with several OS threads forks.
 _FORK_WARNS = sys.version_info >= (3, 12)
@@ -279,14 +278,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_args(params: ValidatedParams, trader_index=None, run=None, streams=2) -> None:
+def _check_args(params: ValidatedParams, trader_index=None, run=None) -> None:
     """The argument checks every entry point shares; None skips one.
 
-    The game needs dt > 0; ``run`` is (horizon, seed, first_path, n_paths).
-    Each process of a walk holds ``streams`` time-major increment buffers of
-    at least min(n_paths, BLOCK_PATHS) paths, and ``_check_increments``
-    refuses a run whose buffers would exceed ``MAX_FLOATS`` doubles before
-    anything is allocated.
+    The game needs dt > 0; ``run`` is (horizon, seed, first_path, n_paths),
+    and a horizon above ``HORIZON_CAP`` is refused before anything is
+    allocated.
     """
     if params.dt == 0.0:
         raise ValueError("simulation requires dt > 0")
@@ -297,32 +294,25 @@ def _check_args(params: ValidatedParams, trader_index=None, run=None, streams=2)
     horizon, seed, first_path, n_paths = run
     if not _is_int(horizon) or horizon < 1:
         raise ValueError(f"horizon must be an integer of at least 1, got {horizon!r}")
+    if horizon > HORIZON_CAP:
+        raise ValueError(f"horizon {horizon} exceeds the cap of {HORIZON_CAP} periods; reduce the horizon")
     if not _is_int(seed) or not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if not _is_int(n_paths) or n_paths < 2:
         raise ValueError(f"n_paths must be an integer of at least 2, got {n_paths!r}")
     if not _is_int(first_path) or first_path < 0 or first_path + n_paths > _MAX_PATH_INDEX:
         raise ValueError(f"first_path must be an integer with path indices below 2^63, got {first_path!r}")
-    _check_increments(horizon, n_paths, streams)
-
-
-def _check_increments(horizon: int, n_paths: int, streams: int = 2) -> None:
-    """Refuse a run whose ``streams`` time-major increment buffers of
-    min(n_paths, BLOCK_PATHS) paths would exceed ``MAX_FLOATS`` doubles."""
-    n_floats = horizon * min(n_paths, BLOCK_PATHS) * streams
-    if n_floats > MAX_FLOATS:
-        raise ValueError(
-            f"horizon {horizon} needs {n_floats} doubles of increments per process, "
-            f"above max_floats={MAX_FLOATS}; reduce the horizon"
-        )
 
 
 def _chunk_streams(seed: int):
-    """Return ``rekey(chunk, stream)``: it sets one Philox bit generator to the
-    state ``Philox(key=[(chunk << 1) | stream, seed])`` starts from, a zero
-    counter and an exhausted output buffer, and returns its generator's
-    ``standard_normal``. Setting the state skips the seed sequence that
-    constructing a generator runs.
+    """Return ``draw(chunk, stream, out, resume=None)``: it fills ``out`` with
+    the next normals of the Philox stream keyed [(chunk << 1) | stream, seed]
+    and returns the bit generator's state after them. Without ``resume`` it
+    starts the stream where ``Philox(key=...)`` does, at a zero counter and an
+    exhausted output buffer; with a state that it returned, it goes on from
+    there, so a stream drawn in pieces equals the stream drawn in one call.
+    One bit generator serves every stream by setting its state, which skips
+    the seed sequence that constructing a generator runs.
     """
     bitgen = np.random.Philox(0)
     normal = np.random.Generator(bitgen).standard_normal
@@ -336,18 +326,16 @@ def _chunk_streams(seed: int):
         "uinteger": 0,
     }
 
-    def rekey(chunk: int, stream: int):
-        key[0] = (chunk << 1) | stream
-        bitgen.state = state
-        return normal
+    def draw(chunk: int, stream: int, out, resume=None):
+        if resume is None:
+            key[0] = (chunk << 1) | stream
+            bitgen.state = state
+        else:
+            bitgen.state = resume
+        normal(out=out)
+        return bitgen.state
 
-    return rekey
-
-
-def _group_paths(horizon: int, streams: int, group_blocks: int) -> int:
-    """Paths that advance as one array: at most ``group_blocks`` blocks, see ``GROUP_BLOCKS``."""
-    fit = GROUP_BYTES // (8 * streams * horizon * BLOCK_PATHS)
-    return BLOCK_PATHS * max(1, min(group_blocks, fit))
+    return draw
 
 
 def _cuts(width: int) -> list[slice]:
@@ -356,41 +344,46 @@ def _cuts(width: int) -> list[slice]:
 
 
 def _normal_blocks(seed: int, first_path: int, n_paths: int, horizon: int, scales, group: int):
-    """Yield (start, arrays): scaled time-major increments for each group of paths.
+    """Yield (start, b, tiles) for each group of b paths, at most ``group``.
 
     Path p is column p mod ``STREAM_PATHS`` of chunk c = p // STREAM_PATHS,
     whose stream s is the Philox stream keyed [(c << 1) | s, seed] read
     time-major: its normal n STREAM_PATHS + j is period n + 1 of the chunk's
     path j. So a path's increments depend only on (seed, path, stream,
-    period), and a shorter horizon reads a prefix. Each chunk that the
-    group's paths touch is drawn whole, at most ``STREAM_PATHS`` periods at a
-    time, into a reused (periods, STREAM_PATHS) tile, and the tile's columns
-    for the group's paths are copied, times scales[s], into its rows of a
-    reused (horizon, b) buffer, so row n holds period n + 1 for the group's
-    b paths, at most ``group``. The yielded arrays are overwritten by the
-    next group.
+    period), and a shorter horizon reads a prefix. ``tiles`` yields the
+    group's increments a tile of at most ``STREAM_PATHS`` periods at a time,
+    one (periods, b) time-major array per stream, times scales[s]. For each
+    tile, each chunk that the group's paths touch is drawn into a reused
+    (periods, STREAM_PATHS) scratch, and the columns for the group's paths
+    are copied into a reused buffer; the chunk's stream then waits at its
+    saved state for the next tile. So memory does not grow with the horizon,
+    and the yielded arrays are overwritten by the next tile.
     """
-    width = min(group, n_paths)
-    tile = np.empty((min(STREAM_PATHS, horizon), STREAM_PATHS))
-    bufs = [np.empty(width * horizon) for _ in scales]
-    rekey = _chunk_streams(seed)
+    span = min(STREAM_PATHS, horizon)
+    scratch = np.empty((span, STREAM_PATHS))
+    bufs = [np.empty(span * min(group, n_paths)) for _ in scales]
+    draw = _chunk_streams(seed)
+
+    def tiles(lo, b):
+        chunks = range(lo // STREAM_PATHS, (lo + b - 1) // STREAM_PATHS + 1)
+        states = [[None] * len(chunks) for _ in scales]
+        for n in range(0, horizon, span):
+            rows = scratch[: horizon - n]
+            arrays = []
+            for stream, (scale, buf, saved) in enumerate(zip(scales, bufs, states)):
+                tm = buf[: len(rows) * b].reshape(len(rows), b)
+                for at, chunk in enumerate(chunks):
+                    # the chunk's columns a .. z - 1 are the group's off + a .. off + z - 1
+                    off = chunk * STREAM_PATHS - lo
+                    a, z = max(-off, 0), min(b - off, STREAM_PATHS)
+                    saved[at] = draw(chunk, stream, rows, saved[at])
+                    np.multiply(rows[:, a:z], scale, out=tm[:, off + a : off + z])
+                arrays.append(tm)
+            yield arrays
+
     for start in range(0, n_paths, group):
-        lo = first_path + start
         b = min(group, n_paths - start)
-        arrays = []
-        for stream, (scale, buf) in enumerate(zip(scales, bufs)):
-            tm = buf[: horizon * b].reshape(horizon, b)
-            for chunk in range(lo // STREAM_PATHS, (lo + b - 1) // STREAM_PATHS + 1):
-                # the chunk's columns a .. z - 1 are the group's off + a .. off + z - 1
-                off = chunk * STREAM_PATHS - lo
-                a, z = max(-off, 0), min(b - off, STREAM_PATHS)
-                normal = rekey(chunk, stream)
-                for n in range(0, horizon, len(tile)):
-                    rows = tile[: horizon - n]
-                    normal(out=rows)
-                    np.multiply(rows[:, a:z], scale, out=tm[n : n + len(rows), off + a : off + z])
-            arrays.append(tm)
-        yield start, arrays
+        yield start, b, tiles(first_path + start, b)
 
 
 def _usable_cpus() -> int:
@@ -568,7 +561,7 @@ class PathBatch:
 
 
 def _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, group_blocks):
-    """The game recursion on groups of paths; yields (start, dS, dK, periods).
+    """The game recursion on groups of paths; yields (start, b, periods).
 
     Trader i plays each row of ``rows`` in a game of its own against the
     other traders, who play their rows of the profile ``coefs``; the others'
@@ -581,11 +574,12 @@ def _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, group_
     of the rows' (a_dS, a_M) and (beta_i, -phi_i) with (dS, M_i) forms every
     row's trade but a_L L and trader i's prediction move, so an equilibrium
     row trades exactly that move. A path-step costs O(R + k). ``periods``
-    yields each period's pre-trade M and dM (k, b); the rows' L, dL and
+    yields each period's increments dS and dK (b,), read from the tiles of
+    ``_normal_blocks``; pre-trade M and dM (k, b); the rows' L, dL and
     post-trade L + dL (R, b); each trader's L and dL (k, b), which for
     trader i hold dK and zero; and e (b,), all overwritten by the next
     period. Every operation is columnwise, so a path's values do not depend
-    on the width b of its group of at most ``group_blocks`` blocks.
+    on the width b of its group of ``group_blocks`` blocks.
     """
     k, R = params.k, len(rows)
     a_l, z0 = np.array([row[2:] for row in rows]).T[:, :, None]
@@ -598,8 +592,7 @@ def _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, group_
     moves[i, 2] = (1.0, -eq.mus[i], -eq.lam)
     trade = np.array([row[:2] for row in rows] + [moves[i, 0, :2]])
 
-    def periods(dS, dK):
-        b = dS.shape[1]
+    def periods(b, tiles):
         # A one-column product would take BLAS's matrix-vector route, which
         # rounds differently, so the buffers keep at least two columns.
         w = max(b, 2)
@@ -618,26 +611,26 @@ def _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, group_
         L = M[i] + z0
         L1, tmp = np.empty_like(L), np.empty_like(L)
         A_l = np.repeat(a_l, b, axis=1)
-        for n in range(horizon):
-            ds_in[...] = dS[n]
-            dk_in[...] = dK[n]
-            np.matmul(moves, state.transpose(1, 0, 2), out=step.transpose(1, 0, 2))
-            np.matmul(trade, inputs, out=out)
-            # trader i's prediction move from the rows' product: bit for bit
-            # an equilibrium row's trade
-            moved[...] = out[R]
-            dL += np.multiply(A_l, L, out=tmp)
-            np.add(L, dL, out=L1)
-            if k > 1:
-                np.add.reduce(shares, axis=0, out=e)
-            yield M, dM, L, dL, L1, Lj, dLj, e
-            state[1:] += step[:2]
-            L, L1 = L1, L
+        for tile in tiles:
+            for ds, dk in zip(*tile):
+                ds_in[...] = ds
+                dk_in[...] = dk
+                np.matmul(moves, state.transpose(1, 0, 2), out=step.transpose(1, 0, 2))
+                np.matmul(trade, inputs, out=out)
+                # trader i's prediction move from the rows' product: bit for bit
+                # an equilibrium row's trade
+                moved[...] = out[R]
+                dL += np.multiply(A_l, L, out=tmp)
+                np.add(L, dL, out=L1)
+                if k > 1:
+                    np.add.reduce(shares, axis=0, out=e)
+                yield ds, dk, M, dM, L, dL, L1, Lj, dLj, e
+                state[1:] += step[:2]
+                L, L1 = L1, L
 
     scales = (params.sigma_S * math.sqrt(params.dt), params.sigma_K * math.sqrt(params.dt))
-    group = _group_paths(horizon, len(scales), group_blocks)
-    for start, (dS, dK) in _normal_blocks(seed, first_path, n_paths, horizon, scales, group):
-        yield start, dS, dK, periods(dS, dK)
+    for start, b, tiles in _normal_blocks(seed, first_path, n_paths, horizon, scales, group_blocks * BLOCK_PATHS):
+        yield start, b, periods(b, tiles)
 
 
 def _discounted(
@@ -691,8 +684,7 @@ def _discounted(
     j0, s0, shifted0 = idx[0], s[0], D[0] != 0.0 or s[0] != 1.0
     with_mtm = with_mtm or stats is not None
     game = _game(eq, params, coefs, i, series, n_paths, horizon, seed, first_path, group_blocks)
-    for _, dS, dK, periods in game:
-        b = dS.shape[1]
+    for _, b, periods in game:
         Q = np.zeros((len(series), b))
         tmp = np.empty_like(Q)
         U, u = np.zeros(b), np.empty(b)
@@ -701,15 +693,14 @@ def _discounted(
         ed, G = V[0, :b], np.zeros((gap.size, b))
         mtm = np.zeros(b) if with_mtm else None
         cuts = _cuts(b)
-        for n, (M, _, X, dX, X1, _, dLj, e) in enumerate(periods):
-            ds = dS[n]
+        for n, (ds, dk, M, _, X, dX, X1, _, dLj, e) in enumerate(periods):
             if with_mtm:
                 x0, dx0 = X[j0], dX[j0]
                 if shifted0:
                     x0, dx0 = s0 * x0 + Dn[0, n], s0 * dx0 + dD[0, n]
                 mtm += x0 * ds * disc[n]
                 if stats is not None:
-                    stats.period(ds, dK[n] + np.add.reduce(dLj, axis=0) + dx0, ds - e + eq.lam * dx0, M, cuts)
+                    stats.period(ds, dk + np.add.reduce(dLj, axis=0) + dx0, ds - e + eq.lam * dx0, M, cuts)
             np.multiply(e, disc[n], out=ed)
             U += np.multiply(dX[0], ed, out=u)
             if gap.size:
@@ -778,21 +769,20 @@ def simulate(
     batch.L[:, :, 0] = batch.M[:, :, 0] + [z0 for *_, z0 in coefs]
 
     # Trader 0 plays its own profile row; its inventories are that row's.
-    for start, dS, dK, periods in _game(
+    for start, b, periods in _game(
         eq, params, coefs, 0, coefs[:1], n_paths, horizon, seed, first_path, GROUP_BLOCKS
     ):
-        sl = slice(start, start + dS.shape[1])
-        batch.dS[sl] = dS.T
-        batch.dK[sl] = dK.T
-        mtm = np.zeros((k, dS.shape[1]))
-        for n, (M, dM, L0, dL0, L0_new, Lj, dLj, e) in enumerate(periods):
-            ds = dS[n]
+        sl = slice(start, start + b)
+        mtm = np.zeros((k, b))
+        for n, (ds, dk, M, dM, L0, dL0, L0_new, Lj, dLj, e) in enumerate(periods):
             L, dL = np.vstack((L0, Lj[1:])), np.vstack((dL0, dLj[1:]))
             L_new = np.vstack((L0_new, Lj[1:] + dLj[1:]))
-            dY = dK[n] + np.add.reduce(dLj, axis=0) + dL0[0]
+            dY = dk + np.add.reduce(dLj, axis=0) + dL0[0]
             padj = ds - e + eq.lam * dL0[0]
             mtm += L * ds * w[:, n, None]
             pen = half_g_dt * L_new**2 + params.tax * dL**2
+            batch.dS[sl, n] = ds
+            batch.dK[sl, n] = dk
             batch.dY[sl, n] = dY
             batch.price_adj[sl, n] = padj
             batch.payoff[sl, :, n] = (dL * (ds - padj) - pen).T
@@ -1038,19 +1028,19 @@ def simulate_second_moment(
         raise ValueError(f"checkpoints must be positive integer periods, got {checkpoints!r}")
     checkpoints = sorted(set(checkpoints))
     horizon = checkpoints[-1]
-    _check_args(params, trader_index, (horizon, seed, 0, n_paths), streams=1)
+    _check_args(params, trader_index, (horizon, seed, 0, n_paths))
     beta, phi = eq.betas[trader_index], eq.phis[trader_index]
     m0 = params.traders[trader_index].initial_inventory
     scale = params.sigma_S * math.sqrt(params.dt)
     stats = {n: _Stat() for n in checkpoints}
 
     def blocks(first, count, group_blocks):
-        group = _group_paths(horizon, 1, group_blocks)
-        for _, (dS,) in _normal_blocks(seed, first, count, horizon, (scale,), group):
-            m, cuts = np.full(dS.shape[1], m0), _cuts(dS.shape[1])
+        for _, b, tiles in _normal_blocks(seed, first, count, horizon, (scale,), group_blocks * BLOCK_PATHS):
+            m, cuts = np.full(b, m0), _cuts(b)
             records = [[] for _ in cuts]
-            for n in range(1, horizon + 1):
-                m = m + (beta * dS[n - 1] - phi * m)
+            periods = (ds for (dS,) in tiles for ds in dS)
+            for n, ds in enumerate(periods, 1):
+                m = m + (beta * ds - phi * m)
                 if n in stats:
                     m2 = m * m
                     for c, record in zip(cuts, records):

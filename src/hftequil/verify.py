@@ -17,7 +17,9 @@ the simulator plays trader 0's equilibrium row and three neighbours
 block by block, and row 0, the game every trader plays at equilibrium,
 also feeds the dealer's profit, the impact regression and the
 mark-to-market. Memory therefore does not grow with the number of paths
-past 4096, where the simulator's walk holds its full share of blocks.
+past 4096, where the simulator's walk holds its full share of blocks, and
+the paths' increments are held a tile of periods at a time, so they do
+not grow with the horizon either.
 ``paths`` is 0, which skips this battery, or an integer of at least 2.
 Three calls stay separate. The objective check runs over the full
 discount horizon rather than ``mc_horizon``, and the reduced-form witness
@@ -358,8 +360,8 @@ def run_verification(
 
     ``paths = 0`` skips the Monte Carlo battery; any other count must be an
     integer of at least 2. ``mc_horizon`` and ``seed`` are checked first
-    too, whatever ``paths`` is, and so is the size of the increments that
-    ``mc_horizon`` needs at ``paths``. Value-layer checks run for the
+    too, whatever ``paths`` is, and with paths > 0 an ``mc_horizon`` above
+    the simulator's ``HORIZON_CAP`` is refused before the solve. Value-layer checks run for the
     untaxed game at dt > 0, where the quadratic value function applies. ``strict=True``
     halves every deterministic gate and runs four times ``paths``, which
     halves the Monte Carlo checks' absolute tolerances at the same number
@@ -371,11 +373,11 @@ def run_verification(
         raise ValueError(f"mc_horizon must be an integer of at least 1, got {mc_horizon!r}")
     if not sim._is_int(seed) or not 0 <= seed < sim._MAX_SEED:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    if paths and mc_horizon > sim.HORIZON_CAP:
+        raise ValueError(f"mc_horizon {mc_horizon} exceeds the cap of {sim.HORIZON_CAP} periods; reduce it")
     gate_scale = 0.5 if strict else 1.0
     if strict:
         paths *= 4
-    # the sweep's increments at mc_horizon, by the simulator's own rule
-    sim._check_increments(mc_horizon, paths)
     identity_gate = gate_scale * _IDENTITY_GATE
     eq, _ = solve_equilibrium(params)
     results: list[CheckResult] = []

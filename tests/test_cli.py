@@ -408,10 +408,10 @@ class TestSimulate:
     def test_a_horizon_too_large_to_hold_is_refused(self, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "--sigma-s", "1", "--sigma-k", "1", "--dt", "0.1", "--paths", "8",
-            "--horizon", "1000000000000000",
+            "--horizon", "10000001",
         )
         assert code == 2 and out == ""
-        assert err.startswith("error: horizon 1000000000000000 needs") and err.count("\n") == 1
+        assert err.startswith("error: horizon 10000001 exceeds the cap") and err.count("\n") == 1
 
 
 class TestVerify:

@@ -121,23 +121,39 @@ class TestRandomStreams:
     @pytest.mark.parametrize("seed", [7, 2**64 - 1])
     def test_rekeyed_generator_equals_fresh_generators(self, seed):
         # One bit generator re-keyed per chunk and stream, back and forth.
-        rekey = _chunk_streams(seed)
+        draw, out = _chunk_streams(seed), np.empty(300)
         for chunk, stream in ((0, 0), (5, 1), (2**56 - 1, 0), (2**56 - 1, 1), (5, 1), (0, 0)):
-            assert np.array_equal(rekey(chunk, stream)(300), chunk_stream(seed, chunk, stream, 300)), (chunk, stream)
+            draw(chunk, stream, out)
+            assert np.array_equal(out, chunk_stream(seed, chunk, stream, 300)), (chunk, stream)
+
+    @pytest.mark.parametrize("seed", [7, 2**64 - 1])
+    def test_a_stream_drawn_in_two_tiles_equals_one_call(self, seed):
+        # 301 normals, an odd count that leaves the first tile's last Philox
+        # block half read, resumed after another stream has been drawn
+        draw, first, other, second = _chunk_streams(seed), np.empty(301), np.empty(50), np.empty(299)
+        state = draw(3, 1, first)
+        draw(3, 0, other)
+        draw(3, 1, second, state)
+        assert np.array_equal(np.concatenate((first, second)), chunk_stream(seed, 3, 1, 600))
 
     @pytest.mark.parametrize("first_path, seed", [(11, 4), (250, 2**64 - 1), (2**63 - 300, 5)])
     @pytest.mark.parametrize("horizon", [9, 130])
     def test_time_major_blocks_are_the_scaled_streams(self, first_path, seed, horizon):
         # Groups of 100 paths cut chunks of STREAM_PATHS paths at uneven
-        # columns, and 130 periods span two tiles.
+        # columns, and 130 periods span two tiles, of 128 and 2 periods.
         n_paths, seen = 270, 0
-        for start, (ds, dk) in _normal_blocks(seed, first_path, n_paths, horizon, (0.5, 2.0), 100):
-            assert ds.shape == dk.shape == (horizon, min(100, n_paths - start))
-            for j in range(ds.shape[1]):
+        for start, b, tiles in _normal_blocks(seed, first_path, n_paths, horizon, (0.5, 2.0), 100):
+            assert b == min(100, n_paths - start)
+            # each tile's arrays are overwritten by the next, so copy them
+            tiles = [(ds.copy(), dk.copy()) for ds, dk in tiles]
+            periods = [horizon] if horizon <= STREAM_PATHS else [STREAM_PATHS, horizon - STREAM_PATHS]
+            assert [ds.shape for ds, _ in tiles] == [dk.shape for _, dk in tiles] == [(n, b) for n in periods]
+            ds, dk = (np.concatenate(stream) for stream in zip(*tiles))
+            for j in range(b):
                 path = first_path + start + j
                 assert np.array_equal(ds[:, j], normals(seed, path, 0, horizon) * 0.5)
                 assert np.array_equal(dk[:, j], normals(seed, path, 1, horizon) * 2.0)
-            seen += ds.shape[1]
+            seen += b
         assert seen == n_paths
 
     def test_a_path_draws_the_same_increments_four_ways(self, monkeypatch):
@@ -242,12 +258,11 @@ class TestEntryPointRefusals:
         with pytest.raises(ValueError, match="out of range"):
             _entry_points(eq, p, index)[name]()
 
-    def test_a_horizon_whose_increments_exceed_max_floats(self):
-        # At 10^15 periods the increments alone would be petabytes; each
-        # entry point refuses before anything is allocated.
+    def test_a_horizon_above_the_cap_is_refused(self):
+        # Each entry point refuses before anything is allocated.
         p = make_params(k=2, dt=0.01)
         eq, _ = solve_equilibrium(p)
-        h = 10**15
+        h = simulator.HORIZON_CAP + 1
         calls = (
             lambda: simulate(eq, None, p, n_paths=8, horizon=h),
             lambda: simulate_objective(eq, None, p, 0, n_paths=8, horizon=h, tail_tol=None),
@@ -255,7 +270,7 @@ class TestEntryPointRefusals:
             lambda: simulate_second_moment(eq, 0, p, [1, h], n_paths=8),
         )
         for call in calls:
-            with pytest.raises(ValueError, match=f"^horizon {h} needs .* above max_floats="):
+            with pytest.raises(ValueError, match=f"^horizon {h} exceeds the cap of {h - 1} periods; reduce the horizon$"):
                 call()
 
 
@@ -961,9 +976,9 @@ def group_widths(monkeypatch):
     seen, normal_blocks = [], simulator._normal_blocks
 
     def recording(*args):
-        for start, arrays in normal_blocks(*args):
-            seen.append(arrays[0].shape[1])
-            yield start, arrays
+        for start, b, tiles in normal_blocks(*args):
+            seen.append(b)
+            yield start, b, tiles
 
     monkeypatch.setattr(simulator, "_normal_blocks", recording)
     return seen
@@ -1052,16 +1067,6 @@ class TestGroups:
         assert "objective_value_mc" in {r.name for r in single.results}
         assert repr(grouped) == repr(single)
 
-    def test_group_size(self):
-        # 2 streams at horizon 256 fill GROUP_BYTES in 4 blocks; past horizon
-        # 512 two blocks would overfill it, and a group is one block
-        assert simulator._group_paths(256, 2, 4) == 4 * BLOCK_PATHS
-        assert simulator._group_paths(256, 2, 2) == 2 * BLOCK_PATHS
-        assert simulator._group_paths(450, 2, 4) == 2 * BLOCK_PATHS
-        assert simulator._group_paths(513, 2, 4) == simulator._group_paths(20000, 2, 4) == BLOCK_PATHS
-        assert simulator._group_paths(512, 1, 4) == 4 * BLOCK_PATHS
-        assert simulator._group_paths(16, 1, 0) == BLOCK_PATHS
-
     @pytest.mark.parametrize("workers, widest", [(1, 4), (2, 2), (3, 1), (4, 1)])
     def test_walk_shares_group_blocks_over_its_processes(self, monkeypatch, workers, widest):
         monkeypatch.setattr(simulator, "_usable_cpus", lambda: workers)
@@ -1078,22 +1083,29 @@ class TestGroups:
         monkeypatch.setattr(simulator, "_usable_cpus", lambda: workers)
         TestDeviationSweep().test_memory_does_not_grow_with_paths()
 
-    @pytest.mark.parametrize("horizon, blocks", [(256, 4), (600, 1)])
-    def test_memory_holds_one_group(self, horizon, blocks):
-        # four blocks walked serially: at horizon 600 two blocks' normals
-        # would pass GROUP_BYTES, so the peak stays at one block's buffers
+    def test_memory_does_not_grow_with_the_horizon(self, monkeypatch):
+        # four blocks walked serially as one group at both horizons, which
+        # hold their increments a tile of STREAM_PATHS periods at a time
         p = make_params(k=2, dt=0.01)
         eq, _ = solve_equilibrium(p)
-        specs = [StrategySpec.equilibrium(), StrategySpec.scaled(beta_scale=0.9)]
+        specs = [
+            StrategySpec.equilibrium(),
+            StrategySpec.scaled(beta_scale=0.9),
+            StrategySpec.scaled(phi_scale=1.1),
+            StrategySpec.with_z(0.5, 1.0),
+        ]
+        widths = group_widths(monkeypatch)
         deviation_sweep(eq, p, 0, specs, n_paths=2, horizon=16, seed=1)  # one-time set-up
-        normals = 2 * 8 * horizon * BLOCK_PATHS * blocks
-        tracemalloc.start()
-        try:
-            deviation_sweep(eq, p, 0, specs, n_paths=4 * BLOCK_PATHS, horizon=horizon, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert normals <= peak <= normals + 2 * 2**20, (peak, normals)
+        peaks = {}
+        for horizon in (256, 4096):
+            tracemalloc.start()
+            try:
+                deviation_sweep(eq, p, 0, specs, n_paths=4 * BLOCK_PATHS, horizon=horizon, seed=1)
+                peaks[horizon] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert widths[1:] == [4 * BLOCK_PATHS] * 2, widths
+        assert peaks[4096] <= peaks[256] + 2**20, peaks
 
 
 class TestEstimate:

@@ -95,12 +95,11 @@ class TestFullBattery:
         with pytest.raises(ValueError, match=f"^{name} must be {wanted}, got {bad}$"):
             run_verification(make_params(dt=0.1), paths=paths, **{name: bad})
 
-    @pytest.mark.parametrize("mc_horizon, strict", [(10**15, False), (10**6, True)])
-    def test_a_horizon_too_long_for_the_paths_is_refused_before_the_solve(self, monkeypatch, mc_horizon, strict):
-        # 10^6 periods fit 64 paths' increments but not the 256 that strict mode runs
+    def test_a_horizon_too_long_for_the_paths_is_refused_before_the_solve(self, monkeypatch):
         monkeypatch.setattr(hftequil.verify, "solve_equilibrium", _raise_value_invariant)
-        with pytest.raises(ValueError, match=f"^horizon {mc_horizon} needs .* above max_floats="):
-            run_verification(make_params(dt=0.1), paths=64, mc_horizon=mc_horizon, strict=strict)
+        cap = hftequil.simulator.HORIZON_CAP
+        with pytest.raises(ValueError, match=f"^mc_horizon {cap + 1} exceeds the cap of {cap} periods; reduce it$"):
+            run_verification(make_params(dt=0.1), paths=64, mc_horizon=cap + 1)
 
     def test_no_paths_need_no_increments(self):
         report = run_verification(make_params(dt=0.004), paths=0, mc_horizon=10**15)
