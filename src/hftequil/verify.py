@@ -361,11 +361,11 @@ def run_verification(
     ``paths = 0`` skips the Monte Carlo battery; any other count must be an
     integer of at least 2. ``mc_horizon`` and ``seed`` are checked first
     too, whatever ``paths`` is, and with paths > 0 an ``mc_horizon`` above
-    the simulator's ``HORIZON_CAP`` is refused before the solve. Value-layer checks run for the
-    untaxed game at dt > 0, where the quadratic value function applies. ``strict=True``
-    halves every deterministic gate and runs four times ``paths``, which
-    halves the Monte Carlo checks' absolute tolerances at the same number
-    of standard errors.
+    the simulator's ``HORIZON_CAP`` is refused before the solve. Value-layer
+    checks run for the untaxed game at dt > 0, where the quadratic value
+    function applies. ``strict=True`` halves every deterministic gate and
+    runs four times ``paths``, which halves the Monte Carlo checks' absolute
+    tolerances at the same number of standard errors.
     """
     if not sim._is_int(paths) or paths < 0 or paths == 1:
         raise ValueError(f"paths must be 0 or an integer of at least 2, got {paths!r}")

@@ -128,10 +128,11 @@ class TestRandomStreams:
 
     @pytest.mark.parametrize("seed", [7, 2**64 - 1])
     def test_a_stream_drawn_in_two_tiles_equals_one_call(self, seed):
-        # 301 normals, an odd count that leaves the first tile's last Philox
-        # block half read, resumed after another stream has been drawn
+        # the first tile ends inside a Philox output block of four words, and
+        # the stream resumes after another stream was drawn
         draw, first, other, second = _chunk_streams(seed), np.empty(301), np.empty(50), np.empty(299)
         state = draw(3, 1, first)
+        assert state["buffer_pos"] != 4
         draw(3, 0, other)
         draw(3, 1, second, state)
         assert np.array_equal(np.concatenate((first, second)), chunk_stream(seed, 3, 1, 600))
