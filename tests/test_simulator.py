@@ -1108,6 +1108,23 @@ class TestGroups:
         assert widths[1:] == [4 * BLOCK_PATHS] * 2, widths
         assert peaks[4096] <= peaks[256] + 2**20, peaks
 
+    @pytest.mark.parametrize("horizon", [64, 600])
+    def test_memory_holds_one_group(self, horizon):
+        # four blocks walked serially as one group: the peak stays at the
+        # group's buffers for one tile of at most STREAM_PATHS periods
+        p = make_params(k=2, dt=0.01)
+        eq, _ = solve_equilibrium(p)
+        specs = [StrategySpec.equilibrium(), StrategySpec.scaled(beta_scale=0.9)]
+        deviation_sweep(eq, p, 0, specs, n_paths=2, horizon=16, seed=1)  # one-time set-up
+        normals = 2 * 8 * min(horizon, STREAM_PATHS) * BLOCK_PATHS * 4
+        tracemalloc.start()
+        try:
+            deviation_sweep(eq, p, 0, specs, n_paths=4 * BLOCK_PATHS, horizon=horizon, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert normals <= peak <= normals + 2 * 2**20, (peak, normals)
+
 
 class TestEstimate:
     def test_ci_and_coverage(self):

@@ -95,11 +95,12 @@ class TestFullBattery:
         with pytest.raises(ValueError, match=f"^{name} must be {wanted}, got {bad}$"):
             run_verification(make_params(dt=0.1), paths=paths, **{name: bad})
 
-    def test_a_horizon_too_long_for_the_paths_is_refused_before_the_solve(self, monkeypatch):
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_a_horizon_too_long_for_the_paths_is_refused_before_the_solve(self, monkeypatch, strict):
         monkeypatch.setattr(hftequil.verify, "solve_equilibrium", _raise_value_invariant)
         cap = hftequil.simulator.HORIZON_CAP
         with pytest.raises(ValueError, match=f"^mc_horizon {cap + 1} exceeds the cap of {cap} periods; reduce it$"):
-            run_verification(make_params(dt=0.1), paths=64, mc_horizon=cap + 1)
+            run_verification(make_params(dt=0.1), paths=64, mc_horizon=cap + 1, strict=strict)
 
     def test_no_paths_need_no_increments(self):
         report = run_verification(make_params(dt=0.004), paths=0, mc_horizon=10**15)
