@@ -42,10 +42,13 @@ fields a caller reduces as it needs; ``dealer_profit_check`` and
 ``reduced_form_gap`` are the two batch reductions kept here. The other
 entry points pool per-block results with one streaming estimator, so their
 memory stops growing with the number of paths at ``GROUP_BLOCKS`` blocks,
-4096 paths, whatever the number of workers. That includes the pass
-verify runs: a sweep whose row 0 also feeds ``_GameStats``, the per-period
-reduction behind ``dealer_profit_check``. The recursions are plain numpy
-loops over periods; the package depends on numpy alone.
+4096 paths, whatever the number of workers. ``simulate_objective`` and
+``deviation_sweep`` pool through one walk, ``_pooled``: each row's
+objective, each row's paired difference against the reference row, row
+0's mark-to-market when asked, and the dealer records of the pass verify
+runs, a sweep whose row 0 also feeds ``_GameStats``, the per-path reduction
+behind ``dealer_profit_check``. The recursions are plain numpy loops over
+periods; the package depends on numpy alone.
 
 Blocks are independent, so ``simulate_objective``, ``deviation_sweep``
 (verify's pass included) and ``simulate_second_moment`` hand contiguous
@@ -56,12 +59,12 @@ for bit, and a path's values do not depend on blocking; only a change of
 ``BLOCK_PATHS`` reorders the pooled sums. Each of w processes of a walk,
 the caller included, advances groups of ``GROUP_BLOCKS`` // w blocks and
 needs one group's buffers, a tile of increments of at most 2 MB per block
-plus a scratch of 128 kB, and its records, under 1 kB per block. What
+plus a scratch of 128 kB, its records, under 1 kB per block, and in
+verify's pass ``_GameStats``' four per-path sums, 32 bytes per path. What
 still grows with the horizon is ``_discounted``'s per-period coefficients,
-at most about 6 + 6 R doubles per period for R rows, and, for verify's
-pass, ``_GameStats``' sums, about 200 bytes per period per block. A worker's other pages are shared with the
-caller until written. ``simulate`` stays serial and advances groups of
-``GROUP_BLOCKS`` blocks.
+at most about 6 + 6 R doubles per period for R rows. A worker's other
+pages are shared with the caller until written. ``simulate`` stays serial
+and advances groups of ``GROUP_BLOCKS`` blocks.
 
 Per period, in order: trades are formed from the previous state and the
 fresh signal, the dealer prices the aggregate flow, inventories update, and
@@ -654,9 +657,9 @@ def _discounted(
     on M_i. The weights w_n = (dD, 2 s imp dD, -2 s hold D_{n+1}) and C =
     sum imp dD^2 - hold D_{n+1}^2 vanish unless D != 0, and one product adds
     the gap terms of all rows with a gap each period. A ``_GameStats`` in
-    ``stats`` is fed row 0's flow and prices every period and closes each
-    group with its mark-to-market, which implies ``with_mtm``; the records
-    that ``end_blocks`` returns are the blocks' third items.
+    ``stats`` is fed row 0's flow and prices every period, which implies
+    ``with_mtm``, and closes each group by the blocks' column slices; the
+    records that ``end_blocks`` returns are the blocks' third items.
     """
     t = params.traders[i]
     disc = np.cumprod(np.full(horizon, 1.0 - t.rho * params.dt))
@@ -700,7 +703,7 @@ def _discounted(
                     x0, dx0 = s0 * x0 + Dn[0, n], s0 * dx0 + dD[0, n]
                 mtm += x0 * ds * disc[n]
                 if stats is not None:
-                    stats.period(ds, dk + np.add.reduce(dLj, axis=0) + dx0, ds - e + eq.lam * dx0, M, cuts)
+                    stats.period(ds, dk + np.add.reduce(dLj, axis=0) + dx0, ds - e + eq.lam * dx0, M)
             np.multiply(e, disc[n], out=ed)
             U += np.multiply(dX[0], ed, out=u)
             if gap.size:
@@ -717,9 +720,36 @@ def _discounted(
             Q -= tmp
         obj = (s * s)[:, None] * Q[idx] + (s * (1.0 - s))[:, None] * U
         obj[gap] += G + C[gap, None]
-        records = [None] * len(cuts) if stats is None else stats.end_blocks(mtm)
+        records = [None] * len(cuts) if stats is None else stats.end_blocks(cuts)
         for c, record in zip(cuts, records):
             yield obj[:, c], None if mtm is None else mtm[c], record
+
+
+def _pooled(
+    eq, params, coefs, i, rows, n_paths, horizon, seed, first_path=0, reference=None, with_mtm=False, stats=None
+) -> list[Estimate]:
+    """Walk ``_discounted`` over paths first_path .. first_path + n_paths - 1
+    and pool, in block order, the estimates of each row's objective, then of
+    each other row's paired difference against row ``reference``, if given,
+    then of row 0's mark-to-market, if ``with_mtm`` or ``stats`` asks for it.
+    A ``_GameStats`` in ``stats`` folds each block's dealer record.
+    """
+
+    def blocks(first, n, group_blocks):
+        for objs, mtm, dealer in _discounted(
+            eq, params, coefs, i, rows, n, horizon, seed, first, group_blocks, with_mtm, stats
+        ):
+            diffs = [obj - objs[reference] for r, obj in enumerate(objs) if reference not in (None, r)]
+            yield [_moments(v) for v in (*objs, *diffs, mtm) if v is not None], dealer
+
+    pooled = None
+    for moments, dealer in _walk(blocks, first_path, n_paths):
+        pooled = pooled or [_Stat() for _ in moments]
+        for stat, block in zip(pooled, moments):
+            stat.merge(*block)
+        if stats is not None:
+            stats.fold(dealer)
+    return [stat.estimate() for stat in pooled]
 
 
 def simulate(
@@ -836,19 +866,8 @@ def simulate_objective(
 
     i = trader_index
     coefs = [row for row, _ in pairs]
-
-    def blocks(first, n, group_blocks):
-        rows = pairs[i : i + 1]
-        for obj_b, mtm_b, _ in _discounted(
-            eq, params, coefs, i, rows, n, horizon, seed, first, group_blocks, with_mtm=True
-        ):
-            yield _moments(obj_b[0]), _moments(mtm_b)
-
-    obj, mtm = _Stat(), _Stat()
-    for obj_b, mtm_b in _walk(blocks, first_path, n_paths):
-        obj.merge(*obj_b)
-        mtm.merge(*mtm_b)
-    return ObjectiveResult(obj.estimate(), mtm.estimate(), trader_index, horizon, n_paths)
+    obj, mtm = _pooled(eq, params, coefs, i, pairs[i : i + 1], n_paths, horizon, seed, first_path, with_mtm=True)
+    return ObjectiveResult(obj, mtm, trader_index, horizon, n_paths)
 
 
 def _effective_flow(phis, dy, M):
@@ -881,12 +900,13 @@ class _GameStats:
     lambda x, so while the fitted slope is near lambda the residual sum of
     squares Srr - Sxr^2 / Sxx subtracts a term only about 1/n of Srr.
 
-    ``period`` feeds one period of a group of blocks of paths, given by
-    their column slices, and ``end_blocks`` closes the group: it returns
-    each block's record, its per-period sums, path-steps and the moments of
-    its profit and of the discounted mark-to-market, if given. ``fold`` pools
-    records in block order, adding the sums period by period, so the pooled
-    sums do not depend on where or beside which blocks a block was computed.
+    ``period`` feeds one period of a group of paths into four per-path
+    running sums, x x, x r, r r and the profit, so memory does not grow
+    with the horizon. ``end_blocks(cuts)`` closes the group: for each block,
+    given by its column slice, it returns a record of its three regression
+    sums, its path-steps and the moments of its profit. ``fold`` pools
+    records in block order, so the pooled sums do not depend on where or
+    beside which blocks a block was computed.
     """
 
     def __init__(self, eq: Equilibrium, lambda_scale: float = 1.0):
@@ -894,47 +914,39 @@ class _GameStats:
         self.lambda_scale = lambda_scale
         self.misprice = (lambda_scale - 1.0) * eq.lam
         self.phis = eq.phis
-        self.profit, self.mtm = _Stat(), _Stat()
+        self.profit = _Stat()
         self.sxx = self.sxr = self.srr = 0.0
         self.n = 0
-        self.sums, self.gain, self.cuts = [], None, ()
+        self.paths, self.periods = None, 0
 
-    def period(self, ds, dy, padj, M, cuts=(slice(None),)) -> None:
+    def period(self, ds, dy, padj, M) -> None:
         x = _effective_flow(self.phis, dy, M)
         r = ds - self.lam * x
-        sums = []
-        for c in cuts:
-            xc, rc = x[c], r[c]
-            sums.append((float(xc @ xc), float(xc @ rc), float(rc @ rc)))
-        self.sums.append(sums)
-        self.cuts = cuts
-        gain = (padj + self.misprice * dy - ds) * dy
-        if self.gain is None:
-            self.gain = gain
+        terms = (x * x, x * r, r * r, (padj + self.misprice * dy - ds) * dy)
+        if self.paths is None:
+            self.paths = terms
         else:
-            self.gain += gain
+            for total, term in zip(self.paths, terms):
+                total += term
+        self.periods += 1
 
-    def end_blocks(self, mtm=None) -> list:
-        periods = len(self.sums)
-        sums = np.array(self.sums)
+    def end_blocks(self, cuts=(slice(None),)) -> list:
+        xx, xr, rr, gain = self.paths
         records = [
-            (sums[:, j], periods * self.gain[c].size, _moments(self.gain[c] / periods),
-             None if mtm is None else _moments(mtm[c]))
-            for j, c in enumerate(self.cuts)
+            ((float(xx[c].sum()), float(xr[c].sum()), float(rr[c].sum())),
+             self.periods * gain[c].size, _moments(gain[c] / self.periods))
+            for c in cuts
         ]
-        self.sums, self.gain = [], None
+        self.paths, self.periods = None, 0
         return records
 
     def fold(self, record) -> None:
-        sums, n, profit, mtm = record
-        for xx, xr, rr in sums.tolist():
-            self.sxx += xx
-            self.sxr += xr
-            self.srr += rr
+        (xx, xr, rr), n, profit = record
+        self.sxx += xx
+        self.sxr += xr
+        self.srr += rr
         self.n += n
         self.profit.merge(*profit)
-        if mtm is not None:
-            self.mtm.merge(*mtm)
 
     def check(self) -> ProfitCheck:
         if not self.sxx:  # every flow rounded to 0 under a huge inventory: no slope to fit
@@ -1079,18 +1091,18 @@ class DeviationSweepResult:
         means = [r.objective.mean for r in self.rows]
         return int(np.argmax(means))
 
-    def reference_dominates(self, slack: float = 2.0) -> bool:
-        """No row's ``_paired_z`` exceeds ``slack``: no row beats the reference
-        by more than ``slack`` paired standard errors, and none is NaN."""
-        return all(_paired_z(row.difference) <= slack for row in self.rows if row.difference is not None)
+    def reference_dominates(self, slack: float = 4.0) -> bool:
+        """No row beats the reference by more than ``slack`` paired standard
+        errors in ``_z``, and no paired difference is NaN."""
+        diffs = [row.difference for row in self.rows if row.difference is not None]
+        return all(_z(d.mean, d.std_error) <= slack for d in diffs)
 
 
-def _paired_z(difference: Estimate) -> float:
-    """A paired difference's mean in standard errors, signed. A zero standard
-    error gives 0 on a zero mean and +-inf otherwise; a NaN gives inf."""
-    mean, se = difference.mean, difference.std_error
-    z = mean / se if se else (0.0 if mean == 0.0 else math.copysign(math.inf, mean))
-    return z if z == z and mean == mean else math.inf
+def _z(gap: float, std_error: float) -> float:
+    """``gap`` in standard errors, signed. A zero standard error, one value on
+    every path, gives 0 on a zero gap and +-inf otherwise; a NaN gives inf."""
+    z = gap / std_error if std_error else (0.0 if gap == 0.0 else math.copysign(math.inf, gap))
+    return z if z == z and gap == gap else math.inf
 
 
 def deviation_sweep(
@@ -1119,11 +1131,12 @@ def deviation_sweep(
     (20,000 paths, seed 0) beta x 1.15 beats equilibrium by 22.8 standard
     errors over one period and by 12.0 over two, and loses by 9.1 over four.
     """
-    return _sweep(eq, params, trader_index, specs, n_paths=n_paths, horizon=horizon, seed=seed)
+    return _sweep(eq, params, trader_index, specs, n_paths=n_paths, horizon=horizon, seed=seed)[0]
 
 
-def _sweep(eq, params, trader_index, specs, *, n_paths, horizon, seed, stats=None) -> DeviationSweepResult:
-    """``deviation_sweep``; a ``_GameStats`` in ``stats`` also reduces row 0's game."""
+def _sweep(eq, params, trader_index, specs, *, n_paths, horizon, seed, stats=None):
+    """``deviation_sweep``'s result and row 0's mark-to-market, None without
+    ``stats``; a ``_GameStats`` in ``stats`` also reduces row 0's game."""
     specs = tuple(specs)
     if not specs:
         raise ValueError("need at least one strategy")
@@ -1135,27 +1148,9 @@ def _sweep(eq, params, trader_index, specs, *, n_paths, horizon, seed, stats=Non
         raise ValueError("include an equilibrium row to serve as the reference")
 
     others = [_coefficients(StrategySpec(), eq, j)[0] for j in range(params.k)]
-
-    def blocks(first, n, group_blocks):
-        for objs, _, dealer in _discounted(
-            eq, params, others, i, rows, n, horizon, seed, first, group_blocks, stats=stats
-        ):
-            ref = objs[reference_index]
-            diffs = [None if r == reference_index else _moments(obj - ref) for r, obj in enumerate(objs)]
-            yield [_moments(obj) for obj in objs], diffs, dealer
-
-    obj_stats = [_Stat() for _ in specs]
-    diff_stats = [_Stat() for _ in specs]
-    for objs, diffs, dealer in _walk(blocks, 0, n_paths):
-        for r in range(len(specs)):
-            obj_stats[r].merge(*objs[r])
-            if r != reference_index:
-                diff_stats[r].merge(*diffs[r])
-        if stats is not None:
-            stats.fold(dealer)
-
-    rows = tuple(
-        SweepRow(spec, obj_stats[r].estimate(), None if r == reference_index else diff_stats[r].estimate())
-        for r, spec in enumerate(specs)
-    )
-    return DeviationSweepResult(rows, reference_index, trader_index, horizon)
+    pooled = _pooled(eq, params, others, i, rows, n_paths, horizon, seed, 0, reference_index, stats=stats)
+    R = len(rows)
+    diffs = pooled[R : 2 * R - 1]
+    diffs.insert(reference_index, None)
+    rows = tuple(SweepRow(spec, obj, diff) for spec, obj, diff in zip(specs, pooled, diffs))
+    return DeviationSweepResult(rows, reference_index, trader_index, horizon), None if stats is None else pooled[-1]

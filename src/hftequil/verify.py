@@ -15,11 +15,12 @@ the responsible layer.
 Most Monte Carlo checks come from one streaming pass over shared paths:
 the simulator plays trader 0's equilibrium row and three neighbours
 block by block, and row 0, the game every trader plays at equilibrium,
-also feeds the dealer's profit, the impact regression and the
-mark-to-market. Memory therefore does not grow with the number of paths
-past 4096, where the simulator's walk holds its full share of blocks, and
-the paths' increments are held a tile of periods at a time, so they do
-not grow with the horizon either.
+also feeds the dealer's profit and the impact regression, reduced per
+path into four running sums, and the mark-to-market, which the pass
+returns beside the sweep. Memory therefore does not grow with the number
+of paths past 4096, where the simulator's walk holds its full share of
+blocks, and the paths' increments are held a tile of periods at a time,
+so neither they nor the dealer's sums grow with the horizon.
 ``paths`` is 0, which skips this battery, or an integer of at least 2.
 Three calls stay separate. The objective check runs over the full
 discount horizon rather than ``mc_horizon``, and the reduced-form witness
@@ -258,17 +259,9 @@ def _max_z_gate(sigmas: float, m: int) -> float:
     return normal.inv_cdf(1.0 - (1.0 - normal.cdf(sigmas)) / m)
 
 
-def _z(estimate, target, std_error) -> float:
-    """|estimate - target| in standard errors. A zero standard error, one value
-    on every path, gives 0 on an exact match and inf otherwise; a NaN gives inf."""
-    gap = abs(estimate - target)
-    z = gap / std_error if std_error else (0.0 if gap == 0.0 else math.inf)
-    return z if z == z else math.inf
-
-
 def _z_check(name, estimate, target, std_error, sigmas, detail=""):
     """One Monte Carlo estimate held to its target within ``sigmas`` standard errors."""
-    value = _z(estimate, target, std_error)
+    value = abs(sim._z(estimate - target, std_error))
     return CheckResult(name, value <= sigmas, value, sigmas, detail=detail)
 
 
@@ -276,7 +269,7 @@ def _mc_checks(eq, params, coeff_list, identity_gate, paths, seed, mc_horizon):
     results = []
     sig = _MC_SIGMAS
     stats = sim._GameStats(eq)
-    sweep = sim._sweep(
+    sweep, mtm = sim._sweep(
         eq, params, 0, _SWEEP_SPECS, n_paths=paths, horizon=mc_horizon, seed=seed, stats=stats
     )
 
@@ -293,12 +286,11 @@ def _mc_checks(eq, params, coeff_list, identity_gate, paths, seed, mc_horizon):
     checkpoints = sorted({1, min(10, mc_horizon), min(50, mc_horizon)})
     m0 = params.traders[0].initial_inventory
     moments = sim.simulate_second_moment(eq, 0, params, checkpoints, n_paths=paths, seed=seed)
-    worst = max(_z(est.mean, sim.inventory_second_moment(eq, 0, params, n, M0=m0), est.std_error)
+    worst = max(abs(sim._z(est.mean - sim.inventory_second_moment(eq, 0, params, n, M0=m0), est.std_error))
                 for n, est in moments.items())
     gate = _max_z_gate(sig, len(moments))
     results.append(CheckResult("moment_formula_mc", worst <= gate, worst, gate))
 
-    mtm = stats.mtm.estimate()
     results.append(_z_check("mark_to_market_mc", mtm.mean, 0.0, mtm.std_error, sig))
 
     if coeff_list is not None:
@@ -318,11 +310,12 @@ def _mc_checks(eq, params, coeff_list, identity_gate, paths, seed, mc_horizon):
     # The paired differences alone gate the ranking: a neighbour whose sample
     # mean tops the equilibrium row's by less than sig paired standard errors
     # is noise, not an alarm.
-    worst = max(sim._paired_z(row.difference) for row in sweep.rows if row.difference is not None)
+    worst = max(sim._z(row.difference.mean, row.difference.std_error)
+                for row in sweep.rows if row.difference is not None)
     results.append(
         CheckResult(
             "deviation_argmax_mc",
-            sweep.reference_dominates(slack=sig),
+            worst <= sig,
             worst,
             sig,
             detail="no neighbour may beat the equilibrium row by more than the gate in paired standard errors",

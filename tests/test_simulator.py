@@ -790,6 +790,13 @@ class TestDeviationSweep:
         rows = (SweepRow(StrategySpec(), ref, None), deviation)
         assert DeviationSweepResult(rows, 0, 0, 16).reference_dominates(slack=4.0) == dominates
 
+    def test_reference_dominates_defaults_to_four_paired_standard_errors(self):
+        # a row that tops the reference by 3 paired standard errors is within
+        # the default gate, the 4 sigma that every caller holds a sweep to
+        ref = Estimate(0.0, 1.0, 8)
+        rows = (SweepRow(StrategySpec(), ref, None), SweepRow(StrategySpec.scaled(1.1), ref, Estimate(3.0, 1.0, 8)))
+        assert DeviationSweepResult(rows, 0, 0, 16).reference_dominates()
+
     def test_paired_design_shrinks_errors(self):
         p = make_params(k=1, dt=0.01)
         eq, _ = solve_equilibrium(p)
@@ -842,14 +849,14 @@ class TestDeviationSweep:
         ]
         kw = dict(n_paths=2500, horizon=64, seed=9)
         stats = simulator._GameStats(eq)
-        sweep = simulator._sweep(eq, p, 0, specs, stats=stats, **kw)
+        sweep, mtm = simulator._sweep(eq, p, 0, specs, stats=stats, **kw)
         batch = simulate(eq, None, p, **kw)
         got, want = stats.check(), dealer_profit_check(batch)
         for name in ("mean", "std_error"):
             assert getattr(got.profit, name) == pytest.approx(getattr(want.profit, name), rel=1e-9)
         assert got.slope == pytest.approx(want.slope, rel=1e-9)
         assert got.slope_se == pytest.approx(want.slope_se, rel=1e-9)
-        mtm, want_mtm = stats.mtm.estimate(), sample_estimate(batch.mtm_discounted[:, 0])
+        want_mtm = sample_estimate(batch.mtm_discounted[:, 0])
         assert mtm.mean == pytest.approx(want_mtm.mean, rel=1e-9)
         assert mtm.std_error == pytest.approx(want_mtm.std_error, rel=1e-9)
         ref = deviation_sweep(eq, p, 0, specs, **kw)
@@ -1036,8 +1043,8 @@ class TestGroups:
 
         def call():
             stats = simulator._GameStats(eq, 1.1)
-            sweep = simulator._sweep(eq, p, 0, specs, n_paths=32 * 9 + 1, horizon=30, seed=4, stats=stats)
-            return sweep, stats.check(), stats.mtm.estimate(), stats.n
+            sweep, mtm = simulator._sweep(eq, p, 0, specs, n_paths=32 * 9 + 1, horizon=30, seed=4, stats=stats)
+            return sweep, stats.check(), mtm, stats.n
 
         single, grouped = self.both(monkeypatch, call)
         assert grouped == single
@@ -1084,9 +1091,11 @@ class TestGroups:
         monkeypatch.setattr(simulator, "_usable_cpus", lambda: workers)
         TestDeviationSweep().test_memory_does_not_grow_with_paths()
 
-    def test_memory_does_not_grow_with_the_horizon(self, monkeypatch):
+    @pytest.mark.parametrize("with_stats", [False, True], ids=["sweep", "with a _GameStats"])
+    def test_memory_does_not_grow_with_the_horizon(self, monkeypatch, with_stats):
         # four blocks walked serially as one group at both horizons, which
-        # hold their increments a tile of STREAM_PATHS periods at a time
+        # hold their increments a tile of STREAM_PATHS periods at a time; a
+        # _GameStats, verify's dealer pass, keeps per-path sums, not per-period
         p = make_params(k=2, dt=0.01)
         eq, _ = solve_equilibrium(p)
         specs = [
@@ -1101,7 +1110,8 @@ class TestGroups:
         for horizon in (256, 4096):
             tracemalloc.start()
             try:
-                deviation_sweep(eq, p, 0, specs, n_paths=4 * BLOCK_PATHS, horizon=horizon, seed=1)
+                stats = simulator._GameStats(eq) if with_stats else None
+                simulator._sweep(eq, p, 0, specs, n_paths=4 * BLOCK_PATHS, horizon=horizon, seed=1, stats=stats)
                 peaks[horizon] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -190,7 +190,7 @@ class TestFullBattery:
         sweep = hftequil.simulator._sweep
 
         def shifted(*args, **kwargs):
-            result = sweep(*args, **kwargs)
+            result, mtm = sweep(*args, **kwargs)
             rows = list(result.rows)
             ref, diff = rows[result.reference_index].objective, rows[1].difference
             gap = z * diff.std_error
@@ -201,7 +201,7 @@ class TestFullBattery:
             )
             result = dataclasses.replace(result, rows=tuple(rows))
             assert result.best_index == 1
-            return result
+            return result, mtm
 
         monkeypatch.setattr(hftequil.simulator, "_sweep", shifted)
         report = run_verification(make_params(dt=0.1), paths=64, mc_horizon=64)
