@@ -14,7 +14,9 @@ the aggregate solves t (t + 2c (r + t^2)) = k r.
 All root finding is one safeguarded Newton iteration on a sign-changing
 bracket: a step that would leave the bracket is replaced by bisection, so
 the bracket stays a certificate for the root, and the iteration stops once
-a step or the bracket is narrower than 1e-14 times the problem scale.
+a step or the bracket is narrower than 1e-14 times the problem scale. One
+evaluator over any number type gives it the excess and its slope, and each
+trader's loading and decay rate at the root; the tests run it at 50 digits.
 """
 from __future__ import annotations
 
@@ -99,7 +101,8 @@ class SolveDiagnostics:
     bracket: tuple[float, float]
     residuals: tuple[float, ...]
     aggregate_residual: float
-    # Always 0: every tax rate is solved directly. Kept for the CLI payload.
+    # Always 0: every tax rate is solved directly. Kept because the CLI payload
+    # and perfbench/spans.py's _solve_attrs read it.
     continuation_steps: int = 0
 
 
@@ -168,70 +171,58 @@ def pricing_from_beta(beta_sigma: float, betas: tuple[float, ...], params: Valid
     return lam, phis, mus
 
 
-def _trader_rows(params: ValidatedParams) -> tuple[tuple[float, float, float, float], ...]:
-    """Per trader (gamma_i dt, rho_i dt, 4d, 2d) with d = 1 - rho_i dt, formed once per solve."""
-    dt = params.dt
-    rows = []
-    for t in params.traders:
-        rdt = t.rho * dt
-        d = 1.0 - rdt
-        rows.append((t.gamma * dt, rdt, 4.0 * d, 2.0 * d))
-    return tuple(rows)
-
-
 # With r = (sigma_K/sigma_S)^2 and P = beta_sigma + 2c (r + beta_sigma^2) the
 # pricing identities give beta_i = (r/P)(1 - phi_i), which turns trader i's
 # response quadratic into d phi^2 + w phi - s = 0 with d = 1 - rho_i dt,
 # s = gamma_i dt (beta_sigma^2 + r)/P and w = rho_i dt + s. Its positive root
 # phi_i = 2s/(w + q) and 1 - phi_i = 2/(w + q + 2d), with q = sqrt(w^2 + 4ds),
 # involve no subtraction. The excess is h(beta_sigma) = sum_i beta_i -
-# beta_sigma. The bracket and Newton's steps read it from one evaluator,
-# which forms the slope too; ``_responses`` repeats its per-trader lines at
-# the root, with the same operations in the same order, so they agree bit
-# for bit.
+# beta_sigma. One evaluator writes these lines, for the bracket, Newton's
+# steps and the responses at the root alike. It uses plain operators and an
+# injected sqrt, and takes its constants from r (one = r/r), not from float
+# literals, so it runs on any number type: decimal refuses float operands.
 
 
-def _excess_and_slope(rows, r: float, c: float):
-    """(h, dh/dbeta_sigma) at beta_sigma, for the bracket and Newton's steps."""
-    c2 = 2.0 * c
-    c4 = 4.0 * c
-    sqrt = math.sqrt
+def _excess(traders, dt, r, c, sqrt=math.sqrt):
+    """h(beta_sigma) -> (h, dh/dbeta_sigma), the excess and its slope.
 
-    def h(beta_sigma: float) -> tuple[float, float]:
+    ``traders`` carry ``gamma`` and ``rho``; those, ``dt``, ``r`` and ``c``
+    share one number type, on which ``sqrt`` acts. Given two lists, h also
+    appends every trader's beta_i and phi_i to them.
+    """
+    one = r / r
+    two = one + one
+    rows = []
+    for t in traders:
+        rdt = t.rho * dt
+        d = one - rdt
+        d2 = d + d
+        rows.append((t.gamma * dt, rdt, d2 + d2, d2))
+    c2 = c + c
+    c4 = c2 + c2
+
+    def h(beta_sigma, betas=None, phis=None):
         P = beta_sigma + c2 * (r + beta_sigma * beta_sigma)
-        dP = 1.0 + c4 * beta_sigma
+        dP = one + c4 * beta_sigma
         s_per_gdt = (beta_sigma * beta_sigma + r) / P
-        ds_per_gdt = (2.0 * beta_sigma - s_per_gdt * dP) / P
-        sum_x = sum_dphi = 0.0
+        ds_per_gdt = (beta_sigma + beta_sigma - s_per_gdt * dP) / P
+        r_over_P = r / P
+        sum_x = sum_dphi = one - one
         for gdt, rdt, d4, d2 in rows:
             s = gdt * s_per_gdt
             w = rdt + s
             q = sqrt(w * w + d4 * s)
-            x = 2.0 / (w + q + d2)
+            x = two / (w + q + d2)
             sum_x += x
             if q:  # q = 0 only at dt = 0, where every phi_i stays 0
                 # implicit differentiation of the quadratic; 2 d phi + w = q
                 sum_dphi += gdt * ds_per_gdt * x / q
-        r_over_P = r / P
-        return r_over_P * sum_x - beta_sigma, -r_over_P * (dP / P * sum_x + sum_dphi) - 1.0
+            if betas is not None:
+                betas.append(r_over_P * x)
+                phis.append((s + s) / (w + q) if q else q)
+        return r_over_P * sum_x - beta_sigma, -r_over_P * (dP / P * sum_x + sum_dphi) - one
 
     return h
-
-
-def _responses(beta_sigma: float, rows, r: float, c: float):
-    """(betas, phis) of every trader at the aggregate beta_sigma."""
-    P = beta_sigma + 2.0 * c * (r + beta_sigma * beta_sigma)
-    s_per_gdt = (beta_sigma * beta_sigma + r) / P
-    r_over_P = r / P
-    betas = []
-    phis = []
-    for gdt, rdt, d4, d2 in rows:
-        s = gdt * s_per_gdt
-        w = rdt + s
-        q = math.sqrt(w * w + d4 * s)
-        betas.append(r_over_P * (2.0 / (w + q + d2)))
-        phis.append(2.0 * s / (w + q) if q else 0.0)
-    return tuple(betas), tuple(phis)
 
 
 def system_residual(eq: Equilibrium, params: ValidatedParams) -> tuple[float, ...]:
@@ -283,12 +274,12 @@ def validate_equilibrium(eq: Equilibrium, params: ValidatedParams) -> None:
             raise ConstraintViolated("mu_formula", f"trader {i}")
 
 
-def _solve_fixed_point(params: ValidatedParams, rows):
+def _solve_fixed_point(params: ValidatedParams, h):
     """Solve sum_i beta_i(beta_sigma) = beta_sigma at the tax rate params.tax.
 
     Covers every k and dt >= 0: at dt = 0 every decay rate is 0 and each
-    loading is r/P, so the root solves t (t + 2c (r + t^2)) = k r. ``rows``
-    is ``_trader_rows(params)``. Returns the root, the Newton steps and the
+    loading is r/P, so the root solves t (t + 2c (r + t^2)) = k r. ``h`` is
+    the ``_excess`` of ``params``. Returns the root, the Newton steps and the
     final bracket. The root is unique: beta_i = 2r / (P (w_i + q_i + 2d_i)),
     and as beta_sigma rises P = beta_sigma + 2c (r + beta_sigma^2) > 0 grows,
     P w_i = rho_i dt P + gamma_i dt (beta_sigma^2 + r) and P q_i =
@@ -303,7 +294,6 @@ def _solve_fixed_point(params: ValidatedParams, rows):
     so h(hi) <= k r/hi - hi = -m (2 sqrt(k) + 1)/(sqrt(k) + 1) < 0.
     """
     m = params.sigma_K / params.sigma_S
-    h = _excess_and_slope(rows, params.vol_ratio_sq, params.tax)
     hi = math.sqrt(params.k) * m + m
     h_hi = h(hi)[0]
     lo = 1e-12 * m
@@ -325,11 +315,12 @@ def solve_taxed(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagnostics]
 
 def solve_equilibrium(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagnostics]:
     """Equilibrium at the tax rate params.tax; the one solve path for every tax rate and dt >= 0."""
-    rows = _trader_rows(params)
-    beta_sigma, iterations, bracket = _solve_fixed_point(params, rows)
-    r = params.vol_ratio_sq
-    betas, phis = _responses(beta_sigma, rows, r, params.tax)
+    h = _excess(params.traders, params.dt, params.vol_ratio_sq, params.tax)
+    beta_sigma, iterations, bracket = _solve_fixed_point(params, h)
     # The decay rates come from the response itself, not from 1 - P beta_i / r.
+    betas, phis = [], []
+    h(beta_sigma, betas, phis)
+    betas, phis = tuple(betas), tuple(phis)
     lam = pricing_from_beta(beta_sigma, (), params)[0]
     eq = _frozen(Equilibrium, {"betas": betas, "beta_sigma": beta_sigma, "lam": lam, "phis": phis,
                                "mus": tuple(lam * p for p in phis), "tax": params.tax})

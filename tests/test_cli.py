@@ -7,7 +7,7 @@ import pytest
 
 import hftequil.cli as cli
 import hftequil.verify
-from hftequil import CheckResult, ConstraintViolated, VerificationReport, load_config, run_verification
+from hftequil import CheckResult, ConstraintViolated, VerificationReport, load_config, run_verification, solve_equilibrium
 from hftequil.cli import main
 from helpers import make_params
 
@@ -50,9 +50,17 @@ class TestSolve:
     def test_value_block_is_null_in_the_limit(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--sigma-s", "1", "--sigma-k", "1", "--dt", "0")
         assert code == 0
-        payload = json.loads(out)
+        ints = []
+        payload = json.loads(out, parse_int=lambda text: ints.append(text) or int(text))
         assert payload["value"] is None
         assert payload["equilibrium"]["phis"] == [0.0]
+        # 0 == 0.0 after parsing, so read the text: phi = 0 prints as 0.0, and
+        # only the diagnostics' two counts print as ints
+        assert ints == [str(payload["diagnostics"]["iterations"]), "0"]
+        for params in (make_params(dt=0.0), make_params(k=3, dt=0.0, tax=0.05)):
+            eq, _ = solve_equilibrium(params)
+            for name, value in eq.__dict__.items():
+                assert all(type(x) is float for x in (value if isinstance(value, tuple) else (value,))), name
 
     def test_value_block_is_null_when_taxed(self, capsys):
         code, out, _ = run_cli(capsys, "solve", *BASE, "--tax", "0.001")

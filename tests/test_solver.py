@@ -22,7 +22,7 @@ from hftequil import (
     system_residual,
     validate_equilibrium,
 )
-from hftequil.solver import SYSTEM_RESIDUAL_TOL, _excess_and_slope, _newton, _responses, _trader_rows
+from hftequil.solver import SYSTEM_RESIDUAL_TOL, _excess, _newton
 from hftequil.verify import _QUARTIC_GATE, _check_quartic, _quartic, _quartic_scale
 from helpers import make_params
 
@@ -155,9 +155,16 @@ class TestMonopolyQuartic:
         assert _quartic(m, p.vol_ratio_sq, t.gamma, t.rho, p.dt) >= 0.0
 
 
+def _at_aggregate(beta_sigma, p):
+    """(betas, phis) of every trader when the aggregate is conjectured fixed at beta_sigma."""
+    betas, phis = [], []
+    _excess(p.traders, p.dt, p.vol_ratio_sq, p.tax)(beta_sigma, betas, phis)
+    return betas, phis
+
+
 def _best_response(beta_sigma, p):
     """The single trader's loading when the aggregate is conjectured fixed at beta_sigma."""
-    return _responses(beta_sigma, _trader_rows(p), p.vol_ratio_sq, p.tax)[0][0]
+    return _at_aggregate(beta_sigma, p)[0][0]
 
 
 class TestBestResponse:
@@ -420,7 +427,7 @@ def test_decay_rate_form_solves_the_response_quadratic(log_ratio, log_dt, gammas
     p = make_params(dt=dt, gammas=gammas, rho=rho, sigma_K=m, tax=tax / m)
     bs = bs_scale * m * math.sqrt(len(gammas))
     r = p.vol_ratio_sq
-    betas, phis = _responses(bs, _trader_rows(p), r, p.tax)
+    betas, phis = _at_aggregate(bs, p)
     P = bs + 2.0 * p.tax * (r + bs * bs)
     for t, beta, phi in zip(p.traders, betas, phis):
         # a x^2 + b x + r^2 = 0, the response quadratic before the phi substitution
@@ -450,8 +457,7 @@ def test_taxed_games_solve_directly_at_their_tax_rate(log_ratio, log_dt, traders
         # up to 100 times the impact scale sigma_S/sigma_K
         tax=0.0 if log_tax is None else 10.0**log_tax / m,
     )
-    rows, r = _trader_rows(p), p.vol_ratio_sq
-    h_and_slope = _excess_and_slope(rows, r, p.tax)
+    h_and_slope = _excess(p.traders, p.dt, p.vol_ratio_sq, p.tax)
     lo, hi = 1e-12 * m, (math.sqrt(p.k) + 1.0) * m
     grid = [lo * (hi / lo) ** (j / 399) for j in range(400)]
     excess = [h_and_slope(x)[0] for x in grid]
@@ -486,7 +492,7 @@ def test_the_upper_bracket_end_needs_no_search(k, log_ratio, dt, traders, log_ta
     )
     r = p.vol_ratio_sq
     hi = (math.sqrt(k) + 1.0) * m
-    h_hi = _excess_and_slope(_trader_rows(p), r, p.tax)(hi)[0]
+    h_hi = _excess(p.traders, p.dt, r, p.tax)(hi)[0]
     assert h_hi < 0.0
     assert h_hi <= (k * r / hi - hi) * (1.0 - 1e-12)
 
@@ -580,80 +586,19 @@ def test_taxed_limit_solves_the_aggregate_equation(k, log_ratio, log_tax):
     assert eq.phis == (0.0,) * k
 
 
-def _reference_excess(params, c):
-    """The excess with its slope and every trader's (beta_i, phi_i) from one
-    loop, as the solver once evaluated it at every point: the witness that
-    its split evaluators compute the same per-trader formula."""
-    r = params.vol_ratio_sq
-    dt = params.dt
-    rows = tuple((t.gamma * dt, t.rho * dt, 1.0 - t.rho * dt) for t in params.traders)
-
-    def h(beta_sigma):
-        P = beta_sigma + 2.0 * c * (r + beta_sigma * beta_sigma)
-        dP = 1.0 + 4.0 * c * beta_sigma
-        s_per_gdt = (beta_sigma * beta_sigma + r) / P
-        ds_per_gdt = (2.0 * beta_sigma - s_per_gdt * dP) / P
-        sum_x = sum_dphi = 0.0
-        per_trader = []
-        for gdt, rdt, d in rows:
-            s = gdt * s_per_gdt
-            w = rdt + s
-            q = math.sqrt(w * w + 4.0 * d * s)
-            x = 2.0 / (w + q + 2.0 * d)
-            sum_x += x
-            if q:
-                phi = 2.0 * s / (w + q)
-                sum_dphi += gdt * ds_per_gdt * x / q
-            else:
-                phi = 0.0
-            per_trader.append((x, phi))
-        r_over_P = r / P
-        excess = r_over_P * sum_x - beta_sigma
-        slope = -r_over_P * (dP / P * sum_x + sum_dphi) - 1.0
-        return excess, slope, tuple(r_over_P * x for x, _ in per_trader), tuple(phi for _, phi in per_trader)
-
-    return h
-
-
-@given(
-    log_ratio=st.floats(-6.0, 4.0),
-    dt=st.one_of(st.just(0.0), st.floats(1e-9, 0.3)),
-    traders=st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(0.01, 1.0)), min_size=1, max_size=5),
-    log_tax=st.one_of(st.none(), st.floats(-6.0, 1.0)),
-    bs_scale=st.floats(1e-3, 8.0),
-)
-def test_split_excess_evaluators_match_the_full_pass_bit_for_bit(log_ratio, dt, traders, log_tax, bs_scale):
-    """The excess-and-slope pair and the responses pass each return exactly
-    what the single full pass returns, taxed, untaxed and at dt = 0."""
-    m = 10.0**log_ratio
-    p = make_params(
-        dt=dt,
-        gammas=[g for g, _ in traders],
-        rhos=[r for _, r in traders],
-        sigma_K=m,
-        tax=0.0 if log_tax is None else 10.0**log_tax / m,
-    )
-    rows, r = _trader_rows(p), p.vol_ratio_sq
-    ref = _reference_excess(p, p.tax)
-    bs = bs_scale * m * math.sqrt(p.k)
-    excess, slope, betas, phis = ref(bs)
-    assert _excess_and_slope(rows, r, p.tax)(bs) == (excess, slope)
-    assert _responses(bs, rows, r, p.tax) == (betas, phis)
-
-
 def test_a_rising_excess_slope_is_refused(monkeypatch):
     """The excess provably falls; if Newton ever reads a positive slope,
     the fixed point is not certified unique and the solve is refused."""
     import hftequil.solver as solver
 
     p = make_params(k=3, gammas=[1.0, 3.0, 0.5], rhos=[0.05, 0.2, 1.0], sigma_K=1.3)
-    with_slope = solver._excess_and_slope
+    with_slope = solver._excess
 
-    def rising(rows, r, c):
-        h = with_slope(rows, r, c)
+    def rising(*args):
+        h = with_slope(*args)
         return lambda x: (h(x)[0], 1.0)
 
-    monkeypatch.setattr(solver, "_excess_and_slope", rising)
+    monkeypatch.setattr(solver, "_excess", rising)
     with pytest.raises(ConstraintViolated) as info:
         solve_equilibrium(p)
     assert info.value.which == "h_monotonicity"
