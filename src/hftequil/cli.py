@@ -50,12 +50,6 @@ def _late(name: str):
     return getattr(sys.modules[__name__], name)
 
 
-def _horizon_errors() -> tuple:
-    """HorizonTooShort if the simulator, which alone raises it, is loaded."""
-    simulator = sys.modules.get(f"{__package__}.simulator")
-    return () if simulator is None else (simulator.HorizonTooShort,)
-
-
 def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",") if part != ""]
@@ -462,7 +456,7 @@ def main(argv=None) -> int:
         # ConfigError and InvalidParamsError are ValueErrors: bad arguments.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, *_horizon_errors()) as exc:
+    except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

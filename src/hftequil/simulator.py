@@ -47,8 +47,9 @@ memory stops growing with the number of paths at ``GROUP_BLOCKS`` blocks,
 objective, each row's paired difference against the reference row, row
 0's mark-to-market when asked, and the dealer records of the pass verify
 runs, a sweep whose row 0 also feeds ``_GameStats``, the per-path reduction
-behind ``dealer_profit_check``. The recursions are plain numpy loops over
-periods; the package depends on numpy alone.
+that ``dealer_profit_check`` runs on a batch once it has added its misprice
+to the price adjustment. The recursions are plain numpy loops over periods;
+the package depends on numpy alone.
 
 Blocks are independent, so ``simulate_objective``, ``deviation_sweep``
 (verify's pass included) and ``simulate_second_moment`` hand contiguous
@@ -62,9 +63,10 @@ needs one group's buffers, a tile of increments of at most 2 MB per block
 plus a scratch of 128 kB, its records, under 1 kB per block, and in
 verify's pass ``_GameStats``' four per-path sums, 32 bytes per path. What
 still grows with the horizon is ``_discounted``'s per-period coefficients,
-at most about 6 + 6 R doubles per period for R rows. A worker's other
-pages are shared with the caller until written. ``simulate`` stays serial
-and advances groups of ``GROUP_BLOCKS`` blocks.
+at most 3 + 8 R doubles per period for R rows, which ``_pooled`` holds to
+``MAX_FLOATS`` before it walks. A worker's other pages are shared with the
+caller until written. ``simulate`` stays serial and advances groups of
+``GROUP_BLOCKS`` blocks.
 
 Per period, in order: trades are formed from the previous state and the
 fresh signal, the dealer prices the aggregate flow, inventories update, and
@@ -83,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ValidatedParams, _check_trader_index
-from .solver import Equilibrium
+from .solver import Equilibrium, SolverError
 
 __all__ = [
     "Estimate",
@@ -109,9 +111,9 @@ _MAX_PATH_INDEX = 2**63
 _MAX_SEED = 2**64
 DEFAULT_TAIL_TOL = 1e-6
 HORIZON_CAP = 10_000_000
-# Doubles that ``simulate`` may keep in one PathBatch, 2 GB. The streaming
-# entry points hold their increments a tile of periods at a time, so only
-# HORIZON_CAP bounds their horizon.
+# Doubles that ``simulate`` may keep in one PathBatch, 2 GB, and that a
+# streaming run may spend on per-period coefficients; it holds its
+# increments a tile of periods at a time.
 MAX_FLOATS = 250_000_000
 # Paths per block: the unit whose moments, dealer sums and checkpoint records
 # are pooled, in block order, so a change of it reorders every pooled sum.
@@ -140,7 +142,7 @@ class InadmissibleStrategy(ValueError):
     """The strategy would blow up inventory or breaks a decay bound."""
 
 
-class HorizonTooShort(RuntimeError):
+class HorizonTooShort(SolverError):
     """The discounted tail beyond the simulated horizon is not negligible."""
 
 
@@ -149,15 +151,6 @@ class Estimate:
     mean: float
     std_error: float
     n_samples: int
-
-    @property
-    def ci95(self) -> tuple[float, float]:
-        half = 1.96 * self.std_error
-        return (self.mean - half, self.mean + half)
-
-    def covers(self, x: float) -> bool:
-        lo, hi = self.ci95
-        return lo <= x <= hi
 
 
 def _moments(values: np.ndarray) -> tuple[int, float, float]:
@@ -502,14 +495,20 @@ def _fork(blocks, first: int, n: int, group: int, inherited):
 
 
 def default_horizon(params: ValidatedParams, cap: int = HORIZON_CAP) -> int:
-    """Periods needed so the slowest trader's discount tail drops below DEFAULT_TAIL_TOL.
+    """Periods needed so the slowest trader's discount tail drops below DEFAULT_TAIL_TOL."""
+    _check_args(params)
+    return _tail_horizon(min(t.rho for t in params.traders), params.dt, cap)
+
+
+def _tail_horizon(rho: float, dt: float, cap: int) -> int:
+    """Periods needed so the discount tail (1 - rho dt)^n drops below DEFAULT_TAIL_TOL.
 
     The logarithms can round the count one short, so it is stepped up until
     the tail that ``_check_tail`` computes passes. A discount factor that
-    rounds to 1 never reaches the tail and counts as beyond any cap.
+    rounds to 1 never reaches the tail and counts as beyond any cap, and a
+    count beyond ``cap`` raises HorizonTooShort.
     """
-    _check_args(params)
-    per = 1.0 - min(t.rho for t in params.traders) * params.dt
+    per = 1.0 - rho * dt
     n = max(math.ceil(math.log(DEFAULT_TAIL_TOL) / math.log(per)), 1) if per < 1.0 else math.inf
     while n <= cap and per**n > DEFAULT_TAIL_TOL:
         n += 1
@@ -732,8 +731,16 @@ def _pooled(
     and pool, in block order, the estimates of each row's objective, then of
     each other row's paired difference against row ``reference``, if given,
     then of row 0's mark-to-market, if ``with_mtm`` or ``stats`` asks for it.
-    A ``_GameStats`` in ``stats`` folds each block's dealer record.
+    A ``_GameStats`` in ``stats`` folds each block's dealer record. A run
+    whose ``_discounted`` coefficients, at most 3 + 8 R doubles a period,
+    top ``MAX_FLOATS`` is refused before anything forks or is allocated.
     """
+    n_floats = (3 + 8 * len(rows)) * (horizon + 1)
+    if n_floats > MAX_FLOATS:
+        raise ValueError(
+            f"the per-period coefficients of {len(rows)} rows over {horizon} periods need {n_floats} doubles, "
+            f"above max_floats={MAX_FLOATS}; reduce the horizon or the rows"
+        )
 
     def blocks(first, n, group_blocks):
         for objs, mtm, dealer in _discounted(
@@ -885,20 +892,17 @@ class ProfitCheck:
     slope_se: float
     lambda_scale: float
 
-    @property
-    def covers_zero(self) -> bool:
-        return self.profit.covers(0.0)
-
 
 class _GameStats:
     """Streaming reductions of one game's dealer side, fed period by period.
 
-    Per path, the dealer's mean profit per period, (padj - dS) dY with the
-    price adjustment mispriced by ``lambda_scale``. Over all (path, period)
-    pairs, the regression of dS on the effective flow x = dY + sum_j phi_j
-    M_j. Its sums are taken about the equilibrium slope, with r = dS -
-    lambda x, so while the fitted slope is near lambda the residual sum of
-    squares Srr - Sxr^2 / Sxx subtracts a term only about 1/n of Srr.
+    Per path, the dealer's mean profit per period, (padj - dS) dY, at the
+    price it is fed; ``dealer_profit_check`` adds any misprice first. Over
+    all (path, period) pairs, the regression of dS on the effective flow x =
+    dY + sum_j phi_j M_j. Its sums are taken about the equilibrium slope,
+    with r = dS - lambda x, so while the fitted slope is near lambda the
+    residual sum of squares Srr - Sxr^2 / Sxx subtracts a term only about
+    1/n of Srr.
 
     ``period`` feeds one period of a group of paths into four per-path
     running sums, x x, x r, r r and the profit, so memory does not grow
@@ -909,10 +913,8 @@ class _GameStats:
     beside which blocks a block was computed.
     """
 
-    def __init__(self, eq: Equilibrium, lambda_scale: float = 1.0):
+    def __init__(self, eq: Equilibrium):
         self.lam = eq.lam
-        self.lambda_scale = lambda_scale
-        self.misprice = (lambda_scale - 1.0) * eq.lam
         self.phis = eq.phis
         self.profit = _Stat()
         self.sxx = self.sxr = self.srr = 0.0
@@ -922,7 +924,7 @@ class _GameStats:
     def period(self, ds, dy, padj, M) -> None:
         x = _effective_flow(self.phis, dy, M)
         r = ds - self.lam * x
-        terms = (x * x, x * r, r * r, (padj + self.misprice * dy - ds) * dy)
+        terms = (x * x, x * r, r * r, (padj - ds) * dy)
         if self.paths is None:
             self.paths = terms
         else:
@@ -948,13 +950,13 @@ class _GameStats:
         self.n += n
         self.profit.merge(*profit)
 
-    def check(self) -> ProfitCheck:
+    def check(self, lambda_scale: float = 1.0) -> ProfitCheck:
         if not self.sxx:  # every flow rounded to 0 under a huge inventory: no slope to fit
-            return ProfitCheck(self.profit.estimate(), math.nan, 0.0, self.lambda_scale)
+            return ProfitCheck(self.profit.estimate(), math.nan, 0.0, lambda_scale)
         gap = self.sxr / self.sxx
         rss = self.srr - self.sxr * gap
         slope_se = math.sqrt(rss / (self.n - 1) / self.sxx)
-        return ProfitCheck(self.profit.estimate(), self.lam + gap, slope_se, self.lambda_scale)
+        return ProfitCheck(self.profit.estimate(), self.lam + gap, slope_se, lambda_scale)
 
 
 def dealer_profit_check(batch: PathBatch, lambda_scale: float = 1.0) -> ProfitCheck:
@@ -963,17 +965,20 @@ def dealer_profit_check(batch: PathBatch, lambda_scale: float = 1.0) -> ProfitCh
     At lambda_scale = 1 the dealer earns zero on average and the projection
     of the signal move on the effective order flow recovers lambda. Other
     scales misprice the flow and the profit mean moves away from zero,
-    which gives the negative control. Profit is averaged within each path
-    first, since the inventory terms are serially dependent; the regression
-    pools all (path, period) pairs because the flow is independent across
-    periods.
+    which gives the negative control: the price adjustment gains
+    (lambda_scale - 1) lambda dY before ``_GameStats`` reduces it. Profit is
+    averaged within each path first, since the inventory terms are serially
+    dependent; the regression pools all (path, period) pairs because the
+    flow is independent across periods.
     """
-    stats = _GameStats(batch.eq, lambda_scale)
+    stats = _GameStats(batch.eq)
+    misprice = (lambda_scale - 1.0) * batch.eq.lam
     for n in range(batch.horizon):
-        stats.period(batch.dS[:, n], batch.dY[:, n], batch.price_adj[:, n], batch.M[:, :, n].T)
+        dy = batch.dY[:, n]
+        stats.period(batch.dS[:, n], dy, batch.price_adj[:, n] + misprice * dy, batch.M[:, :, n].T)
     for record in stats.end_blocks():
         stats.fold(record)
-    return stats.check()
+    return stats.check(lambda_scale)
 
 
 def reduced_form_gap(batch: PathBatch) -> float:
@@ -1085,11 +1090,6 @@ class DeviationSweepResult:
     reference_index: int
     trader_index: int
     horizon: int
-
-    @property
-    def best_index(self) -> int:
-        means = [r.objective.mean for r in self.rows]
-        return int(np.argmax(means))
 
     def reference_dominates(self, slack: float = 4.0) -> bool:
         """No row beats the reference by more than ``slack`` paired standard

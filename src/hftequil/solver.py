@@ -44,7 +44,9 @@ _MAX_BRACKET_HALVINGS = 60
 
 
 class SolverError(RuntimeError):
-    """Base class for structured solver failures."""
+    """The structured refusal of the solve, of the value layer and of the
+    horizon rule: ``NoRootInBracket``, ``ConstraintViolated``, which names
+    the constraint, and the simulator's ``HorizonTooShort``."""
 
 
 class NoRootInBracket(SolverError):

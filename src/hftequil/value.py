@@ -24,7 +24,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ValueCoefficients",
-    "DegenerateDenominator",
     "value_coefficients",
     "evaluate_value",
     "dpe_rhs",
@@ -36,10 +35,6 @@ __all__ = [
 ]
 
 _INVARIANT_TOL = 1e-9
-
-
-class DegenerateDenominator(ArithmeticError):
-    """A value-coefficient denominator vanished; the parameters admit no quadratic value."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,9 @@ def value_coefficients(
     F + gamma dt = lambda phi/(1 - phi)) guard the implementation, not the
     inputs; a violation means a bug and raises ConstraintViolated. So does
     a coefficient that overflows, as D = (1 - rho dt) B sigma_S^2/(2 rho)
-    does when rho is tiny.
+    does when rho is tiny, and, as ConstraintViolated("value_denominator"),
+    a denominator that vanishes, as 1 - phi does where the solve rounds phi
+    to 1.
     """
     if params.dt == 0.0:
         raise ValueError("value coefficients are defined for dt > 0 only")
@@ -91,7 +88,7 @@ def value_coefficients(
     # 1 - (1 - rho dt)(1 - phi)^2, without cancellation at small phi and rho dt
     a_den = phi * (2.0 - phi) + rho * dt * (1.0 - phi) ** 2
     if a_den <= 0.0:
-        raise DegenerateDenominator(f"1 - (1 - rho dt)(1 - phi)^2 = {a_den!r} <= 0")
+        raise ConstraintViolated("value_denominator", f"1 - (1 - rho dt)(1 - phi)^2 = {a_den!r} <= 0")
     A = disc * (1.0 - phi) ** 2 * gdt / a_den
     B = disc * beta * (2.0 * eta - beta * (A + gdt))
     C = disc * (beta * (1.0 - phi) * (A + gdt) + phi * eta)
@@ -111,10 +108,10 @@ def value_coefficients(
 
     f_den = phi + (1.0 - phi) * (zeta * disc + rho * dt)
     if f_den <= 0.0:
-        raise DegenerateDenominator(f"F denominator = {f_den!r} <= 0")
+        raise ConstraintViolated("value_denominator", f"F denominator = {f_den!r} <= 0")
     F = disc * (lam * phi * zeta + (1.0 - zeta) * (1.0 - phi) * gdt) / f_den
     if phi >= 1.0:
-        raise DegenerateDenominator(f"phi = {phi!r} >= 1 breaks the decay link")
+        raise ConstraintViolated("value_denominator", f"phi = {phi!r} >= 1 breaks the decay link")
     link = lam * phi / (1.0 - phi)
     if abs((F + gdt) - link) > _INVARIANT_TOL * max(1.0, abs(link)):
         raise ConstraintViolated("value_invariant", f"F + gamma dt = {F + gdt!r} vs {link!r}")

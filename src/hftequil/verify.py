@@ -22,7 +22,7 @@ of paths past 4096, where the simulator's walk holds its full share of
 blocks, and the paths' increments are held a tile of periods at a time,
 so neither they nor the dealer's sums grow with the horizon.
 ``paths`` is 0, which skips this battery, or an integer of at least 2.
-Three calls stay separate. The objective check runs over the full
+Three calls stay separate. The objective check runs over trader 0's full
 discount horizon rather than ``mc_horizon``, and the reduced-form witness
 needs every series of a small batch in which trader 0 deviates. The
 moment check could be read off the same blocks, but it stays a call to
@@ -295,7 +295,8 @@ def _mc_checks(eq, params, coeff_list, identity_gate, paths, seed, mc_horizon):
 
     if coeff_list is not None:
         try:
-            full_horizon = sim.default_horizon(params, cap=20000)
+            # trader 0's own discount tail, at which the target discounts
+            full_horizon = sim._tail_horizon(params.traders[0].rho, params.dt, 20000)
         except sim.HorizonTooShort:
             full_horizon = None
         if full_horizon is not None:

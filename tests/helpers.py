@@ -1,4 +1,7 @@
 """Parameter builders shared across the test modules."""
+import math
+import random
+
 from hftequil import TraderParams, ValidatedParams
 
 
@@ -48,3 +51,20 @@ def mispriced_profit(p, eq, horizon, lambda_scale):
             geom = (1.0 - a**horizon) / (1.0 - a)
             predicted += eq.phis[i] * eq.phis[j] * (m0[i] * m0[j] * geom + c * (horizon - geom) / (1.0 - a))
     return (lambda_scale - 1.0) * eq.lam * (var_x + predicted / horizon)
+
+
+def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def fuzz_market(rng: random.Random):
+    """k <= 4, sigma_K/sigma_S in [1e-12, 1e10], dt in [1e-12, 0.5], gamma_i in
+    [1e-2, 1e2] and rho_i in [1e-2, 1], each log-uniform; on 40% of draws a
+    tax of 1e-6 to 100 times the impact scale sigma_S/sigma_K."""
+    k = rng.randint(1, 4)
+    m = _log_uniform(rng, 1e-12, 1e10)
+    dt = _log_uniform(rng, 1e-12, 0.5)
+    gammas = [_log_uniform(rng, 1e-2, 1e2) for _ in range(k)]
+    rhos = [_log_uniform(rng, 1e-2, 1.0) for _ in range(k)]
+    tax = _log_uniform(rng, 1e-6, 1e2) / m if rng.random() < 0.4 else 0.0
+    return make_params(gammas=gammas, rhos=rhos, sigma_K=m, dt=dt, tax=tax)

@@ -117,7 +117,6 @@ def test_criterion_05_dealer_zero_profit_with_negative_control():
     assert abs(check.slope - eq.lam) <= 3.0 * check.slope_se
 
     control = dealer_profit_check(batch, lambda_scale=1.1)
-    assert not control.covers_zero
     assert control.profit.mean > 4.0 * control.profit.std_error
     mispricing = mispriced_profit(p, eq, 1000, 1.1)
     assert abs(control.profit.mean - mispricing) <= 4.0 * control.profit.std_error

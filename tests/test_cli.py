@@ -141,6 +141,20 @@ class TestParamErrors:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "value_finite" in err
 
+    def test_phi_rounded_to_one_exits_1_without_a_traceback(self, capsys):
+        # the solve rounds phi to 1.0, so 1 - phi vanishes in the value layer
+        market = [
+            "--sigma-s", "1", "--sigma-k", "464791129821.79486", "--dt", "0.1106519510532586",
+            "--gamma", "0.002167101358143522", "--rho", "0.4990912258867044",
+        ]
+        code, out, err = run_cli(capsys, "solve", *market)
+        assert code == 1 and out == "" and "Traceback" not in err
+        [line] = err.splitlines()
+        assert line.startswith("error:") and "value_denominator" in line
+        code, out, err = run_cli(capsys, "verify", *market, "--paths", "0")
+        assert code == 1 and "Traceback" not in err
+        assert "FAIL dpe_residual" in out and "value_denominator" in out
+
     def test_overflowing_expansion_coefficient_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "expand", *BASE, "--rho", "1e-310")
         assert code == 1 and out == ""

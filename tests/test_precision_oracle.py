@@ -18,7 +18,7 @@ import pytest
 
 from hftequil import TraderParams, solve_equilibrium
 from hftequil.solver import _excess
-from helpers import make_params
+from helpers import fuzz_market, make_params
 
 ULPS = 4
 # The fuzz's first 20,000 draws read at most 5.17 ulps, 17 of them above 4,
@@ -109,28 +109,11 @@ def test_reference_loadings_solve_the_response_quadratic(params):
             assert abs(a * beta * beta + b * beta + r * r) / (r * r) <= Decimal("1e-45")
 
 
-def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
-
-def _fuzz_market(rng: random.Random):
-    """k <= 4, sigma_K/sigma_S in [1e-12, 1e10], dt in [1e-12, 0.5], gamma_i in
-    [1e-2, 1e2] and rho_i in [1e-2, 1], each log-uniform; on 40% of draws a
-    tax of 1e-6 to 100 times the impact scale sigma_S/sigma_K."""
-    k = rng.randint(1, 4)
-    m = _log_uniform(rng, 1e-12, 1e10)
-    dt = _log_uniform(rng, 1e-12, 0.5)
-    gammas = [_log_uniform(rng, 1e-2, 1e2) for _ in range(k)]
-    rhos = [_log_uniform(rng, 1e-2, 1.0) for _ in range(k)]
-    tax = _log_uniform(rng, 1e-6, 1e2) / m if rng.random() < 0.4 else 0.0
-    return make_params(gammas=gammas, rhos=rhos, sigma_K=m, dt=dt, tax=tax)
-
-
 def test_fuzzed_solves_are_within_the_fuzz_bound_of_the_reference():
     rng = random.Random(FUZZ_SEED)
     failures = []
     for draw in range(FUZZ_DRAWS):
-        params = _fuzz_market(rng)
+        params = fuzz_market(rng)
         errors = _ulp_errors(params)
         if max(errors.values()) > FUZZ_ULPS:
             failures.append((draw, params, errors))

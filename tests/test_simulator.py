@@ -21,6 +21,7 @@ from hftequil import (
     Estimate,
     HorizonTooShort,
     InadmissibleStrategy,
+    SolverError,
     StrategySpec,
     SweepRow,
     dealer_profit_check,
@@ -528,6 +529,9 @@ class TestHorizon:
                     simulator._check_tail(rho, dt, horizon, DEFAULT_TAIL_TOL)
                     assert horizon == 1 or (1.0 - rho * dt) ** (horizon - 1) > DEFAULT_TAIL_TOL
 
+    def test_too_short_is_a_solver_error(self):
+        assert issubclass(HorizonTooShort, SolverError) and issubclass(HorizonTooShort, RuntimeError)
+
     def test_discount_factor_rounding_to_one_is_beyond_any_cap(self):
         with pytest.raises(HorizonTooShort):
             default_horizon(make_params(dt=0.1, rho=1e-20), cap=10**30)
@@ -772,7 +776,6 @@ class TestDeviationSweep:
         result = deviation_sweep(eq, p, 0, specs, n_paths=4000, horizon=60, seed=17)
         assert isinstance(result, DeviationSweepResult)
         assert result.reference_index == 0
-        assert result.best_index == 0
         assert result.reference_dominates(slack=2.0)
         assert result.rows[0].difference is None
         assert result.rows[1].difference.mean < 0.0
@@ -1042,7 +1045,7 @@ class TestGroups:
         specs = [StrategySpec.with_z(0.4, 0.5), StrategySpec.equilibrium(), StrategySpec.scaled(1.1)]
 
         def call():
-            stats = simulator._GameStats(eq, 1.1)
+            stats = simulator._GameStats(eq)
             sweep, mtm = simulator._sweep(eq, p, 0, specs, n_paths=32 * 9 + 1, horizon=30, seed=4, stats=stats)
             return sweep, stats.check(), mtm, stats.n
 
@@ -1136,14 +1139,40 @@ class TestGroups:
         assert normals <= peak <= normals + 2 * 2**20, (peak, normals)
 
 
-class TestEstimate:
-    def test_ci_and_coverage(self):
-        est = Estimate(mean=1.0, std_error=0.5, n_samples=100)
-        lo, hi = est.ci95
-        assert lo == pytest.approx(1.0 - 1.96 * 0.5)
-        assert hi == pytest.approx(1.0 + 1.96 * 0.5)
-        assert est.covers(1.9)
-        assert not est.covers(2.1)
+    def test_coefficients_above_max_floats_are_refused_before_the_walk(self, monkeypatch):
+        # _discounted builds its per-period coefficients for the whole
+        # horizon, and criterion 06's 14 rows would take gigabytes of them at
+        # HORIZON_CAP. The count is refused first; a walk that starts anyway
+        # stops here, before it allocates anything.
+        class Walked(Exception):
+            pass
+
+        def walk(*args):
+            raise Walked
+
+        monkeypatch.setattr(simulator, "_walk", walk)
+        p = make_params(k=2, dt=0.01)
+        eq, _ = solve_equilibrium(p)
+        specs = [StrategySpec.equilibrium()]
+        specs += [StrategySpec.scaled(beta_scale=s) for s in (0.8, 0.9, 1.1, 1.2)]
+        specs += [StrategySpec.scaled(phi_scale=s) for s in (0.8, 0.9, 1.1, 1.2)]
+        specs += [StrategySpec.with_z(z, 1.0) for z in (0.0, 0.05, 0.1, 0.2, 1.0)]
+        per_period = 3 + 8 * len(specs)
+        horizon = simulator.HORIZON_CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"need {per_period * (horizon + 1)} doubles, above max_floats="):
+                deviation_sweep(eq, p, 0, specs, n_paths=20000, horizon=horizon, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        # the count is exact: the longest horizon that fits reaches the walk
+        fits = simulator.MAX_FLOATS // per_period - 1
+        with pytest.raises(Walked):
+            deviation_sweep(eq, p, 0, specs, n_paths=20000, horizon=fits, seed=0)
+        with pytest.raises(ValueError, match="doubles"):
+            deviation_sweep(eq, p, 0, specs, n_paths=20000, horizon=fits + 1, seed=0)
 
 
 class WorkerFault(Exception):

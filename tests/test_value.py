@@ -16,7 +16,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hftequil import (
-    DegenerateDenominator,
     Equilibrium,
     SolverError,
     default_dpe_grid,
@@ -296,10 +295,6 @@ def test_result_records_match_init_built_twins(record):
         setattr(record, first, 0.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         delattr(record, first)
-
-
-def test_degenerate_denominator_is_arithmetic_error():
-    assert issubclass(DegenerateDenominator, ArithmeticError)
 
 
 @given(

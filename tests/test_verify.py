@@ -1,6 +1,7 @@
 """End-to-end verification battery over representative parameter sets."""
 import dataclasses
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -10,11 +11,12 @@ import hftequil.verify
 from hftequil import (
     CheckResult,
     ConstraintViolated,
+    SolverError,
     VerificationReport,
     run_verification,
 )
 from hftequil.verify import _IDENTITY_GATE, _MC_SIGMAS, _max_z_gate, _z_check
-from helpers import make_params
+from helpers import fuzz_market, make_params
 
 
 def _raise_value_invariant(*args, **kwargs):
@@ -54,6 +56,22 @@ HALVED_BY_STRICT = {
     "dpe_argmax",
     "reduced_form_witness",
 }
+
+
+# The solve rounds every trader's phi to 1.0 exactly on these markets, so
+# 1 - phi vanishes in the value layer.
+PHI_ONE_MARKETS = [
+    make_params(
+        sigma_K=464791129821.79486, dt=0.1106519510532586, gamma=0.002167101358143522, rho=0.4990912258867044
+    ),
+    make_params(
+        sigma_K=472187338.79935074,
+        dt=0.38627268785186675,
+        gammas=[0.9714718099944232, 27.974406384748068, 5.182965192903174, 5.290269073542773],
+        rhos=[0.5916675808227054, 0.5711471045977514, 0.7496319373195179, 0.017363103670997537],
+    ),
+]
+FUZZ_DRAWS = 200
 
 
 class TestFullBattery:
@@ -200,7 +218,6 @@ class TestFullBattery:
                 difference=dataclasses.replace(diff, mean=gap),
             )
             result = dataclasses.replace(result, rows=tuple(rows))
-            assert result.best_index == 1
             return result, mtm
 
         monkeypatch.setattr(hftequil.simulator, "_sweep", shifted)
@@ -250,6 +267,21 @@ class TestFullBattery:
         names = {r.name for r in report.results}
         assert "moment_formula_mc" in names and "objective_value_mc" not in names
 
+    @pytest.mark.parametrize("params", PHI_ONE_MARKETS, ids=["k1", "k4"])
+    def test_phi_rounded_to_one_fails_the_value_checks(self, params):
+        report = run_verification(params, paths=0)
+        failed = {r.name: r for r in report.results if not r.passed}
+        assert set(failed) == VALUE_NAMES
+        assert all("value_denominator" in r.detail for r in failed.values())
+
+    def test_objective_check_runs_on_trader_0s_own_discount_tail(self):
+        # Trader 1's tail needs 138,149 periods, beyond the check's cap of
+        # 20,000; trader 0's own, which the target discounts at, needs 270.
+        p = make_params(k=2, dt=0.1, gammas=[1.0, 2.0], rhos=[0.5, 0.001])
+        report = run_verification(p)
+        check = next(r for r in report.results if r.name == "objective_value_mc")
+        assert check.passed, (check.value, check.detail)
+
     def test_overflowing_value_coefficient_fails_the_value_checks(self):
         # ValidatedParams accepts rho = 1e-310, but D = (1 - rho dt) B sigma_S^2/(2 rho) overflows
         report = run_verification(make_params(dt=0.004, rho=1e-310), paths=0)
@@ -291,6 +323,21 @@ class TestFullBattery:
             # every effective flow rounds to 0, so no impact slope can be fitted
             impact = results["impact_regression_mc"]
             assert impact.value == math.inf and not impact.passed
+
+
+def test_every_fuzzed_market_gets_a_report_or_a_solver_error():
+    # Any other exception escapes run_verification and fails the test.
+    rng = random.Random(0)
+    refused = 0
+    for _ in range(FUZZ_DRAWS):
+        params = fuzz_market(rng)
+        try:
+            report = run_verification(params, paths=0)
+        except SolverError:
+            refused += 1
+        else:
+            assert isinstance(report, VerificationReport)
+    assert refused < FUZZ_DRAWS
 
 
 class TestReportMechanics:
