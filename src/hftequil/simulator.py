@@ -61,12 +61,10 @@ for bit, and a path's values do not depend on blocking; only a change of
 the caller included, advances groups of ``GROUP_BLOCKS`` // w blocks and
 needs one group's buffers, a tile of increments of at most 2 MB per block
 plus a scratch of 128 kB, its records, under 1 kB per block, and in
-verify's pass ``_GameStats``' four per-path sums, 32 bytes per path. What
-still grows with the horizon is ``_discounted``'s per-period coefficients,
-at most 3 + 8 R doubles per period for R rows, which ``_pooled`` holds to
-``MAX_FLOATS`` before it walks. A worker's other pages are shared with the
-caller until written. ``simulate`` stays serial and advances groups of
-``GROUP_BLOCKS`` blocks.
+verify's pass ``_GameStats``' four per-path sums, 32 bytes per path;
+``_discounted``'s per-period coefficients are built on the same tiles. A
+worker's other pages are shared with the caller until written.
+``simulate`` stays serial and advances groups of ``GROUP_BLOCKS`` blocks.
 
 Per period, in order: trades are formed from the previous state and the
 fresh signal, the dealer prices the aggregate flow, inventories update, and
@@ -111,9 +109,7 @@ _MAX_PATH_INDEX = 2**63
 _MAX_SEED = 2**64
 DEFAULT_TAIL_TOL = 1e-6
 HORIZON_CAP = 10_000_000
-# Doubles that ``simulate`` may keep in one PathBatch, 2 GB, and that a
-# streaming run may spend on per-period coefficients; it holds its
-# increments a tile of periods at a time.
+# Doubles that ``simulate`` may keep in one PathBatch, 2 GB.
 MAX_FLOATS = 250_000_000
 # Paths per block: the unit whose moments, dealer sums and checkpoint records
 # are pooled, in block order, so a change of it reorders every pooled sum.
@@ -655,15 +651,15 @@ def _discounted(
     (e' + imp dX) - hold X1^2 is the series' own objective and U = sum dX e'
     on M_i. The weights w_n = (dD, 2 s imp dD, -2 s hold D_{n+1}) and C =
     sum imp dD^2 - hold D_{n+1}^2 vanish unless D != 0, and one product adds
-    the gap terms of all rows with a gap each period. A ``_GameStats`` in
-    ``stats`` is fed row 0's flow and prices every period, which implies
-    ``with_mtm``, and closes each group by the blocks' column slices; the
-    records that ``end_blocks`` returns are the blocks' third items.
+    the gap terms of all rows with a gap each period. Every coefficient is
+    built, and C summed, a tile at a time, so memory does not grow with the
+    horizon. A ``_GameStats`` in ``stats`` is fed row 0's flow and prices
+    every period, which implies ``with_mtm``, and closes each group by the
+    blocks' column slices; the records that ``end_blocks`` returns are the
+    blocks' third items.
     """
-    t = params.traders[i]
-    disc = np.cumprod(np.full(horizon, 1.0 - t.rho * params.dt))
-    impact = -(eq.lam + params.tax) * disc
-    hold = 0.5 * t.gamma * params.dt * disc
+    trader = params.traders[i]
+    per, half_g_dt = 1.0 - trader.rho * params.dt, 0.5 * trader.gamma * params.dt
     series, plan = [_coefficients(StrategySpec(), eq, i)[0]], []
     for row, ride in rows:
         if ride is None:
@@ -673,14 +669,8 @@ def _discounted(
             s, c = ride
             plan.append((0, s, row[3] + (1.0 - s) * params.initial_inventories[i], c))
     idx, s, D, c = (np.array(col) for col in zip(*plan))
-    Dn = D[:, None] * np.power(1.0 - c[:, None], np.arange(horizon + 1))
-    dD, D1 = -c[:, None] * Dn[:, :-1], Dn[:, 1:]
-    C = (impact * dD * dD - hold * D1 * D1).sum(axis=1)
-    # the rows with a gap, and period n's weights on (e', dX, X1), W[n]: (gaps, 3)
     gap = np.flatnonzero(D)
     sg = s[gap, None]
-    W = np.stack((dD[gap], 2.0 * sg * impact * dD[gap], -2.0 * sg * hold * D1[gap]), axis=-1)
-    W = np.ascontiguousarray(W.transpose(1, 0, 2))
     # row 0's inventory s X + D_n and its trade feed the mark-to-market and
     # _GameStats; shifted0 tells whether they differ from its series'
     j0, s0, shifted0 = idx[0], s[0], D[0] != 0.0 or s[0] != 1.0
@@ -695,33 +685,48 @@ def _discounted(
         ed, G = V[0, :b], np.zeros((gap.size, b))
         mtm = np.zeros(b) if with_mtm else None
         cuts = _cuts(b)
+        C, disc = np.zeros(len(rows)), np.ones(1)
         for n, (ds, dk, M, _, X, dX, X1, _, dLj, e) in enumerate(periods):
+            # period n is row t of its tile of increments and of coefficients
+            t = n % STREAM_PATHS
+            if not t:
+                # disc goes on from the last tile's last factor: one running product
+                factors = np.full(min(STREAM_PATHS, horizon - n) + 1, per)
+                factors[0] = disc[-1]
+                disc = np.cumprod(factors)[1:]
+                impact, hold = -(eq.lam + params.tax) * disc, half_g_dt * disc
+                Dn = D[:, None] * np.power(1.0 - c[:, None], np.arange(n, n + disc.size + 1))
+                dD, D1 = -c[:, None] * Dn[:, :-1], Dn[:, 1:]
+                C += (impact * dD * dD - hold * D1 * D1).sum(axis=1)
+                # the weights of the rows with a gap on (e', dX, X1), W[t]: (gaps, 3)
+                W = np.stack((dD[gap], 2.0 * sg * impact * dD[gap], -2.0 * sg * hold * D1[gap]), axis=-1)
+                W = np.ascontiguousarray(W.transpose(1, 0, 2))
             if with_mtm:
                 x0, dx0 = X[j0], dX[j0]
                 if shifted0:
-                    x0, dx0 = s0 * x0 + Dn[0, n], s0 * dx0 + dD[0, n]
-                mtm += x0 * ds * disc[n]
+                    x0, dx0 = s0 * x0 + Dn[0, t], s0 * dx0 + dD[0, t]
+                mtm += x0 * ds * disc[t]
                 if stats is not None:
                     stats.period(ds, dk + np.add.reduce(dLj, axis=0) + dx0, ds - e + eq.lam * dx0, M)
-            np.multiply(e, disc[n], out=ed)
+            np.multiply(e, disc[t], out=ed)
             U += np.multiply(dX[0], ed, out=u)
             if gap.size:
                 V[1, :b], V[2, :b] = dX[0], X1[0]
-                np.matmul(W[n], V, out=gain)
+                np.matmul(W[t], V, out=gain)
                 G += gain[:, :b]
             # Q += dX (e' + imp dX) - hold X1^2, in place
-            np.multiply(dX, impact[n], out=tmp)
+            np.multiply(dX, impact[t], out=tmp)
             tmp += ed
             tmp *= dX
             Q += tmp
             np.square(X1, out=tmp)
-            tmp *= hold[n]
+            tmp *= hold[t]
             Q -= tmp
         obj = (s * s)[:, None] * Q[idx] + (s * (1.0 - s))[:, None] * U
         obj[gap] += G + C[gap, None]
         records = [None] * len(cuts) if stats is None else stats.end_blocks(cuts)
-        for c, record in zip(cuts, records):
-            yield obj[:, c], None if mtm is None else mtm[c], record
+        for cut, record in zip(cuts, records):
+            yield obj[:, cut], None if mtm is None else mtm[cut], record
 
 
 def _pooled(
@@ -731,16 +736,8 @@ def _pooled(
     and pool, in block order, the estimates of each row's objective, then of
     each other row's paired difference against row ``reference``, if given,
     then of row 0's mark-to-market, if ``with_mtm`` or ``stats`` asks for it.
-    A ``_GameStats`` in ``stats`` folds each block's dealer record. A run
-    whose ``_discounted`` coefficients, at most 3 + 8 R doubles a period,
-    top ``MAX_FLOATS`` is refused before anything forks or is allocated.
+    A ``_GameStats`` in ``stats`` folds each block's dealer record.
     """
-    n_floats = (3 + 8 * len(rows)) * (horizon + 1)
-    if n_floats > MAX_FLOATS:
-        raise ValueError(
-            f"the per-period coefficients of {len(rows)} rows over {horizon} periods need {n_floats} doubles, "
-            f"above max_floats={MAX_FLOATS}; reduce the horizon or the rows"
-        )
 
     def blocks(first, n, group_blocks):
         for objs, mtm, dealer in _discounted(
@@ -833,6 +830,8 @@ def simulate(
 def _check_tail(rho: float, dt: float, horizon: int, tail_tol) -> None:
     if tail_tol is None:
         return
+    if isinstance(tail_tol, bool) or not isinstance(tail_tol, (int, float)) or tail_tol != tail_tol:
+        raise ValueError(f"tail_tol must be None or a real number other than NaN, got {tail_tol!r}")
     tail = (1.0 - rho * dt) ** horizon
     if tail > tail_tol:
         raise HorizonTooShort(

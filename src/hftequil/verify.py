@@ -152,7 +152,7 @@ def _check_phi_bounds(eq: Equilibrium, params: ValidatedParams) -> CheckResult:
         ok = all(p == 0.0 for p in eq.phis)
         return CheckResult("phi_bounds", ok, 0.0 if ok else 1.0, 0.0, detail="dt=0 limit: phi must be exactly 0")
     strict_lower = params.tax == 0.0
-    ok = all((p > 0.0 if strict_lower else p >= 0.0) and p <= 1.0 for p in eq.phis)
+    ok = all((p > 0.0 if strict_lower else p >= 0.0) and p < 1.0 for p in eq.phis)
     return CheckResult("phi_bounds", ok, margin, 0.0, detail=f"phis={list(eq.phis)!r}")
 
 

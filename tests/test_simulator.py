@@ -479,6 +479,18 @@ class TestObjective:
         est = simulate_objective(eq, None, p, 0, **kw, tail_tol=None).objective
         assert math.isfinite(est.mean)
 
+    @pytest.mark.parametrize("bad", [math.nan, "1e-6", True, [1e-6], 1e-6j])
+    def test_bad_tail_tol_is_refused_before_the_walk(self, monkeypatch, bad):
+        # tail 0.9975 after 5 periods: a NaN would otherwise skip the check
+        def walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(simulator, "_walk", walk)
+        p = make_params(k=1, dt=0.01, rho=0.05)
+        eq, _ = solve_equilibrium(p)
+        with pytest.raises(ValueError, match="tail_tol must be None or a real number"):
+            simulate_objective(eq, None, p, 0, n_paths=4, horizon=5, tail_tol=bad)
+
     def test_streaming_equals_batch_reduction(self):
         p = make_params(k=2, dt=0.01)
         eq, _ = solve_equilibrium(p)
@@ -495,6 +507,19 @@ class TestObjective:
                 float(batch.mtm_discounted[:, i].mean()), rel=1e-13
             )
             assert res.horizon == 80 and res.n_paths == 64 and res.trader_index == i
+
+    def test_streaming_equals_batch_reduction_across_coefficient_tiles(self):
+        # 300 periods span three tiles of STREAM_PATHS; simulate builds its own
+        # discount factors, so it witnesses the tiled pricing of a gap row
+        p = make_params(k=2, dt=0.01, l0=[0.5, -0.3])
+        eq, _ = solve_equilibrium(p)
+        specs = {0: StrategySpec.with_z(0.05, 1.0)}
+        batch = simulate(eq, specs, p, n_paths=64, horizon=300, seed=13)
+        res = simulate_objective(eq, specs, p, 0, n_paths=64, horizon=300, seed=13, tail_tol=None)
+        want = sample_estimate(discounted_payoffs(batch, 0))
+        assert res.objective.mean == pytest.approx(want.mean, rel=1e-13)
+        assert res.objective.std_error == pytest.approx(want.std_error, rel=1e-12)
+        assert res.mark_to_market.mean == pytest.approx(float(batch.mtm_discounted[:, 0].mean()), rel=1e-13)
 
     def test_mark_to_market_is_centered(self):
         p = make_params(k=1, dt=0.1)
@@ -1094,32 +1119,43 @@ class TestGroups:
         monkeypatch.setattr(simulator, "_usable_cpus", lambda: workers)
         TestDeviationSweep().test_memory_does_not_grow_with_paths()
 
-    @pytest.mark.parametrize("with_stats", [False, True], ids=["sweep", "with a _GameStats"])
-    def test_memory_does_not_grow_with_the_horizon(self, monkeypatch, with_stats):
+    @pytest.mark.parametrize("case", ["sweep", "with a _GameStats", "14 rows with gaps"])
+    def test_memory_does_not_grow_with_the_horizon(self, monkeypatch, case):
         # four blocks walked serially as one group at both horizons, which
         # hold their increments a tile of STREAM_PATHS periods at a time; a
-        # _GameStats, verify's dealer pass, keeps per-path sums, not per-period
+        # _GameStats, verify's dealer pass, keeps per-path sums, not
+        # per-period. On two paths, criterion 06's 14 rows, nine with a gap
+        # at l0 = 0.5, show the per-period coefficients, which _discounted
+        # builds a tile at a time too.
         p = make_params(k=2, dt=0.01)
-        eq, _ = solve_equilibrium(p)
         specs = [
             StrategySpec.equilibrium(),
             StrategySpec.scaled(beta_scale=0.9),
             StrategySpec.scaled(phi_scale=1.1),
             StrategySpec.with_z(0.5, 1.0),
         ]
+        n_paths, horizons, slack = 4 * BLOCK_PATHS, (256, 4096), 2**20
+        if case == "14 rows with gaps":
+            p = make_params(k=2, dt=0.01, l0=[0.5, 0.0])
+            specs = [StrategySpec.equilibrium()]
+            specs += [StrategySpec.scaled(beta_scale=s) for s in (0.8, 0.9, 1.1, 1.2)]
+            specs += [StrategySpec.scaled(phi_scale=s) for s in (0.8, 0.9, 1.1, 1.2)]
+            specs += [StrategySpec.with_z(z, 1.0) for z in (0.0, 0.05, 0.1, 0.2, 1.0)]
+            n_paths, horizons, slack = 2, (500, 5000), 2**19
+        eq, _ = solve_equilibrium(p)
         widths = group_widths(monkeypatch)
         deviation_sweep(eq, p, 0, specs, n_paths=2, horizon=16, seed=1)  # one-time set-up
         peaks = {}
-        for horizon in (256, 4096):
+        for horizon in horizons:
             tracemalloc.start()
             try:
-                stats = simulator._GameStats(eq) if with_stats else None
-                simulator._sweep(eq, p, 0, specs, n_paths=4 * BLOCK_PATHS, horizon=horizon, seed=1, stats=stats)
+                stats = simulator._GameStats(eq) if case == "with a _GameStats" else None
+                simulator._sweep(eq, p, 0, specs, n_paths=n_paths, horizon=horizon, seed=1, stats=stats)
                 peaks[horizon] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert widths[1:] == [4 * BLOCK_PATHS] * 2, widths
-        assert peaks[4096] <= peaks[256] + 2**20, peaks
+        assert widths[1:] == [n_paths] * 2, widths
+        assert peaks[horizons[1]] <= peaks[horizons[0]] + slack, peaks
 
     @pytest.mark.parametrize("horizon", [64, 600])
     def test_memory_holds_one_group(self, horizon):
@@ -1138,41 +1174,6 @@ class TestGroups:
             tracemalloc.stop()
         assert normals <= peak <= normals + 2 * 2**20, (peak, normals)
 
-
-    def test_coefficients_above_max_floats_are_refused_before_the_walk(self, monkeypatch):
-        # _discounted builds its per-period coefficients for the whole
-        # horizon, and criterion 06's 14 rows would take gigabytes of them at
-        # HORIZON_CAP. The count is refused first; a walk that starts anyway
-        # stops here, before it allocates anything.
-        class Walked(Exception):
-            pass
-
-        def walk(*args):
-            raise Walked
-
-        monkeypatch.setattr(simulator, "_walk", walk)
-        p = make_params(k=2, dt=0.01)
-        eq, _ = solve_equilibrium(p)
-        specs = [StrategySpec.equilibrium()]
-        specs += [StrategySpec.scaled(beta_scale=s) for s in (0.8, 0.9, 1.1, 1.2)]
-        specs += [StrategySpec.scaled(phi_scale=s) for s in (0.8, 0.9, 1.1, 1.2)]
-        specs += [StrategySpec.with_z(z, 1.0) for z in (0.0, 0.05, 0.1, 0.2, 1.0)]
-        per_period = 3 + 8 * len(specs)
-        horizon = simulator.HORIZON_CAP
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=f"need {per_period * (horizon + 1)} doubles, above max_floats="):
-                deviation_sweep(eq, p, 0, specs, n_paths=20000, horizon=horizon, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20, peak
-        # the count is exact: the longest horizon that fits reaches the walk
-        fits = simulator.MAX_FLOATS // per_period - 1
-        with pytest.raises(Walked):
-            deviation_sweep(eq, p, 0, specs, n_paths=20000, horizon=fits, seed=0)
-        with pytest.raises(ValueError, match="doubles"):
-            deviation_sweep(eq, p, 0, specs, n_paths=20000, horizon=fits + 1, seed=0)
 
 
 class WorkerFault(Exception):

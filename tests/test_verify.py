@@ -269,10 +269,11 @@ class TestFullBattery:
 
     @pytest.mark.parametrize("params", PHI_ONE_MARKETS, ids=["k1", "k4"])
     def test_phi_rounded_to_one_fails_the_value_checks(self, params):
+        # 1 - phi_i = 2/(w + q + 2d) > 0 in every valid market, so phi_bounds refuses 1.0 too
         report = run_verification(params, paths=0)
         failed = {r.name: r for r in report.results if not r.passed}
-        assert set(failed) == VALUE_NAMES
-        assert all("value_denominator" in r.detail for r in failed.values())
+        assert set(failed) == VALUE_NAMES | {"phi_bounds"}
+        assert all("value_denominator" in failed[name].detail for name in VALUE_NAMES)
 
     def test_objective_check_runs_on_trader_0s_own_discount_tail(self):
         # Trader 1's tail needs 138,149 periods, beyond the check's cap of
