@@ -7,9 +7,10 @@ signal and noise increments come from the Philox generators keyed by
 n + 1 of the chunk's path j is its stream's normal 128 n + j. So a path's
 increments depend only on (seed, path, stream, period); they do not change
 with blocking or with the slice of paths drawn, and a shorter horizon
-reads a prefix of them. One bit generator is re-keyed per chunk by setting
-its state, which gives the same numbers as a fresh ``Philox(key=...)``
-without the seed sequence that construction runs. Dealers always price
+reads a prefix of them. Each group of paths builds one generator per chunk
+and stream, by setting the state of a ``Philox(0)`` to the stream's start,
+which gives the same numbers as a fresh ``Philox(key=...)``, and draws
+every tile of its increments from it in turn. Dealers always price
 with the equilibrium rule; traders can play the equilibrium strategy, a
 scaled variant, or carry an inventory gap that they work down at a chosen
 rate. The dealer's inventory predictions follow the equilibrium recursion
@@ -212,20 +213,18 @@ class StrategySpec:
         return cls(kind="with_z", zeta=zeta, z0=z0)
 
 
-def _normalize_strategies(strategies, k: int) -> tuple[StrategySpec, ...]:
+def _normalize_strategies(strategies, k: int) -> list[StrategySpec]:
+    """One spec per trader from a profile, None or {trader: spec}; the traders it leaves out play equilibrium."""
     if strategies is None:
-        return tuple(StrategySpec() for _ in range(k))
-    if isinstance(strategies, dict):
-        out = [StrategySpec() for _ in range(k)]
-        for i, spec in strategies.items():
-            if not 0 <= i < k:
-                raise ValueError(f"strategy index {i} out of range for k={k}")
-            out[i] = spec
-        return tuple(out)
-    specs = tuple(strategies)
-    if len(specs) != k:
-        raise ValueError(f"need one strategy per trader, got {len(specs)} for k={k}")
-    return specs
+        strategies = {}
+    if not isinstance(strategies, dict):
+        raise ValueError(f"strategies must be None or a dict of trader index to StrategySpec, got {strategies!r}")
+    out = [StrategySpec() for _ in range(k)]
+    for i, spec in strategies.items():
+        if not 0 <= i < k:
+            raise ValueError(f"strategy index {i} out of range for k={k}")
+        out[i] = spec
+    return out
 
 
 def _coefficients(spec: StrategySpec, eq: Equilibrium, i: int):
@@ -257,11 +256,11 @@ def _coefficients(spec: StrategySpec, eq: Equilibrium, i: int):
     raise ValueError(f"unknown strategy kind {spec.kind!r}")
 
 
-def _checked_game(eq, strategies, params, trader_index, horizon, seed, first_path, n_paths):
+def _checked_game(eq, strategies, params, trader_index, horizon, seed, n_paths):
     """Checks shared by ``simulate`` and ``simulate_objective``: (``_coefficients`` pairs, horizon)."""
     if horizon is None:
         horizon = default_horizon(params)
-    _check_args(params, trader_index, (horizon, seed, first_path, n_paths))
+    _check_args(params, trader_index, (horizon, seed, n_paths))
     specs = _normalize_strategies(strategies, params.k)
     return [_coefficients(spec, eq, i) for i, spec in enumerate(specs)], horizon
 
@@ -273,9 +272,8 @@ def _is_int(x) -> bool:
 def _check_args(params: ValidatedParams, trader_index=None, run=None) -> None:
     """The argument checks every entry point shares; None skips one.
 
-    The game needs dt > 0; ``run`` is (horizon, seed, first_path, n_paths),
-    and a horizon above ``HORIZON_CAP`` is refused before anything is
-    allocated.
+    The game needs dt > 0; ``run`` is (horizon, seed, n_paths), and a
+    horizon above ``HORIZON_CAP`` is refused before anything is allocated.
     """
     if params.dt == 0.0:
         raise ValueError("simulation requires dt > 0")
@@ -283,51 +281,35 @@ def _check_args(params: ValidatedParams, trader_index=None, run=None) -> None:
         _check_trader_index(trader_index, params.k)
     if run is None:
         return
-    horizon, seed, first_path, n_paths = run
+    horizon, seed, n_paths = run
     if not _is_int(horizon) or horizon < 1:
         raise ValueError(f"horizon must be an integer of at least 1, got {horizon!r}")
     if horizon > HORIZON_CAP:
         raise ValueError(f"horizon {horizon} exceeds the cap of {HORIZON_CAP} periods; reduce the horizon")
     if not _is_int(seed) or not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    if not _is_int(n_paths) or n_paths < 2:
-        raise ValueError(f"n_paths must be an integer of at least 2, got {n_paths!r}")
-    if not _is_int(first_path) or first_path < 0 or first_path + n_paths > _MAX_PATH_INDEX:
-        raise ValueError(f"first_path must be an integer with path indices below 2^63, got {first_path!r}")
+    if not _is_int(n_paths) or not 2 <= n_paths <= _MAX_PATH_INDEX:
+        raise ValueError(f"n_paths must be an integer in [2, 2^63], got {n_paths!r}")
 
 
-def _chunk_streams(seed: int):
-    """Return ``draw(chunk, stream, out, resume=None)``: it fills ``out`` with
-    the next normals of the Philox stream keyed [(chunk << 1) | stream, seed]
-    and returns the bit generator's state after them. Without ``resume`` it
-    starts the stream where ``Philox(key=...)`` does, at a zero counter and an
-    exhausted output buffer; with a state that it returned, it goes on from
-    there, so a stream drawn in pieces equals the stream drawn in one call.
-    One bit generator serves every stream by setting its state, which skips
-    the seed sequence that constructing a generator runs.
+def _chunk_stream(seed: int, chunk: int, stream: int):
+    """``standard_normal`` of a new generator at the start of the Philox stream
+    keyed [(chunk << 1) | stream, seed]. Its bit generator is a ``Philox(0)``
+    whose state is set to a zero counter and an exhausted output buffer,
+    where ``Philox(key=...)`` starts, so it draws the same numbers. Drawn
+    piece after piece, it goes on where the last piece stopped, so a stream
+    drawn in pieces equals the stream drawn in one call.
     """
     bitgen = np.random.Philox(0)
-    normal = np.random.Generator(bitgen).standard_normal
-    key = [0, seed]
-    state = {
+    bitgen.state = {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "state": {"counter": [0, 0, 0, 0], "key": [(chunk << 1) | stream, seed]},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-
-    def draw(chunk: int, stream: int, out, resume=None):
-        if resume is None:
-            key[0] = (chunk << 1) | stream
-            bitgen.state = state
-        else:
-            bitgen.state = resume
-        normal(out=out)
-        return bitgen.state
-
-    return draw
+    return np.random.Generator(bitgen).standard_normal
 
 
 def _cuts(width: int) -> list[slice]:
@@ -344,31 +326,31 @@ def _normal_blocks(seed: int, first_path: int, n_paths: int, horizon: int, scale
     path j. So a path's increments depend only on (seed, path, stream,
     period), and a shorter horizon reads a prefix. ``tiles`` yields the
     group's increments a tile of at most ``STREAM_PATHS`` periods at a time,
-    one (periods, b) time-major array per stream, times scales[s]. For each
-    tile, each chunk that the group's paths touch is drawn into a reused
-    (periods, STREAM_PATHS) scratch, and the columns for the group's paths
-    are copied into a reused buffer; the chunk's stream then waits at its
-    saved state for the next tile. So memory does not grow with the horizon,
-    and the yielded arrays are overwritten by the next tile.
+    one (periods, b) time-major array per stream, times scales[s]. When the
+    group starts, it builds one ``_chunk_stream`` for each chunk that its
+    paths touch and each stream. For each tile, each of them draws its next
+    periods into a reused (periods, STREAM_PATHS) scratch, and the columns
+    for the group's paths are copied into a reused buffer. So memory does
+    not grow with the horizon, and the yielded arrays are overwritten by the
+    next tile. ``first_path`` offsets the paths of a worker's range.
     """
     span = min(STREAM_PATHS, horizon)
     scratch = np.empty((span, STREAM_PATHS))
     bufs = [np.empty(span * min(group, n_paths)) for _ in scales]
-    draw = _chunk_streams(seed)
 
     def tiles(lo, b):
         chunks = range(lo // STREAM_PATHS, (lo + b - 1) // STREAM_PATHS + 1)
-        states = [[None] * len(chunks) for _ in scales]
+        draws = [[_chunk_stream(seed, chunk, stream) for chunk in chunks] for stream in range(len(scales))]
         for n in range(0, horizon, span):
             rows = scratch[: horizon - n]
             arrays = []
-            for stream, (scale, buf, saved) in enumerate(zip(scales, bufs, states)):
+            for scale, buf, normals in zip(scales, bufs, draws):
                 tm = buf[: len(rows) * b].reshape(len(rows), b)
-                for at, chunk in enumerate(chunks):
+                for chunk, normal in zip(chunks, normals):
                     # the chunk's columns a .. z - 1 are the group's off + a .. off + z - 1
                     off = chunk * STREAM_PATHS - lo
                     a, z = max(-off, 0), min(b - off, STREAM_PATHS)
-                    saved[at] = draw(chunk, stream, rows, saved[at])
+                    normal(out=rows)
                     np.multiply(rows[:, a:z], scale, out=tm[:, off + a : off + z])
                 arrays.append(tm)
             yield arrays
@@ -409,36 +391,32 @@ def _worker_count(n_blocks: int) -> int:
     return max(workers, 1)
 
 
-def _walk(blocks, first_path: int, n_paths: int):
+def _walk(blocks, n_paths: int):
     """Yield the records of ``blocks(first, n, group_blocks)`` for paths
-    first_path .. first_path + n_paths - 1, one per block of ``BLOCK_PATHS``,
-    in block order.
+    0 .. n_paths - 1, one per block of ``BLOCK_PATHS``, in block order.
 
-    ``blocks`` runs the kernel over a range of paths that starts on a block
-    boundary, in groups of at most ``group_blocks`` blocks, the process's
-    share of ``GROUP_BLOCKS``, and yields one small picklable record per
-    block. With several
-    workers, each forked child walks one contiguous range of blocks while
-    this process walks the first; a child pickles its records through a pipe
-    once its range is done, and they are yielded after this process's own.
-    Blocks are the same as on the serial walk and their records arrive in the
-    same order, so whatever the caller pools from them is the same, bit for
-    bit. A child ends only through ``os._exit``; an exception in it is raised
-    again here, and every child is killed and reaped before this returns or
-    raises.
+    ``blocks`` runs the kernel over paths first .. first + n - 1, a range
+    that starts on a block boundary, in groups of at most ``group_blocks``
+    blocks, the process's share of ``GROUP_BLOCKS``, and yields one small
+    picklable record per block. The blocks are cut into one contiguous range
+    per worker: each forked child walks one range while this process walks
+    the first, so one worker forks nothing and walks every path itself. A
+    child pickles its records through a pipe once its range is done, and
+    they are yielded after this process's own. Blocks are the same at any
+    worker count and their records arrive in the same order, so whatever
+    the caller pools from them is the same, bit for bit. A child ends only
+    through ``os._exit``; an exception in it is raised again here, and every
+    child is killed and reaped before this returns or raises.
     """
     n_blocks = -(-n_paths // BLOCK_PATHS)
     workers = _worker_count(n_blocks)
     group = max(1, GROUP_BLOCKS // workers)
-    if workers < 2:
-        yield from blocks(first_path, n_paths, group)
-        return
     cuts = [min(n_paths, n_blocks * w // workers * BLOCK_PATHS) for w in range(workers + 1)]
     children = []
     try:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            children.append(_fork(blocks, first_path + lo, hi - lo, group, [reader for _, reader in children]))
-        yield from blocks(first_path, cuts[1], group)
+            children.append(_fork(blocks, lo, hi - lo, group, [reader for _, reader in children]))
+        yield from blocks(0, cuts[1], group)
         for _, reader in children:
             try:
                 ok, payload = pickle.load(reader)
@@ -493,6 +471,8 @@ def _fork(blocks, first: int, n: int, group: int, inherited):
 def default_horizon(params: ValidatedParams, cap: int = HORIZON_CAP) -> int:
     """Periods needed so the slowest trader's discount tail drops below DEFAULT_TAIL_TOL."""
     _check_args(params)
+    if not _is_int(cap) or cap < 1:
+        raise ValueError(f"cap must be an integer of at least 1, got {cap!r}")
     return _tail_horizon(min(t.rho for t in params.traders), params.dt, cap)
 
 
@@ -631,9 +611,7 @@ def _game(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, group_
         yield start, b, periods(b, tiles)
 
 
-def _discounted(
-    eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, group_blocks, with_mtm=False, stats=None
-):
+def _discounted(eq, params, coefs, i, rows, n_paths, horizon, seed, first_path, group_blocks, with_mtm, stats):
     """Per block of paths first_path .. first_path + n_paths - 1: trader i's
     discounted objective in each row's game, (R, b); if asked for, row 0's
     discounted mark-to-market, (b,), else None; and the block's ``_GameStats``
@@ -729,14 +707,12 @@ def _discounted(
             yield obj[:, cut], None if mtm is None else mtm[cut], record
 
 
-def _pooled(
-    eq, params, coefs, i, rows, n_paths, horizon, seed, first_path=0, reference=None, with_mtm=False, stats=None
-) -> list[Estimate]:
-    """Walk ``_discounted`` over paths first_path .. first_path + n_paths - 1
-    and pool, in block order, the estimates of each row's objective, then of
-    each other row's paired difference against row ``reference``, if given,
-    then of row 0's mark-to-market, if ``with_mtm`` or ``stats`` asks for it.
-    A ``_GameStats`` in ``stats`` folds each block's dealer record.
+def _pooled(eq, params, coefs, i, rows, n_paths, horizon, seed, reference=None, with_mtm=False, stats=None):
+    """Walk ``_discounted`` over paths 0 .. n_paths - 1 and pool, in block
+    order, the estimates of each row's objective, then of each other row's
+    paired difference against row ``reference``, if given, then of row 0's
+    mark-to-market, if ``with_mtm`` or ``stats`` asks for it. A
+    ``_GameStats`` in ``stats`` folds each block's dealer record.
     """
 
     def blocks(first, n, group_blocks):
@@ -746,8 +722,17 @@ def _pooled(
             diffs = [obj - objs[reference] for r, obj in enumerate(objs) if reference not in (None, r)]
             yield [_moments(v) for v in (*objs, *diffs, mtm) if v is not None], dealer
 
+    return _pool(blocks, n_paths, stats)
+
+
+def _pool(blocks, n_paths: int, stats=None) -> list[Estimate]:
+    """Walk ``blocks`` over paths 0 .. n_paths - 1; each block's record is a
+    list of ``_moments`` and a dealer record. Pool the moments, in block
+    order, into one estimate each, and fold the dealer records into the
+    ``_GameStats`` in ``stats``, if given.
+    """
     pooled = None
-    for moments, dealer in _walk(blocks, first_path, n_paths):
+    for moments, dealer in _walk(blocks, n_paths):
         pooled = pooled or [_Stat() for _ in moments]
         for stat, block in zip(pooled, moments):
             stat.merge(*block)
@@ -764,7 +749,6 @@ def simulate(
     n_paths: int,
     horizon: int | None = None,
     seed: int = 0,
-    first_path: int = 0,
 ) -> PathBatch:
     """Simulate n_paths independent paths and keep every series.
 
@@ -772,7 +756,7 @@ def simulate(
     that would exceed ``MAX_FLOATS`` doubles. For large-sample estimates of
     a single trader's objective use ``simulate_objective``, which streams.
     """
-    pairs, horizon = _checked_game(eq, strategies, params, None, horizon, seed, first_path, n_paths)
+    pairs, horizon = _checked_game(eq, strategies, params, None, horizon, seed, n_paths)
     coefs = [row for row, _ in pairs]
     k = params.k
     n_floats = n_paths * (4 * horizon + k * (2 * (horizon + 1) + 2 * horizon + 1))
@@ -783,9 +767,7 @@ def simulate(
         )
 
     half_g_dt = 0.5 * np.array(params.gammas)[:, None] * params.dt
-    # (k, N) discount factors (1 - rho_j dt)^n for n = 1..N
     per = np.array([1.0 - t.rho * params.dt for t in params.traders])
-    w = np.cumprod(np.tile(per[:, None], (1, horizon)), axis=1)
     batch = PathBatch(
         params=params,
         eq=eq,
@@ -803,17 +785,18 @@ def simulate(
     batch.L[:, :, 0] = batch.M[:, :, 0] + [z0 for *_, z0 in coefs]
 
     # Trader 0 plays its own profile row; its inventories are that row's.
-    for start, b, periods in _game(
-        eq, params, coefs, 0, coefs[:1], n_paths, horizon, seed, first_path, GROUP_BLOCKS
-    ):
+    for start, b, periods in _game(eq, params, coefs, 0, coefs[:1], n_paths, horizon, seed, 0, GROUP_BLOCKS):
         sl = slice(start, start + b)
         mtm = np.zeros((k, b))
+        # the discount factors (1 - rho_j dt)^n, a running product from n = 1
+        w = np.ones(k)
         for n, (ds, dk, M, dM, L0, dL0, L0_new, Lj, dLj, e) in enumerate(periods):
             L, dL = np.vstack((L0, Lj[1:])), np.vstack((dL0, dLj[1:]))
             L_new = np.vstack((L0_new, Lj[1:] + dLj[1:]))
             dY = dk + np.add.reduce(dLj, axis=0) + dL0[0]
             padj = ds - e + eq.lam * dL0[0]
-            mtm += L * ds * w[:, n, None]
+            w *= per
+            mtm += L * ds * w[:, None]
             pen = half_g_dt * L_new**2 + params.tax * dL**2
             batch.dS[sl, n] = ds
             batch.dK[sl, n] = dk
@@ -830,8 +813,8 @@ def simulate(
 def _check_tail(rho: float, dt: float, horizon: int, tail_tol) -> None:
     if tail_tol is None:
         return
-    if isinstance(tail_tol, bool) or not isinstance(tail_tol, (int, float)) or tail_tol != tail_tol:
-        raise ValueError(f"tail_tol must be None or a real number other than NaN, got {tail_tol!r}")
+    if isinstance(tail_tol, bool) or not isinstance(tail_tol, (int, float)) or not tail_tol >= 0:
+        raise ValueError(f"tail_tol must be None or a real number of at least 0, got {tail_tol!r}")
     tail = (1.0 - rho * dt) ** horizon
     if tail > tail_tol:
         raise HorizonTooShort(
@@ -858,21 +841,19 @@ def simulate_objective(
     n_paths: int,
     horizon: int | None = None,
     seed: int = 0,
-    first_path: int = 0,
     tail_tol: float | None = DEFAULT_TAIL_TOL,
 ) -> ObjectiveResult:
     """Streaming estimate of one trader's discounted objective.
 
-    Identical paths to ``simulate`` for the same seed and path range, but
-    only per-path reductions are kept, so horizon and paths can both be
-    large.
+    Identical paths to ``simulate`` for the same seed, but only per-path
+    reductions are kept, so horizon and paths can both be large.
     """
-    pairs, horizon = _checked_game(eq, strategies, params, trader_index, horizon, seed, first_path, n_paths)
+    pairs, horizon = _checked_game(eq, strategies, params, trader_index, horizon, seed, n_paths)
     _check_tail(params.traders[trader_index].rho, params.dt, horizon, tail_tol)
 
     i = trader_index
     coefs = [row for row, _ in pairs]
-    obj, mtm = _pooled(eq, params, coefs, i, pairs[i : i + 1], n_paths, horizon, seed, first_path, with_mtm=True)
+    obj, mtm = _pooled(eq, params, coefs, i, pairs[i : i + 1], n_paths, horizon, seed, with_mtm=True)
     return ObjectiveResult(obj, mtm, trader_index, horizon, n_paths)
 
 
@@ -1044,11 +1025,11 @@ def simulate_second_moment(
         raise ValueError(f"checkpoints must be positive integer periods, got {checkpoints!r}")
     checkpoints = sorted(set(checkpoints))
     horizon = checkpoints[-1]
-    _check_args(params, trader_index, (horizon, seed, 0, n_paths))
+    _check_args(params, trader_index, (horizon, seed, n_paths))
     beta, phi = eq.betas[trader_index], eq.phis[trader_index]
     m0 = params.traders[trader_index].initial_inventory
     scale = params.sigma_S * math.sqrt(params.dt)
-    stats = {n: _Stat() for n in checkpoints}
+    marks = set(checkpoints)
 
     def blocks(first, count, group_blocks):
         for _, b, tiles in _normal_blocks(seed, first, count, horizon, (scale,), group_blocks * BLOCK_PATHS):
@@ -1057,16 +1038,14 @@ def simulate_second_moment(
             periods = (ds for (dS,) in tiles for ds in dS)
             for n, ds in enumerate(periods, 1):
                 m = m + (beta * ds - phi * m)
-                if n in stats:
+                if n in marks:
                     m2 = m * m
                     for c, record in zip(cuts, records):
                         record.append(_moments(m2[c]))
-            yield from records
+            for record in records:
+                yield record, None
 
-    for record in _walk(blocks, 0, n_paths):
-        for n, moments in zip(checkpoints, record):
-            stats[n].merge(*moments)
-    return {n: stats[n].estimate() for n in checkpoints}
+    return dict(zip(checkpoints, _pool(blocks, n_paths)))
 
 
 @dataclass(frozen=True)
@@ -1139,7 +1118,7 @@ def _sweep(eq, params, trader_index, specs, *, n_paths, horizon, seed, stats=Non
     specs = tuple(specs)
     if not specs:
         raise ValueError("need at least one strategy")
-    _check_args(params, trader_index, (horizon, seed, 0, n_paths))
+    _check_args(params, trader_index, (horizon, seed, n_paths))
     i = trader_index
     rows = [_coefficients(spec, eq, i) for spec in specs]
     reference_index = next((r for r, spec in enumerate(specs) if spec.kind == "equilibrium"), None)
@@ -1147,7 +1126,7 @@ def _sweep(eq, params, trader_index, specs, *, n_paths, horizon, seed, stats=Non
         raise ValueError("include an equilibrium row to serve as the reference")
 
     others = [_coefficients(StrategySpec(), eq, j)[0] for j in range(params.k)]
-    pooled = _pooled(eq, params, others, i, rows, n_paths, horizon, seed, 0, reference_index, stats=stats)
+    pooled = _pooled(eq, params, others, i, rows, n_paths, horizon, seed, reference_index, stats=stats)
     R = len(rows)
     diffs = pooled[R : 2 * R - 1]
     diffs.insert(reference_index, None)

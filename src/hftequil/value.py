@@ -25,12 +25,8 @@ if TYPE_CHECKING:
 __all__ = [
     "ValueCoefficients",
     "value_coefficients",
-    "evaluate_value",
-    "dpe_rhs",
-    "dpe_argmax",
     "dpe_residual",
     "dpe_argmax_gap",
-    "default_dpe_grid",
     "stationary_inventory_std",
 ]
 
@@ -128,7 +124,7 @@ def value_coefficients(
     )
 
 
-def evaluate_value(coeffs: ValueCoefficients, M, dS, Z):
+def _evaluate_value(coeffs: ValueCoefficients, M, dS, Z):
     """Quadratic form of the value function; accepts scalars or arrays."""
     return (
         -0.5 * coeffs.A * M**2
@@ -141,7 +137,7 @@ def evaluate_value(coeffs: ValueCoefficients, M, dS, Z):
     )
 
 
-def dpe_rhs(
+def _dpe_rhs(
     coeffs: ValueCoefficients,
     eq: Equilibrium,
     trader_index: int,
@@ -177,7 +173,7 @@ def dpe_rhs(
     return flow + expected
 
 
-def dpe_argmax(
+def _dpe_argmax(
     coeffs: ValueCoefficients,
     eq: Equilibrium,
     trader_index: int,
@@ -186,7 +182,7 @@ def dpe_argmax(
     dS,
     Z,
 ):
-    """Exact maximiser of dpe_rhs in dZ, from the first-order condition."""
+    """Exact maximiser of _dpe_rhs in dZ, from the first-order condition."""
     _check_trader_index(trader_index, params.k)
     t = params.traders[trader_index]
     gdt = t.gamma * params.dt
@@ -218,7 +214,7 @@ def stationary_inventory_std(eq: Equilibrium, trader_index: int, params: Validat
     return math.sqrt(var)
 
 
-def default_dpe_grid(
+def _default_dpe_grid(
     eq: Equilibrium, trader_index: int, params: ValidatedParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """5x5x5 state grid: M within 3 stationary sd, dS within 3 sigma_S sqrt(dt), Z in [-1, 1]."""
@@ -237,7 +233,7 @@ def _grid_axes(eq: Equilibrium, trader_index: int, params: ValidatedParams):
     """The default grid's M, dS and Z axes shaped (5, 1, 1), (1, 5, 1) and
     (1, 1, 5): they broadcast to the 5x5x5 grid, and each grid point sees
     the same operations as on meshgrid's full copies."""
-    m, s, z = default_dpe_grid(eq, trader_index, params)
+    m, s, z = _default_dpe_grid(eq, trader_index, params)
     return m[:, None, None], s[None, :, None], z[None, None, :]
 
 
@@ -257,8 +253,8 @@ def dpe_residual(
 
     M, dS, Z = _grid_axes(eq, trader_index, params)
     disc = 1.0 - params.traders[trader_index].rho * params.dt
-    v = evaluate_value(coeffs, M, dS, Z)
-    rhs = dpe_rhs(coeffs, eq, trader_index, params, M, dS, Z, -coeffs.zeta * Z)
+    v = _evaluate_value(coeffs, M, dS, Z)
+    rhs = _dpe_rhs(coeffs, eq, trader_index, params, M, dS, Z, -coeffs.zeta * Z)
     return float(np.max(np.abs(v / disc - rhs) / (1.0 + np.abs(v))))
 
 
@@ -272,5 +268,5 @@ def dpe_argmax_gap(
     import numpy as np
 
     M, dS, Z = _grid_axes(eq, trader_index, params)
-    star = dpe_argmax(coeffs, eq, trader_index, params, M, dS, Z)
+    star = _dpe_argmax(coeffs, eq, trader_index, params, M, dS, Z)
     return float(np.max(np.abs(star - (-coeffs.zeta * Z)) / (1.0 + np.abs(Z))))

@@ -20,8 +20,8 @@ PUBLIC_NAMES = [
     "HorizonTooShort", "InadmissibleStrategy", "InfeasiblePoint", "InvalidParamsError", "NoRootInBracket",
     "ObjectiveResult", "PathBatch", "ProfitCheck", "SolveDiagnostics", "SolverError", "StrategySpec", "SweepRow",
     "TraderParams", "ValidatedParams", "ValueCoefficients", "VerificationReport", "Violation",
-    "convergence_order", "dealer_profit_check", "default_dpe_grid", "default_horizon", "deviation_sweep",
-    "dpe_argmax", "dpe_argmax_gap", "dpe_residual", "dpe_rhs", "evaluate_value", "inventory_second_moment",
+    "convergence_order", "dealer_profit_check", "default_horizon", "deviation_sweep",
+    "dpe_argmax_gap", "dpe_residual", "inventory_second_moment",
     "load_config", "nash_expansions", "params_to_config", "pricing_from_beta", "reduced_form_gap",
     "run_verification", "simulate", "simulate_objective", "simulate_second_moment", "solve_equilibrium",
     "solve_taxed", "stationary_inventory_std", "system_residual", "validate_equilibrium", "value_coefficients",
@@ -40,7 +40,7 @@ def test_package_exports_exactly_the_submodule_names():
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 53
+    assert len(PUBLIC_NAMES) == 49
     assert sorted(hftequil.__all__) == PUBLIC_NAMES
 
 

@@ -3,8 +3,8 @@
 The central oracle here is a pure-Python reimplementation of the market
 recursion, fed by the same counter-based random streams, checked
 element by element against the vectorized engine. Everything else builds
-on reproducibility: chunking and path-range slicing must not change a
-single bit of any path.
+on reproducibility: blocking, grouping and the worker count must not
+change a single bit of any path.
 """
 import decimal
 import math
@@ -36,7 +36,7 @@ from hftequil import (
     solve_taxed,
 )
 from hftequil import run_verification, simulator
-from hftequil.simulator import BLOCK_PATHS, DEFAULT_TAIL_TOL, STREAM_PATHS, _chunk_streams, _normal_blocks
+from hftequil.simulator import BLOCK_PATHS, DEFAULT_TAIL_TOL, STREAM_PATHS, _chunk_stream, _normal_blocks
 from helpers import make_params, mispriced_profit
 
 
@@ -72,32 +72,24 @@ class TestRandomStreams:
     def test_keying_is_reproducible_per_path(self):
         p = make_params(k=1, dt=0.01)
         eq, _ = solve_equilibrium(p)
-        batch = simulate(eq, None, p, n_paths=4, horizon=16, seed=7, first_path=3)
+        batch = simulate(eq, None, p, n_paths=7, horizon=16, seed=7)
         scale = p.sigma_S * math.sqrt(p.dt)
-        for j in range(4):
-            want_s = normals(7, 3 + j, 0, 16) * scale
-            want_k = normals(7, 3 + j, 1, 16) * (p.sigma_K * math.sqrt(p.dt))
+        for j in range(7):
+            want_s = normals(7, j, 0, 16) * scale
+            want_k = normals(7, j, 1, 16) * (p.sigma_K * math.sqrt(p.dt))
             assert np.array_equal(batch.dS[j], want_s)
             assert np.array_equal(batch.dK[j], want_k)
 
     def test_chunking_never_changes_paths(self, monkeypatch):
         p = make_params(k=2, dt=0.01)
         eq, _ = solve_equilibrium(p)
-        specs = (StrategySpec.equilibrium(), StrategySpec.with_z(0.4, 0.8))
+        specs = {1: StrategySpec.with_z(0.4, 0.8)}
         monkeypatch.setattr(simulator, "BLOCK_PATHS", 3)
         a = simulate(eq, specs, p, n_paths=13, horizon=21, seed=5)
         monkeypatch.setattr(simulator, "BLOCK_PATHS", 64)
         b = simulate(eq, specs, p, n_paths=13, horizon=21, seed=5)
         for name in ("dS", "dK", "dY", "price_adj", "M", "L", "Z", "payoff", "penalty", "mtm_discounted"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
-
-    def test_first_path_slices_the_same_universe(self):
-        p = make_params(k=1, dt=0.01)
-        eq, _ = solve_equilibrium(p)
-        whole = simulate(eq, None, p, n_paths=6, horizon=10, seed=1)
-        part = simulate(eq, None, p, n_paths=2, horizon=10, seed=1, first_path=2)
-        assert np.array_equal(whole.dS[2:4], part.dS)
-        assert np.array_equal(whole.payoff[2:4], part.payoff)
 
     def test_seed_changes_paths(self):
         p = make_params(k=1, dt=0.01)
@@ -120,35 +112,34 @@ class TestRandomStreams:
             simulate(eq, None, p, n_paths=1, horizon=4)
 
     @pytest.mark.parametrize("seed", [7, 2**64 - 1])
-    def test_rekeyed_generator_equals_fresh_generators(self, seed):
-        # One bit generator re-keyed per chunk and stream, back and forth.
-        draw, out = _chunk_streams(seed), np.empty(300)
-        for chunk, stream in ((0, 0), (5, 1), (2**56 - 1, 0), (2**56 - 1, 1), (5, 1), (0, 0)):
-            draw(chunk, stream, out)
-            assert np.array_equal(out, chunk_stream(seed, chunk, stream, 300)), (chunk, stream)
+    def test_chunk_streams_equal_fresh_generators(self, seed):
+        for chunk, stream in ((0, 0), (5, 1), (2**56 - 1, 0), (2**56 - 1, 1)):
+            got = _chunk_stream(seed, chunk, stream)(300)
+            assert np.array_equal(got, chunk_stream(seed, chunk, stream, 300)), (chunk, stream)
 
     @pytest.mark.parametrize("seed", [7, 2**64 - 1])
     def test_a_stream_drawn_in_two_tiles_equals_one_call(self, seed):
         # the first tile ends inside a Philox output block of four words, and
-        # the stream resumes after another stream was drawn
-        draw, first, other, second = _chunk_streams(seed), np.empty(301), np.empty(50), np.empty(299)
-        state = draw(3, 1, first)
-        assert state["buffer_pos"] != 4
-        draw(3, 0, other)
-        draw(3, 1, second, state)
+        # the stream goes on after another stream was drawn
+        normal, first, other, second = _chunk_stream(seed, 3, 1), np.empty(301), np.empty(50), np.empty(299)
+        normal(out=first)
+        assert normal.__self__.bit_generator.state["buffer_pos"] != 4
+        _chunk_stream(seed, 3, 0)(out=other)
+        normal(out=second)
         assert np.array_equal(np.concatenate((first, second)), chunk_stream(seed, 3, 1, 600))
 
     @pytest.mark.parametrize("first_path, seed", [(11, 4), (250, 2**64 - 1), (2**63 - 300, 5)])
-    @pytest.mark.parametrize("horizon", [9, 130])
+    @pytest.mark.parametrize("horizon", [9, 130, 300])
     def test_time_major_blocks_are_the_scaled_streams(self, first_path, seed, horizon):
         # Groups of 100 paths cut chunks of STREAM_PATHS paths at uneven
-        # columns, and 130 periods span two tiles, of 128 and 2 periods.
+        # columns; 130 periods span two tiles, of 128 and 2 periods, and 300
+        # span three, of 128, 128 and 44.
         n_paths, seen = 270, 0
         for start, b, tiles in _normal_blocks(seed, first_path, n_paths, horizon, (0.5, 2.0), 100):
             assert b == min(100, n_paths - start)
             # each tile's arrays are overwritten by the next, so copy them
             tiles = [(ds.copy(), dk.copy()) for ds, dk in tiles]
-            periods = [horizon] if horizon <= STREAM_PATHS else [STREAM_PATHS, horizon - STREAM_PATHS]
+            periods = [min(STREAM_PATHS, horizon - n) for n in range(0, horizon, STREAM_PATHS)]
             assert [ds.shape for ds, _ in tiles] == [dk.shape for _, dk in tiles] == [(n, b) for n in periods]
             ds, dk = (np.concatenate(stream) for stream in zip(*tiles))
             for j in range(b):
@@ -159,27 +150,30 @@ class TestRandomStreams:
         assert seen == n_paths
 
     def test_a_path_draws_the_same_increments_four_ways(self, monkeypatch):
-        # Path 300, off a chunk boundary: alone, inside a larger run, at
-        # another BLOCK_PATHS, and as the prefix of a longer horizon.
+        # Path 300, off a chunk boundary: alone at the start of a worker's
+        # range, inside a larger run, at another BLOCK_PATHS, and as the
+        # prefix of a longer horizon.
         p = make_params(k=1, dt=0.01)
         eq, _ = solve_equilibrium(p)
         path, horizon = 300, 130
-        alone = simulate(eq, None, p, n_paths=2, horizon=horizon, seed=3, first_path=path)
+        scales = (p.sigma_S * math.sqrt(p.dt), p.sigma_K * math.sqrt(p.dt))
+        ((_, _, tiles),) = _normal_blocks(3, path, 2, horizon, scales, 2)
+        alone = np.concatenate([np.stack(tile)[:, :, 0] for tile in tiles], axis=1)  # (stream, period)
         larger = simulate(eq, None, p, n_paths=400, horizon=horizon, seed=3)
-        longer = simulate(eq, None, p, n_paths=2, horizon=3 * horizon, seed=3, first_path=path)
+        longer = simulate(eq, None, p, n_paths=302, horizon=3 * horizon, seed=3)
         monkeypatch.setattr(simulator, "BLOCK_PATHS", 7)
-        blocked = simulate(eq, None, p, n_paths=50, horizon=horizon, seed=3, first_path=path - 20)
-        for stream, name, scale in ((0, "dS", p.sigma_S), (1, "dK", p.sigma_K)):
-            want = normals(3, path, stream, horizon) * (scale * math.sqrt(p.dt))
-            assert np.array_equal(getattr(alone, name)[0], want), name
+        blocked = simulate(eq, None, p, n_paths=320, horizon=horizon, seed=3)
+        for stream, name, scale in zip((0, 1), ("dS", "dK"), scales):
+            want = normals(3, path, stream, horizon) * scale
+            assert np.array_equal(alone[stream], want), name
             assert np.array_equal(getattr(larger, name)[path], want), name
-            assert np.array_equal(getattr(blocked, name)[20], want), name
-            assert np.array_equal(getattr(longer, name)[0, :horizon], want), name
+            assert np.array_equal(getattr(blocked, name)[path], want), name
+            assert np.array_equal(getattr(longer, name)[path, :horizon], want), name
 
 
 class TestIntegerArguments:
-    """Path counts, path indices and horizons must be ints; anything else,
-    bools included, is a ValueError before any path is drawn."""
+    """Path counts and horizons must be ints; anything else, bools included,
+    is a ValueError before any path is drawn."""
 
     BAD = [1.5, 4.0, True, "4"]
 
@@ -189,17 +183,21 @@ class TestIntegerArguments:
 
     @pytest.mark.parametrize("bad", BAD)
     def test_simulate(self, bad):
-        for kw in (dict(n_paths=bad), dict(first_path=bad), dict(horizon=bad)):
+        for kw in (dict(n_paths=bad), dict(horizon=bad)):
             args = dict(n_paths=4, horizon=5, seed=1) | kw
             with pytest.raises(ValueError):
                 simulate(self.eq, None, self.p, **args)
 
     @pytest.mark.parametrize("bad", BAD)
     def test_simulate_objective(self, bad):
-        for kw in (dict(n_paths=bad), dict(first_path=bad), dict(horizon=bad)):
+        for kw in (dict(n_paths=bad), dict(horizon=bad)):
             args = dict(n_paths=4, horizon=5, seed=1, tail_tol=None) | kw
             with pytest.raises(ValueError):
                 simulate_objective(self.eq, None, self.p, 0, **args)
+
+    def test_path_indices_stay_below_2_63(self):
+        with pytest.raises(ValueError, match=r"n_paths must be an integer in \[2, 2\^63\]"):
+            simulate_objective(self.eq, None, self.p, 0, n_paths=2**63 + 1, horizon=5, tail_tol=None)
 
     @pytest.mark.parametrize("bad", BAD)
     def test_deviation_sweep(self, bad):
@@ -281,7 +279,7 @@ class TestHandRolledRecursion:
         p = make_params(k=2, dt=0.01, gammas=[1.0, 2.0], rhos=[0.05, 0.1], l0=[0.5, -0.25], tax=1e-3)
         eq, _ = solve_taxed(p)
         zeta, z0 = 0.4, 0.8
-        specs = (StrategySpec.equilibrium(), StrategySpec.with_z(zeta, z0))
+        specs = {1: StrategySpec.with_z(zeta, z0)}
         n_paths, N, seed = 3, 5, 11
         batch = simulate(eq, specs, p, n_paths=n_paths, horizon=N, seed=seed)
 
@@ -432,7 +430,7 @@ class TestEquilibriumPath:
     def test_reduced_form_identity_with_deviator(self):
         p = make_params(k=2, dt=0.01)
         eq, _ = solve_equilibrium(p)
-        specs = (StrategySpec.scaled(beta_scale=1.3, phi_scale=0.7), StrategySpec.equilibrium())
+        specs = {0: StrategySpec.scaled(beta_scale=1.3, phi_scale=0.7)}
         batch = simulate(eq, specs, p, n_paths=16, horizon=50, seed=2)
         assert reduced_form_gap(batch) < 1e-12
 
@@ -479,9 +477,10 @@ class TestObjective:
         est = simulate_objective(eq, None, p, 0, **kw, tail_tol=None).objective
         assert math.isfinite(est.mean)
 
-    @pytest.mark.parametrize("bad", [math.nan, "1e-6", True, [1e-6], 1e-6j])
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, "1e-6", True, [1e-6], 1e-6j])
     def test_bad_tail_tol_is_refused_before_the_walk(self, monkeypatch, bad):
-        # tail 0.9975 after 5 periods: a NaN would otherwise skip the check
+        # tail 0.9975 after 5 periods: a NaN would otherwise skip the check,
+        # and no horizon meets a negative tolerance
         def walk(*args):
             raise AssertionError("walked")
 
@@ -561,6 +560,13 @@ class TestHorizon:
         with pytest.raises(HorizonTooShort):
             default_horizon(make_params(dt=0.1, rho=1e-20), cap=10**30)
 
+    @pytest.mark.parametrize("cap", [math.nan, "10", True, 0, -5, 10.0, None])
+    def test_bad_cap_is_refused(self, cap):
+        # a NaN fails every comparison, so it would pass as no cap at all, and
+        # a string cannot be compared with a count
+        with pytest.raises(ValueError, match="cap must be an integer of at least 1"):
+            default_horizon(make_params(k=1, dt=0.01, rho=0.05), cap=cap)
+
 
 class TestAdmissibility:
     def setup_method(self):
@@ -590,8 +596,10 @@ class TestAdmissibility:
     def test_strategy_normalization(self):
         with pytest.raises(ValueError):
             simulate(self.eq, {5: StrategySpec.equilibrium()}, self.p, n_paths=2, horizon=4)
-        with pytest.raises(ValueError):
-            simulate(self.eq, (StrategySpec.equilibrium(),), self.p, n_paths=2, horizon=4)
+        # a profile is None or {trader: spec}; a sequence is refused at any length
+        for specs in ((StrategySpec.equilibrium(),), [StrategySpec.equilibrium()] * 2):
+            with pytest.raises(ValueError, match="strategies must be None or a dict"):
+                simulate(self.eq, specs, self.p, n_paths=2, horizon=4)
 
     def test_memory_guard(self, monkeypatch):
         monkeypatch.setattr(simulator, "MAX_FLOATS", 10)
@@ -1083,7 +1091,7 @@ class TestGroups:
         single, grouped = self.both(
             monkeypatch,
             lambda: simulate_objective(
-                eq, {1: StrategySpec.with_z(0.4, 0.5)}, p, 1, n_paths=32 * 9 + 7, seed=4, first_path=45
+                eq, {1: StrategySpec.with_z(0.4, 0.5)}, p, 1, n_paths=32 * 9 + 7, seed=4
             ),
         )
         assert grouped == single
@@ -1102,6 +1110,23 @@ class TestGroups:
         single, grouped = self.both(monkeypatch, lambda: run_verification(p, paths=32 * 9 + 7, seed=8, mc_horizon=40))
         assert "objective_value_mc" in {r.name for r in single.results}
         assert repr(grouped) == repr(single)
+
+    def test_simulate_discounts_the_mark_to_market_by_the_cumprod_factors(self, monkeypatch):
+        # blocks of 3 paths in groups of GROUP_BLOCKS = 4: 20 paths span two
+        # groups, and each group starts its running product of discount
+        # factors again, bit for bit the cumprod factors
+        monkeypatch.setattr(simulator, "BLOCK_PATHS", 3)
+        p = make_params(k=2, dt=0.1, rhos=[0.5, 2.0], l0=[0.4, -0.3])
+        eq, _ = solve_equilibrium(p)
+        widths = group_widths(monkeypatch)
+        batch = simulate(eq, {1: StrategySpec.with_z(0.3, 0.6)}, p, n_paths=20, horizon=30, seed=2)
+        assert widths == [12, 8], widths
+        per = np.array([1.0 - t.rho * p.dt for t in p.traders])
+        w = np.cumprod(np.tile(per[:, None], (1, 30)), axis=1)
+        want = np.zeros((20, 2))
+        for n in range(30):
+            want += batch.L[:, :, n] * batch.dS[:, n, None] * w[:, n]
+        assert np.array_equal(batch.mtm_discounted, want)
 
     @pytest.mark.parametrize("workers, widest", [(1, 4), (2, 2), (3, 1), (4, 1)])
     def test_walk_shares_group_blocks_over_its_processes(self, monkeypatch, workers, widest):
@@ -1238,15 +1263,13 @@ class TestParallelWalk:
         )
         assert all(result == serial for result in parallel)
 
-    def test_objective_from_a_later_first_path(self, monkeypatch, forks):
+    def test_objective(self, monkeypatch, forks):
         p = make_params(k=2, dt=0.1, rho=0.5, l0=[0.2, 0.0])
         eq, _ = solve_equilibrium(p)
         serial, *parallel = self.walks(
             monkeypatch,
             forks,
-            lambda: simulate_objective(
-                eq, {1: StrategySpec.with_z(0.4, 0.5)}, p, 1, n_paths=230, seed=4, first_path=45
-            ),
+            lambda: simulate_objective(eq, {1: StrategySpec.with_z(0.4, 0.5)}, p, 1, n_paths=230, seed=4),
         )
         assert all(result == serial for result in parallel)
 
@@ -1299,7 +1322,7 @@ class TestParallelWalk:
         assert len(forks) == 2
         assert_no_children()
         # a walk abandoned after its first record
-        walk = simulator._walk(lambda first, n, group: iter(range(first, first + n, 32)), 0, 100)
+        walk = simulator._walk(lambda first, n, group: iter(range(first, first + n, 32)), 100)
         assert next(walk) == 0
         walk.close()
         assert len(forks) == 4

@@ -18,19 +18,15 @@ from hypothesis import strategies as st
 from hftequil import (
     Equilibrium,
     SolverError,
-    default_dpe_grid,
-    dpe_argmax,
     dpe_argmax_gap,
     dpe_residual,
-    dpe_rhs,
-    evaluate_value,
     nash_expansions,
     run_verification,
     solve_equilibrium,
     stationary_inventory_std,
     value_coefficients,
 )
-from hftequil.value import ValueCoefficients
+from hftequil.value import ValueCoefficients, _default_dpe_grid, _dpe_argmax, _dpe_rhs, _evaluate_value
 from helpers import make_params
 
 # unit monopoly, dt = 0.004
@@ -155,11 +151,11 @@ class TestDynamicProgramming:
             # the array evaluation against a point-by-point loop over the grid
             disc = 1.0 - params.traders[i].rho * params.dt
             worst_residual = worst_argmax = 0.0
-            for M, dS, Z in itertools.product(*default_dpe_grid(eq, i, params)):
-                v = evaluate_value(cs, M, dS, Z)
-                rhs = dpe_rhs(cs, eq, i, params, M, dS, Z, -cs.zeta * Z)
+            for M, dS, Z in itertools.product(*_default_dpe_grid(eq, i, params)):
+                v = _evaluate_value(cs, M, dS, Z)
+                rhs = _dpe_rhs(cs, eq, i, params, M, dS, Z, -cs.zeta * Z)
                 worst_residual = max(worst_residual, abs(v / disc - rhs) / (1.0 + abs(v)))
-                star = dpe_argmax(cs, eq, i, params, M, dS, Z)
+                star = _dpe_argmax(cs, eq, i, params, M, dS, Z)
                 worst_argmax = max(worst_argmax, abs(star + cs.zeta * Z) / (1.0 + abs(Z)))
             assert residual == pytest.approx(worst_residual, abs=1e-16)
             assert argmax_gap == pytest.approx(worst_argmax, abs=1e-16)
@@ -168,13 +164,13 @@ class TestDynamicProgramming:
         p = make_params(k=2, dt=0.1, gammas=[0.5, 2.0])
         for i in range(p.k):
             eq, cs = coeffs_for(p, trader=i)
-            M, dS, Z = np.meshgrid(*default_dpe_grid(eq, i, p), indexing="ij")
+            M, dS, Z = np.meshgrid(*_default_dpe_grid(eq, i, p), indexing="ij")
             disc = 1.0 - p.traders[i].rho * p.dt
-            v = evaluate_value(cs, M, dS, Z)
-            rhs = dpe_rhs(cs, eq, i, p, M, dS, Z, -cs.zeta * Z)
+            v = _evaluate_value(cs, M, dS, Z)
+            rhs = _dpe_rhs(cs, eq, i, p, M, dS, Z, -cs.zeta * Z)
             residual = np.max(np.abs(v / disc - rhs) / (1.0 + np.abs(v)))
             assert dpe_residual(cs, eq, i, p) == float(residual)
-            star = dpe_argmax(cs, eq, i, p, M, dS, Z)
+            star = _dpe_argmax(cs, eq, i, p, M, dS, Z)
             argmax_gap = np.max(np.abs(star - (-cs.zeta * Z)) / (1.0 + np.abs(Z)))
             assert dpe_argmax_gap(cs, eq, i, p) == float(argmax_gap)
 
@@ -188,38 +184,38 @@ class TestDynamicProgramming:
         p = make_params(dt=0.004)
         eq, cs = coeffs_for(p)
         M, dS, Z = 0.3, -0.05, 0.8
-        star = dpe_argmax(cs, eq, 0, p, M, dS, Z)
+        star = _dpe_argmax(cs, eq, 0, p, M, dS, Z)
         assert star == pytest.approx(-cs.zeta * Z, abs=1e-13)
-        at_star = dpe_rhs(cs, eq, 0, p, M, dS, Z, star)
+        at_star = _dpe_rhs(cs, eq, 0, p, M, dS, Z, star)
         for eps in (1e-3, -1e-3):
-            assert dpe_rhs(cs, eq, 0, p, M, dS, Z, star + eps) < at_star
+            assert _dpe_rhs(cs, eq, 0, p, M, dS, Z, star + eps) < at_star
 
     def test_on_path_value_matches_rhs_without_deviation(self):
         p = make_params(k=2, dt=0.01)
         eq, cs = coeffs_for(p, trader=1)
         disc = 1.0 - p.traders[1].rho * p.dt
         for M, dS in ((0.0, 0.0), (0.5, 0.02), (-1.0, -0.03)):
-            v = evaluate_value(cs, M, dS, 0.0)
-            rhs = dpe_rhs(cs, eq, 1, p, M, dS, 0.0, 0.0)
+            v = _evaluate_value(cs, M, dS, 0.0)
+            rhs = _dpe_rhs(cs, eq, 1, p, M, dS, 0.0, 0.0)
             assert v / disc == pytest.approx(rhs, abs=1e-12 * (1 + abs(v)))
 
     def test_evaluate_value_by_hand(self):
         cs = ValueCoefficients(A=2.0, B=4.0, C=1.0, D=7.0, E=6.0, zeta=0.5, F=3.0, G=2.0, eta=0.9)
-        v = evaluate_value(cs, M=1.0, dS=2.0, Z=-1.0)
+        v = _evaluate_value(cs, M=1.0, dS=2.0, Z=-1.0)
         expected = -1.0 + 8.0 - 2.0 + 7.0 - 3.0 + 3.0 - 4.0
         assert v == pytest.approx(expected, rel=1e-15)
 
     def test_evaluate_value_broadcasts(self):
         _, cs = coeffs_for(make_params(dt=0.004))
         M = np.linspace(-1, 1, 4)
-        v = evaluate_value(cs, M, 0.0, 0.0)
+        v = _evaluate_value(cs, M, 0.0, 0.0)
         assert v.shape == (4,)
-        assert v[0] == pytest.approx(evaluate_value(cs, -1.0, 0.0, 0.0), rel=1e-15)
+        assert v[0] == pytest.approx(_evaluate_value(cs, -1.0, 0.0, 0.0), rel=1e-15)
 
     def test_default_grid_shape_and_scale(self):
         p = make_params(dt=0.004)
         eq, _ = solve_equilibrium(p)
-        Ms, dSs, Zs = default_dpe_grid(eq, 0, p)
+        Ms, dSs, Zs = _default_dpe_grid(eq, 0, p)
         assert len(Ms) == len(dSs) == len(Zs) == 5
         sd = stationary_inventory_std(eq, 0, p)
         assert Ms[-1] == pytest.approx(3.0 * sd, rel=1e-12)
@@ -247,9 +243,9 @@ class TestStationaryStd:
 
 TRADER_INDEXED = {
     "stationary_inventory_std": lambda eq, cs, i, p: stationary_inventory_std(eq, i, p),
-    "default_dpe_grid": lambda eq, cs, i, p: default_dpe_grid(eq, i, p),
-    "dpe_rhs": lambda eq, cs, i, p: dpe_rhs(cs, eq, i, p, 0.0, 0.0, 0.0, 0.0),
-    "dpe_argmax": lambda eq, cs, i, p: dpe_argmax(cs, eq, i, p, 0.0, 0.0, 0.0),
+    "default_dpe_grid": lambda eq, cs, i, p: _default_dpe_grid(eq, i, p),
+    "dpe_rhs": lambda eq, cs, i, p: _dpe_rhs(cs, eq, i, p, 0.0, 0.0, 0.0, 0.0),
+    "dpe_argmax": lambda eq, cs, i, p: _dpe_argmax(cs, eq, i, p, 0.0, 0.0, 0.0),
     "dpe_residual": lambda eq, cs, i, p: dpe_residual(cs, eq, i, p),
     "dpe_argmax_gap": lambda eq, cs, i, p: dpe_argmax_gap(cs, eq, i, p),
 }
