@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .model import ValidatedParams, _check_trader_index, _frozen
+from .model import ValidatedParams, _check_trader_index, _new
 from .solver import _require_finite, _sum_left, solve_equilibrium
 
 __all__ = [
@@ -55,9 +55,15 @@ class Expansion:
 
 
 def _expansion(limit: float, half_order_coeff: float) -> Expansion:
-    """``Expansion(limit, half_order_coeff)``, built without the generated ``__init__``."""
-    return _frozen(Expansion, {"limit": limit, "half_order_coeff": half_order_coeff,
-                               "dt_coeff": 0.0, "remainder": "O(dt)"})
+    """``Expansion(limit, half_order_coeff)``, built without the generated
+    ``__init__`` (see ``model._frozen``)."""
+    obj = _new(Expansion)
+    d = obj.__dict__
+    d["limit"] = limit
+    d["half_order_coeff"] = half_order_coeff
+    d["dt_coeff"] = 0.0
+    d["remainder"] = "O(dt)"
+    return obj
 
 
 def _require_untaxed(params: ValidatedParams, op: str) -> None:

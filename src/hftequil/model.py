@@ -97,12 +97,31 @@ def _frozen(cls, fields: dict):
     ``__init__``, which makes one per field. ``==``, ``hash``, ``repr``,
     ``asdict`` and ``replace`` read the fields, so they see no difference,
     and assignment still raises ``FrozenInstanceError``. No ``__post_init__``
-    or default runs, so ``fields`` must already be what they would store:
-    for result records, and for a :class:`ValidatedParams` built from
-    :func:`_checked` fields.
+    or default runs, so ``fields`` must already be what they would store.
+
+    It builds the records made once per call: a :class:`ValidatedParams`
+    from :func:`_checked` fields, an ``Equilibrium``, a ``SolveDiagnostics``.
+    A record made once per trader (``TraderParams`` by :func:`_trader`,
+    ``Expansion``, ``ValueCoefficients``) is cheaper built by storing its
+    fields one by one, in declaration order, into the new instance's own
+    ``__dict__``: assigning ``__dict__`` discards the instance's key-shared
+    dict. A loop over the field names, or ``__dict__.update`` with a dict
+    literal, is no faster than this function, so each of those builders
+    writes its own stores.
     """
     obj = _new(cls)
     _setattr(obj, "__dict__", fields)
+    return obj
+
+
+def _trader(gamma: float, rho: float, initial_inventory: float) -> TraderParams:
+    """``TraderParams(gamma, rho, initial_inventory)``, built without the
+    generated ``__init__`` (see :func:`_frozen`)."""
+    obj = _new(TraderParams)
+    d = obj.__dict__
+    d["gamma"] = gamma
+    d["rho"] = rho
+    d["initial_inventory"] = initial_inventory
     return obj
 
 
@@ -186,7 +205,7 @@ def _checked(sigma_S, sigma_K, dt, traders, tax) -> dict:
             if inv == 0.0 and math.copysign(1.0, inv) < 0.0:
                 inv = 0.0
             if gamma is not g or rho is not r or inv is not l:
-                t = _frozen(TraderParams, {"gamma": gamma, "rho": rho, "initial_inventory": inv})
+                t = _trader(gamma, rho, inv)
             stored.append(t)
     if out:
         raise InvalidParamsError(out)
@@ -297,11 +316,11 @@ def load_config(source) -> ValidatedParams:
             raise ConfigError(f"config: traders[{i}] must be an object")
         if not entry.keys() <= _TRADER_KEYS:
             raise ConfigError(f"config: traders[{i}] unknown keys: {', '.join(sorted(entry.keys() - _TRADER_KEYS))}")
-        traders.append(_frozen(TraderParams, {
-            "gamma": _require_number(entry, "gamma", i),
-            "rho": _require_number(entry, "rho", i),
-            "initial_inventory": _require_number(entry, "initial_inventory", i) if "initial_inventory" in entry else 0.0,
-        }))
+        traders.append(_trader(
+            _require_number(entry, "gamma", i),
+            _require_number(entry, "rho", i),
+            _require_number(entry, "initial_inventory", i) if "initial_inventory" in entry else 0.0,
+        ))
     return _frozen(ValidatedParams, _checked(sigma_S, sigma_K, dt, traders, tax))
 
 

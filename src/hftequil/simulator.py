@@ -221,6 +221,8 @@ def _normalize_strategies(strategies, k: int) -> list[StrategySpec]:
         raise ValueError(f"strategies must be None or a dict of trader index to StrategySpec, got {strategies!r}")
     out = [StrategySpec() for _ in range(k)]
     for i, spec in strategies.items():
+        if not _is_int(i) or not isinstance(spec, StrategySpec):
+            raise ValueError(f"strategies must map int trader indices to StrategySpec, got {i!r}: {spec!r}")
         if not 0 <= i < k:
             raise ValueError(f"strategy index {i} out of range for k={k}")
         out[i] = spec
@@ -1118,6 +1120,9 @@ def _sweep(eq, params, trader_index, specs, *, n_paths, horizon, seed, stats=Non
     specs = tuple(specs)
     if not specs:
         raise ValueError("need at least one strategy")
+    for spec in specs:
+        if not isinstance(spec, StrategySpec):
+            raise ValueError(f"every strategy must be a StrategySpec, got {spec!r}")
     _check_args(params, trader_index, (horizon, seed, n_paths))
     i = trader_index
     rows = [_coefficients(spec, eq, i) for spec in specs]

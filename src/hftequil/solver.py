@@ -157,15 +157,19 @@ def _sum_left(values) -> float:
     return total
 
 
+def _lam(beta_sigma: float, params: ValidatedParams) -> float:
+    """lambda = beta_sigma sigma_S^2 / (sigma_K^2 + beta_sigma^2 sigma_S^2)."""
+    sS2 = params.sigma_S**2
+    return beta_sigma * sS2 / (params.sigma_K**2 + beta_sigma**2 * sS2)
+
+
 def pricing_from_beta(beta_sigma: float, betas: tuple[float, ...], params: ValidatedParams):
     """Price impact, decay rates, and inventory price weights from loadings.
 
     lambda = beta_sigma sigma_S^2 / (sigma_K^2 + beta_sigma^2 sigma_S^2);
     phi_i = 1 - (lambda + 2c) beta_i / (1 - lambda beta_sigma); mu_i = lambda phi_i.
     """
-    sS2 = params.sigma_S**2
-    sK2 = params.sigma_K**2
-    lam = beta_sigma * sS2 / (sK2 + beta_sigma**2 * sS2)
+    lam = _lam(beta_sigma, params)
     denom = 1.0 - lam * beta_sigma
     c = params.tax
     phis = tuple(1.0 - (lam + 2.0 * c) * b / denom for b in betas)
@@ -255,7 +259,7 @@ def validate_equilibrium(eq: Equilibrium, params: ValidatedParams) -> None:
         raise ConstraintViolated("aggregate_identity", f"sum(betas)={total!r} vs {eq.beta_sigma!r}")
     if not eq.beta_sigma > 0:
         raise ConstraintViolated("beta_sigma_positive")
-    lam = pricing_from_beta(eq.beta_sigma, (), params)[0]
+    lam = _lam(eq.beta_sigma, params)
     if abs(lam - eq.lam) > 1e-12 * max(1.0, abs(lam)):
         raise ConstraintViolated("lambda_formula")
     if not eq.lam * eq.beta_sigma < 1.0:
@@ -323,7 +327,7 @@ def solve_equilibrium(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagno
     betas, phis = [], []
     h(beta_sigma, betas, phis)
     betas, phis = tuple(betas), tuple(phis)
-    lam = pricing_from_beta(beta_sigma, (), params)[0]
+    lam = _lam(beta_sigma, params)
     eq = _frozen(Equilibrium, {"betas": betas, "beta_sigma": beta_sigma, "lam": lam, "phis": phis,
                                "mus": tuple(lam * p for p in phis), "tax": params.tax})
     validate_equilibrium(eq, params)

@@ -7,7 +7,7 @@ coefficients price off-path inventory and pin down the optimal workdown
 rate zeta, with the deviation gap contracting by the factor (1 - zeta)
 each period.
 
-numpy is imported by the three DPE-grid functions alone, so the value
+numpy is imported by the DPE-grid functions alone, so the value
 function itself loads without it.
 """
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
-from .model import ValidatedParams, _check_trader_index, _frozen
+from .model import ValidatedParams, _check_trader_index, _new
 from .solver import ConstraintViolated, Equilibrium, _require_finite
 
 if TYPE_CHECKING:
@@ -118,23 +118,34 @@ def value_coefficients(
         and isfinite(zeta) and isfinite(F) and isfinite(G) and isfinite(eta)
     ):
         _require_finite(dict(A=A, B=B, C=C, D=D, E=E, zeta=zeta, F=F, G=G, eta=eta))
-    return _frozen(
-        ValueCoefficients,
-        {"A": A, "B": B, "C": C, "D": D, "E": E, "zeta": zeta, "F": F, "G": G, "eta": eta},
-    )
+    # built without the generated __init__ (see model._frozen)
+    obj = _new(ValueCoefficients)
+    d = obj.__dict__
+    d["A"] = A
+    d["B"] = B
+    d["C"] = C
+    d["D"] = D
+    d["E"] = E
+    d["zeta"] = zeta
+    d["F"] = F
+    d["G"] = G
+    d["eta"] = eta
+    return obj
 
 
 def _evaluate_value(coeffs: ValueCoefficients, M, dS, Z):
-    """Quadratic form of the value function; accepts scalars or arrays."""
-    return (
-        -0.5 * coeffs.A * M**2
-        + 0.5 * coeffs.B * dS**2
-        - coeffs.C * M * dS
-        + coeffs.D
-        - 0.5 * coeffs.E * Z**2
-        - coeffs.F * M * Z
-        + coeffs.G * dS * Z
-    )
+    """Quadratic form of the value function; accepts scalars or arrays.
+
+    Each element sees the operations of the formula, left to right; a sum
+    accumulates in place wherever the next term cannot widen its shape.
+    """
+    v = -0.5 * coeffs.A * M**2 + 0.5 * coeffs.B * dS**2
+    v -= coeffs.C * M * dS
+    v += coeffs.D
+    v = v - 0.5 * coeffs.E * Z**2
+    v -= coeffs.F * M * Z
+    v += coeffs.G * dS * Z
+    return v
 
 
 def _dpe_rhs(
@@ -151,6 +162,7 @@ def _dpe_rhs(
 
     The flow nets out the noise term, whose product with the trade has zero
     mean, so this is the exact conditional expectation given (M, dS, Z, dZ).
+    Evaluated as ``_evaluate_value`` is.
     """
     _check_trader_index(trader_index, params.k)
     t = params.traders[trader_index]
@@ -158,19 +170,17 @@ def _dpe_rhs(
     beta = eq.betas[trader_index]
     phi = eq.phis[trader_index]
     lam = eq.lam
-    m_next = beta * dS + (1.0 - phi) * M
+    beta_dS = beta * dS
+    m_next = beta_dS + (1.0 - phi) * M
     z_next = Z + dZ
-    flow = (coeffs.eta * dS - lam * dZ) * (beta * dS - phi * M + dZ) - 0.5 * gdt * (
-        m_next + z_next
-    ) ** 2
-    expected = (
-        -0.5 * coeffs.A * m_next**2
-        + 0.5 * coeffs.B * params.sigma_S**2 * params.dt
-        + coeffs.D
-        - 0.5 * coeffs.E * z_next**2
-        - coeffs.F * m_next * z_next
-    )
-    return flow + expected
+    rhs = (coeffs.eta * dS - lam * dZ) * (beta_dS - phi * M + dZ) - 0.5 * gdt * (m_next + z_next) ** 2
+    expected = -0.5 * coeffs.A * m_next**2
+    expected += 0.5 * coeffs.B * params.sigma_S**2 * params.dt
+    expected += coeffs.D
+    expected = expected - 0.5 * coeffs.E * z_next**2
+    expected -= coeffs.F * m_next * z_next
+    rhs += expected
+    return rhs
 
 
 def _dpe_argmax(
@@ -182,23 +192,23 @@ def _dpe_argmax(
     dS,
     Z,
 ):
-    """Exact maximiser of _dpe_rhs in dZ, from the first-order condition."""
+    """Exact maximiser of _dpe_rhs in dZ, from the first-order condition,
+    evaluated as ``_evaluate_value`` is."""
     _check_trader_index(trader_index, params.k)
     t = params.traders[trader_index]
     gdt = t.gamma * params.dt
     beta = eq.betas[trader_index]
     phi = eq.phis[trader_index]
     lam = eq.lam
-    m_next = beta * dS + (1.0 - phi) * M
-    grad_at_zero = (
-        -lam * (beta * dS - phi * M)
-        + coeffs.eta * dS
-        - gdt * (m_next + Z)
-        - coeffs.E * Z
-        - coeffs.F * m_next
-    )
-    curvature = 2.0 * lam + gdt + coeffs.E
-    return grad_at_zero / curvature
+    beta_dS = beta * dS
+    m_next = beta_dS + (1.0 - phi) * M
+    grad = -lam * (beta_dS - phi * M)
+    grad += coeffs.eta * dS
+    grad = grad - gdt * (m_next + Z)
+    grad -= coeffs.E * Z
+    grad -= coeffs.F * m_next
+    grad /= 2.0 * lam + gdt + coeffs.E
+    return grad
 
 
 def stationary_inventory_std(eq: Equilibrium, trader_index: int, params: ValidatedParams) -> float:
@@ -217,24 +227,39 @@ def stationary_inventory_std(eq: Equilibrium, trader_index: int, params: Validat
 def _default_dpe_grid(
     eq: Equilibrium, trader_index: int, params: ValidatedParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """5x5x5 state grid: M within 3 stationary sd, dS within 3 sigma_S sqrt(dt), Z in [-1, 1]."""
+    """5x5x5 state grid: M within 3 stationary sd, dS within 3 sigma_S sqrt(dt), Z in [-1, 1].
+
+    The M and dS axes are ``np.linspace(-x, x, 5)``, point for point,
+    without its call: -x + i step for i < 4 with step = (x - -x)/4, then x.
+    linspace takes another branch where the step underflows to 0, which
+    gives other points only at x = 2^-1074, and three times a double never
+    is that.
+    """
     import numpy as np
 
-    m_sd = stationary_inventory_std(eq, trader_index, params)
-    s_sd = params.sigma_S * math.sqrt(params.dt)
-    return (
-        np.linspace(-3.0 * m_sd, 3.0 * m_sd, 5),
-        np.linspace(-3.0 * s_sd, 3.0 * s_sd, 5),
-        np.array([-1.0, -0.5, 0.0, 0.5, 1.0]),
-    )
+    axes = []
+    for x in (3.0 * stationary_inventory_std(eq, trader_index, params),
+              3.0 * (params.sigma_S * math.sqrt(params.dt))):
+        start = -x
+        step = (x - start) / 4.0
+        axes.append(np.array([0.0 * step + start, step + start, 2.0 * step + start, 3.0 * step + start, x]))
+    axes.append(np.array([-1.0, -0.5, 0.0, 0.5, 1.0]))
+    return tuple(axes)
 
 
-def _grid_axes(eq: Equilibrium, trader_index: int, params: ValidatedParams):
-    """The default grid's M, dS and Z axes shaped (5, 1, 1), (1, 5, 1) and
-    (1, 1, 5): they broadcast to the 5x5x5 grid, and each grid point sees
-    the same operations as on meshgrid's full copies."""
+def _grid(eq: Equilibrium, trader_index: int, params: ValidatedParams):
+    """The default grid's M, dS and Z as meshgrid's full (5, 5, 5) copies,
+    filled in one buffer. Each grid point sees the same operations as on
+    broadcast axes, and numpy calls on operands of one shape skip the
+    broadcasting, which costs more than filling the buffer."""
+    import numpy as np
+
     m, s, z = _default_dpe_grid(eq, trader_index, params)
-    return m[:, None, None], s[None, :, None], z[None, None, :]
+    grid = np.empty((3, 5, 5, 5))
+    grid[0] = m[:, None, None]
+    grid[1] = s[:, None]
+    grid[2] = z
+    return grid
 
 
 def dpe_residual(
@@ -251,11 +276,14 @@ def dpe_residual(
     """
     import numpy as np
 
-    M, dS, Z = _grid_axes(eq, trader_index, params)
+    M, dS, Z = _grid(eq, trader_index, params)
     disc = 1.0 - params.traders[trader_index].rho * params.dt
     v = _evaluate_value(coeffs, M, dS, Z)
-    rhs = _dpe_rhs(coeffs, eq, trader_index, params, M, dS, Z, -coeffs.zeta * Z)
-    return float(np.max(np.abs(v / disc - rhs) / (1.0 + np.abs(v))))
+    gap = v / disc
+    gap -= _dpe_rhs(coeffs, eq, trader_index, params, M, dS, Z, -coeffs.zeta * Z)
+    np.abs(gap, out=gap)
+    gap /= 1.0 + np.abs(v)
+    return float(gap.max())
 
 
 def dpe_argmax_gap(
@@ -267,6 +295,9 @@ def dpe_argmax_gap(
     """Worst gap between the first-order-condition maximiser and -zeta Z; NaN if any gap is."""
     import numpy as np
 
-    M, dS, Z = _grid_axes(eq, trader_index, params)
-    star = _dpe_argmax(coeffs, eq, trader_index, params, M, dS, Z)
-    return float(np.max(np.abs(star - (-coeffs.zeta * Z)) / (1.0 + np.abs(Z))))
+    M, dS, Z = _grid(eq, trader_index, params)
+    gap = _dpe_argmax(coeffs, eq, trader_index, params, M, dS, Z)
+    gap -= -coeffs.zeta * Z
+    np.abs(gap, out=gap)
+    gap /= 1.0 + np.abs(Z)
+    return float(gap.max())

@@ -258,6 +258,41 @@ class TestEntryPointRefusals:
         with pytest.raises(ValueError, match="out of range"):
             _entry_points(eq, p, index)[name]()
 
+    SPEC = StrategySpec.with_z(0.5, 1.0)
+    MALFORMED_PROFILES = {
+        "value str": {0: "with_z"},
+        "value int": {0: 3},
+        "key str": {"0": SPEC},
+        "key float": {0.0: SPEC},
+        "key bool": {True: SPEC},
+    }
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_PROFILES))
+    @pytest.mark.parametrize("name", ["simulate", "simulate_objective"])
+    def test_a_malformed_profile_is_refused(self, name, shape, k):
+        """A profile maps int trader indices (not bools) to StrategySpecs;
+        anything else is a ValueError, not an AttributeError or TypeError
+        from deeper down, and True does not pass for trader 1."""
+        p = make_params(k=k, dt=0.01)
+        eq, _ = solve_equilibrium(p)
+        profile = self.MALFORMED_PROFILES[shape]
+        call = {
+            "simulate": lambda: simulate(eq, profile, p, n_paths=2, horizon=4),
+            "simulate_objective": lambda: simulate_objective(eq, profile, p, 0, n_paths=2, horizon=4, tail_tol=None),
+        }[name]
+        with pytest.raises(ValueError, match="strategies must map int trader indices to StrategySpec"):
+            call()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("specs", [["with_z"], [StrategySpec.equilibrium(), 3], [StrategySpec.equilibrium(), None]],
+                             ids=["str", "int", "None"])
+    def test_a_sweep_row_that_is_not_a_spec_is_refused(self, specs, k):
+        p = make_params(k=k, dt=0.01)
+        eq, _ = solve_equilibrium(p)
+        with pytest.raises(ValueError, match="every strategy must be a StrategySpec"):
+            deviation_sweep(eq, p, 0, specs, n_paths=2, horizon=4)
+
     def test_a_horizon_above_the_cap_is_refused(self):
         # Each entry point refuses before anything is allocated.
         p = make_params(k=2, dt=0.01)

@@ -8,6 +8,7 @@ import dataclasses
 import itertools
 import math
 import pickle
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -26,8 +27,9 @@ from hftequil import (
     stationary_inventory_std,
     value_coefficients,
 )
+from hftequil.model import load_config
 from hftequil.value import ValueCoefficients, _default_dpe_grid, _dpe_argmax, _dpe_rhs, _evaluate_value
-from helpers import make_params
+from helpers import _log_uniform, fuzz_market, make_params
 
 # unit monopoly, dt = 0.004
 CHAIN = {
@@ -222,6 +224,82 @@ class TestDynamicProgramming:
         assert dSs[-1] == pytest.approx(3.0 * math.sqrt(0.004), rel=1e-12)
         assert Zs[0] == -1.0 and Zs[-1] == 1.0
 
+    def test_default_grid_is_linspace_bit_for_bit(self):
+        """The grid computes linspace's points itself; every bit, the sign
+        of a zero included, is linspace's, at scales from 1e-150 to 1e150."""
+        rng = random.Random(36)
+        for _ in range(200):
+            sigma_S = _log_uniform(rng, 1e-150, 1e150)
+            p = make_params(k=rng.randint(1, 3), dt=_log_uniform(rng, 1e-8, 0.5), gamma=_log_uniform(rng, 0.1, 10.0),
+                            sigma_S=sigma_S, sigma_K=sigma_S * _log_uniform(rng, 1e-3, 1e3))
+            eq, _ = solve_equilibrium(p)
+            for i in range(p.k):
+                Ms, dSs, Zs = _default_dpe_grid(eq, i, p)
+                m_sd = stationary_inventory_std(eq, i, p)
+                s_sd = p.sigma_S * math.sqrt(p.dt)
+                assert 1e-160 < 3.0 * s_sd < 1e150
+                assert Ms.tobytes() == np.linspace(-3.0 * m_sd, 3.0 * m_sd, 5).tobytes()
+                assert dSs.tobytes() == np.linspace(-3.0 * s_sd, 3.0 * s_sd, 5).tobytes()
+                assert Zs.tobytes() == np.array([-1.0, -0.5, 0.0, 0.5, 1.0]).tobytes()
+        # beta^2 underflows, so the M axis spans [-0.0, 0.0]: linspace's points are all +0.0
+        flat = replace(eq, betas=(1e-200,) + eq.betas[1:])
+        assert stationary_inventory_std(flat, 0, p) == 0.0
+        assert _default_dpe_grid(flat, 0, p)[0].tobytes() == np.linspace(-0.0, 0.0, 5).tobytes()
+
+
+def _reference_dpe(cs, eq, i, p):
+    """dpe_residual and dpe_argmax_gap with linspace axes and one
+    expression per formula, each term a new array: the reference that the
+    in-place evaluation must match bit for bit."""
+    m_sd = stationary_inventory_std(eq, i, p)
+    s_sd = p.sigma_S * math.sqrt(p.dt)
+    M = np.linspace(-3.0 * m_sd, 3.0 * m_sd, 5)[:, None, None]
+    dS = np.linspace(-3.0 * s_sd, 3.0 * s_sd, 5)[None, :, None]
+    Z = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])[None, None, :]
+    gdt = p.traders[i].gamma * p.dt
+    beta, phi, lam = eq.betas[i], eq.phis[i], eq.lam
+    v = (-0.5 * cs.A * M**2 + 0.5 * cs.B * dS**2 - cs.C * M * dS + cs.D
+         - 0.5 * cs.E * Z**2 - cs.F * M * Z + cs.G * dS * Z)
+    dZ = -cs.zeta * Z
+    m_next = beta * dS + (1.0 - phi) * M
+    z_next = Z + dZ
+    flow = (cs.eta * dS - lam * dZ) * (beta * dS - phi * M + dZ) - 0.5 * gdt * (m_next + z_next) ** 2
+    expected = (-0.5 * cs.A * m_next**2 + 0.5 * cs.B * p.sigma_S**2 * p.dt + cs.D
+                - 0.5 * cs.E * z_next**2 - cs.F * m_next * z_next)
+    disc = 1.0 - p.traders[i].rho * p.dt
+    residual = np.max(np.abs(v / disc - (flow + expected)) / (1.0 + np.abs(v)))
+    grad = (-lam * (beta * dS - phi * M) + cs.eta * dS - gdt * (m_next + Z) - cs.E * Z - cs.F * m_next)
+    star = grad / (2.0 * lam + gdt + cs.E)
+    gap = np.max(np.abs(star - (-cs.zeta * Z)) / (1.0 + np.abs(Z)))
+    return float(residual), float(gap)
+
+
+def test_dpe_checks_match_the_reference_expressions_bit_for_bit():
+    """dpe_residual and dpe_argmax_gap accumulate in place on hand-built
+    axes; over the seeded 200-draw market fuzz each result is the
+    reference's, bit for bit (NaN matching NaN)."""
+    rng = random.Random(0)
+    compared = 0
+    for _ in range(200):
+        p = fuzz_market(rng)
+        if p.tax != 0.0:
+            continue
+        try:
+            eq, _ = solve_equilibrium(p)
+        except SolverError:
+            continue
+        for i in range(p.k):
+            try:
+                cs = value_coefficients(eq, i, p)
+            except SolverError:
+                continue
+            with np.errstate(all="ignore"):
+                want = _reference_dpe(cs, eq, i, p)
+                got = (dpe_residual(cs, eq, i, p), dpe_argmax_gap(cs, eq, i, p))
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+            compared += 1
+    assert compared > 200
+
 
 class TestStationaryStd:
     def test_formula(self):
@@ -265,19 +343,24 @@ def _records():
     p = make_params(k=2, dt=0.004, gammas=[0.5, 2.0])
     eq, diag = solve_equilibrium(p)
     table = nash_expansions(p)
-    return [eq, diag, value_coefficients(eq, 1, p), table["B"][1], table["beta_sigma"]]
+    loaded = load_config({"sigma_S": 1.0, "sigma_K": 1.3, "dt": 0.004, "traders": [
+        {"gamma": 0.5, "rho": 0.05}, {"gamma": 2.0, "rho": 0.1, "initial_inventory": 0.5}]})
+    converted = make_params(gamma=2, rho=0.05).traders[0]
+    return [eq, diag, value_coefficients(eq, 1, p), table["B"][1], table["beta_sigma"],
+            loaded.traders[1], loaded, loaded.with_dt(0.002), converted]
 
 
 @pytest.mark.parametrize(
     "record",
     _records(),
-    ids=["Equilibrium", "SolveDiagnostics", "ValueCoefficients", "Expansion", "scalar Expansion"],
+    ids=["Equilibrium", "SolveDiagnostics", "ValueCoefficients", "Expansion", "scalar Expansion",
+         "loaded TraderParams", "loaded ValidatedParams", "with_dt ValidatedParams", "converted TraderParams"],
 )
 def test_result_records_match_init_built_twins(record):
-    """solve_equilibrium, value_coefficients and nash_expansions build their
-    records without the generated __init__; nothing a caller can do tells
-    them apart."""
-    fields = dataclasses.fields(record)
+    """solve_equilibrium, value_coefficients, nash_expansions, load_config,
+    with_dt and the parameter checker build their records without the
+    generated __init__; nothing a caller can do tells them apart."""
+    fields = [f for f in dataclasses.fields(record) if f.init]
     twin = type(record)(**{f.name: getattr(record, f.name) for f in fields})
     assert record == twin and twin == record
     assert hash(record) == hash(twin)
