@@ -410,7 +410,6 @@ def run_verify(args: argparse.Namespace, params: ValidatedParams) -> int:
                 {
                     "name": r.name,
                     "passed": r.passed,
-                    "warning": r.warning,
                     # JSON has no NaN or infinity; a failed check may carry either.
                     "value": r.value if math.isfinite(r.value) else None,
                     "threshold": r.threshold,
@@ -423,10 +422,7 @@ def run_verify(args: argparse.Namespace, params: ValidatedParams) -> int:
     else:
         lines = []
         for r in report.results:
-            status = "PASS" if r.passed else "FAIL"
-            if r.warning and r.passed:
-                status = "WARN"
-            line = f"{status} {r.name} value={r.value!r} threshold={r.threshold!r}"
+            line = f"{'PASS' if r.passed else 'FAIL'} {r.name} value={r.value!r} threshold={r.threshold!r}"
             if r.detail:
                 line += f" ({r.detail})"
             lines.append(line)

@@ -125,8 +125,15 @@ def _trader(gamma: float, rho: float, initial_inventory: float) -> TraderParams:
     return obj
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_trader_index(trader_index, k: int) -> None:
-    """Refuse an index outside [0, k): -1 would silently name the last trader."""
+    """Refuse an index that is not an int in [0, k): -1 would silently name
+    the last trader, and True trader 1."""
+    if not _is_int(trader_index):
+        raise ValueError(f"trader index must be an int, got {trader_index!r}")
     if not 0 <= trader_index < k:
         raise ValueError(f"trader index {trader_index} out of range for k={k}")
 

@@ -8,14 +8,12 @@ n + 1 of the chunk's path j is its stream's normal 128 n + j. So a path's
 increments depend only on (seed, path, stream, period); they do not change
 with blocking or with the slice of paths drawn, and a shorter horizon
 reads a prefix of them. Each group of paths builds one generator per chunk
-and stream, by setting the state of a ``Philox(0)`` to the stream's start,
-which gives the same numbers as a fresh ``Philox(key=...)``, and draws
-every tile of its increments from it in turn. Dealers always price
-with the equilibrium rule; traders can play the equilibrium strategy, a
-scaled variant, or carry an inventory gap that they work down at a chosen
-rate. The dealer's inventory predictions follow the equilibrium recursion
-no matter what is actually traded, which is what makes deviations
-detectable only through the order flow.
+and stream and draws every tile of its increments from it in turn. Dealers
+always price with the equilibrium rule; traders can play the equilibrium
+strategy, a scaled variant, or carry an inventory gap that they work down
+at a chosen rate. The dealer's inventory predictions follow the
+equilibrium recursion no matter what is actually traded, which is what
+makes deviations detectable only through the order flow.
 
 Every strategy trades a fixed linear combination of the signal move dS,
 the dealer's prediction M and the trader's own inventory L, so one kernel,
@@ -83,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ValidatedParams, _check_trader_index
+from .model import ValidatedParams, _check_trader_index, _is_int
 from .solver import Equilibrium, SolverError
 
 __all__ = [
@@ -223,8 +221,7 @@ def _normalize_strategies(strategies, k: int) -> list[StrategySpec]:
     for i, spec in strategies.items():
         if not _is_int(i) or not isinstance(spec, StrategySpec):
             raise ValueError(f"strategies must map int trader indices to StrategySpec, got {i!r}: {spec!r}")
-        if not 0 <= i < k:
-            raise ValueError(f"strategy index {i} out of range for k={k}")
+        _check_trader_index(i, k)
         out[i] = spec
     return out
 
@@ -267,10 +264,6 @@ def _checked_game(eq, strategies, params, trader_index, horizon, seed, n_paths):
     return [_coefficients(spec, eq, i) for i, spec in enumerate(specs)], horizon
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _check_args(params: ValidatedParams, trader_index=None, run=None) -> None:
     """The argument checks every entry point shares; None skips one.
 
@@ -296,22 +289,13 @@ def _check_args(params: ValidatedParams, trader_index=None, run=None) -> None:
 
 def _chunk_stream(seed: int, chunk: int, stream: int):
     """``standard_normal`` of a new generator at the start of the Philox stream
-    keyed [(chunk << 1) | stream, seed]. Its bit generator is a ``Philox(0)``
-    whose state is set to a zero counter and an exhausted output buffer,
-    where ``Philox(key=...)`` starts, so it draws the same numbers. Drawn
-    piece after piece, it goes on where the last piece stopped, so a stream
-    drawn in pieces equals the stream drawn in one call.
+    keyed [(chunk << 1) | stream, seed]. Drawn piece after piece, it goes on
+    where the last piece stopped, so a stream drawn in pieces equals the
+    stream drawn in one call. The key must be a uint64 array: numpy casts a
+    list key through float at seed >= 2^63 and draws other numbers.
     """
-    bitgen = np.random.Philox(0)
-    bitgen.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": [(chunk << 1) | stream, seed]},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return np.random.Generator(bitgen).standard_normal
+    key = np.array([(chunk << 1) | stream, seed], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal
 
 
 def _cuts(width: int) -> list[slice]:
@@ -529,10 +513,6 @@ class PathBatch:
     @property
     def horizon(self) -> int:
         return self.dS.shape[1]
-
-    @property
-    def k(self) -> int:
-        return self.M.shape[1]
 
     @property
     def Z(self) -> np.ndarray:

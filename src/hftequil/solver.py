@@ -78,10 +78,6 @@ class Equilibrium:
     tax: float = 0.0
 
     @property
-    def k(self) -> int:
-        return len(self.betas)
-
-    @property
     def eta(self) -> float:
         """Residual signal share 1 - lambda * beta_sigma, always in (0, 1]."""
         return 1.0 - self.lam * self.beta_sigma
@@ -113,15 +109,15 @@ def _newton(f, lo: float, hi: float, scale: float, f_lo: float, f_hi: float):
 
     ``f`` returns (value, slope) and must change sign on [lo, hi]; ``f_lo``
     and ``f_hi`` are its values at the ends, passed in so that no end is
-    evaluated twice. From the midpoint, each step shrinks the bracket to the
+    evaluated twice. A zero ``f_lo`` is the root. The one caller's ``f_hi``
+    is negative (see ``_solve_fixed_point``), so the sign check refuses a
+    NaN ``f_lo``. From the midpoint, each step shrinks the bracket to the
     sign change; a step that leaves it, a NaN slope's among them, bisects it,
     and a zero slope or one against the sign change raises h_monotonicity.
     Stops on f = 0 or once the step or bracket is at most BRACKET_WIDTH_REL * scale.
     """
     if f_lo == 0.0:
         return lo, 0, (lo, lo)
-    if f_hi == 0.0:
-        return hi, 0, (hi, hi)
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise NoRootInBracket(f"no sign change on [{lo!r}, {hi!r}]")
     tol = BRACKET_WIDTH_REL * scale
@@ -253,6 +249,12 @@ def system_residual(eq: Equilibrium, params: ValidatedParams) -> tuple[float, ..
 
 def validate_equilibrium(eq: Equilibrium, params: ValidatedParams) -> None:
     """Raise ConstraintViolated unless all structural invariants hold."""
+    k = params.k
+    if not len(eq.betas) == len(eq.phis) == len(eq.mus) == k:
+        raise ConstraintViolated(
+            "trader_count",
+            f"{len(eq.betas)} betas, {len(eq.phis)} phis and {len(eq.mus)} mus for k={k} traders",
+        )
     r = params.vol_ratio_sq
     total = _sum_left(eq.betas)
     if abs(total - eq.beta_sigma) > 1e-12 * max(1.0, abs(eq.beta_sigma)):

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ValidatedParams
+from .model import ValidatedParams, _is_int
 from .solver import (
     SYSTEM_RESIDUAL_TOL,
     Equilibrium,
@@ -80,7 +80,6 @@ class CheckResult:
     value: float
     threshold: float
     detail: str = ""
-    warning: bool = False
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,6 @@ def _check_value_layer(eq, params, identity_gate, dpe_gate):
         error = f"value_coefficients raised {type(exc).__name__}: {exc}"
         coeff_list = None
         fixed = link = dpe = argmax = sign_margin = math.nan
-        g_warn = False
     else:
         error = ""
         fixed = max(_value_equation_residuals(coeff_list[i], eq, i, params) for i in range(params.k))
@@ -208,27 +206,17 @@ def _check_value_layer(eq, params, identity_gate, dpe_gate):
         dpe = max(dpe_residual(coeff_list[i], eq, i, params) for i in range(params.k))
         argmax = max(dpe_argmax_gap(coeff_list[i], eq, i, params) for i in range(params.k))
 
-        sign_margin = math.inf
-        g_warn = False
-        for coeffs in coeff_list:
-            hard = (coeffs.A, coeffs.B, coeffs.C, coeffs.D, coeffs.E, coeffs.F, coeffs.zeta, 1.0 - coeffs.zeta)
-            sign_margin = min(sign_margin, min(hard))
-            if coeffs.G > 0.0:
-                g_warn = True
-    sign_ok = sign_margin > 0.0
+        # G < 0 is a theorem here: untaxed, beta_i = (r/beta_sigma)(1 - phi_i)
+        # and lambda = beta_sigma/(r + beta_sigma^2) give lambda beta_i - eta =
+        # -r phi_i/(r + beta_sigma^2) < 0, and F + gamma dt = lambda phi/(1 - phi)
+        # > 0 with 0 < zeta < 1, so both terms of G are negative.
+        sign_margin = min(min(c.A, c.B, c.C, c.D, c.E, c.F, c.zeta, 1.0 - c.zeta, -c.G) for c in coeff_list)
     results = [
         CheckResult("value_fixed_point", fixed <= identity_gate, fixed, identity_gate, detail=error),
         CheckResult("value_link_identity", link <= identity_gate, link, identity_gate, detail=error),
         CheckResult("dpe_residual", dpe <= dpe_gate, dpe, dpe_gate, detail=error),
         CheckResult("dpe_argmax", argmax <= identity_gate, argmax, identity_gate, detail=error),
-        CheckResult(
-            "sign_pattern",
-            sign_ok,
-            sign_margin,
-            0.0,
-            detail=error or ("G > 0, usually a sign of borderline parameters" if g_warn else ""),
-            warning=g_warn and sign_ok,
-        ),
+        CheckResult("sign_pattern", sign_margin > 0.0, sign_margin, 0.0, detail=error),
     ]
     return results, coeff_list
 
@@ -353,19 +341,23 @@ def run_verification(
     """Solve the game for ``params`` and run every applicable check.
 
     ``paths = 0`` skips the Monte Carlo battery; any other count must be an
-    integer of at least 2. ``mc_horizon`` and ``seed`` are checked first
-    too, whatever ``paths`` is, and with paths > 0 an ``mc_horizon`` above
-    the simulator's ``HORIZON_CAP`` is refused before the solve. Value-layer
-    checks run for the untaxed game at dt > 0, where the quadratic value
-    function applies. ``strict=True`` halves every deterministic gate and
-    runs four times ``paths``, which halves the Monte Carlo checks' absolute
-    tolerances at the same number of standard errors.
+    integer in [2, 2^63], or [2, 2^61] under ``strict``. ``mc_horizon`` and
+    ``seed`` are checked first too, whatever ``paths`` is, and with paths > 0
+    an ``mc_horizon`` above the simulator's ``HORIZON_CAP`` is refused before
+    the solve. Value-layer checks run for the untaxed game at dt > 0, where
+    the quadratic value function applies. ``strict=True`` halves every
+    deterministic gate and runs four times ``paths``, which halves the Monte
+    Carlo checks' absolute tolerances at the same number of standard errors.
     """
-    if not sim._is_int(paths) or paths < 0 or paths == 1:
+    if not _is_int(paths) or paths < 0 or paths == 1:
         raise ValueError(f"paths must be 0 or an integer of at least 2, got {paths!r}")
-    if not sim._is_int(mc_horizon) or mc_horizon < 1:
+    if strict and paths > sim._MAX_PATH_INDEX // 4:
+        raise ValueError(f"paths must be at most 2^61 under strict, which runs 4 x paths = {4 * paths}, got {paths}")
+    if paths > sim._MAX_PATH_INDEX:
+        raise ValueError(f"paths must be at most 2^63, got {paths}")
+    if not _is_int(mc_horizon) or mc_horizon < 1:
         raise ValueError(f"mc_horizon must be an integer of at least 1, got {mc_horizon!r}")
-    if not sim._is_int(seed) or not 0 <= seed < sim._MAX_SEED:
+    if not _is_int(seed) or not 0 <= seed < sim._MAX_SEED:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if paths and mc_horizon > sim.HORIZON_CAP:
         raise ValueError(f"mc_horizon {mc_horizon} exceeds the cap of {sim.HORIZON_CAP} periods; reduce it")

@@ -339,6 +339,10 @@ class TestConvergenceTable:
             convergence_order(p, "eta", [0.01])
         with pytest.raises(ValueError):
             convergence_order(p, "beta", [0.01], trader=2)
+        # True used to answer for trader 1, and 1.0 and "1" raised a bare TypeError
+        for trader in (True, 1.0, "1"):
+            with pytest.raises(ValueError, match="trader index must be an int"):
+                convergence_order(p, "beta", [0.01], trader=trader)
         with pytest.raises(ValueError):
             convergence_order(p.with_tax(1e-3), "beta", [0.01])
 

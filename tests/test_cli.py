@@ -372,6 +372,28 @@ def test_huge_grid_exits_2_before_it_is_built(capsys, command, flag, grid):
     assert err == f"error: {flag} holds at most {cli.MAX_GRID_POINTS} points, got {grid!r}\n"
 
 
+@pytest.mark.parametrize(
+    "command, flag, text, message",
+    [
+        ("solve", "--gamma", "1,x", "expects a comma separated list of numbers"),
+        ("tax-sweep", "--c-grid", "0:0.1:x", "expects numbers a:b and an integer count"),
+        ("sweep", "--dt-grid", "0.01:0.001:1", "needs n >= 2 and positive endpoints"),
+        ("sweep", "--dt-grid", "0:0.001:3", "needs n >= 2 and positive endpoints"),
+        ("tax-sweep", "--c-grid", "0.1:0:3", "needs n >= 2 and 0 <= a < b"),
+        ("tax-sweep", "--c-grid", "-1:0.1:3", "needs n >= 2 and 0 <= a < b"),
+        ("sweep", "--k-grid", "1-4", "expects a..b"),
+        ("sweep", "--k-grid", "1..x", "expects integers"),
+        ("sweep", "--k-grid", "3..2", "needs 1 <= a <= b"),
+        ("sweep", "--k-grid", "0..2", "needs 1 <= a <= b"),
+    ],
+)
+def test_a_malformed_list_or_grid_exits_2(capsys, command, flag, text, message):
+    # flag=text, since argparse takes a value that starts with - for a flag
+    code, out, err = run_cli(capsys, command, *BASE, f"{flag}={text}")
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} {message}, got {text!r}\n"
+
+
 def test_grid_size_cap_is_inclusive():
     cap = cli.MAX_GRID_POINTS
     assert cli._parse_grid(f"0:1:{cap}", "--c-grid") == (0.0, 1.0, cap)
@@ -443,7 +465,7 @@ class TestVerify:
         lines = out.strip().split("\n")
         assert len(lines) == 9
         for line in lines:
-            assert line.startswith(("PASS", "WARN"))
+            assert line.startswith("PASS ")
             assert "value=" in line and "threshold=" in line
 
     @pytest.mark.parametrize(
@@ -460,6 +482,12 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", *BASE, "--paths", paths, *flags)
         assert code == 2 and out == ""
         assert err == f"error: paths must be 0 or an integer of at least 2, got {paths}\n"
+
+    def test_a_path_count_too_large_to_simulate_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", *BASE, "--paths", str(2**62), "--strict")
+        assert code == 2 and out == ""
+        assert err == (f"error: paths must be at most 2^61 under strict, which runs 4 x paths = {2**64},"
+                       f" got {2**62}\n")
 
     def test_a_bad_seed_exits_2_without_monte_carlo_paths(self, capsys):
         code, out, err = run_cli(capsys, "verify", *BASE, "--paths", "0", "--seed", "-1")
@@ -486,6 +514,7 @@ class TestVerify:
         names = {r["name"] for r in payload["results"]}
         assert "zero_profit_mc" in names
         for r in payload["results"]:
+            assert set(r) == {"name", "passed", "value", "threshold", "detail"}
             assert isinstance(r["value"], float)
             assert isinstance(r["passed"], bool)
 

@@ -9,6 +9,7 @@ change a single bit of any path.
 import decimal
 import math
 import os
+import re
 import tracemalloc
 from decimal import Decimal
 
@@ -116,6 +117,18 @@ class TestRandomStreams:
         for chunk, stream in ((0, 0), (5, 1), (2**56 - 1, 0), (2**56 - 1, 1)):
             got = _chunk_stream(seed, chunk, stream)(300)
             assert np.array_equal(got, chunk_stream(seed, chunk, stream, 300)), (chunk, stream)
+
+    def test_chunk_streams_draw_their_pinned_numbers(self):
+        # the first three normals of four streams, the last two keyed at
+        # seed >= 2^63, where a key cast through float would draw others
+        pinned = {
+            (0, 0, 0): ["0x1.463cb3872ecbdp-3", "-0x1.c6313809c831cp+0", "0x1.5396485e717b0p+0"],
+            (123456789012345678, 99, 0): ["-0x1.f4d9baf3ee650p-3", "0x1.c0edd972feca2p-2", "0x1.c7cec0b38e199p-1"],
+            (2**63, 5, 1): ["-0x1.fa9f91d59b608p-1", "0x1.b3d2f4739b2c7p-8", "-0x1.45b9a685b27cep-4"],
+            (2**64 - 1, 2**56 - 1, 1): ["-0x1.3d47b175cbe4ap-1", "-0x1.b32b2cfb1ca28p-3", "-0x1.02c5777602336p+1"],
+        }
+        for (seed, chunk, stream), want in pinned.items():
+            assert [x.hex() for x in _chunk_stream(seed, chunk, stream)(3)] == want, (seed, chunk, stream)
 
     @pytest.mark.parametrize("seed", [7, 2**64 - 1])
     def test_a_stream_drawn_in_two_tiles_equals_one_call(self, seed):
@@ -250,13 +263,23 @@ class TestEntryPointRefusals:
         with pytest.raises(ValueError, match="dt > 0"):
             simulate(eq, None, p, n_paths=4, horizon=3)
 
-    @pytest.mark.parametrize("index", [-1, 2])
+    @pytest.mark.parametrize("index", [-1, 2, True, 1.0, "1"])
     @pytest.mark.parametrize("name", NAMES)
     def test_index_out_of_range(self, name, index):
+        # True used to pass for trader 1 (in deviation_sweep, to raise a bare
+        # IndexError), and 1.0 and "1" to raise a bare TypeError
         p = make_params(k=2, dt=0.01)
         eq, _ = solve_equilibrium(p)
-        with pytest.raises(ValueError, match="out of range"):
+        message = "out of range" if type(index) is int else re.escape(f"trader index must be an int, got {index!r}")
+        with pytest.raises(ValueError, match=message):
             _entry_points(eq, p, index)[name]()
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_a_profile_key_out_of_range(self, index):
+        p = make_params(k=2, dt=0.01)
+        eq, _ = solve_equilibrium(p)
+        with pytest.raises(ValueError, match=f"^trader index {index} out of range for k=2$"):
+            simulate(eq, {index: StrategySpec.with_z(0.5, 1.0)}, p, n_paths=2, horizon=4)
 
     SPEC = StrategySpec.with_z(0.5, 1.0)
     MALFORMED_PROFILES = {
@@ -616,6 +639,11 @@ class TestAdmissibility:
             simulate(self.eq, {0: StrategySpec.scaled(phi_scale=0.0)}, self.p, n_paths=2, horizon=4)
         with pytest.raises(InadmissibleStrategy):
             simulate(self.eq, {0: StrategySpec.scaled(beta_scale=math.inf)}, self.p, n_paths=2, horizon=4)
+
+    @pytest.mark.parametrize("z0", [math.inf, -math.inf, math.nan])
+    def test_a_gap_that_is_not_finite_is_refused(self, z0):
+        with pytest.raises(InadmissibleStrategy, match="trader 1: z0 must be finite"):
+            simulate(self.eq, {1: StrategySpec.with_z(0.5, z0)}, self.p, n_paths=2, horizon=4)
 
     def test_workdown_bounds(self):
         with pytest.raises(InadmissibleStrategy):

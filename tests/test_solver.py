@@ -17,6 +17,7 @@ from hftequil import (
     NoRootInBracket,
     SolverError,
     pricing_from_beta,
+    run_verification,
     solve_equilibrium,
     solve_taxed,
     system_residual,
@@ -323,6 +324,21 @@ class TestPricingAndValidation:
             validate_equilibrium(eq, p)
         assert exc.value.which == "price_impact_share"
 
+    @pytest.mark.parametrize("k_eq, k_params", [(2, 3), (3, 2)])
+    def test_validate_refuses_another_trader_count(self, k_eq, k_params):
+        eq, _ = solve_equilibrium(make_params(k=k_eq, dt=0.004))
+        with pytest.raises(ConstraintViolated, match=f"for k={k_params} traders") as exc:
+            validate_equilibrium(eq, make_params(k=k_params, dt=0.004))
+        assert exc.value.which == "trader_count"
+
+    def test_validate_refuses_ragged_fields(self):
+        p = make_params(k=2, dt=0.004)
+        eq, _ = solve_equilibrium(p)
+        for bad in (dataclasses.replace(eq, phis=eq.phis[:1]), dataclasses.replace(eq, mus=eq.mus * 2)):
+            with pytest.raises(ConstraintViolated) as exc:
+                validate_equilibrium(bad, p)
+            assert exc.value.which == "trader_count"
+
     def test_eta_in_unit_interval(self):
         for k in (1, 2, 4):
             eq, _ = solve_equilibrium(make_params(k=k, dt=0.004))
@@ -379,6 +395,25 @@ class TestTaxed:
         # aggregate solves t*(t + 2c(r + t^2)) = k*r with r = 1, k = 2
         assert t * (t + 2 * c * (1.0 + t * t)) == pytest.approx(2.0, rel=1e-12)
         assert eq.phis == (0.0, 0.0)
+
+
+class TestLowerBracket:
+    """The lower end of the bracket halves from 1e-12 m while h < 0; only an
+    extreme tax or gamma dt puts the root below 1e-12 m."""
+
+    def test_a_root_below_the_first_lower_end_is_bracketed_by_halving(self):
+        p = make_params(dt=0.01, tax=1e20)
+        eq, diag = solve_equilibrium(p)
+        # 28 halvings take the lower end to 1e-12 * 2^-28 = 3.7e-21
+        assert diag.bracket[0] == 1e-12 * 0.5**28 < eq.beta_sigma < 1e-12
+        assert run_verification(p, paths=0).passed
+
+    @pytest.mark.parametrize("market", [{"tax": 1e30}, {"gamma": 1e33}], ids=["tax=1e30", "gamma=1e33"])
+    def test_a_root_below_the_halving_cap_is_refused(self, market):
+        # A root exists, since h > 0 near 0, but it lies below 2^-60 * 1e-12 m,
+        # where the search gives up; this pins today's structured answer.
+        with pytest.raises(NoRootInBracket, match="^aggregate fixed point not bracketed below$"):
+            solve_equilibrium(make_params(dt=0.01, **market))
 
 
 class TestNumericalCore:

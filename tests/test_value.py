@@ -9,6 +9,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -94,9 +95,32 @@ class TestCoefficients:
             for i in range(p.k):
                 _, cs = coeffs_for(p, trader=i)
                 assert cs.A > 0 and cs.B > 0 and cs.C > 0 and cs.D > 0
-                assert cs.E > 0 and cs.F > 0
+                assert cs.E > 0 and cs.F > 0 and cs.G < 0
                 assert 0.0 < cs.zeta < 1.0
                 assert 0.0 < cs.eta < 1.0
+
+    def test_G_is_negative_over_the_market_fuzz(self):
+        """lambda beta_i - eta = -r phi_i/(r + beta_sigma^2) < 0 and F + gamma dt
+        = lambda phi/(1 - phi) > 0 with 0 < zeta < 1, so both terms of G are
+        negative on every untaxed market at dt > 0."""
+        rng = random.Random(1)
+        checked = 0
+        for _ in range(400):
+            p = fuzz_market(rng)
+            if p.tax != 0.0:
+                continue
+            try:
+                eq, _ = solve_equilibrium(p)
+            except SolverError:
+                continue
+            for i in range(p.k):
+                try:
+                    cs = value_coefficients(eq, i, p)
+                except SolverError:
+                    continue
+                assert cs.G < 0.0, (p, i, cs)
+                checked += 1
+        assert checked > 200
 
     def test_rejects_dt_zero_and_tax(self):
         p0 = make_params(dt=0.0)
@@ -320,6 +344,7 @@ class TestStationaryStd:
 
 
 TRADER_INDEXED = {
+    "value_coefficients": lambda eq, cs, i, p: value_coefficients(eq, i, p),
     "stationary_inventory_std": lambda eq, cs, i, p: stationary_inventory_std(eq, i, p),
     "default_dpe_grid": lambda eq, cs, i, p: _default_dpe_grid(eq, i, p),
     "dpe_rhs": lambda eq, cs, i, p: _dpe_rhs(cs, eq, i, p, 0.0, 0.0, 0.0, 0.0),
@@ -329,13 +354,18 @@ TRADER_INDEXED = {
 }
 
 
-@pytest.mark.parametrize("index", [-1, 2])
+@pytest.mark.parametrize("index", [-1, 2, True, 1.0, "1"])
 @pytest.mark.parametrize("name", sorted(TRADER_INDEXED))
 def test_trader_index_out_of_range(name, index):
-    """-1 must not answer for the last trader, nor k raise a bare IndexError."""
+    """-1 must not answer for the last trader, nor k raise a bare IndexError,
+    nor True pass for trader 1 or 1.0 and "1" raise a bare TypeError."""
     p = make_params(k=2, dt=0.01, gammas=[1.0, 3.0])
     eq, cs = coeffs_for(p)
-    with pytest.raises(ValueError, match=f"trader index {index} out of range for k=2"):
+    if type(index) is int:
+        message = f"trader index {index} out of range for k=2"
+    else:
+        message = re.escape(f"trader index must be an int, got {index!r}")
+    with pytest.raises(ValueError, match=message):
         TRADER_INDEXED[name](eq, cs, index, p)
 
 

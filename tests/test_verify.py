@@ -14,6 +14,7 @@ from hftequil import (
     SolverError,
     VerificationReport,
     run_verification,
+    solve_equilibrium,
 )
 from hftequil.verify import _IDENTITY_GATE, _MC_SIGMAS, _max_z_gate, _z_check
 from helpers import fuzz_market, make_params
@@ -128,6 +129,28 @@ class TestFullBattery:
     def test_strict_refuses_a_count_before_quadrupling_it(self, paths):
         with pytest.raises(ValueError, match=f"at least 2, got {paths}$"):
             run_verification(make_params(dt=0.004), paths=paths, strict=True)
+
+    @pytest.mark.parametrize(
+        "paths, strict, message",
+        [
+            (2**64, False, r"^paths must be at most 2\^63, got 18446744073709551616$"),
+            (2**63 + 1, False, r"^paths must be at most 2\^63, got 9223372036854775809$"),
+            (2**62, True, r"^paths must be at most 2\^61 under strict, which runs 4 x paths = "
+                          r"18446744073709551616, got 4611686018427387904$"),
+            (2**61 + 1, True, r"under strict, which runs 4 x paths = 9223372036854775812, got 2305843009213693953$"),
+        ],
+    )
+    def test_a_path_count_too_large_to_simulate_is_refused_before_the_solve(self, monkeypatch, paths, strict, message):
+        # the simulator takes at most 2^63 paths; strict runs four times paths
+        monkeypatch.setattr(hftequil.verify, "solve_equilibrium", _raise_value_invariant)
+        with pytest.raises(ValueError, match=message):
+            run_verification(make_params(dt=0.1), paths=paths, strict=strict)
+
+    def test_the_largest_path_counts_reach_the_solve(self, monkeypatch):
+        monkeypatch.setattr(hftequil.verify, "solve_equilibrium", _raise_value_invariant)
+        for paths, strict in ((2**63, False), (2**61, True)):
+            with pytest.raises(ConstraintViolated):
+                run_verification(make_params(dt=0.1), paths=paths, strict=strict)
 
     def test_limit_case_has_no_value_layer(self):
         report = run_verification(make_params(k=2, dt=0.0), paths=512)
@@ -326,6 +349,24 @@ class TestFullBattery:
             assert impact.value == math.inf and not impact.passed
 
 
+def test_sign_pattern_holds_G_below_zero(monkeypatch):
+    """G < 0 is one of the signs sign_pattern requires, so a G above 0
+    fails the check; there is no third verdict."""
+    p = make_params(k=2, dt=0.004, gammas=[1.0, 3.0])
+    real = hftequil.verify.value_coefficients
+    coeffs = [real(solve_equilibrium(p)[0], i, p) for i in range(2)]
+    sign = next(r for r in run_verification(p, paths=0).results if r.name == "sign_pattern")
+    assert sign.passed and sign.value <= min(-c.G for c in coeffs)
+
+    def flipped(eq, i, params):
+        cs = real(eq, i, params)
+        return dataclasses.replace(cs, G=-cs.G) if i == 1 else cs
+
+    monkeypatch.setattr(hftequil.verify, "value_coefficients", flipped)
+    sign = next(r for r in run_verification(p, paths=0).results if r.name == "sign_pattern")
+    assert not sign.passed and sign.value == coeffs[1].G and sign.detail == ""
+
+
 def test_every_fuzzed_market_gets_a_report_or_a_solver_error():
     # Any other exception escapes run_verification and fails the test.
     rng = random.Random(0)
@@ -348,12 +389,6 @@ class TestReportMechanics:
         report = VerificationReport((ok, bad))
         assert not report.passed
         assert report.failures == ("bad_one",)
-
-    def test_warning_does_not_fail(self):
-        warn = CheckResult("soft", True, 0.0, 1.0, detail="note", warning=True)
-        report = VerificationReport((warn,))
-        assert report.passed
-        assert report.failures == ()
 
     def test_strict_halves_every_tolerance(self):
         # strict=True at N paths is the default battery at 4N paths, with
