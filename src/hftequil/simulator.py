@@ -1,14 +1,15 @@
 """Monte Carlo engine for the trading game.
 
-Paths are driven by counter-based random streams (Philox; Salmon et al.,
-SC'11). Paths come in chunks of ``STREAM_PATHS`` = 128, and chunk c's
-signal and noise increments come from the Philox generators keyed by
-[(c << 1) | stream, seed] with a zero counter, each read time-major: period
-n + 1 of the chunk's path j is its stream's normal 128 n + j. So a path's
-increments depend only on (seed, path, stream, period); they do not change
-with blocking or with the slice of paths drawn, and a shorter horizon
-reads a prefix of them. Each group of paths builds one generator per chunk
-and stream and draws every tile of its increments from it in turn. Dealers
+Paths are driven by seeded SFC64 streams. Paths come in chunks of
+``STREAM_PATHS`` = 128, and chunk c's signal and noise increments come from
+the SFC64 generators seeded by ``SeedSequence(seed, spawn_key=(c, stream))``,
+the stream-th child of the c-th child of ``SeedSequence(seed)``, each read
+time-major: period n + 1 of the chunk's path j is its stream's normal
+128 n + j. So a path's increments depend only on (seed, path, stream,
+period); they do not change with blocking or with the slice of paths
+drawn, and a shorter horizon reads a prefix of them. Each group of paths
+builds one generator per chunk and stream and draws every tile of its
+increments from it in turn. Dealers
 always price with the equilibrium rule; traders can play the equilibrium
 strategy, a scaled variant, or carry an inventory gap that they work down
 at a chosen rate. The dealer's inventory predictions follow the
@@ -124,7 +125,7 @@ BLOCK_PATHS = 1024
 # GROUP_BLOCKS blocks of paths, verify's default 4096, whatever the CPU
 # count, as with one block per worker on a 4-CPU host.
 GROUP_BLOCKS = 4
-# Paths that share one Philox stream per stream of increments, a chunk: the
+# Paths that share one SFC64 stream per stream of increments, a chunk: the
 # stream is read time-major, one row of STREAM_PATHS normals per period, so
 # its numbers are drawn by a few numpy calls per chunk, not one per path. It
 # is also the most periods of a tile, the increments held at once.
@@ -288,14 +289,13 @@ def _check_args(params: ValidatedParams, trader_index=None, run=None) -> None:
 
 
 def _chunk_stream(seed: int, chunk: int, stream: int):
-    """``standard_normal`` of a new generator at the start of the Philox stream
-    keyed [(chunk << 1) | stream, seed]. Drawn piece after piece, it goes on
-    where the last piece stopped, so a stream drawn in pieces equals the
-    stream drawn in one call. The key must be a uint64 array: numpy casts a
-    list key through float at seed >= 2^63 and draws other numbers.
+    """``standard_normal`` of a new SFC64 generator seeded by
+    ``SeedSequence(seed, spawn_key=(chunk, stream))``. Drawn piece after
+    piece, it goes on where the last piece stopped, so a stream drawn in
+    pieces equals the stream drawn in one call.
     """
-    key = np.array([(chunk << 1) | stream, seed], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).standard_normal
+    seq = np.random.SeedSequence(seed, spawn_key=(chunk, stream))
+    return np.random.Generator(np.random.SFC64(seq)).standard_normal
 
 
 def _cuts(width: int) -> list[slice]:
@@ -307,18 +307,18 @@ def _normal_blocks(seed: int, first_path: int, n_paths: int, horizon: int, scale
     """Yield (start, b, tiles) for each group of b paths, at most ``group``.
 
     Path p is column p mod ``STREAM_PATHS`` of chunk c = p // STREAM_PATHS,
-    whose stream s is the Philox stream keyed [(c << 1) | s, seed] read
-    time-major: its normal n STREAM_PATHS + j is period n + 1 of the chunk's
-    path j. So a path's increments depend only on (seed, path, stream,
-    period), and a shorter horizon reads a prefix. ``tiles`` yields the
-    group's increments a tile of at most ``STREAM_PATHS`` periods at a time,
-    one (periods, b) time-major array per stream, times scales[s]. When the
-    group starts, it builds one ``_chunk_stream`` for each chunk that its
-    paths touch and each stream. For each tile, each of them draws its next
-    periods into a reused (periods, STREAM_PATHS) scratch, and the columns
-    for the group's paths are copied into a reused buffer. So memory does
-    not grow with the horizon, and the yielded arrays are overwritten by the
-    next tile. ``first_path`` offsets the paths of a worker's range.
+    whose stream s is ``_chunk_stream(seed, c, s)`` read time-major: its
+    normal n STREAM_PATHS + j is period n + 1 of the chunk's path j. So a
+    path's increments depend only on (seed, path, stream, period), and a
+    shorter horizon reads a prefix. ``tiles`` yields the group's increments
+    a tile of at most ``STREAM_PATHS`` periods at a time, one (periods, b)
+    time-major array per stream, times scales[s]. When the group starts, it
+    builds one ``_chunk_stream`` for each chunk that its paths touch and
+    each stream. For each tile, each of them draws its next periods into a
+    reused (periods, STREAM_PATHS) scratch, and the columns for the group's
+    paths are copied into a reused buffer. So memory does not grow with the
+    horizon, and the yielded arrays are overwritten by the next tile.
+    ``first_path`` offsets the paths of a worker's range.
     """
     span = min(STREAM_PATHS, horizon)
     scratch = np.empty((span, STREAM_PATHS))

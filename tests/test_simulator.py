@@ -43,8 +43,8 @@ from helpers import make_params, mispriced_profit
 
 def chunk_stream(seed, chunk, stream, n):
     """The first n normals of a chunk's stream, from a fresh generator."""
-    key = np.array([(chunk << 1) | stream, seed], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
+    seq = np.random.SeedSequence(seed, spawn_key=(chunk, stream))
+    return np.random.Generator(np.random.SFC64(seq)).standard_normal(n)
 
 
 def normals(seed, path, stream, n):
@@ -120,23 +120,38 @@ class TestRandomStreams:
 
     def test_chunk_streams_draw_their_pinned_numbers(self):
         # the first three normals of four streams, the last two keyed at
-        # seed >= 2^63, where a key cast through float would draw others
+        # seed >= 2^63 and the last at the largest chunk of 2^63 paths
         pinned = {
-            (0, 0, 0): ["0x1.463cb3872ecbdp-3", "-0x1.c6313809c831cp+0", "0x1.5396485e717b0p+0"],
-            (123456789012345678, 99, 0): ["-0x1.f4d9baf3ee650p-3", "0x1.c0edd972feca2p-2", "0x1.c7cec0b38e199p-1"],
-            (2**63, 5, 1): ["-0x1.fa9f91d59b608p-1", "0x1.b3d2f4739b2c7p-8", "-0x1.45b9a685b27cep-4"],
-            (2**64 - 1, 2**56 - 1, 1): ["-0x1.3d47b175cbe4ap-1", "-0x1.b32b2cfb1ca28p-3", "-0x1.02c5777602336p+1"],
+            (0, 0, 0): ["0x1.cbe1d62217e69p-2", "-0x1.dc2a060ff1849p-1", "-0x1.69f4a03e050c2p-1"],
+            (123456789012345678, 99, 0): ["-0x1.269ebb32e8206p-1", "0x1.655d10c14643dp-1", "0x1.3a10fdfe860f0p-1"],
+            (2**63, 5, 1): ["-0x1.cbf45d665c410p+0", "-0x1.c8634fb497de4p+0", "0x1.b016d9eb4e2bcp-3"],
+            (2**64 - 1, 2**56 - 1, 1): ["0x1.0086e18f7291ep+0", "0x1.3ddff317a2a74p-1", "0x1.4ceb073101e6fp+0"],
         }
         for (seed, chunk, stream), want in pinned.items():
             assert [x.hex() for x in _chunk_stream(seed, chunk, stream)(3)] == want, (seed, chunk, stream)
 
+    def test_chunk_streams_are_the_seed_sequence_spawn_tree(self):
+        # chunk c's stream s is the s-th child of the c-th child of SeedSequence(seed)
+        for seed, chunk, stream in ((0, 0, 0), (0, 2, 1), (2**64 - 1, 5, 1)):
+            child = np.random.SeedSequence(seed).spawn(chunk + 1)[chunk].spawn(stream + 1)[stream]
+            want = np.random.Generator(np.random.SFC64(child)).standard_normal(300)
+            assert np.array_equal(_chunk_stream(seed, chunk, stream)(300), want), (seed, chunk, stream)
+        # distinct keys draw distinct streams, and adjacent keys do not correlate
+        seeds, keys = (0, 2**63 - 1, 2**63, 2**64 - 1), ((0, 0), (0, 1), (1, 0), (2**56 - 1, 1))
+        heads = {tuple(_chunk_stream(seed, c, s)(4)) for seed in seeds for c, s in keys}
+        assert len(heads) == len(seeds) * len(keys)
+        n = 2**15
+        pairs = (((7, 40, 0), (7, 41, 0)), ((7, 40, 0), (7, 40, 1)), ((7, 40, 0), (8, 40, 0)), ((2**63 - 1, 0, 0), (2**63, 0, 0)))
+        for a, b in pairs:
+            r = np.corrcoef(_chunk_stream(*a)(n), _chunk_stream(*b)(n))[0, 1]
+            assert abs(r) < 4 / math.sqrt(n), (a, b, r)
+
     @pytest.mark.parametrize("seed", [7, 2**64 - 1])
     def test_a_stream_drawn_in_two_tiles_equals_one_call(self, seed):
-        # the first tile ends inside a Philox output block of four words, and
-        # the stream goes on after another stream was drawn
+        # the stream goes on where its first tile stopped, after another
+        # stream was drawn
         normal, first, other, second = _chunk_stream(seed, 3, 1), np.empty(301), np.empty(50), np.empty(299)
         normal(out=first)
-        assert normal.__self__.bit_generator.state["buffer_pos"] != 4
         _chunk_stream(seed, 3, 0)(out=other)
         normal(out=second)
         assert np.array_equal(np.concatenate((first, second)), chunk_stream(seed, 3, 1, 600))
