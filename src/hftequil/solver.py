@@ -12,11 +12,13 @@ continuous-trading limit dt = 0, where every decay rate is exactly 0 and
 the aggregate solves t (t + 2c (r + t^2)) = k r.
 
 All root finding is one safeguarded Newton iteration on a sign-changing
-bracket: a step that would leave the bracket is replaced by bisection, so
-the bracket stays a certificate for the root, and the iteration stops once
-a step or the bracket is narrower than 1e-14 times the problem scale. One
-evaluator over any number type gives it the excess and its slope, and each
-trader's loading and decay rate at the root; the tests run it at 50 digits.
+bracket whose ends come from the uniqueness proof. A step that would leave
+the bracket bisects it at its geometric mean, so the bracket stays a
+certificate for the root; the iteration stops once a step or the bracket is
+at most both 1e-14 times the problem scale and 1e-8 times its upper end, so
+a root far below that scale keeps its precision. One evaluator over any
+number type gives it the excess and its slope, and each trader's loading
+and decay rate at the root; the tests run it at 50 digits.
 """
 from __future__ import annotations
 
@@ -40,7 +42,6 @@ __all__ = [
 
 BRACKET_WIDTH_REL = 1e-14
 SYSTEM_RESIDUAL_TOL = 1e-10
-_MAX_BRACKET_HALVINGS = 60
 
 
 class SolverError(RuntimeError):
@@ -105,16 +106,18 @@ class SolveDiagnostics:
 
 
 def _newton(f, lo: float, hi: float, scale: float, f_lo: float, f_hi: float):
-    """Safeguarded Newton on [lo, hi]; returns (root, iterations, bracket).
+    """Safeguarded Newton on [lo, hi], 0 <= lo < hi; returns (root, iterations, bracket).
 
-    ``f`` returns (value, slope) and must change sign on [lo, hi]; ``f_lo``
-    and ``f_hi`` are its values at the ends, passed in so that no end is
-    evaluated twice. A zero ``f_lo`` is the root. The one caller's ``f_hi``
-    is negative (see ``_solve_fixed_point``), so the sign check refuses a
-    NaN ``f_lo``. From the midpoint, each step shrinks the bracket to the
-    sign change; a step that leaves it, a NaN slope's among them, bisects it,
-    and a zero slope or one against the sign change raises h_monotonicity.
-    Stops on f = 0 or once the step or bracket is at most BRACKET_WIDTH_REL * scale.
+    ``f`` returns (value, slope) and must change sign on [lo, hi], whose end
+    values ``f_lo`` and ``f_hi`` are passed in; a zero ``f_lo`` is the root,
+    and as the one caller's ``f_hi`` is negative the sign check refuses a NaN
+    ``f_lo``. From the midpoint each step shrinks the bracket to the sign
+    change; a step that leaves it, a NaN slope's among them, bisects it at
+    its geometric mean, and a slope that is zero or against the sign change
+    raises h_monotonicity. Stops on f = 0 or a step or bracket of at most
+    min(BRACKET_WIDTH_REL * scale, 1e-8 hi), hi the current upper end: after
+    a relative step of 1e-8 the last Newton step leaves about 1e-16. Raises
+    ConstraintViolated("newton_convergence") after 200 steps.
     """
     if f_lo == 0.0:
         return lo, 0, (lo, lo)
@@ -133,14 +136,14 @@ def _newton(f, lo: float, hi: float, scale: float, f_lo: float, f_hi: float):
         else:
             hi = x
         step = fx / dfx
-        if abs(step) <= tol:
+        if abs(step) <= tol and abs(step) <= 1e-8 * hi:
             return x - step, iterations, (lo, hi)
         x -= step
         if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            break
-    return x, iterations, (lo, hi)
+            x = math.sqrt(lo) * math.sqrt(hi)
+        if hi - lo <= tol and hi - lo <= 1e-8 * hi:
+            return x, iterations, (lo, hi)
+    raise ConstraintViolated("newton_convergence", f"no stop in 200 steps on [{lo!r}, {hi!r}]")
 
 
 def _sum_left(values) -> float:
@@ -179,10 +182,9 @@ def pricing_from_beta(beta_sigma: float, betas: tuple[float, ...], params: Valid
 # s = gamma_i dt (beta_sigma^2 + r)/P and w = rho_i dt + s. Its positive root
 # phi_i = 2s/(w + q) and 1 - phi_i = 2/(w + q + 2d), with q = sqrt(w^2 + 4ds),
 # involve no subtraction. The excess is h(beta_sigma) = sum_i beta_i -
-# beta_sigma. One evaluator writes these lines, for the bracket, Newton's
-# steps and the responses at the root alike. It uses plain operators and an
-# injected sqrt, and takes its constants from r (one = r/r), not from float
-# literals, so it runs on any number type: decimal refuses float operands.
+# beta_sigma. Its one evaluator uses plain operators and an injected sqrt,
+# and takes its constants from r (one = r/r), not from float literals, so it
+# runs on any number type: decimal refuses float operands.
 
 
 def _excess(traders, dt, r, c, sqrt=math.sqrt):
@@ -232,8 +234,8 @@ def system_residual(eq: Equilibrium, params: ValidatedParams) -> tuple[float, ..
     r = params.vol_ratio_sq
     dt = params.dt
     rr = r * r
-    if rr == 0.0:
-        raise ConstraintViolated("system_residual", f"scale r^2 underflows to 0 at r = {r!r}")
+    if not 0.0 < rr < math.inf:
+        raise ConstraintViolated("system_residual", f"scale r^2 = {rr!r} is not a positive finite float at r = {r!r}")
     # trader i's response quadratic a x^2 + b x + r^2 = 0 at the aggregate
     bs2 = eq.beta_sigma**2
     P = eq.beta_sigma + 2.0 * params.tax * (r + bs2)
@@ -257,12 +259,12 @@ def validate_equilibrium(eq: Equilibrium, params: ValidatedParams) -> None:
         )
     r = params.vol_ratio_sq
     total = _sum_left(eq.betas)
-    if abs(total - eq.beta_sigma) > 1e-12 * max(1.0, abs(eq.beta_sigma)):
+    if abs(total - eq.beta_sigma) > 1e-12 * abs(eq.beta_sigma):
         raise ConstraintViolated("aggregate_identity", f"sum(betas)={total!r} vs {eq.beta_sigma!r}")
     if not eq.beta_sigma > 0:
         raise ConstraintViolated("beta_sigma_positive")
     lam = _lam(eq.beta_sigma, params)
-    if abs(lam - eq.lam) > 1e-12 * max(1.0, abs(lam)):
+    if abs(lam - eq.lam) > 1e-12 * abs(lam):
         raise ConstraintViolated("lambda_formula")
     if not eq.lam * eq.beta_sigma < 1.0:
         raise ConstraintViolated("price_impact_share")
@@ -278,40 +280,42 @@ def validate_equilibrium(eq: Equilibrium, params: ValidatedParams) -> None:
         lo_ok = p > 0.0 if params.tax == 0.0 else p >= 0.0
         if not (lo_ok and p <= 1.0):
             raise ConstraintViolated("phi_range", f"trader {i}: phi={p!r}")
-        if abs(m_ - eq.lam * p) > 1e-12 * max(1.0, abs(m_)):
+        if abs(m_ - eq.lam * p) > 1e-12 * abs(m_):
             raise ConstraintViolated("mu_formula", f"trader {i}")
 
 
 def _solve_fixed_point(params: ValidatedParams, h):
     """Solve sum_i beta_i(beta_sigma) = beta_sigma at the tax rate params.tax.
 
-    Covers every k and dt >= 0: at dt = 0 every decay rate is 0 and each
-    loading is r/P, so the root solves t (t + 2c (r + t^2)) = k r. ``h`` is
-    the ``_excess`` of ``params``. Returns the root, the Newton steps and the
-    final bracket. The root is unique: beta_i = 2r / (P (w_i + q_i + 2d_i)),
-    and as beta_sigma rises P = beta_sigma + 2c (r + beta_sigma^2) > 0 grows,
-    P w_i = rho_i dt P + gamma_i dt (beta_sigma^2 + r) and P q_i =
-    sqrt((P w_i)^2 + 4 d_i P gamma_i dt (beta_sigma^2 + r)) do not fall, and
-    2 d_i P grows. So each beta_i falls and h' < -1, taxed or untaxed, at
-    every dt >= 0 (for several informed traders, see Holden & Subrahmanyam
-    1992, J. Finance 47:247); ``_newton`` refuses a slope that is not negative.
+    ``h`` is the ``_excess`` of ``params``, for any k and dt >= 0. Returns
+    the root, the Newton steps and the final bracket. The root is unique:
+    beta_i = 2r / (P (w_i + q_i + 2d_i)), and as beta_sigma rises
+    P = beta_sigma + 2c (r + beta_sigma^2) > 0 grows, P w_i = rho_i dt P +
+    gamma_i dt (beta_sigma^2 + r) and P q_i = sqrt((P w_i)^2 + 4 d_i P
+    gamma_i dt (beta_sigma^2 + r)) do not fall, and 2 d_i P grows. So each
+    beta_i falls and h' < -1, taxed or untaxed, at every dt >= 0 (for
+    several informed traders, see Holden & Subrahmanyam 1992, J. Finance
+    47:247); ``_newton`` refuses a slope that is not negative.
 
-    Only the lower end of the bracket is searched, halving from 1e-12 m with
-    m = sigma_K/sigma_S while h < 0. The upper end hi = (sqrt(k) + 1) m
-    needs no search: phi_i >= 0 and P >= beta_sigma give beta_i <= r/beta_sigma,
-    so h(hi) <= k r/hi - hi = -m (2 sqrt(k) + 1)/(sqrt(k) + 1) < 0.
+    Neither bracket end is searched. With m = sigma_K/sigma_S, the upper end
+    is hi = (sqrt(k) + 1) m: phi_i >= 0 and P >= beta_sigma give beta_i <=
+    r/beta_sigma, so h(hi) <= k r/hi - hi < 0. The lower end is 1e-12 m or,
+    where h(1e-12 m) < 0, t_L = m min(1, 2k/(3 (1 + 4cm + 2m g))) with
+    g = max_i gamma_i dt. As q_i^2 = (rho_i dt - s_i)^2 + 4 s_i, w_i + q_i +
+    2d_i is largest at rho_i dt = 0, where it is 2 + s_i + sqrt(s_i^2 + 4 s_i)
+    <= 3 (s_i + 1), so 1 - phi_i >= 2/(3 (s_i + 1)). For beta_sigma <= m,
+    P <= m (1 + 4cm) and P s_i <= 2 m^2 g, so beta_i >= 2r/(3 (P + P s_i))
+    >= 2m/(3 (1 + 4cm + 2m g)) and h(t_L) >= 0. An excess that overflows at
+    t_L leaves no sign change, and ``_newton`` raises NoRootInBracket.
     """
     m = params.sigma_K / params.sigma_S
     hi = math.sqrt(params.k) * m + m
     h_hi = h(hi)[0]
     lo = 1e-12 * m
     h_lo = h(lo)[0]
-    halvings = 0
-    while h_lo < 0:
-        lo *= 0.5
-        halvings += 1
-        if halvings > _MAX_BRACKET_HALVINGS:
-            raise NoRootInBracket("aggregate fixed point not bracketed below")
+    if h_lo < 0:
+        g = max(t.gamma for t in params.traders) * params.dt
+        lo = m * min(1.0, 2 * params.k / (3 * (1 + 4 * params.tax * m + 2 * m * g)))
         h_lo = h(lo)[0]
     return _newton(h, lo, hi, m, h_lo, h_hi)
 
@@ -335,13 +339,8 @@ def solve_equilibrium(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagno
     validate_equilibrium(eq, params)
     residuals = system_residual(eq, params)
     worst = max(residuals)
-    if worst > SYSTEM_RESIDUAL_TOL:
+    if not worst <= SYSTEM_RESIDUAL_TOL:
         raise ConstraintViolated("system_residual", f"max residual {worst!r}")
-    diag = _frozen(SolveDiagnostics, {
-        "iterations": iterations,
-        "bracket": bracket,
-        "residuals": residuals,
-        "aggregate_residual": abs(_sum_left(betas) - beta_sigma),
-        "continuation_steps": 0,
-    })
+    diag = _frozen(SolveDiagnostics, {"iterations": iterations, "bracket": bracket, "residuals": residuals,
+                                      "aggregate_residual": abs(_sum_left(betas) - beta_sigma), "continuation_steps": 0})
     return eq, diag

@@ -95,8 +95,8 @@ class VerificationReport:
         return tuple(r.name for r in self.results if not r.passed)
 
 
-def _rel(a: float, b: float) -> float:
-    return abs(a - b) / max(1.0, abs(b))
+def _rel(a: float, b: float, floor: float = 1.0) -> float:
+    return abs(a - b) / max(floor, abs(b))
 
 
 def _quartic(beta: float, r: float, g: float, rho: float, dt: float) -> float:
@@ -134,7 +134,8 @@ def _check_pricing(eq: Equilibrium, params: ValidatedParams, gate: float) -> Che
     sS2 = params.sigma_S**2
     sK2 = params.sigma_K**2
     lam_formula = eq.beta_sigma * sS2 / (sK2 + eq.beta_sigma**2 * sS2)
-    gaps = [_rel(eq.lam, lam_formula), _rel(_sum_left(eq.betas), eq.beta_sigma)]
+    # relative at every size (lambda and beta_sigma can be far below 1)
+    gaps = [_rel(eq.lam, lam_formula, 5e-324), _rel(_sum_left(eq.betas), eq.beta_sigma, 5e-324)]
     denom = 1.0 - eq.lam * eq.beta_sigma
     for b, p, mu in zip(eq.betas, eq.phis, eq.mus):
         gaps.append(_rel(p, 1.0 - (eq.lam + 2.0 * eq.tax) * b / denom))

@@ -6,6 +6,7 @@ solver under test must reproduce them to close to machine precision.
 """
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -25,7 +26,8 @@ from hftequil import (
 )
 from hftequil.solver import SYSTEM_RESIDUAL_TOL, _excess, _newton
 from hftequil.verify import _QUARTIC_GATE, _check_quartic, _quartic, _quartic_scale
-from helpers import make_params
+from helpers import fuzz_market, make_params
+from test_precision_oracle import ULPS, _ulp_errors
 
 # sigma_S = sigma_K = 1, gamma = 1, rho = 0.05
 MONO_BETA_DT01 = 0.93181244195427218522
@@ -247,6 +249,12 @@ class TestNash:
             solve_equilibrium(make_params(sigma_K=1e-81, dt=1e-3))
         assert exc.value.which == "system_residual"
 
+    def test_overflowing_residual_scale_is_a_solver_error(self):
+        # r^2 = (sigma_K/sigma_S)^4 = 1e312 overflows to inf
+        with pytest.raises(SolverError) as exc:
+            solve_equilibrium(make_params(k=2, sigma_K=1e78, dt=1e-8))
+        assert exc.value.which == "system_residual"
+
     def test_solve_equilibrium_dispatch(self):
         eq, _ = solve_equilibrium(make_params(k=2, dt=0.004))
         assert eq.tax == 0.0
@@ -398,22 +406,53 @@ class TestTaxed:
 
 
 class TestLowerBracket:
-    """The lower end of the bracket halves from 1e-12 m while h < 0; only an
-    extreme tax or gamma dt puts the root below 1e-12 m."""
+    """Where the root lies below 1e-12 m, the lower end of the bracket is the
+    proven bound t_L = m min(1, 2k/(3 (1 + 4cm + 2m max_i gamma_i dt)))
+    instead of a search, so no market is refused for a root too small to
+    reach; a market whose excess cannot be evaluated there is still refused
+    with a SolverError."""
 
-    def test_a_root_below_the_first_lower_end_is_bracketed_by_halving(self):
-        p = make_params(dt=0.01, tax=1e20)
-        eq, diag = solve_equilibrium(p)
-        # 28 halvings take the lower end to 1e-12 * 2^-28 = 3.7e-21
-        assert diag.bracket[0] == 1e-12 * 0.5**28 < eq.beta_sigma < 1e-12
-        assert run_verification(p, paths=0).passed
+    @pytest.mark.parametrize(
+        "market", [{"tax": 1e20}, {"tax": 1e30}, {"gamma": 1e33}], ids=["tax=1e20", "tax=1e30", "gamma=1e33"]
+    )
+    def test_a_root_far_below_the_first_lower_end_solves_to_full_precision(self, market):
+        p = make_params(dt=0.01, **market)
+        eq, _ = solve_equilibrium(p)
+        assert eq.beta_sigma < 1e-12
+        errors = _ulp_errors(p)
+        assert max(errors.values()) <= ULPS, errors
 
-    @pytest.mark.parametrize("market", [{"tax": 1e30}, {"gamma": 1e33}], ids=["tax=1e30", "gamma=1e33"])
-    def test_a_root_below_the_halving_cap_is_refused(self, market):
-        # A root exists, since h > 0 near 0, but it lies below 2^-60 * 1e-12 m,
-        # where the search gives up; this pins today's structured answer.
-        with pytest.raises(NoRootInBracket, match="^aggregate fixed point not bracketed below$"):
+    def test_a_heavily_taxed_root_verifies(self):
+        assert run_verification(make_params(dt=0.01, tax=1e20), paths=0).passed
+
+    @pytest.mark.parametrize(
+        "market, error, match",
+        [({"gamma": 1e200}, NoRootInBracket, "^no sign change "), ({"tax": 1e300}, ConstraintViolated, "system_residual")],
+        ids=["gamma=1e200", "tax=1e300"],
+    )
+    def test_an_excess_that_overflows_at_the_lower_end_is_refused(self, market, error, match):
+        with pytest.raises(error, match=match):
             solve_equilibrium(make_params(dt=0.01, **market))
+
+    def test_the_excess_is_not_negative_at_the_proven_lower_end(self):
+        rng = random.Random(0)
+        for _ in range(20000):
+            p = fuzz_market(rng)
+            m = p.sigma_K / p.sigma_S
+            g = max(t.gamma for t in p.traders) * p.dt
+            t_lower = m * min(1.0, 2 * p.k / (3 * (1 + 4 * p.tax * m + 2 * m * g)))
+            h = _excess(p.traders, p.dt, p.vol_ratio_sq, p.tax)(t_lower)[0]
+            assert not h < 0.0, (p, t_lower, h)
+
+    def test_validate_holds_a_tiny_aggregate_to_a_relative_gate(self):
+        # The sum of the loadings three times the aggregate passed the absolute
+        # gate of 1e-12 that held below 1.
+        p = make_params(dt=0.5, gamma=1e31)
+        eq, _ = solve_equilibrium(p)
+        bad = dataclasses.replace(eq, beta_sigma=6.7e-32, betas=(2e-31,))
+        with pytest.raises(ConstraintViolated) as exc:
+            validate_equilibrium(bad, p)
+        assert exc.value.which == "aggregate_identity"
 
 
 class TestNumericalCore:
@@ -431,6 +470,13 @@ class TestNumericalCore:
         x, _, _ = _newton(lambda x: (x * x * x - 2.0, 3.0 * x * x), 1.2, 1.3, 1.0, 1.2**3 - 2.0, 1.3**3 - 2.0)
         assert x == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
         assert 1.2 <= x <= 1.3
+
+    def test_newton_refuses_to_return_an_unconverged_point(self):
+        # Slope 1e12 makes every step 1e-13 or so: 200 steps move x by about
+        # 5e-11 and leave it far from the root at 1.25.
+        with pytest.raises(ConstraintViolated) as exc:
+            _newton(lambda x: (x - 1.25, 1e12), 1.0, 2.0, 1.0, -0.25, 0.75)
+        assert exc.value.which == "newton_convergence"
 
     def test_newton_polish_guards_against_divergence(self):
         # the derivative is NaN everywhere; every step must fall back to bisection

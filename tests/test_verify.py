@@ -13,6 +13,7 @@ from hftequil import (
     ConstraintViolated,
     SolverError,
     VerificationReport,
+    pricing_from_beta,
     run_verification,
     solve_equilibrium,
 )
@@ -262,6 +263,25 @@ class TestFullBattery:
         report = run_verification(make_params(dt=0.99, gamma=1.0, rho=1.0))
         check = next(r for r in report.results if r.name == "deviation_argmax_mc")
         assert not check.passed and check.value > check.threshold == _MC_SIGMAS
+
+    @pytest.mark.parametrize("gap", ["lambda", "aggregate"])
+    def test_pricing_identities_are_relative_below_one(self, monkeypatch, gap):
+        # Negative control at tax 1e20, where beta_sigma and lambda are near
+        # 5e-21: lambda doubled, or beta_sigma doubled with its own lambda, is
+        # a gap near 5e-21 in absolute terms but of 0.5 or more relative.
+        solve = hftequil.verify.solve_equilibrium
+
+        def wrong(params):
+            eq, diagnostics = solve(params)
+            if gap == "lambda":
+                return dataclasses.replace(eq, lam=2 * eq.lam), diagnostics
+            lam, _, _ = pricing_from_beta(2 * eq.beta_sigma, eq.betas, params)
+            return dataclasses.replace(eq, beta_sigma=2 * eq.beta_sigma, lam=lam), diagnostics
+
+        monkeypatch.setattr(hftequil.verify, "solve_equilibrium", wrong)
+        report = run_verification(make_params(dt=0.01, tax=1e20), paths=0)
+        check = next(r for r in report.results if r.name == "pricing_identities")
+        assert not check.passed and check.value >= 0.5
 
     def test_memory_does_not_grow_with_paths(self):
         # rho dt = 0.05 keeps the objective's horizon at 270 periods.
