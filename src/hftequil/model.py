@@ -236,7 +236,8 @@ class ValidatedParams:
     signed zero as +0.0, so that :func:`params_to_config` stays
     JSON-serialisable and prints no ``-0.0``. ``vol_ratio_sq`` is
     ``(sigma_K / sigma_S)**2``, a normal float by the checks, computed once
-    here and shared by every module.
+    here for ``asymptotics`` and the solver's loading bound; the solve itself
+    runs in the groups of m = sigma_K/sigma_S.
     """
 
     sigma_S: float

@@ -9,16 +9,18 @@ quadratic but keeps the same structure and the same unique positive root,
 so a taxed game is solved directly at its tax rate, like an untaxed one.
 The same fixed point covers the monopolist, the k = 1 game, and the
 continuous-trading limit dt = 0, where every decay rate is exactly 0 and
-the aggregate solves t (t + 2c (r + t^2)) = k r.
+u = beta_sigma/m solves u (u + 2cm (1 + u^2)) = k, m = sigma_K/sigma_S.
 
-All root finding is one safeguarded Newton iteration on a sign-changing
-bracket whose ends come from the uniqueness proof. A step that would leave
-the bracket bisects it at its geometric mean, so the bracket stays a
-certificate for the root; the iteration stops once a step or the bracket is
-at most both 1e-14 times the problem scale and 1e-8 times its upper end, so
-a root far below that scale keeps its precision. One evaluator over any
-number type gives it the excess and its slope, and each trader's loading
-and decay rate at the root; the tests run it at 50 digits.
+The solve runs in the model's dimensionless groups: the equilibrium depends
+only on k, cm, gamma_i dt m and rho_i dt, through u, beta_i/m and phi_i, and
+is rescaled by m once, at the end. All root finding is one safeguarded
+Newton iteration on a sign-changing bracket whose ends come from the
+uniqueness proof. A step that would leave the bracket bisects it at its
+geometric mean, so the bracket stays a certificate for the root; the
+iteration stops once a step or the bracket is at most both 1e-14 and 1e-8
+times its upper end, so a root far below 1 keeps its precision. One
+evaluator over any number type gives it the excess and its slope, and each
+trader's loading and decay rate at the root; the tests run it at 50 digits.
 """
 from __future__ import annotations
 
@@ -105,7 +107,7 @@ class SolveDiagnostics:
     continuation_steps: int = 0
 
 
-def _newton(f, lo: float, hi: float, scale: float, f_lo: float, f_hi: float):
+def _newton(f, lo: float, hi: float, f_lo: float, f_hi: float):
     """Safeguarded Newton on [lo, hi], 0 <= lo < hi; returns (root, iterations, bracket).
 
     ``f`` returns (value, slope) and must change sign on [lo, hi], whose end
@@ -115,15 +117,15 @@ def _newton(f, lo: float, hi: float, scale: float, f_lo: float, f_hi: float):
     change; a step that leaves it, a NaN slope's among them, bisects it at
     its geometric mean, and a slope that is zero or against the sign change
     raises h_monotonicity. Stops on f = 0 or a step or bracket of at most
-    min(BRACKET_WIDTH_REL * scale, 1e-8 hi), hi the current upper end: after
-    a relative step of 1e-8 the last Newton step leaves about 1e-16. Raises
+    min(BRACKET_WIDTH_REL, 1e-8 hi), hi the current upper end: after a
+    relative step of 1e-8 the last Newton step leaves about 1e-16. Raises
     ConstraintViolated("newton_convergence") after 200 steps.
     """
     if f_lo == 0.0:
         return lo, 0, (lo, lo)
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise NoRootInBracket(f"no sign change on [{lo!r}, {hi!r}]")
-    tol = BRACKET_WIDTH_REL * scale
+    tol = BRACKET_WIDTH_REL
     x = 0.5 * (lo + hi)
     for iterations in range(1, 201):
         fx, dfx = f(x)
@@ -176,76 +178,76 @@ def pricing_from_beta(beta_sigma: float, betas: tuple[float, ...], params: Valid
     return lam, phis, mus
 
 
-# With r = (sigma_K/sigma_S)^2 and P = beta_sigma + 2c (r + beta_sigma^2) the
-# pricing identities give beta_i = (r/P)(1 - phi_i), which turns trader i's
-# response quadratic into d phi^2 + w phi - s = 0 with d = 1 - rho_i dt,
-# s = gamma_i dt (beta_sigma^2 + r)/P and w = rho_i dt + s. Its positive root
-# phi_i = 2s/(w + q) and 1 - phi_i = 2/(w + q + 2d), with q = sqrt(w^2 + 4ds),
-# involve no subtraction. The excess is h(beta_sigma) = sum_i beta_i -
-# beta_sigma. Its one evaluator uses plain operators and an injected sqrt,
-# and takes its constants from r (one = r/r), not from float literals, so it
-# runs on any number type: decimal refuses float operands.
+# In the groups, u = beta_sigma/m, P = u + 2cm (1 + u^2) and s_i = g_i (1 +
+# u^2)/P with g_i = gamma_i dt m, the pricing identities give beta_i/m =
+# (1 - phi_i)/P, which turns trader i's response quadratic into d phi^2 + w
+# phi - s_i = 0 with d = 1 - rho_i dt and w = rho_i dt + s_i. Its positive
+# root phi_i = 2s/(w + q) and 1 - phi_i = 2/(w + q + 2d), with q = sqrt(w^2 +
+# 4ds), involve no subtraction. The excess is h(u) = sum_i beta_i/m - u. Its
+# one evaluator uses plain operators and an injected sqrt, and takes its
+# constants from m (one = m/m), not from float literals, so it runs on any
+# number type: decimal refuses float operands.
 
 
-def _excess(traders, dt, r, c, sqrt=math.sqrt):
-    """h(beta_sigma) -> (h, dh/dbeta_sigma), the excess and its slope.
+def _excess(traders, dt, m, c, sqrt=math.sqrt):
+    """h(u) -> (h, dh/du), the excess and its slope at u = beta_sigma/m.
 
-    ``traders`` carry ``gamma`` and ``rho``; those, ``dt``, ``r`` and ``c``
-    share one number type, on which ``sqrt`` acts. Given two lists, h also
-    appends every trader's beta_i and phi_i to them.
+    ``traders`` carry ``gamma`` and ``rho``; those, ``dt``, ``m`` =
+    sigma_K/sigma_S and ``c`` share one number type, on which ``sqrt`` acts.
+    Given two lists, h also appends every trader's beta_i and phi_i to them.
     """
-    one = r / r
+    one = m / m
     two = one + one
     rows = []
     for t in traders:
         rdt = t.rho * dt
         d = one - rdt
         d2 = d + d
-        rows.append((t.gamma * dt, rdt, d2 + d2, d2))
-    c2 = c + c
+        rows.append((t.gamma * dt * m, rdt, d2 + d2, d2))
+    c_m = c * m
+    c2 = c_m + c_m
     c4 = c2 + c2
 
-    def h(beta_sigma, betas=None, phis=None):
-        P = beta_sigma + c2 * (r + beta_sigma * beta_sigma)
-        dP = one + c4 * beta_sigma
-        s_per_gdt = (beta_sigma * beta_sigma + r) / P
-        ds_per_gdt = (beta_sigma + beta_sigma - s_per_gdt * dP) / P
-        r_over_P = r / P
+    def h(u, betas=None, phis=None):
+        P = u + c2 * (one + u * u)
+        dP = one + c4 * u
+        s_per_g = (u * u + one) / P
+        ds_per_g = (u + u - s_per_g * dP) / P
+        inv_P = one / P
         sum_x = sum_dphi = one - one
-        for gdt, rdt, d4, d2 in rows:
-            s = gdt * s_per_gdt
+        for g, rdt, d4, d2 in rows:
+            s = g * s_per_g
             w = rdt + s
             q = sqrt(w * w + d4 * s)
             x = two / (w + q + d2)
             sum_x += x
             if q:  # q = 0 only at dt = 0, where every phi_i stays 0
                 # implicit differentiation of the quadratic; 2 d phi + w = q
-                sum_dphi += gdt * ds_per_gdt * x / q
+                sum_dphi += g * ds_per_g * x / q
             if betas is not None:
-                betas.append(r_over_P * x)
+                betas.append(m * (inv_P * x))
                 phis.append((s + s) / (w + q) if q else q)
-        return r_over_P * sum_x - beta_sigma, -r_over_P * (dP / P * sum_x + sum_dphi) - one
+        return inv_P * sum_x - u, -inv_P * (dP / P * sum_x + sum_dphi) - one
 
     return h
 
 
 def system_residual(eq: Equilibrium, params: ValidatedParams) -> tuple[float, ...]:
-    """Per-trader residual of the equilibrium system, scaled by r^2."""
-    r = params.vol_ratio_sq
-    dt = params.dt
-    rr = r * r
-    if not 0.0 < rr < math.inf:
-        raise ConstraintViolated("system_residual", f"scale r^2 = {rr!r} is not a positive finite float at r = {r!r}")
-    # trader i's response quadratic a x^2 + b x + r^2 = 0 at the aggregate
-    bs2 = eq.beta_sigma**2
-    P = eq.beta_sigma + 2.0 * params.tax * (r + bs2)
+    """Per-trader residual of the equilibrium system, in the groups.
+
+    Trader i's response quadratic in y = 1 - phi_i = P beta_i/m is d y^2 -
+    (1 + d + s_i) y + 1 = 0 (see ``_excess``): its quadratic in beta_i divided
+    by r^2 = m^4, which is never formed. y comes from the loading, not phi_i.
+    """
+    m = params.sigma_K / params.sigma_S
+    u = eq.beta_sigma / m
+    P = u + 2.0 * params.tax * m * (1.0 + u * u)
+    s_per_g = (1.0 + u * u) / P
     out = []
-    for i, t in enumerate(params.traders):
-        rdt = t.rho * dt
-        a = (1.0 - rdt) * P * P
-        b = -((P * (2.0 - rdt) + bs2 * t.gamma * dt) * r + rr * t.gamma * dt)
-        bi = eq.betas[i]
-        out.append(abs(a * bi * bi + b * bi + rr) / rr)
+    for t, b in zip(params.traders, eq.betas):
+        d = 1.0 - t.rho * params.dt
+        y = P * (b / m)
+        out.append(abs(d * y * y - (1.0 + d + t.gamma * params.dt * m * s_per_g) * y + 1.0))
     return tuple(out)
 
 
@@ -284,40 +286,41 @@ def validate_equilibrium(eq: Equilibrium, params: ValidatedParams) -> None:
             raise ConstraintViolated("mu_formula", f"trader {i}")
 
 
-def _solve_fixed_point(params: ValidatedParams, h):
-    """Solve sum_i beta_i(beta_sigma) = beta_sigma at the tax rate params.tax.
+def _solve_fixed_point(params: ValidatedParams, h, m: float):
+    """Solve sum_i beta_i/m = u for u = beta_sigma/m at the tax rate params.tax.
 
-    ``h`` is the ``_excess`` of ``params``, for any k and dt >= 0. Returns
-    the root, the Newton steps and the final bracket. The root is unique:
-    beta_i = 2r / (P (w_i + q_i + 2d_i)), and as beta_sigma rises
-    P = beta_sigma + 2c (r + beta_sigma^2) > 0 grows, P w_i = rho_i dt P +
-    gamma_i dt (beta_sigma^2 + r) and P q_i = sqrt((P w_i)^2 + 4 d_i P
-    gamma_i dt (beta_sigma^2 + r)) do not fall, and 2 d_i P grows. So each
-    beta_i falls and h' < -1, taxed or untaxed, at every dt >= 0 (for
-    several informed traders, see Holden & Subrahmanyam 1992, J. Finance
-    47:247); ``_newton`` refuses a slope that is not negative.
+    ``h`` is the ``_excess`` of ``params``, for any k and dt >= 0, and m =
+    sigma_K/sigma_S. Returns the root u, the Newton steps and the final
+    bracket. The root is unique: beta_i/m = 2/(P (w_i + q_i + 2d_i)), and
+    as u rises P = u + 2cm (1 + u^2) > 0 grows, P w_i = rho_i dt P + g_i (1 +
+    u^2) and P q_i = sqrt((P w_i)^2 + 4 d_i P g_i (1 + u^2)) do not fall, and
+    2 d_i P grows. So each beta_i falls and h' < -1, taxed or untaxed, at
+    every dt >= 0 (for several informed traders, see Holden & Subrahmanyam
+    1992, J. Finance 47:247); ``_newton`` refuses a slope that is not
+    negative.
 
-    Neither bracket end is searched. With m = sigma_K/sigma_S, the upper end
-    is hi = (sqrt(k) + 1) m: phi_i >= 0 and P >= beta_sigma give beta_i <=
-    r/beta_sigma, so h(hi) <= k r/hi - hi < 0. The lower end is 1e-12 m or,
-    where h(1e-12 m) < 0, t_L = m min(1, 2k/(3 (1 + 4cm + 2m g))) with
-    g = max_i gamma_i dt. As q_i^2 = (rho_i dt - s_i)^2 + 4 s_i, w_i + q_i +
-    2d_i is largest at rho_i dt = 0, where it is 2 + s_i + sqrt(s_i^2 + 4 s_i)
-    <= 3 (s_i + 1), so 1 - phi_i >= 2/(3 (s_i + 1)). For beta_sigma <= m,
-    P <= m (1 + 4cm) and P s_i <= 2 m^2 g, so beta_i >= 2r/(3 (P + P s_i))
-    >= 2m/(3 (1 + 4cm + 2m g)) and h(t_L) >= 0. An excess that overflows at
-    t_L leaves no sign change, and ``_newton`` raises NoRootInBracket.
+    Neither bracket end is searched. The upper end is hi = sqrt(k) + 1:
+    phi_i >= 0 and P >= u give beta_i/m <= 1/u, so h(hi) <= k/hi - hi < 0.
+    The lower end is 1e-12 or, where h(1e-12) < 0, t_L = min(1, 2k/(3 (1 +
+    4cm + 2g))) with g = max_i g_i. As q_i^2 = (rho_i dt - s_i)^2 + 4 s_i,
+    w_i + q_i + 2d_i is largest at rho_i dt = 0, where it is 2 + s_i +
+    sqrt(s_i^2 + 4 s_i) <= 3 (s_i + 1), so 1 - phi_i >= 2/(3 (s_i + 1)). For
+    u <= 1, P <= 1 + 4cm and P s_i <= 2g, so beta_i/m >= 2/(3 (P + P s_i))
+    >= 2/(3 (1 + 4cm + 2g)) and h(t_L) >= 0. A t_L that underflows to 0, or
+    an excess that overflows at t_L, leaves no sign change to bracket, and
+    NoRootInBracket is raised.
     """
-    m = params.sigma_K / params.sigma_S
-    hi = math.sqrt(params.k) * m + m
+    hi = math.sqrt(params.k) + 1.0
     h_hi = h(hi)[0]
-    lo = 1e-12 * m
+    lo = 1e-12
     h_lo = h(lo)[0]
     if h_lo < 0:
-        g = max(t.gamma for t in params.traders) * params.dt
-        lo = m * min(1.0, 2 * params.k / (3 * (1 + 4 * params.tax * m + 2 * m * g)))
+        g = max(t.gamma for t in params.traders) * params.dt * m
+        lo = min(1.0, 2 * params.k / (3 * (1 + 4 * params.tax * m + 2 * g)))
+        if not lo:
+            raise NoRootInBracket(f"t_L underflows to 0 at c m = {params.tax * m!r}, max_i gamma_i dt m = {g!r}")
         h_lo = h(lo)[0]
-    return _newton(h, lo, hi, m, h_lo, h_hi)
+    return _newton(h, lo, hi, h_lo, h_hi)
 
 
 def solve_taxed(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagnostics]:
@@ -327,11 +330,13 @@ def solve_taxed(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagnostics]
 
 def solve_equilibrium(params: ValidatedParams) -> tuple[Equilibrium, SolveDiagnostics]:
     """Equilibrium at the tax rate params.tax; the one solve path for every tax rate and dt >= 0."""
-    h = _excess(params.traders, params.dt, params.vol_ratio_sq, params.tax)
-    beta_sigma, iterations, bracket = _solve_fixed_point(params, h)
-    # The decay rates come from the response itself, not from 1 - P beta_i / r.
+    m = params.sigma_K / params.sigma_S
+    h = _excess(params.traders, params.dt, m, params.tax)
+    u, iterations, (lo, hi) = _solve_fixed_point(params, h, m)
+    # The decay rates come from the response itself, not from 1 - P beta_i/m.
     betas, phis = [], []
-    h(beta_sigma, betas, phis)
+    h(u, betas, phis)
+    beta_sigma, bracket = m * u, (m * lo, m * hi)
     betas, phis = tuple(betas), tuple(phis)
     lam = _lam(beta_sigma, params)
     eq = _frozen(Equilibrium, {"betas": betas, "beta_sigma": beta_sigma, "lam": lam, "phis": phis,

@@ -99,29 +99,21 @@ def _rel(a: float, b: float, floor: float = 1.0) -> float:
     return abs(a - b) / max(floor, abs(b))
 
 
-def _quartic(beta: float, r: float, g: float, rho: float, dt: float) -> float:
-    return (
-        beta**4 * (1.0 - rho * dt)
-        - (2.0 - rho * dt + beta * g * dt) * r * beta * beta
-        + r * r * (1.0 - beta * g * dt)
-    )
+def _quartic(u: float, g: float, d: float) -> float:
+    """The monopolist's quartic at u = beta/m, with g = gamma dt m and d = 1 - rho dt."""
+    return u**4 * d - (1.0 + d + u * g) * u * u + 1.0 - u * g
 
 
-def _quartic_scale(beta: float, r: float, g: float, rho: float, dt: float) -> float:
-    """Magnitude of the quartic's monomials at beta, for relative residuals."""
-    return max(
-        abs(beta**4 * (1.0 - rho * dt)),
-        abs((2.0 - rho * dt + beta * g * dt) * r * beta * beta),
-        abs(r * r * (1.0 + beta * g * dt)),
-    )
+def _quartic_scale(u: float, g: float, d: float) -> float:
+    """Magnitude of the quartic's monomials at u, for relative residuals."""
+    return max(abs(u**4 * d), abs((1.0 + d + u * g) * u * u), abs(1.0 + u * g))
 
 
 def _check_quartic(eq: Equilibrium, params: ValidatedParams, gate: float) -> CheckResult:
     t = params.traders[0]
-    r = params.vol_ratio_sq
-    beta = eq.betas[0]
-    scale = _quartic_scale(beta, r, t.gamma, t.rho, params.dt)
-    value = abs(_quartic(beta, r, t.gamma, t.rho, params.dt)) / scale
+    m = params.sigma_K / params.sigma_S
+    u, g, d = eq.betas[0] / m, t.gamma * params.dt * m, 1.0 - t.rho * params.dt
+    value = abs(_quartic(u, g, d)) / _quartic_scale(u, g, d)
     return CheckResult("quartic_residual", value <= gate, value, gate)
 
 

@@ -1,4 +1,4 @@
-"""Acceptance battery: ten named criteria, one verdict line each under -v.
+"""Acceptance battery: named criteria, one verdict line each under -v.
 
 Each test states its numeric claim and its runtime budget. Tolerances are
 taken literally; Monte Carlo checks run at fixed seeds so reruns are
@@ -26,6 +26,7 @@ from hftequil import (
     simulate_second_moment,
     solve_equilibrium,
     solve_taxed,
+    stationary_inventory_std,
     value_coefficients,
 )
 from helpers import make_params, mispriced_profit
@@ -229,5 +230,40 @@ def test_criterion_10_impact_falls_with_competition():
         assert gap < 0.005, (k, gap)
         lams.append(eq.lam)
     assert all(a > b for a, b in zip(lams, lams[1:]))
+    elapsed = time.perf_counter() - t0
+    assert elapsed < budget, f"runtime {elapsed:.2f}s exceeds {budget}s"
+
+
+def test_criterion_12_inventories_vanish_as_trading_rounds_grow():
+    """The abstract: the optimal inventories "vanish as the number of trading
+    rounds becomes large". Each trader's stationary inventory std falls as
+    dt^(1/4), to beta_0 sigma_S/sqrt(2 a_i) with a_i the sqrt(dt) coefficient
+    of phi_i and beta_0 the loading's limit, with a relative gap of at most
+    C sqrt(dt). The risk-neutral inventory, at phi = 0, is a random walk:
+    its second moment grows linearly in the number of rounds."""
+    budget, t0 = 1.0, time.perf_counter()
+    markets = (
+        # C is the largest gap/sqrt(dt) measured over dt = 1e-2 .. 1e-8, rounded up
+        (make_params(k=2, dt=0.01), 0.07),
+        (make_params(gammas=[1.0, 3.0, 0.5], rhos=[0.05, 0.2, 1.0], sigma_K=1.3, dt=0.01), 0.71),
+    )
+    for p, C in markets:
+        exp = nash_expansions(p)
+        limits = [exp["beta"][i].limit * p.sigma_S / math.sqrt(2.0 * exp["phi"][i].half_order_coeff) for i in range(p.k)]
+        if p.k == 2:
+            assert limits == [pytest.approx(0.41430, abs=5e-6)] * 2
+        for dt in (1e-2, 1e-4, 1e-6, 1e-8):
+            q = p.with_dt(dt)
+            eq, _ = solve_equilibrium(q)
+            for i, limit in enumerate(limits):
+                gap = abs(stationary_inventory_std(eq, i, q) / dt**0.25 / limit - 1.0)
+                assert gap <= C * math.sqrt(dt), (p.k, dt, i, gap)
+        # contrast: the risk-neutral game at the same dt
+        rn, _ = solve_equilibrium(p.with_dt(0.0))
+        assert rn.phis == (0.0,) * p.k
+        for i, beta in enumerate(rn.betas):
+            drive = beta**2 * p.sigma_S**2 * p.dt
+            for n in (1, 10, 1000, 10**6):
+                assert inventory_second_moment(rn, i, p, n) == drive * n
     elapsed = time.perf_counter() - t0
     assert elapsed < budget, f"runtime {elapsed:.2f}s exceeds {budget}s"

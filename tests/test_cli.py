@@ -10,6 +10,7 @@ import hftequil.verify
 from hftequil import CheckResult, ConstraintViolated, VerificationReport, load_config, run_verification, solve_equilibrium
 from hftequil.cli import main
 from helpers import make_params
+from test_precision_oracle import _reference_solve, _ulps
 
 BASE = ["--sigma-s", "1.0", "--sigma-k", "1.0", "--dt", "0.004"]
 
@@ -131,10 +132,19 @@ class TestParamErrors:
         assert code == 2
         assert "NonPositiveVolatility" in err
 
-    def test_underflowing_volatility_ratio_exits_1(self, capsys):
+    def test_underflowing_residual_scale_solves(self, capsys):
+        # (sigma_K/sigma_S)^4 underflows to 0; the solve and its residual never form it
         code, out, err = run_cli(capsys, "solve", "--sigma-s", "1", "--sigma-k", "1e-81", "--dt", "1e-3")
+        assert code == 0 and err == ""
+        want = _reference_solve(make_params(sigma_K=1e-81, dt=1e-3))[0]
+        assert _ulps(json.loads(out)["equilibrium"]["beta_sigma"], want) <= 2
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_underflowing_lower_bracket_end_exits_1(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--sigma-s", "1", "--sigma-k", "1", "--dt", "0.5", "--gamma", "1e308")
         assert code == 1 and out == ""
-        assert err.startswith("error:") and "system_residual" in err
+        [line] = err.splitlines()
+        assert line.startswith("error:") and "t_L underflows to 0" in line
 
     def test_overflowing_value_coefficient_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "solve", *BASE, "--rho", "1e-310")
@@ -144,7 +154,7 @@ class TestParamErrors:
     def test_phi_rounded_to_one_exits_1_without_a_traceback(self, capsys):
         # the solve rounds phi to 1.0, so 1 - phi vanishes in the value layer
         market = [
-            "--sigma-s", "1", "--sigma-k", "464791129821.79486", "--dt", "0.1106519510532586",
+            "--sigma-s", "1", "--sigma-k", "5e11", "--dt", "0.1106519510532586",
             "--gamma", "0.002167101358143522", "--rho", "0.4990912258867044",
         ]
         code, out, err = run_cli(capsys, "solve", *market)

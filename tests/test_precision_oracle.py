@@ -1,14 +1,16 @@
 """A 50-digit reference solve: the float solve is within a few ulps of it.
 
 The reference runs the solver's own excess evaluator, ``solver._excess``, in
-stdlib ``decimal`` at 50 digits with ``Decimal.sqrt``, from the exact binary
-values of the inputs, and finds the root by bisection instead of the
-solver's safeguarded Newton iteration. It measures the float solve's
-rounding, not the expression the two share; that is checked apart: each
-50-digit loading must solve its trader's response quadratic
-a beta^2 + b beta + r^2 = 0 as ``system_residual`` writes it, before the
-decay-rate substitution. 1 - phi is not compared: formed by subtraction
-from the float phi it loses digits that the solve does not.
+stdlib ``decimal`` at 50 digits with ``Decimal.sqrt``, on the model's
+dimensionless groups formed at 50 digits from the exact binary values of the
+inputs, and finds the root u = beta_sigma/m by bisection instead of the
+solver's safeguarded Newton iteration; it rescales by m = sigma_K/sigma_S at
+50 digits. It measures the float solve's rounding, not the expression the
+two share; that is checked apart, without the groups: each 50-digit loading
+must solve its trader's response quadratic a beta^2 + b beta + r^2 = 0 in
+beta, r = m^2, before the decay-rate substitution. 1 - phi is not compared:
+formed by subtraction from the float phi it loses digits that the solve
+does not.
 """
 import math
 import random
@@ -21,7 +23,7 @@ from hftequil.solver import _excess
 from helpers import fuzz_market, make_params
 
 ULPS = 4
-# The fuzz's first 20,000 draws read at most 5.17 ulps, 17 of them above 4,
+# The fuzz's first 20,000 draws read at most 4.73 ulps, 9 of them above 4,
 # and raised no SolverError; the test runs the first FUZZ_DRAWS of them.
 FUZZ_ULPS = 6
 FUZZ_DRAWS = 200
@@ -29,21 +31,21 @@ FUZZ_SEED = 0
 
 
 def _exact(params):
-    """r, c, dt and the traders of ``params`` as decimals, in the current context."""
-    r = (Decimal(params.sigma_K) / Decimal(params.sigma_S)) ** 2
+    """m = sigma_K/sigma_S, c, dt and the traders of ``params`` as decimals, in the current context."""
+    m = Decimal(params.sigma_K) / Decimal(params.sigma_S)
     traders = [TraderParams(Decimal(t.gamma), Decimal(t.rho)) for t in params.traders]
-    return r, Decimal(params.tax), Decimal(params.dt), traders
+    return m, Decimal(params.tax), Decimal(params.dt), traders
 
 
 def _reference_solve(params):
     """beta_sigma, lambda, betas and phis of ``params`` to 50 digits."""
     with localcontext() as ctx:
         ctx.prec = 50
-        r, c, dt, traders = _exact(params)
-        h = _excess(traders, dt, r, c, Decimal.sqrt)
-        # Every loading is at most r/P <= r/t, so the excess is negative
-        # above sqrt(k r); halve down to a positive excess, then bisect.
-        hi = (Decimal(params.k).sqrt() + 1) * r.sqrt()
+        m, c, dt, traders = _exact(params)
+        h = _excess(traders, dt, m, c, Decimal.sqrt)
+        # Every beta_i/m is at most 1/P <= 1/u, so the excess is negative
+        # above u = sqrt(k); halve down to a positive excess, then bisect.
+        hi = Decimal(params.k).sqrt() + 1
         lo = hi / 2
         while h(lo)[0] <= 0:
             hi, lo = lo, lo / 2
@@ -53,9 +55,10 @@ def _reference_solve(params):
                 lo = mid
             else:
                 hi = mid
-        t = (lo + hi) / 2
+        u = (lo + hi) / 2
         betas, phis = [], []
-        h(t, betas, phis)
+        h(u, betas, phis)
+        t = m * u
         sS2, sK2 = Decimal(params.sigma_S) ** 2, Decimal(params.sigma_K) ** 2
         lam = t * sS2 / (sK2 + t * t * sS2)
         return t, lam, betas, phis
@@ -100,7 +103,8 @@ def test_reference_loadings_solve_the_response_quadratic(params):
     t, _, betas, _ = _reference_solve(params)
     with localcontext() as ctx:
         ctx.prec = 50
-        r, c, dt, traders = _exact(params)
+        m, c, dt, traders = _exact(params)
+        r = m * m
         P = t + 2 * c * (r + t * t)
         for trader, beta in zip(traders, betas):
             rdt = trader.rho * dt

@@ -23,6 +23,7 @@ from hftequil import (
     solve_taxed,
     system_residual,
     validate_equilibrium,
+    value_coefficients,
 )
 from hftequil.solver import SYSTEM_RESIDUAL_TOL, _excess, _newton
 from hftequil.verify import _QUARTIC_GATE, _check_quartic, _quartic, _quartic_scale
@@ -40,7 +41,7 @@ MONO_PHI_DT004 = 0.08548557749247969019
 
 # sigma_S = 0.28368333194319617, sigma_K = 3.1603578189831494e-06,
 # gamma = 0.04805584005190545, rho = 0.0997591218592117, dt = 2.6445241972596937e-11:
-# m gamma dt is below the quartic's rounding error, so it rounds to >= 0 at m
+# m gamma dt is below the quartic's rounding error, so its residual at m passes the gate
 TINY_DT_MARKET = dict(
     sigma_S=0.28368333194319617,
     sigma_K=3.1603578189831494e-06,
@@ -80,16 +81,16 @@ def monopoly_beta(p):
 def second_quartic_root(p):
     """The monopolist's quartic root above the volatility ratio m, by bisection.
 
-    The quartic is -2 m gamma dt r^2 < 0 at m and grows like beta^4, so the
+    The quartic is -2 m gamma dt < 0 at m and grows like beta^4, so the
     root is bracketed by m and the first doubling of m where it is positive.
     """
     t = p.traders[0]
-    r = p.vol_ratio_sq
+    m = p.sigma_K / p.sigma_S
 
     def f(beta):
-        return _quartic(beta, r, t.gamma, t.rho, p.dt)
+        return _quartic(beta / m, t.gamma * p.dt * m, 1.0 - t.rho * p.dt)
 
-    lo = p.sigma_K / p.sigma_S
+    lo = m
     assert f(lo) < 0.0
     hi = 2.0 * lo
     while f(hi) <= 0.0:
@@ -154,14 +155,15 @@ class TestMonopolyQuartic:
         assert monopoly_beta(p) == pytest.approx(TINY_DT_BETA, rel=REL)
         # the quartic cannot tell its two roots apart here, the solve still can
         t = p.traders[0]
-        m = p.sigma_K / p.sigma_S
-        assert _quartic(m, p.vol_ratio_sq, t.gamma, t.rho, p.dt) >= 0.0
+        g, d = t.gamma * p.dt * p.sigma_K / p.sigma_S, 1.0 - t.rho * p.dt
+        assert abs(_quartic(1.0, g, d)) <= _QUARTIC_GATE * _quartic_scale(1.0, g, d)
 
 
 def _at_aggregate(beta_sigma, p):
     """(betas, phis) of every trader when the aggregate is conjectured fixed at beta_sigma."""
+    m = p.sigma_K / p.sigma_S
     betas, phis = [], []
-    _excess(p.traders, p.dt, p.vol_ratio_sq, p.tax)(beta_sigma, betas, phis)
+    _excess(p.traders, p.dt, m, p.tax)(beta_sigma / m, betas, phis)
     return betas, phis
 
 
@@ -243,17 +245,16 @@ class TestNash:
         assert diag.aggregate_residual < 1e-10
         assert len(diag.residuals) == 3
 
-    def test_underflowing_residual_scale_is_a_solver_error(self):
-        # r^2 = (sigma_K/sigma_S)^4 underflows to 0 below a ratio of about 1e-81
-        with pytest.raises(SolverError) as exc:
-            solve_equilibrium(make_params(sigma_K=1e-81, dt=1e-3))
-        assert exc.value.which == "system_residual"
+    def test_underflowing_residual_scale_solves(self):
+        # (sigma_K/sigma_S)^4 underflows to 0 below a ratio of about 1e-81;
+        # the solve and its residual run in the groups and never form it
+        errors = _ulp_errors(make_params(sigma_K=1e-81, dt=1e-3))
+        assert max(errors.values()) <= 2, errors
 
-    def test_overflowing_residual_scale_is_a_solver_error(self):
-        # r^2 = (sigma_K/sigma_S)^4 = 1e312 overflows to inf
-        with pytest.raises(SolverError) as exc:
-            solve_equilibrium(make_params(k=2, sigma_K=1e78, dt=1e-8))
-        assert exc.value.which == "system_residual"
+    def test_overflowing_residual_scale_solves(self):
+        # (sigma_K/sigma_S)^4 = 1e312 overflows to inf
+        errors = _ulp_errors(make_params(k=2, sigma_K=1e78, dt=1e-8))
+        assert max(errors.values()) <= 2, errors
 
     def test_solve_equilibrium_dispatch(self):
         eq, _ = solve_equilibrium(make_params(k=2, dt=0.004))
@@ -406,14 +407,16 @@ class TestTaxed:
 
 
 class TestLowerBracket:
-    """Where the root lies below 1e-12 m, the lower end of the bracket is the
-    proven bound t_L = m min(1, 2k/(3 (1 + 4cm + 2m max_i gamma_i dt)))
-    instead of a search, so no market is refused for a root too small to
-    reach; a market whose excess cannot be evaluated there is still refused
-    with a SolverError."""
+    """Where the root u = beta_sigma/m lies below 1e-12, the lower end of the
+    bracket is the proven bound t_L = min(1, 2k/(3 (1 + 4cm + 2m max_i
+    gamma_i dt))) instead of a search, so no market is refused for a root
+    too small to reach; a market whose t_L underflows to 0, or whose excess
+    cannot be evaluated there, is still refused with a SolverError."""
 
     @pytest.mark.parametrize(
-        "market", [{"tax": 1e20}, {"tax": 1e30}, {"gamma": 1e33}], ids=["tax=1e20", "tax=1e30", "gamma=1e33"]
+        "market",
+        [{"tax": 1e20}, {"tax": 1e30}, {"gamma": 1e33}, {"tax": 1e300}],
+        ids=["tax=1e20", "tax=1e30", "gamma=1e33", "tax=1e300"],
     )
     def test_a_root_far_below_the_first_lower_end_solves_to_full_precision(self, market):
         p = make_params(dt=0.01, **market)
@@ -427,21 +430,31 @@ class TestLowerBracket:
 
     @pytest.mark.parametrize(
         "market, error, match",
-        [({"gamma": 1e200}, NoRootInBracket, "^no sign change "), ({"tax": 1e300}, ConstraintViolated, "system_residual")],
-        ids=["gamma=1e200", "tax=1e300"],
+        [({"gamma": 1e200}, NoRootInBracket, "^no sign change ")],
+        ids=["gamma=1e200"],
     )
     def test_an_excess_that_overflows_at_the_lower_end_is_refused(self, market, error, match):
         with pytest.raises(error, match=match):
             solve_equilibrium(make_params(dt=0.01, **market))
+
+    @pytest.mark.parametrize(
+        "market", [{"dt": 0.5, "gamma": 1e308}, {"dt": 0.01, "tax": 5e307}], ids=["gamma=1e308", "tax=5e307"]
+    )
+    def test_a_lower_end_that_underflows_to_zero_is_refused(self, market):
+        # 1 + 4cm + 2 m gamma dt overflows, so t_L rounds to 0: untaxed, the
+        # excess divides by P = 0 there; taxed, Newton's geometric bisection
+        # never leaves 0
+        with pytest.raises(NoRootInBracket, match="t_L underflows to 0"):
+            solve_equilibrium(make_params(**market))
 
     def test_the_excess_is_not_negative_at_the_proven_lower_end(self):
         rng = random.Random(0)
         for _ in range(20000):
             p = fuzz_market(rng)
             m = p.sigma_K / p.sigma_S
-            g = max(t.gamma for t in p.traders) * p.dt
-            t_lower = m * min(1.0, 2 * p.k / (3 * (1 + 4 * p.tax * m + 2 * m * g)))
-            h = _excess(p.traders, p.dt, p.vol_ratio_sq, p.tax)(t_lower)[0]
+            g = max(t.gamma for t in p.traders) * p.dt * m
+            t_lower = min(1.0, 2 * p.k / (3 * (1 + 4 * p.tax * m + 2 * g)))
+            h = _excess(p.traders, p.dt, m, p.tax)(t_lower)[0]
             assert not h < 0.0, (p, t_lower, h)
 
     def test_validate_holds_a_tiny_aggregate_to_a_relative_gate(self):
@@ -457,17 +470,17 @@ class TestLowerBracket:
 
 class TestNumericalCore:
     def test_newton_finds_simple_root(self):
-        root, iters, bracket = _newton(lambda x: (x * x - 2.0, 2.0 * x), 0.0, 2.0, 1.0, -2.0, 2.0)
+        root, iters, bracket = _newton(lambda x: (x * x - 2.0, 2.0 * x), 0.0, 2.0, -2.0, 2.0)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-13)
         assert iters >= 1
         assert bracket[0] <= root <= bracket[1]
 
     def test_newton_requires_sign_change(self):
         with pytest.raises(NoRootInBracket):
-            _newton(lambda x: (x * x + 1.0, 2.0 * x), -1.0, 1.0, 1.0, 2.0, 2.0)
+            _newton(lambda x: (x * x + 1.0, 2.0 * x), -1.0, 1.0, 2.0, 2.0)
 
     def test_newton_polish_stays_in_bracket(self):
-        x, _, _ = _newton(lambda x: (x * x * x - 2.0, 3.0 * x * x), 1.2, 1.3, 1.0, 1.2**3 - 2.0, 1.3**3 - 2.0)
+        x, _, _ = _newton(lambda x: (x * x * x - 2.0, 3.0 * x * x), 1.2, 1.3, 1.2**3 - 2.0, 1.3**3 - 2.0)
         assert x == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
         assert 1.2 <= x <= 1.3
 
@@ -475,12 +488,12 @@ class TestNumericalCore:
         # Slope 1e12 makes every step 1e-13 or so: 200 steps move x by about
         # 5e-11 and leave it far from the root at 1.25.
         with pytest.raises(ConstraintViolated) as exc:
-            _newton(lambda x: (x - 1.25, 1e12), 1.0, 2.0, 1.0, -0.25, 0.75)
+            _newton(lambda x: (x - 1.25, 1e12), 1.0, 2.0, -0.25, 0.75)
         assert exc.value.which == "newton_convergence"
 
     def test_newton_polish_guards_against_divergence(self):
         # the derivative is NaN everywhere; every step must fall back to bisection
-        x, _, bracket = _newton(lambda x: (x * x - 2.0, math.nan), 1.0, 2.0, 1.0, -1.0, 2.0)
+        x, _, bracket = _newton(lambda x: (x * x - 2.0, math.nan), 1.0, 2.0, -1.0, 2.0)
         assert 1.0 <= bracket[0] <= x <= bracket[1] <= 2.0
         assert x == pytest.approx(math.sqrt(2.0), abs=1e-13)
 
@@ -488,7 +501,7 @@ class TestNumericalCore:
     def test_newton_refuses_a_slope_against_the_sign_change(self, slope):
         # x^2 - 2 rises across [1, 2], so a zero or negative slope is refused
         with pytest.raises(ConstraintViolated) as info:
-            _newton(lambda x: (x * x - 2.0, slope), 1.0, 2.0, 1.0, -1.0, 2.0)
+            _newton(lambda x: (x * x - 2.0, slope), 1.0, 2.0, -1.0, 2.0)
         assert info.value.which == "h_monotonicity"
 
 
@@ -538,8 +551,8 @@ def test_taxed_games_solve_directly_at_their_tax_rate(log_ratio, log_dt, traders
         # up to 100 times the impact scale sigma_S/sigma_K
         tax=0.0 if log_tax is None else 10.0**log_tax / m,
     )
-    h_and_slope = _excess(p.traders, p.dt, p.vol_ratio_sq, p.tax)
-    lo, hi = 1e-12 * m, (math.sqrt(p.k) + 1.0) * m
+    h_and_slope = _excess(p.traders, p.dt, m, p.tax)
+    lo, hi = 1e-12, math.sqrt(p.k) + 1.0
     grid = [lo * (hi / lo) ** (j / 399) for j in range(400)]
     excess = [h_and_slope(x)[0] for x in grid]
     assert all(a > b for a, b in zip(excess, excess[1:]))
@@ -558,9 +571,10 @@ def test_taxed_games_solve_directly_at_their_tax_rate(log_ratio, log_dt, traders
     log_tax=st.one_of(st.none(), st.floats(-6.0, 2.0)),
 )
 def test_the_upper_bracket_end_needs_no_search(k, log_ratio, dt, traders, log_tax):
-    """beta_i <= r/P <= r/beta_sigma, so at hi = (sqrt(k) + 1) sigma_K/sigma_S
-    the excess is at most k r/hi - hi < 0: the solver takes hi as the upper
-    end of its bracket without evaluating anything further out."""
+    """beta_i/m <= 1/P <= 1/u with u = beta_sigma/m and m = sigma_K/sigma_S,
+    so at hi = sqrt(k) + 1 the excess is at most k/hi - hi < 0: the solver
+    takes hi as the upper end of its bracket without evaluating anything
+    further out."""
     m = 10.0**log_ratio
     cycle = [traders[i % len(traders)] for i in range(k)]
     p = make_params(
@@ -571,11 +585,10 @@ def test_the_upper_bracket_end_needs_no_search(k, log_ratio, dt, traders, log_ta
         # up to 100 times the impact scale sigma_S/sigma_K
         tax=0.0 if log_tax is None else 10.0**log_tax / m,
     )
-    r = p.vol_ratio_sq
-    hi = (math.sqrt(k) + 1.0) * m
-    h_hi = _excess(p.traders, p.dt, r, p.tax)(hi)[0]
+    hi = math.sqrt(k) + 1.0
+    h_hi = _excess(p.traders, p.dt, m, p.tax)(hi)[0]
     assert h_hi < 0.0
-    assert h_hi <= (k * r / hi - hi) * (1.0 - 1e-12)
+    assert h_hi <= (k / hi - hi) * (1.0 - 1e-12)
 
 
 @given(
@@ -595,6 +608,45 @@ def test_joint_volatility_scaling_leaves_betas_unchanged(scale, dt, k):
     assert eq1.lam == pytest.approx(eq0.lam, rel=1e-11)
     for p0, p1 in zip(eq0.phis, eq1.phis):
         assert p1 == pytest.approx(p0, rel=1e-10, abs=1e-13)
+
+
+def _ulps_apart(a, b):
+    return 0.0 if a == b else abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+def _zetas(eq, p):
+    """Every trader's zeta, or none where the value layer refuses the game:
+    it covers untaxed games only, and its invariant checks lose digits as
+    phi nears 1."""
+    try:
+        return [value_coefficients(eq, i, p).zeta for i in range(p.k)] if p.tax == 0.0 else []
+    except SolverError:
+        return []
+
+
+def test_the_solve_depends_only_on_the_dimensionless_groups():
+    """With m = sigma_K/sigma_S, the equilibrium depends on k, c m and, per
+    trader, gamma_i dt m and rho_i dt alone: u = beta_sigma/m, lambda m,
+    every phi_i and, untaxed, every zeta_i. Each fuzzed market is solved
+    again at another sigma_S and a smaller dt, with gamma, rho and c
+    rescaled to keep the groups; the inputs' own rounding moves each output
+    by at most 8 ulps (the worst of 23,000 draws)."""
+    rng = random.Random(0)
+    for _ in range(2000):
+        p = fuzz_market(rng)
+        sigma_S, dt = 10.0 ** rng.uniform(-3, 3), p.dt * 10.0 ** rng.uniform(-3, 0)
+        m, m2 = p.sigma_K / p.sigma_S, p.sigma_K / sigma_S
+        q = make_params(
+            sigma_S=sigma_S, sigma_K=p.sigma_K, dt=dt, tax=p.tax * m / m2,
+            gammas=[t.gamma * p.dt * m / (dt * m2) for t in p.traders], rhos=[t.rho * p.dt / dt for t in p.traders],
+        )
+        outputs = []
+        for market, scale in ((p, m), (q, m2)):
+            eq, _ = solve_equilibrium(market)
+            outputs.append([eq.beta_sigma / scale, eq.lam * scale, *eq.phis, *_zetas(eq, market)])
+        # zip stops at the shorter list: the zetas count where both games have them
+        worst = max(_ulps_apart(a, b) for a, b in zip(*outputs))
+        assert worst <= 8, (p, q, outputs)
 
 
 @given(
@@ -629,10 +681,8 @@ def test_identical_traders_split_the_aggregate_evenly(k, dt):
 )
 def test_quartic_residual_is_tiny_at_reported_root(dt, gamma, sigma_K):
     p = make_params(dt=dt, gamma=gamma, sigma_K=sigma_K)
-    beta = monopoly_beta(p)
-    r = p.vol_ratio_sq
-    res = abs(_quartic(beta, r, gamma, 0.05, dt))
-    assert res <= 1e-12 * _quartic_scale(beta, r, gamma, 0.05, dt)
+    u, g, d = monopoly_beta(p) / sigma_K, gamma * dt * sigma_K, 1.0 - 0.05 * dt
+    assert abs(_quartic(u, g, d)) <= 1e-12 * _quartic_scale(u, g, d)
 
 
 @given(

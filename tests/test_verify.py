@@ -63,9 +63,7 @@ HALVED_BY_STRICT = {
 # The solve rounds every trader's phi to 1.0 exactly on these markets, so
 # 1 - phi vanishes in the value layer.
 PHI_ONE_MARKETS = [
-    make_params(
-        sigma_K=464791129821.79486, dt=0.1106519510532586, gamma=0.002167101358143522, rho=0.4990912258867044
-    ),
+    make_params(sigma_K=5e11, dt=0.1106519510532586, gamma=0.002167101358143522, rho=0.4990912258867044),
     make_params(
         sigma_K=472187338.79935074,
         dt=0.38627268785186675,
