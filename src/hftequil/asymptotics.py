@@ -3,9 +3,9 @@
 Write eps = sqrt(dt). Every coefficient is a smooth function of eps near
 the continuous-trading limit eps = 0, so its expansion to order sqrt(dt)
 is its value and its eps-derivative there. Both come from the aggregate
-fixed point h(t; eps) = (r/t) sum_i (1 - phi_i) - t = 0 that the solver
-solves, with r = (sigma_K/sigma_S)^2: at eps = 0 every decay rate is 0 and
-t^2 = k r, each decay rate starts as phi_i = a_i eps, implicit
+fixed point h(t; eps) = (m^2/t) sum_i (1 - phi_i) - t = 0 that the solver
+solves, with m = sigma_K/sigma_S: at eps = 0 every decay rate is 0 and
+t = m sqrt(k), each decay rate starts as phi_i = a_i eps, implicit
 differentiation of h gives the aggregate's slope t' in eps, and the chain
 rule carries t' through the pricing identities and the value
 coefficients. The
@@ -78,13 +78,13 @@ def nash_expansions(params: ValidatedParams) -> dict:
     trader; beta_sigma and lambda are scalars. A through D are the value
     function coefficients on M^2, dS^2, M dS and the constant.
 
-    With t = beta_sigma(0) = sqrt(k r), the limits are beta_i = r/t,
-    lambda = t/((1 + k) r), eta = 1 - lambda t = 1/(1 + k) and phi_i = 0.
-    Each decay rate starts as phi_i = a_i eps with a_i^2 = gamma_i (t^2 + r)/t,
-    the leading term of the solver's root 2s/(w + q). The excess h has
-    slope -2 in t at eps = 0, so t' = -(r/2t) sum_i a_i, and the other
+    In m = sigma_K/sigma_S, not its square: t = beta_sigma(0) = m sqrt(k),
+    beta_i = m/sqrt(k), lambda = sqrt(k)/((1 + k) m), eta = 1/(1 + k) and phi_i
+    = 0. Each decay rate starts as phi_i = a_i eps with a_i^2 = gamma_i m (k +
+    1)/sqrt(k), the leading term of the solver's root 2s/(w + q). The excess h
+    has slope -2 in t at eps = 0, so t' = -(m/(2 sqrt(k))) sum_i a_i, and the other
     sqrt(dt) coefficients follow by the chain rule through
-    beta_i = (r/t)(1 - phi_i), lambda = t/(r + t^2), mu_i = lambda phi_i
+    beta_i = (m^2/t)(1 - phi_i), lambda = t/(m^2 + t^2), mu_i = lambda phi_i
     and ``value_coefficients``' expressions for A to D. At k = 1 the
     sqrt(dt) term of lambda vanishes and its dt coefficient -gamma/8 is
     the one hand-derived term, which only the single-trader case has.
@@ -93,16 +93,18 @@ def nash_expansions(params: ValidatedParams) -> dict:
     """
     _require_untaxed(params, "nash_expansions")
     # x0 is a limit and x1 its sqrt(dt) coefficient; t1 is t'
-    r = params.vol_ratio_sq
+    m = params.sigma_K / params.sigma_S
     k = params.k
-    t = math.sqrt(k * r)
-    a = [math.sqrt(tr.gamma * (t * t + r) / t) for tr in params.traders]
-    beta0 = r / t
+    sqrt_k = math.sqrt(k)
+    t = m * sqrt_k
+    # sqrt_k**2 + 1 rather than k + 1 keeps every bit of the table at m = 1
+    a = [math.sqrt(tr.gamma * m * (sqrt_k * sqrt_k + 1.0) / sqrt_k) for tr in params.traders]
+    beta0 = m / sqrt_k
     t1 = -0.5 * beta0 * _sum_left(a)
-    lam0 = t / ((1.0 + k) * r)
+    lam0 = sqrt_k / ((1.0 + k) * m)
     eta0 = 1.0 / (1.0 + k)
-    # lambda'(t) = (1 - k)/((1 + k)^2 r), times t1 <= 0 written as (k - 1) (-t1): +0.0 at k = 1
-    lam1 = (k - 1) * -t1 / ((1.0 + k) ** 2 * r)
+    # lambda'(t) = (1 - k)/((1 + k)^2 m^2), times t1 <= 0 written as (k - 1) (-t1): +0.0 at k = 1
+    lam1 = (k - 1) * (-t1 / m) / ((1.0 + k) ** 2 * m)
     eta1 = -(lam1 * t + lam0 * t1)
     B0 = 2.0 * beta0 * eta0
     isfinite = math.isfinite

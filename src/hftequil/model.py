@@ -18,7 +18,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "TraderParams",
@@ -162,13 +162,14 @@ def _checked(sigma_S, sigma_K, dt, traders, tax) -> dict:
 
     Each field is checked as the float it is stored as (see ``_as_real``);
     ``0 < x <= _MAX_FLOAT`` is a finite positive float, as NaN compares
-    false. sigma_S**2, sigma_K**2 and (sigma_K/sigma_S)**2 must be normal
-    floats: an infinite or zero square breaks the solver, a subnormal one
-    has lost digits and gives a silently wrong equilibrium. The stored
-    record holds every field as a float, a signed zero as +0.0, the traders
-    as a tuple of float :class:`TraderParams` (one already stored so is kept
-    as given) and ``vol_ratio_sq``. A trader that is not a
-    :class:`TraderParams` raises ``TypeError``.
+    false. sigma_S**2 and sigma_K**2 must be normal floats: an infinite or
+    zero variance breaks the model, a subnormal one has lost digits. So must
+    (sigma_K/sigma_S)**2, though no layer forms it: the scale is read as m =
+    sigma_K/sigma_S alone, and the bound keeps beta_sigma = m u finite at
+    every u = beta_sigma/m the solve reaches. The stored record holds every
+    field as a float, a signed zero as +0.0 and the traders as a tuple of
+    float :class:`TraderParams` (one already stored so is kept as given). A
+    trader that is not a :class:`TraderParams` raises ``TypeError``.
     """
     out: list[Violation] = []
     s = _volatility("sigma_S", sigma_S, out)
@@ -217,8 +218,7 @@ def _checked(sigma_S, sigma_K, dt, traders, tax) -> dict:
     if out:
         raise InvalidParamsError(out)
     # x + 0.0 is x, bit for bit, except that -0.0 becomes +0.0
-    return {"sigma_S": s, "sigma_K": k, "dt": d + 0.0, "traders": tuple(stored),
-            "tax": c + 0.0, "vol_ratio_sq": ratio ** 2}
+    return {"sigma_S": s, "sigma_K": k, "dt": d + 0.0, "traders": tuple(stored), "tax": c + 0.0}
 
 
 @dataclass(frozen=True)
@@ -234,10 +234,8 @@ class ValidatedParams:
     replaced, and keep the stored traders as they are. Every field is stored as a Python float,
     whatever real type it was given as (an int or a numpy scalar), and a
     signed zero as +0.0, so that :func:`params_to_config` stays
-    JSON-serialisable and prints no ``-0.0``. ``vol_ratio_sq`` is
-    ``(sigma_K / sigma_S)**2``, a normal float by the checks, computed once
-    here for ``asymptotics`` and the solver's loading bound; the solve itself
-    runs in the groups of m = sigma_K/sigma_S.
+    JSON-serialisable and prints no ``-0.0``. The solver, the expansions
+    and verify read the market's scale as m = sigma_K/sigma_S alone.
     """
 
     sigma_S: float
@@ -245,7 +243,6 @@ class ValidatedParams:
     dt: float
     traders: tuple[TraderParams, ...]
     tax: float = 0.0
-    vol_ratio_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _setattr(self, "__dict__", _checked(self.sigma_S, self.sigma_K, self.dt, self.traders, self.tax))

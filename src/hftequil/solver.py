@@ -159,9 +159,10 @@ def _sum_left(values) -> float:
 
 
 def _lam(beta_sigma: float, params: ValidatedParams) -> float:
-    """lambda = beta_sigma sigma_S^2 / (sigma_K^2 + beta_sigma^2 sigma_S^2)."""
-    sS2 = params.sigma_S**2
-    return beta_sigma * sS2 / (params.sigma_K**2 + beta_sigma**2 * sS2)
+    """lambda = beta_sigma sigma_S^2 / (sigma_K^2 + beta_sigma^2 sigma_S^2), as u/(1 + u^2)/m at u = beta_sigma/m."""
+    m = params.sigma_K / params.sigma_S
+    u = beta_sigma / m
+    return u / (1.0 + u**2) / m
 
 
 def pricing_from_beta(beta_sigma: float, betas: tuple[float, ...], params: ValidatedParams):
@@ -259,7 +260,6 @@ def validate_equilibrium(eq: Equilibrium, params: ValidatedParams) -> None:
             "trader_count",
             f"{len(eq.betas)} betas, {len(eq.phis)} phis and {len(eq.mus)} mus for k={k} traders",
         )
-    r = params.vol_ratio_sq
     total = _sum_left(eq.betas)
     if abs(total - eq.beta_sigma) > 1e-12 * abs(eq.beta_sigma):
         raise ConstraintViolated("aggregate_identity", f"sum(betas)={total!r} vs {eq.beta_sigma!r}")
@@ -270,8 +270,10 @@ def validate_equilibrium(eq: Equilibrium, params: ValidatedParams) -> None:
         raise ConstraintViolated("lambda_formula")
     if not eq.lam * eq.beta_sigma < 1.0:
         raise ConstraintViolated("price_impact_share")
-    # Each loading is (r/P)(1 - phi_i) with P = beta_sigma + 2c(r + beta_sigma^2)
-    bound = r / (eq.beta_sigma + 2.0 * params.tax * (r + eq.beta_sigma * eq.beta_sigma))
+    # Each loading is (m/P)(1 - phi_i) with P = u + 2cm (1 + u^2), u = beta_sigma/m
+    m = params.sigma_K / params.sigma_S
+    u = eq.beta_sigma / m
+    bound = m / (u + 2.0 * params.tax * m * (1.0 + u * u))
     for i, (b, p, m_) in enumerate(zip(eq.betas, eq.phis, eq.mus)):
         if not (0.0 < b <= bound * (1.0 + 1e-12)):
             raise ConstraintViolated("beta_bound", f"trader {i}: beta={b!r} outside (0, {bound!r}]")

@@ -123,9 +123,9 @@ def _check_system(eq: Equilibrium, params: ValidatedParams, gate: float) -> Chec
 
 
 def _check_pricing(eq: Equilibrium, params: ValidatedParams, gate: float) -> CheckResult:
-    sS2 = params.sigma_S**2
-    sK2 = params.sigma_K**2
-    lam_formula = eq.beta_sigma * sS2 / (sK2 + eq.beta_sigma**2 * sS2)
+    # lambda = beta_sigma sigma_S^2/h^2 with h^2 = sigma_K^2 + (beta_sigma sigma_S)^2, no square formed
+    h = math.hypot(params.sigma_K, eq.beta_sigma * params.sigma_S)
+    lam_formula = (eq.beta_sigma * params.sigma_S / h) * (params.sigma_S / h)
     # relative at every size (lambda and beta_sigma can be far below 1)
     gaps = [_rel(eq.lam, lam_formula, 5e-324), _rel(_sum_left(eq.betas), eq.beta_sigma, 5e-324)]
     denom = 1.0 - eq.lam * eq.beta_sigma
@@ -199,9 +199,9 @@ def _check_value_layer(eq, params, identity_gate, dpe_gate):
         dpe = max(dpe_residual(coeff_list[i], eq, i, params) for i in range(params.k))
         argmax = max(dpe_argmax_gap(coeff_list[i], eq, i, params) for i in range(params.k))
 
-        # G < 0 is a theorem here: untaxed, beta_i = (r/beta_sigma)(1 - phi_i)
-        # and lambda = beta_sigma/(r + beta_sigma^2) give lambda beta_i - eta =
-        # -r phi_i/(r + beta_sigma^2) < 0, and F + gamma dt = lambda phi/(1 - phi)
+        # G < 0 is a theorem here: untaxed, beta_i = (m/u)(1 - phi_i) and
+        # lambda = u/((1 + u^2) m), u = beta_sigma/m, give lambda beta_i - eta =
+        # -phi_i/(1 + u^2) < 0, and F + gamma dt = lambda phi/(1 - phi)
         # > 0 with 0 < zeta < 1, so both terms of G are negative.
         sign_margin = min(min(c.A, c.B, c.C, c.D, c.E, c.F, c.zeta, 1.0 - c.zeta, -c.G) for c in coeff_list)
     results = [
@@ -366,13 +366,12 @@ def run_verification(
     results.append(_check_pricing(eq, params, identity_gate))
     results.append(_check_phi_bounds(eq, params))
     coeff_list = None
-    if params.tax == 0.0 and params.dt > 0.0:
-        value_results, coeff_list = _check_value_layer(eq, params, identity_gate, gate_scale * _DPE_GATE)
-        results.extend(value_results)
-    if paths and params.dt > 0.0:
-        # A huge initial inventory overflows some Monte Carlo sums to inf, and
-        # inf - inf is NaN; such an estimate fails its check with value inf.
-        # Forked workers inherit the error state.
-        with np.errstate(over="ignore", invalid="ignore"):
+    # A huge initial inventory overflows Monte Carlo sums to inf, as a DPE grid state near the float range does its
+    # square, and inf - inf is NaN; such a check fails with that value. Forked workers inherit the error state.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if params.tax == 0.0 and params.dt > 0.0:
+            value_results, coeff_list = _check_value_layer(eq, params, identity_gate, gate_scale * _DPE_GATE)
+            results.extend(value_results)
+        if paths and params.dt > 0.0:
             results.extend(_mc_checks(eq, params, coeff_list, identity_gate, paths, seed, mc_horizon))
     return VerificationReport(tuple(results))

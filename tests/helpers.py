@@ -68,3 +68,25 @@ def fuzz_market(rng: random.Random):
     rhos = [_log_uniform(rng, 1e-2, 1.0) for _ in range(k)]
     tax = _log_uniform(rng, 1e-6, 1e2) / m if rng.random() < 0.4 else 0.0
     return make_params(gammas=gammas, rhos=rhos, sigma_K=m, dt=dt, tax=tax)
+
+
+# sigma_K/sigma_S may range over [_M_LO, _M_HI]: its square must be a normal float
+_M_LO, _M_HI = 1.5e-154, 1.34e154
+
+
+def edge_scale_market(rng: random.Random):
+    """A market at the edge of the valid scale range: sigma_S log-uniform in
+    [0.1, 10] and m = sigma_K/sigma_S log-uniform over the top or, on half
+    of the draws, the bottom ten decades of the range that keeps m and
+    sigma_K valid; dt log-uniform in [1e-6, 0.5] and k in {1, 2, 3, 10, 100},
+    with each gamma_i dt m in [1e-3, 1e3] and rho_i in [1e-2, 1], each
+    log-uniform; on 30% of draws a tax c with c m in [1e-3, 10]."""
+    sigma_S = _log_uniform(rng, 0.1, 10.0)
+    lo, hi = max(_M_LO, _M_LO / sigma_S), min(_M_HI, _M_HI / sigma_S)
+    m = _log_uniform(rng, hi * 1e-10, hi) if rng.random() < 0.5 else _log_uniform(rng, lo, lo * 1e10)
+    dt = _log_uniform(rng, 1e-6, 0.5)
+    k = rng.choice((1, 2, 3, 10, 100))
+    gammas = [_log_uniform(rng, 1e-3, 1e3) / (dt * m) for _ in range(k)]
+    rhos = [_log_uniform(rng, 1e-2, 1.0) for _ in range(k)]
+    tax = _log_uniform(rng, 1e-3, 10.0) / m if rng.random() < 0.3 else 0.0
+    return make_params(gammas=gammas, rhos=rhos, sigma_S=sigma_S, sigma_K=sigma_S * m, dt=dt, tax=tax)

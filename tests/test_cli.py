@@ -1,6 +1,7 @@
 """Command line interface: flags, formats, exit codes, determinism."""
 import json
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -267,6 +268,34 @@ def test_analytic_payloads_are_pinned_byte_for_byte(capsys, argv, golden):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert out == (Path(__file__).parent / "golden" / golden).read_text(encoding="utf-8")
+
+
+# sigma_K/sigma_S = 1.3e154 is valid, but beta_sigma^2 = 2.5e308 is not a float:
+# forming it raised OverflowError. Nor is k (sigma_K/sigma_S)^2 on EXPAND_TOP.
+SOLVE_TOP = ["--sigma-s", "1e-150", "--sigma-k", "1.3e4", "--dt", "0.004", "--k", "4", "--gamma", "1e-152"]
+EXPAND_TOP = ["--sigma-s", "1e-100", "--sigma-k", "1.3e54", "--dt", "0.004", "--k", "2"]
+
+
+class TestTopOfTheScaleRange:
+    def test_solve_gives_lambda_m_as_u_over_1_plus_u_squared(self, capsys):
+        code, out, err = run_cli(capsys, "solve", *SOLVE_TOP)
+        assert code == 0 and err == ""
+        eq = json.loads(out)["equilibrium"]
+        with localcontext() as ctx:
+            ctx.prec = 50
+            m = Decimal(1.3e4) / Decimal(1e-150)
+            u = Decimal(eq["beta_sigma"]) / m
+            assert _ulps(eq["lambda"], u / (1 + u * u) / m) <= 4
+
+    def test_verify_without_paths_exits_0(self, capsys):
+        code, out, err = run_cli(capsys, "verify", *SOLVE_TOP, "--paths", "0")
+        assert code == 0 and err == ""
+        assert out.count("PASS ") == 8
+
+    def test_expand_exits_0(self, capsys):
+        code, out, err = run_cli(capsys, "expand", *EXPAND_TOP)
+        assert code == 0 and err == ""
+        assert json.loads(out)["beta_sigma"]["limit"] == pytest.approx(1.3e154 * 2**0.5, rel=1e-15)
 
 
 class TestSweep:

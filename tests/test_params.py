@@ -188,10 +188,6 @@ class TestValidate:
                 traders=(TraderParams(1.0, 0.05),),
             )
 
-    def test_vol_ratio_sq(self):
-        p = make_params(sigma_S=2.0, sigma_K=3.0)
-        assert p.vol_ratio_sq == pytest.approx((3.0 / 2.0) ** 2, rel=1e-15)
-
     def test_accessors(self):
         p = make_params(k=3, gammas=[0.5, 1.0, 2.0], rhos=[0.05], l0=[1.0, 0.0, -2.0])
         assert p.k == 3

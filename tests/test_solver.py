@@ -317,7 +317,7 @@ class TestPricingAndValidation:
         # a loading of 1.01 r/P passed the untaxed bound and, at dt = 0, none
         p = make_params(k=2, dt=dt, tax=0.05)
         eq, _ = solve_equilibrium(p)
-        r, bs = p.vol_ratio_sq, eq.beta_sigma
+        r, bs = (p.sigma_K / p.sigma_S) ** 2, eq.beta_sigma
         b0 = 1.01 * r / (bs + 2.0 * p.tax * (r + bs * bs))
         assert b0 * bs < r
         bad = dataclasses.replace(eq, betas=(b0, bs - b0))
@@ -520,7 +520,7 @@ def test_decay_rate_form_solves_the_response_quadratic(log_ratio, log_dt, gammas
     dt = 10.0**log_dt
     p = make_params(dt=dt, gammas=gammas, rho=rho, sigma_K=m, tax=tax / m)
     bs = bs_scale * m * math.sqrt(len(gammas))
-    r = p.vol_ratio_sq
+    r = (p.sigma_K / p.sigma_S) ** 2
     betas, phis = _at_aggregate(bs, p)
     P = bs + 2.0 * p.tax * (r + bs * bs)
     for t, beta, phi in zip(p.traders, betas, phis):
@@ -712,7 +712,7 @@ def test_taxed_limit_solves_the_aggregate_equation(k, log_ratio, log_tax):
     m = math.exp(log_ratio)
     p = make_params(k=k, dt=0.0, sigma_K=m, tax=math.exp(log_tax) / m)
     eq, _ = solve_taxed(p)
-    t, c, r = eq.beta_sigma, p.tax, p.vol_ratio_sq
+    t, c, r = eq.beta_sigma, p.tax, (p.sigma_K / p.sigma_S) ** 2
     assert abs(t * (t + 2.0 * c * (r + t * t)) - k * r) <= 1e-14 * k * r
     assert eq.phis == (0.0,) * k
 

@@ -13,12 +13,13 @@ from hftequil import (
     ConstraintViolated,
     SolverError,
     VerificationReport,
+    nash_expansions,
     pricing_from_beta,
     run_verification,
     solve_equilibrium,
 )
 from hftequil.verify import _IDENTITY_GATE, _MC_SIGMAS, _max_z_gate, _z_check
-from helpers import fuzz_market, make_params
+from helpers import edge_scale_market, fuzz_market, make_params
 
 
 def _raise_value_invariant(*args, **kwargs):
@@ -385,12 +386,19 @@ def test_sign_pattern_holds_G_below_zero(monkeypatch):
     assert not sign.passed and sign.value == coeffs[1].G and sign.detail == ""
 
 
-def test_every_fuzzed_market_gets_a_report_or_a_solver_error():
-    # Any other exception escapes run_verification and fails the test.
+@pytest.mark.parametrize("family", [fuzz_market, edge_scale_market], ids=lambda f: f.__name__)
+def test_every_fuzzed_market_gets_a_report_or_a_solver_error(family):
+    # Any other exception escapes run_verification and fails the test. No
+    # family's untaxed table overflows, so nash_expansions may not refuse one.
+    # At the top of the scale range, beta_sigma^2 and k (sigma_K/sigma_S)^2
+    # leave the float range: forming the first raised OverflowError, and the
+    # second refused the table with value_finite.
     rng = random.Random(0)
     refused = 0
     for _ in range(FUZZ_DRAWS):
-        params = fuzz_market(rng)
+        params = family(rng)
+        if params.tax == 0.0:
+            nash_expansions(params)
         try:
             report = run_verification(params, paths=0)
         except SolverError:
