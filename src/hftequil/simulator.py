@@ -1000,7 +1000,11 @@ def simulate_second_moment(
     Only the one trader's prediction recursion is simulated, from the
     trader's initial inventory; it is driven by the signal stream alone,
     with the same keying and update as the full game, so
-    checkpoints line up with ``simulate`` output.
+    checkpoints line up with ``simulate`` output. The moments are those of
+    (M/unit)^2, unit the power of two at or below max(|M_0|, beta sigma_S
+    sqrt(dt)), scaled by unit^2 once pooled: the sums of M^4 would leave
+    the float range at either end of it, and scaling by a power of two
+    moves no bit where they stay inside.
     """
     checkpoints = list(checkpoints)
     if not checkpoints or not all(_is_int(n) and n >= 1 for n in checkpoints):
@@ -1011,6 +1015,7 @@ def simulate_second_moment(
     beta, phi = eq.betas[trader_index], eq.phis[trader_index]
     m0 = params.traders[trader_index].initial_inventory
     scale = params.sigma_S * math.sqrt(params.dt)
+    unit = math.ldexp(0.5, math.frexp(max(abs(m0), beta * scale))[1])
     marks = set(checkpoints)
 
     def blocks(first, count, group_blocks):
@@ -1021,13 +1026,15 @@ def simulate_second_moment(
             for n, ds in enumerate(periods, 1):
                 m = m + (beta * ds - phi * m)
                 if n in marks:
-                    m2 = m * m
+                    m2 = m / unit
+                    m2 *= m2
                     for c, record in zip(cuts, records):
                         record.append(_moments(m2[c]))
             for record in records:
                 yield record, None
 
-    return dict(zip(checkpoints, _pool(blocks, n_paths)))
+    return {n: Estimate(est.mean * unit * unit, est.std_error * unit * unit, est.n_samples)
+            for n, est in zip(checkpoints, _pool(blocks, n_paths))}
 
 
 @dataclass(frozen=True)

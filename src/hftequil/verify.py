@@ -1,7 +1,9 @@
 """Named consistency checks over a solved equilibrium.
 
 Deterministic checks confirm the fixed-point equations, pricing
-identities, and the dynamic programming equation to tight tolerances.
+identities, and the dynamic programming equation to tight tolerances. The
+value-layer checks read the market in the dimensionless groups, as the
+solve and the value layer do, so each gap is relative at every size.
 The untaxed monopolist at dt > 0 has one more: its loading, which the
 solver finds as the k = 1 game's aggregate fixed point, must also be the
 admissible root of the single-trader quartic, at or below sigma_K/sigma_S.
@@ -51,11 +53,7 @@ from .solver import (
     system_residual,
 )
 from . import simulator as sim
-from .value import (
-    dpe_argmax_gap,
-    dpe_residual,
-    value_coefficients,
-)
+from .value import _grouped, _groups, dpe_argmax_gap, dpe_residual, value_coefficients
 
 __all__ = [
     "CheckResult",
@@ -95,7 +93,8 @@ class VerificationReport:
         return tuple(r.name for r in self.results if not r.passed)
 
 
-def _rel(a: float, b: float, floor: float = 1.0) -> float:
+def _rel(a: float, b: float, floor: float = 5e-324) -> float:
+    """|a - b| relative to |b|, or to ``floor`` where |b| is smaller."""
     return abs(a - b) / max(floor, abs(b))
 
 
@@ -127,11 +126,11 @@ def _check_pricing(eq: Equilibrium, params: ValidatedParams, gate: float) -> Che
     h = math.hypot(params.sigma_K, eq.beta_sigma * params.sigma_S)
     lam_formula = (eq.beta_sigma * params.sigma_S / h) * (params.sigma_S / h)
     # relative at every size (lambda and beta_sigma can be far below 1)
-    gaps = [_rel(eq.lam, lam_formula, 5e-324), _rel(_sum_left(eq.betas), eq.beta_sigma, 5e-324)]
+    gaps = [_rel(eq.lam, lam_formula), _rel(_sum_left(eq.betas), eq.beta_sigma)]
     denom = 1.0 - eq.lam * eq.beta_sigma
     for b, p, mu in zip(eq.betas, eq.phis, eq.mus):
-        gaps.append(_rel(p, 1.0 - (eq.lam + 2.0 * eq.tax) * b / denom))
-        gaps.append(_rel(mu, eq.lam * p))
+        gaps.append(_rel(p, 1.0 - (eq.lam + 2.0 * eq.tax) * b / denom, 1.0))
+        gaps.append(_rel(mu, eq.lam * p, 1.0))
     gaps.append(max(0.0, -eq.eta))
     gaps.append(max(0.0, eq.lam * eq.beta_sigma - 1.0))
     value = max(gaps)
@@ -148,30 +147,33 @@ def _check_phi_bounds(eq: Equilibrium, params: ValidatedParams) -> CheckResult:
     return CheckResult("phi_bounds", ok, margin, 0.0, detail=f"phis={list(eq.phis)!r}")
 
 
-def _value_equation_residuals(coeffs, eq: Equilibrium, i: int, params: ValidatedParams) -> float:
-    t = params.traders[i]
-    gdt = t.gamma * params.dt
-    disc = 1.0 - t.rho * params.dt
-    beta, phi, lam, eta = eq.betas[i], eq.phis[i], eq.lam, eq.eta
-    A, B, C, D, E, zeta, F, G = (
-        coeffs.A, coeffs.B, coeffs.C, coeffs.D, coeffs.E, coeffs.zeta, coeffs.F, coeffs.G,
+def _value_gaps(c, eq: Equilibrium, i: int, params: ValidatedParams) -> tuple[float, float, float]:
+    """Trader i's worst fixed-point gap, worst link gap and sign margin, all
+    in the groups: ``c`` holds ``value._grouped``'s coefficients, and 1 -
+    phi and 1 - zeta come from positive terms, as the value layer forms them."""
+    _, g, beta, phi, y, lam = _groups(eq, i, params)
+    rdt = params.traders[i].rho * params.dt
+    disc = 1.0 - rdt
+    eta = eq.eta
+    p = g + 2.0 * lam * rdt
+    q = 2.0 * lam * g * disc
+    rest = 2.0 * lam / (c.E + g + 2.0 * lam)  # 1 - zeta
+    fixed = max(
+        _rel(c.A, disc * y * y * (c.A + g)),
+        _rel(c.B, disc * beta * (2.0 * eta - beta * (c.A + g))),
+        _rel(c.C, disc * (beta * y * (c.A + g) + phi * eta)),
+        _rel(c.D, disc * (c.D + 0.5 * c.B)),
+        _rel(c.E * c.E + c.E * p, q),
+        _rel(c.zeta * (c.E + g + 2.0 * lam), c.E + g),
+        _rel(c.F * (phi + y * (c.zeta * disc + rdt)), disc * (lam * phi * c.zeta + rest * y * g)),
+        _rel(c.G, disc * (-beta * rest * (c.F + g) + c.zeta * (lam * beta - eta))),
     )
-    p = gdt + 2.0 * lam * t.rho * params.dt
-    q = 2.0 * lam * gdt * disc
-    res = [
-        _rel(A, disc * (1.0 - phi) ** 2 * (A + gdt)),
-        _rel(B, disc * beta * (2.0 * eta - beta * (A + gdt))),
-        _rel(C, disc * (beta * (1.0 - phi) * (A + gdt) + phi * eta)),
-        _rel(D, disc * (D + 0.5 * B * params.sigma_S**2 * params.dt)),
-        abs(E * E + E * p - q) / max(1.0, q),
-        _rel(zeta * (E + gdt + 2.0 * lam), E + gdt),
-        _rel(
-            F * (phi + (1.0 - phi) * (zeta * disc + t.rho * params.dt)),
-            disc * (lam * phi * zeta + (1.0 - zeta) * (1.0 - phi) * gdt),
-        ),
-        _rel(G, disc * (-beta * (1.0 - zeta) * (F + gdt) + zeta * (lam * beta - eta))),
-    ]
-    return max(res)
+    link = max(_rel(c.F + g, lam * phi / y), _rel(c.E, 2.0 * lam * c.zeta * disc))
+    # G < 0 is a theorem here: untaxed, beta_i = (m/u)(1 - phi_i) and
+    # lambda = u/((1 + u^2) m), u = beta_sigma/m, give lambda beta_i - eta =
+    # -phi_i/(1 + u^2) < 0, and F + gamma dt = lambda phi/(1 - phi)
+    # > 0 with 0 < zeta < 1, so both terms of G are negative.
+    return fixed, link, min(c.A, c.B, c.C, c.D, c.E, c.F, c.zeta, rest, -c.G)
 
 
 def _check_value_layer(eq, params, identity_gate, dpe_gate):
@@ -184,26 +186,10 @@ def _check_value_layer(eq, params, identity_gate, dpe_gate):
         fixed = link = dpe = argmax = sign_margin = math.nan
     else:
         error = ""
-        fixed = max(_value_equation_residuals(coeff_list[i], eq, i, params) for i in range(params.k))
-        link = 0.0
-        for i, coeffs in enumerate(coeff_list):
-            t = params.traders[i]
-            gdt = t.gamma * params.dt
-            disc = 1.0 - t.rho * params.dt
-            phi = eq.phis[i]
-            link = max(
-                link,
-                _rel(coeffs.F + gdt, eq.lam * phi / (1.0 - phi)),
-                _rel(coeffs.E, 2.0 * eq.lam * coeffs.zeta * disc),
-            )
+        fixed, link, margin = zip(*(_value_gaps(_grouped(c, params), eq, i, params) for i, c in enumerate(coeff_list)))
+        fixed, link, sign_margin = max(fixed), max(link), min(margin)
         dpe = max(dpe_residual(coeff_list[i], eq, i, params) for i in range(params.k))
         argmax = max(dpe_argmax_gap(coeff_list[i], eq, i, params) for i in range(params.k))
-
-        # G < 0 is a theorem here: untaxed, beta_i = (m/u)(1 - phi_i) and
-        # lambda = u/((1 + u^2) m), u = beta_sigma/m, give lambda beta_i - eta =
-        # -phi_i/(1 + u^2) < 0, and F + gamma dt = lambda phi/(1 - phi)
-        # > 0 with 0 < zeta < 1, so both terms of G are negative.
-        sign_margin = min(min(c.A, c.B, c.C, c.D, c.E, c.F, c.zeta, 1.0 - c.zeta, -c.G) for c in coeff_list)
     results = [
         CheckResult("value_fixed_point", fixed <= identity_gate, fixed, identity_gate, detail=error),
         CheckResult("value_link_identity", link <= identity_gate, link, identity_gate, detail=error),

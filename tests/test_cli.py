@@ -153,18 +153,29 @@ class TestParamErrors:
         assert err.startswith("error:") and "value_finite" in err
 
     def test_phi_rounded_to_one_exits_1_without_a_traceback(self, capsys):
-        # the solve rounds phi to 1.0, so 1 - phi vanishes in the value layer
+        # The solve rounds phi to 1.0. The value layer takes 1 - phi as u
+        # beta/m, so solve answers; verify's phi_bounds alone refuses the 1.0.
         market = [
             "--sigma-s", "1", "--sigma-k", "5e11", "--dt", "0.1106519510532586",
             "--gamma", "0.002167101358143522", "--rho", "0.4990912258867044",
         ]
         code, out, err = run_cli(capsys, "solve", *market)
-        assert code == 1 and out == "" and "Traceback" not in err
-        [line] = err.splitlines()
-        assert line.startswith("error:") and "value_denominator" in line
+        assert code == 0 and err == ""
         code, out, err = run_cli(capsys, "verify", *market, "--paths", "0")
         assert code == 1 and "Traceback" not in err
-        assert "FAIL dpe_residual" in out and "value_denominator" in out
+        assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == ["phi_bounds"]
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("market", [
+        ["--sigma-k", "1e6", "--dt", "0.1"],
+        ["--sigma-k", "1e150", "--dt", "0.004", "--gamma", "2.5e-148"],
+    ], ids=["1e6", "1e150"])
+    def test_far_from_unit_scale_the_value_layer_answers(self, capsys, command, market):
+        # formed in market units, the first market's value layer raised
+        # value_invariant, and the second failed dpe_argmax by 3.6e133
+        paths = ["--paths", "0"] if command == "verify" else []
+        code, out, err = run_cli(capsys, command, "--sigma-s", "1", *market, *paths)
+        assert code == 0 and err == "", out
 
     def test_overflowing_expansion_coefficient_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "expand", *BASE, "--rho", "1e-310")

@@ -783,6 +783,21 @@ class TestMoments:
         want = float((batch.M[:, 0, 6] ** 2).mean())
         assert ests[6].mean == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("power", [-400, 400])
+    def test_monte_carlo_moments_scale_exactly_with_the_market(self, power):
+        # Scaling sigma_S and sigma_K by 2^power keeps the groups and scales
+        # every M by 2^power, so the moments scale by 2^(2 power) bit for bit.
+        # Taken as sums of M^4, they underflowed to a zero standard error at
+        # 2^-400 and overflowed to inf at 2^400.
+        ests = []
+        for scale in (1.0, 2.0**power):
+            p = make_params(k=2, dt=0.1, sigma_S=scale, sigma_K=1.3 * scale, l0=[0.5 * scale, 0.0])
+            eq, _ = solve_equilibrium(p)
+            ests.append(simulate_second_moment(eq, 0, p, [1, 5, 20], n_paths=300, seed=3))
+        for n, est in ests[0].items():
+            scaled = ests[1][n]
+            assert (scaled.mean, scaled.std_error) == (est.mean * 4.0**power, est.std_error * 4.0**power), n
+
     def test_checkpoint_validation(self):
         p = make_params(k=1, dt=0.1)
         eq, _ = solve_equilibrium(p)

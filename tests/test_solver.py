@@ -614,24 +614,34 @@ def _ulps_apart(a, b):
     return 0.0 if a == b else abs(a - b) / math.ulp(max(abs(a), abs(b)))
 
 
-def _zetas(eq, p):
-    """Every trader's zeta, or none where the value layer refuses the game:
-    it covers untaxed games only, and its invariant checks lose digits as
-    phi nears 1."""
-    try:
-        return [value_coefficients(eq, i, p).zeta for i in range(p.k)] if p.tax == 0.0 else []
-    except SolverError:
+def _grouped_value(eq, p):
+    """Every trader's value coefficients in the groups, A m, B/m, C,
+    D/(sigma_S sigma_K dt), E m, zeta, F m and G, with m = sigma_K/sigma_S;
+    none where the game is taxed, which the value layer does not cover, and
+    None where the value layer refuses it."""
+    if p.tax != 0.0:
         return []
+    m = p.sigma_K / p.sigma_S
+    try:
+        coeffs = [value_coefficients(eq, i, p) for i in range(p.k)]
+    except SolverError:
+        return None
+    d = p.sigma_S * p.sigma_K * p.dt
+    return [[c.A * m, c.B / m, c.C, c.D / d, c.E * m, c.zeta, c.F * m, c.G] for c in coeffs]
 
 
 def test_the_solve_depends_only_on_the_dimensionless_groups():
     """With m = sigma_K/sigma_S, the equilibrium depends on k, c m and, per
     trader, gamma_i dt m and rho_i dt alone: u = beta_sigma/m, lambda m,
-    every phi_i and, untaxed, every zeta_i. Each fuzzed market is solved
-    again at another sigma_S and a smaller dt, with gamma, rho and c
-    rescaled to keep the groups; the inputs' own rounding moves each output
-    by at most 8 ulps (the worst of 23,000 draws)."""
+    every phi_i and, untaxed, every zeta_i and the value coefficients in
+    the groups. Each fuzzed market is solved again at another sigma_S and a
+    smaller dt, with gamma, rho and c rescaled to keep the groups; the
+    inputs' own rounding moves u, lambda m, phi_i and zeta_i by at most 8
+    ulps (the worst of 23,000 draws) and the other grouped coefficients by
+    at most 16 (14 over these 2,000 draws, 17 over the first 20,000). The
+    value layer answers on both scalings or refuses both."""
     rng = random.Random(0)
+    compared = 0
     for _ in range(2000):
         p = fuzz_market(rng)
         sigma_S, dt = 10.0 ** rng.uniform(-3, 3), p.dt * 10.0 ** rng.uniform(-3, 0)
@@ -640,13 +650,20 @@ def test_the_solve_depends_only_on_the_dimensionless_groups():
             sigma_S=sigma_S, sigma_K=p.sigma_K, dt=dt, tax=p.tax * m / m2,
             gammas=[t.gamma * p.dt * m / (dt * m2) for t in p.traders], rhos=[t.rho * p.dt / dt for t in p.traders],
         )
-        outputs = []
+        outputs, values = [], []
         for market, scale in ((p, m), (q, m2)):
             eq, _ = solve_equilibrium(market)
-            outputs.append([eq.beta_sigma / scale, eq.lam * scale, *eq.phis, *_zetas(eq, market)])
-        # zip stops at the shorter list: the zetas count where both games have them
+            outputs.append([eq.beta_sigma / scale, eq.lam * scale, *eq.phis])
+            values.append(_grouped_value(eq, market))
+        assert (values[0] is None) == (values[1] is None), (p, q, values)
+        for a, b in zip(*values) if values[0] else ():
+            outputs[0].append(a.pop(5))  # zeta
+            outputs[1].append(b.pop(5))
+            assert max(_ulps_apart(x, y) for x, y in zip(a, b)) <= 16, (p, q, a, b)
+            compared += 1
         worst = max(_ulps_apart(a, b) for a, b in zip(*outputs))
         assert worst <= 8, (p, q, outputs)
+    assert compared > 2000
 
 
 @given(

@@ -29,7 +29,7 @@ from hftequil import (
     value_coefficients,
 )
 from hftequil.model import load_config
-from hftequil.value import ValueCoefficients, _default_dpe_grid, _dpe_argmax, _dpe_rhs, _evaluate_value
+from hftequil.value import ValueCoefficients, _default_dpe_grid, _dpe_argmax, _dpe_rhs, _evaluate_value, _grouped
 from helpers import _log_uniform, fuzz_market, make_params
 
 # unit monopoly, dt = 0.004
@@ -174,15 +174,16 @@ class TestDynamicProgramming:
             argmax_gap = dpe_argmax_gap(cs, eq, i, params)
             assert residual <= 1e-9
             assert argmax_gap <= 1e-12
-            # the array evaluation against a point-by-point loop over the grid
+            # the array evaluation against a point-by-point loop over the grid, in the groups
             disc = 1.0 - params.traders[i].rho * params.dt
+            gs = _grouped(cs, params)
             worst_residual = worst_argmax = 0.0
             for M, dS, Z in itertools.product(*_default_dpe_grid(eq, i, params)):
-                v = _evaluate_value(cs, M, dS, Z)
-                rhs = _dpe_rhs(cs, eq, i, params, M, dS, Z, -cs.zeta * Z)
+                v = _evaluate_value(gs, M, dS, Z)
+                rhs = _dpe_rhs(gs, eq, i, params, M, dS, Z, -gs.zeta * Z)
                 worst_residual = max(worst_residual, abs(v / disc - rhs) / (1.0 + abs(v)))
-                star = _dpe_argmax(cs, eq, i, params, M, dS, Z)
-                worst_argmax = max(worst_argmax, abs(star + cs.zeta * Z) / (1.0 + abs(Z)))
+                star = _dpe_argmax(gs, eq, i, params, M, dS, Z)
+                worst_argmax = max(worst_argmax, abs(star + gs.zeta * Z) / (1.0 + abs(Z)))
             assert residual == pytest.approx(worst_residual, abs=1e-16)
             assert argmax_gap == pytest.approx(worst_argmax, abs=1e-16)
 
@@ -190,14 +191,15 @@ class TestDynamicProgramming:
         p = make_params(k=2, dt=0.1, gammas=[0.5, 2.0])
         for i in range(p.k):
             eq, cs = coeffs_for(p, trader=i)
+            gs = _grouped(cs, p)
             M, dS, Z = np.meshgrid(*_default_dpe_grid(eq, i, p), indexing="ij")
             disc = 1.0 - p.traders[i].rho * p.dt
-            v = _evaluate_value(cs, M, dS, Z)
-            rhs = _dpe_rhs(cs, eq, i, p, M, dS, Z, -cs.zeta * Z)
+            v = _evaluate_value(gs, M, dS, Z)
+            rhs = _dpe_rhs(gs, eq, i, p, M, dS, Z, -gs.zeta * Z)
             residual = np.max(np.abs(v / disc - rhs) / (1.0 + np.abs(v)))
             assert dpe_residual(cs, eq, i, p) == float(residual)
-            star = _dpe_argmax(cs, eq, i, p, M, dS, Z)
-            argmax_gap = np.max(np.abs(star - (-cs.zeta * Z)) / (1.0 + np.abs(Z)))
+            star = _dpe_argmax(gs, eq, i, p, M, dS, Z)
+            argmax_gap = np.max(np.abs(star - (-gs.zeta * Z)) / (1.0 + np.abs(Z)))
             assert dpe_argmax_gap(cs, eq, i, p) == float(argmax_gap)
 
     def test_nan_anywhere_on_the_grid_fails_the_check(self):
@@ -217,8 +219,10 @@ class TestDynamicProgramming:
             assert _dpe_rhs(cs, eq, 0, p, M, dS, Z, star + eps) < at_star
 
     def test_on_path_value_matches_rhs_without_deviation(self):
+        # in the groups: v/(sigma_S sigma_K dt) at M in units of sigma_K sqrt(dt) and dS in sigma_S sqrt(dt)
         p = make_params(k=2, dt=0.01)
         eq, cs = coeffs_for(p, trader=1)
+        cs = _grouped(cs, p)
         disc = 1.0 - p.traders[1].rho * p.dt
         for M, dS in ((0.0, 0.0), (0.5, 0.02), (-1.0, -0.03)):
             v = _evaluate_value(cs, M, dS, 0.0)
@@ -239,13 +243,14 @@ class TestDynamicProgramming:
         assert v[0] == pytest.approx(_evaluate_value(cs, -1.0, 0.0, 0.0), rel=1e-15)
 
     def test_default_grid_shape_and_scale(self):
-        p = make_params(dt=0.004)
+        # the unit grid: M in units of sigma_K sqrt(dt), dS in units of sigma_S sqrt(dt)
+        p = make_params(dt=0.004, sigma_S=2.0, sigma_K=5.0)
         eq, _ = solve_equilibrium(p)
         Ms, dSs, Zs = _default_dpe_grid(eq, 0, p)
         assert len(Ms) == len(dSs) == len(Zs) == 5
         sd = stationary_inventory_std(eq, 0, p)
-        assert Ms[-1] == pytest.approx(3.0 * sd, rel=1e-12)
-        assert dSs[-1] == pytest.approx(3.0 * math.sqrt(0.004), rel=1e-12)
+        assert Ms[-1] == pytest.approx(3.0 * sd / (5.0 * math.sqrt(0.004)), rel=1e-12)
+        assert dSs[0] == -3.0 and dSs[-1] == 3.0
         assert Zs[0] == -1.0 and Zs[-1] == 1.0
 
     def test_default_grid_is_linspace_bit_for_bit(self):
@@ -259,41 +264,43 @@ class TestDynamicProgramming:
             eq, _ = solve_equilibrium(p)
             for i in range(p.k):
                 Ms, dSs, Zs = _default_dpe_grid(eq, i, p)
-                m_sd = stationary_inventory_std(eq, i, p)
-                s_sd = p.sigma_S * math.sqrt(p.dt)
-                assert 1e-160 < 3.0 * s_sd < 1e150
-                assert Ms.tobytes() == np.linspace(-3.0 * m_sd, 3.0 * m_sd, 5).tobytes()
-                assert dSs.tobytes() == np.linspace(-3.0 * s_sd, 3.0 * s_sd, 5).tobytes()
+                phi = eq.phis[i]
+                x = 3.0 * (eq.betas[i] / (p.sigma_K / p.sigma_S) / math.sqrt(phi * (2.0 - phi)))
+                assert x == pytest.approx(3.0 * stationary_inventory_std(eq, i, p) / (p.sigma_K * math.sqrt(p.dt)))
+                assert Ms.tobytes() == np.linspace(-x, x, 5).tobytes()
+                assert dSs.tobytes() == np.linspace(-3.0, 3.0, 5).tobytes()
                 assert Zs.tobytes() == np.array([-1.0, -0.5, 0.0, 0.5, 1.0]).tobytes()
-        # beta^2 underflows, so the M axis spans [-0.0, 0.0]: linspace's points are all +0.0
-        flat = replace(eq, betas=(1e-200,) + eq.betas[1:])
-        assert stationary_inventory_std(flat, 0, p) == 0.0
+        # beta/m underflows, so the M axis spans [-0.0, 0.0]: linspace's points are all +0.0
+        p = make_params(sigma_K=10.0)
+        flat = replace(solve_equilibrium(p)[0], betas=(5e-324,))
         assert _default_dpe_grid(flat, 0, p)[0].tobytes() == np.linspace(-0.0, 0.0, 5).tobytes()
 
 
 def _reference_dpe(cs, eq, i, p):
-    """dpe_residual and dpe_argmax_gap with linspace axes and one
-    expression per formula, each term a new array: the reference that the
-    in-place evaluation must match bit for bit."""
-    m_sd = stationary_inventory_std(eq, i, p)
-    s_sd = p.sigma_S * math.sqrt(p.dt)
-    M = np.linspace(-3.0 * m_sd, 3.0 * m_sd, 5)[:, None, None]
-    dS = np.linspace(-3.0 * s_sd, 3.0 * s_sd, 5)[None, :, None]
+    """dpe_residual and dpe_argmax_gap written out in the groups, with
+    linspace axes and one expression per formula, each term a new array:
+    the reference that the in-place evaluation must match bit for bit."""
+    m = p.sigma_K / p.sigma_S
+    beta, phi = eq.betas[i] / m, eq.phis[i]
+    y, lam, gdt = eq.beta_sigma / m * beta, eq.lam * m, p.traders[i].gamma * p.dt * m
+    A, B, C, D = cs.A * m, cs.B / m, cs.C, cs.D / (p.sigma_S * p.sigma_K * p.dt)
+    E, F, G = cs.E * m, cs.F * m, cs.G
+    x = 3.0 * (beta / math.sqrt(phi * (2.0 - phi)))
+    M = np.linspace(-x, x, 5)[:, None, None]
+    dS = np.linspace(-3.0, 3.0, 5)[None, :, None]
     Z = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])[None, None, :]
-    gdt = p.traders[i].gamma * p.dt
-    beta, phi, lam = eq.betas[i], eq.phis[i], eq.lam
-    v = (-0.5 * cs.A * M**2 + 0.5 * cs.B * dS**2 - cs.C * M * dS + cs.D
-         - 0.5 * cs.E * Z**2 - cs.F * M * Z + cs.G * dS * Z)
+    v = (-0.5 * A * M**2 + 0.5 * B * dS**2 - C * M * dS + D
+         - 0.5 * E * Z**2 - F * M * Z + G * dS * Z)
     dZ = -cs.zeta * Z
-    m_next = beta * dS + (1.0 - phi) * M
+    m_next = beta * dS + y * M
     z_next = Z + dZ
     flow = (cs.eta * dS - lam * dZ) * (beta * dS - phi * M + dZ) - 0.5 * gdt * (m_next + z_next) ** 2
-    expected = (-0.5 * cs.A * m_next**2 + 0.5 * cs.B * p.sigma_S**2 * p.dt + cs.D
-                - 0.5 * cs.E * z_next**2 - cs.F * m_next * z_next)
+    expected = (-0.5 * A * m_next**2 + 0.5 * B + D
+                - 0.5 * E * z_next**2 - F * m_next * z_next)
     disc = 1.0 - p.traders[i].rho * p.dt
     residual = np.max(np.abs(v / disc - (flow + expected)) / (1.0 + np.abs(v)))
-    grad = (-lam * (beta * dS - phi * M) + cs.eta * dS - gdt * (m_next + Z) - cs.E * Z - cs.F * m_next)
-    star = grad / (2.0 * lam + gdt + cs.E)
+    grad = (-lam * (beta * dS - phi * M) + cs.eta * dS - gdt * (m_next + Z) - E * Z - F * m_next)
+    star = grad / (2.0 * lam + gdt + E)
     gap = np.max(np.abs(star - (-cs.zeta * Z)) / (1.0 + np.abs(Z)))
     return float(residual), float(gap)
 
